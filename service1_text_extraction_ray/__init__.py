@@ -1,7 +1,7 @@
 """service1_text_extraction_ray — a Ray-Data-native main-content extraction engine.
 
-A brand-new engine (NOT a port) with the query/data-processing capabilities of
-the reference `nashrakhan-aithon/service1_text-extraction` service, re-expressed
+A brand-new engine (NOT a port) with the extraction semantics of the
+reference `nashrakhan-aithon/service1_text-extraction` service, re-expressed
 Ray-Data-first:
 
 - input: Parquet table of Common-Crawl-style pages

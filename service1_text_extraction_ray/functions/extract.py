@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from .html_extract import extract_html_text, html_layout
+from .html_extract import decode_payload, extract_html_text, html_layout
+from .ocr import get_ocr_backend, ocr_page
+from .page_render import OCR_SCALE, rasterize_page, write_gray_png_array
 from .passwords import (
     DEFAULT_PASSWORD,
     MAX_ATTEMPTS,
@@ -132,8 +134,6 @@ def _extract_plain_text(
     line endings normalize to \n; the page gate (min length + garbage
     predicate) applies exactly as for DOM text, so thin/garbage text files
     fail to an empty page like every other kind."""
-    from .html_extract import decode_payload
-
     try:
         text = decode_payload(payload).replace("\r\n", "\n").replace("\r", "\n")
         text = text.strip()
@@ -212,9 +212,6 @@ def _ocr_pdf_page(idx: int, page: Any, cfg: ExtractConfig) -> Optional[Dict[str,
     ``method="tesseract"`` (:394-399 — no re-gate). Backend errors return
     None (caller emits the failed row, the "Both fitz and tesseract
     failed" branch :404-409)."""
-    from .ocr import get_ocr_backend, ocr_page
-    from .page_render import OCR_SCALE, rasterize_page, write_gray_png_array
-
     # An unknown backend NAME is a config bug -> raise (fail fast), unlike
     # a backend runtime error on one page -> failed row (isolation).
     backend = get_ocr_backend(cfg.ocr_backend)

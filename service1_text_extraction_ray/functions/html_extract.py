@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from html.parser import HTMLParser
-from typing import List, Optional
+from typing import List
 
 _WS_RE = re.compile(r"\s+")
 

@@ -45,6 +45,7 @@ import numpy as np
 
 from .bitfont import GLYPH_H, GLYPH_W, GLYPH_INDEX
 from .page_render import read_gray_png
+from .quality import is_garbage_text
 
 INK_THRESHOLD = 128  # pixel < threshold counts as ink
 MAX_GLYPH_SCALE = 8
@@ -372,8 +373,6 @@ def ocr_page(backend: Any, png: bytes, width: int, height: int) -> Tuple[str, Di
 def ocr_text_enhanced(backend: Any, png: bytes) -> str:
     """The reference's enhanced ladder (:944-1000): ``--psm 6`` first, retry
     with ``--psm 3`` when the result is short (<10 chars) or garbage."""
-    from .quality import is_garbage_text
-
     text = backend.image_to_string(png, psm=6).strip()
     if len(text) < MIN_OCR_CHARS or is_garbage_text(text):
         text = backend.image_to_string(png, psm=3).strip()

@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 import pyarrow as pa
 
-from .bitfont import ADVANCE, GLYPH_H, GLYPH_W, render_text_bitmap
+from .bitfont import render_text_bitmap
 
 THUMB_MAX_DIM = 64  # placeholder raster size cap (long edge, pixels)
 RENDER_SCALE = 1.0  # render_pages operator: 1 pt = 1 px

@@ -328,11 +328,14 @@ try:  # Native AES fast path: the CBC chain is sequential, so a pure-Python
     # sub-millisecond; the pure-Python path below stays as the from-scratch
     # reference and the fallback, and both are pinned by the same FIPS-197
     # known-answer tests (tests/test_pdf_crypt.py asserts they agree).
-    from cryptography.hazmat.primitives.ciphers import (
-        Cipher as _NativeCipher,
-        algorithms as _native_algorithms,
-        modes as _native_modes,
-    )
+    #
+    # Import the classes, not the ``algorithms`` / ``modes`` modules:
+    # cryptography wraps those modules in a deprecation proxy that
+    # cloudpickle cannot pickle by value, and this module ships to Ray
+    # workers by value (ensure_worker_importable).
+    from cryptography.hazmat.primitives.ciphers import Cipher as _NativeCipher
+    from cryptography.hazmat.primitives.ciphers.algorithms import AES as _NativeAES
+    from cryptography.hazmat.primitives.ciphers.modes import CBC as _NativeCBC
 except ImportError:  # pragma: no cover - baked into this environment
     _NativeCipher = None
 
@@ -340,7 +343,7 @@ except ImportError:  # pragma: no cover - baked into this environment
 def _native_cbc(key: bytes, iv: bytes, data: bytes, encrypt: bool) -> Optional[bytes]:
     if _NativeCipher is None:
         return None
-    c = _NativeCipher(_native_algorithms.AES(key), _native_modes.CBC(iv))
+    c = _NativeCipher(_NativeAES(key), _NativeCBC(iv))
     ctx = c.encryptor() if encrypt else c.decryptor()
     return ctx.update(data) + ctx.finalize()
 

@@ -20,6 +20,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .feeds import detect_feed
+
 KIND_HTML = "html"
 KIND_PDF = "pdf"
 KIND_FEED = "feed"
@@ -67,8 +69,6 @@ def sniff_payload(payload: bytes | None) -> str:
         # consistently classified html — documented prefilter, identical in
         # the vectorized path so scalar/table sniffs always agree).
         if stripped[:5] == b"<?xml" or stripped[:4] in (b"<rss", b"<fee"):
-            from .feeds import detect_feed
-
             if detect_feed(payload) is not None:
                 return KIND_FEED
         return KIND_HTML
@@ -133,8 +133,6 @@ def sniff_table(batch: pa.Table, size_bucket_edges: tuple[int, ...]) -> pa.Table
         False,
     ).to_numpy(zero_copy_only=False)
     if maybe_feed.any():
-        from .feeds import detect_feed
-
         head512 = pc.binary_slice(payload, 0, 512)
         for i in np.nonzero(maybe_feed)[0]:
             if detect_feed(head512[int(i)].as_py()) is not None:
@@ -143,8 +141,6 @@ def sniff_table(batch: pa.Table, size_bucket_edges: tuple[int, ...]) -> pa.Table
     lens_np = payload_len.to_numpy(zero_copy_only=False)
     maybe_slow = ~is_pdf_np & ~is_html_np & (lens_np > 0)
     if maybe_slow.any():
-        from .feeds import detect_feed
-
         head = pc.binary_slice(payload, 0, 512)
         for i in np.nonzero(maybe_slow)[0]:
             h = head[int(i)].as_py()

@@ -15,20 +15,18 @@ Replaces the reference's FastAPI/Postgres/asyncio plumbing
                                                 #   per-shard manifest commits:
                                                 #   NO shuffle anywhere
       -> drain tiny summary stream; driver-side straggler commit sweep
-      (ManifestCommitter remains as the portable barrier alternative for
-       clusters without a shared output filesystem)
 
 Design notes (SURVEY.md §4.2):
 
 - **Streaming**: nothing materializes the full dataset; the driver only ever
   collects the per-shard summary rows (one small row per shard).
-- **No heavy shuffle**: the shard identity is the *input file* (sniff.
+- **No shuffle**: the shard identity is the *input file* (sniff.
   stable_shard_id), so a shard's rows flow through the same task chain that
-  read them and are written where they are. Only the per-part counter
-  summaries (a handful of ints per block) go through the manifest-commit
-  groupby. Measured: the previous url-hash design shuffled the full extraction
-  output (~4x input bytes with layout JSON) and the sort dominated the job
-  (24.5s of 28s at 10k docs); this design removes it entirely.
+  read them and are written where they are; each PartWriter commits a
+  shard's manifest once all its rows have landed. Measured: the previous
+  url-hash design shuffled the full extraction output (~4x input bytes with
+  layout JSON) and the sort dominated the job (24.5s of 28s at 10k docs);
+  this design removes it entirely.
 - **Skew**: small parse batch_size bounds giant-doc co-travel; the payload
   truncation guard is counted per shard; Ray's dynamic block splitting keeps
   oversized outputs from pinning one task.
@@ -36,20 +34,30 @@ Design notes (SURVEY.md §4.2):
   resumed run prunes completed files from the READ list — skipped work costs
   zero IO, not just zero parse.
 - **No-write mode** (``extract_dataset``): the same graph minus the writers,
-  for callers that want the doc-grain Dataset to keep composing
-  (e.g. the driver's queries()).
+  for callers that want the doc-grain Dataset to keep composing.
 """
 
 from __future__ import annotations
 
-import time
+import os
+import shutil
+import zlib
 from typing import Optional
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray.data as rd
 
+from .. import ensure_worker_importable
 from ..functions.extract import ExtractConfig
+from ..functions.sniff import stable_shard_id
+from ..sources.pages_source import (
+    WARC_EXTS,
+    count_warc_pages,
+    list_input_files,
+    read_pages_warc,
+)
 from ..stages.extract_stage import ExtractDocuments, SniffStage, explode_pages
 from ..state import lineage as lin
 
@@ -72,38 +80,9 @@ def read_pages(input_path: str | list) -> rd.Dataset:
     return rd.read_parquet(input_path, columns=INPUT_COLUMNS, include_paths=True)
 
 
-_WARC_EXTS = (".warc", ".warc.gz")
-
-
-def list_input_files(input_path: str | list) -> list:
-    """Deterministic (sorted) list of input shard files — parquet (the
-    production format) or WARC (plain / .warc.gz, the Common Crawl wire
-    format). A directory may contain one format, not a mix: the two need
-    different expected-row accounting and the ambiguity would hide a
-    misconfigured input."""
-    import os
-
-    if isinstance(input_path, (list, tuple)):
-        files = sorted(input_path)
-    elif os.path.isfile(input_path):
-        files = [input_path]
-    else:
-        files = sorted(
-            os.path.join(input_path, f)
-            for f in os.listdir(input_path)
-            if f.endswith(".parquet") or f.endswith(_WARC_EXTS)
-        )
-    pq_files = [f for f in files if f.endswith(".parquet")]
-    if pq_files and len(pq_files) != len(files):
-        raise ValueError("mixed parquet and WARC inputs in one job")
-    return files
-
-
 def _prepare_session() -> None:
     """Ship package code by value so workers never need the repo on sys.path."""
-    import service1_text_extraction_ray as pkg
-
-    pkg.ensure_worker_importable()
+    ensure_worker_importable()
 
 
 def _default_pool_size() -> tuple:
@@ -164,17 +143,15 @@ def extract_dataset_bucketed(
     own task, so giant payloads spread uniformly across the cluster instead
     of riding wherever their input file put them. This COSTS a full shuffle
     of the raw payload bytes; the default no-shuffle pipeline is faster on
-    corpora whose input files already mix sizes well (BENCH/BASELINE.md
-    architecture table — the v0 shuffle writer lost 2x to exactly this
-    exchange). Reach for this variant when inputs arrive size-sorted (e.g.
-    crawler shards partitioned by content length) and file-aligned
-    processing would leave the big-payload files as stragglers.
+    corpora whose input files already mix sizes well (the first shuffle
+    writer lost 2x to exactly this exchange). Reach for this variant when
+    inputs arrive size-sorted (e.g. crawler shards partitioned by content
+    length) and file-aligned processing would leave the big-payload files
+    as stragglers.
 
     Output is byte-identical to ``extract_dataset`` up to row order
     (pytest-asserted: same per-url text, same hash XOR).
     """
-    import zlib
-
     cfg = cfg or ExtractConfig()
     _prepare_session()
     sniffed = ds.map_batches(SniffStage(cfg), batch_format="pyarrow")
@@ -266,27 +243,6 @@ class PartWriter:
         return pa.Table.from_pylist(rows, schema=PART_SUMMARY_SCHEMA)
 
 
-class ManifestCommitter:
-    """Per-shard barrier over the tiny summaries: all parts of a shard exist
-    once its summary group is complete -> commit the manifest."""
-
-    def __init__(self, out_dir: str) -> None:
-        self.out_dir = out_dir
-        # map_groups expects a function-like object (reads __name__).
-        self.__name__ = "ManifestCommitter"
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        shard_id = group["shard_id"][0].as_py()
-        # Usually already committed incrementally by PartWriter; re-commit is
-        # idempotent (same complete summary set -> identical manifest bytes).
-        rec = lin.commit_shard_manifest(self.out_dir, shard_id, group.to_pylist())
-        return pa.Table.from_pylist(
-            [{k: rec[k] for k in ("shard_id", "n_docs", "n_pages", "parse_failures",
-                                  "empty_extractions", "truncations",
-                                  "password_required", "content_hash")}]
-        )
-
-
 def run_extraction_job(
     input_path: str,
     out_dir: str,
@@ -297,16 +253,12 @@ def run_extraction_job(
     tolerant_warc: bool = False,
 ) -> dict:
     """End-to-end job: read (completed input files pruned on resume) -> sniff
-    -> extract -> inline part writes -> summaries-only shuffle -> per-shard
-    manifest commit. Returns the job summary (counters merged across shards,
-    including previously-completed ones on resume). ``snapshot=True``
-    additionally pins the committed state as the next table snapshot
-    (lineage.commit_snapshot — Iceberg-style versioned reads) and reports
-    ``snapshot_version``."""
-    import os
-
-    from ..functions.sniff import stable_shard_id
-
+    -> extract -> inline part writes with per-shard manifest commits as
+    shards complete -> driver straggler sweep. Returns the job summary
+    (counters merged across shards, including previously-completed ones on
+    resume). ``snapshot=True`` additionally pins the committed state as the
+    next table snapshot (lineage.commit_snapshot — Iceberg-style versioned
+    reads) and reports ``snapshot_version``."""
     cfg = cfg or ExtractConfig()
 
     files = list_input_files(input_path)
@@ -328,8 +280,6 @@ def run_extraction_job(
         # re-writes are idempotent).
         ldir = lin.lineage_dir(out_dir)
         if os.path.isdir(ldir):
-            import shutil
-
             shutil.rmtree(ldir)
 
     if not files:
@@ -347,13 +297,11 @@ def run_extraction_job(
     # WARC shards have no footer: the count is a full record scan (also
     # thread-mapped) — the documented reason parquet stays the production
     # format and WARC ingestion is the interop path.
-    if files[0].endswith(_WARC_EXTS):
+    if files[0].endswith(WARC_EXTS):
         # ``tolerant_warc=True`` is the crawl-archive salvage mode: damaged
         # members/records cost their pages, not the shard — the tolerant
         # count and reader share one pairing implementation, so the
         # expected-rows accounting stays exact under damage.
-        from ..sources.pages_source import count_warc_pages, read_pages_warc
-
         expected = dict(
             lin.thread_map(
                 lambda f: (stable_shard_id(f),
@@ -367,11 +315,9 @@ def run_extraction_job(
             lambda t: t.drop_columns(["text"]), batch_format="pyarrow"
         )
     else:
-        import pyarrow.parquet as _pq
-
         expected = dict(
             lin.thread_map(
-                lambda f: (stable_shard_id(f), _pq.ParquetFile(f).metadata.num_rows),
+                lambda f: (stable_shard_id(f), pq.ParquetFile(f).metadata.num_rows),
                 files,
             )
         )
@@ -438,15 +384,24 @@ def run_incremental_recrawl(
     re-extraction of the merged inputs (order-insensitive content_hash
     equality, pinned by tests/test_pipeline_e2e.py::TestIncrementalRecrawl).
 
+    The input must be parquet: a WARC input raises ValueError up front.
+
     Returns ``{"shards_touched", "n_replaced", "n_appended",
-    "n_docs_delta"}`` (+ ``snapshot_version`` when requested)."""
+    "n_docs_touched_shards"}`` (+ ``snapshot_version`` when requested);
+    ``n_docs_touched_shards`` counts the docs stored in the touched shards
+    after the merge."""
     cfg = cfg or ExtractConfig()
     _prepare_session()
 
     files = list_input_files(input_path)
+    if any(f.endswith(WARC_EXTS) for f in files):
+        raise ValueError(
+            "run_incremental_recrawl reads parquet shards only; "
+            f"got WARC input {files[0]!r}"
+        )
     if not files:
         return {"shards_touched": 0, "n_replaced": 0, "n_appended": 0,
-                "n_docs_delta": 0}
+                "n_docs_touched_shards": 0}
 
     delta = extract_dataset(read_pages(files), cfg, concurrency=concurrency)
 

@@ -9,9 +9,8 @@ against a running cluster (or local mode) with explicit input/output and a
         python -m service1_text_extraction_ray.pipelines.job \
         --input /data/pages --output /data/extracted --resume
 
-In the sandbox (no multi-node cluster) run it directly; it initialises a
-local Ray session only when none exists (the guard the driver contract
-requires).
+On a single machine run it directly; it initialises a local Ray session
+only when none exists, so it also runs inside a caller's session.
 """
 
 from __future__ import annotations
@@ -54,6 +53,10 @@ def main(argv=None) -> int:
              "'fake'); default none = the reference's no-tesseract branch",
     )
     args = p.parse_args(argv)
+    if args.recrawl and args.tolerant_warc:
+        # recrawl reads parquet only; accepting the flag would silently
+        # drop it
+        p.error("--tolerant-warc applies to WARC extraction, not --recrawl")
 
     import ray
 
@@ -68,7 +71,7 @@ def main(argv=None) -> int:
     DataContext.get_current().enable_progress_bars = False
 
     from ..functions.extract import ExtractConfig
-    from .extract_pipeline import run_extraction_job
+    from .extract_pipeline import run_extraction_job, run_incremental_recrawl
 
     cfg_kwargs = {}
     if args.max_pages is not None:
@@ -81,8 +84,6 @@ def main(argv=None) -> int:
         cfg_kwargs["emit_layout"] = False
     if args.ocr_backend:
         cfg_kwargs["ocr_backend"] = args.ocr_backend
-
-    from .extract_pipeline import run_incremental_recrawl
 
     if args.recrawl:
         summary = run_incremental_recrawl(

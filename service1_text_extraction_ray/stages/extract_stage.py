@@ -24,6 +24,7 @@ from typing import Optional
 import pyarrow as pa
 
 from ..functions.extract import ExtractConfig, doc_content_hash, extract_document
+from ..functions.passwords import PasswordBook
 from ..functions.sniff import sniff_table
 
 # Arrow schema of the doc-grain extraction output (page rows nested so no
@@ -93,8 +94,6 @@ class ExtractDocuments:
         # book (A2) is actor state: the broadcast saved map plus a per-actor
         # success cache (functions/passwords.py explains why the cache cannot
         # perturb byte-determinism).
-        from ..functions.passwords import PasswordBook
-
         self.cfg = cfg or ExtractConfig()
         self.book = PasswordBook(
             dict(self.cfg.saved_passwords), self.cfg.default_password

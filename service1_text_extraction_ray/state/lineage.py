@@ -19,16 +19,18 @@ Why parts + manifests instead of one file per shard: writing one file per
 shard requires an all-to-all shuffle of the (heavy) extraction output to
 co-locate each shard's rows. Instead, every extraction task writes the rows
 it already holds, split by shard, as content-addressed part files — zero
-data movement — and only the tiny per-(block, shard) summaries flow into a
-groupby(shard_id) barrier that commits each shard's manifest once all its
-parts exist. A reader trusts ONLY parts listed in a committed manifest, so:
+data movement — and records a tiny part summary under ``pending_dir``.
+The writer that sees a shard's summaries reach its expected row count
+commits the shard's manifest (``try_commit_shard``); the driver sweeps any
+shard left uncommitted once the stream ends. A reader trusts ONLY parts
+listed in a committed manifest, so:
 
 - crash before a shard's manifest -> shard incomplete -> fully re-processed
   on resume; any orphan parts from the crashed attempt are simply never
   referenced (and re-writes of identical row-sets are idempotent because
   part names are content hashes);
-- resume = validate manifests, broadcast the completed shard-id set, filter
-  *before* the expensive parse stage (anti-join, not a shuffle).
+- resume = validate manifests, then drop the completed shards' input files
+  from the read list, *before* the expensive parse stage (no shuffle).
 
 The manifest carries the counters the north star mandates (parse_failures,
 empty_extractions, truncations) plus row counts and an order-insensitive
@@ -143,9 +145,8 @@ def pending_dir(out_dir: str, shard_id: int) -> str:
     preserves every shard finished before T (FIXTURES.md §4 item 4).
 
     NB: the completeness check scans this directory, so writers of one shard
-    must share a filesystem. That holds in local mode and on shared-FS/object
-    -store clusters; without it, the end-of-stream ManifestCommitter barrier
-    (which needs no shared view) still commits every shard."""
+    and the driver's end-of-stream straggler sweep must share a filesystem
+    (local mode, a shared FS or an object store)."""
     return os.path.join(lineage_dir(out_dir), "pending", f"shard_{shard_id}")
 
 

@@ -221,6 +221,54 @@ def test_kill_and_resume_preserves_completed_shards(corpus_dir, tmp_path):
     assert a.equals(b)
 
 
+_FOREIGN_DRIVER = """
+import json, sys
+sys.path.insert(0, sys.argv[1])  # the package is on the DRIVER's path only
+import ray
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from service1_text_extraction_ray.functions.extract import ExtractConfig
+from service1_text_extraction_ray.pipelines.extract_pipeline import (
+    run_extraction_job)
+print(json.dumps(run_extraction_job(sys.argv[2], sys.argv[3], ExtractConfig())))
+ray.shutdown()
+"""
+
+
+def test_job_runs_from_foreign_cwd_without_package_on_worker_path(tmp_path):
+    """A driver whose cwd is elsewhere and whose sys.path alone holds the
+    package must still run the job: every worker-side import has to come
+    with the by-value pickled code (ensure_worker_importable), not from the
+    worker's sys.path. The corpus includes RC4 and AES encrypted PDFs, so
+    the pdf_crypt path ships too."""
+    import json
+    import subprocess
+    import sys
+
+    from service1_text_extraction_ray.functions.extract import doc_content_hash
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    inp, out = str(tmp_path / "in"), str(tmp_path / "out")
+    write_pages_parquet(inp, 100, seed=42, rows_per_file=50)
+    cwd = tmp_path / "elsewhere"
+    cwd.mkdir()
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONPATH", "RAY_ADDRESS")}
+    res = subprocess.run(
+        [sys.executable, "-c", _FOREIGN_DRIVER, repo, inp, out],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert res.returncode == 0, f"job failed:\n{res.stderr[-4000:]}"
+    summary = json.loads(res.stdout.strip().splitlines()[-1])
+    rows = gen_pages_table(100, seed=42).to_pylist()
+    oracle = [extract_document(r["url"], r["html"], CFG) for r in rows]
+    assert summary["n_docs"] == 100
+    assert summary["content_hash"] == lin.xor_content_hash(
+        [doc_content_hash(o["doc_text"]) for o in oracle])
+
+
 def test_bucketed_variant_matches_default(ray_session, corpus_dir, oracle_results):
     """The size-bucketed + salted-groupby parse path (north_rule's explicit
     skew treatment) must produce byte-identical extractions to the
@@ -445,6 +493,37 @@ class TestIncrementalRecrawl:
             os.path.join(rdir, "pages-wave2.parquet"),
         )
         res = run_incremental_recrawl(rdir, out, CFG)
+        assert set(res) == RECRAWL_KEYS
         assert res["shards_touched"] == 1
         assert res["n_replaced"] == 0 and res["n_appended"] == 50
+        assert res["n_docs_touched_shards"] == 50
         assert lin.read_all(out).num_rows == n0 + 50
+
+    def test_empty_input_returns_the_same_keys(self, tmp_path):
+        from service1_text_extraction_ray.pipelines.extract_pipeline import (
+            run_incremental_recrawl)
+
+        res = run_incremental_recrawl([], str(tmp_path / "out"), CFG)
+        assert res == dict.fromkeys(RECRAWL_KEYS, 0)
+
+    def test_warc_input_rejected_up_front(self, tmp_path):
+        from service1_text_extraction_ray.pipelines.extract_pipeline import (
+            run_incremental_recrawl)
+
+        (tmp_path / "pages-a.warc.gz").write_bytes(b"")
+        with pytest.raises(ValueError, match="reads parquet shards only"):
+            run_incremental_recrawl(str(tmp_path), str(tmp_path / "out"), CFG)
+
+    def test_job_cli_rejects_tolerant_warc_with_recrawl(self, tmp_path, capsys):
+        from service1_text_extraction_ray.pipelines import job
+
+        argv = ["--input", str(tmp_path), "--output", str(tmp_path / "out"),
+                "--recrawl", "--tolerant-warc"]
+        with pytest.raises(SystemExit) as exc:
+            job.main(argv)
+        assert exc.value.code == 2
+        assert "--tolerant-warc" in capsys.readouterr().err
+
+
+RECRAWL_KEYS = {"shards_touched", "n_replaced", "n_appended",
+                "n_docs_touched_shards"}
