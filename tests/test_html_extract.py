@@ -96,6 +96,79 @@ def test_block_features():
     assert kept
 
 
+class TestHtmlTables:
+    """functions/html_tables.py — structured <table> extraction semantics."""
+
+    def _tables(self, html: str):
+        from query_suite.functions.html_tables import extract_html_tables
+
+        return extract_html_tables(html.encode("utf-8"))
+
+    def test_basic_th_header_and_cells(self):
+        from query_suite.functions.html_tables import table_markdown
+
+        t = self._tables(
+            "<table><tr><th>a</th><th>b</th></tr>"
+            "<tr><td> x  y </td><td>z</td></tr></table>"
+        )
+        assert len(t) == 1
+        assert t[0].header_is_th
+        assert t[0].rows == [["a", "b"], ["x y", "z"]]
+        assert table_markdown(t[0]) == "| a | b |\n| --- | --- |\n| x y | z |"
+
+    def test_no_th_header_gets_empty_header(self):
+        from query_suite.functions.html_tables import table_markdown
+
+        t = self._tables("<table><tr><td>1</td><td>2</td></tr></table>")
+        assert not t[0].header_is_th
+        assert table_markdown(t[0]) == "|  |  |\n| --- | --- |\n| 1 | 2 |"
+
+    def test_nested_table_folds_into_outer_cell(self):
+        t = self._tables(
+            "<table><tr><td>outer "
+            "<table><tr><td>inner</td></tr></table>"
+            " tail</td></tr></table>"
+        )
+        assert len(t) == 1  # nested table not emitted separately
+        assert t[0].rows == [["outer inner tail"]]
+
+    def test_script_decoy_and_ragged_rows(self):
+        from query_suite.functions.html_tables import table_markdown
+
+        t = self._tables(
+            "<script>'<table><tr><td>NOPE</td></tr></table>'</script>"
+            "<table><tr><td>a</td><td>b</td><td>c</td></tr>"
+            "<tr><td>only</td></tr></table>"
+        )
+        assert len(t) == 1
+        assert t[0].n_cols == 3
+        md = table_markdown(t[0])
+        assert "NOPE" not in md
+        assert md.splitlines()[-1] == "| only |  |  |"
+
+    def test_truncated_markup_flushes_open_table(self):
+        t = self._tables("<table><tr><td>left</td><td>right")
+        assert t and t[0].rows == [["left", "right"]]
+
+    def test_pipe_escaped_in_markdown(self):
+        from query_suite.functions.html_tables import table_markdown
+
+        t = self._tables("<table><tr><td>a|b</td></tr></table>")
+        assert "a\\|b" in table_markdown(t[0])
+
+    def test_fixture_page_round_trip(self):
+        """make_table_page -> extractor recovers exactly the planted tables."""
+        from query_suite.functions.html_tables import extract_html_tables
+        from query_suite.functions.fixtures import make_table_page
+
+        page = make_table_page(10, "en", "src3", 500)  # %4==2 -> 3 data rows; %5==0 -> 2 tables
+        tabs = extract_html_tables(page)
+        assert len(tabs) == 2
+        assert tabs[0].rows[0] == ["k", "v"]
+        assert tabs[0].rows[1:] == [["k0", "500"], ["k1", "501"], ["k2", "502"]]
+        assert tabs[1].rows == [["lang", "src"], ["en", "src3"]]
+
+
 class TestCharsetDecoding:
     def test_bom_variants_stripped(self):
         from service1_text_extraction_ray.functions.html_extract import (
@@ -196,3 +269,57 @@ class TestHiddenContent:
             + "styled but visible words " * 15 + "</p></body></html>"
         )
         assert "styled" in t
+
+
+class TestRelUgcSponsored:
+    def test_ugc_and_sponsored_count_as_nofollow(self):
+        from query_suite.functions.links import extract_outlinks
+
+        html = (
+            '<html><body>'
+            '<a href="/a" rel="ugc">comment link</a>'
+            '<a href="/b" rel="sponsored">paid link</a>'
+            '<a href="/c" rel="nofollow ugc">both</a>'
+            '<a href="/d" rel="author">followable</a>'
+            '<a href="/e">plain</a>'
+            "</body></html>"
+        ).encode()
+        links, _, _ = extract_outlinks(html, "https://h.example.com/p")
+        by_path = {ln.href.rsplit("/", 1)[-1]: ln.nofollow for ln in links}
+        assert by_path == {"a": True, "b": True, "c": True,
+                           "d": False, "e": False}
+
+
+class TestExtractHeadings:
+    def test_outline_decoys_and_parents(self):
+        from query_suite.functions.meta import extract_headings
+
+        html = (
+            b"<html><body>"
+            b"<nav><h2>menu</h2></nav>"            # chrome: dropped
+            b"<h1>Doc <em>5</em></h1>"             # nested inline concatenates
+            b"<h2>Section 1 <em>of</em> doc 5</h2>"
+            b'<div style="display: none"><h3>hidden</h3></div>'
+            b"<h4>   </h4>"                        # empty: dropped
+            b"<h3>Part 1.1</h3>"
+            b"<h2>Section 2</h2><h3>Part 2.1</h3>"
+            b"<footer><h6>foot</h6></footer>"
+            b"</body></html>"
+        )
+        rows = extract_headings(html)
+        assert [(r["pos"], r["level"], r["text"], r["parent_pos"]) for r in rows] == [
+            (1, 1, "Doc 5", -1),
+            (2, 2, "Section 1 of doc 5", 1),
+            (3, 3, "Part 1.1", 2),
+            (4, 2, "Section 2", 1),
+            (5, 3, "Part 2.1", 4),
+        ]
+
+    def test_hidden_attr_and_truncation(self):
+        from query_suite.functions.meta import extract_headings
+
+        assert extract_headings(b"<div hidden><h1>x</h1></div><h2>ok</h2>") == [
+            {"pos": 1, "level": 2, "text": "ok", "parent_pos": -1}
+        ]
+        # truncated mid-heading: no endtag -> heading never emitted, no crash
+        assert extract_headings(b"<h1>dangling") == []

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from service1_text_extraction_ray.functions.json_utils import (
+from query_suite.functions.json_utils import (
     merge_objects,
     parse_relaxed,
     safe_json_loads,
@@ -107,8 +107,8 @@ class TestLayoutStatsQuery:
         import pyarrow.parquet as pq
 
         from service1_text_extraction_ray.functions.synth import write_pages_parquet
-        from service1_text_extraction_ray.pipelines.queries import q_layout_stats
-        from service1_text_extraction_ray.sources.pages_source import documents_to_pages  # noqa: F401
+        from query_suite.pipelines.queries import q_layout_stats
+        from query_suite.sources.page_formats import documents_to_pages
 
         # Build a tiny documents.parquet so documents_to_pages can synthesize
         import pyarrow as pa
@@ -128,7 +128,7 @@ class TestLayoutStatsQuery:
         from service1_text_extraction_ray.pipelines.extract_pipeline import (
             extract_pages_dataset,
         )
-        from service1_text_extraction_ray.sources.pages_source import documents_to_pages
+        from query_suite.sources.page_formats import documents_to_pages
 
         pages = (
             extract_pages_dataset(documents_to_pages(str(d)))
@@ -155,7 +155,7 @@ class TestParseRelaxedRobustness:
     def test_adversarial_many_spans_bounded(self):
         import time
 
-        from service1_text_extraction_ray.functions.json_utils import MAX_PARSE_ATTEMPTS
+        from query_suite.functions.json_utils import MAX_PARSE_ATTEMPTS
 
         text = "{a}" * 50_000
         t0 = time.monotonic()

@@ -2,10 +2,7 @@
 
 import pyarrow as pa
 
-from service1_text_extraction_ray.functions.naming import (
-    document_name_from_url,
-    parse_folder_name,
-)
+from query_suite.functions.naming import document_name_from_url, parse_folder_name
 
 
 class TestParseFolderName:
@@ -33,8 +30,8 @@ class TestEmbeddingsWide:
         import numpy as np
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.queries import q_embeddings_wide
-        from service1_text_extraction_ray.stages.embed_stage import EMBED_DIM
+        from query_suite.pipelines.queries import q_embeddings_wide
+        from query_suite.stages.embed_stage import EMBED_DIM
 
         rows = [
             {"doc_id": i, "text": f"doc {i} " + " ".join(f"w{i}x{j}" for j in range(60)),

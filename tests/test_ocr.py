@@ -386,6 +386,23 @@ class TestExtractOcrLadder:
         assert r["status"] == "parse_failure"
 
 
+class TestOcrQueries:
+    def test_ocr_eval_exact_rate_is_one(self, ray_session):
+        from query_suite.pipelines import queries as Q
+
+        rows = Q.q_ocr_eval("/root/testdata/sf0.001").take_all()
+        assert len(rows) == 500
+        assert all(r["exact"] for r in rows)
+        assert all(r["ocr_pages"] == r["n_pages"] for r in rows)
+
+    def test_extract_ocr_page_grain(self, ray_session):
+        from query_suite.pipelines import queries as Q
+
+        rows = Q.q_extract_ocr("/root/testdata/sf0.001").take(50)
+        assert rows and all(r["method"] == "tesseract" for r in rows)
+        assert all(r["n_chars"] > 0 for r in rows)
+
+
 class TestOcrJobIntegration:
     def test_job_with_ocr_backend_over_scanned_parquet(self, ray_session, tmp_path):
         """Job-level OCR wiring (the --ocr-backend CLI path): a scanned-only

@@ -6,13 +6,13 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-from service1_text_extraction_ray.pipelines.queries import (
+from query_suite.pipelines.queries import (
     _minhash_sig,
     _query_vector,
     _shingles,
     _simhash64,
 )
-from service1_text_extraction_ray.stages.multimodal import (
+from query_suite.stages.multimodal import (
     FEATURE_DIM,
     DecoderStub,
     MediaFeatureExtractor,
@@ -43,7 +43,7 @@ class TestMinHash:
         full MinHash+LSH query surfaces exactly the planted pairs."""
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.queries import q_dedup_minhash_lsh
+        from query_suite.pipelines.queries import q_dedup_minhash_lsh
 
         base = " ".join(f"token{i % 37} filler{i % 11}" for i in range(300))
         rows = []
@@ -67,7 +67,7 @@ class TestMinHash:
         # Branch equality: forcing the over-cap hash-join text attachment
         # must produce the identical verified pairs as the broadcast path
         # (which the small fixture takes by default).
-        from service1_text_extraction_ray.pipelines import queries as Q
+        from query_suite.pipelines import queries as Q
 
         old_cap = Q.MINHASH_BROADCAST_TEXT_BYTES
         Q.MINHASH_BROADCAST_TEXT_BYTES = 0
@@ -104,7 +104,7 @@ class TestSimilaritySearch:
         on a corpus with planted near-query vectors."""
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.queries import q_ann_lsh, q_knn_cosine
+        from query_suite.pipelines.queries import q_ann_lsh, q_knn_cosine
 
         rs = np.random.RandomState(7)
         q = _query_vector()
@@ -196,7 +196,7 @@ class TestIvfAnn:
     def test_ivf_recall_on_planted_cluster(self, ray_session, tmp_path):
         """The planted near-query vectors form a tight cluster the coarse
         quantizer isolates, so probing IVF_NPROBE lists recovers them."""
-        from service1_text_extraction_ray.pipelines.queries import q_ann_ivf, q_knn_cosine
+        from query_suite.pipelines.queries import q_ann_ivf, q_knn_cosine
 
         rs = np.random.RandomState(11)
         q = _query_vector()
@@ -211,7 +211,7 @@ class TestIvfAnn:
         assert len(exact & approx) / len(exact) >= 0.8
 
     def test_ivf_deterministic(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.queries import q_ann_ivf
+        from query_suite.pipelines.queries import q_ann_ivf
 
         rs = np.random.RandomState(12)
         d = _write_embeddings(tmp_path, rs.standard_normal((300, 64)).astype(np.float32))
@@ -222,7 +222,7 @@ class TestIvfAnn:
 
 class TestEmbeddingNearDup:
     def test_planted_near_dups_found(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.queries import q_dedup_embedding
+        from query_suite.pipelines.queries import q_dedup_embedding
 
         rs = np.random.RandomState(13)
         vecs = rs.standard_normal((200, 64)).astype(np.float32)
@@ -252,7 +252,7 @@ class TestScalarExtractorQueries:
         return str(d)
 
     def test_extract_numbers_and_dates_counts(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.queries import q_doc_extract_numbers
+        from query_suite.pipelines.queries import q_doc_extract_numbers
 
         d = self._docs(
             tmp_path,
@@ -265,8 +265,8 @@ class TestScalarExtractorQueries:
         assert out["n_numbers"].tolist()[0] >= 2
 
     def test_strip_headers_matches_pure_fn(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.functions.quality import remove_page_headers_footers
-        from service1_text_extraction_ray.pipelines.queries import q_doc_strip_headers
+        from query_suite.functions.text_utils import remove_page_headers_footers
+        from query_suite.pipelines.queries import q_doc_strip_headers
 
         texts = ["Page 1\nreal content line\n42\n---\nab\nmore text here"]
         d = self._docs(tmp_path, texts)
@@ -275,7 +275,7 @@ class TestScalarExtractorQueries:
         assert out["stripped_text"].iloc[0] == "real content line\nmore text here"
 
     def test_shingle_stats(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.queries import q_doc_shingle_stats
+        from query_suite.pipelines.queries import q_doc_shingle_stats
 
         d = self._docs(tmp_path, ["a b c d", "a b", "", "x x x x x"])
         out = q_doc_shingle_stats(d).to_pandas().sort_values("doc_id")
@@ -291,7 +291,7 @@ class TestHashJoin:
     def test_inner_many_to_many_matches_pandas_merge(self, ray_session):
         import ray.data as rd
 
-        from service1_text_extraction_ray.pipelines.relational import hash_join
+        from query_suite.pipelines.relational import hash_join
 
         left = pd.DataFrame({
             "k": [1, 1, 2, 3, 5],          # key 5 unmatched on the right
@@ -319,7 +319,7 @@ class TestHashJoin:
         it cannot keep exact."""
         import ray.data as rd
 
-        from service1_text_extraction_ray.pipelines.relational import hash_join
+        from query_suite.pipelines.relational import hash_join
 
         left = pd.DataFrame({
             "k": [1, 1, 1, 2, 2],
@@ -352,7 +352,7 @@ class TestHashJoin:
         unmatched-left null padding and empty-right-side shards."""
         import ray.data as rd
 
-        from service1_text_extraction_ray.pipelines.relational import hash_join
+        from query_suite.pipelines.relational import hash_join
 
         left = pd.DataFrame({"k": [1, 1, 2, 3, 5], "lv": [10, 11, 20, 30, 50]})
         right = pd.DataFrame({"rk": [1, 2, 2, 4], "rv": ["a", "b", "c", "d"]})
@@ -391,7 +391,7 @@ class TestHashJoin:
         right side is blocked."""
         import ray.data as rd
 
-        from service1_text_extraction_ray.pipelines.relational import hash_join
+        from query_suite.pipelines.relational import hash_join
 
         left = pd.DataFrame({"k": [1, 2, 3], "lv": [10, 20, 30]})
         right = pd.DataFrame({"rk": [1, 1, 1, 2], "n": [1, 1, 1, 1]})
@@ -411,7 +411,7 @@ class TestHashJoin:
         Dataset-level to_pandas (per-batch t.to_pandas() inside UDFs is fine)."""
         import inspect
 
-        from service1_text_extraction_ray.pipelines.relational import (
+        from query_suite.pipelines.relational import (
             q_segment_order_stats,
             q_top_orders_per_segment,
         )
@@ -430,7 +430,7 @@ class TestHashJoin:
         import duckdb
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import (
+        from query_suite.pipelines.relational import (
             SQL_TOP_UNSHIPPED_ORDERS,
             q_top_unshipped_orders,
         )
@@ -485,7 +485,7 @@ class TestAsofJoin:
         """Distributed as-of join vs a straightforward per-row computation."""
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import q_events_asof_orders
+        from query_suite.pipelines.relational import q_events_asof_orders
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -534,7 +534,7 @@ class TestWindowedRelationalOps:
 
     def test_sliding_window_counts_gaps_as_zero(self, ray_session, tmp_path):
         """An hour gap must NOT leak counts into the 3-hour frame."""
-        from service1_text_extraction_ray.pipelines.relational import q_events_sliding_window
+        from query_suite.pipelines.relational import q_events_sliding_window
 
         ts = pd.to_datetime([
             "2024-01-01 00:10", "2024-01-01 00:20",   # hour 0: 2 events
@@ -553,7 +553,7 @@ class TestWindowedRelationalOps:
         assert got == {0: 2, 1: 3, 4: 1}
 
     def test_topn_rank_ties_break_by_orderkey(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import (
+        from query_suite.pipelines.relational import (
             TOPN_PER_SEGMENT,
             q_top_orders_per_segment,
         )
@@ -577,7 +577,7 @@ class TestWindowedRelationalOps:
         assert out["rank"].tolist() == [1, 2, 3]
 
     def test_anti_join_excludes_only_big_order_customers(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import (
+        from query_suite.pipelines.relational import (
             HIGH_VALUE_CUT,
             q_customers_without_big_orders,
         )
@@ -601,7 +601,7 @@ class TestSimHashPairs:
         """Hamming<=3 pairs must survive the 4x16-bit banding (pigeonhole)."""
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.queries import q_dedup_simhash_pairs
+        from query_suite.pipelines.queries import q_dedup_simhash_pairs
 
         base = " ".join(f"tok{i % 53} w{i % 17}" for i in range(400))
         rows = [
@@ -625,10 +625,7 @@ class TestSimHashPairs:
     def test_bpe_token_counts_basic(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.queries import (
-            _BPE_RX,
-            q_doc_bpe_token_counts,
-        )
+        from query_suite.pipelines.queries import _BPE_RX, q_doc_bpe_token_counts
 
         texts = ["It's a test, with 42 numbers!", ""]
         d = tmp_path / "sf"
@@ -649,10 +646,7 @@ class TestSketchesAndQuantiles:
     def test_hll_accuracy_and_merge(self):
         """HLL estimate within 4% at several cardinalities, and merging two
         half-sketches equals sketching the union (mergeability)."""
-        from service1_text_extraction_ray.pipelines.relational import (
-            _hll_estimate,
-            _hll_registers,
-        )
+        from query_suite.pipelines.relational import _hll_estimate, _hll_registers
 
         for true_n in (150, 1500, 20000):
             est = _hll_estimate(_hll_registers(range(true_n)))
@@ -666,7 +660,7 @@ class TestSketchesAndQuantiles:
     def test_hll_query_end_to_end(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import q_distinct_users_hll
+        from query_suite.pipelines.relational import q_distinct_users_hll
 
         n_users = 137
         rows = [{"user_id": i % n_users, "ts": pd.Timestamp("2024-01-01"),
@@ -681,7 +675,7 @@ class TestSketchesAndQuantiles:
         """Pin the ceil(q*n)-1 sorted-index convention on a tiny group."""
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import q_order_price_quantiles
+        from query_suite.pipelines.relational import q_order_price_quantiles
 
         prices = [10.0, 20.0, 30.0, 40.0]
         rows = [{"o_orderkey": i, "o_custkey": 1, "o_orderpriority": "1-URGENT",
@@ -702,9 +696,7 @@ class TestSketchesAndQuantiles:
         stay within ~1/delta at the median and tighter at the tails."""
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_order_price_tdigest,
-        )
+        from query_suite.pipelines.relational import q_order_price_tdigest
 
         rs = np.random.RandomState(5)
         n = 20_000
@@ -731,7 +723,7 @@ class TestSketchesAndQuantiles:
     def test_bloom_anti_join_exact_vs_plain(self, ray_session):
         """The bloom + recheck variant must return EXACTLY the plain
         anti-join's rows (bloom false positives rechecked, negatives kept)."""
-        from service1_text_extraction_ray.pipelines.relational import (
+        from query_suite.pipelines.relational import (
             q_customers_without_big_orders,
             q_customers_without_big_orders_bloom,
         )
@@ -765,7 +757,7 @@ class TestDedupSkew:
         return str(d)
 
     def test_minhash_bucket_cap_bounds_pairs(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.queries import (
+        from query_suite.pipelines.queries import (
             MINHASH_BUCKET_CAP,
             q_dedup_minhash_lsh,
         )
@@ -783,7 +775,7 @@ class TestDedupSkew:
     def test_minhash_cap_eval_prices_the_drop(self, ray_session, tmp_path):
         """dedup_minhash_cap reports the exact pair count the cap forfeits
         on a degenerate mass-identical corpus — and zero on a natural one."""
-        from service1_text_extraction_ray.pipelines.queries import (
+        from query_suite.pipelines.queries import (
             MINHASH_BUCKET_CAP,
             q_dedup_minhash_cap,
         )
@@ -807,7 +799,7 @@ class TestDedupSkew:
     def test_simhash_full_pairs_within_cap(self, ray_session, tmp_path):
         """Below the cap, a mass-identical bucket yields the complete
         (correct) pair set via the tiled verify kernel — no silent drops."""
-        from service1_text_extraction_ray.pipelines.queries import q_dedup_simhash_pairs
+        from query_suite.pipelines.queries import q_dedup_simhash_pairs
 
         n_dups = 600  # > one verify tile (512): exercises cross-tile pairs
         d = self._identical_corpus(tmp_path, n_dups)
@@ -816,7 +808,7 @@ class TestDedupSkew:
         assert (pairs["hamming"] == 0).all()
 
     def test_simhash_bucket_cap_bounds_pairs(self, ray_session, tmp_path, monkeypatch):
-        from service1_text_extraction_ray.pipelines import queries as Q
+        from query_suite.pipelines import queries as Q
 
         monkeypatch.setattr(Q, "SIMHASH_BUCKET_CAP", 64)
         n_dups = 500
@@ -850,7 +842,7 @@ class TestEmbeddingDedupDistributed:
         import inspect
         import textwrap
 
-        from service1_text_extraction_ray.pipelines.queries import q_dedup_embedding
+        from query_suite.pipelines.queries import q_dedup_embedding
 
         tree = ast.parse(textwrap.dedent(inspect.getsource(q_dedup_embedding)))
         fn = tree.body[0]
@@ -867,10 +859,7 @@ class TestEmbeddingDedupDistributed:
     def test_lsh_variant_finds_planted_dups_no_false_positives(
         self, ray_session, tmp_path
     ):
-        from service1_text_extraction_ray.pipelines.queries import (
-            NEAR_DUP_SIM,
-            q_dedup_embedding_lsh,
-        )
+        from query_suite.pipelines.queries import NEAR_DUP_SIM, q_dedup_embedding_lsh
 
         rs = np.random.RandomState(21)
         vecs = rs.standard_normal((200, 64)).astype(np.float32)
@@ -892,10 +881,7 @@ class TestEmbeddingDedupDistributed:
             assert mat[a] @ mat[b] >= NEAR_DUP_SIM
 
     def test_exact_join_matches_bruteforce(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.queries import (
-            NEAR_DUP_SIM,
-            q_dedup_embedding,
-        )
+        from query_suite.pipelines.queries import NEAR_DUP_SIM, q_dedup_embedding
 
         rs = np.random.RandomState(22)
         vecs = rs.standard_normal((150, 64)).astype(np.float32)
@@ -934,10 +920,7 @@ class TestEmbeddingGeneration:
         return str(d)
 
     def test_feature_hash_embedder_deterministic_and_normalized(self):
-        from service1_text_extraction_ray.stages.embed_stage import (
-            EMBED_DIM,
-            FeatureHashEmbedder,
-        )
+        from query_suite.stages.embed_stage import EMBED_DIM, FeatureHashEmbedder
 
         e1, e2 = FeatureHashEmbedder(), FeatureHashEmbedder()
         t = "stream data engine query batch shard merge sort"
@@ -952,7 +935,7 @@ class TestEmbeddingGeneration:
         assert n0 == 0 and not v0.any()
 
     def test_doc_embeddings_deterministic_across_runs(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.queries import q_doc_embeddings
+        from query_suite.pipelines.queries import q_doc_embeddings
 
         base = " ".join(f"tok{i % 31} word{i % 7}" for i in range(120))
         d = self._docs(tmp_path, [f"doc {i} {base}" for i in range(40)])
@@ -965,7 +948,7 @@ class TestEmbeddingGeneration:
             assert np.array_equal(np.asarray(va), np.asarray(vb))
 
     def test_extract_dedup_near_finds_identical_docs(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.queries import q_extract_dedup_near
+        from query_suite.pipelines.queries import q_extract_dedup_near
 
         base = " ".join(f"alpha{i % 23} beta{i % 11} gamma{i % 5}" for i in range(150))
         texts = [f"unique {i} " + " ".join(f"u{i}w{j}" for j in range(100)) for i in range(20)]
@@ -979,7 +962,7 @@ class TestEmbeddingGeneration:
         assert want in got
 
     def test_extract_knn_deterministic(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.queries import q_extract_knn
+        from query_suite.pipelines.queries import q_extract_knn
 
         rs = np.random.RandomState(9)
         vocab = [f"v{i}" for i in range(50)]
@@ -1005,7 +988,7 @@ class TestGopherFilter:
         return str(d)
 
     def test_rules_trigger_individually(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.queries import q_doc_gopher_filter
+        from query_suite.pipelines.queries import q_doc_gopher_filter
 
         good = ("the data with all of that have to be " * 10).strip()  # 80 words
         texts = [
@@ -1023,7 +1006,7 @@ class TestGopherFilter:
             assert bool(out.loc[i, "keep"]) is False, i
 
     def test_repetition_counts(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.queries import q_doc_repetition
+        from query_suite.pipelines.queries import q_doc_repetition
 
         texts = ["a\nb\na\nc", "unique\nlines\nonly", ""]
         d = self._docs(tmp_path, texts)
@@ -1050,7 +1033,7 @@ class TestMediaResizeAndFrames:
         )
 
     def test_resize_geometry_and_determinism(self):
-        from service1_text_extraction_ray.stages.multimodal import DecoderStub, MediaResize
+        from query_suite.stages.multimodal import DecoderStub, MediaResize
 
         rz = MediaResize(target=64)
         out1, out2 = rz(self._media_batch()), rz(self._media_batch())
@@ -1067,7 +1050,7 @@ class TestMediaResizeAndFrames:
         assert row["target_h"] == max(1, round(d["height"] * scale))
 
     def test_frame_sampler_only_video_and_interval(self):
-        from service1_text_extraction_ray.stages.multimodal import (
+        from query_suite.stages.multimodal import (
             FRAME_INTERVAL_MS,
             MAX_FRAMES,
             DecoderStub,
@@ -1091,7 +1074,7 @@ class TestDedupClusters:
         the pair threshold — the transitivity the pair list alone lacks."""
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.queries import q_dedup_clusters
+        from query_suite.pipelines.queries import q_dedup_clusters
 
         base = [f"tok{i % 41} fil{i % 13} w{i % 7}" for i in range(300)]
         extra1 = [f"ex1 word{i} more" for i in range(60)]
@@ -1123,9 +1106,7 @@ class TestOrdersLatestPerCustomer:
         import pandas as pd
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_orders_latest_per_customer,
-        )
+        from query_suite.pipelines.relational import q_orders_latest_per_customer
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -1161,9 +1142,7 @@ class TestRangeJoinAndRunningWindow:
         cross-customer counting."""
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_orders_followup_counts,
-        )
+        from query_suite.pipelines.relational import q_orders_followup_counts
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -1193,9 +1172,7 @@ class TestRangeJoinAndRunningWindow:
     def test_running_value_per_user(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_user_running_value,
-        )
+        from query_suite.pipelines.relational import q_user_running_value
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -1220,9 +1197,7 @@ class TestAggregateExtensions:
         return str(d)
 
     def test_pivot_counts_and_closed_vocab(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_user_event_pivot,
-        )
+        from query_suite.pipelines.relational import q_user_event_pivot
 
         d = self._write(tmp_path, "events", pa.table({
             "user_id": pa.array([1, 1, 1, 2], pa.int32()),
@@ -1242,7 +1217,7 @@ class TestAggregateExtensions:
             q_user_event_pivot(bad).to_pandas()
 
     def test_mode_tiebreak_smallest_size(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import q_part_size_mode
+        from query_suite.pipelines.relational import q_part_size_mode
 
         d = self._write(tmp_path, "part", pa.table({
             "p_type": pa.array(["a", "a", "a", "a", "b"]),
@@ -1254,7 +1229,7 @@ class TestAggregateExtensions:
         assert out["n_mode"].tolist() == [2, 1]
 
     def test_corr_matches_numpy_and_is_parallelism_stable(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import q_lineitem_corr
+        from query_suite.pipelines.relational import q_lineitem_corr
 
         rng = np.random.default_rng(3)
         n = 5000
@@ -1283,9 +1258,7 @@ class TestEventsPropsFallback:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_events_props_stats,
-        )
+        from query_suite.pipelines.relational import q_events_props_stats
 
         rows = [
             {"event_type": "click", "props": '{"k": 10}'},      # fast path
@@ -1314,7 +1287,7 @@ class TestOrdersProfileNulls:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import q_orders_profile
+        from query_suite.pipelines.relational import q_orders_profile
 
         t = pa.Table.from_pylist(
             [
@@ -1347,7 +1320,7 @@ class TestHashJoinFullOuter:
         import pyarrow as pa
         import ray.data as rd
 
-        from service1_text_extraction_ray.pipelines.relational import hash_join
+        from query_suite.pipelines.relational import hash_join
 
         left = rd.from_arrow(pa.table({"k": [1, 2, 2], "a": [10, 20, 21]}))
         right = rd.from_arrow(pa.table({"k": [2, 3], "b": [200, 300]}))
@@ -1381,7 +1354,7 @@ class TestExchangeShardInvariance:
     def test_funnel_and_transitions_invariant(self, ray_session, monkeypatch):
         import functools
 
-        import service1_text_extraction_ray.pipelines.relational as R
+        import query_suite.pipelines.relational as R
 
         sf = "/root/testdata/sf0.001"
         orig = R.hash_exchange
@@ -1431,9 +1404,7 @@ class TestOffsetWindowsAndIntersect:
         return str(d)
 
     def test_lag_lead_gaps_and_edges(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_user_event_gaps,
-        )
+        from query_suite.pipelines.relational import q_user_event_gaps
 
         ts = pa.array([1_000_000, 4_000_000, 9_000_000, 2_000_000],
                       pa.timestamp("us"))
@@ -1448,9 +1419,7 @@ class TestOffsetWindowsAndIntersect:
         assert out["next_gap_us"].tolist() == [3_000_000, 5_000_000, -1, -1]
 
     def test_lag_ties_broken_by_event_id(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_user_event_gaps,
-        )
+        from query_suite.pipelines.relational import q_user_event_gaps
 
         ts = pa.array([5_000_000, 5_000_000], pa.timestamp("us"))
         d = self._write(tmp_path, {"events": pa.table({
@@ -1463,7 +1432,7 @@ class TestOffsetWindowsAndIntersect:
         assert out["prev_gap_us"].tolist() == [-1, 0]
 
     def test_intersect_requires_both_nations(self, ray_session, tmp_path):
-        import service1_text_extraction_ray.pipelines.relational as R
+        import query_suite.pipelines.relational as R
 
         d = self._write(tmp_path, {
             "nation": pa.table({
@@ -1497,9 +1466,7 @@ class TestHostComponents:
         }))
 
     def test_chain_converges_to_single_min_label(self, ray_session):
-        from service1_text_extraction_ray.pipelines.queries import (
-            _components_broadcast,
-        )
+        from query_suite.pipelines.queries import _components_broadcast
 
         # diameter-stress chain e-d-c-b-a: min label 'a' must walk 4 hops
         out = (
@@ -1511,9 +1478,7 @@ class TestHostComponents:
         assert out["component"].tolist() == ["a"] * 5
 
     def test_two_components_stay_separate(self, ray_session):
-        from service1_text_extraction_ray.pipelines.queries import (
-            _components_broadcast,
-        )
+        from query_suite.pipelines.queries import _components_broadcast
 
         out = (
             _components_broadcast(self._edges([("b", "a"), ("x", "y")]))
@@ -1523,7 +1488,7 @@ class TestHostComponents:
         assert out["x"] == "x" and out["y"] == "x"
 
     def test_join_regime_bit_equal_to_broadcast(self, ray_session, monkeypatch):
-        import service1_text_extraction_ray.pipelines.queries as Q
+        import query_suite.pipelines.queries as Q
 
         sf = "/root/testdata/sf0.001"
         base = (
@@ -1549,10 +1514,7 @@ class TestHostHits:
         }))
 
     def test_pure_hub_and_authority(self, ray_session):
-        from service1_text_extraction_ray.pipelines.queries import (
-            HITS_UNIT,
-            _hits_broadcast,
-        )
+        from query_suite.pipelines.queries import HITS_UNIT, _hits_broadcast
 
         # a and b each point only at c: c is the sole (max) authority; a and
         # b are symmetric max hubs; c originates nothing so its hub is 0.
@@ -1569,10 +1531,7 @@ class TestHostHits:
     def test_multiplicity_weights_the_sums(self, ray_session):
         import ray.data as rd
 
-        from service1_text_extraction_ray.pipelines.queries import (
-            HITS_UNIT,
-            _hits_broadcast,
-        )
+        from query_suite.pipelines.queries import HITS_UNIT, _hits_broadcast
 
         # a->c carries 3 links, b->c carries 1: a's hub outweighs b's 3:1
         edges = rd.from_arrow(pa.table({
@@ -1585,7 +1544,7 @@ class TestHostHits:
         assert out.loc["b", "hub"] == HITS_UNIT // 3
 
     def test_join_regime_bit_equal_to_broadcast(self, ray_session, monkeypatch):
-        import service1_text_extraction_ray.pipelines.queries as Q
+        import query_suite.pipelines.queries as Q
 
         sf = "/root/testdata/sf0.001"
         base = (
@@ -1611,9 +1570,7 @@ class TestHostSeedDistance:
         }))
 
     def test_chain_distances_and_unreachable(self, ray_session):
-        from service1_text_extraction_ray.pipelines.queries import (
-            _seed_distance_broadcast,
-        )
+        from query_suite.pipelines.queries import _seed_distance_broadcast
 
         # seed -> a -> b chain (undirected hops 0,1,2); x-y unreachable -> -1
         out = (
@@ -1627,9 +1584,7 @@ class TestHostSeedDistance:
         assert out["x"] == -1 and out["y"] == -1
 
     def test_min_over_two_seeds(self, ray_session):
-        from service1_text_extraction_ray.pipelines.queries import (
-            _seed_distance_broadcast,
-        )
+        from query_suite.pipelines.queries import _seed_distance_broadcast
 
         # m sits between two seeds: dist is the MIN (1), not the first found
         out = (
@@ -1641,7 +1596,7 @@ class TestHostSeedDistance:
         assert out["m"] == 1
 
     def test_join_regime_bit_equal_to_broadcast(self, ray_session, monkeypatch):
-        import service1_text_extraction_ray.pipelines.queries as Q
+        import query_suite.pipelines.queries as Q
 
         sf = "/root/testdata/sf0.001"
         base = (
@@ -1660,9 +1615,7 @@ class TestEventsOutliers:
     def test_two_sigma_rule_exact(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_events_outliers,
-        )
+        from query_suite.pipelines.relational import q_events_outliers
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -1682,9 +1635,7 @@ class TestEventsOutliers:
     def test_below_mean_never_flagged(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_events_outliers,
-        )
+        from query_suite.pipelines.relational import q_events_outliers
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -1703,7 +1654,7 @@ class TestPrefixJaccardJoin:
 
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.queries import (
+        from query_suite.pipelines.queries import (
             q_dedup_jaccard,
             q_dedup_jaccard_prefix,
         )
@@ -1740,9 +1691,7 @@ class TestPrefixJaccardJoin:
     def test_empty_set_convention_and_cap(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.queries import (
-            q_dedup_jaccard_prefix,
-        )
+        from query_suite.pipelines.queries import q_dedup_jaccard_prefix
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -1766,9 +1715,7 @@ class TestGroupedSketchAndSequences:
         return str(d)
 
     def test_grouped_hll_accuracy_per_key(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_distinct_users_hll_by_type,
-        )
+        from query_suite.pipelines.relational import q_distinct_users_hll_by_type
 
         n_a, n_b = 3000, 50
         d = self._write_events(tmp_path, pa.table({
@@ -1787,9 +1734,7 @@ class TestGroupedSketchAndSequences:
     def test_percent_rank_edges(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_orders_percent_rank,
-        )
+        from query_suite.pipelines.relational import q_orders_percent_rank
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -1806,9 +1751,7 @@ class TestGroupedSketchAndSequences:
         assert out["pct_rank_ppm"].tolist() == [0, 500000, 1000000, 0]
 
     def test_event_paths_time_ordered(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_user_event_paths,
-        )
+        from query_suite.pipelines.relational import q_user_event_paths
 
         d = self._write_events(tmp_path, pa.table({
             "event_id": pa.array([4, 1, 2], pa.int64()),
@@ -1825,9 +1768,7 @@ class TestNearDupClusters:
     def test_transitive_chain_consolidates(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.queries import (
-            q_dedup_near_clusters,
-        )
+        from query_suite.pipelines.queries import q_dedup_near_clusters
 
         # A-B and B-C are near-dups (one word changed at the tail); A-C may
         # or may not qualify pairwise — the component must still consolidate
@@ -1855,7 +1796,7 @@ class TestEquiDepthHistogram:
     def test_depths_equal_and_ties_to_lowest_bucket(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import (
+        from query_suite.pipelines.relational import (
             EQD_BUCKETS,
             q_order_price_histogram_eqd,
         )
@@ -1893,7 +1834,7 @@ class TestKnnSelf1nn:
         import numpy as np
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.queries import q_knn_self_1nn
+        from query_suite.pipelines.queries import q_knn_self_1nn
 
         rs = np.random.RandomState(3)
         base = rs.standard_normal((6, 8)).astype("float32")
@@ -1925,10 +1866,7 @@ class TestKmeansEmbeddings:
         import numpy as np
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.queries import (
-            KMEANS_K,
-            q_kmeans_embeddings,
-        )
+        from query_suite.pipelines.queries import KMEANS_K, q_kmeans_embeddings
 
         rs = np.random.RandomState(11)
         # K well-separated blobs, 8 points each; the first point of blob k
@@ -1977,7 +1915,7 @@ def _write_tbl(tmp_path, name, table):
 
 class TestSkyline:
     def test_planted_frontier_and_ties(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import q_part_skyline
+        from query_suite.pipelines.relational import q_part_skyline
 
         # frontier: (10, 5), (20, 8), (30, 9); dominated: (20, 5), (30, 8);
         # tie at (20, 8) twice -> both kept (mutually non-dominating)
@@ -1990,7 +1928,7 @@ class TestSkyline:
         assert out["p_partkey"].tolist() == [1, 2, 3, 6]
 
     def test_matches_bruteforce_on_random(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import q_part_skyline
+        from query_suite.pipelines.relational import q_part_skyline
 
         rng = np.random.default_rng(7)
         n = 2000
@@ -2015,9 +1953,7 @@ class TestSkyline:
 
 class TestRegressionTrend:
     def test_matches_numpy_lstsq(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_priority_price_trend,
-        )
+        from query_suite.pipelines.relational import q_priority_price_trend
 
         rng = np.random.default_rng(11)
         n = 4000
@@ -2040,9 +1976,7 @@ class TestRegressionTrend:
 
 class TestEntropy:
     def test_uniform_and_degenerate(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_event_type_entropy,
-        )
+        from query_suite.pipelines.relational import q_event_type_entropy
 
         # 'flat': one event in each of 16 hours -> exactly 4 bits
         # 'spike': all events at hour 3 -> exactly 0 bits
@@ -2059,9 +1993,7 @@ class TestEntropy:
 
 class TestMoments:
     def test_matches_numpy_moments(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_segment_acctbal_moments,
-        )
+        from query_suite.pipelines.relational import q_segment_acctbal_moments
 
         rng = np.random.default_rng(13)
         bal = rng.gamma(2.0, 1500.0, 3000) - 900.0  # skewed, spans negatives
@@ -2080,7 +2012,7 @@ class TestMoments:
 
 class TestPartReach:
     def test_chain_graph_hops(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import q_part_reach
+        from query_suite.pipelines.relational import q_part_reach
 
         # Orders forming a chain 1-2, 2-3, 3-4 (each pair twice to pass the
         # support filter) plus an isolated pair 8-9 (unreachable from seed 1).
@@ -2101,9 +2033,7 @@ class TestPartReach:
 
 class TestUnigramLogprob:
     def test_hand_computed_scores(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import (
-            q_doc_unigram_logprob,
-        )
+        from query_suite.pipelines.webtext import q_doc_unigram_logprob
 
         # corpus: "a a a b" + "b c" -> counts a=3 b=2 c=1, total 6
         d = _write_tbl(tmp_path, "documents", pa.table({
@@ -2122,9 +2052,7 @@ class TestUnigramLogprob:
 
 class TestSpearman:
     def test_monotone_transform_gives_rho_one(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_lineitem_spearman,
-        )
+        from query_suite.pipelines.relational import q_lineitem_spearman
 
         rng = np.random.default_rng(17)
         qty = rng.integers(1, 51, 2000).astype(float)
@@ -2139,9 +2067,7 @@ class TestSpearman:
         assert out["spearman_qty_price"].iloc[0] > 0.999
 
     def test_matches_scipy_free_reference(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_lineitem_spearman,
-        )
+        from query_suite.pipelines.relational import q_lineitem_spearman
 
         rng = np.random.default_rng(19)
         n = 3000
@@ -2162,9 +2088,7 @@ class TestSpearman:
 
 class TestStreaks:
     def test_islands_and_longest_streak(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_customer_order_streaks,
-        )
+        from query_suite.pipelines.relational import q_customer_order_streaks
 
         def day(n):
             return pd.Timestamp("2024-01-01") + pd.Timedelta(days=n)
@@ -2184,10 +2108,7 @@ class TestStreaks:
 
 class TestLangTopTokens:
     def test_topk_and_tiebreak(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import (
-            LANG_TOPK,
-            q_lang_top_tokens,
-        )
+        from query_suite.pipelines.webtext import LANG_TOPK, q_lang_top_tokens
 
         d = _write_tbl(tmp_path, "documents", pa.table({
             "doc_id": pa.array([0, 1], pa.int64()),
@@ -2208,7 +2129,7 @@ class TestLangTopTokens:
 
 class TestChecksums:
     def test_detects_single_value_change(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import (
+        from query_suite.pipelines.relational import (
             CHECKSUM_SHARDS,
             q_orders_checksums,
         )
@@ -2234,9 +2155,7 @@ class TestChecksums:
         assert (a["n_rows"] == b["n_rows"]).all()
 
     def test_order_and_parallelism_invariant(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_orders_checksums,
-        )
+        from query_suite.pipelines.relational import q_orders_checksums
         import pyarrow.parquet as pq
 
         n = 400
@@ -2260,9 +2179,7 @@ class TestChecksums:
 
 class TestRobustAggregates:
     def test_winsorized_mean_hand_case(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_orders_winsorized_mean,
-        )
+        from query_suite.pipelines.relational import q_orders_winsorized_mean
 
         # 100 values 1..99 + one huge outlier; p05 = 5, p95 = 95 (disc, 1-idx ceil)
         vals = [float(i) for i in range(1, 100)] + [10_000.0]
@@ -2281,9 +2198,7 @@ class TestRobustAggregates:
         assert out["winsorized_mean_cents"].iloc[0] < 10_000
 
     def test_mad_known_distribution(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_segment_balance_mad,
-        )
+        from query_suite.pipelines.relational import q_segment_balance_mad
 
         # symmetric around 50 with spread 10: median 50.00, MAD 10.00 cents-exact
         bal = [40.0, 45.0, 50.0, 55.0, 60.0]
@@ -2298,9 +2213,7 @@ class TestRobustAggregates:
 
 class TestTriangles:
     def test_known_graph_census(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_part_triangles,
-        )
+        from query_suite.pipelines.relational import q_part_triangles
 
         # co-occurrence graph (each pair in 2 orders to pass support):
         # triangle 1-2-3 plus pendant edge 3-4 -> 1 triangle.
@@ -2326,9 +2239,7 @@ class TestTriangles:
 
 class TestUserSkew:
     def test_uniform_gini_zero_and_hot_key(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_events_user_skew,
-        )
+        from query_suite.pipelines.relational import q_events_user_skew
 
         # 10 users x 5 events each -> gini 0
         users = [u for u in range(10) for _ in range(5)]
@@ -2351,9 +2262,7 @@ class TestUserSkew:
 
 class TestStateIntervals:
     def test_runs_collapse_per_user(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_user_state_intervals,
-        )
+        from query_suite.pipelines.relational import q_user_state_intervals
 
         # user 1: A A B A ; user 2: B B
         d = _write_tbl(tmp_path, "events", pa.table({
@@ -2376,9 +2285,7 @@ class TestTrailingRange:
     def test_interval_bounds_and_ts_ties(self, ray_session, tmp_path):
         import pandas as pd
 
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_user_value_trailing_1h,
-        )
+        from query_suite.pipelines.relational import q_user_value_trailing_1h
 
         t0 = pd.Timestamp("2024-01-01 00:00:00")
         h = pd.Timedelta(hours=1)
@@ -2405,9 +2312,7 @@ class TestLateArrivals:
     def test_watermark_lateness(self, ray_session, tmp_path):
         import pandas as pd
 
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_events_late_arrivals,
-        )
+        from query_suite.pipelines.relational import q_events_late_arrivals
 
         t0 = pd.Timestamp("2024-06-01 12:00:00")
         m = pd.Timedelta(minutes=1)
@@ -2426,10 +2331,7 @@ class TestLateArrivals:
 
 class TestEmbeddingGram:
     def test_known_vectors_exact(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.queries import (
-            CENTROID_UNIT,
-            q_embedding_gram,
-        )
+        from query_suite.pipelines.queries import CENTROID_UNIT, q_embedding_gram
 
         # v1=(1, 0.5), v2=(-0.5, 0.25): quantized q1=(U, U/2), q2=(-U/2, U/4)
         d = _write_tbl(tmp_path, "embeddings", pa.table({
@@ -2461,10 +2363,7 @@ class TestEmbeddingQuantizeInt8:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.queries import (
-            ERR_UNIT,
-            q_embedding_quantize_int8,
-        )
+        from query_suite.pipelines.queries import ERR_UNIT, q_embedding_quantize_int8
 
         d = 8
         vecs = [
@@ -2511,9 +2410,7 @@ class TestDocShingleNovelty:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.queries import (
-            q_doc_shingle_novelty,
-        )
+        from query_suite.pipelines.queries import q_doc_shingle_novelty
 
         docs = [
             (1, "a b c d e"),          # shingles: abc bcd cde (3, all novel)
@@ -2551,7 +2448,7 @@ class TestSearchBM25:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.webtext import q_search_bm25
+        from query_suite.pipelines.webtext import q_search_bm25
 
         docs = [
             (1, "hash join stream pipeline"),        # all three terms
@@ -2588,10 +2485,7 @@ class TestHostCrawlBudget:
     def test_hamilton_invariants(self, ray_session):
         """Σbudget == CRAWL_BUDGET exactly (no slot lost or invented), every
         budget within 1 of the exact proportional share, monotone in mass."""
-        from service1_text_extraction_ray.pipelines.queries import (
-            CRAWL_BUDGET,
-            q_host_crawl_budget,
-        )
+        from query_suite.pipelines.queries import CRAWL_BUDGET, q_host_crawl_budget
 
         out = q_host_crawl_budget("/root/testdata/sf0.001")
         assert int(out["budget"].sum()) == CRAWL_BUDGET
@@ -2612,10 +2506,7 @@ class TestCorpusZipfFit:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.webtext import (
-            ZIPF_UNIT,
-            q_corpus_zipf_fit,
-        )
+        from query_suite.pipelines.webtext import ZIPF_UNIT, q_corpus_zipf_fit
 
         def write_docs(path, texts):
             t = pa.table({
@@ -2651,9 +2542,7 @@ class TestIntervalOverlaps:
         isolation, and peak concurrency at a three-deep stack."""
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_user_interval_overlaps,
-        )
+        from query_suite.pipelines.relational import q_user_interval_overlaps
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -2692,9 +2581,7 @@ class TestCustomer360:
         counts; event user with no customer row keeps a null segment."""
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_customer_360,
-        )
+        from query_suite.pipelines.relational import q_customer_360
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -2733,9 +2620,7 @@ class TestDebounce:
         after 0 or keep pairs."""
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_events_dedup_window,
-        )
+        from query_suite.pipelines.relational import q_events_dedup_window
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -2782,7 +2667,7 @@ class TestSaltedHashJoin:
     def _run(self, how, salt, ray_session):
         import ray.data as rd
 
-        from service1_text_extraction_ray.pipelines.relational import hash_join
+        from query_suite.pipelines.relational import hash_join
 
         left, right = self._sides()
         out = hash_join(
@@ -2808,7 +2693,7 @@ class TestSaltedHashJoin:
     def test_full_outer_rejects_salt(self, ray_session):
         import ray.data as rd
 
-        from service1_text_extraction_ray.pipelines.relational import hash_join
+        from query_suite.pipelines.relational import hash_join
 
         left, right = self._sides(10)
         with pytest.raises(ValueError, match="full-outer"):
@@ -2825,7 +2710,7 @@ class TestSaltedHashJoin:
         leave the join; re-aggregating them reproduces the unsalted sums."""
         import ray.data as rd
 
-        from service1_text_extraction_ray.pipelines.relational import hash_join
+        from query_suite.pipelines.relational import hash_join
 
         left, right = self._sides()
 
@@ -2853,7 +2738,7 @@ class TestTpchShapes:
         return str(d)
 
     def test_promo_share_exact(self, ray_session, tmp_path):
-        import service1_text_extraction_ray.pipelines.relational as R
+        import query_suite.pipelines.relational as R
 
         ts = pa.array(
             [pd.Timestamp("1996-03-01")] * 3, pa.timestamp("us")
@@ -2878,7 +2763,7 @@ class TestTpchShapes:
         assert row["share_micro"] == 15000 * R.SHARE_UNIT // 20000
 
     def test_nation_pair_excludes_domestic(self, ray_session, tmp_path):
-        import service1_text_extraction_ray.pipelines.relational as R
+        import query_suite.pipelines.relational as R
 
         ts = pa.array([pd.Timestamp("1996-06-01")] * 2, pa.timestamp("us"))
         d = self._write(tmp_path, {
@@ -2920,11 +2805,7 @@ class TestAnnPq:
         import numpy as np
         import pyarrow.parquet as papq
 
-        from service1_text_extraction_ray.pipelines.queries import (
-            KNN_K,
-            _query_vector,
-            q_ann_pq,
-        )
+        from query_suite.pipelines.queries import KNN_K, _query_vector, q_ann_pq
 
         sf = "/root/testdata/sf0.001"
         got = set(q_ann_pq(sf)["vec_id"])
@@ -2940,11 +2821,7 @@ class TestAnnPq:
     def test_codebooks_deterministic_and_quantized(self):
         import numpy as np
 
-        from service1_text_extraction_ray.pipelines.queries import (
-            PQ_K,
-            PQ_M,
-            _pq_codebooks,
-        )
+        from query_suite.pipelines.queries import PQ_K, PQ_M, _pq_codebooks
 
         sf = "/root/testdata/sf0.001"
         b1 = _pq_codebooks(sf)
@@ -2957,9 +2834,7 @@ class TestCustomerRfm:
     def test_quintile_boundary_rule(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_customer_rfm,
-        )
+        from query_suite.pipelines.relational import q_customer_rfm
 
         # 5 customers, one order each on the same date, prices 10..50:
         # monetary scores must be exactly 1..5 (boundary-counting rule);
@@ -2991,9 +2866,7 @@ class TestHostCommunities:
         }))
 
     def test_two_cliques_converge_separately(self, ray_session):
-        from service1_text_extraction_ray.pipelines.queries import (
-            _communities_broadcast,
-        )
+        from query_suite.pipelines.queries import _communities_broadcast
 
         # triangle a-b-c and triangle x-y-z, no cross edges
         out = (
@@ -3008,9 +2881,7 @@ class TestHostCommunities:
         assert out["a"] != out["x"]
 
     def test_weight_beats_count(self, ray_session):
-        from service1_text_extraction_ray.pipelines.queries import (
-            _communities_broadcast,
-        )
+        from query_suite.pipelines.queries import _communities_broadcast
 
         # m's heavy edge into the a-b-c triangle outweighs its two light
         # edges to x/y: m joins the triangle's community ('a'); the x-y
@@ -3030,7 +2901,7 @@ class TestHostCommunities:
         assert out["x"] == "x" and out["y"] == "y"
 
     def test_join_regime_bit_equal_to_broadcast(self, ray_session, monkeypatch):
-        import service1_text_extraction_ray.pipelines.queries as Q
+        import query_suite.pipelines.queries as Q
 
         sf = "/root/testdata/sf0.001"
         base = (
@@ -3049,7 +2920,7 @@ class TestOrdersZorder:
     def test_interleave_and_partition(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.relational as R
+        import query_suite.pipelines.relational as R
 
         # custkey=3 (bits 11), cents=2000 -> k2=2 (bits 10):
         # z = interleave(k1=3, k2=2) = 1*1 + 1*2? bit-by-bit:
@@ -3066,7 +2937,7 @@ class TestOrdersZorder:
         assert out.iloc[0]["zpart"] == 13 >> (2 * R.ZORDER_BITS - R.ZORDER_PART_BITS)
 
     def test_box_matches_concentrate(self, ray_session):
-        import service1_text_extraction_ray.pipelines.relational as R
+        import query_suite.pipelines.relational as R
 
         df = R.q_orders_zorder("/root/testdata/sf0.01").to_pandas()
         touched = (df["n_match"] > 0).sum()
@@ -3080,7 +2951,7 @@ class TestLineitemOls2:
         import numpy as np
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.relational as R
+        import query_suite.pipelines.relational as R
 
         rng = np.random.RandomState(7)
         n = 200
@@ -3121,9 +2992,7 @@ class TestUsersCdcState:
         return str(d)
 
     def test_replay_semantics(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_users_cdc_state,
-        )
+        from query_suite.pipelines.relational import q_users_cdc_state
 
         d = self._events(tmp_path, [
             # user 1: signup(10) -> click(5) -> error -> signup(7) -> view(2)
@@ -3144,9 +3013,7 @@ class TestUsersCdcState:
         assert out.loc[1, "value_cents"] == 700 + 200
 
     def test_same_ts_ordered_by_event_id(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_users_cdc_state,
-        )
+        from query_suite.pipelines.relational import q_users_cdc_state
 
         # identical ts: event_id order pins -> signup(2) after error(1): live
         d = self._events(tmp_path, [
@@ -3162,9 +3029,7 @@ class TestEventsPatternMatches:
     def test_funnel_semantics(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_events_pattern_matches,
-        )
+        from query_suite.pipelines.relational import q_events_pattern_matches
 
         def ev(i, u, t):
             return {"event_id": i, "ts": pd.Timestamp("2024-01-01")
@@ -3196,7 +3061,7 @@ class TestEventsPatternMatches:
 
 class TestMediaDedupPhash:
     def test_planted_clones_all_found_no_false_positives(self, ray_session):
-        from service1_text_extraction_ray.pipelines.queries import (
+        from query_suite.pipelines.queries import (
             PHASH_MAX_HAMMING,
             q_media_dedup_phash,
         )
@@ -3216,7 +3081,7 @@ class TestMediaDedupPhash:
         assert len(df) == len(planted)
 
     def test_ahash_locality(self):
-        from service1_text_extraction_ray.pipelines.queries import media_ahash
+        from query_suite.pipelines.queries import media_ahash
 
         base = bytes(range(256)) * 4
         edited = bytearray(base)
@@ -3233,7 +3098,7 @@ class TestMediaDedupPhash:
 class TestHostReciprocity:
     def test_counts_on_tiny_graph(self, ray_session, monkeypatch):
         import ray.data as rd
-        import service1_text_extraction_ray.pipelines.queries as Q
+        import query_suite.pipelines.queries as Q
 
         edges = rd.from_arrow(pa.table({
             "src": pa.array(["a", "b", "a", "c", "c"]),
@@ -3255,9 +3120,7 @@ class TestLineitemMutualInfo:
     def test_independent_columns_score_zero(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_lineitem_mutual_info,
-        )
+        from query_suite.pipelines.relational import q_lineitem_mutual_info
 
         # perfectly independent 2x2 with equal counts -> MI exactly 0
         d = tmp_path / "sf"
@@ -3275,10 +3138,7 @@ class TestLineitemMutualInfo:
 
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import (
-            MI_UNIT,
-            q_lineitem_mutual_info,
-        )
+        from query_suite.pipelines.relational import MI_UNIT, q_lineitem_mutual_info
 
         # Y == X (2 equally likely values): MI = H(X) = ln 2
         d = tmp_path / "sf"
@@ -3296,7 +3156,7 @@ class TestPartRules:
     def test_lift_formula_exact(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.relational as R
+        import query_suite.pipelines.relational as R
 
         # 10 orders: parts (1,2) together in 3; part 1 in 4 total, 2 in 3
         rows = []
@@ -3325,9 +3185,7 @@ class TestEventsBursts:
     def test_burst_rule_and_no_baseline(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_events_bursts,
-        )
+        from query_suite.pipelines.relational import q_events_bursts
 
         rows = []
         eid = 0
@@ -3361,7 +3219,7 @@ class TestCustomerOrderDistribution:
     def test_custdist_counts_zero_order_customers(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.relational as R
+        import query_suite.pipelines.relational as R
 
         d = tmp_path / "sf"
         d.mkdir(exist_ok=True)
@@ -3392,7 +3250,7 @@ class TestPartSmallQtyRevenue:
     def test_correlated_avg_gate_exact(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.relational as R
+        import query_suite.pipelines.relational as R
 
         d = tmp_path / "sf"
         d.mkdir(exist_ok=True)
@@ -3416,7 +3274,7 @@ class TestCustomersUntapped:
     def test_scalar_gate_and_anti_join(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.relational as R
+        import query_suite.pipelines.relational as R
 
         d = tmp_path / "sf"
         d.mkdir(exist_ok=True)
@@ -3449,7 +3307,7 @@ class TestHostKcore:
     def test_clique_chain_and_selfloop(self, ray_session, monkeypatch):
         import ray.data as rd
 
-        import service1_text_extraction_ray.pipelines.queries as Q
+        import query_suite.pipelines.queries as Q
 
         # 4-clique a-b-c-d (coreness 3) + pendant chain d-e-f (coreness 1)
         # + self-loop-only node g (coreness 0; self-loops never count)
@@ -3472,7 +3330,7 @@ class TestHostClustering:
     def test_triangle_plus_pendant(self, ray_session, monkeypatch):
         import ray.data as rd
 
-        import service1_text_extraction_ray.pipelines.queries as Q
+        import query_suite.pipelines.queries as Q
 
         # triangle a-b-c plus pendant c-d: a,b fully clustered (coeff 1),
         # c has 3 neighbors but only 1 closed pair -> 2*1/(3*2) = 1/3,
@@ -3499,7 +3357,7 @@ class TestHostComponentsStar:
     def test_chain_and_island_match_propagation(self, ray_session, monkeypatch):
         import ray.data as rd
 
-        import service1_text_extraction_ray.pipelines.queries as Q
+        import query_suite.pipelines.queries as Q
 
         # a 12-node chain (diameter stress: star contraction converges in
         # O(log^2 n) rounds, propagation in diameter rounds) + a separate
@@ -3530,7 +3388,7 @@ class TestUserValueRollingMedian:
     def test_trailing_frame_and_even_window_midpoint(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.relational as R
+        import query_suite.pipelines.relational as R
 
         d = tmp_path / "sf"
         d.mkdir(exist_ok=True)
@@ -3554,7 +3412,7 @@ class TestEventsNewUsers:
     def test_first_seen_and_cumulative(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.relational as R
+        import query_suite.pipelines.relational as R
 
         d = tmp_path / "sf"
         d.mkdir(exist_ok=True)
@@ -3583,7 +3441,7 @@ class TestKnnInt8:
     def test_quantized_ranking_and_recall(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.queries as Q
+        import query_suite.pipelines.queries as Q
 
         d = tmp_path / "sf"
         d.mkdir(exist_ok=True)
@@ -3603,7 +3461,7 @@ class TestKnnInt8:
         assert 31 not in set(out["vec_id"])     # zero vector excluded
 
     def test_codes_match_quantize_rule(self):
-        import service1_text_extraction_ray.pipelines.queries as Q
+        import query_suite.pipelines.queries as Q
 
         m = np.array([[1.0, -0.5, 0.25, -127.0 / 127.0]])
         codes = Q._int8_codes(m * 2.0)          # absmax 2.0 -> scale 2/127
@@ -3615,7 +3473,7 @@ class TestPartTopSupplier:
     def test_argmax_and_tiebreak(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.relational as R
+        import query_suite.pipelines.relational as R
 
         d = tmp_path / "sf"
         d.mkdir(exist_ok=True)
@@ -3643,7 +3501,7 @@ class TestHostAssortativity:
     def test_star_graph_is_disassortative(self, ray_session, monkeypatch):
         import ray.data as rd
 
-        import service1_text_extraction_ray.pipelines.queries as Q
+        import query_suite.pipelines.queries as Q
 
         # a star (hub h with 4 leaves): ends always pair deg 4 with deg 1 ->
         # assortativity is exactly -1
@@ -3663,7 +3521,7 @@ class TestOrdersLargeVolume:
     def test_having_gate(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.relational as R
+        import query_suite.pipelines.relational as R
 
         d = tmp_path / "sf"
         d.mkdir(exist_ok=True)
@@ -3686,7 +3544,7 @@ class TestSuppliersLateSole:
     def test_sole_late_on_multi_supplier_orders(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.relational as R
+        import query_suite.pipelines.relational as R
 
         d = tmp_path / "sf"
         d.mkdir(exist_ok=True)
@@ -3724,7 +3582,7 @@ class TestEventsSessionizeIncremental:
     def test_state_carries_across_chunk_boundary(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.relational as R
+        import query_suite.pipelines.relational as R
 
         d = tmp_path / "sf"
         d.mkdir(exist_ok=True)
@@ -3765,7 +3623,7 @@ class TestPartRulesDistinct:
         distinct-then-sum regression the sf0.001 sweep caught."""
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.relational as R
+        import query_suite.pipelines.relational as R
 
         d = tmp_path / "sf"
         (d / "lineitem.parquet").mkdir(parents=True)
@@ -3795,7 +3653,7 @@ class TestPartRulesDistinct:
 
 class TestDedupSelectBest:
     def test_winner_is_max_alpha_member(self, ray_session):
-        from service1_text_extraction_ray.pipelines.queries import (
+        from query_suite.pipelines.queries import (
             q_dedup_near_clusters,
             q_dedup_select_best,
         )
@@ -3818,7 +3676,7 @@ class TestCorpusDsirWeights:
     def test_target_lang_docs_score_higher(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.webtext as W
+        import query_suite.pipelines.webtext as W
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -3850,7 +3708,7 @@ class TestCorpusDsirWeights:
 
 class TestCorpusBpeMerges:
     def test_apply_overlap_is_left_to_right_nonoverlapping(self):
-        from service1_text_extraction_ray.pipelines.webtext import _bpe_apply
+        from query_suite.pipelines.webtext import _bpe_apply
 
         assert _bpe_apply("aaa", [("a", "a")]) == ["aa", "a", "</w>"]
         assert _bpe_apply("aaaa", [("a", "a")]) == ["aa", "aa", "</w>"]
@@ -3859,7 +3717,7 @@ class TestCorpusBpeMerges:
     def test_learned_merges_match_scalar_reference(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.webtext as W
+        import query_suite.pipelines.webtext as W
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -3896,7 +3754,7 @@ class TestDocSampleWor:
     def test_heavy_doc_always_included_and_deterministic(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.webtext as W
+        import query_suite.pipelines.webtext as W
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -3919,7 +3777,7 @@ class TestDocSampleWor:
 
 class TestDocShuffleRank:
     def test_permutation_is_complete_and_reproducible(self, ray_session):
-        import service1_text_extraction_ray.pipelines.webtext as W
+        import query_suite.pipelines.webtext as W
 
         sf = "/root/testdata/sf0.001"
         out = W.q_doc_shuffle_rank(sf).to_pandas()
@@ -3941,7 +3799,7 @@ class TestEventsWindowFinal:
         passed its window end + 1 h lateness must land in n_dropped."""
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.relational as R
+        import query_suite.pipelines.relational as R
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -3977,7 +3835,7 @@ class TestOrdersDailyEwma:
     def test_quarter_alpha_integer_fold(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.relational as R
+        import query_suite.pipelines.relational as R
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -4003,7 +3861,7 @@ class TestDocBpeEncode:
     def test_counts_match_scalar_segmentation(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.webtext as W
+        import query_suite.pipelines.webtext as W
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -4037,7 +3895,7 @@ class TestDedupLinesGlobal:
     def test_cross_file_first_instance_wins(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.webtext as W
+        import query_suite.pipelines.webtext as W
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -4088,7 +3946,7 @@ class TestEmbeddingPcaPower:
     def test_dominant_direction_recovered(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.queries as Q
+        import query_suite.pipelines.queries as Q
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -4123,7 +3981,7 @@ class TestDedupSemantic:
     def test_planted_near_dup_found_orthogonal_kept(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.queries as Q
+        import query_suite.pipelines.queries as Q
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -4164,7 +4022,7 @@ class TestDedupSubstrings:
 
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.webtext as W
+        import query_suite.pipelines.webtext as W
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -4202,7 +4060,7 @@ class TestRetrievalMmr:
     def test_diversity_beats_redundancy(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.queries as Q
+        import query_suite.pipelines.queries as Q
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -4247,7 +4105,7 @@ class TestEventsRateLimit:
     def test_burst_denial_and_refill(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.relational as R
+        import query_suite.pipelines.relational as R
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -4287,7 +4145,7 @@ class TestRedirectResolve:
     def test_chains_cycles_dangling(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.queries as Q
+        import query_suite.pipelines.queries as Q
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -4340,7 +4198,7 @@ class TestRedirectResolve:
         containing chains, a cycle and a dangling final."""
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.queries as Q
+        import query_suite.pipelines.queries as Q
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -4364,7 +4222,7 @@ class TestMedianSelect:
     def test_even_odd_dupes_constant(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.relational as R
+        import query_suite.pipelines.relational as R
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -4408,9 +4266,7 @@ class TestHostSssp:
         """triples: directed (src, dst, n_links) -> weighted undirected."""
         import ray.data as rd
 
-        from service1_text_extraction_ray.pipelines.queries import (
-            _sssp_weighted_uedges,
-        )
+        from query_suite.pipelines.queries import _sssp_weighted_uedges
 
         return _sssp_weighted_uedges(rd.from_arrow(pa.table({
             "src": pa.array([a for a, _, _ in triples]),
@@ -4419,7 +4275,7 @@ class TestHostSssp:
         })))
 
     def test_weighted_path_beats_direct_weak_tie(self, ray_session):
-        from service1_text_extraction_ray.pipelines.queries import _sssp_broadcast
+        from query_suite.pipelines.queries import _sssp_broadcast
 
         # seed-a is a single link (w=3); seed-b heavy (w=1) and b-a heavy
         # (w=1): the weighted shortest path to a is THROUGH b (2 < 3),
@@ -4437,7 +4293,7 @@ class TestHostSssp:
         assert out["a"] == 2
 
     def test_orientation_min_and_weight_buckets(self, ray_session):
-        from service1_text_extraction_ray.pipelines.queries import _sssp_broadcast
+        from query_suite.pipelines.queries import _sssp_broadcast
 
         # s->c has n=1 (w3) but c->s has n=2 (w2): undirected weight is the
         # MIN (2). n=2 and n=3 both land in the middle bucket.
@@ -4453,10 +4309,7 @@ class TestHostSssp:
         assert out["d"] == 4
 
     def test_unreachable_and_over_cap(self, ray_session):
-        from service1_text_extraction_ray.pipelines.queries import (
-            SSSP_DIST_CAP,
-            _sssp_broadcast,
-        )
+        from query_suite.pipelines.queries import SSSP_DIST_CAP, _sssp_broadcast
 
         # island x-y never reaches a seed -> -1; a long chain of weak ties
         # pushes past the cap -> also -1 (the oracle's classification)
@@ -4473,7 +4326,7 @@ class TestHostSssp:
         assert out[last] == -1  # true dist 3*(cap//3+2) > cap
 
     def test_join_regime_bit_equal_to_broadcast(self, ray_session, monkeypatch):
-        import service1_text_extraction_ray.pipelines.queries as Q
+        import query_suite.pipelines.queries as Q
 
         sf = "/root/testdata/sf0.001"
         base = (
@@ -4506,7 +4359,7 @@ class TestEventsCusum:
         return str(d)
 
     def test_flat_stream_never_alarms(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import q_events_cusum
+        from query_suite.pipelines.relational import q_events_cusum
 
         sf = self._events(tmp_path, [(i, 1, i * 1000, 10.0) for i in range(8)])
         out = q_events_cusum(sf).to_pandas().set_index("user_id")
@@ -4516,7 +4369,7 @@ class TestEventsCusum:
         assert out.loc[1, "mu_micro"] == 10_000_000
 
     def test_shift_alarms_and_resets(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import q_events_cusum
+        from query_suite.pipelines.relational import q_events_cusum
 
         # 6 events at 10 then 2 at 100: mu = 32.5e6, k = mu//20, h = mu.
         # The two 100s each add ~66e6 excess -> each one alone crosses h:
@@ -4527,7 +4380,7 @@ class TestEventsCusum:
         assert out["n_alarms"].iloc[0] == 2
 
     def test_slow_drift_accumulates_to_one_alarm(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import q_events_cusum
+        from query_suite.pipelines.relational import q_events_cusum
 
         # values 10,10,10,14,14,14: mu = 12e6, k = 0.6e6, h = 12e6. The 14s
         # each add 1.4e6; the 10s clamp back at 0 but the tail never
@@ -4542,7 +4395,7 @@ class TestEventsCusum:
 
 class TestHostTrustrank:
     def test_join_regime_bit_equal_to_broadcast(self, ray_session, monkeypatch):
-        import service1_text_extraction_ray.pipelines.queries as Q
+        import query_suite.pipelines.queries as Q
 
         sf = "/root/testdata/sf0.001"
         base = (
@@ -4557,7 +4410,7 @@ class TestHostTrustrank:
         assert joined.equals(base)
 
     def test_trust_concentrates_near_seeds(self, ray_session):
-        import service1_text_extraction_ray.pipelines.queries as Q
+        import query_suite.pipelines.queries as Q
 
         sf = "/root/testdata/sf0.001"
         tr = Q.q_host_trustrank(sf).to_pandas().set_index("host")["tr"]
@@ -4580,9 +4433,7 @@ class TestOrdersDailyGapfill:
     def test_locf_zero_before_first_and_flags(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_orders_daily_gapfill,
-        )
+        from query_suite.pipelines.relational import q_orders_daily_gapfill
 
         # priority A observed on day 2 and 4 of a 5-day range (day 1 set by
         # priority B): before-first -> 0, gaps carry forward, flags mark fills
@@ -4622,9 +4473,7 @@ class TestOrdersDailyHolt:
     def test_trend_state_tracks_a_ramp(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import (
-            q_orders_daily_holt,
-        )
+        from query_suite.pipelines.relational import q_orders_daily_holt
 
         # strictly increasing revenue: trend must go positive and the
         # forecast must sit ABOVE the level (EWMA can't express this)
@@ -4646,7 +4495,7 @@ class TestOrdersDailyHolt:
                 > out["level_cents"].iloc[3:]).all()
 
     def test_truncating_division_on_downtrend(self, ray_session):
-        from service1_text_extraction_ray.pipelines.relational import _trunc_div
+        from query_suite.pipelines.relational import _trunc_div
 
         assert _trunc_div(-7, 2) == -3   # DuckDB //
         assert (-7) // 2 == -4           # Python // — the divergence pinned
@@ -4658,10 +4507,7 @@ class TestLineitemBenford:
     def test_benford_sample_scores_near_zero_uniform_far(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import (
-            BENFORD_PPM,
-            q_lineitem_benford,
-        )
+        from query_suite.pipelines.relational import BENFORD_PPM, q_lineitem_benford
 
         # flag A: prices whose first digits FOLLOW Benford proportions out
         # of 1000 rows; flag B: all the same leading digit (worst case)
@@ -4706,7 +4552,7 @@ class TestEventsStreamJoin:
         return str(d)
 
     def test_window_boundaries_and_multi_match(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import (
+        from query_suite.pipelines.relational import (
             SS_JOIN_WINDOW_MIN,
             q_events_stream_join,
         )
@@ -4749,7 +4595,7 @@ class TestOrdersPareto:
         return str(d)
 
     def test_small_n_k_clamps_to_one(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import q_orders_pareto
+        from query_suite.pipelines.relational import q_orders_pareto
 
         out = q_orders_pareto(self._orders(
             tmp_path, [(1, 100.0), (2, 50.0), (3, 10.0)]
@@ -4760,7 +4606,7 @@ class TestOrdersPareto:
         assert out["share_ppm"].iloc[0] == 10000 * 1_000_000 // 16000
 
     def test_all_ties_take_exactly_k(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.relational import q_orders_pareto
+        from query_suite.pipelines.relational import q_orders_pareto
 
         pairs = [(i, 25.0) for i in range(10)]  # 10 equal customers, k=2
         out = q_orders_pareto(self._orders(tmp_path, pairs))
@@ -4788,7 +4634,7 @@ class TestRealPngMedia:
         from service1_text_extraction_ray.functions.page_render import (
             write_gray_png_array,
         )
-        from service1_text_extraction_ray.stages.multimodal import PngDecoder
+        from query_suite.stages.multimodal import PngDecoder
 
         arr = self._checker(37, 22, 3)
         d = PngDecoder().decode(write_gray_png_array(arr), "image")
@@ -4805,9 +4651,7 @@ class TestRealPngMedia:
     def test_resize_gray_nearest_exact_pixels(self):
         import numpy as np
 
-        from service1_text_extraction_ray.stages.multimodal import (
-            resize_gray_nearest,
-        )
+        from query_suite.stages.multimodal import resize_gray_nearest
 
         arr = self._checker(8, 4, 1)
         out = resize_gray_nearest(arr, 4, 2)
@@ -4825,9 +4669,7 @@ class TestRealPngMedia:
         from service1_text_extraction_ray.functions.page_render import (
             read_gray_png, write_gray_png_array,
         )
-        from service1_text_extraction_ray.stages.multimodal import (
-            MediaResize, resize_gray_nearest,
-        )
+        from query_suite.stages.multimodal import MediaResize, resize_gray_nearest
 
         arr = self._checker(40, 20, 4)
         batch = pa.Table.from_pylist(
@@ -4858,8 +4700,10 @@ class TestRealWavAudio:
         import numpy as np
         import pytest
 
-        from service1_text_extraction_ray.stages.multimodal import (
-            WavDecoder, read_wav_pcm8, write_wav_pcm8,
+        from query_suite.stages.multimodal import (
+            WavDecoder,
+            read_wav_pcm8,
+            write_wav_pcm8,
         )
 
         s = np.array([192 if (i // 3) % 2 == 0 else 64 for i in range(997)],
@@ -4898,7 +4742,7 @@ class TestRealGifVideo:
         import numpy as np
         import pytest
 
-        from service1_text_extraction_ray.functions.gif import read_gif, write_gif
+        from query_suite.functions.gif import read_gif, write_gif
 
         def checker(w, h, p, phase):
             y, x = np.mgrid[0:h, 0:w]
@@ -4923,11 +4767,11 @@ class TestRealGifVideo:
     def test_frame_sampler_real_gif_regime(self):
         import numpy as np
 
-        from service1_text_extraction_ray.functions.gif import write_gif
+        from query_suite.functions.gif import write_gif
         from service1_text_extraction_ray.functions.page_render import (
             read_gray_png,
         )
-        from service1_text_extraction_ray.stages.multimodal import FrameSampler
+        from query_suite.stages.multimodal import FrameSampler
 
         frames = [
             np.full((6, 8), f % 2, dtype="uint8") for f in range(3)
@@ -5002,9 +4846,12 @@ class TestWedgeSkewGuard:
         return pairs
 
     def test_hub_graph_exact_and_bounded(self, ray_session):
-        from service1_text_extraction_ray.pipelines.queries import (
-            CLUST_UNIT, _capped_wedge_stream, _degree_orient,
-            _host_clustering_impl)
+        from query_suite.pipelines.queries import (
+            CLUST_UNIT,
+            _capped_wedge_stream,
+            _degree_orient,
+            _host_clustering_impl,
+        )
 
         pairs = self._hub_graph()
         uedges = self._uedges_ds(pairs)
@@ -5038,8 +4885,7 @@ class TestWedgeSkewGuard:
         assert n_wedges < 40  # vs 2415+ under naive per-center emission
 
     def test_small_cap_prices_drops_exactly(self, ray_session):
-        from service1_text_extraction_ray.pipelines.queries import (
-            _host_clustering_impl)
+        from query_suite.pipelines.queries import _host_clustering_impl
 
         # K6 clique: degrees all 5; orientation by (deg, id) gives out-
         # degrees 5,4,3,2,1,0 by id order; cap=2 suppresses wedges at the
@@ -5073,7 +4919,7 @@ class TestWedgeSkewGuard:
         # Ray path and a cap-substituted oracle must still agree exactly
         import duckdb
 
-        from service1_text_extraction_ray.pipelines import queries as Q
+        from query_suite.pipelines import queries as Q
 
         sf = "/root/testdata/sf0.001"
         ray_out = (
@@ -5100,7 +4946,7 @@ class TestHostTransitivity:
         cap cannot bind — the sf graph (max oriented out-degree 2)."""
         import duckdb
 
-        from service1_text_extraction_ray.pipelines import queries as Q
+        from query_suite.pipelines import queries as Q
 
         sf = "/root/testdata/sf0.001"
         got = Q.q_host_transitivity(sf).iloc[0]
@@ -5130,8 +4976,7 @@ JOIN e e3 ON e3.a = e1.b AND e3.b = e2.b""").fetchone()[0]
     def test_planted_triangles_counted_once(self, ray_session):
         # K6 clique via the internal machinery: transitivity must be exactly
         # 1.0 (every wedge closes) and triangles C(6,3) = 20
-        from service1_text_extraction_ray.pipelines.queries import (
-            _capped_wedge_stream, _degree_orient)
+        from query_suite.pipelines.queries import _capped_wedge_stream, _degree_orient
 
         nodes = [f"k{i}.x" for i in range(6)]
         pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]

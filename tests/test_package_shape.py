@@ -70,3 +70,15 @@ def test_every_package_module_is_reached_from_the_engine_entry_points():
         f"package modules no engine entry point imports: {unreached} — "
         "delete them, or move them out of the package"
     )
+
+
+def test_engine_never_imports_the_query_suite():
+    """The query suite analyses the engine's inputs and outputs from outside
+    the package; an import the other way would pull it back onto the
+    worker path."""
+    offenders = sorted(
+        str(p.relative_to(PKG_DIR)) for p in PKG_DIR.rglob("*.py")
+        for m in _imported_names(PKG, p)
+        if m == "query_suite" or m.startswith("query_suite.")
+    )
+    assert not offenders, f"engine modules importing query_suite: {offenders}"

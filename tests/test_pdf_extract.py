@@ -540,6 +540,25 @@ def test_a85_pdf_extracts_identically():
     assert got == base
 
 
+def test_info_dictionary_roundtrip():
+    from query_suite.functions.pdf_meta import PdfDocument
+
+    info = {"Title": "A (tricky) title", "Author": "a\\b", "Producer": "p"}
+    pdf = make_pdf([["Body line."]], rng(), info=info)
+    got = PdfDocument(pdf).info()
+    assert got["Title"] == "A (tricky) title"
+    assert got["Author"] == "a\\b"
+    # objstm layout: /Info rides the XRef stream dict
+    pdf2 = make_pdf([["Body line."]], rng(), info=info, objstm=True)
+    assert PdfDocument(pdf2).info()["Title"] == "A (tricky) title"
+    # no info -> empty dict; encrypted -> empty dict (documented subset)
+    assert PdfDocument(make_pdf([["x"]], rng())).info() == {}
+    enc = make_pdf([["x"]], rng(), info=info,
+                   encrypt={"user_pw": "", "owner_pw": "o", "v": 1})
+    d = PdfDocument(enc)
+    assert d.info() == {}
+
+
 def _diff_pdf(
     encoding_entry: bytes,
     extra_objs: bytes = b"",
@@ -631,6 +650,69 @@ class TestBaseEncodings:
     def test_no_declared_encoding_keeps_latin1(self):
         pdf = _diff_pdf(b"<< >>")
         assert parse_pdf(pdf)[0].text == "Caf\x82 na\x8fve r\xc8sum\x82"
+
+
+class TestLinkAnnotations:
+    def test_links_indirect_inline_and_decoys(self):
+        from query_suite.functions.fixtures import make_pdf_link_doc
+        from query_suite.functions.pdf_meta import PdfDocument
+
+        pdf, _ = make_pdf_link_doc(2, "srcA")  # 4 links
+        links = PdfDocument(pdf).links()
+        assert [u for _, u in links] == [
+            f"https://ref{(2 * 5 + i) % 17}.example.net/p/2/{i}"
+            for i in range(4)
+        ]
+        assert all(p == 1 for p, _ in links)
+        # decoys excluded: Square annot + internal GoTo link
+        assert not any("page2" in u for _, u in links)
+
+    def test_no_annots_page_yields_empty(self):
+        pdf = make_pdf([["Some plain page text."]], rng())
+        from query_suite.functions.pdf_meta import PdfDocument
+
+        assert PdfDocument(pdf).links() == []
+
+    def test_encrypted_doc_links_out_of_subset(self):
+        from query_suite.functions.pdf_meta import PdfDocument
+
+        pdf = make_pdf(
+            [["Encrypted doc line."]], rng(),
+            encrypt={"user_pw": "x", "owner_pw": "y", "v": 1},
+        )
+        doc = PdfDocument(pdf)
+        assert doc.links() == []  # documented boundary, never junk
+
+
+class TestOutline:
+    def test_reading_order_and_depth(self):
+        from query_suite.functions.fixtures import make_pdf_outline_doc
+        from query_suite.functions.pdf_meta import PdfDocument
+
+        pdf, _ = make_pdf_outline_doc(2, "s")
+        assert PdfDocument(pdf).outline() == [
+            (1, "Section 2-0"), (2, "Sub 2-0-0"), (2, "Sub 2-0-1"),
+            (1, "Section 2-1"), (1, "Section 2-2"),
+        ]
+
+    def test_cyclic_outline_terminates(self):
+        from query_suite.functions.fixtures import make_pdf_outline_doc
+        from query_suite.functions.pdf_meta import PdfDocument
+
+        pdf, _ = make_pdf_outline_doc(0, "s")
+        # point the last sub's /Next back at the first top item -> cycle
+        pdf = pdf.replace(
+            b"<< /Title (Sub 0-0-1) /Parent 11 0 R >>",
+            b"<< /Title (Sub 0-0-1) /Parent 11 0 R /Next 11 0 R >>",
+        )
+        got = PdfDocument(pdf).outline()
+        assert (1, "Section 0-0") in got and len(got) <= 4  # visited guard
+
+    def test_no_outline_is_empty(self):
+        from query_suite.functions.pdf_meta import PdfDocument
+
+        pdf = make_pdf([["Plain page text."]], rng())
+        assert PdfDocument(pdf).outline() == []
 
 
 def _rewrite_stream_predictor(pdf: bytes, transform, filter_name: bytes,
@@ -753,14 +835,80 @@ def test_predictor_bad_row_count_is_counted_failure():
 
 
 class TestPdfAttachments:
-    def test_attachment_text_unaffected(self):
-        from service1_text_extraction_ray.functions.pdf_extract import parse_pdf
+    def test_flate_and_raw_roundtrip(self):
+        from query_suite.functions.pdf_meta import PdfDocument
         from service1_text_extraction_ray.functions.synth import (
             make_pdf_attachment_doc,
         )
 
+        pdf, _ = make_pdf_attachment_doc(1, "srcx")
+        atts = PdfDocument(pdf).attachments()
+        assert [n for n, _ in atts] == ["att-1-0.txt", "att-1-1.txt"]
+        assert atts[0][1] == b"attachment 1-0 from srcx\n" * 2  # flate
+        assert atts[1][1] == b"attachment 1-1 from srcx\n" * 3  # raw
+
+    def test_kids_nested_tree(self):
+        from query_suite.functions.pdf_meta import PdfDocument
+        from service1_text_extraction_ray.functions.synth import (
+            make_pdf_attachment_doc,
+        )
+
+        pdf, _ = make_pdf_attachment_doc(3, "s")  # %3==0 -> /Kids level
+        assert len(PdfDocument(pdf).attachments()) == 2
+
+    def test_no_attachments_and_text_unaffected(self):
+        from query_suite.functions.pdf_meta import PdfDocument
+        from service1_text_extraction_ray.functions.pdf_extract import parse_pdf
+        from service1_text_extraction_ray.functions.synth import (
+            make_pdf,
+            make_pdf_attachment_doc,
+        )
+
+        plain = make_pdf([["Hello."]], rng(), compress=False)
+        assert PdfDocument(plain).attachments() == []
         pdf, _ = make_pdf_attachment_doc(2, "s")
         assert parse_pdf(pdf)[0].text == "Att 2"
+
+
+class TestPageLabels:
+    def test_roman_letters_prefix_and_restart(self):
+        from query_suite.functions.pdf_meta import PdfDocument
+        from query_suite.functions.fixtures import make_pdf_labeled_doc
+
+        pdf, _ = make_pdf_labeled_doc(2, "s")   # roman front, St=3
+        assert PdfDocument(pdf).page_labels() == ["i", "3", "4", "5"]
+        pdf, _ = make_pdf_labeled_doc(1, "s")   # 'App-A' prefix+letters
+        assert PdfDocument(pdf).page_labels() == ["App-A", "2", "3"]
+
+    def test_roman_and_letter_numerals(self):
+        from query_suite.functions.pdf_meta import PdfDocument
+
+        # inline /PageLabels on a 30-page shell exercises numbering depth
+        kids, objs = [], []
+        for k in range(30):
+            pnum = 11 + k
+            objs.append(
+                f"{pnum} 0 obj << /Type /Page /Parent 2 0 R "
+                f"/MediaBox [0 0 612 792] >> endobj\n".encode()
+            )
+            kids.append(f"{pnum} 0 R")
+        pdf = (
+            b"%PDF-1.4\n"
+            b"1 0 obj << /Type /Catalog /Pages 2 0 R "
+            b"/PageLabels << /Nums [0 << /S /r >>] >> >> endobj\n"
+            + f"2 0 obj << /Type /Pages /Kids [{' '.join(kids)}] /Count 30 >> endobj\n".encode()
+            + b"".join(objs)
+            + b"trailer << /Root 1 0 R >>\n%%EOF\n"
+        )
+        labels = PdfDocument(pdf).page_labels()
+        assert labels[0] == "i" and labels[3] == "iv"
+        assert labels[8] == "ix" and labels[29] == "xxx"
+
+    def test_no_pagelabels_returns_empty(self):
+        from query_suite.functions.pdf_meta import PdfDocument
+        from service1_text_extraction_ray.functions.synth import make_pdf
+
+        assert PdfDocument(make_pdf([["x"]], rng(), compress=False)).page_labels() == []
 
 
 class TestInlineImages:
@@ -794,7 +942,114 @@ class TestInlineImages:
         assert [s.text for s in spans] == ["Kept."]
 
 
+class TestFormFields:
+    def test_fixture_fields_exact(self):
+        from query_suite.functions.pdf_meta import PdfDocument
+        from query_suite.functions.fixtures import make_pdf_form_doc
+
+        pdf, _ = make_pdf_form_doc(7, "src2")
+        got = PdfDocument(pdf).form_fields()
+        assert got == [
+            ("title", "Tx", "Doc 7", 0),
+            ("agree", "Btn", "Yes", 0),        # name-token value, slash dropped
+            ("color", "Ch", "c3", 131072),     # combo flag
+            ("grp", "Btn", "opt1", 32768),     # radio group = terminal (widget kid)
+            ("addr.city", "Tx", "City 7", 0),  # /FT inherited from addr
+            ("addr.zip", "Tx", "10007", 0),
+        ]
+
+    def test_decoy_without_T_is_skipped(self):
+        from query_suite.functions.pdf_meta import PdfDocument
+        from query_suite.functions.fixtures import make_pdf_form_doc
+
+        pdf, _ = make_pdf_form_doc(0, "src1")
+        names = [n for n, *_ in PdfDocument(pdf).form_fields()]
+        assert "decoy" not in " ".join(names)
+        assert names == ["title", "agree", "color", "grp", "addr.city", "addr.zip"]
+
+    def test_no_acroform_is_empty(self):
+        from query_suite.functions.pdf_meta import PdfDocument
+        from query_suite.functions.fixtures import make_pdf_outline_doc
+
+        pdf, _ = make_pdf_outline_doc(1, "src1")
+        assert PdfDocument(pdf).form_fields() == []
+
+
+class TestXmp:
+    def test_fixture_properties_exact(self):
+        from query_suite.functions.pdf_meta import PdfDocument
+        from query_suite.functions.fixtures import make_pdf_xmp_doc
+
+        pdf, _ = make_pdf_xmp_doc(14, "src3")
+        assert PdfDocument(pdf).xmp() == {
+            "dc_title": "Report 14",
+            "dc_creator": "author-4",
+            "create_date": "2024-03-15T00:00:00Z",
+        }
+
+    def test_no_metadata_is_empty(self):
+        from query_suite.functions.pdf_meta import PdfDocument
+        from query_suite.functions.fixtures import make_pdf_form_doc
+
+        pdf, _ = make_pdf_form_doc(1, "src1")
+        assert PdfDocument(pdf).xmp() == {}
+
+
+class TestPdfAnnotations:
+    def test_markup_kinds_and_decoys(self):
+        from query_suite.functions.pdf_meta import PdfDocument
+        from query_suite.functions.fixtures import make_pdf_annot_doc
+
+        pdf, _ = make_pdf_annot_doc(4, "web", "de")
+        assert PdfDocument(pdf).annotations() == [
+            (1, "Text", "Note 4-1"),
+            (1, "Highlight", "HL 4"),
+            (1, "FreeText", "Free de 4"),
+        ]
+        # odd doc: two Text notes, no Highlight; Link/Square/contents-less
+        # decoys never surface
+        pdf, _ = make_pdf_annot_doc(7, "web", "en")
+        got = PdfDocument(pdf).annotations()
+        assert got == [
+            (1, "Text", "Note 7-1"),
+            (1, "Text", "Note 7-2"),
+            (1, "FreeText", "Free en 7"),
+        ]
+
+    def test_escaped_contents_string(self):
+        from query_suite.functions.pdf_meta import PdfDocument
+        from query_suite.functions.fixtures import make_pdf_annot_doc
+
+        pdf, _ = make_pdf_annot_doc(2, "web", "en")
+        # splice an annotation with escapes into the object stream
+        pdf = pdf.replace(
+            b"(Note 2-1)", rb"(Paren \( and \\ slash)"
+        )
+        got = PdfDocument(pdf).annotations()
+        assert got[0] == (1, "Text", "Paren ( and \\ slash")
+
+
 class TestFonts:
+    def test_inventory_variants(self):
+        from query_suite.functions.pdf_meta import PdfDocument
+        from service1_text_extraction_ray.functions.synth import make_pdf_font_doc
+
+        # doc 6: F1 + F2 (even) + F3 (%3==0), no decoy
+        pdf, _ = make_pdf_font_doc(6, "s")
+        fonts = PdfDocument(pdf).fonts()
+        assert fonts == [
+            (0, "F1", "Helvetica", "Type1", 0),
+            (0, "F2", "Body1", "TrueType", 1),
+            (0, "F3", "CJK2", "Type0", 0),
+        ]
+        # doc 1: F1 only plus a dangling /F9 decoy that must be skipped
+        pdf, _ = make_pdf_font_doc(1, "s")
+        assert PdfDocument(pdf).fonts() == [(0, "F1", "Helvetica", "Type1", 0)]
+        # doc 3: Type0 with the descriptor on the DESCENDANT CIDFont
+        pdf, _ = make_pdf_font_doc(3, "s")
+        names = [f[1] for f in PdfDocument(pdf).fonts()]
+        assert names == ["F1", "F3"]
+
     def test_fixture_still_extracts_text(self):
         from service1_text_extraction_ray.functions.pdf_extract import parse_pdf
         from service1_text_extraction_ray.functions.synth import make_pdf_font_doc
@@ -805,6 +1060,15 @@ class TestFonts:
 
 
 class TestLayers:
+    def test_inventory_and_off_flag(self):
+        from query_suite.functions.pdf_meta import PdfDocument
+        from service1_text_extraction_ray.functions.synth import make_pdf_ocg_doc
+
+        pdf, _ = make_pdf_ocg_doc(2, "s")  # even: Watermark OFF
+        assert PdfDocument(pdf).layers() == [("Main", 1), ("Watermark", 0)]
+        pdf, _ = make_pdf_ocg_doc(3, "s")  # odd: both ON
+        assert PdfDocument(pdf).layers() == [("Main", 1), ("Watermark", 1)]
+
     def test_off_layer_text_suppressed(self):
         from service1_text_extraction_ray.functions.pdf_extract import parse_pdf
         from service1_text_extraction_ray.functions.synth import make_pdf_ocg_doc
@@ -818,14 +1082,42 @@ class TestLayers:
         text = parse_pdf(pdf)[0].text
         assert "WM 3" in text            # ON layer survives
 
+    def test_no_optional_content_is_empty(self):
+        from query_suite.functions.pdf_meta import PdfDocument
+        from service1_text_extraction_ray.functions.synth import make_pdf_font_doc
+
+        pdf, _ = make_pdf_font_doc(1, "s")
+        assert PdfDocument(pdf).layers() == []
+
+
 class TestStructure:
-    def test_plain_extraction_keeps_unstructured_spans(self):
+    def test_reading_order_roles_and_chrome_drop(self):
+        from query_suite.functions.pdf_meta import PdfDocument
         from service1_text_extraction_ray.functions.pdf_extract import parse_pdf
         from service1_text_extraction_ray.functions.synth import make_pdf_tagged_doc
 
         pdf, _ = make_pdf_tagged_doc(1, "s")
+        st = PdfDocument(pdf).structure()
+        assert st == [
+            (0, "H1", "Title 1"), (1, "P", "Para 1-1"), (2, "P", "Para 1-2"),
+        ]  # /Para mapped to /P via /RoleMap; /Artifact + unmarked dropped
         text = parse_pdf(pdf)[0].text
-        # <</MCID n>> BDC scopes are extracted like plain text...
-        assert "Title 1" in text and "Para 1-1" in text and "Para 1-2" in text
-        # ...and so are the /Artifact span and the unmarked span
-        assert "Page 1" in text and "loose" in text
+        assert "Page 1" in text and "loose" in text  # plain extraction keeps both
+
+    def test_untagged_pdf_is_empty(self):
+        from query_suite.functions.pdf_meta import PdfDocument
+        from service1_text_extraction_ray.functions.synth import make_pdf_ocg_doc
+
+        pdf, _ = make_pdf_ocg_doc(3, "s")
+        assert PdfDocument(pdf).structure() == []
+
+    def test_cyclic_struct_tree_terminates(self):
+        from query_suite.functions.pdf_meta import PdfDocument
+        from service1_text_extraction_ray.functions.synth import make_pdf_tagged_doc
+
+        pdf, _ = make_pdf_tagged_doc(0, "s")
+        # point the Document element's kid list back at itself
+        pdf = pdf.replace(b"/S /Document /K [20 0 R 21 0 R]",
+                          b"/S /Document /K [11 0 R 20 0 R 21 0 R]")
+        st = PdfDocument(pdf).structure()
+        assert (0, "H1", "Title 0") in st  # still emits, never hangs

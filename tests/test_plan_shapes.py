@@ -41,9 +41,14 @@ def _sorts(ds):
 def test_no_data_key_sort_in_plan(ray_session, name):
     import ray.data as rd
 
-    import __ray_entry__ as E
+    from query_suite.pipelines import queries as Q, relational as R, webtext as W
 
-    res = E.queries()[name](SF)
+    res = {
+        "customers_dormant": R.q_customers_dormant,
+        "doc_shuffle_rank": W.q_doc_shuffle_rank,
+        "dedup_exact": Q.q_dedup_exact,
+        "host_sssp": Q.q_host_sssp,
+    }[name](SF)
     assert isinstance(res, rd.Dataset), f"{name} no longer returns a Dataset"
     for op in _sorts(res):
         cols = op._sort_key.get_columns()

@@ -1,10 +1,47 @@
-"""WARC input: the WARC pages source must produce byte-identical extraction
-output to the parquet source on the same logical rows, salvage damaged
-shards in tolerant mode, and list its inputs like the parquet path."""
+"""Source-format interop: the WARC, JSONL and CSV pages sources must produce
+byte-identical extraction output to the parquet source on the same logical
+rows, salvage damaged shards in tolerant mode, and list their inputs like the
+parquet path."""
 
 import pandas as pd
+import pyarrow as pa
 import pytest
 
+
+class TestJsonlPagesSource:
+    def test_roundtrip_and_extraction_parity(self, ray_session, tmp_path):
+        from service1_text_extraction_ray.functions.synth import gen_pages_table
+        from service1_text_extraction_ray.pipelines.extract_pipeline import (
+            extract_dataset,
+        )
+        from query_suite.sources.page_formats import (
+            read_pages_jsonl,
+            write_pages_jsonl,
+        )
+        import ray.data as rd
+
+        pages = gen_pages_table(60, seed=42)
+        jl = tmp_path / "pages_jsonl"
+        write_pages_jsonl(rd.from_arrow(pages), str(jl))
+        back = read_pages_jsonl(str(jl))
+
+        got = back.take_all()
+        exp = {r["url"]: r for r in pages.to_pylist()}
+        assert len(got) == 60
+        for r in got:
+            e = exp[r["url"]]
+            assert r["html"] == e["html"]          # binary survives base64
+            assert r["warc_ts"] == e["warc_ts"]    # timestamp survives ISO-8601
+            assert (r["text"], r["lang"]) == (e["text"], e["lang"])
+
+        def doc_map(ds):
+            out = extract_dataset(ds).select_columns(
+                ["url", "content_hash", "status", "n_pages"]
+            )
+            return {r["url"]: (r["content_hash"], r["status"], r["n_pages"])
+                    for r in out.take_all()}
+
+        assert doc_map(read_pages_jsonl(str(jl))) == doc_map(rd.from_arrow(pages))
 
 class TestWarcPagesSource:
     def test_roundtrip_and_extraction_parity(self, ray_session, tmp_path):
@@ -107,6 +144,78 @@ class TestWarcPagesSource:
         assert rec.endswith(b"\r\n\r\n")
 
 
+class TestCsvPagesSource:
+    def test_roundtrip_and_extraction_parity(self, ray_session, tmp_path):
+        from service1_text_extraction_ray.functions.synth import gen_pages_table
+        from service1_text_extraction_ray.pipelines.extract_pipeline import (
+            extract_dataset,
+        )
+        from query_suite.sources.page_formats import read_pages_csv, write_pages_csv
+        import ray.data as rd
+
+        pages = gen_pages_table(60, seed=42)
+        cd = tmp_path / "pages_csv"
+        write_pages_csv(rd.from_arrow(pages), str(cd))
+        back = read_pages_csv(str(cd))
+
+        got = back.take_all()
+        exp = {r["url"]: r for r in pages.to_pylist()}
+        assert len(got) == 60
+        for r in got:
+            e = exp[r["url"]]
+            assert r["html"] == e["html"]          # binary survives base64
+            assert r["warc_ts"] == e["warc_ts"]    # timestamp survives ISO-8601
+            assert (r["text"], r["lang"]) == (e["text"], e["lang"])
+
+        def doc_map(ds):
+            out = extract_dataset(ds).select_columns(
+                ["url", "content_hash", "status", "n_pages"]
+            )
+            return {r["url"]: (r["content_hash"], r["status"], r["n_pages"])
+                    for r in out.take_all()}
+
+        assert doc_map(read_pages_csv(str(cd))) == doc_map(rd.from_arrow(pages))
+
+
+class TestEvolvedPagesSource:
+    def test_mixed_schema_shards_normalize(self, ray_session, tmp_path):
+        import pyarrow.parquet as pq
+
+        from service1_text_extraction_ray.functions.synth import gen_pages_table
+        from service1_text_extraction_ray.pipelines.extract_pipeline import (
+            extract_dataset,
+        )
+        from query_suite.sources.page_formats import read_pages_evolved
+
+        pages = gen_pages_table(30, seed=42)
+        d = tmp_path / "mixed"
+        d.mkdir()
+        # v1 shard: before `lang` and `text` existed
+        pq.write_table(
+            pages.slice(0, 15).drop_columns(["lang", "text"]),
+            str(d / "shard-v1.parquet"),
+        )
+        # v2 shard: current schema + an extra column a newer writer added
+        v2 = pages.slice(15, 15).append_column(
+            "fetch_ms", pa.array([1] * 15, pa.int64())
+        )
+        pq.write_table(v2, str(d / "shard-v2.parquet"))
+
+        back = read_pages_evolved(str(d))
+        got = {r["url"]: r for r in back.take_all()}
+        assert len(got) == 30
+        exp = {r["url"]: r for r in pages.to_pylist()}
+        for url, r in got.items():
+            assert r["html"] == exp[url]["html"]
+            assert "fetch_ms" not in r  # extras dropped at the reader
+        v1_urls = set(pages.slice(0, 15)["url"].to_pylist())
+        for url in v1_urls:
+            assert got[url]["lang"] == "und" and got[url]["text"] == ""
+        # and the extraction pipeline consumes the normalized stream whole
+        out = extract_dataset(read_pages_evolved(str(d)))
+        assert out.count() == 30
+
+
 class TestHttpEnvelope:
     """WARC response payloads are full HTTP messages (the real Common Crawl
     layout); the parser must handle the framings a crawl archive carries."""
@@ -193,6 +302,59 @@ class TestHttpEnvelope:
         got = {r["url"]: r["html"] for r in read_pages_warc(str(wd)).take_all()}
         exp = {r["url"]: r["html"] for r in pages.to_pylist()}
         assert got == exp
+
+
+class TestWatSink:
+    def test_wat_roundtrip_consistent_with_parsers(self, ray_session, tmp_path):
+        """The WAT envelope must agree with the engine's own meta/link
+        parsers on every page, and the flat read-back exposes exactly the
+        envelope's fields."""
+        import ray.data as rd
+
+        from query_suite.functions.links import extract_outlinks
+        from query_suite.functions.meta import extract_meta
+        from service1_text_extraction_ray.functions.sniff import sniff_payload
+        from service1_text_extraction_ray.functions.synth import gen_pages_table
+        from query_suite.sources.page_formats import read_pages_wat, write_pages_wat
+
+        pages = gen_pages_table(100, seed=42)  # covers html + pdf + garbage
+        wd = tmp_path / "pages_wat"
+        n = write_pages_wat(rd.from_arrow(pages), str(wd))
+        assert n >= 1
+
+        got = {r["url"]: r for r in read_pages_wat(str(wd)).take_all()}
+        assert len(got) == 100
+        for row in pages.to_pylist():
+            r = got[row["url"]]
+            assert r["warc_ts"] == row["warc_ts"]
+            assert r["content_length"] == len(row["html"] or b"")
+            if row["html"] and sniff_payload(row["html"]) == "html":
+                meta = extract_meta(row["html"], row["url"])
+                links, noindex, nofollow = extract_outlinks(
+                    row["html"], row["url"]
+                )
+                assert r["title"] == meta["title"]
+                assert r["canonical"] == meta["canonical"]
+                assert r["n_links"] == len(links)
+                assert (r["noindex"], r["nofollow"]) == (noindex, nofollow)
+            else:
+                # non-HTML rows: envelope has no HTML-Metadata section
+                assert r["title"] is None and r["n_links"] == 0
+
+    def test_wat_idempotent_rewrite(self, ray_session, tmp_path):
+        import os
+
+        import ray.data as rd
+
+        from service1_text_extraction_ray.functions.synth import gen_pages_table
+        from query_suite.sources.page_formats import write_pages_wat
+
+        pages = gen_pages_table(30, seed=7)
+        wd = tmp_path / "wat_idem"
+        write_pages_wat(rd.from_arrow(pages), str(wd))
+        first = sorted(os.listdir(wd))
+        write_pages_wat(rd.from_arrow(pages), str(wd))
+        assert sorted(os.listdir(wd)) == first
 
 
 class TestWarcIngestionJob:
@@ -296,6 +458,193 @@ class TestInputListing:
         write_pages_parquet(str(tmp_path), 4, seed=42)
         with pytest.raises(ValueError, match="not WARC"):
             read_pages_warc(str(tmp_path))
+
+
+class TestWarcDigests:
+    def test_digests_verify_and_catch_tampering(self, ray_session, tmp_path):
+        import glob
+
+        import ray.data as rd
+
+        from query_suite.sources.page_formats import (
+            synthesize_pages,
+            verify_warc_digests,
+        )
+        from service1_text_extraction_ray.sources.pages_source import write_pages_warc
+
+        out = str(tmp_path / "warc")
+        write_pages_warc(synthesize_pages(40, seed=7), out)
+        shards = sorted(glob.glob(out + "/*.warc"))
+        assert shards
+        total = badsum = 0
+        for sh in shards:
+            n, bad = verify_warc_digests(sh)
+            total += n
+            badsum += bad
+        # response: payload + block; conversion: block -> 3 per page
+        assert total == 40 * 3
+        assert badsum == 0
+
+        # flip one byte inside the largest shard's payload area -> >= 1 bad
+        sh = max(shards, key=lambda p: __import__("os").path.getsize(p))
+        blob = bytearray(open(sh, "rb").read())
+        # find a spot well inside a payload (after the first blank line)
+        i = blob.index(b"\r\n\r\n") + 200
+        blob[i] ^= 0xFF
+        tam = str(tmp_path / "tampered.warc")
+        open(tam, "wb").write(bytes(blob))
+        _, bad = verify_warc_digests(tam)
+        assert bad >= 1
+
+    def test_gz_members_carry_digests(self, ray_session, tmp_path):
+        import glob
+
+        from query_suite.sources.page_formats import (
+            synthesize_pages,
+            verify_warc_digests,
+        )
+        from service1_text_extraction_ray.sources.pages_source import write_pages_warc
+
+        out = str(tmp_path / "warcgz")
+        write_pages_warc(synthesize_pages(12, seed=9), out, gzip_members=True)
+        shards = sorted(glob.glob(out + "/*.warc.gz"))
+        assert shards
+        for sh in shards:
+            n, bad = verify_warc_digests(sh)
+            assert n > 0 and bad == 0
+
+
+class TestWarcCdx:
+    def _build(self, tmp_path, gz):
+        from query_suite.sources.page_formats import (
+            synthesize_pages,
+            write_pages_warc,
+        )
+
+        wdir = str(tmp_path / ("w_gz" if gz else "w"))
+        cdir = str(tmp_path / ("c_gz" if gz else "c"))
+        write_pages_warc(synthesize_pages(30, seed=5), wdir,
+                         gzip_members=gz, cdx_dir=cdir)
+        return wdir, cdir
+
+    def _cdx(self, cdir):
+        import glob
+
+        import pyarrow.parquet as pq
+
+        tables = [pq.read_table(p) for p in sorted(glob.glob(cdir + "/*.parquet"))]
+        import pyarrow as pa
+
+        return pa.concat_tables(tables).to_pylist()
+
+    def test_random_access_matches_full_read(self, ray_session, tmp_path):
+        import os
+
+        from service1_text_extraction_ray.sources.pages_source import (
+            parse_http_response,
+        )
+        from query_suite.sources.page_formats import read_warc_record
+
+        for gz in (False, True):
+            wdir, cdir = self._build(tmp_path, gz)
+            rows = self._cdx(cdir)
+            assert len(rows) == 30 * 2  # response + conversion per page
+            # fetch every response record by (offset, length) and check the
+            # digest of the decoded entity body matches the index
+            from service1_text_extraction_ray.sources.pages_source import (
+                _sha1_b32,
+            )
+
+            for r in rows:
+                if r["rec_type"] != "response":
+                    continue
+                hdrs, payload = read_warc_record(
+                    os.path.join(wdir, r["shard"]), r["offset"], r["length"]
+                )
+                assert hdrs["warc-type"] == "response"
+                assert hdrs["warc-target-uri"] == r["url"]
+                _, _, body = parse_http_response(payload)
+                assert _sha1_b32(body).decode("ascii") == r["digest"]
+
+    def test_offsets_partition_the_shard(self, ray_session, tmp_path):
+        import os
+        from collections import defaultdict
+
+        _, cdir = self._build(tmp_path, True)
+        by_shard = defaultdict(list)
+        for r in self._cdx(cdir):
+            by_shard[r["shard"]].append((r["offset"], r["length"]))
+        for sh, spans in by_shard.items():
+            spans.sort()
+            pos = 0
+            for off, ln in spans:
+                assert off == pos  # contiguous, no gaps or overlaps
+                pos = off + ln
+
+
+class TestArchiveSources:
+    def _docs(self, ray_session):
+        import ray.data as rd
+
+        return rd.from_items([
+            {"doc_id": i, "text": f"document {i} body with ünïcode £ {i * 7}"}
+            for i in range(37)
+        ])
+
+    def test_tar_and_zip_round_trip_byte_exact(self, ray_session, tmp_path):
+        from query_suite.sources.page_formats import (
+            read_docs_archive,
+            write_docs_tar,
+            write_docs_zip,
+        )
+
+        for fmt, writer in (("tar", write_docs_tar), ("zip", write_docs_zip)):
+            out = str(tmp_path / fmt)
+            n = writer(self._docs(ray_session), out)
+            assert n == 37
+            back = {
+                r["doc_id"]: r["text"]
+                for r in read_docs_archive(out).take_all()
+            }
+            assert len(back) == 37
+            for i in range(37):
+                assert back[i] == f"document {i} body with ünïcode £ {i * 7}"
+
+    def test_mixed_directory_reads_uniformly(self, ray_session, tmp_path):
+        import ray.data as rd
+
+        from query_suite.sources.page_formats import (
+            read_docs_archive,
+            write_docs_tar,
+            write_docs_zip,
+        )
+
+        out = str(tmp_path / "mixed")
+        write_docs_tar(
+            rd.from_items([{"doc_id": 1, "text": "in the tar"}]), out
+        )
+        write_docs_zip(
+            rd.from_items([{"doc_id": 2, "text": "in the zip"}]), out
+        )
+        back = {r["doc_id"]: r["text"] for r in read_docs_archive(out).take_all()}
+        assert back == {1: "in the tar", 2: "in the zip"}
+
+    def test_shards_are_content_addressed_and_deterministic(
+        self, ray_session, tmp_path
+    ):
+        import os
+
+        from query_suite.sources.page_formats import write_docs_tar
+
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        write_docs_tar(self._docs(ray_session), a)
+        write_docs_tar(self._docs(ray_session), b)
+        la, lb = sorted(os.listdir(a)), sorted(os.listdir(b))
+        assert la and la == lb  # same names (content-addressed)
+        for name in la:  # same bytes (pinned mtimes)
+            with open(os.path.join(a, name), "rb") as fa, \
+                 open(os.path.join(b, name), "rb") as fb:
+                assert fa.read() == fb.read()
 
 
 class TestWarcSalvage:
@@ -438,6 +787,70 @@ class TestTolerantWarcJob:
         assert lin.read_all(out).num_rows == summary["n_docs"]
 
 
+class TestArchiveSalvage:
+    """Damaged document-dump archives yield their intact members in
+    tolerant mode (tar block-walk with checksum resync over the gzip
+    prefix; zip local-header scan needing no central directory)."""
+
+    def _dirs(self, ray_session, tmp_path, kind):
+        import os
+
+        from service1_text_extraction_ray.functions.synth import gen_pages_table
+        from query_suite.sources.page_formats import write_docs_tar, write_docs_zip
+        import ray.data as rdm
+
+        adir = str(tmp_path / kind)
+        docs = rdm.from_items(
+            [{"doc_id": i, "text": f"document body {i} " + "tok " * 40}
+             for i in range(20)]
+        ).repartition(1)
+        n = (write_docs_tar if kind == "tar" else write_docs_zip)(docs, adir)
+        assert n == 20
+        fn = sorted(os.listdir(adir))[0]
+        return adir, os.path.join(adir, fn)
+
+    def test_truncated_targz_salvages_prefix(self, ray_session, tmp_path):
+        import pytest
+
+        from query_suite.sources.page_formats import read_docs_archive
+
+        adir, path = self._dirs(ray_session, tmp_path, "tar")
+        blob = open(path, "rb").read()
+        open(path, "wb").write(blob[: int(len(blob) * 0.6)])  # torn download
+        with pytest.raises(Exception):
+            read_docs_archive(adir).to_pandas()
+        got = read_docs_archive(adir, tolerant=True).to_pandas()
+        assert 0 < len(got) < 20
+        assert all(t.startswith("document body") for t in got["text"])
+
+    def test_zip_missing_central_directory(self, ray_session, tmp_path):
+        import pytest
+
+        from query_suite.sources.page_formats import read_docs_archive
+
+        adir, path = self._dirs(ray_session, tmp_path, "zip")
+        blob = open(path, "rb").read()
+        # cut at the central directory: every member's local record intact
+        cd = blob.rfind(b"PK\x01\x02")
+        open(path, "wb").write(blob[:cd])
+        with pytest.raises(Exception):
+            read_docs_archive(adir).to_pandas()
+        got = read_docs_archive(adir, tolerant=True).to_pandas()
+        assert len(got) == 20  # ALL members salvageable without the CD
+        assert sorted(got["doc_id"]) == list(range(20))
+
+    def test_intact_archives_identical_in_both_modes(self, ray_session, tmp_path):
+        from query_suite.sources.page_formats import read_docs_archive
+
+        for kind in ("tar", "zip"):
+            adir, _ = self._dirs(ray_session, tmp_path, kind)
+            a = read_docs_archive(adir).to_pandas().sort_values(
+                "doc_id").reset_index(drop=True)
+            b = read_docs_archive(adir, tolerant=True).to_pandas().sort_values(
+                "doc_id").reset_index(drop=True)
+            pd.testing.assert_frame_equal(a, b)
+
+
 class TestSalvageReviewPins:
     """Round-5 second self-review findings pinned (all were reproduced)."""
 
@@ -451,6 +864,43 @@ class TestSalvageReviewPins:
         blob = m[0] + b"\x00" + m[1] + m[2]  # ONE junk byte before m2
         out = _gunzip_members(blob, tolerant=True)
         assert out == b"AAAABBBBCCCC"  # the intact m2 must survive
+
+    def test_gunzip_prefix_salvages_to_the_byte(self):
+        import gzip
+
+        from query_suite.sources.page_formats import _gunzip_prefix
+
+        plain = bytes(range(256)) * 800  # ~200 KB
+        blob = bytearray(gzip.compress(plain, mtime=0))
+        blob[len(blob) // 2] ^= 0xFF  # mid-stream corruption
+        got = _gunzip_prefix(bytes(blob))
+        # a large decompressable PREFIX survives (was 0 bytes pre-fix).
+        # DEFLATE may emit garbage between the corrupt byte and the first
+        # invalid code — quantify the clean prefix instead of requiring
+        # byte equality of everything salvaged (downstream tar checksums
+        # reject the garbage tail).
+        assert len(got) > len(plain) // 4
+        common = 0
+        for a, b in zip(got, plain):
+            if a != b:
+                break
+            common += 1
+        assert common > len(plain) // 4
+
+    def test_zip_walker_keeps_empty_stored_members(self):
+        import io
+        import zipfile
+
+        from query_suite.sources.page_formats import _salvage_zip_members
+
+        buf = io.BytesIO()
+        with zipfile.ZipFile(buf, "w", zipfile.ZIP_STORED) as zf:
+            zf.writestr("docs/1.txt", "payload one")
+            zf.writestr("docs/2.txt", "")           # legit EMPTY member
+            zf.writestr("docs/3.txt", "payload three")
+        got = dict(_salvage_zip_members(buf.getvalue()))
+        assert got["docs/2.txt"] == b""
+        assert len(got) == 3
 
     def test_salvage_report_counts_each_page_once(self):
         from service1_text_extraction_ray.sources.pages_source import (

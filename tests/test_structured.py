@@ -3,8 +3,8 @@ flattening, and the fixture's branch contract."""
 
 import pytest
 
-from service1_text_extraction_ray.functions.structured import extract_jsonld
-from service1_text_extraction_ray.functions.synth import make_jsonld_page
+from query_suite.functions.structured import extract_jsonld
+from query_suite.functions.fixtures import make_jsonld_page
 
 
 class TestExtractJsonld:
@@ -95,9 +95,7 @@ class TestExtractJsonld:
 
 class TestExtractMicrodata:
     def test_scopes_values_and_drops(self):
-        from service1_text_extraction_ray.functions.structured import (
-            extract_microdata,
-        )
+        from query_suite.functions.structured import extract_microdata
 
         html = (
             b'<div itemscope itemtype="https://schema.org/Product">'
@@ -127,9 +125,7 @@ class TestExtractMicrodata:
         ]
 
     def test_truncation_flushes_open_prop(self):
-        from service1_text_extraction_ray.functions.structured import (
-            extract_microdata,
-        )
+        from query_suite.functions.structured import extract_microdata
 
         html = (
             b'<div itemscope itemtype="T"><span itemprop="p">dangling text'
@@ -141,7 +137,7 @@ class TestExtractMicrodata:
 
 class TestRdfa:
     def test_vocab_expansion_values_and_drops(self):
-        from service1_text_extraction_ray.functions.structured import extract_rdfa
+        from query_suite.functions.structured import extract_rdfa
 
         html = (
             b'<body vocab="https://schema.org/">'
@@ -175,7 +171,7 @@ class TestRdfa:
         ]
 
     def test_content_attr_beats_natural_value_and_text(self):
-        from service1_text_extraction_ray.functions.structured import extract_rdfa
+        from query_suite.functions.structured import extract_rdfa
 
         html = (
             b'<div typeof="T">'
@@ -187,7 +183,7 @@ class TestRdfa:
         ]
 
     def test_vocab_scoping_pops_with_subtree(self):
-        from service1_text_extraction_ray.functions.structured import extract_rdfa
+        from query_suite.functions.structured import extract_rdfa
 
         html = (
             b'<div vocab="https://a.example/"><div typeof="X">'
@@ -200,14 +196,14 @@ class TestRdfa:
         assert got[1] == {"entity": 2, "rtype": "Y", "prop": "q", "value": "2"}
 
     def test_multi_token_typeof_takes_first(self):
-        from service1_text_extraction_ray.functions.structured import extract_rdfa
+        from query_suite.functions.structured import extract_rdfa
 
         html = b'<div vocab="v/" typeof="A B"><span property="p">x</span></div>'
         # first token 'A' (no colon) expands against the vocab; 'B' dropped
         assert extract_rdfa(html)[0]["rtype"] == "v/A"
 
     def test_truncation_flushes_open_prop(self):
-        from service1_text_extraction_ray.functions.structured import extract_rdfa
+        from query_suite.functions.structured import extract_rdfa
 
         html = b'<div typeof="T"><span property="p">dangling'
         assert extract_rdfa(html) == [

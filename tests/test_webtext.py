@@ -22,7 +22,7 @@ def _docs(tmp_path, texts, ids=None):
 
 class TestPiiScan:
     def test_counts_and_redaction(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import q_doc_pii_scan
+        from query_suite.pipelines.webtext import q_doc_pii_scan
 
         texts = [
             "mail a@b.co and c.d@e.org now",
@@ -40,10 +40,7 @@ class TestPiiScan:
 
 class TestTfidfTopTerms:
     def test_rarest_terms_win(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import (
-            TFIDF_TOPK,
-            q_doc_tfidf_top_terms,
-        )
+        from query_suite.pipelines.webtext import TFIDF_TOPK, q_doc_tfidf_top_terms
 
         # "common" in every doc (df=3); each doc also has unique tokens (df=1)
         texts = [
@@ -69,7 +66,7 @@ class TestTfidfTopTerms:
 
 class TestContamination:
     def test_benchmark_overlap_counted(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import (
+        from query_suite.pipelines.webtext import (
             CONTAM_BENCH_MOD,
             CONTAM_NGRAM,
             q_doc_contamination,
@@ -91,7 +88,7 @@ class TestContamination:
 
 class TestDedupSpans:
     def test_cross_doc_and_within_doc_multiplicity(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import SPAN_W, q_dedup_spans
+        from query_suite.pipelines.webtext import SPAN_W, q_dedup_spans
 
         passage = " ".join(f"p{i}" for i in range(SPAN_W))
         uniq_a = " ".join(f"a{i}" for i in range(SPAN_W))
@@ -109,7 +106,7 @@ class TestDedupSpans:
         assert row["first_doc"] == 0
 
     def test_partial_windows_dropped(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import SPAN_W, q_dedup_spans
+        from query_suite.pipelines.webtext import SPAN_W, q_dedup_spans
 
         short = " ".join(f"s{i}" for i in range(SPAN_W - 1))  # < one window
         out = q_dedup_spans(_docs(tmp_path, [short, short])).to_pandas()
@@ -118,7 +115,7 @@ class TestDedupSpans:
 
 class TestCorpusVocabStats:
     def test_counts(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import q_corpus_vocab_stats
+        from query_suite.pipelines.webtext import q_corpus_vocab_stats
 
         out = q_corpus_vocab_stats(
             _docs(tmp_path, ["a b b", "b c", ""])
@@ -134,7 +131,7 @@ class TestSplitAssign:
     def test_deterministic_and_proportional(self, ray_session, tmp_path):
         import hashlib
 
-        from service1_text_extraction_ray.pipelines.webtext import (
+        from query_suite.pipelines.webtext import (
             _TRAIN_CUT,
             _VALID_CUT,
             q_doc_split_assign,
@@ -154,7 +151,7 @@ class TestSplitAssign:
         assert set(counts.index) <= {"train", "valid", "test"}
 
     def test_rerun_identical(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import q_doc_split_assign
+        from query_suite.pipelines.webtext import q_doc_split_assign
 
         sf = _docs(tmp_path, [f"doc {i}" for i in range(50)])
         a = q_doc_split_assign(sf).to_pandas().sort_values("doc_id").reset_index(drop=True)
@@ -164,7 +161,7 @@ class TestSplitAssign:
 
 class TestTokenPostings:
     def test_df_tf_and_min_df_filter(self, ray_session, tmp_path):
-        import service1_text_extraction_ray.pipelines.webtext as W
+        import query_suite.pipelines.webtext as W
 
         old = W.POSTINGS_MIN_DF
         W.POSTINGS_MIN_DF = 2
@@ -179,7 +176,7 @@ class TestTokenPostings:
             W.POSTINGS_MIN_DF = old
 
     def test_doc_repeats_count_once_for_df(self, ray_session, tmp_path):
-        import service1_text_extraction_ray.pipelines.webtext as W
+        import query_suite.pipelines.webtext as W
 
         old = W.POSTINGS_MIN_DF
         W.POSTINGS_MIN_DF = 1
@@ -194,7 +191,7 @@ class TestTokenPostings:
 
 class TestCorpusBigrams:
     def test_counts_and_tiebreak(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import q_corpus_bigrams
+        from query_suite.pipelines.webtext import q_corpus_bigrams
 
         # "a b" x2 (one per doc), "b a" x1, "b c" x1 -> tie broken by string
         sf = _docs(tmp_path, ["a b a b", "b c"])
@@ -203,7 +200,7 @@ class TestCorpusBigrams:
         assert out["n"].tolist() == [2, 1, 1]
 
     def test_no_cross_doc_bigrams(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import q_corpus_bigrams
+        from query_suite.pipelines.webtext import q_corpus_bigrams
 
         sf = _docs(tmp_path, ["a", "b"])  # single-token docs -> no bigrams
         out = q_corpus_bigrams(sf)
@@ -212,9 +209,7 @@ class TestCorpusBigrams:
 
 class TestCorpusHeavyHitters:
     def test_exact_topk_with_tiebreak(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import (
-            q_corpus_heavy_hitters,
-        )
+        from query_suite.pipelines.webtext import q_corpus_heavy_hitters
 
         sf = _docs(tmp_path, ["x x x y y z", "y x z a"])
         out = q_corpus_heavy_hitters(sf)
@@ -225,10 +220,8 @@ class TestCorpusHeavyHitters:
     def test_guarantee_violation_raises(self, ray_session, tmp_path):
         """A corpus whose K-th count falls below N/C must fail loudly, not
         silently return a possibly-wrong top-K."""
-        from service1_text_extraction_ray.pipelines import webtext
-        from service1_text_extraction_ray.pipelines.webtext import (
-            q_corpus_heavy_hitters,
-        )
+        from query_suite.pipelines import webtext
+        from query_suite.pipelines.webtext import q_corpus_heavy_hitters
 
         # one dominant token + a long tail of singletons: the 20th-ranked
         # count is 1, and N > C * 1, so exactness can't be certified
@@ -244,7 +237,7 @@ class TestCurateCorpus:
         split assignment is the same pure hash the standalone query uses."""
         import hashlib
 
-        from service1_text_extraction_ray.pipelines.webtext import (
+        from query_suite.pipelines.webtext import (
             _TRAIN_CUT,
             _VALID_CUT,
             q_curate_corpus,
@@ -268,7 +261,7 @@ class TestCurateCorpus:
         assert got == {0: expect_split(0), 3: expect_split(3)}
 
     def test_rerun_identical(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import q_curate_corpus
+        from query_suite.pipelines.webtext import q_curate_corpus
 
         texts = [" ".join(f"w{i}x{j}" for j in range(80)) for i in range(20)]
         d = _docs(tmp_path, texts)
@@ -279,7 +272,7 @@ class TestCurateCorpus:
 
 class TestParseUrls:
     def test_components(self):
-        from service1_text_extraction_ray.functions.urls import parse_urls
+        from query_suite.functions.urls import parse_urls
 
         urls = pa.array(
             [
@@ -304,7 +297,7 @@ class TestParseUrls:
         assert all(v is None for v in p[5].values())
 
     def test_trailing_slash_depth(self):
-        from service1_text_extraction_ray.functions.urls import parse_urls
+        from query_suite.functions.urls import parse_urls
 
         p = parse_urls(pa.array(["https://h.io/a/b/", "https://h.io/a//b"]))
         # trailing slash doesn't add a segment; '//' counts the empty segment
@@ -316,7 +309,7 @@ class TestEventsFunnel:
         import pandas as pd
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.relational import q_events_funnel
+        from query_suite.pipelines.relational import q_events_funnel
 
         rows = []
 
@@ -351,7 +344,7 @@ class TestEditDistanceDedup:
 
         import numpy as np
 
-        from service1_text_extraction_ray.pipelines.queries import _levenshtein_pairs
+        from query_suite.pipelines.queries import _levenshtein_pairs
 
         def ref(a, b):
             la, lb = len(a), len(b)
@@ -375,7 +368,7 @@ class TestEditDistanceDedup:
         assert (got == exp).all()
 
     def test_planted_near_duplicates(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.queries import q_dedup_edit_distance
+        from query_suite.pipelines.queries import q_dedup_edit_distance
 
         base = "the quick brown fox jumps over the lazy dog " * 4
         texts = [
@@ -395,7 +388,7 @@ class TestEditDistanceDedup:
 
 class TestOutlinks:
     def test_resolution_rules(self):
-        from service1_text_extraction_ray.functions.links import resolve_href
+        from query_suite.functions.links import resolve_href
 
         base = "https://h.example.com/a/b/page.html?q=1"
         assert resolve_href(base, "https://x.io/p?k=2#f") == "https://x.io/p?k=2"
@@ -410,7 +403,7 @@ class TestOutlinks:
         assert resolve_href(base, "ftp://files.io/x") is None  # non-http scheme
 
     def test_parse_decoys_robots_truncation(self):
-        from service1_text_extraction_ray.functions.links import extract_outlinks
+        from query_suite.functions.links import extract_outlinks
 
         html = (
             '<html><head><meta name="robots" content="noindex">'
@@ -426,7 +419,7 @@ class TestOutlinks:
         ]
 
     def test_nofollow_and_nested_anchor(self):
-        from service1_text_extraction_ray.functions.links import extract_outlinks
+        from query_suite.functions.links import extract_outlinks
 
         html = '<a href="/x" rel="sponsored nofollow">a  b\n c</a>'
         links, _, _ = extract_outlinks(html, "https://h.io/")
@@ -437,12 +430,9 @@ class TestHostPagerank:
     def test_matches_scalar_replay(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.functions.links import (
-            extract_outlinks,
-            split_url,
-        )
-        from service1_text_extraction_ray.functions.synth import make_link_page
-        from service1_text_extraction_ray.pipelines.queries import (
+        from query_suite.functions.links import extract_outlinks, split_url
+        from query_suite.functions.fixtures import make_link_page
+        from query_suite.pipelines.queries import (
             PAGERANK_ITERS,
             PR_BASE,
             PR_DAMP,
@@ -492,7 +482,7 @@ class TestPagerankRegimes:
     def test_broadcast_and_join_regimes_bit_equal(self, ray_session, tmp_path, monkeypatch):
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.queries as Q
+        import query_suite.pipelines.queries as Q
 
         rows = [
             {"doc_id": i, "text": "x", "lang": "en", "source": f"s{i % 3}"}
@@ -514,7 +504,7 @@ class TestPagerankRegimes:
 
 class TestExtractMeta:
     def test_first_wins_decoys_relative_canonical(self):
-        from service1_text_extraction_ray.functions.meta import extract_meta
+        from query_suite.functions.meta import extract_meta
 
         html = (
             "<html><head>"
@@ -536,7 +526,7 @@ class TestExtractMeta:
         }
 
     def test_absent_fields_and_truncation(self):
-        from service1_text_extraction_ray.functions.meta import extract_meta
+        from query_suite.functions.meta import extract_meta
 
         m = extract_meta("<html><head><title>only ti", "https://h.io/")
         assert m["og_title"] is None and m["canonical"] is None
@@ -546,7 +536,7 @@ class TestExtractMeta:
 
 class TestDedupNormalized:
     def test_planted_reformatted_duplicates(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.queries import (
+        from query_suite.pipelines.queries import (
             normalize_for_dedup,
             q_dedup_normalized,
         )
@@ -572,9 +562,7 @@ class TestDedupNormalized:
 
 class TestCompressionRatio:
     def test_repetitive_vs_diverse(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.queries import (
-            q_doc_compression_ratio,
-        )
+        from query_suite.pipelines.queries import q_doc_compression_ratio
 
         import hashlib
 
@@ -607,7 +595,7 @@ class TestCmsAndWeightedSample:
 
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.webtext import (
+        from query_suite.pipelines.webtext import (
             _tokens,
             cms_estimate,
             q_corpus_cms_counts,
@@ -632,10 +620,7 @@ class TestCmsAndWeightedSample:
     def test_weighted_sample_rate_tracks_weight(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.webtext import (
-            WEIGHT_MULT,
-            q_doc_sample_weighted,
-        )
+        from query_suite.pipelines.webtext import WEIGHT_MULT, q_doc_sample_weighted
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -659,7 +644,7 @@ class TestCmsAndWeightedSample:
 
 class TestBaseHref:
     def test_base_rebases_relative_links_only(self):
-        from service1_text_extraction_ray.functions.links import extract_outlinks
+        from query_suite.functions.links import extract_outlinks
 
         html = (b'<html><head><base href="https://cdn.example.net/a/b/"></head>'
                 b'<body>'
@@ -678,7 +663,7 @@ class TestBaseHref:
         ]
 
     def test_only_first_base_wins_and_relative_base_resolves(self):
-        from service1_text_extraction_ray.functions.links import extract_outlinks
+        from query_suite.functions.links import extract_outlinks
 
         html = (b'<html><head>'
                 b'<base href="/newdir/">'
@@ -691,10 +676,7 @@ class TestBaseHref:
 
 class TestPackSequences:
     def test_offsets_and_block_spans(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import (
-            PACK_SEQ_LEN,
-            q_doc_pack_sequences,
-        )
+        from query_suite.pipelines.webtext import PACK_SEQ_LEN, q_doc_pack_sequences
 
         # doc0: 1500 tokens (+EOS 1501), doc1: 600 (+1), doc2: 10 (+1)
         texts = ["w " * 1500, "x " * 600, "y " * 10]
@@ -713,9 +695,7 @@ class TestPackSequences:
         assert PACK_SEQ_LEN == 2048
 
     def test_empty_text_counts_one_eos(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import (
-            q_doc_pack_sequences,
-        )
+        from query_suite.pipelines.webtext import q_doc_pack_sequences
 
         out = (
             q_doc_pack_sequences(_docs(tmp_path, ["", "a b c"]))
@@ -730,9 +710,7 @@ class TestCanonicalizeUrls:
     def test_each_clause(self):
         import pandas as pd
 
-        from service1_text_extraction_ray.pipelines.webtext import (
-            canonicalize_urls,
-        )
+        from query_suite.pipelines.webtext import canonicalize_urls
 
         cases = {
             # scheme + host lowercase
@@ -758,9 +736,7 @@ class TestCanonicalizeUrls:
 
 class TestLengthBand:
     def test_exact_decile_thresholds(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import (
-            q_doc_length_band,
-        )
+        from query_suite.pipelines.webtext import q_doc_length_band
 
         # 10 docs with 1..10 tokens: P10 = value at rank ceil(10/10)=1 -> 1,
         # P90 = value at rank ceil(90/10)... rank 9 -> 9: keep lengths 1..9
@@ -773,10 +749,7 @@ class TestHostAnchorTerms:
     def test_rank_and_follow_filters(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.webtext import (
-            HOST_ANCHOR_TOPK,
-            q_host_anchor_terms,
-        )
+        from query_suite.pipelines.webtext import HOST_ANCHOR_TOPK, q_host_anchor_terms
 
         # doc_ids chosen so none hit the page-nofollow residue (doc_id%7==0
         # is robots-nofollow); source column feeds make_link_page
@@ -801,9 +774,7 @@ class TestHostAnchorTerms:
 
 class TestRobots:
     def test_group_selection_specific_beats_star(self):
-        from service1_text_extraction_ray.functions.robots import (
-            is_allowed, parse_robots,
-        )
+        from query_suite.functions.robots import is_allowed, parse_robots
 
         txt = (
             "User-agent: graftbot\nDisallow: /private/\n\n"
@@ -816,7 +787,7 @@ class TestRobots:
         assert not is_allowed(other, "/public")  # falls back to * group
 
     def test_shared_agent_lines_and_group_break(self):
-        from service1_text_extraction_ray.functions.robots import parse_robots
+        from query_suite.functions.robots import parse_robots
 
         txt = (
             "User-agent: a\nUser-agent: graftbot\nDisallow: /x\n"
@@ -826,9 +797,7 @@ class TestRobots:
         assert [(al, p) for al, p, _ in rules] == [(False, "/x")]
 
     def test_longest_match_and_allow_tie(self):
-        from service1_text_extraction_ray.functions.robots import (
-            is_allowed, parse_robots,
-        )
+        from query_suite.functions.robots import is_allowed, parse_robots
 
         rules = parse_robots(
             "User-agent: *\nDisallow: /a/\nAllow: /a/b/\nDisallow: /c\nAllow: /c\n"
@@ -839,9 +808,7 @@ class TestRobots:
         assert is_allowed(rules, "/elsewhere")  # default allow
 
     def test_wildcard_and_anchor(self):
-        from service1_text_extraction_ray.functions.robots import (
-            is_allowed, parse_robots,
-        )
+        from query_suite.functions.robots import is_allowed, parse_robots
 
         rules = parse_robots("User-agent: *\nDisallow: /*.pdf$\nDisallow: /t*mp/\n")
         assert not is_allowed(rules, "/docs/a.pdf")
@@ -851,9 +818,7 @@ class TestRobots:
         assert is_allowed(rules, "/top/x")
 
     def test_empty_disallow_and_comments(self):
-        from service1_text_extraction_ray.functions.robots import (
-            is_allowed, parse_robots,
-        )
+        from query_suite.functions.robots import is_allowed, parse_robots
 
         rules = parse_robots(
             "User-agent: *  # our bot\nDisallow:  # empty = match nothing\n"
@@ -863,8 +828,10 @@ class TestRobots:
     def test_synthetic_rules_match_oracle_table(self):
         """make_robots_txt -> parse -> is_allowed reproduces the k-table the
         SQL oracle replays, for every k branch."""
-        from service1_text_extraction_ray.functions.robots import (
-            is_allowed, make_robots_txt, parse_robots,
+        from query_suite.functions.robots import (
+            is_allowed,
+            make_robots_txt,
+            parse_robots,
         )
 
         def verdict(host, path):
@@ -900,7 +867,7 @@ class TestRobots:
 
 class TestSitemaps:
     def test_parse_urlset_full_semantics(self):
-        from service1_text_extraction_ray.functions.sitemaps import parse_sitemap
+        from query_suite.functions.sitemaps import parse_sitemap
 
         xml = """<?xml version="1.0"?>
         <sm:urlset xmlns:sm="http://www.sitemaps.org/schemas/sitemap/0.9">
@@ -920,7 +887,7 @@ class TestSitemaps:
         ]
 
     def test_parse_index(self):
-        from service1_text_extraction_ray.functions.sitemaps import parse_sitemap
+        from query_suite.functions.sitemaps import parse_sitemap
 
         kind, entries = parse_sitemap(
             "<sitemapindex><sitemap><loc>https://h/s1.xml</loc></sitemap>"
@@ -930,8 +897,11 @@ class TestSitemaps:
         assert [e[0] for e in entries] == ["https://h/s1.xml", "https://h/s2.xml"]
 
     def test_synthetic_tree_round_trip(self):
-        from service1_text_extraction_ray.functions.sitemaps import (
-            make_sitemap, make_sitemap_index, n_urls_in_child, parse_sitemap,
+        from query_suite.functions.sitemaps import (
+            make_sitemap,
+            make_sitemap_index,
+            n_urls_in_child,
+            parse_sitemap,
         )
 
         host = "src3.example.com"
@@ -951,7 +921,7 @@ class TestSitemaps:
 
 class TestImageAlts:
     def test_drops_and_resolution(self):
-        from service1_text_extraction_ray.functions.links import extract_image_alts
+        from query_suite.functions.links import extract_image_alts
 
         html = (
             b'<base href="https://cdn.example.org/a/">'
@@ -969,7 +939,7 @@ class TestImageAlts:
         ]
 
     def test_truncation_tolerant(self):
-        from service1_text_extraction_ray.functions.links import extract_image_alts
+        from query_suite.functions.links import extract_image_alts
 
         html = b'<img src="a.jpg" alt="ok"><img src="b.jp'
         got = extract_image_alts(html, "https://h.example.com/")
@@ -980,7 +950,7 @@ class TestImageAlts:
 
 class TestHreflang:
     def test_extraction_drops_and_resolution(self):
-        from service1_text_extraction_ray.functions.meta import extract_hreflang
+        from query_suite.functions.meta import extract_hreflang
 
         html = (
             b'<link rel="alternate" hreflang="EN" href="/en">'
@@ -1000,7 +970,7 @@ class TestHreflang:
 
 class TestFeedDiscovery:
     def test_kinds_resolution_and_drops(self):
-        from service1_text_extraction_ray.functions.meta import discover_feeds
+        from query_suite.functions.meta import discover_feeds
 
         html = (
             b'<link rel="alternate" type="application/rss+xml" href="/f.xml">'
@@ -1021,9 +991,7 @@ class TestFeedDiscovery:
 
 class TestCrawlDelay:
     def test_group_selection_and_parsing(self):
-        from service1_text_extraction_ray.functions.robots import (
-            make_robots_txt, parse_crawl_delay,
-        )
+        from query_suite.functions.robots import make_robots_txt, parse_crawl_delay
 
         txt = make_robots_txt("acme.example.com")
         # k-rule: 1 + (len + ord('a')) % 4; decoy evilbot group carries 99
@@ -1031,7 +999,7 @@ class TestCrawlDelay:
         assert parse_crawl_delay(txt, "evilbot") == 99
 
     def test_own_group_beats_star_and_default_zero(self):
-        from service1_text_extraction_ray.functions.robots import parse_crawl_delay
+        from query_suite.functions.robots import parse_crawl_delay
 
         txt = (
             "User-agent: graftbot\nCrawl-delay: 7\n\n"
@@ -1042,13 +1010,13 @@ class TestCrawlDelay:
         assert parse_crawl_delay("User-agent: *\nDisallow: /x/\n") == 0
 
     def test_fractional_and_garbage_values(self):
-        from service1_text_extraction_ray.functions.robots import parse_crawl_delay
+        from query_suite.functions.robots import parse_crawl_delay
 
         assert parse_crawl_delay("User-agent: *\nCrawl-delay: 2.9\n") == 2
         assert parse_crawl_delay("User-agent: *\nCrawl-delay: soon\n") == 0
 
     def test_crawl_delay_terminates_group(self):
-        from service1_text_extraction_ray.functions.robots import parse_crawl_delay
+        from query_suite.functions.robots import parse_crawl_delay
 
         # the second User-agent after a crawl-delay rule starts a NEW group:
         # the * group's delay must not leak into graftbot's dedicated group
@@ -1061,7 +1029,7 @@ class TestCrawlDelay:
 
 class TestRelLinks:
     def test_rel_token_set_resolution_and_drops(self):
-        from service1_text_extraction_ray.functions.meta import extract_rel_links
+        from query_suite.functions.meta import extract_rel_links
 
         html = (
             b'<link rel="next" href="/a/7?page=3">'
@@ -1079,7 +1047,7 @@ class TestRelLinks:
         ]
 
     def test_custom_rel_filter(self):
-        from service1_text_extraction_ray.functions.meta import extract_rel_links
+        from query_suite.functions.meta import extract_rel_links
 
         html = b'<link rel="amphtml" href="/amp"><link rel="next" href="/n">'
         assert extract_rel_links(html, "https://h.example/x", rels=("amphtml",)) == [
@@ -1091,7 +1059,7 @@ class TestPaginationChains:
     def test_chain_assembly_complete_and_fragment(self):
         import pyarrow as pa
 
-        from service1_text_extraction_ray.pipelines.queries import _pagination_rows
+        from query_suite.pipelines.queries import _pagination_rows
 
         # doc_ids 0,20,40,60 share source src0 -> one complete 4-page chain
         t = pa.table({
@@ -1126,9 +1094,7 @@ class TestHostBoilerplate:
         return str(d)
 
     def test_threshold_and_small_host_exemption(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import (
-            q_host_boilerplate_lines,
-        )
+        from query_suite.pipelines.webtext import q_host_boilerplate_lines
 
         out = q_host_boilerplate_lines(self._docs(tmp_path)).to_pandas()
         # hostb has 3 docs < BOILER_MIN_HOST_DOCS -> contributes nothing
@@ -1142,10 +1108,7 @@ class TestHostBoilerplate:
         assert not any(l.startswith("content ") for l in lines)
 
     def test_strip_counts(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import (
-            _doc_lines,
-            q_doc_strip_boilerplate,
-        )
+        from query_suite.pipelines.webtext import _doc_lines, q_doc_strip_boilerplate
 
         out = (
             q_doc_strip_boilerplate(self._docs(tmp_path))
@@ -1165,7 +1128,7 @@ class TestHostBoilerplate:
 
 class TestPageStatus:
     def _status(self, html):
-        from service1_text_extraction_ray.functions.meta import page_status
+        from query_suite.functions.meta import page_status
 
         return page_status(html)
 
@@ -1200,7 +1163,7 @@ class TestPageStatus:
 
 class TestCorpusPmi:
     def test_planted_collocation_ranks_first(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import q_corpus_pmi
+        from query_suite.pipelines.webtext import q_corpus_pmi
 
         # "hong kong" always adjacent and exclusive -> max PMI; "the cat"
         # pair exists but both tokens are frequent elsewhere -> lower PMI
@@ -1217,10 +1180,7 @@ class TestCorpusPmi:
         assert got["the cat"] < got["hong kong"]
 
     def test_min_support_filters_rare_pairs(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import (
-            PMI_MIN_COUNT,
-            q_corpus_pmi,
-        )
+        from query_suite.pipelines.webtext import PMI_MIN_COUNT, q_corpus_pmi
 
         texts = ["rare pair"] * (PMI_MIN_COUNT - 1) + ["hong kong"] * PMI_MIN_COUNT
         out = q_corpus_pmi(_docs(tmp_path, texts))
@@ -1230,10 +1190,7 @@ class TestCorpusPmi:
 
 class TestRecrawlDiff:
     def test_statuses_and_jaccard(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import (
-            JACCARD_UNIT,
-            q_recrawl_diff,
-        )
+        from query_suite.pipelines.webtext import JACCARD_UNIT, q_recrawl_diff
 
         # page 0: identical; page 1: half-overlapping tokens; page 2: orphan
         texts = ["same words here", "same words here",
@@ -1258,10 +1215,7 @@ class TestBigramLogprob:
     def test_mle_conditional_probabilities(self, ray_session, tmp_path):
         import math
 
-        from service1_text_extraction_ray.pipelines.webtext import (
-            LM_UNIT,
-            q_doc_bigram_logprob,
-        )
+        from query_suite.pipelines.webtext import LM_UNIT, q_doc_bigram_logprob
 
         # corpus: "a b" x2 and "a c" -> p(b|a)=2/3, p(c|a)=1/3
         texts = ["a b", "a b", "a c", "x"]
@@ -1281,7 +1235,7 @@ class TestHostQuality:
     def test_verdict_majority(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.webtext import q_host_quality
+        from query_suite.pipelines.webtext import q_host_quality
 
         good = ("the quick brown fox jumps over the lazy dog and runs far away "
                 * 10)  # passes gopher (>=50 words, stopwords, alpha)
@@ -1306,7 +1260,7 @@ class TestHostTemplates:
     def test_two_templates_per_host(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.queries import q_host_templates
+        from query_suite.pipelines.queries import q_host_templates
 
         # doc_ids 0..5 on one host: ids 1,3,5 carry the robots meta -> one
         # template; 0,2,4 the other
@@ -1323,7 +1277,7 @@ class TestHostMirrorOverlap:
     def test_mirrored_hosts_dominate(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.queries import (
+        from query_suite.pipelines.queries import (
             q_host_mirror_overlap,
             winnow_fingerprints,
         )
@@ -1353,9 +1307,7 @@ class TestSitemapCoverage:
     def test_missing_and_unlisted(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.queries import (
-            q_sitemap_coverage,
-        )
+        from query_suite.pipelines.queries import q_sitemap_coverage
 
         # one host, docs 0 and 5: crawled /p/0/0?x=1&ref=home and /p/1/5;
         # /p/1/5 is beyond the sitemap's url count -> unlisted; most of the
@@ -1378,7 +1330,7 @@ class TestSitemapCoverage:
 
 class TestSearchPhrase:
     def test_adjacency_and_positions(self, ray_session, tmp_path, monkeypatch):
-        import service1_text_extraction_ray.pipelines.webtext as W
+        import query_suite.pipelines.webtext as W
 
         monkeypatch.setattr(W, "SEARCH_PHRASES", ("big cat",))
         texts = [
@@ -1394,9 +1346,7 @@ class TestSearchPhrase:
 
 class TestPplBuckets:
     def test_thirds_and_ordering(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import (
-            q_doc_ppl_buckets,
-        )
+        from query_suite.pipelines.webtext import q_doc_ppl_buckets
 
         # doc 0: all mass on one bigram (p=1 each step -> logprob 0, best);
         # docs with rarer continuations score lower; single-token doc excluded
@@ -1423,10 +1373,7 @@ class TestPplBuckets:
 
 class TestRakeKeywords:
     def test_textbook_example(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import (
-            RAKE_UNIT,
-            q_doc_keywords_rake,
-        )
+        from query_suite.pipelines.webtext import RAKE_UNIT, q_doc_keywords_rake
 
         # stopwords ('the', 'of', 'and') split phrases; 'deep learning'
         # appears twice -> its words get degree 4, freq 2 -> score 2*U each
@@ -1439,9 +1386,7 @@ class TestRakeKeywords:
         assert len(out) == 3
 
     def test_all_stopword_doc_emits_nothing(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import (
-            q_doc_keywords_rake,
-        )
+        from query_suite.pipelines.webtext import q_doc_keywords_rake
 
         out = q_doc_keywords_rake(
             _docs(tmp_path, ["the of and that", "alpha"])
@@ -1453,10 +1398,7 @@ class TestCharEntropy:
     def test_terms_match_hand_computation(self, ray_session, tmp_path):
         import math
 
-        from service1_text_extraction_ray.pipelines.webtext import (
-            ENTROPY_UNIT,
-            q_doc_char_entropy,
-        )
+        from query_suite.pipelines.webtext import ENTROPY_UNIT, q_doc_char_entropy
 
         out = (
             q_doc_char_entropy(_docs(tmp_path, ["aab", ""]))
@@ -1471,7 +1413,7 @@ class TestCharEntropy:
 
 class TestExtractEval:
     def test_micro_precision_recall_floors(self, ray_session):
-        from service1_text_extraction_ray.pipelines.queries import q_extract_eval
+        from query_suite.pipelines.queries import q_extract_eval
 
         df = q_extract_eval("/root/testdata/sf0.001").to_pandas()
         P = df["n_common"].sum() / max(1, df["n_extracted"].sum())
@@ -1512,9 +1454,7 @@ class TestExtractEval:
 
 class TestSocialCard:
     def test_relative_image_resolves_and_decoy_ignored(self):
-        from service1_text_extraction_ray.functions.meta import (
-            extract_social_card,
-        )
+        from query_suite.functions.meta import extract_social_card
 
         html = (b'<meta property="og:image" content="/pic.png">'
                 b'<script>var x=\'<meta property="og:image" content="NO">\';</script>'
@@ -1525,9 +1465,7 @@ class TestSocialCard:
         assert card["og_type"] is None
 
     def test_first_value_wins(self):
-        from service1_text_extraction_ray.functions.meta import (
-            extract_social_card,
-        )
+        from query_suite.functions.meta import extract_social_card
 
         html = (b'<meta property="og:type" content="article">'
                 b'<meta property="og:type" content="website">')
@@ -1536,9 +1474,7 @@ class TestSocialCard:
 
 class TestMetaRefreshAndForms:
     def test_refresh_variants(self):
-        from service1_text_extraction_ray.functions.meta import (
-            parse_meta_refresh,
-        )
+        from query_suite.functions.meta import parse_meta_refresh
 
         assert parse_meta_refresh(
             b'<meta http-equiv="REFRESH" content="0;URL=\'/x\'">',
@@ -1555,7 +1491,7 @@ class TestMetaRefreshAndForms:
         ) is None
 
     def test_forms_fields_and_unclosed_form(self):
-        from service1_text_extraction_ray.functions.meta import extract_forms
+        from query_suite.functions.meta import extract_forms
 
         html = (b'<form action="/s"><input name="q"><input type="submit">'
                 b'<textarea name="msg"></textarea>')  # never closed
@@ -1570,9 +1506,7 @@ class TestHostLangDivergence:
     def test_identical_host_has_zero_divergence(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.webtext import (
-            q_host_lang_divergence,
-        )
+        from query_suite.pipelines.webtext import q_host_lang_divergence
 
         # one host IS the corpus -> P == Q -> both KL numerators are 0
         rows = [{"doc_id": i, "text": "alpha beta gamma", "lang": "en",
@@ -1587,10 +1521,7 @@ class TestHostLangDivergence:
     def test_divergent_host_scores_positive(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.webtext import (
-            JSD_UNIT,
-            q_host_lang_divergence,
-        )
+        from query_suite.pipelines.webtext import JSD_UNIT, q_host_lang_divergence
 
         rows = (
             [{"doc_id": i, "text": "normal common words here", "lang": "en",
@@ -1613,9 +1544,7 @@ class TestHostLangDivergence:
 
 class TestTrendingTerms:
     def test_emerging_term_ranks_first(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import (
-            q_trending_terms,
-        )
+        from query_suite.pipelines.webtext import q_trending_terms
 
         # 'viral' appears only in crawl B (odd ids), >= support floor;
         # 'stable' is everywhere; 'fading' only in A (filtered: n_b=0)
@@ -1636,7 +1565,7 @@ class TestLangNbClassify:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.webtext as W
+        import query_suite.pipelines.webtext as W
 
         d = tmp_path / "sf"
         d.mkdir(exist_ok=True)
@@ -1666,7 +1595,7 @@ class TestDocReadability:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.webtext as W
+        import query_suite.pipelines.webtext as W
 
         d = tmp_path / "sf"
         d.mkdir(exist_ok=True)
@@ -1696,7 +1625,7 @@ class TestDocReadability:
 
 class TestBigramLogprobRegimes:
     def test_join_regime_bit_equal_to_broadcast(self, ray_session, monkeypatch):
-        import service1_text_extraction_ray.pipelines.webtext as W
+        import query_suite.pipelines.webtext as W
 
         sf = "/root/testdata/sf0.001"
         base = (
@@ -1713,7 +1642,7 @@ class TestBigramLogprobRegimes:
 
 class TestCorpusPmiRegimes:
     def test_join_regime_bit_equal_to_broadcast(self, ray_session, monkeypatch):
-        import service1_text_extraction_ray.pipelines.webtext as W
+        import query_suite.pipelines.webtext as W
 
         sf = "/root/testdata/sf0.001"
         base = W.q_corpus_pmi(sf).reset_index(drop=True)
@@ -1727,7 +1656,7 @@ class TestCorpusKnBigram:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.webtext as W
+        import query_suite.pipelines.webtext as W
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -1761,8 +1690,8 @@ class TestRetrievalRrf:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        import service1_text_extraction_ray.pipelines.queries as Q
-        import service1_text_extraction_ray.pipelines.webtext as W
+        import query_suite.pipelines.queries as Q
+        import query_suite.pipelines.webtext as W
 
         d = tmp_path / "sf"
         d.mkdir()
@@ -1823,7 +1752,7 @@ def _docs_lang(tmp_path, rows):
 
 class TestQualityAuc:
     def test_perfect_separation(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import q_quality_auc
+        from query_suite.pipelines.webtext import q_quality_auc
 
         # en docs all-alpha (score 1000), others half digits (score < 1000)
         rows = [("abcd", "en"), ("wxyz", "en"), ("ab12", "de"), ("cd34 56", "fr")]
@@ -1832,21 +1761,21 @@ class TestQualityAuc:
         assert out["auc_micro"].iloc[0] == 1_000_000
 
     def test_all_tied_is_half(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import q_quality_auc
+        from query_suite.pipelines.webtext import q_quality_auc
 
         rows = [("abc", "en"), ("xyz", "de"), ("qrs", "en"), ("tuv", "fr")]
         out = q_quality_auc(_docs_lang(tmp_path, rows))
         assert out["auc_micro"].iloc[0] == 500_000
 
     def test_inverted_is_zero(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import q_quality_auc
+        from query_suite.pipelines.webtext import q_quality_auc
 
         rows = [("1234", "en"), ("abcd", "de")]
         out = q_quality_auc(_docs_lang(tmp_path, rows))
         assert out["auc_micro"].iloc[0] == 0
 
     def test_degenerate_single_class(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import q_quality_auc
+        from query_suite.pipelines.webtext import q_quality_auc
 
         rows = [("abcd", "en"), ("efgh", "en")]
         out = q_quality_auc(_docs_lang(tmp_path, rows))
@@ -1855,7 +1784,7 @@ class TestQualityAuc:
 
 class TestCorpusMixPlan:
     def test_rates_and_epochs(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import (
+        from query_suite.pipelines.webtext import (
             MIX_TOKEN_BUDGET,
             MIX_WEIGHTS_PPM,
             q_corpus_mix_plan,
@@ -1874,8 +1803,8 @@ class TestCorpusMixPlan:
         assert out.loc["xx", "rate_ppm"] == 0
 
     def test_downsampling_rate(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import q_corpus_mix_plan
-        import service1_text_extraction_ray.pipelines.webtext as W
+        from query_suite.pipelines.webtext import q_corpus_mix_plan
+        import query_suite.pipelines.webtext as W
 
         rows = [("a " * 100, "en"), ("b " * 100, "en")]
         orig_budget, orig_w = W.MIX_TOKEN_BUDGET, dict(W.MIX_WEIGHTS_PPM)
@@ -1891,7 +1820,7 @@ class TestCorpusMixPlan:
 
 class TestSearchNdcg:
     def test_perfect_ranking_is_one(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import q_search_ndcg
+        from query_suite.pipelines.webtext import q_search_ndcg
 
         # one doc covers all 3 query terms, rest are irrelevant -> the BM25
         # top-1 IS the ideal ranking -> NDCG exactly 1.0
@@ -1901,7 +1830,7 @@ class TestSearchNdcg:
         assert out["dcg_micro"].iloc[0] == out["idcg_micro"].iloc[0] == 3_000_000
 
     def test_no_relevant_docs_is_zero(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import q_search_ndcg
+        from query_suite.pipelines.webtext import q_search_ndcg
 
         out = q_search_ndcg(_docs(tmp_path, ["alpha beta", "gamma delta"]))
         assert out["dcg_micro"].iloc[0] == 0
@@ -1909,10 +1838,7 @@ class TestSearchNdcg:
         assert out["ndcg_micro"].iloc[0] == 0
 
     def test_graded_gains_follow_term_coverage(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import (
-            NDCG_DISC,
-            q_search_ndcg,
-        )
+        from query_suite.pipelines.webtext import NDCG_DISC, q_search_ndcg
 
         # rel grades: doc0=3 terms, doc1=2, doc2=1; BM25 ranks them in that
         # order (more matching terms -> higher score on equal-length docs)
@@ -1926,7 +1852,7 @@ class TestSearchNdcg:
 
 class TestCorpusSimpson:
     def test_uniform_vs_collapsed(self, ray_session, tmp_path):
-        from service1_text_extraction_ray.pipelines.webtext import q_corpus_simpson
+        from query_suite.pipelines.webtext import q_corpus_simpson
 
         # en: 4 distinct tokens once each -> sum_c2 = 0 -> Simpson 0
         # de: one token repeated 4 times -> collision prob 1.0
@@ -1940,7 +1866,7 @@ class TestCorpusSimpson:
     def test_cross_block_token_counts_merge(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
-        from service1_text_extraction_ray.pipelines.webtext import q_corpus_simpson
+        from query_suite.pipelines.webtext import q_corpus_simpson
 
         # the same token split across two parquet FILES (hence blocks):
         # global count must assemble to 4 (sum_c2 = 12), not 2+2 (2+2=4)
