@@ -157,9 +157,9 @@ def q_render_pages(sf_dir: str) -> rd.Dataset:
     """Page -> image render (P14, pdf_service.py:126-142): a real from-
     scratch bitmap-font rasterization (render_ok=True) for every page with
     a layout tree, deterministic placeholder PNG (render_ok=False) for
-    pages without one (functions/page_render.py). Rows-only driver check;
+    pages without one (stages/multimodal.py). Row counts only, no value oracle;
     PNG validity + determinism + OCR round-trip pytest-verified."""
-    from service1_text_extraction_ray.functions.page_render import render_pages_batch
+    from ..stages.multimodal import render_pages_batch
 
     pages = extract_pages_dataset(documents_to_pages(sf_dir))
     return pages.map_batches(render_pages_batch, batch_format="pyarrow")

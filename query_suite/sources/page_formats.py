@@ -22,26 +22,20 @@ import re
 import pyarrow as pa
 import ray.data as rd
 
-from service1_text_extraction_ray.functions.sniff import sniff_payload
 from service1_text_extraction_ray.functions.synth import (
     EPOCH_US,
     PAGES_SCHEMA,
     gen_pages_table,
 )
 from service1_text_extraction_ray.sources.pages_source import (
+    _encode_page_records,
     _gunzip_members,
-    _http_envelope,
     _parse_warc_records,
     _sha1_b32,
     _warc_record,
+    _write_warc_shard,
     parse_http_response,
 )
-
-
-def read_pages(input_path: str) -> rd.Dataset:
-    from service1_text_extraction_ray.pipelines.extract_pipeline import INPUT_COLUMNS
-
-    return rd.read_parquet(input_path, columns=INPUT_COLUMNS)
 
 
 def synthesize_pages(n_rows: int, seed: int = 42, rows_per_block: int = 2000) -> rd.Dataset:
@@ -333,17 +327,18 @@ def surt_urlkey(url: str) -> str:
 def write_pages_warc(pages: rd.Dataset, out_dir: str,
                      gzip_members: bool = False,
                      cdx_dir: str | None = None) -> int:
-    """The engine's ``write_pages_warc`` (same shard bytes and names) that
-    can also write one CDX-style index parquet per shard.
+    """The engine's ``write_pages_warc`` (its record encoder and shard
+    writer, so the same shard bytes and names) that can also write one
+    CDX-style index parquet per shard.
 
     ``cdx_dir``: per record (url, urlkey, timestamp, rec_type, shard,
     offset, length, payload digest) — the fourth Common Crawl artifact next
     to WARC/WET/WAT; offset/length address the raw record (plain) or the
     gzip MEMBER (gz), so ``read_warc_record`` can fetch one record with a
-    single ranged read. Each task indexes the shard it just wrote: no extra
-    pass, no shuffle. Returns the number of shards written."""
+    single ranged read. Index fields come from each record's own WARC
+    headers. Each task indexes the shard it just wrote: no extra pass, no
+    shuffle. Returns the number of shards written."""
     import gzip
-    import hashlib
 
     import pyarrow.parquet as pq
 
@@ -352,65 +347,33 @@ def write_pages_warc(pages: rd.Dataset, out_dir: str,
         os.makedirs(cdx_dir, exist_ok=True)
 
     def write_block(t: pa.Table) -> pa.Table:
-        buf = []
-        index = []  # (url, urlkey, ts14, rec_type, payload digest) per record
-        for row in t.to_pylist():
-            date_iso = row["warc_ts"].isoformat(timespec="microseconds") + "Z"
-            body = row["html"] or b""
-            ctype = {
-                "pdf": "application/pdf", "html": "text/html",
-            }.get(sniff_payload(body), "application/octet-stream")
-            envelope = _http_envelope(body, ctype)
-            wet_body = (row["text"] or "").encode("utf-8")
-            recs = [
-                _warc_record(
-                    b"response", row["url"], date_iso,
-                    envelope,
-                    [b"Content-Type: application/http; msgtype=response\r\n",
-                     b"WARC-Payload-Digest: " + _sha1_b32(body) + b"\r\n",
-                     b"WARC-Block-Digest: " + _sha1_b32(envelope) + b"\r\n"],
-                ),
-                _warc_record(
-                    b"conversion", row["url"], date_iso,
-                    wet_body,
-                    [b"WARC-Identified-Content-Language: "
-                     + (row["lang"] or "").encode("utf-8") + b"\r\n",
-                     b"Content-Type: text/plain\r\n",
-                     b"WARC-Block-Digest: " + _sha1_b32(wet_body) + b"\r\n"],
-                ),
-            ]
-            # CDX11 sort key + 14-digit timestamp (derived from the same
-            # WARC-Date the record carries)
-            urlkey = surt_urlkey(row["url"])
-            ts14 = "".join(ch for ch in date_iso if ch.isdigit())[:14]
-            index.append((row["url"], urlkey, ts14, "response",
-                          _sha1_b32(body).decode("ascii")))
-            index.append((row["url"], urlkey, ts14, "conversion",
-                          _sha1_b32(wet_body).decode("ascii")))
-            if gzip_members:
-                recs = [gzip.compress(r, mtime=0) for r in recs]
-            buf.extend(recs)
-        blob = b"".join(buf)
-        name = hashlib.md5(blob).hexdigest()[:16]
-        ext = "warc.gz" if gzip_members else "warc"
-        path = os.path.join(out_dir, f"pages-{name}.{ext}")
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(blob)
-        os.replace(tmp, path)
+        recs = [r for row in t.to_pylist()
+                for r in _encode_page_records(row, gzip_members)]
+        path = _write_warc_shard(recs, out_dir, gzip_members)
         if cdx_dir:
-            offs, off = [], 0
-            for r in buf:
-                offs.append((off, len(r)))
+            index, off = [], 0
+            for r in recs:
+                hdrs, _ = next(_parse_warc_records(
+                    gzip.decompress(r) if gzip_members else r))
+                # CDX11 sort key + 14-digit timestamp from the WARC-Date;
+                # the digest is the payload digest where the record has
+                # one (response), else the block digest (conversion)
+                index.append({
+                    "urlkey": surt_urlkey(hdrs["warc-target-uri"]),
+                    "timestamp": "".join(
+                        ch for ch in hdrs["warc-date"] if ch.isdigit())[:14],
+                    "url": hdrs["warc-target-uri"],
+                    "rec_type": hdrs["warc-type"],
+                    "shard": os.path.basename(path),
+                    "offset": off, "length": len(r),
+                    "digest": hdrs.get("warc-payload-digest")
+                    or hdrs["warc-block-digest"],
+                })
                 off += len(r)
-            cdx = pa.Table.from_pylist([
-                {"urlkey": uk, "timestamp": ts, "url": u, "rec_type": rt,
-                 "shard": os.path.basename(path),
-                 "offset": o, "length": ln, "digest": dg}
-                for (u, uk, ts, rt, dg), (o, ln) in zip(index, offs)
-            ])
-            cdx_path = os.path.join(cdx_dir, f"pages-{name}.cdx.parquet")
-            pq.write_table(cdx, cdx_path + ".tmp")
+            cdx_path = os.path.join(
+                cdx_dir, os.path.basename(path).split(".warc")[0]
+                + ".cdx.parquet")
+            pq.write_table(pa.Table.from_pylist(index), cdx_path + ".tmp")
             os.replace(cdx_path + ".tmp", cdx_path)
         return pa.Table.from_pylist([{"shard": path, "n_rows": t.num_rows}])
 
@@ -616,7 +579,6 @@ def write_pages_wat(pages: rd.Dataset, out_dir: str) -> int:
 
     def write_block(t: pa.Table) -> pa.Table:
         buf = []
-        index = []  # (url, rec_type, payload digest) per record, in order
         for row in t.to_pylist():
             date_iso = row["warc_ts"].isoformat(timespec="microseconds") + "Z"
             payload = _wat_envelope(row["url"], date_iso, row["html"])

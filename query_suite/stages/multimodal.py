@@ -24,11 +24,20 @@ Arrow; pandas would copy to object dtype).
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import json
 from typing import Optional
 
 import numpy as np
 import pyarrow as pa
+
+from service1_text_extraction_ray.functions.page_render import (
+    RENDER_SCALE,
+    rasterize_page,
+    read_gray_png,
+    write_gray_png_array,
+)
 
 MEDIA_SCHEMA = pa.schema(
     [
@@ -104,8 +113,6 @@ class PngDecoder:
     would have. Audio/video formats stay behind RealDecoderUnavailable."""
 
     def decode(self, payload: bytes, media_type: str) -> dict:
-        from service1_text_extraction_ray.functions.page_render import read_gray_png
-
         arr = read_gray_png(bytes(payload))
         h, w = int(arr.shape[0]), int(arr.shape[1])
         n = max(1, arr.size)
@@ -220,11 +227,6 @@ class MediaResize:
         self._png = PngDecoder()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from service1_text_extraction_ray.functions.page_render import (
-            write_gray_png,
-            write_gray_png_array,
-        )
-
         rows = []
         for media_id, kind, payload in zip(
             batch["media_id"].to_pylist(),
@@ -289,11 +291,6 @@ class FrameSampler:
         self.decoder = decoder or DecoderStub()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from service1_text_extraction_ray.functions.page_render import (
-            write_gray_png,
-            write_gray_png_array,
-        )
-
         rows = []
         for media_id, kind, payload in zip(
             batch["media_id"].to_pylist(),
@@ -446,3 +443,92 @@ class GifDecoder:
             "duration_ms": duration_ms, "features": vec,
             "frames": frames, "delays_cs": delays,
         }
+
+
+# ---------------------------------------------------------------------------
+# Page render operator (P14: page -> PNG, pdf_service.py:126-142)
+# ---------------------------------------------------------------------------
+#
+# A real bitmap-font rasterization (the engine's OCR rasterizer at 1 pt =
+# 1 px, ``render_ok=True``) for every page with a layout tree; pages with no
+# layout get a deterministic PLACEHOLDER (uniform shade from the text's
+# sha256, ``render_ok=False``).
+
+THUMB_MAX_DIM = 64  # placeholder raster size cap (long edge, pixels)
+
+RENDER_SCHEMA = pa.schema(
+    [
+        ("url", pa.string()),
+        ("page", pa.int32()),
+        ("png_b64", pa.string()),
+        ("width_px", pa.int32()),
+        ("height_px", pa.int32()),
+        ("render_ok", pa.bool_()),
+    ]
+)
+
+
+def write_gray_png(width: int, height: int, shade: int) -> bytes:
+    """Minimal valid 8-bit grayscale PNG of one uniform shade."""
+    return write_gray_png_array(
+        np.full((max(1, height), max(1, width)), shade & 0xFF, dtype=np.uint8)
+    )
+
+
+def render_page_placeholder(text: str, layout_json: str) -> dict:
+    """Deterministic placeholder render of one extracted page."""
+    page_w, page_h = 612.0, 792.0  # letter default (pdf_extract default box)
+    if layout_json:
+        try:
+            layout = json.loads(layout_json)
+            page_w = float(layout.get("width") or page_w)
+            page_h = float(layout.get("height") or page_h)
+        except (ValueError, TypeError):
+            pass
+    scale = THUMB_MAX_DIM / max(page_w, page_h, 1.0)
+    px_w = max(1, int(round(page_w * scale)))
+    px_h = max(1, int(round(page_h * scale)))
+    shade = hashlib.sha256(text.encode("utf-8")).digest()[0]
+    png = write_gray_png(px_w, px_h, shade)
+    return {
+        "png_b64": base64.b64encode(png).decode("ascii"),
+        "width_px": px_w,
+        "height_px": px_h,
+        "render_ok": False,  # placeholder, not a real rasterization
+    }
+
+
+def render_page(text: str, layout_json: str) -> dict:
+    """Render one extracted page: a real bitmap-font rasterization when a
+    layout tree with blocks is available (``render_ok=True``), else the
+    deterministic placeholder (``render_ok=False``)."""
+    layout = None
+    if layout_json:
+        try:
+            layout = json.loads(layout_json)
+        except (ValueError, TypeError):
+            layout = None
+    if not layout or not layout.get("blocks"):
+        return render_page_placeholder(text or "", layout_json or "")
+    canvas = rasterize_page(layout, scale=RENDER_SCALE)
+    return {
+        "png_b64": base64.b64encode(write_gray_png_array(canvas)).decode("ascii"),
+        "width_px": int(canvas.shape[1]),
+        "height_px": int(canvas.shape[0]),
+        "render_ok": True,
+    }
+
+
+def render_pages_batch(batch: pa.Table) -> pa.Table:
+    """Batch transform over page-grain extraction output."""
+    texts = batch["extracted_text"].to_pylist()
+    layouts = batch["layout_json"].to_pylist()
+    rows = []
+    for url, page, text, lj in zip(
+        batch["url"].to_pylist(), batch["page"].to_pylist(), texts, layouts
+    ):
+        r = render_page(text or "", lj or "")
+        r["url"] = url
+        r["page"] = page
+        rows.append(r)
+    return pa.Table.from_pylist(rows, schema=RENDER_SCHEMA)

@@ -1,21 +1,17 @@
-"""Page -> image rendering (P14: real text raster + placeholder fallback).
+"""Page -> image rasterization for the OCR fallback.
 
-The reference renders a PDF page to a base64 PNG via fitz's rasterizer
-(``backend/core/pdf_service.py:126-142``: ``page.get_pixmap(dpi=...)`` ->
-``base64.b64encode(pix.tobytes("png"))``). This sandbox has no fitz/font
-engine, so the raster is built from scratch:
+The reference renders a PDF page to a PNG via fitz's rasterizer
+(``backend/core/pdf_service.py:126-142``: ``page.get_pixmap(dpi=...)``).
+This sandbox has no fitz/font engine, so the raster is built from scratch:
 
-- **Text pages** (layout tree with blocks): a real monochrome rasterization
-  — every span's text drawn with the 5x7 bitmap font (functions/bitfont.py)
+- **Text** (layout tree with blocks): a real monochrome rasterization —
+  every span's text drawn with the 5x7 bitmap font (functions/bitfont.py)
   at its bbox position, glyph pixel scale derived from the span's font
-  size. Emitted with ``render_ok=True``; the same code path (at the
-  reference's 2x zoom, ``core_pdf_processor.py:944-960`` ``Matrix(2, 2)``)
-  feeds the OCR fallback ladder (functions/ocr.py).
+  size. At the reference's 2x zoom (``core_pdf_processor.py:944-960``
+  ``Matrix(2, 2)``) it feeds the OCR fallback ladder (functions/ocr.py).
 - **Image placements** (scanned pages — image XObjects surfaced by
   functions/pdf_extract.py) are blitted nearest-neighbor into their CTM
   rect; undecodable images draw as a flat gray box.
-- **Pages with no layout** keep the round-1 deterministic PLACEHOLDER
-  (uniform shade from the text's sha256, ``render_ok=False``).
 
 The PNG codec is stdlib-only (zlib + struct): the writer emits filter-0
 rows; the reader handles all five ISO filters so it can round-trip any
@@ -24,20 +20,15 @@ well-formed 8-bit grayscale PNG, not just our own.
 
 from __future__ import annotations
 
-import base64
-import hashlib
-import json
 import struct
 import zlib
 from typing import Any, Dict, List, Optional
 
 import numpy as np
-import pyarrow as pa
 
 from .bitfont import render_text_bitmap
 
-THUMB_MAX_DIM = 64  # placeholder raster size cap (long edge, pixels)
-RENDER_SCALE = 1.0  # render_pages operator: 1 pt = 1 px
+RENDER_SCALE = 1.0  # default raster scale: 1 pt = 1 px
 OCR_SCALE = 2.0  # OCR ladder: the reference's Matrix(2, 2) 2x zoom
 # Font-size (pt) that maps to glyph pixel scale k=1 at scale 1.0: a 10 pt
 # span renders its 7-row glyphs 7 px tall, matching small print.
@@ -47,20 +38,6 @@ PT_PER_GLYPH_SCALE = 10.0
 def _png_chunk(tag: bytes, payload: bytes) -> bytes:
     crc = zlib.crc32(tag + payload) & 0xFFFFFFFF
     return struct.pack(">I", len(payload)) + tag + payload + struct.pack(">I", crc)
-
-
-def write_gray_png(width: int, height: int, shade: int) -> bytes:
-    """Minimal valid 8-bit grayscale PNG of one uniform shade."""
-    width, height = max(1, width), max(1, height)
-    ihdr = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
-    scanline = b"\x00" + bytes([shade & 0xFF]) * width  # filter 0 per row
-    idat = zlib.compress(scanline * height, 6)
-    return (
-        b"\x89PNG\r\n\x1a\n"
-        + _png_chunk(b"IHDR", ihdr)
-        + _png_chunk(b"IDAT", idat)
-        + _png_chunk(b"IEND", b"")
-    )
 
 
 def write_gray_png_array(arr: np.ndarray) -> bytes:
@@ -216,74 +193,3 @@ def rasterize_page(
                 region = canvas[cy0:cy1, cx0:cx1]
                 region[sub] = 0
     return canvas
-
-
-def render_page_placeholder(text: str, layout_json: str) -> dict:
-    """Deterministic placeholder render of one extracted page."""
-    page_w, page_h = 612.0, 792.0  # letter default (pdf_extract default box)
-    if layout_json:
-        try:
-            layout = json.loads(layout_json)
-            page_w = float(layout.get("width") or page_w)
-            page_h = float(layout.get("height") or page_h)
-        except (ValueError, TypeError):
-            pass
-    scale = THUMB_MAX_DIM / max(page_w, page_h, 1.0)
-    px_w = max(1, int(round(page_w * scale)))
-    px_h = max(1, int(round(page_h * scale)))
-    shade = hashlib.sha256(text.encode("utf-8")).digest()[0]
-    png = write_gray_png(px_w, px_h, shade)
-    return {
-        "png_b64": base64.b64encode(png).decode("ascii"),
-        "width_px": px_w,
-        "height_px": px_h,
-        "render_ok": False,  # placeholder, not a real rasterization
-    }
-
-
-RENDER_SCHEMA = pa.schema(
-    [
-        ("url", pa.string()),
-        ("page", pa.int32()),
-        ("png_b64", pa.string()),
-        ("width_px", pa.int32()),
-        ("height_px", pa.int32()),
-        ("render_ok", pa.bool_()),
-    ]
-)
-
-
-def render_page(text: str, layout_json: str) -> dict:
-    """Render one extracted page: a real bitmap-font rasterization when a
-    layout tree with blocks is available (``render_ok=True``), else the
-    deterministic placeholder (``render_ok=False``)."""
-    layout = None
-    if layout_json:
-        try:
-            layout = json.loads(layout_json)
-        except (ValueError, TypeError):
-            layout = None
-    if not layout or not layout.get("blocks"):
-        return render_page_placeholder(text or "", layout_json or "")
-    canvas = rasterize_page(layout, scale=RENDER_SCALE)
-    return {
-        "png_b64": base64.b64encode(write_gray_png_array(canvas)).decode("ascii"),
-        "width_px": int(canvas.shape[1]),
-        "height_px": int(canvas.shape[0]),
-        "render_ok": True,
-    }
-
-
-def render_pages_batch(batch: pa.Table) -> pa.Table:
-    """Batch transform over page-grain extraction output."""
-    texts = batch["extracted_text"].to_pylist()
-    layouts = batch["layout_json"].to_pylist()
-    rows = []
-    for url, page, text, lj in zip(
-        batch["url"].to_pylist(), batch["page"].to_pylist(), texts, layouts
-    ):
-        r = render_page(text or "", lj or "")
-        r["url"] = url
-        r["page"] = page
-        rows.append(r)
-    return pa.Table.from_pylist(rows, schema=RENDER_SCHEMA)

@@ -46,8 +46,6 @@ def _is_texty(head: bytes) -> bool:
     ok = sum(1 for b in head if b in _TEXTY_OK)
     return ok * 10 >= len(head) * 9
 
-_HTML_PREFIXES = (b"<", b"\xef\xbb\xbf<")  # optional UTF-8 BOM then markup
-
 
 def sniff_payload(payload: bytes | None) -> str:
     """Classify a single payload: %PDF- magic -> pdf; an RSS/Atom ROOT TAG

@@ -1020,31 +1020,6 @@ def make_scanned_row(i: int, seed: int = 42) -> dict:
     }
 
 
-def gen_scanned_table(n_rows: int, seed: int = 42, start: int = 0) -> pa.Table:
-    rows = [make_scanned_row(i, seed) for i in range(start, start + n_rows)]
-    return pa.Table.from_pylist(rows, schema=PAGES_SCHEMA)
-
-
-def write_scanned_parquet(path: str, n_rows: int, seed: int = 42,
-                          rows_per_file: int = 500) -> None:
-    """Scanned corpus as a directory of Parquet shards (image payloads are
-    ~15-40 KiB each after Flate, so shards stay small)."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    os.makedirs(path, exist_ok=True)
-    start, part = 0, 0
-    while start < n_rows:
-        n = min(rows_per_file, n_rows - start)
-        pq.write_table(
-            gen_scanned_table(n, seed=seed, start=start),
-            os.path.join(path, f"part-{part:05d}.parquet"),
-        )
-        start += n
-        part += 1
-
-
 FEED_EPOCH_BASE = 1_600_000_000  # fixed UTC origin for feed timestamps
 
 

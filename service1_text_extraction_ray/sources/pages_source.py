@@ -90,6 +90,65 @@ def _warc_record(rec_type: bytes, uri: str, date_iso: str, payload: bytes,
     return b"".join(hdrs) + b"\r\n" + payload + b"\r\n\r\n"
 
 
+def _encode_page_records(row: dict, gzip_members: bool = False) -> list:
+    """The WARC records of one pages row, in shard order: the ``response``
+    record, then its ``conversion`` record. With ``gzip_members`` each
+    record is its own gzip member (mtime=0, so the bytes are deterministic
+    and the content-addressed shard names stable across re-runs — the
+    resume contract)."""
+    import gzip
+
+    date_iso = row["warc_ts"].isoformat(timespec="microseconds") + "Z"
+    body = row["html"] or b""
+    # response payloads are FULL HTTP messages (the real CC layout), not
+    # bare bodies; content type from the same sniff the extraction
+    # dispatch uses
+    ctype = {
+        "pdf": "application/pdf", "html": "text/html",
+    }.get(sniff_payload(body), "application/octet-stream")
+    envelope = _http_envelope(body, ctype)
+    wet_body = (row["text"] or "").encode("utf-8")
+    recs = [
+        _warc_record(
+            b"response", row["url"], date_iso,
+            envelope,
+            [b"Content-Type: application/http; msgtype=response\r\n",
+             # the CC digest pair (ISO 28500 §5.8/5.9): payload = the HTTP
+             # entity body, block = the whole record block
+             b"WARC-Payload-Digest: " + _sha1_b32(body) + b"\r\n",
+             b"WARC-Block-Digest: " + _sha1_b32(envelope) + b"\r\n"],
+        ),
+        _warc_record(
+            b"conversion", row["url"], date_iso,
+            wet_body,
+            [b"WARC-Identified-Content-Language: "
+             + (row["lang"] or "").encode("utf-8") + b"\r\n",
+             b"Content-Type: text/plain\r\n",
+             b"WARC-Block-Digest: " + _sha1_b32(wet_body) + b"\r\n"],
+        ),
+    ]
+    if gzip_members:
+        recs = [gzip.compress(r, mtime=0) for r in recs]
+    return recs
+
+
+def _write_warc_shard(records: list, out_dir: str,
+                      gzip_members: bool = False) -> str:
+    """Write encoded records as one shard under a content-addressed name
+    (md5 of its bytes), atomically via a temp file; returns the path."""
+    import hashlib
+
+    blob = b"".join(records)
+    name = hashlib.md5(blob).hexdigest()[:16]
+    ext = "warc.gz" if gzip_members else "warc"
+    path = os.path.join(out_dir, f"pages-{name}.{ext}")
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as f:
+        f.write(blob)
+    os.replace(tmp, path)
+    return path
+
+
 def write_pages_warc(pages: rd.Dataset, out_dir: str,
                      gzip_members: bool = False) -> int:
     """Write the pages Dataset as .warc shard files (one per input block,
@@ -102,56 +161,12 @@ def write_pages_warc(pages: rd.Dataset, out_dir: str,
     INDEPENDENT gzip member, so a reader can seek to any member boundary
     and decompress one record without touching the rest of the shard —
     that per-record random access is what makes CC index lookups work."""
-    import gzip
-    import hashlib
-
     os.makedirs(out_dir, exist_ok=True)
 
     def write_block(t: pa.Table) -> pa.Table:
-        buf = []
-        for row in t.to_pylist():
-            date_iso = row["warc_ts"].isoformat(timespec="microseconds") + "Z"
-            body = row["html"] or b""
-            # response payloads are FULL HTTP messages (the real CC layout),
-            # not bare bodies; content type from the same sniff the
-            # extraction dispatch uses
-            ctype = {
-                "pdf": "application/pdf", "html": "text/html",
-            }.get(sniff_payload(body), "application/octet-stream")
-            envelope = _http_envelope(body, ctype)
-            wet_body = (row["text"] or "").encode("utf-8")
-            recs = [
-                _warc_record(
-                    b"response", row["url"], date_iso,
-                    envelope,
-                    [b"Content-Type: application/http; msgtype=response\r\n",
-                     # the CC digest pair (ISO 28500 §5.8/5.9): payload =
-                     # the HTTP entity body, block = the whole record block
-                     b"WARC-Payload-Digest: " + _sha1_b32(body) + b"\r\n",
-                     b"WARC-Block-Digest: " + _sha1_b32(envelope) + b"\r\n"],
-                ),
-                _warc_record(
-                    b"conversion", row["url"], date_iso,
-                    wet_body,
-                    [b"WARC-Identified-Content-Language: "
-                     + (row["lang"] or "").encode("utf-8") + b"\r\n",
-                     b"Content-Type: text/plain\r\n",
-                     b"WARC-Block-Digest: " + _sha1_b32(wet_body) + b"\r\n"],
-                ),
-            ]
-            if gzip_members:
-                # mtime=0 -> deterministic bytes -> stable content-addressed
-                # shard names across re-runs (the resume contract)
-                recs = [gzip.compress(r, mtime=0) for r in recs]
-            buf.extend(recs)
-        blob = b"".join(buf)
-        name = hashlib.md5(blob).hexdigest()[:16]
-        ext = "warc.gz" if gzip_members else "warc"
-        path = os.path.join(out_dir, f"pages-{name}.{ext}")
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(blob)
-        os.replace(tmp, path)
+        recs = [r for row in t.to_pylist()
+                for r in _encode_page_records(row, gzip_members)]
+        path = _write_warc_shard(recs, out_dir, gzip_members)
         return pa.Table.from_pylist([{"shard": path, "n_rows": t.num_rows}])
 
     return sum(

@@ -147,7 +147,7 @@ class TestRasterizer:
         assert a.shape == (200, 400) and (a == b).all() and (a == 0).any()
 
     def test_render_page_paths(self):
-        from service1_text_extraction_ray.functions.page_render import render_page
+        from query_suite.stages.multimodal import render_page
 
         lay = _layout([("Some text on the page", 40, 60, 12)])
         real = render_page("Some text on the page", json.dumps(lay))

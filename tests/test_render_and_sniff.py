@@ -132,7 +132,7 @@ class TestPageRenderStub:
         import base64
         import zlib
 
-        from service1_text_extraction_ray.functions.page_render import (
+        from query_suite.stages.multimodal import (
             render_page_placeholder,
             write_gray_png,
         )
@@ -159,7 +159,7 @@ class TestPageRenderStub:
     def test_render_batch_shape(self):
         import pyarrow as pa
 
-        from service1_text_extraction_ray.functions.page_render import (
+        from query_suite.stages.multimodal import (
             RENDER_SCHEMA,
             render_pages_batch,
         )

@@ -581,6 +581,28 @@ class TestWarcCdx:
                 assert off == pos  # contiguous, no gaps or overlaps
                 pos = off + ln
 
+    def test_shards_equal_engine_writer(self, ray_session, tmp_path):
+        """Indexing does not change the shards: same names, same bytes as
+        the engine's writer over the same blocks."""
+        import os
+
+        from query_suite.sources.page_formats import synthesize_pages
+        from service1_text_extraction_ray.sources.pages_source import (
+            write_pages_warc,
+        )
+
+        for gz in (False, True):
+            wdir, _ = self._build(tmp_path, gz)
+            edir = str(tmp_path / ("e_gz" if gz else "e"))
+            write_pages_warc(synthesize_pages(30, seed=5), edir,
+                             gzip_members=gz)
+            names = sorted(os.listdir(wdir))
+            assert names == sorted(os.listdir(edir))
+            for n in names:
+                with open(os.path.join(wdir, n), "rb") as a, \
+                        open(os.path.join(edir, n), "rb") as b:
+                    assert a.read() == b.read()
+
 
 class TestArchiveSources:
     def _docs(self, ray_session):
