@@ -42,10 +42,10 @@ from ..functions.text_utils import (
 )
 from service1_text_extraction_ray.functions.render import recreate_text_with_layout
 from ..sources.page_formats import documents_to_pages
+from service1_text_extraction_ray import ensure_worker_importable
 from service1_text_extraction_ray.pipelines.extract_pipeline import (
     extract_dataset,
     extract_pages_dataset,
-    _prepare_session,
 )
 
 # ---------------------------------------------------------------------------
@@ -194,7 +194,7 @@ def _scanned_extraction(sf_dir: str) -> rd.Dataset:
     ds = _SCANNED_EXTRACTION_CACHE.get(key)
     if ds is None:
         cfg = ExtractConfig(ocr_backend="fake")
-        _prepare_session()
+        ensure_worker_importable()
         # Elastic TASKS, not the flagship's actor pool: per-batch OCR cost
         # dominates (full-page rasterize+recognize, ~30x a plain parse), so
         # the pool's measured (3n/4, n-1) floor starves the stage on this

@@ -20,39 +20,6 @@ Ray Data streaming.
 __version__ = "0.1.0"
 
 
-def _mute_empty_bundle_schema_warnings() -> None:
-    """Drop Ray Data's 'different schema' warning ONLY for empty bundles.
-
-    Every UDF in this engine returns typed empties (``out_schema
-    .empty_table()``), but Ray's Sort/Aggregate internals emit schema-LESS
-    empty bundles for empty shuffle partitions (e.g. an 8-partition
-    aggregate with 5 groups) and the streaming executor warns on each one
-    (streaming_executor_state.py: ``new schema: .``). Those are noise — the
-    values are unaffected — while a REAL divergence (non-empty new schema)
-    still surfaces. Installed at import; idempotent (one filter instance)."""
-    import logging
-
-    logger = logging.getLogger(
-        "ray.data._internal.execution.streaming_executor_state"
-    )
-    if any(isinstance(f, _EmptyBundleSchemaFilter) for f in logger.filters):
-        return
-    logger.addFilter(_EmptyBundleSchemaFilter())
-
-
-class _EmptyBundleSchemaFilter:
-    def filter(self, record) -> bool:
-        msg = record.getMessage()
-        if "different schema" not in msg:
-            return True
-        tail = msg.split("new schema:", 1)[-1]
-        empty = tail.strip().startswith(".") or "names=[], types=[]" in tail
-        return not empty
-
-
-_mute_empty_bundle_schema_warnings()
-
-
 def ensure_worker_importable() -> None:
     """Make the package's callables usable in Ray workers regardless of the
     driver's cwd / sys.path.

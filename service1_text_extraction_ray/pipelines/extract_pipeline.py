@@ -16,6 +16,12 @@ Replaces the reference's FastAPI/Postgres/asyncio plumbing
                                                 #   NO shuffle anywhere
       -> drain tiny summary stream; driver-side straggler commit sweep
 
+``run_incremental_recrawl`` runs the same chain into a staging table, then
+merges each staged shard into the table with one ``lineage.upsert_shard``
+task per shard. Both entry points share one write path and one commit
+protocol, and no Ray Data shuffle (groupby, repartition, sort) runs in
+either.
+
 Design notes (SURVEY.md §4.2):
 
 - **Streaming**: nothing materializes the full dataset; the driver only ever
@@ -41,12 +47,12 @@ from __future__ import annotations
 
 import os
 import shutil
-import zlib
 from typing import Optional
 
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 import ray.data as rd
 
 from .. import ensure_worker_importable
@@ -80,11 +86,6 @@ def read_pages(input_path: str | list) -> rd.Dataset:
     return rd.read_parquet(input_path, columns=INPUT_COLUMNS, include_paths=True)
 
 
-def _prepare_session() -> None:
-    """Ship package code by value so workers never need the repo on sys.path."""
-    ensure_worker_importable()
-
-
 def _default_pool_size() -> tuple:
     """Autoscaling actor-pool bounds sized to the cluster. Measured (round 2,
     50k-doc extract-only probe at 32 CPUs): the autoscaler holds the pool at
@@ -113,7 +114,8 @@ def extract_dataset(
     (run_extraction_job) — cheaper than any row filter.
     """
     cfg = cfg or ExtractConfig()
-    _prepare_session()
+    # Ship package code by value so workers never need the repo on sys.path.
+    ensure_worker_importable()
     ds = ds.map_batches(SniffStage(cfg), batch_format="pyarrow")
 
     if concurrency is None:
@@ -127,71 +129,6 @@ def extract_dataset(
         num_cpus=1,
         concurrency=concurrency,
     )
-
-
-def extract_dataset_bucketed(
-    ds: rd.Dataset,
-    cfg: Optional[ExtractConfig] = None,
-    salt_buckets: int = 16,
-) -> rd.Dataset:
-    """Size-bucketed + salted-groupby variant of the parse stage — the north
-    rule's explicit skew treatment (BASELINE.json ``north_rule``: "skew from
-    giant HTML/PDF blobs ... via size-bucketed repartitioning and salted
-    groupby before the heavy parse stage").
-
-    One exchange co-locates each ``(size_bucket, salt(url))`` group into its
-    own task, so giant payloads spread uniformly across the cluster instead
-    of riding wherever their input file put them. This COSTS a full shuffle
-    of the raw payload bytes; the default no-shuffle pipeline is faster on
-    corpora whose input files already mix sizes well (the first shuffle
-    writer lost 2x to exactly this exchange). Reach for this variant when
-    inputs arrive size-sorted (e.g. crawler shards partitioned by content
-    length) and file-aligned processing would leave the big-payload files
-    as stragglers.
-
-    Output is byte-identical to ``extract_dataset`` up to row order
-    (pytest-asserted: same per-url text, same hash XOR).
-    """
-    cfg = cfg or ExtractConfig()
-    _prepare_session()
-    sniffed = ds.map_batches(SniffStage(cfg), batch_format="pyarrow")
-
-    def add_salt(batch: pa.Table) -> pa.Table:
-        salt = pa.array(
-            [zlib.crc32(u.encode("utf-8")) % salt_buckets for u in batch["url"].to_pylist()],
-            pa.int32(),
-        )
-        return batch.append_column("salt", salt)
-
-    return (
-        sniffed.map_batches(add_salt, batch_format="pyarrow")
-        .groupby(["size_bucket", "salt"])
-        .map_groups(
-            _ExtractGroup,
-            fn_constructor_kwargs={"cfg": cfg},
-            batch_format="pyarrow",
-            num_cpus=1,
-            concurrency=_default_pool_size(),
-        )
-    )
-
-
-class _ExtractGroup:
-    """Actor-pool group extractor: the parser stack is built ONCE per actor
-    in ``__init__`` (the A1 singleton idiom, same as the default path's
-    ``ExtractDocuments`` pool) — not constructed on the driver and shipped
-    inside every group task's closure."""
-
-    def __init__(self, cfg: ExtractConfig) -> None:
-        self._extractor = ExtractDocuments(cfg)
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        # Keep the giant-doc co-travel bound inside the group too.
-        parts = [
-            self._extractor(group.slice(start, PARSE_BATCH_SIZE))
-            for start in range(0, group.num_rows, PARSE_BATCH_SIZE)
-        ]
-        return pa.concat_tables(parts)
 
 
 def extract_pages_dataset(ds: rd.Dataset, cfg: Optional[ExtractConfig] = None, **kw) -> rd.Dataset:
@@ -373,12 +310,17 @@ def run_incremental_recrawl(
 
     Shard identity is the input file BASENAME (sniff.stable_shard_id), so
     a recrawl file replaces the shard of the original file with the same
-    name; brand-new basenames create fresh shards (pure appends). The
-    merge is SHARD-PARALLEL with no driver materialization: the extracted
-    delta rides one groupby(shard_id) — each group task holds exactly its
-    shard's rows and applies upsert_shard worker-side through the shared
-    filesystem (the same assumption PartWriter's incremental commits
-    make; see lineage.pending_dir). Re-extracted-but-unchanged docs
+    name; brand-new basenames create fresh shards (pure appends).
+
+    Three steps, with no shuffle: (1) ``run_extraction_job`` extracts the
+    delta into a staging table at ``out_dir/_recrawl`` — the same read ->
+    sniff -> extract -> PartWriter -> commit chain and completeness check
+    as a full job, one committed staged shard per delta file; (2) each
+    staged shard holding rows is merged with ``lineage.upsert_shard`` in
+    its own Ray task, through the shared filesystem (the same assumption
+    PartWriter's incremental commits make; see lineage.pending_dir), so
+    no table rows pass through the driver; (3) the staging table is
+    deleted, also when a step fails. Re-extracted-but-unchanged docs
     replace in place with identical content (idempotent by content
     addressing); the per-shard result is byte-equivalent to a full
     re-extraction of the merged inputs (order-insensitive content_hash
@@ -390,9 +332,6 @@ def run_incremental_recrawl(
     "n_docs_touched_shards"}`` (+ ``snapshot_version`` when requested);
     ``n_docs_touched_shards`` counts the docs stored in the touched shards
     after the merge."""
-    cfg = cfg or ExtractConfig()
-    _prepare_session()
-
     files = list_input_files(input_path)
     if any(f.endswith(WARC_EXTS) for f in files):
         raise ValueError(
@@ -403,28 +342,20 @@ def run_incremental_recrawl(
         return {"shards_touched": 0, "n_replaced": 0, "n_appended": 0,
                 "n_docs_touched_shards": 0}
 
-    delta = extract_dataset(read_pages(files), cfg, concurrency=concurrency)
+    # The staging table sits beside data/, lineage/ and snapshots/, never
+    # inside them, so no reader of the table sees staged rows.
+    stage = os.path.join(out_dir, "_recrawl")
+    try:
+        run_extraction_job(files, stage, cfg, concurrency=concurrency)
+        # A zero-row delta file commits an empty staged shard; it changes
+        # nothing, so its table shard is left as it is.
+        sids = [r["shard_id"] for r in lin.load_lineage(stage) if r["n_docs"]]
+        results = ray.get(
+            [_merge_staged_shard.remote(out_dir, stage, sid) for sid in sids]
+        )
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
-    result_schema = pa.schema([
-        ("shard_id", pa.int64()), ("n_replaced", pa.int64()),
-        ("n_appended", pa.int64()), ("n_docs", pa.int64()),
-    ])
-
-    def apply(group: pa.Table) -> pa.Table:
-        sid = group["shard_id"][0].as_py()
-        rec = lin.upsert_shard(out_dir, int(sid), group, key="url")
-        return pa.Table.from_pylist([{
-            "shard_id": int(sid),
-            "n_replaced": rec["n_replaced"],
-            "n_appended": rec["n_appended"],
-            "n_docs": rec["n_docs"],
-        }], schema=result_schema)
-
-    results = (
-        delta.groupby("shard_id")
-        .map_groups(apply, batch_format="pyarrow")
-        .take_all()
-    )
     out = {
         "shards_touched": len(results),
         "n_replaced": sum(r["n_replaced"] for r in results),
@@ -435,3 +366,11 @@ def run_incremental_recrawl(
     if snapshot:
         out["snapshot_version"] = lin.commit_snapshot(out_dir)["version"]
     return out
+
+
+@ray.remote
+def _merge_staged_shard(out_dir: str, stage: str, shard_id: int) -> dict:
+    """Upsert one committed staged shard into the table, worker-side; only
+    the merge counters travel back to the driver."""
+    rec = lin.upsert_shard(out_dir, shard_id, lin.read_shard(stage, shard_id))
+    return {k: rec[k] for k in ("n_replaced", "n_appended", "n_docs")}

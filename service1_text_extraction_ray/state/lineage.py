@@ -14,6 +14,9 @@ Layout under ``out_dir``::
     lineage/shard_{id:05d}.json                  # manifest: the exact part
                                                  #   list + counters; written
                                                  #   strictly AFTER its parts
+    _recrawl/                                    # a running recrawl's staging
+                                                 #   table (same layout);
+                                                 #   deleted when it returns
 
 Why parts + manifests instead of one file per shard: writing one file per
 shard requires an all-to-all shuffle of the (heavy) extraction output to
@@ -308,6 +311,35 @@ def thread_map(fn, items, max_workers: int = 32) -> list:
         return list(pool.map(fn, items))
 
 
+def _read_manifest(path: str, fs: Any) -> Dict[str, Any] | None:
+    """The manifest at ``path`` if it is a committed one: status ``ok`` and
+    the current version. A missing object or torn JSON counts as absent
+    (the shard is incomplete)."""
+    try:
+        rec = json.loads(fs.read_bytes(path))
+    except (OSError, json.JSONDecodeError):
+        return None
+    if rec.get("status") == "ok" and rec.get("version") == LINEAGE_VERSION:
+        return rec
+    return None
+
+
+def load_manifest(out_dir: str, shard_id: int,
+                  fs: Optional[Any] = None) -> Dict[str, Any] | None:
+    """One shard's committed manifest, read by key (``manifest_path``) with
+    no listing, or None. GET-by-key is read-your-writes even on an object
+    store whose LIST lags, so a shard committed a moment ago is seen."""
+    fs = _fs(fs)
+    return _read_manifest(manifest_path(out_dir, shard_id), fs)
+
+
+def _committed_manifest(out_dir: str, shard_id: int, fs: Any) -> Dict[str, Any]:
+    rec = load_manifest(out_dir, shard_id, fs)
+    if rec is None:
+        raise KeyError(shard_id)
+    return rec
+
+
 def load_lineage(out_dir: str, fs: Optional[Any] = None) -> List[Dict[str, Any]]:
     fs = _fs(fs)
     ldir = lineage_dir(out_dir)
@@ -317,11 +349,8 @@ def load_lineage(out_dir: str, fs: Optional[Any] = None) -> List[Dict[str, Any]]
     for name in fs.listdir(ldir):
         if not (name.startswith("shard_") and name.endswith(".json")):
             continue
-        try:
-            rec = json.loads(fs.read_bytes(os.path.join(ldir, name)))
-        except (OSError, json.JSONDecodeError):
-            continue  # torn write -> treat shard as incomplete
-        if rec.get("status") == "ok" and rec.get("version") == LINEAGE_VERSION:
+        rec = _read_manifest(os.path.join(ldir, name), fs)
+        if rec is not None:
             records.append(rec)
     return records
 
@@ -355,11 +384,14 @@ def completed_shards(out_dir: str, validate_data: bool = True,
 
 
 def read_shard(out_dir: str, shard_id: int, fs: Optional[Any] = None) -> pa.Table:
-    """Read a shard's rows via its manifest (ignores orphan parts)."""
+    """Read a shard's rows via its manifest (ignores orphan parts). Raises
+    KeyError when the shard has no committed manifest."""
     fs = _fs(fs)
-    rec_by_id = {r["shard_id"]: r for r in load_lineage(out_dir, fs)}
-    rec = rec_by_id[shard_id]
-    ddir = shard_data_dir(out_dir, shard_id)
+    return _read_parts(out_dir, _committed_manifest(out_dir, shard_id, fs), fs)
+
+
+def _read_parts(out_dir: str, rec: Dict[str, Any], fs: Any) -> pa.Table:
+    ddir = shard_data_dir(out_dir, rec["shard_id"])
     tables = [fs.read_table(os.path.join(ddir, p)) for p in rec["parts"]]
     return (
         pa.concat_tables(tables, promote_options="default")
@@ -428,13 +460,12 @@ def compact_shard(out_dir: str, shard_id: int, target_rows: int = 100_000,
     are a no-op, and re-running lands on identical content-addressed names.
     Returns the (possibly unchanged) manifest record."""
     fs = _fs(fs)
-    rec_by_id = {r["shard_id"]: r for r in load_lineage(out_dir, fs)}
-    rec = rec_by_id[shard_id]
+    rec = _committed_manifest(out_dir, shard_id, fs)
     n_new = max(1, -(-rec["n_docs"] // target_rows))
     if len(rec["parts"]) <= n_new:
         return rec  # already compact
 
-    table = read_shard(out_dir, shard_id, fs)
+    table = _read_parts(out_dir, rec, fs)
     old_parts = set(rec["parts"])
     new_records = []
     step = -(-table.num_rows // n_new)
@@ -479,21 +510,25 @@ def upsert_shard(out_dir: str, shard_id: int, updates: pa.Table,
     Snapshots pinned before the upsert keep reading the OLD rows until a
     replaced part is unlinked, after which they expire (SnapshotExpired)
     exactly like compaction — pin-then-upsert plus vacuum retention is
-    the supported time-travel window. A shard with no committed manifest
-    is created fresh from the updates. Returns the new manifest record
-    plus ``n_replaced`` / ``n_appended``."""
+    the supported time-travel window.
+
+    The stored shard is found by key: ``load_manifest`` GETs its
+    ``manifest_path`` and lists nothing, so the cost is one manifest read
+    however many shards the table holds, and a shard committed a moment
+    ago is seen even where LIST lags (an object store). Only a shard with
+    no committed manifest at that key is created fresh from the updates.
+    Returns the new manifest record plus ``n_replaced`` / ``n_appended``."""
     fs = _fs(fs)
     keys = updates[key].to_pylist()
     if len(set(keys)) != len(keys):
         raise ValueError(f"updates are not unique on {key!r}")
 
-    rec_by_id = {r["shard_id"]: r for r in load_lineage(out_dir, fs)}
-    rec = rec_by_id.get(shard_id)
+    rec = load_manifest(out_dir, shard_id, fs)
     if rec is None:
         old = updates.schema.empty_table()
         old_parts: set = set()
     else:
-        old = read_shard(out_dir, shard_id, fs)
+        old = _read_parts(out_dir, rec, fs)
         old_parts = set(rec["parts"])
 
     # Counters are in KEYS, not raw rows: a base shard may legitimately
@@ -559,8 +594,8 @@ def delete_rows(out_dir: str, shard_id: int, keys: List[str],
     Returns the new manifest record plus ``n_deleted``; deleting the last
     row leaves a valid empty shard (zero parts)."""
     fs = _fs(fs)
-    rec = {r["shard_id"]: r for r in load_lineage(out_dir, fs)}[shard_id]
-    old = read_shard(out_dir, shard_id, fs)
+    rec = _committed_manifest(out_dir, shard_id, fs)
+    old = _read_parts(out_dir, rec, fs)
     match = pc.is_in(old[key], value_set=pa.array(sorted(set(keys))))
     kept = old.filter(pc.invert(pc.fill_null(match, False))).sort_by(key)
     n_deleted = old.num_rows - kept.num_rows

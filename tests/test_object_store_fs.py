@@ -153,6 +153,20 @@ class TestCommitUnderEventualListing:
         assert rec["n_docs"] == 6 and len(rec["parts"]) == 1
 
 
+class TestUpsertUnderEventualListing:
+    def test_upsert_keeps_a_shard_listing_cannot_see_yet(self):
+        """An upsert right after a commit, before LIST catches up, must
+        merge into the committed rows, not recreate the shard from the
+        updates alone (which would drop its stored rows)."""
+        fs = EventualObjectStore()
+        L.commit_shard_manifest(OUT, 7, [L.write_part(OUT, 7, _rows(0, 10), fs)], fs)
+
+        rec = L.upsert_shard(OUT, 7, _rows(100, 2), fs=fs)
+        assert (rec["n_replaced"], rec["n_appended"], rec["n_docs"]) == (0, 2, 12)
+        fs.sync()
+        assert L.read_shard(OUT, 7, fs).num_rows == 12
+
+
 class TestCrossBackendDeterminism:
     def test_manifest_matches_local_fs_run(self, tmp_path):
         fs = EventualObjectStore()

@@ -5,7 +5,9 @@ The walk parses each module's AST and follows both module-level and
 function-level imports (the engine defers some imports into functions),
 starting from the job CLI and the pipeline module. Importing ``a.b.c``
 also runs ``a/__init__.py`` and ``a/b/__init__.py``, so parent packages of
-every reached module count as reached."""
+every reached module count as reached.
+
+A second walk checks that no engine module calls a Ray Data shuffle."""
 
 import ast
 from pathlib import Path
@@ -82,3 +84,21 @@ def test_engine_never_imports_the_query_suite():
         if m == "query_suite" or m.startswith("query_suite.")
     )
     assert not offenders, f"engine modules importing query_suite: {offenders}"
+
+
+SHUFFLES = {"groupby", "map_groups", "repartition", "random_shuffle"}
+
+
+def test_engine_never_shuffles():
+    """The engine is a file-aligned chain: a shard's rows are read, parsed,
+    written and committed (or merged) where they are, so no module calls
+    a Ray Data shuffle (always a ``Dataset`` method call)."""
+    offenders = sorted(
+        f"{p.relative_to(PKG_DIR)}:{node.lineno} {node.func.attr}"
+        for p in PKG_DIR.rglob("*.py")
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in SHUFFLES
+    )
+    assert not offenders, f"shuffles in the engine: {offenders}"

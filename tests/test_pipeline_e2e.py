@@ -269,27 +269,6 @@ def test_job_runs_from_foreign_cwd_without_package_on_worker_path(tmp_path):
         [doc_content_hash(o["doc_text"]) for o in oracle])
 
 
-def test_bucketed_variant_matches_default(ray_session, corpus_dir, oracle_results):
-    """The size-bucketed + salted-groupby parse path (north_rule's explicit
-    skew treatment) must produce byte-identical extractions to the
-    no-shuffle default, and must spread rows across (bucket, salt) groups."""
-    from service1_text_extraction_ray.pipelines.extract_pipeline import (
-        extract_dataset_bucketed,
-        read_pages,
-    )
-
-    out = (
-        extract_dataset_bucketed(read_pages(corpus_dir), CFG, salt_buckets=8)
-        .select_columns(["url", "doc_text", "status", "n_pages"])
-        .to_pandas()
-        .set_index("url")
-    )
-    assert len(out) == N_ROWS
-    for url, o in oracle_results.items():
-        assert out.loc[url, "doc_text"] == o["doc_text"], f"byte mismatch for {url}"
-        assert out.loc[url, "status"] == o["status"]
-
-
 class TestCompaction:
     @staticmethod
     def _rows(i0, n):
@@ -498,6 +477,34 @@ class TestIncrementalRecrawl:
         assert res["n_replaced"] == 0 and res["n_appended"] == 50
         assert res["n_docs_touched_shards"] == 50
         assert lin.read_all(out).num_rows == n0 + 50
+
+    def test_zero_row_delta_file_leaves_its_shard_untouched(
+        self, ray_session, corpus_dir, tmp_path
+    ):
+        """A delta file with no rows changes nothing: its shard keeps its
+        manifest and parts, it is not counted as touched, and the staging
+        table is gone afterwards."""
+        from service1_text_extraction_ray.functions.sniff import stable_shard_id
+        from service1_text_extraction_ray.pipelines.extract_pipeline import (
+            run_incremental_recrawl)
+
+        out = str(tmp_path / "out")
+        run_extraction_job(corpus_dir, out, CFG)
+        fname = sorted(f for f in os.listdir(corpus_dir) if f.endswith(".parquet"))[0]
+        sid = stable_shard_id(fname)
+        manifest = {r["shard_id"]: r for r in lin.load_lineage(out)}[sid]
+        parts = sorted(os.listdir(lin.shard_data_dir(out, sid)))
+
+        rdir = tmp_path / "empty_delta"
+        rdir.mkdir()
+        schema = pq.read_schema(os.path.join(corpus_dir, fname))
+        pq.write_table(schema.empty_table(), str(rdir / fname))
+        res = run_incremental_recrawl(str(rdir), out, CFG)
+
+        assert res == dict.fromkeys(RECRAWL_KEYS, 0)
+        assert {r["shard_id"]: r for r in lin.load_lineage(out)}[sid] == manifest
+        assert sorted(os.listdir(lin.shard_data_dir(out, sid))) == parts
+        assert not os.path.exists(os.path.join(out, "_recrawl"))
 
     def test_empty_input_returns_the_same_keys(self, tmp_path):
         from service1_text_extraction_ray.pipelines.extract_pipeline import (
