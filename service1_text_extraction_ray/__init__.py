@@ -7,9 +7,10 @@ Ray-Data-first:
 - input: Parquet table of Common-Crawl-style pages
   ``(url: string, warc_ts: timestamp[us], html: binary, text: string, lang: string)``
 - job shape: ``ray.data.read_parquet`` -> vectorized sniff/bucketing ->
-  actor-pool ``map_batches`` extraction (stdlib HTML DOM + from-scratch PDF
-  subset parser) -> sharded Parquet writes with per-partition lineage records
-  and counters (checkpoint-resume at shard granularity).
+  ``map_batches`` extraction (stdlib HTML DOM + from-scratch PDF subset
+  parser) -> sharded Parquet writes with per-partition lineage records and
+  counters (checkpoint-resume at shard granularity), all three fused into
+  one chain of plain Ray Data tasks.
 
 The extraction *semantics* (quality gates, fallback ladder, output formats)
 mirror the reference's PDF processor — every threshold cited file:line into

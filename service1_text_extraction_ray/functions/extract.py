@@ -76,8 +76,8 @@ class ExtractConfig:
 
     # Password book for encrypted PDFs (reference A2/J2: the candidate chain
     # of file_management_service.get_all_passwords_for_file). Tuples so the
-    # config stays frozen/hashable; the extraction actor builds a
-    # PasswordBook from them once per actor. Defaults are the test
+    # config stays frozen/hashable; the extraction stage builds a
+    # PasswordBook from them, one per task. Defaults are the test
     # deployment's book (functions/passwords.py — matches the synthetic
     # corpus by construction); production jobs pass their own.
     saved_passwords: tuple = SAVED_PASSWORDS
@@ -263,7 +263,7 @@ def _extract_feed(
 # password_used, attempts_made}; extract_document fills the defaults and
 # derives the doc-level columns. Register a new payload family (e.g. a
 # WARC-record or XML extractor) with ``register_extractor`` — the sniff
-# stage's kind string is the dispatch key, and actor pools pick the
+# stage's kind string is the dispatch key, and extraction tasks pick the
 # registration up at import time (module-level, ships with the package).
 EXTRACTORS: Dict[str, Any] = {
     KIND_HTML: _extract_html,
@@ -290,7 +290,7 @@ def extract_document(
     doc_chars, error, password_required, password_used, attempts_made,
     pages: [{page, method, text, page_md, n_chars, layout_json}]}``
 
-    ``book`` is the caller's (actor-lifetime) PasswordBook; when None a
+    ``book`` is the caller's (task-lifetime) PasswordBook; when None a
     transient book is built from the config — identical candidates, no
     cross-document cache.
     """

@@ -253,7 +253,7 @@ def _split_blocks(lines: List[_OcrLine]) -> List[List[_OcrLine]]:
 
 class FakeOcrBackend:
     """Deterministic pixel OCR for bitfont-rendered rasters (see module
-    docstring). Stateless; safe to construct once per extraction actor."""
+    docstring). Stateless; safe to construct once per worker process."""
 
     name = "fake"
 
@@ -291,9 +291,9 @@ class FakeOcrBackend:
 
 
 # Backend registry (§2.9 extension surface): config names a backend by
-# string so ExtractConfig stays frozen/serializable; actors resolve it once
-# in __init__. A real pytesseract backend would register here when its
-# import succeeds.
+# string so ExtractConfig stays frozen/serializable; get_ocr_backend
+# resolves it once per worker process. A real pytesseract backend would
+# register here when its import succeeds.
 OCR_BACKENDS: Dict[str, Any] = {"fake": FakeOcrBackend}
 
 

@@ -7,8 +7,8 @@ Re-implements, from scratch, the ordered candidate logic of the reference's
     1. the caller-provided password,
     2. the password previously SAVED for this document (the reference's
        per-directory CSV; here a plain mapping — at job scale a broadcast
-       ``ray.put`` dict captured in the extractor actor's ctor),
-    3. the password CACHED from an earlier success in this worker
+       dict in the job config, shipped with every extraction task),
+    3. the password CACHED from an earlier success in this task
        (``password_cache`` dict, file_management_service.py:45),
     4. the configured default password,
     5. ``None`` (try without a password),
@@ -21,7 +21,7 @@ Actual decryption lives in ``functions/pdf_crypt.py`` (standard security
 handler, RC4 /V 1-2) and is driven by the attempt loop in
 ``functions/extract.py`` — this module carries the state/lookup semantics,
 which is the part that shapes the distributed design: the saved map is a
-broadcast small side, the cache is actor-local, and success updates never
+broadcast small side, the cache lives for one task, and success updates never
 need cross-worker coordination (re-deriving a password costs one extra
 attempt, so last-writer-wins is correct). Determinism note: because the
 saved map is keyed by site and covers every site the cache could learn, a
@@ -39,8 +39,8 @@ MAX_ATTEMPTS = 3  # core_pdf_processor.py:283
 # Test-deployment password book. The reference keeps working passwords in a
 # per-directory CSV next to the documents
 # (file_management_service.py:118-170); this engine's equivalent is a small
-# per-SITE map shipped as job config (broadcast to every extraction actor in
-# its ctor — tuples, not dicts, so ExtractConfig stays frozen/hashable).
+# per-SITE map shipped as job config (broadcast to every extraction task
+# — tuples, not dicts, so ExtractConfig stays frozen/hashable).
 # Production jobs pass their own book; these defaults match the synthetic
 # corpus (functions/synth.py derives each encrypted fixture's password from
 # the same constants, so fixtures and engine agree by construction).
@@ -82,8 +82,9 @@ def password_candidates(
 
 
 class PasswordBook:
-    """Actor-held password state: an immutable broadcast ``saved`` map plus a
-    mutable per-actor success cache (the A2 pattern, Ray-shaped)."""
+    """Task-held password state: an immutable broadcast ``saved`` map plus a
+    mutable success cache that lives for one task (the A2 pattern,
+    Ray-shaped)."""
 
     def __init__(
         self,

@@ -8,10 +8,10 @@ Replaces the reference's FastAPI/Postgres/asyncio plumbing
                  completed input files pruned on resume)
       -> map_batches(SniffStage)                # vectorized kind/size tagging,
                                                 #   shard = input file
-      -> map_batches(ExtractDocuments,          # actor pool, Arrow in/out
-                     batch_size=small, concurrency=pool)
-      -> map_batches(PartWriter)                # inline content-addressed part
-                                                #   writes + incremental
+      -> map_batches(ExtractDocuments,          # parse, Arrow in/out,
+                     batch_size=small)          #   small batches
+      -> map_batches(PartWriter,                # inline content-addressed part
+                     batch_size=None)           #   writes + incremental
                                                 #   per-shard manifest commits:
                                                 #   NO shuffle anywhere
       -> drain tiny summary stream; driver-side straggler commit sweep
@@ -24,6 +24,11 @@ either.
 
 Design notes (SURVEY.md §4.2):
 
+- **One way to run a batch**: every stage is a plain task, so Ray Data fuses
+  sniff -> extract -> write into one operator and each parse task writes and
+  commits its own parts. The parse state (frozen config, PasswordBook) ships
+  with each task. An actor pool measured slower on every ``extraction_bench``
+  workload and deadlocked a one-CPU session (the actor held the only slot).
 - **Streaming**: nothing materializes the full dataset; the driver only ever
   collects the per-shard summary rows (one small row per shard).
 - **No shuffle**: the shard identity is the *input file* (sniff.
@@ -87,27 +92,18 @@ def read_pages(input_path: str | list) -> rd.Dataset:
 
 
 def _default_pool_size() -> tuple:
-    """Autoscaling actor-pool bounds sized to the cluster. Measured (round 2,
-    50k-doc extract-only probe at 32 CPUs): the autoscaler holds the pool at
-    its MINIMUM for the whole job (effective cores == min), so the min IS the
-    parallelism — (16,31) ran at 4.6k docs/s, (24,31) at 5.9k, (31,31)
-    collapsed to 3.7k (read/write starvation, same cliff round 1 found).
-    min = 3*ncpu/4 with max = ncpu-1 keeps ~a quarter of the cores for the
-    read + write task pools; the autoscaling headroom above min costs
-    nothing. Floor leaves >=2 CPUs for the task pools (at ncpu=4 a (3,3)
-    pool measurably starves them)."""
+    """Actor-pool bounds for a cluster of this size, ``(min, max)``. The
+    engine no longer runs an actor pool (the parse runs as plain tasks fused
+    with the part writer); this stays only because
+    ``extraction_bench/job.py`` imports it and reports its value."""
     import ray
 
     ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     return (max(1, min(3 * ncpu // 4, ncpu - 2)), max(2, ncpu - 1))
 
 
-def extract_dataset(
-    ds: rd.Dataset,
-    cfg: Optional[ExtractConfig] = None,
-    concurrency: Optional[int] = None,
-) -> rd.Dataset:
-    """Sniff + actor-pool extraction.
+def extract_dataset(ds: rd.Dataset, cfg: Optional[ExtractConfig] = None) -> rd.Dataset:
+    """Sniff + extraction, both as plain Ray Data tasks.
 
     Returns the doc-grain Dataset (DOC_SCHEMA) without writing — fully lazy.
     Resume happens upstream, by pruning completed files from the read list
@@ -117,23 +113,17 @@ def extract_dataset(
     # Ship package code by value so workers never need the repo on sys.path.
     ensure_worker_importable()
     ds = ds.map_batches(SniffStage(cfg), batch_format="pyarrow")
-
-    if concurrency is None:
-        concurrency = _default_pool_size()
     return ds.map_batches(
-        ExtractDocuments,
-        fn_constructor_kwargs={"cfg": cfg},
+        ExtractDocuments(cfg),
         batch_format="pyarrow",
         batch_size=PARSE_BATCH_SIZE,
         zero_copy_batch=True,
-        num_cpus=1,
-        concurrency=concurrency,
     )
 
 
-def extract_pages_dataset(ds: rd.Dataset, cfg: Optional[ExtractConfig] = None, **kw) -> rd.Dataset:
+def extract_pages_dataset(ds: rd.Dataset, cfg: Optional[ExtractConfig] = None) -> rd.Dataset:
     """Page-grain flat view of the extraction (no shuffle)."""
-    return extract_dataset(ds, cfg, **kw).map_batches(explode_pages, batch_format="pyarrow")
+    return extract_dataset(ds, cfg).map_batches(explode_pages, batch_format="pyarrow")
 
 
 PART_SUMMARY_SCHEMA = pa.schema(
@@ -185,7 +175,6 @@ def run_extraction_job(
     out_dir: str,
     cfg: Optional[ExtractConfig] = None,
     resume: bool = False,
-    concurrency: Optional[int] = None,
     snapshot: bool = False,
     tolerant_warc: bool = False,
 ) -> dict:
@@ -260,10 +249,12 @@ def run_extraction_job(
         )
         src = read_pages(files)
 
-    docs = extract_dataset(src, cfg, concurrency=concurrency)
+    docs = extract_dataset(src, cfg)
 
+    # batch_size=None: whole parse output blocks, so the writer fuses into the
+    # parse task and commits as the stream goes, not when a big batch fills.
     part_summaries = docs.map_batches(
-        PartWriter(out_dir, expected), batch_format="pyarrow", batch_size=2048
+        PartWriter(out_dir, expected), batch_format="pyarrow", batch_size=None
     )
     # Drain the (tiny) summary stream — this is the consuming sink; manifests
     # commit incrementally inside PartWriter as shards complete. No groupby:
@@ -273,7 +264,7 @@ def run_extraction_job(
         pass
 
     # Straggler sweep: commit any shard whose parts all landed but whose
-    # writer didn't observe the complete set (cross-actor visibility race).
+    # writer didn't observe the complete set (cross-task visibility race).
     committed = {r["shard_id"] for r in lin.load_lineage(out_dir)}
     for sid, exp_rows in expected.items():
         if sid not in committed:
@@ -297,7 +288,6 @@ def run_incremental_recrawl(
     input_path: str | list,
     out_dir: str,
     cfg: Optional[ExtractConfig] = None,
-    concurrency: Optional[int] = None,
     snapshot: bool = False,
 ) -> dict:
     """Incremental recrawl refresh: extract ONLY the recrawled shard files
@@ -346,7 +336,7 @@ def run_incremental_recrawl(
     # inside them, so no reader of the table sees staged rows.
     stage = os.path.join(out_dir, "_recrawl")
     try:
-        run_extraction_job(files, stage, cfg, concurrency=concurrency)
+        run_extraction_job(files, stage, cfg)
         # A zero-row delta file commits an empty staged shard; it changes
         # nothing, so its table shard is left as it is.
         sids = [r["shard_id"] for r in lin.load_lineage(stage) if r["n_docs"]]

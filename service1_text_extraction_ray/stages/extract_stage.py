@@ -1,11 +1,12 @@
 """Ray Data stages for the extraction pipeline.
 
-The parse stage is a *callable class* used as an actor pool
-(``ds.map_batches(ExtractDocuments, concurrency=..., batch_size=...)``):
-config, compiled regexes and parser dispatch tables are built once per actor
-in ``__init__`` (the reference builds its ``PDFProcessor`` once per service
-object for the same reason, ``document_text_extraction_service.py:174-178``),
-and each ``__call__`` processes one Arrow batch of documents.
+The parse stage is a *callable class* whose instance runs as plain Ray Data
+tasks (``ds.map_batches(ExtractDocuments(cfg), batch_size=...)``), fused
+with the sniff stage before it and the part writer after it. Its state is
+the frozen config and a password book, built once on the driver and shipped
+with every task; the parser modules compile their regexes and dispatch
+tables at import time, once per worker process. Each ``__call__`` processes
+one Arrow batch of documents.
 
 Batches enter as zero-copy Arrow tables; the per-document parse is per-row
 Python by nature (it IS the workload — a DOM/content-stream parse per
@@ -85,15 +86,15 @@ class SniffStage:
 
 
 class ExtractDocuments:
-    """Actor-pool parse stage: one Arrow batch of sniffed documents in,
-    one doc-grain extraction table out (DOC_SCHEMA)."""
+    """Parse stage, run as plain tasks: one Arrow batch of sniffed documents
+    in, one doc-grain extraction table out (DOC_SCHEMA)."""
 
     def __init__(self, cfg: Optional[ExtractConfig] = None) -> None:
-        # Once per actor: freeze config; importing the parser modules compiled
-        # all regexes / dispatch tables at module import time. The password
-        # book (A2) is actor state: the broadcast saved map plus a per-actor
-        # success cache (functions/passwords.py explains why the cache cannot
-        # perturb byte-determinism).
+        # Built once on the driver and shipped with each task: the frozen
+        # config and the password book (A2), i.e. the broadcast saved map
+        # plus a success cache that lives for one task
+        # (functions/passwords.py explains why the cache cannot perturb
+        # byte-determinism).
         self.cfg = cfg or ExtractConfig()
         self.book = PasswordBook(
             dict(self.cfg.saved_passwords), self.cfg.default_password

@@ -7,7 +7,8 @@ starting from the job CLI and the pipeline module. Importing ``a.b.c``
 also runs ``a/__init__.py`` and ``a/b/__init__.py``, so parent packages of
 every reached module count as reached.
 
-A second walk checks that no engine module calls a Ray Data shuffle."""
+Two more walks check that no engine module calls a Ray Data shuffle and
+that every ``map_batches`` runs its function as plain tasks."""
 
 import ast
 from pathlib import Path
@@ -102,3 +103,24 @@ def test_engine_never_shuffles():
         and node.func.attr in SHUFFLES
     )
     assert not offenders, f"shuffles in the engine: {offenders}"
+
+
+POOL_KEYWORDS = {"concurrency", "compute", "fn_constructor_kwargs"}
+
+
+def test_engine_runs_batches_as_tasks():
+    """One way to run a batch: every engine ``map_batches`` passes a plain
+    callable (a function or a callable-class instance), which Ray Data runs
+    as tasks fused with the stages around it. None asks for an actor pool,
+    a pool size or per-actor construction."""
+    offenders = sorted(
+        f"{p.relative_to(PKG_DIR)}:{node.lineno} {kw.arg}"
+        for p in PKG_DIR.rglob("*.py")
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "map_batches"
+        for kw in node.keywords
+        if kw.arg in POOL_KEYWORDS
+    )
+    assert not offenders, f"map_batches run as an actor pool: {offenders}"

@@ -5,6 +5,8 @@ and must resume correctly from per-shard lineage."""
 import glob
 import os
 import shutil
+import signal
+import sys
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -34,6 +36,54 @@ def corpus_dir(tmp_path_factory):
 def oracle_results():
     rows = gen_pages_table(N_ROWS, seed=42).to_pylist()
     return {row["url"]: extract_document(row["url"], row["html"], CFG) for row in rows}
+
+
+# Generous: under a fully loaded suite run a job CLI subprocess's own Ray
+# session can take >60 s just to start (observed flake at 120 s).
+CLI_TIMEOUT_S = 300
+# The job CLI starts its own local Ray session, never the test session's.
+_JOB_ENV = dict(os.environ, RAY_ADDRESS="local")
+
+
+def _job_cli(input_dir: str, out_dir: str, num_cpus: int = 2) -> list:
+    return [
+        sys.executable, "-m", "service1_text_extraction_ray.pipelines.job",
+        "--input", input_dir, "--output", out_dir, "--num-cpus", str(num_cpus),
+    ]
+
+
+def _descendants(pid: int) -> list:
+    """Pids of every descendant of ``pid`` (the job CLI's Ray GCS, raylet
+    and workers), read from the parent links in /proc."""
+    children: dict = {}
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat") as f:
+                stat = f.read()
+        except OSError:
+            continue
+        ppid = int(stat.rsplit(")", 1)[1].split()[1])
+        children.setdefault(ppid, []).append(int(name))
+    out, todo = [], [pid]
+    while todo:
+        kids = children.get(todo.pop(), [])
+        out.extend(kids)
+        todo.extend(kids)
+    return out
+
+
+def _kill_job(proc) -> None:
+    """SIGKILL a job CLI driver together with every process it started, as a
+    machine crash would: its in-flight tasks die mid-write instead of going
+    on to commit shards."""
+    for pid in [proc.pid, *_descendants(proc.pid)]:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    proc.wait()
 
 
 def read_output(out_dir: str) -> pa.Table:
@@ -67,18 +117,31 @@ def test_job_matches_oracle(ray_session, corpus_dir, oracle_results, tmp_path):
 
 def test_parallelism_levels_byte_identical(ray_session, corpus_dir, oracle_results, tmp_path):
     """The per-row invariant from BASELINE.json: byte-identical extracted
-    text per url across parallelism levels (here: actor-pool sizes)."""
+    text per url across parallelism levels (here: a one-CPU job CLI session
+    and the four-CPU test session). The one-CPU run also pins that the job
+    cannot deadlock when read, parse and write share a single CPU slot."""
+    import json
+    import subprocess
+
     out1 = str(tmp_path / "p1")
     out2 = str(tmp_path / "p2")
-    # NB: autoscaling (min,max) pools — a fixed int pool can reserve every
-    # CPU and starve the read stage (single-node deadlock).
-    s1 = run_extraction_job(corpus_dir, out1, CFG, concurrency=(1, 1))
-    s2 = run_extraction_job(corpus_dir, out2, CFG, concurrency=(1, 3))
+    proc = subprocess.Popen(
+        _job_cli(corpus_dir, out1, num_cpus=1), env=_JOB_ENV,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        stdout, stderr = proc.communicate(timeout=CLI_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        _kill_job(proc)
+        pytest.fail(f"--num-cpus 1 job still running after {CLI_TIMEOUT_S} s")
+    assert proc.returncode == 0, f"--num-cpus 1 job failed:\n{stderr[-4000:]}"
+    s1 = json.loads(stdout.strip().splitlines()[-1])
+    s2 = run_extraction_job(corpus_dir, out2, CFG)
     assert s1["content_hash"] == s2["content_hash"]
     t1, t2 = read_output(out1), read_output(out2)
     assert_matches_oracle(t1, oracle_results)
     assert_matches_oracle(t2, oracle_results)
-    # Row-level byte stability across pool sizes (file/part layout may vary
+    # Row-level byte stability across CPU counts (file/part layout may vary
     # with block composition; the manifest-read row set must not).
     assert t1.sort_by("url").equals(t2.sort_by("url"))
 
@@ -166,31 +229,25 @@ def test_extract_dataset_streaming_no_write(ray_session, corpus_dir):
 
 
 def test_kill_and_resume_preserves_completed_shards(corpus_dir, tmp_path):
-    """True crash test (FIXTURES.md §4 item 4): SIGKILL the job after the
-    first incremental manifest commit; resume must skip the committed shards
-    and converge to the same final output. Runs the job CLI in subprocesses
-    with their own Ray sessions (slow path, but the only honest kill test)."""
+    """True crash test (FIXTURES.md §4 item 4): SIGKILL the job, driver and
+    Ray workers alike, after the first incremental manifest commit; resume
+    must skip the committed shards and converge to the same final output.
+    Runs the job CLI in subprocesses with their own Ray sessions (slow path,
+    but the only honest kill test)."""
     import json
-    import signal
     import subprocess
-    import sys
     import time
 
     out = str(tmp_path / "killed")
-    cmd = [
-        sys.executable, "-m", "service1_text_extraction_ray.pipelines.job",
-        "--input", corpus_dir, "--output", out, "--num-cpus", "2",
-    ]
-    env = dict(os.environ, RAY_ADDRESS="local")
-    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    # Generous: under a fully loaded suite run the subprocess's own Ray
-    # session can take >60 s just to start (observed flake at 120 s).
-    deadline = time.time() + 300
+    cmd = _job_cli(corpus_dir, out)
+    proc = subprocess.Popen(cmd, env=_JOB_ENV, stdout=subprocess.PIPE,
+                            stderr=subprocess.DEVNULL)
+    deadline = time.time() + CLI_TIMEOUT_S
     killed = False
     try:
         while time.time() < deadline:
             if lin.completed_shards(out, validate_data=False):
-                proc.send_signal(signal.SIGKILL)
+                _kill_job(proc)
                 killed = True
                 break
             if proc.poll() is not None:
@@ -198,12 +255,12 @@ def test_kill_and_resume_preserves_completed_shards(corpus_dir, tmp_path):
             time.sleep(0.2)
     finally:
         if proc.poll() is None:
-            proc.kill()
+            _kill_job(proc)
         proc.wait()
 
     done_after_kill = lin.completed_shards(out)
 
-    res = subprocess.run(cmd + ["--resume"], env=env, capture_output=True, text=True)
+    res = subprocess.run(cmd + ["--resume"], env=_JOB_ENV, capture_output=True, text=True)
     assert res.returncode == 0, f"resume run failed:\n{res.stderr[-4000:]}"
     summary = json.loads(res.stdout.strip().splitlines()[-1])
     assert summary["n_docs"] == N_ROWS
@@ -211,10 +268,8 @@ def test_kill_and_resume_preserves_completed_shards(corpus_dir, tmp_path):
         assert summary["resumed_shards_skipped"] == len(done_after_kill)
     # Converged output matches a clean full run, row for row.
     clean = str(tmp_path / "clean")
-    res2 = subprocess.run(
-        [sys.executable, "-m", "service1_text_extraction_ray.pipelines.job",
-         "--input", corpus_dir, "--output", clean, "--num-cpus", "2"],
-        env=env, capture_output=True, text=True)
+    res2 = subprocess.run(_job_cli(corpus_dir, clean), env=_JOB_ENV,
+                          capture_output=True, text=True)
     assert res2.returncode == 0, f"clean run failed:\n{res2.stderr[-4000:]}"
     a = read_output(out).sort_by("url")
     b = read_output(clean).sort_by("url")
