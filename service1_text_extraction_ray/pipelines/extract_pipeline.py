@@ -360,7 +360,8 @@ def run_incremental_recrawl(
 
 @ray.remote
 def _merge_staged_shard(out_dir: str, stage: str, shard_id: int) -> dict:
-    """Upsert one committed staged shard into the table, worker-side; only
+    """Upsert one committed staged shard into the table, worker-side, in
+    the stored layout (no text is rebuilt only to be dropped again); only
     the merge counters travel back to the driver."""
-    rec = lin.upsert_shard(out_dir, shard_id, lin.read_shard(stage, shard_id))
+    rec = lin.upsert_shard(out_dir, shard_id, lin.read_stored_shard(stage, shard_id))
     return {k: rec[k] for k in ("n_replaced", "n_appended", "n_docs")}

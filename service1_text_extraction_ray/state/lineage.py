@@ -38,17 +38,32 @@ listed in a committed manifest, so:
 The manifest carries the counters the north star mandates (parse_failures,
 empty_extractions, truncations) plus row counts and an order-insensitive
 content hash (XOR of per-doc sha256 prefixes).
+
+Page text is stored once. A part holds every DOC_SCHEMA column except
+``doc_text`` and the ``page_md`` field of ``pages``: both are pure functions
+of each page's ``(page, method, text)`` (``functions/render.py``), so
+``write_part`` leaves them out and the public readers (``read_shard``,
+``read_all``, ``read_snapshot``) rebuild them, returning DOC_SCHEMA rows.
+Only tables with a ``pages`` column are stored this way; others are stored
+as given. A part that still holds ``doc_text`` (written before text was
+stored once) is read as it is, so the two layouts mix freely in one shard
+and ``LINEAGE_VERSION`` did not change. Merges (``upsert_shard``,
+``compact_shard``, ``delete_rows``) work on the stored layout and never
+rebuild the text.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 from typing import Any, Dict, List, Optional, Set
 
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+
+from ..functions.render import combine_pages, page_markdown
 
 LINEAGE_VERSION = 1
 
@@ -82,14 +97,21 @@ class LocalAtomicFS:
         with open(path, "rb") as f:
             return f.read()
 
+    @staticmethod
+    def _tmp(path: str) -> str:
+        # One temp file per writer: two processes, or two threads of one
+        # process, writing the same path would otherwise rename each
+        # other's temp file away.
+        return f"{path}.tmp-{os.getpid()}-{threading.get_ident()}"
+
     def put_bytes(self, path: str, data: bytes) -> None:
-        tmp = path + f".tmp-{os.getpid()}"
+        tmp = self._tmp(path)
         with open(tmp, "wb") as f:
             f.write(data)
         os.replace(tmp, path)
 
     def write_table(self, table: pa.Table, path: str) -> None:
-        tmp = path + f".tmp-{os.getpid()}"
+        tmp = self._tmp(path)
         pq.write_table(table, tmp)
         os.replace(tmp, path)
 
@@ -183,6 +205,63 @@ def part_counters(table: pa.Table) -> Dict[str, Any]:
     }
 
 
+def _stored_layout(table: pa.Table) -> pa.Table:
+    """``table`` as a part stores it: without ``doc_text`` and
+    ``pages.page_md`` when it has ``pages`` to rebuild them from (either
+    layout in), any other table unchanged."""
+    if "pages" not in table.column_names:
+        return table
+    if "doc_text" in table.column_names:
+        table = table.drop_columns(["doc_text"])
+    item = table.schema.field("pages").type.value_field
+    if item.type.get_field_index("page_md") >= 0:
+        kept = pa.struct([f for f in item.type if f.name != "page_md"])
+        table = table.set_column(
+            table.schema.get_field_index("pages"), "pages",
+            table["pages"].cast(pa.list_(item.with_type(kept))),
+        )
+    return table
+
+
+def _with_derived_text(table: pa.Table) -> pa.Table:
+    """Rebuild what ``_stored_layout`` left out, in its DOC_SCHEMA place:
+    ``page_md`` after each page's ``text``, ``doc_text`` before
+    ``doc_chars``. A table that has ``doc_text`` or no ``pages`` is
+    returned as it is. DOC_SCHEMA rows always hold a pages list (never
+    null), so a null list reads back empty."""
+    if "pages" not in table.column_names or "doc_text" in table.column_names:
+        return table
+    item = table.schema.field("pages").type.value_field
+    pages = table["pages"].combine_chunks()
+    structs = pages.values
+    page = structs.field("page").to_pylist()
+    text = structs.field("text").to_pylist()
+    page_md = pa.array(
+        [page_markdown(p, m, t)
+         for p, m, t in zip(page, structs.field("method").to_pylist(), text)],
+        pa.string(),
+    )
+    names = [f.name for f in structs.type]
+    children = [structs.field(i) for i in range(len(names))]
+    at = names.index("text") + 1
+    names.insert(at, "page_md")
+    children.insert(at, page_md)
+    structs = pa.StructArray.from_arrays(children, names=names)
+    pages = pa.ListArray.from_arrays(
+        pages.offsets, structs, type=pa.list_(item.with_type(structs.type))
+    )
+    bounds = pages.offsets.to_pylist()
+    doc_text = pa.array(
+        [combine_pages(zip(page[a:b], text[a:b]))
+         for a, b in zip(bounds, bounds[1:])],
+        pa.string(),
+    )
+    table = table.set_column(table.schema.get_field_index("pages"), "pages", pages)
+    at = table.schema.get_field_index("doc_chars")
+    return table.add_column(at if at >= 0 else table.num_columns,
+                            "doc_text", doc_text)
+
+
 def write_part(out_dir: str, shard_id: int, table: pa.Table,
                fs: Optional[Any] = None) -> Dict[str, Any]:
     """Write one content-addressed part file for a shard.
@@ -191,6 +270,9 @@ def write_part(out_dir: str, shard_id: int, table: pa.Table,
     re-write of the same rows lands on the same name — idempotent by
     construction (and safe on object stores, where a double PUT of the same
     object is a no-op). Returns the part's summary record.
+
+    The part stores ``table`` without ``doc_text`` and ``pages.page_md``
+    when it has ``pages``: readers rebuild both (module docstring).
     """
     import hashlib
 
@@ -203,7 +285,7 @@ def write_part(out_dir: str, shard_id: int, table: pa.Table,
 
     ddir = shard_data_dir(out_dir, shard_id)
     fs.makedirs(ddir)
-    fs.write_table(table, os.path.join(ddir, part_name))
+    fs.write_table(_stored_layout(table), os.path.join(ddir, part_name))
 
     rec = part_counters(table)
     rec["shard_id"] = shard_id
@@ -383,38 +465,54 @@ def completed_shards(out_dir: str, validate_data: bool = True,
     return {sid for sid in thread_map(check, records) if sid is not None}
 
 
-def read_shard(out_dir: str, shard_id: int, fs: Optional[Any] = None) -> pa.Table:
-    """Read a shard's rows via its manifest (ignores orphan parts). Raises
-    KeyError when the shard has no committed manifest."""
-    fs = _fs(fs)
-    return _read_parts(out_dir, _committed_manifest(out_dir, shard_id, fs), fs)
-
-
-def _read_parts(out_dir: str, rec: Dict[str, Any], fs: Any) -> pa.Table:
-    ddir = shard_data_dir(out_dir, rec["shard_id"])
-    tables = [fs.read_table(os.path.join(ddir, p)) for p in rec["parts"]]
+def _read_parts(out_dir: str, shards: List[Dict[str, Any]], fs: Any,
+                layout=_with_derived_text) -> pa.Table:
+    """Every part listed by ``shards`` (manifests or a snapshot's shard
+    records), each put in ``layout``, concatenated: the one read path.
+    The default rebuilds the derived text; merges pass ``_stored_layout``
+    so parts of either layout concatenate without it."""
+    tables = [
+        layout(fs.read_table(os.path.join(shard_data_dir(out_dir, s["shard_id"]), p)))
+        for s in shards
+        for p in s["parts"]
+    ]
     return (
         pa.concat_tables(tables, promote_options="default")
         if tables else pa.table({})
     )
+
+
+def read_shard(out_dir: str, shard_id: int, fs: Optional[Any] = None) -> pa.Table:
+    """Read a shard's rows via its manifest (ignores orphan parts), with
+    ``doc_text`` and ``pages.page_md`` rebuilt. Raises KeyError when the
+    shard has no committed manifest."""
+    fs = _fs(fs)
+    return _read_parts(out_dir, [_committed_manifest(out_dir, shard_id, fs)], fs)
+
+
+def read_stored_shard(out_dir: str, shard_id: int,
+                      fs: Optional[Any] = None) -> pa.Table:
+    """``read_shard`` in the stored layout: no derived text, for rows that
+    are only merged into another table (``upsert_shard``)."""
+    fs = _fs(fs)
+    return _read_parts(out_dir, [_committed_manifest(out_dir, shard_id, fs)],
+                       fs, _stored_layout)
 
 
 def read_all(out_dir: str, fs: Optional[Any] = None) -> pa.Table:
     """Read every committed shard's rows (manifest-listed parts only).
 
+    Derived text on read: parts store page text once, and ``doc_text`` and
+    ``pages.page_md`` are rebuilt from ``pages``; a part that still holds
+    ``doc_text`` is read as it is (module docstring).
+
     Schema EVOLUTION on read: parts written before a column was added
     unify by name with typed nulls (Iceberg add-column semantics) — an
-    engine upgrade that widens DOC_SCHEMA must not strand old shards."""
+    engine upgrade that widens DOC_SCHEMA must not strand old shards. The
+    derived columns are rebuilt per part first, so parts stored with and
+    without them read back as one DOC_SCHEMA table."""
     fs = _fs(fs)
-    tables = []
-    for rec in load_lineage(out_dir, fs):
-        ddir = shard_data_dir(out_dir, rec["shard_id"])
-        for p in rec["parts"]:
-            tables.append(fs.read_table(os.path.join(ddir, p)))
-    return (
-        pa.concat_tables(tables, promote_options="default")
-        if tables else pa.table({})
-    )
+    return _read_parts(out_dir, load_lineage(out_dir, fs), fs)
 
 
 def summarize(records: List[Dict[str, Any]]) -> Dict[str, Any]:
@@ -465,7 +563,7 @@ def compact_shard(out_dir: str, shard_id: int, target_rows: int = 100_000,
     if len(rec["parts"]) <= n_new:
         return rec  # already compact
 
-    table = _read_parts(out_dir, rec, fs)
+    table = _read_parts(out_dir, [rec], fs, _stored_layout)
     old_parts = set(rec["parts"])
     new_records = []
     step = -(-table.num_rows // n_new)
@@ -496,7 +594,8 @@ def upsert_shard(out_dir: str, shard_id: int, updates: pa.Table,
     """MERGE (upsert) one shard: stored rows whose ``key`` matches an
     update row are REPLACED by it; update rows with new keys are APPENDED
     — the recrawl-refresh primitive (Iceberg MERGE INTO at shard
-    granularity). ``updates`` must carry the shard's full row schema and
+    granularity). ``updates`` must carry the shard's full row schema, with
+    or without the derived text (it is merged in the stored layout), and
     be unique on ``key`` (asserted).
 
     Crash-safe by the same discipline as compaction: the merged
@@ -519,6 +618,7 @@ def upsert_shard(out_dir: str, shard_id: int, updates: pa.Table,
     no committed manifest at that key is created fresh from the updates.
     Returns the new manifest record plus ``n_replaced`` / ``n_appended``."""
     fs = _fs(fs)
+    updates = _stored_layout(updates)
     keys = updates[key].to_pylist()
     if len(set(keys)) != len(keys):
         raise ValueError(f"updates are not unique on {key!r}")
@@ -528,7 +628,7 @@ def upsert_shard(out_dir: str, shard_id: int, updates: pa.Table,
         old = updates.schema.empty_table()
         old_parts: set = set()
     else:
-        old = _read_parts(out_dir, rec, fs)
+        old = _read_parts(out_dir, [rec], fs, _stored_layout)
         old_parts = set(rec["parts"])
 
     # Counters are in KEYS, not raw rows: a base shard may legitimately
@@ -595,7 +695,7 @@ def delete_rows(out_dir: str, shard_id: int, keys: List[str],
     row leaves a valid empty shard (zero parts)."""
     fs = _fs(fs)
     rec = _committed_manifest(out_dir, shard_id, fs)
-    old = _read_parts(out_dir, rec, fs)
+    old = _read_parts(out_dir, [rec], fs, _stored_layout)
     match = pc.is_in(old[key], value_set=pa.array(sorted(set(keys))))
     kept = old.filter(pc.invert(pc.fill_null(match, False))).sort_by(key)
     n_deleted = old.num_rows - kept.num_rows
@@ -756,27 +856,19 @@ def load_snapshot(out_dir: str, version: int,
 
 def read_snapshot(out_dir: str, version: int,
                   fs: Optional[Any] = None) -> pa.Table:
-    """Read exactly the rows pinned by snapshot ``version`` — unaffected by
-    shards committed later. Raises SnapshotExpired when a referenced part
-    was removed by compaction (partial data is never returned)."""
+    """Read exactly the rows pinned by snapshot ``version``, derived text
+    rebuilt as in ``read_all`` — unaffected by shards committed later.
+    Raises SnapshotExpired when a referenced part was removed by
+    compaction (partial data is never returned)."""
     fs = _fs(fs)
     snap = load_snapshot(out_dir, version, fs)
-    tables = []
-    for shard in snap["shards"]:
-        ddir = shard_data_dir(out_dir, shard["shard_id"])
-        for part in shard["parts"]:
-            try:
-                tables.append(fs.read_table(os.path.join(ddir, part)))
-            except (OSError, pa.ArrowInvalid, KeyError) as e:
-                raise SnapshotExpired(
-                    f"snapshot v{version} references part {part} of shard "
-                    f"{shard['shard_id']} removed by a later compaction/"
-                    f"vacuum — expired per Iceberg semantics"
-                ) from e
-    return (
-        pa.concat_tables(tables, promote_options="default")
-        if tables else pa.table({})
-    )
+    try:
+        return _read_parts(out_dir, snap["shards"], fs)
+    except (OSError, pa.ArrowInvalid, KeyError) as e:
+        raise SnapshotExpired(
+            f"snapshot v{version} references a part removed by a later "
+            f"compaction/vacuum ({e}) — expired per Iceberg semantics"
+        ) from e
 
 
 def table_history(out_dir: str, fs: Optional[Any] = None) -> List[Dict[str, Any]]:

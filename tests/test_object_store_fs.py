@@ -18,6 +18,7 @@ over the same rows.
 
 import hashlib
 import io
+import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -721,3 +722,59 @@ class TestSchemaEvolution:
         # snapshot/read paths agree post-evolution
         L.commit_snapshot(out)
         assert "quality_ppm" in L.read_snapshot(out, 1).column_names
+
+
+class TestTableWithoutPages:
+    def test_written_and_read_back_unchanged(self, tmp_path):
+        # No pages column, nothing to derive text from: the part stores the
+        # table exactly as given and readers return it as it is.
+        out = str(tmp_path / "t")
+        rows = _rows(0, 5)
+        rec = L.write_part(out, 0, rows)
+        L.commit_shard_manifest(out, 0, [rec])
+        raw = pq.read_table(os.path.join(L.shard_data_dir(out, 0), rec["part"]))
+        assert raw.equals(rows)
+        assert L.read_shard(out, 0).equals(rows)
+        assert L.read_all(out).equals(rows)
+        L.commit_snapshot(out)
+        assert L.read_snapshot(out, 1).equals(rows)
+
+
+class TestLocalAtomicFSThreads:
+    def test_threads_writing_one_path_keep_their_temp_files(self, tmp_path):
+        """Threads of one process writing the same path each need their own
+        temp file: a shared one is renamed away under the other writer,
+        whose own rename then fails with FileNotFoundError."""
+        import sys
+        import threading
+
+        fs = L.LocalAtomicFS()
+        blob, table = str(tmp_path / "blob"), str(tmp_path / "part.parquet")
+        rows = _rows(0, 50)
+        start = threading.Barrier(4)
+        errors = []
+
+        def writer(i):
+            start.wait()
+            try:
+                for _ in range(100):
+                    fs.put_bytes(blob, bytes([i]) * 4096)
+                    fs.write_table(rows, table)
+            except OSError as e:  # collected for the assertion below
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(set(fs.read_bytes(blob))) == 1  # one writer's whole object
+        assert fs.read_table(table).equals(rows)
+        assert sorted(os.listdir(tmp_path)) == ["blob", "part.parquet"]

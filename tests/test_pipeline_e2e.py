@@ -19,6 +19,12 @@ from service1_text_extraction_ray.pipelines.extract_pipeline import (
     extract_pages_dataset,
     run_extraction_job,
 )
+from service1_text_extraction_ray.stages.extract_stage import (
+    DOC_SCHEMA,
+    ExtractDocuments,
+    SniffStage,
+    explode_pages,
+)
 from service1_text_extraction_ray.state import lineage as lin
 
 N_ROWS = 400
@@ -113,6 +119,36 @@ def test_job_matches_oracle(ray_session, corpus_dir, oracle_results, tmp_path):
     assert summary["empty_extractions"] > 0   # short/garbage fixtures present
     assert summary["truncations"] >= 1        # giant-blob fixtures present
     assert_matches_oracle(read_output(out), oracle_results)
+
+
+def test_committed_parts_store_page_text_once(ray_session, corpus_dir, oracle_results, tmp_path):
+    """A committed part holds page text once; the readers rebuild doc_text
+    and every page's page_md byte for byte, so the golden surfaces hold
+    through storage."""
+    out = str(tmp_path / "out")
+    run_extraction_job(corpus_dir, out, CFG)
+    for rec in lin.load_lineage(out):
+        for part in rec["parts"]:
+            raw = pq.read_schema(os.path.join(lin.shard_data_dir(out, rec["shard_id"]), part))
+            assert "doc_text" not in raw.names
+            assert raw.field("pages").type.value_type.get_field_index("page_md") < 0
+
+    table = lin.read_all(out)
+    assert table.schema.names == DOC_SCHEMA.names
+    assert [f.name for f in table.schema.field("pages").type.value_type] == [
+        f.name for f in DOC_SCHEMA.field("pages").type.value_type]
+    assert_matches_oracle(table, oracle_results)
+    for url, pages in zip(table["url"].to_pylist(), table["pages"].to_pylist()):
+        assert [p["page_md"] for p in pages] == [
+            p["page_md"] for p in oracle_results[url]["pages"]], url
+
+    by_url: dict = {}
+    for r in explode_pages(table).to_pylist():
+        by_url.setdefault(r["url"], []).append(r["page_md"])
+    assert by_url == {
+        url: [p["page_md"] for p in o["pages"]]
+        for url, o in oracle_results.items() if o["pages"]
+    }
 
 
 def test_parallelism_levels_byte_identical(ray_session, corpus_dir, oracle_results, tmp_path):
@@ -385,6 +421,69 @@ class TestCompaction:
         for sid in (0, 1):
             rec = {r["shard_id"]: r for r in L.load_lineage(out)}[sid]
             assert len(rec["parts"]) == 2  # 12 rows / 6 per part
+
+
+class TestStoredLayout:
+    """A shard may hold parts written with doc_text and pages.page_md (before
+    page text was stored once) next to parts written without them: reads,
+    upserts and compaction treat them as one table."""
+
+    @staticmethod
+    def _docs(n, seed=42, start=0):
+        src = gen_pages_table(n, seed=seed, start=start)
+        src = src.append_column("path", pa.array(["pages-00000.parquet"] * n))
+        return ExtractDocuments(CFG)(SniffStage(CFG)(src)).sort_by("url")
+
+    @staticmethod
+    def _mixed_shard(out, sid, docs, monkeypatch):
+        half = docs.num_rows // 2
+        with monkeypatch.context() as m:
+            m.setattr(lin, "_stored_layout", lambda t: t)  # the old writer
+            old = lin.write_part(out, sid, docs.slice(0, half))
+        new = lin.write_part(out, sid, docs.slice(half))
+        ddir = lin.shard_data_dir(out, sid)
+        assert "doc_text" in pq.read_schema(os.path.join(ddir, old["part"])).names
+        assert "doc_text" not in pq.read_schema(os.path.join(ddir, new["part"])).names
+        return lin.commit_shard_manifest(out, sid, [old, new])
+
+    def test_mixed_shard_reads_as_one_doc_table(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "t")
+        docs = self._docs(60)
+        self._mixed_shard(out, 0, docs, monkeypatch)
+        got = lin.read_shard(out, 0).sort_by("url")
+        assert got.schema.names == DOC_SCHEMA.names
+        assert got.to_pylist() == docs.to_pylist()
+        assert lin.read_all(out).sort_by("url").equals(got)
+
+    def test_compact_mixed_shard_preserves_content(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "t")
+        docs = self._docs(60)
+        before = self._mixed_shard(out, 0, docs, monkeypatch)
+        after = lin.compact_shard(out, 0, target_rows=100)
+        assert len(after["parts"]) == 1
+        assert dict(after, parts=None) == dict(before, parts=None)
+        raw = pq.read_schema(os.path.join(lin.shard_data_dir(out, 0), after["parts"][0]))
+        assert "doc_text" not in raw.names
+        assert lin.read_shard(out, 0).sort_by("url").to_pylist() == docs.to_pylist()
+
+    def test_upsert_mixed_shard_recounts_merged_rows(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "t")
+        docs = self._docs(60)
+        self._mixed_shard(out, 0, docs, monkeypatch)
+        # urls 20..39 re-extracted from other payloads (urls depend on the
+        # row index only), 60..64 new
+        updates = pa.concat_tables([self._docs(20, seed=99, start=20),
+                                    self._docs(5, start=60)])
+        rec = lin.upsert_shard(out, 0, updates)
+        assert (rec["n_replaced"], rec["n_appended"]) == (20, 5)
+        urls = set(updates["url"].to_pylist())
+        expected = pa.concat_tables([
+            docs.filter(pa.array([u not in urls for u in docs["url"].to_pylist()])),
+            updates,
+        ]).sort_by("url")
+        counters = lin.part_counters(expected)
+        assert {k: rec[k] for k in counters} == counters
+        assert lin.read_shard(out, 0).sort_by("url").to_pylist() == expected.to_pylist()
 
 
 class TestTransientFaultRetry:
