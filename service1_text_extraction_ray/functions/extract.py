@@ -22,11 +22,10 @@ byte-determinism contract of SURVEY.md §4.2 item 4.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from .html_extract import decode_payload, extract_html_text, html_layout
+from .html_extract import decode_payload, dump_layout, extract_html_text, html_layout
 from .ocr import get_ocr_backend, ocr_page
 from .page_render import OCR_SCALE, rasterize_page, write_gray_png_array
 from .passwords import (
@@ -339,7 +338,7 @@ def _page_row(page: int, method: str, text: str, layout: Optional[Dict[str, Any]
         "text": text,
         "page_md": page_markdown(page, method, text),
         "n_chars": len(text),
-        "layout_json": json.dumps(layout, sort_keys=True, separators=(",", ":")) if layout else "",
+        "layout_json": dump_layout(layout),
     }
 
 

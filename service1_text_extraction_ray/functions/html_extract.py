@@ -32,10 +32,11 @@ never affects output ordering.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from html.parser import HTMLParser
-from typing import List
+from typing import List, Optional
 
 _WS_RE = re.compile(r"\s+")
 
@@ -314,3 +315,32 @@ def html_layout(kept_blocks: List[Block], line_height: float = 30.0) -> dict:
             }
         )
     return {"width": 612.0, "height": 792.0, "rotation": 0, "blocks": blocks}
+
+
+def dump_layout(layout: Optional[dict]) -> str:
+    """A page's ``layout_json``: the layout tree as compact, key-sorted
+    JSON, or ``""`` when there is none. Extraction and the layout rebuild
+    both serialize through here, so a rebuilt layout is the extracted one
+    byte for byte."""
+    return json.dumps(layout, sort_keys=True, separators=(",", ":")) if layout else ""
+
+
+# A span's font key as ``dump_layout`` writes it. A quote inside a JSON
+# string is escaped, so block text can never produce this match.
+_FONT_TAG_RE = re.compile(r'"font":"html:([^"\\]*)"')
+
+
+def html_layout_tags(layout_json: str) -> str:
+    """The block tags of an ``html_layout`` JSON in block order, space-joined
+    (``"h1 p p"``): all of the layout that its page text does not hold."""
+    return " ".join(_FONT_TAG_RE.findall(layout_json))
+
+
+def html_layout_json(text: str, tags: str) -> str:
+    """Rebuild a DOM page's ``layout_json`` from its text (the kept blocks
+    joined by blank lines) and its ``html_layout_tags``. Exact only when the
+    page's layout came from ``html_layout`` of those blocks; callers that
+    store the tags instead of the JSON check the rebuild first."""
+    blocks = [Block(t, 0, tag, False)
+              for t, tag in zip(text.split("\n\n"), tags.split(" "))]
+    return dump_layout(html_layout(blocks))

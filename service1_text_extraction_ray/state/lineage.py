@@ -44,12 +44,21 @@ Page text is stored once. A part holds every DOC_SCHEMA column except
 of each page's ``(page, method, text)`` (``functions/render.py``), so
 ``write_part`` leaves them out and the public readers (``read_shard``,
 ``read_all``, ``read_snapshot``) rebuild them, returning DOC_SCHEMA rows.
+A DOM page's layout is stored once too. ``html_layout`` repeats each kept
+block's text and derives its bboxes from the block index, so the part
+stores only the page's block tags, space-joined, in a ``pages.layout_tags``
+field, with ``layout_json`` null; the readers rebuild the JSON from the
+page text and the tags (``html_extract.html_layout_json``). The writer
+stores the tags only where that rebuild gives back the JSON byte for byte;
+every other page (PDF, OCR, a DOM layout from another extractor) keeps its
+``layout_json``, and a part with no such DOM page has no ``layout_tags``
+field at all, so it is written exactly as before the field existed.
 Only tables with a ``pages`` column are stored this way; others are stored
 as given. A part that still holds ``doc_text`` (written before text was
-stored once) is read as it is, so the two layouts mix freely in one shard
-and ``LINEAGE_VERSION`` did not change. Merges (``upsert_shard``,
-``compact_shard``, ``delete_rows``) work on the stored layout and never
-rebuild the text.
+stored once) or has no ``layout_tags`` is read as it is, so the three
+layouts mix freely in one shard and ``LINEAGE_VERSION`` did not change.
+Merges (``upsert_shard``, ``compact_shard``, ``delete_rows``) work on the
+stored layout and never rebuild the text or the layouts.
 """
 
 from __future__ import annotations
@@ -63,6 +72,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..functions.extract import METHOD_DOM
+from ..functions.html_extract import html_layout_json, html_layout_tags
 from ..functions.render import combine_pages, page_markdown
 
 LINEAGE_VERSION = 1
@@ -205,58 +216,137 @@ def part_counters(table: pa.Table) -> Dict[str, Any]:
     }
 
 
-def _stored_layout(table: pa.Table) -> pa.Table:
-    """``table`` as a part stores it: without ``doc_text`` and
-    ``pages.page_md`` when it has ``pages`` to rebuild them from (either
-    layout in), any other table unchanged."""
-    if "pages" not in table.column_names:
+def _drop_page_field(table: pa.Table, name: str) -> pa.Table:
+    """``table`` without the ``name`` field of its ``pages`` structs."""
+    item = table.schema.field("pages").type.value_field
+    if item.type.get_field_index(name) < 0:
         return table
+    kept = pa.struct([f for f in item.type if f.name != name])
+    return table.set_column(
+        table.schema.get_field_index("pages"), "pages",
+        table["pages"].cast(pa.list_(item.with_type(kept))),
+    )
+
+
+def _set_page_fields(table: pa.Table, pages: pa.ListArray,
+                     fields: Dict[str, pa.Array]) -> pa.Table:
+    """``table`` with its ``pages`` column (``pages``, combined into one
+    chunk) rebuilt on structs of ``fields``. A null list becomes empty."""
+    structs = pa.StructArray.from_arrays(list(fields.values()), names=list(fields))
+    item = table.schema.field("pages").type.value_field
+    pages = pa.ListArray.from_arrays(
+        pages.offsets, structs, type=pa.list_(item.with_type(structs.type))
+    )
+    return table.set_column(table.schema.get_field_index("pages"), "pages", pages)
+
+
+def _with_layout_tags(table: pa.Table) -> pa.Table:
+    """Give ``pages`` a ``layout_tags`` field and move each DOM page's
+    layout into it (``html_layout_tags``, ``layout_json`` set to null)
+    wherever ``html_layout_json`` rebuilds the page's JSON byte for byte.
+    Every other page keeps its ``layout_json``; pages already in tags form
+    stay so."""
+    pages = table["pages"].combine_chunks()
+    structs = pages.values
+    fields = {f.name: structs.field(f.name) for f in structs.type}
+    if not {"method", "text", "layout_json"} <= fields.keys():
+        return table
+    layout = fields["layout_json"]
+    dom = pc.equal(fields["method"], METHOD_DOM)
+    for name in ("text", "layout_json"):
+        dom = pc.and_(dom, pc.is_valid(fields[name]))
+    idx = pc.indices_nonzero(pc.fill_null(dom, False))
+    compact = [False] * len(structs)
+    tags = []
+    for i, text, js in zip(idx.to_pylist(),
+                           pc.take(fields["text"], idx).to_pylist(),
+                           pc.take(layout, idx).to_pylist()):
+        t = html_layout_tags(js)
+        if html_layout_json(text, t) == js:
+            compact[i] = True
+            tags.append(t)
+    mask = pa.array(compact, pa.bool_())
+    fields["layout_json"] = pc.replace_with_mask(
+        layout, mask, pa.nulls(len(tags), pa.string()))
+    fields["layout_tags"] = pc.replace_with_mask(
+        fields.get("layout_tags", pa.nulls(len(structs), pa.string())),
+        mask, pa.array(tags, pa.string()),
+    )
+    return _set_page_fields(table, pages, fields)
+
+
+def _stored_text(table: pa.Table) -> pa.Table:
+    """``table`` (which has ``pages``) without ``doc_text`` and
+    ``pages.page_md``."""
     if "doc_text" in table.column_names:
         table = table.drop_columns(["doc_text"])
-    item = table.schema.field("pages").type.value_field
-    if item.type.get_field_index("page_md") >= 0:
-        kept = pa.struct([f for f in item.type if f.name != "page_md"])
-        table = table.set_column(
-            table.schema.get_field_index("pages"), "pages",
-            table["pages"].cast(pa.list_(item.with_type(kept))),
-        )
-    return table
+    return _drop_page_field(table, "page_md")
+
+
+def _stored_layout(table: pa.Table) -> pa.Table:
+    """``table`` as merges hold it (any layout in): without ``doc_text``
+    and ``pages.page_md`` when it has ``pages`` to rebuild them from, and
+    with DOM layouts in ``pages.layout_tags`` (``_with_layout_tags``). Any
+    other table unchanged."""
+    if "pages" not in table.column_names:
+        return table
+    return _with_layout_tags(_stored_text(table))
+
+
+def _part_layout(table: pa.Table) -> pa.Table:
+    """``_stored_layout`` as a part file holds it. Where no page uses
+    ``layout_tags``, the part leaves the field out and keeps ``table``'s
+    chunks, so it is written byte for byte as before the field existed."""
+    if "pages" not in table.column_names:
+        return table
+    table = _stored_text(table)
+    stored = _with_layout_tags(table)
+    flat = pc.list_flatten(stored["pages"])
+    if (flat.type.get_field_index("layout_tags") >= 0
+            and pc.struct_field(flat, "layout_tags").null_count < len(flat)):
+        return stored
+    return _drop_page_field(table, "layout_tags")
 
 
 def _with_derived_text(table: pa.Table) -> pa.Table:
     """Rebuild what ``_stored_layout`` left out, in its DOC_SCHEMA place:
     ``page_md`` after each page's ``text``, ``doc_text`` before
-    ``doc_chars``. A table that has ``doc_text`` or no ``pages`` is
+    ``doc_chars``, and each tags-form DOM page's ``layout_json``, dropping
+    ``layout_tags``. A table that has ``doc_text`` or no ``pages`` is
     returned as it is. DOC_SCHEMA rows always hold a pages list (never
     null), so a null list reads back empty."""
     if "pages" not in table.column_names or "doc_text" in table.column_names:
         return table
-    item = table.schema.field("pages").type.value_field
     pages = table["pages"].combine_chunks()
     structs = pages.values
-    page = structs.field("page").to_pylist()
-    text = structs.field("text").to_pylist()
+    stored = {f.name: structs.field(f.name) for f in structs.type}
+    page = stored["page"].to_pylist()
+    text = stored["text"].to_pylist()
+    if "layout_tags" in stored:
+        tags = stored.pop("layout_tags")
+        stored["layout_json"] = pc.replace_with_mask(
+            stored["layout_json"], tags.is_valid(),
+            pa.array([html_layout_json(x, t)
+                      for x, t in zip(text, tags.to_pylist()) if t is not None],
+                     pa.string()),
+        )
     page_md = pa.array(
         [page_markdown(p, m, t)
-         for p, m, t in zip(page, structs.field("method").to_pylist(), text)],
+         for p, m, t in zip(page, stored["method"].to_pylist(), text)],
         pa.string(),
     )
-    names = [f.name for f in structs.type]
-    children = [structs.field(i) for i in range(len(names))]
-    at = names.index("text") + 1
-    names.insert(at, "page_md")
-    children.insert(at, page_md)
-    structs = pa.StructArray.from_arrays(children, names=names)
-    pages = pa.ListArray.from_arrays(
-        pages.offsets, structs, type=pa.list_(item.with_type(structs.type))
-    )
+    fields = {}
+    for name, values in stored.items():
+        fields[name] = values
+        if name == "text":
+            fields["page_md"] = page_md
     bounds = pages.offsets.to_pylist()
     doc_text = pa.array(
         [combine_pages(zip(page[a:b], text[a:b]))
          for a, b in zip(bounds, bounds[1:])],
         pa.string(),
     )
-    table = table.set_column(table.schema.get_field_index("pages"), "pages", pages)
+    table = _set_page_fields(table, pages, fields)
     at = table.schema.get_field_index("doc_chars")
     return table.add_column(at if at >= 0 else table.num_columns,
                             "doc_text", doc_text)
@@ -272,7 +362,9 @@ def write_part(out_dir: str, shard_id: int, table: pa.Table,
     object is a no-op). Returns the part's summary record.
 
     The part stores ``table`` without ``doc_text`` and ``pages.page_md``
-    when it has ``pages``: readers rebuild both (module docstring).
+    when it has ``pages``, and each DOM page's ``layout_json`` as its
+    ``layout_tags`` where that rebuilds it exactly: readers rebuild all
+    three (module docstring).
     """
     import hashlib
 
@@ -285,7 +377,7 @@ def write_part(out_dir: str, shard_id: int, table: pa.Table,
 
     ddir = shard_data_dir(out_dir, shard_id)
     fs.makedirs(ddir)
-    fs.write_table(_stored_layout(table), os.path.join(ddir, part_name))
+    fs.write_table(_part_layout(table), os.path.join(ddir, part_name))
 
     rec = part_counters(table)
     rec["shard_id"] = shard_id
@@ -445,7 +537,12 @@ def completed_shards(out_dir: str, validate_data: bool = True,
 
     Validation is footer-only IO per part and independent across shards, so
     it runs through thread_map — a serial scan is an O(shards) resume stall
-    at crawl-scale shard counts (same fix as the job's expected-rows scan)."""
+    at crawl-scale shard counts (same fix as the job's expected-rows scan).
+
+    Consistency: like ``read_all``, this sees the manifests LIST shows; a
+    shard committed a moment ago on a store whose LIST lags counts as
+    incomplete, and a resume re-extracts it to the same content-addressed
+    parts and manifest."""
     fs = _fs(fs)
     records = load_lineage(out_dir, fs)
     if not validate_data:
@@ -469,8 +566,8 @@ def _read_parts(out_dir: str, shards: List[Dict[str, Any]], fs: Any,
                 layout=_with_derived_text) -> pa.Table:
     """Every part listed by ``shards`` (manifests or a snapshot's shard
     records), each put in ``layout``, concatenated: the one read path.
-    The default rebuilds the derived text; merges pass ``_stored_layout``
-    so parts of either layout concatenate without it."""
+    The default rebuilds the derived text and layouts; merges pass
+    ``_stored_layout`` so parts of any layout concatenate without them."""
     tables = [
         layout(fs.read_table(os.path.join(shard_data_dir(out_dir, s["shard_id"]), p)))
         for s in shards
@@ -484,8 +581,8 @@ def _read_parts(out_dir: str, shards: List[Dict[str, Any]], fs: Any,
 
 def read_shard(out_dir: str, shard_id: int, fs: Optional[Any] = None) -> pa.Table:
     """Read a shard's rows via its manifest (ignores orphan parts), with
-    ``doc_text`` and ``pages.page_md`` rebuilt. Raises KeyError when the
-    shard has no committed manifest."""
+    ``doc_text``, ``pages.page_md`` and DOM pages' ``layout_json`` rebuilt.
+    Raises KeyError when the shard has no committed manifest."""
     fs = _fs(fs)
     return _read_parts(out_dir, [_committed_manifest(out_dir, shard_id, fs)], fs)
 
@@ -502,9 +599,18 @@ def read_stored_shard(out_dir: str, shard_id: int,
 def read_all(out_dir: str, fs: Optional[Any] = None) -> pa.Table:
     """Read every committed shard's rows (manifest-listed parts only).
 
-    Derived text on read: parts store page text once, and ``doc_text`` and
-    ``pages.page_md`` are rebuilt from ``pages``; a part that still holds
-    ``doc_text`` is read as it is (module docstring).
+    Derived on read: parts store page text once, and ``doc_text`` and
+    ``pages.page_md`` are rebuilt from ``pages``; so is the ``layout_json``
+    of each DOM page stored as ``layout_tags``. A part that still holds
+    ``doc_text`` or every ``layout_json`` is read as it is (module
+    docstring).
+
+    Consistency: the shards read are the manifests LIST shows
+    (``load_lineage``). On a store whose LIST lags (an object store), a
+    shard committed a moment ago may be missing from the result until the
+    listing catches up; a shard is never read partially, since its
+    manifest names its parts. Read one shard by key (``read_shard``) for
+    read-your-writes.
 
     Schema EVOLUTION on read: parts written before a column was added
     unify by name with typed nulls (Iceberg add-column semantics) — an
@@ -810,11 +916,14 @@ def commit_snapshot(out_dir: str, fs: Optional[Any] = None) -> Dict[str, Any]:
     atomic per object and both writers pin a valid (possibly identical)
     state — last-writer-wins on the version object, matching the
     manifest-commit convention (racing doubles write equivalent content
-    when the underlying state is the same). Under an object store's
-    EVENTUAL listing the snapshot pins the manifests currently *visible
-    to LIST* — never partial shards (manifests are whole-object), but a
-    just-committed shard may need a listing round trip before it is
-    pinnable (tests/test_object_store_fs.py pins this semantics)."""
+    when the underlying state is the same).
+
+    Consistency: like ``read_all``, the snapshot pins the manifests LIST
+    shows. Under an object store's EVENTUAL listing that is never a
+    partial shard (manifests are whole-object), but a just-committed
+    shard may need a listing round trip before it is pinnable; a caller
+    that must pin it retries after the listing shows it
+    (tests/test_object_store_fs.py pins this semantics)."""
     fs = _fs(fs)
     records = load_lineage(out_dir, fs)
     version = (list_snapshots(out_dir, fs) or [0])[-1] + 1

@@ -1,11 +1,29 @@
 """Unit tests for the HTML block segmenter and boilerplate heuristics."""
 
+import contextlib
+import os
+import re
+import tempfile
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from service1_text_extraction_ray.functions import extract as X
 from service1_text_extraction_ray.functions.html_extract import (
+    BLOCK_TAGS,
+    HEADING_TAGS,
+    Block,
     decode_payload,
+    dump_layout,
     extract_html_text,
+    html_layout,
     parse_blocks,
     select_content_blocks,
 )
+from service1_text_extraction_ray.stages.extract_stage import ExtractDocuments, SniffStage
+from service1_text_extraction_ray.state import lineage as lin
 
 
 def test_drops_script_style_head():
@@ -323,3 +341,119 @@ class TestExtractHeadings:
         ]
         # truncated mid-heading: no endtag -> heading never emitted, no crash
         assert extract_headings(b"<h1>dangling") == []
+
+
+# -- DOM layouts through storage --------------------------------------------
+# A part stores a DOM page's layout as its block tags when html_layout_json
+# rebuilds the JSON from them exactly, and the JSON itself otherwise; either
+# way the reader returns the extracted layout_json.
+
+_PAGE = b"<html><body><p>" + b"Plenty of plain words in one paragraph here. " * 8 + b"</p></body></html>"
+
+
+@contextlib.contextmanager
+def _html_extractor(fn):
+    prev = X.EXTRACTORS[X.KIND_HTML]
+    X.register_extractor(X.KIND_HTML, fn)
+    try:
+        yield
+    finally:
+        X.register_extractor(X.KIND_HTML, prev)
+
+
+def _dom_extractor(text, layout):
+    """An HTML extractor emitting one DOM page with this text and layout."""
+    return lambda url, payload, cfg, book: {
+        "pages": [X._page_row(1, X.METHOD_DOM, text, layout)]}
+
+
+def _extract(payloads, cfg=X.ExtractConfig()):
+    n = len(payloads)
+    src = pa.table({
+        "url": [f"https://t.example/{i}" for i in range(n)],
+        "warc_ts": pa.array([0] * n, pa.timestamp("us")),
+        "html": pa.array(payloads, pa.binary()),
+        "lang": ["en"] * n,
+        "path": ["pages-00000.parquet"] * n,
+    })
+    return ExtractDocuments(cfg)(SniffStage(cfg)(src))
+
+
+def _through_storage(docs):
+    """(the raw pages of the part ``write_part`` stores, ``read_shard``)."""
+    with tempfile.TemporaryDirectory() as out:
+        rec = lin.write_part(out, 0, docs)
+        lin.commit_shard_manifest(out, 0, [rec])
+        raw = pq.read_table(os.path.join(lin.shard_data_dir(out, 0), rec["part"]))
+        return raw["pages"].to_pylist(), lin.read_shard(out, 0)
+
+
+_BLOCK_TEXT = st.lists(
+    st.one_of(
+        st.text(max_size=12),
+        st.sampled_from(['"', "\\", '"font":"html:', '"font":"html:p"',
+                         "é", "日本語", "\U0001f600", "}]"]),
+    ),
+    min_size=1, max_size=6,
+).map(lambda parts: re.sub(r"\s+", " ", "".join(parts)).strip()).filter(bool)
+
+_BLOCKS = st.lists(
+    st.builds(lambda text, tag: Block(text, 0, tag, tag in HEADING_TAGS),
+              _BLOCK_TEXT, st.sampled_from(sorted(BLOCK_TAGS | {"body"}))),
+    max_size=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_BLOCKS)
+def test_html_layout_round_trips_through_storage(blocks):
+    text = "\n\n".join(b.text for b in blocks)
+    layout = dump_layout(html_layout(blocks))
+    with _html_extractor(_dom_extractor(text, html_layout(blocks))):
+        docs = _extract([_PAGE])
+    assert docs["pages"].to_pylist()[0][0]["layout_json"] == layout
+
+    raw, back = _through_storage(docs)
+    stored = raw[0][0]
+    if blocks:
+        assert stored["layout_json"] is None
+        assert stored["layout_tags"] == " ".join(b.tag for b in blocks)
+    else:  # no block to hold a tag: the JSON is kept
+        assert stored["layout_json"] == layout
+    assert back.equals(docs)
+
+
+def _override_layout():
+    blocks = [Block("A heading", 0, "h1", True), Block("Body text.", 0, "p", False)]
+    layout = html_layout(blocks)
+    layout["width"] = 600.0  # not what html_layout writes
+    return _dom_extractor("A heading\n\nBody text.", layout)
+
+
+def _blank_line_in_block():
+    blocks = [Block("one\n\ntwo", 0, "pre", False), Block("three", 0, "p", False)]
+    return _dom_extractor("one\n\ntwo\n\nthree", html_layout(blocks))
+
+
+@pytest.mark.parametrize("case", ["override", "blank_line_in_block", "no_layout", "failed"])
+def test_layouts_stored_verbatim(case):
+    cfg = X.ExtractConfig()
+    payload = _PAGE
+    with contextlib.ExitStack() as stack:
+        if case == "override":
+            stack.enter_context(_html_extractor(_override_layout()))
+        elif case == "blank_line_in_block":
+            stack.enter_context(_html_extractor(_blank_line_in_block()))
+        elif case == "no_layout":
+            cfg = X.ExtractConfig(emit_layout=False)
+        else:
+            payload = b"<html><body><p>Too short to keep.</p></body></html>"
+        docs = _extract([payload], cfg)
+    page = docs["pages"].to_pylist()[0][0]
+    assert page["method"] == (X.METHOD_FAILED if case == "failed" else X.METHOD_DOM)
+    assert (page["layout_json"] == "") == (case in ("no_layout", "failed"))
+
+    raw, back = _through_storage(docs)
+    assert raw[0][0]["layout_json"] == page["layout_json"]
+    assert "layout_tags" not in raw[0][0]  # no page compacted: no field
+    assert back.equals(docs)

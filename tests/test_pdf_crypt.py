@@ -13,6 +13,7 @@ from service1_text_extraction_ray.functions.pdf_crypt import (
     object_key,
     pad_password,
     rc4,
+    _rc4_python,
 )
 
 
@@ -32,6 +33,25 @@ class TestRC4:
     def test_symmetric(self):
         data = bytes(range(256)) * 3
         assert rc4(b"k" * 5, rc4(b"k" * 5, data)) == data
+
+    @pytest.mark.parametrize("n_data", [0, 1, 4096])
+    def test_native_matches_python_at_every_key_length(self, n_data):
+        # Native for the key lengths OpenSSL accepts, Python for the rest:
+        # one cipher either way.
+        data = bytes((7 * i + 3) & 0xFF for i in range(n_data))
+        for n_key in range(1, 33):
+            key = bytes((31 * i + n_key) & 0xFF for i in range(n_key))
+            assert rc4(key, data) == _rc4_python(key, data), n_key
+
+    def test_pdf_key_lengths_run_natively(self, monkeypatch):
+        from service1_text_extraction_ray.functions import pdf_crypt
+
+        def python_path(key, data):
+            raise AssertionError(f"{len(key)}-byte key took the Python path")
+
+        monkeypatch.setattr(pdf_crypt, "_rc4_python", python_path)
+        for n_key in (5, 10, 16):
+            assert rc4(b"k" * n_key, b"data") == _rc4_python(b"k" * n_key, b"data")
 
 
 class TestPadding:

@@ -9,6 +9,7 @@ import signal
 import sys
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -122,16 +123,23 @@ def test_job_matches_oracle(ray_session, corpus_dir, oracle_results, tmp_path):
 
 
 def test_committed_parts_store_page_text_once(ray_session, corpus_dir, oracle_results, tmp_path):
-    """A committed part holds page text once; the readers rebuild doc_text
-    and every page's page_md byte for byte, so the golden surfaces hold
-    through storage."""
+    """A committed part holds page text once, and a DOM page's layout as its
+    block tags; the readers rebuild doc_text, every page's page_md and every
+    layout_json byte for byte, so the golden surfaces hold through storage."""
     out = str(tmp_path / "out")
     run_extraction_job(corpus_dir, out, CFG)
+    n_dom = 0
     for rec in lin.load_lineage(out):
         for part in rec["parts"]:
-            raw = pq.read_schema(os.path.join(lin.shard_data_dir(out, rec["shard_id"]), part))
-            assert "doc_text" not in raw.names
-            assert raw.field("pages").type.value_type.get_field_index("page_md") < 0
+            raw = pq.read_table(os.path.join(lin.shard_data_dir(out, rec["shard_id"]), part))
+            assert "doc_text" not in raw.schema.names
+            assert raw.schema.field("pages").type.value_type.get_field_index("page_md") < 0
+            for pages in raw["pages"].to_pylist():
+                for p in pages:
+                    if p["method"] == "dom":
+                        n_dom += 1
+                        assert p["layout_json"] is None and p["layout_tags"], p
+    assert n_dom > 0
 
     table = lin.read_all(out)
     assert table.schema.names == DOC_SCHEMA.names
@@ -139,14 +147,15 @@ def test_committed_parts_store_page_text_once(ray_session, corpus_dir, oracle_re
         f.name for f in DOC_SCHEMA.field("pages").type.value_type]
     assert_matches_oracle(table, oracle_results)
     for url, pages in zip(table["url"].to_pylist(), table["pages"].to_pylist()):
-        assert [p["page_md"] for p in pages] == [
-            p["page_md"] for p in oracle_results[url]["pages"]], url
+        for key in ("page_md", "layout_json"):
+            assert [p[key] for p in pages] == [
+                p[key] for p in oracle_results[url]["pages"]], (url, key)
 
     by_url: dict = {}
     for r in explode_pages(table).to_pylist():
-        by_url.setdefault(r["url"], []).append(r["page_md"])
+        by_url.setdefault(r["url"], []).append((r["page_md"], r["layout_json"]))
     assert by_url == {
-        url: [p["page_md"] for p in o["pages"]]
+        url: [(p["page_md"], p["layout_json"]) for p in o["pages"]]
         for url, o in oracle_results.items() if o["pages"]
     }
 
@@ -423,10 +432,22 @@ class TestCompaction:
             assert len(rec["parts"]) == 2  # 12 rows / 6 per part
 
 
+def _part_form(path: str) -> str:
+    """Which writer stored a part: ``doc_text`` (before page text was stored
+    once), ``layout_json`` (every layout as JSON) or ``layout_tags``."""
+    raw = pq.read_schema(path)
+    if "doc_text" in raw.names:
+        return "doc_text"
+    item = raw.field("pages").type.value_type
+    assert item.get_field_index("page_md") < 0
+    return "layout_tags" if item.get_field_index("layout_tags") >= 0 else "layout_json"
+
+
 class TestStoredLayout:
     """A shard may hold parts written with doc_text and pages.page_md (before
-    page text was stored once) next to parts written without them: reads,
-    upserts and compaction treat them as one table."""
+    page text was stored once), parts with every layout_json and parts with
+    DOM layouts as block tags: reads, upserts and compaction treat them as
+    one table, and rewrite them in the newest form."""
 
     @staticmethod
     def _docs(n, seed=42, start=0):
@@ -436,15 +457,28 @@ class TestStoredLayout:
 
     @staticmethod
     def _mixed_shard(out, sid, docs, monkeypatch):
-        half = docs.num_rows // 2
+        third = docs.num_rows // 3
         with monkeypatch.context() as m:
-            m.setattr(lin, "_stored_layout", lambda t: t)  # the old writer
-            old = lin.write_part(out, sid, docs.slice(0, half))
-        new = lin.write_part(out, sid, docs.slice(half))
+            m.setattr(lin, "_part_layout", lambda t: t)  # the first writer
+            old = lin.write_part(out, sid, docs.slice(0, third))
+        with monkeypatch.context() as m:
+            m.setattr(lin, "_with_layout_tags", lambda t: t)  # the second
+            mid = lin.write_part(out, sid, docs.slice(third, third))
+        new = lin.write_part(out, sid, docs.slice(2 * third))
         ddir = lin.shard_data_dir(out, sid)
-        assert "doc_text" in pq.read_schema(os.path.join(ddir, old["part"])).names
-        assert "doc_text" not in pq.read_schema(os.path.join(ddir, new["part"])).names
-        return lin.commit_shard_manifest(out, sid, [old, new])
+        assert [_part_form(os.path.join(ddir, r["part"])) for r in (old, mid, new)] == [
+            "doc_text", "layout_json", "layout_tags"]
+        return lin.commit_shard_manifest(out, sid, [old, mid, new])
+
+    @staticmethod
+    def _assert_newest_form(out, sid, parts):
+        ddir = lin.shard_data_dir(out, sid)
+        for part in parts:
+            assert _part_form(os.path.join(ddir, part)) == "layout_tags"
+            for pages in pq.read_table(os.path.join(ddir, part))["pages"].to_pylist():
+                for p in pages:
+                    if p["method"] == "dom":
+                        assert p["layout_json"] is None and p["layout_tags"]
 
     def test_mixed_shard_reads_as_one_doc_table(self, tmp_path, monkeypatch):
         out = str(tmp_path / "t")
@@ -452,8 +486,10 @@ class TestStoredLayout:
         self._mixed_shard(out, 0, docs, monkeypatch)
         got = lin.read_shard(out, 0).sort_by("url")
         assert got.schema.names == DOC_SCHEMA.names
-        assert got.to_pylist() == docs.to_pylist()
-        assert lin.read_all(out).sort_by("url").equals(got)
+        assert got.equals(docs)
+        assert lin.read_all(out).sort_by("url").equals(docs)
+        v = lin.commit_snapshot(out)["version"]
+        assert lin.read_snapshot(out, v).sort_by("url").equals(docs)
 
     def test_compact_mixed_shard_preserves_content(self, tmp_path, monkeypatch):
         out = str(tmp_path / "t")
@@ -462,9 +498,8 @@ class TestStoredLayout:
         after = lin.compact_shard(out, 0, target_rows=100)
         assert len(after["parts"]) == 1
         assert dict(after, parts=None) == dict(before, parts=None)
-        raw = pq.read_schema(os.path.join(lin.shard_data_dir(out, 0), after["parts"][0]))
-        assert "doc_text" not in raw.names
-        assert lin.read_shard(out, 0).sort_by("url").to_pylist() == docs.to_pylist()
+        self._assert_newest_form(out, 0, after["parts"])
+        assert lin.read_shard(out, 0).sort_by("url").equals(docs)
 
     def test_upsert_mixed_shard_recounts_merged_rows(self, tmp_path, monkeypatch):
         out = str(tmp_path / "t")
@@ -483,7 +518,63 @@ class TestStoredLayout:
         ]).sort_by("url")
         counters = lin.part_counters(expected)
         assert {k: rec[k] for k in counters} == counters
-        assert lin.read_shard(out, 0).sort_by("url").to_pylist() == expected.to_pylist()
+        self._assert_newest_form(out, 0, rec["parts"])
+        assert lin.read_shard(out, 0).sort_by("url").equals(expected)
+
+    @staticmethod
+    def _pdf_rows(n):
+        """``n`` DOC_SCHEMA rows of one PDF page each, in 8 chunks. Their
+        layout_json strings are distinct and over 1 MB in all, past
+        parquet's dictionary page limit, where chunk boundaries can change
+        the bytes written."""
+        import hashlib
+        import random
+
+        rng = random.Random(0)
+        rows = [{
+            "url": f"https://p.example/{i}", "status": "ok", "truncated": False,
+            "n_pages": 1, "n_pages_ok": 1, "doc_text": "--- PAGE 1 ---\nx",
+            "doc_chars": 16, "password_required": False,
+            "content_hash": hashlib.sha256(str(i).encode()).hexdigest(),
+            "pages": [{"page": 1, "method": "pdf_text", "text": "x",
+                       "page_md": "# Page 1 - PDF_TEXT\n\nx", "n_chars": 1,
+                       "layout_json": rng.randbytes(2000).hex()}],
+        } for i in range(n)]
+        table = pa.Table.from_pylist(rows, schema=DOC_SCHEMA)
+        step = -(-n // 8)
+        return pa.concat_tables([table.slice(i, step) for i in range(0, n, step)])
+
+    def test_pdf_part_is_written_as_before(self, tmp_path, monkeypatch):
+        """A part with no DOM page gets no layout_tags field: it is written
+        byte for byte as before the field existed, also when compaction
+        (whose rows carry the field) rewrites it."""
+        pdf = self._pdf_rows(400)
+
+        def read(out, sid, part):
+            path = os.path.join(lin.shard_data_dir(out, sid), part)
+            with open(path, "rb") as f:
+                return path, f.read()
+
+        def run(out):
+            recs = [lin.write_part(out, 0, pdf.slice(0, 200)),
+                    lin.write_part(out, 0, pdf.slice(200))]
+            whole = lin.write_part(out, 1, pdf)
+            parts = [read(out, 0, r["part"]) for r in recs] + [read(out, 1, whole["part"])]
+            lin.commit_shard_manifest(out, 0, recs)
+            compacted = lin.compact_shard(out, 0, target_rows=1000)
+            assert len(compacted["parts"]) == 1
+            parts.append(read(out, 0, compacted["parts"][0]))
+            return [p for p, _ in parts], [b for _, b in parts]
+
+        with monkeypatch.context() as m:
+            m.setattr(lin, "_with_layout_tags", lambda t: t)  # the writer before
+            _, before = run(str(tmp_path / "before"))
+        paths, now = run(str(tmp_path / "now"))
+        assert now == before
+        raw = pq.read_schema(paths[-1])
+        assert raw.names == [n for n in DOC_SCHEMA.names if n != "doc_text"]
+        assert [f.name for f in raw.field("pages").type.value_type] == [
+            f.name for f in DOC_SCHEMA.field("pages").type.value_type if f.name != "page_md"]
 
 
 class TestTransientFaultRetry:
