@@ -4,13 +4,13 @@ A brand-new engine (NOT a port) with the extraction semantics of the
 reference `nashrakhan-aithon/service1_text-extraction` service, re-expressed
 Ray-Data-first:
 
-- input: Parquet table of Common-Crawl-style pages
+- input: Parquet (or WARC) shards of Common-Crawl-style pages
   ``(url: string, warc_ts: timestamp[us], html: binary, text: string, lang: string)``
-- job shape: ``ray.data.read_parquet`` -> vectorized sniff/bucketing ->
-  ``map_batches`` extraction (stdlib HTML DOM + from-scratch PDF subset
-  parser) -> sharded Parquet writes with per-partition lineage records and
-  counters (checkpoint-resume at shard granularity), all three fused into
-  one chain of plain Ray Data tasks.
+- job shape: one plain Ray Data task per input file that reads it ->
+  vectorized sniff/bucketing -> extraction (stdlib HTML DOM + from-scratch
+  PDF subset parser) -> one content-addressed Parquet part and the shard's
+  lineage manifest with its counters (checkpoint-resume at shard
+  granularity).
 
 The extraction *semantics* (quality gates, fallback ladder, output formats)
 mirror the reference's PDF processor — every threshold cited file:line into

@@ -4,48 +4,47 @@ Replaces the reference's FastAPI/Postgres/asyncio plumbing
 (``document_text_extraction_service.py:226-360`` fan-out,
 ``:405-605`` per-doc stage chain) with::
 
-    read_parquet(columns pruned, include_paths,
-                 completed input files pruned on resume)
-      -> map_batches(SniffStage)                # vectorized kind/size tagging,
-                                                #   shard = input file
-      -> map_batches(ExtractDocuments,          # parse, Arrow in/out,
-                     batch_size=small)          #   small batches
-      -> map_batches(PartWriter,                # inline content-addressed part
-                     batch_size=None)           #   writes + incremental
-                                                #   per-shard manifest commits:
-                                                #   NO shuffle anywhere
-      -> drain tiny summary stream; driver-side straggler commit sweep
+    from_items(input files,                    # one block per file; completed
+               one block per file)             #   files pruned on resume
+      -> map_batches(ExtractFile,              # per file, in ONE task: read
+                     batch_size=1)             #   it whole -> sniff -> extract
+                                               #   in PARSE_BATCH_SIZE slices
+                                               #   -> one content-addressed
+                                               #   part -> commit the shard
+                                               #   manifest: NO shuffle
+      -> drain the tiny part-summary stream
 
-``run_incremental_recrawl`` runs the same chain into a staging table, then
+``run_incremental_recrawl`` runs the same job into a staging table, then
 merges each staged shard into the table with one ``lineage.upsert_shard``
-task per shard. Both entry points share one write path and one commit
-protocol, and no Ray Data shuffle (groupby, repartition, sort) runs in
-either.
+task per shard. Both entry points share one write path and one commit, and
+no Ray Data shuffle (groupby, repartition, sort) runs in either.
 
 Design notes (SURVEY.md §4.2):
 
-- **One way to run a batch**: every stage is a plain task, so Ray Data fuses
-  sniff -> extract -> write into one operator and each parse task writes and
-  commits its own parts. The parse state (frozen config, PasswordBook) ships
-  with each task. An actor pool measured slower on every ``extraction_bench``
+- **The input file is the task**: a shard is one input file (sniff.
+  stable_shard_id), and one plain Ray task reads, parses, writes and
+  commits it. The task holds its part's summary record, so it commits the
+  manifest from that (``lineage.try_commit_shard``) — no pre-scan of the
+  inputs for their row counts, no pending records to list, no driver-side
+  sweep. The parse state (frozen config, PasswordBook) ships with each
+  task. An actor pool measured slower on every ``extraction_bench``
   workload and deadlocked a one-CPU session (the actor held the only slot).
-- **Streaming**: nothing materializes the full dataset; the driver only ever
-  collects the per-shard summary rows (one small row per shard).
-- **No shuffle**: the shard identity is the *input file* (sniff.
-  stable_shard_id), so a shard's rows flow through the same task chain that
-  read them and are written where they are; each PartWriter commits a
-  shard's manifest once all its rows have landed. Measured: the previous
-  url-hash design shuffled the full extraction output (~4x input bytes with
-  layout JSON) and the sort dominated the job (24.5s of 28s at 10k docs);
-  this design removes it entirely.
-- **Skew**: small parse batch_size bounds giant-doc co-travel; the payload
-  truncation guard is counted per shard; Ray's dynamic block splitting keeps
-  oversized outputs from pinning one task.
+- **Streaming**: nothing materializes the full dataset; a task holds one
+  file's rows and doc output, and the driver only collects the part
+  summaries (one small row per shard).
+- **No shuffle**: a shard's rows are written by the task that read them.
+  Measured: the previous url-hash design shuffled the full extraction
+  output (~4x input bytes with layout JSON) and the sort dominated the job
+  (24.5s of 28s at 10k docs); this design removes it entirely.
+- **Skew**: a file is parsed in ``PARSE_BATCH_SIZE`` slices, the payload
+  truncation guard is counted per shard, and a file with giants is one
+  long task (the cost of the file being the commit unit).
 - **Resume**: shard ownership is a pure function of the input file name, so a
-  resumed run prunes completed files from the READ list — skipped work costs
-  zero IO, not just zero parse.
-- **No-write mode** (``extract_dataset``): the same graph minus the writers,
-  for callers that want the doc-grain Dataset to keep composing.
+  resumed run prunes completed files from the input list — skipped work
+  costs zero IO, not just zero parse.
+- **No-write mode** (``extract_dataset`` over ``read_pages`` /
+  ``read_pages_warc``): the sniff and parse stages as a doc-grain Dataset,
+  for callers that want to keep composing.
 """
 
 from __future__ import annotations
@@ -65,9 +64,8 @@ from ..functions.extract import ExtractConfig
 from ..functions.sniff import stable_shard_id
 from ..sources.pages_source import (
     WARC_EXTS,
-    count_warc_pages,
     list_input_files,
-    read_pages_warc,
+    read_warc_file,
 )
 from ..stages.extract_stage import ExtractDocuments, SniffStage, explode_pages
 from ..state import lineage as lin
@@ -93,8 +91,8 @@ def read_pages(input_path: str | list) -> rd.Dataset:
 
 def _default_pool_size() -> tuple:
     """Actor-pool bounds for a cluster of this size, ``(min, max)``. The
-    engine no longer runs an actor pool (the parse runs as plain tasks fused
-    with the part writer); this stays only because
+    engine no longer runs an actor pool (each input file is one plain
+    task); this stays only because
     ``extraction_bench/job.py`` imports it and reports its value."""
     import ray
 
@@ -143,17 +141,16 @@ PART_SUMMARY_SCHEMA = pa.schema(
 
 
 class PartWriter:
-    """Inline sink: each extraction output block is split by shard_id and
-    written as content-addressed part files — in the SAME task chain as the
-    parse (no all-to-all of the heavy rows). Emits tiny per-(block, shard)
-    summary rows, and opportunistically commits a shard's manifest the moment
-    its last part lands (``expected_rows`` per shard comes from the input
-    files' parquet metadata) — so a killed run keeps every shard it finished
-    (state/lineage.py module docstring explains the crash/resume story)."""
+    """Content-addressed part writer. Each call splits a doc table by
+    shard_id and writes one part per shard in it (``lin.write_part``),
+    holding the part records; a shard named in ``expected_rows`` commits
+    its manifest from them (``lin.try_commit_shard``) as soon as they hold
+    that many rows. Returns one part-summary row per part."""
 
     def __init__(self, out_dir: str, expected_rows: Optional[dict] = None) -> None:
         self.out_dir = out_dir
         self.expected_rows = expected_rows or {}
+        self.part_records: dict = {}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         # Deterministic within-part order (url unique) -> content-addressed
@@ -162,12 +159,76 @@ class PartWriter:
         rows = []
         sids = batch["shard_id"]
         for sid in pc.unique(sids).to_pylist():
-            sub = batch.filter(pc.equal(sids, sid))
-            rows.append(lin.write_part(self.out_dir, sid, sub))
-            expected = self.expected_rows.get(sid)
-            if expected is not None:
-                lin.try_commit_shard(self.out_dir, sid, expected)
+            rec = lin.write_part(self.out_dir, sid, batch.filter(pc.equal(sids, sid)))
+            self.part_records.setdefault(sid, []).append(rec)
+            rows.append(rec)
+            if sid in self.expected_rows:
+                lin.try_commit_shard(self.out_dir, sid, self.expected_rows[sid],
+                                     self.part_records[sid])
         return pa.Table.from_pylist(rows, schema=PART_SUMMARY_SCHEMA)
+
+
+class ExtractFile:
+    """The job's one task kind: read one input file whole (parquet with
+    ``INPUT_COLUMNS`` only, or WARC through ``read_warc_file``, whose
+    salvage mode ``tolerant_warc`` selects), sniff it, extract it in
+    ``PARSE_BATCH_SIZE`` slices, write its doc rows as one part and commit
+    its shard. Takes a one-row ``path`` batch and returns the shard's
+    part-summary rows. Raises, naming the file, when the file cannot be
+    read or its shard does not commit."""
+
+    def __init__(self, out_dir: str, cfg: ExtractConfig,
+                 tolerant_warc: bool = False) -> None:
+        self.out_dir = out_dir
+        self.tolerant_warc = tolerant_warc
+        self.sniff = SniffStage(cfg)
+        self.extract = ExtractDocuments(cfg)
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        (path,) = batch["path"].to_pylist()
+        try:
+            if path.endswith(WARC_EXTS):
+                table = read_warc_file(path, self.tolerant_warc).select(INPUT_COLUMNS)
+            else:
+                table = pq.read_table(path, columns=INPUT_COLUMNS)
+        except (OSError, ValueError, KeyError) as e:
+            raise ValueError(f"cannot read input file {path}: {e}") from e
+        # The source file is the provenance the sniff stage turns into the
+        # shard id.
+        table = self.sniff(table.append_column(
+            "path", pa.array([path] * table.num_rows, pa.string())))
+        # An empty file still takes one (empty) slice, for the doc schema.
+        docs = pa.concat_tables([
+            self.extract(table.slice(start, PARSE_BATCH_SIZE))
+            for start in range(0, max(table.num_rows, 1), PARSE_BATCH_SIZE)
+        ])
+        sid = stable_shard_id(path)
+        writer = PartWriter(self.out_dir)
+        summary = writer(docs)
+        # A zero-row file commits its shard with no parts.
+        if lin.try_commit_shard(self.out_dir, sid, table.num_rows,
+                                writer.part_records.get(sid, [])) is None:
+            raise RuntimeError(
+                f"shard {sid} of input file {path} did not commit: "
+                f"{table.num_rows} rows read, {docs.num_rows} written"
+            )
+        return summary
+
+
+def _check_distinct_shards(files: list) -> None:
+    """Raise ValueError naming any input files that share a shard id (the
+    same basename in two directories, or a crc32 collision): each file's
+    task commits its shard alone, so two of them would overwrite one
+    another's manifest and lose rows."""
+    by_sid: dict = {}
+    for f in files:
+        by_sid.setdefault(stable_shard_id(f), []).append(f)
+    clashes = [group for group in by_sid.values() if len(group) > 1]
+    if clashes:
+        raise ValueError(
+            "input files share a shard id (shard identity is the file "
+            f"basename): {clashes}"
+        )
 
 
 def run_extraction_job(
@@ -178,107 +239,57 @@ def run_extraction_job(
     snapshot: bool = False,
     tolerant_warc: bool = False,
 ) -> dict:
-    """End-to-end job: read (completed input files pruned on resume) -> sniff
-    -> extract -> inline part writes with per-shard manifest commits as
-    shards complete -> driver straggler sweep. Returns the job summary
-    (counters merged across shards, including previously-completed ones on
-    resume). ``snapshot=True`` additionally pins the committed state as the
-    next table snapshot (lineage.commit_snapshot — Iceberg-style versioned
+    """End-to-end job: one ``ExtractFile`` task per input file (completed
+    files pruned on resume), each reading, parsing, writing and committing
+    its shard. Returns the job summary (counters merged across shards,
+    including previously-completed ones on resume). ``tolerant_warc=True``
+    reads WARC inputs in salvage mode (``read_warc_file``): damaged
+    members and records cost their pages, not the shard. Input files that
+    share a shard id raise ValueError before anything runs.
+    ``snapshot=True`` additionally pins the committed state as the next
+    table snapshot (lineage.commit_snapshot — Iceberg-style versioned
     reads) and reports ``snapshot_version``."""
     cfg = cfg or ExtractConfig()
 
     files = list_input_files(input_path)
+    _check_distinct_shards(files)
     skipped = 0
     if resume:
         done = lin.completed_shards(out_dir)
         kept = [f for f in files if stable_shard_id(f) not in done]
         skipped = len(files) - len(kept)
         files = kept
-        # Purge incomplete shards' leftovers (parts + pending summaries from
-        # a crashed attempt) so stale parts can never pollute this attempt's
-        # completeness counts.
+        # Purge incomplete shards' leftover parts from a crashed attempt.
         for f in files:
             lin.purge_shard(out_dir, stable_shard_id(f))
     else:
-        # Fresh run over an existing out_dir: discard stale manifests +
-        # pending state so the final summary reflects only this run (orphan
-        # data parts are ignored by manifest-driven readers; same-name
-        # re-writes are idempotent).
+        # Fresh run over an existing out_dir: discard stale manifests so the
+        # final summary reflects only this run (orphan data parts are
+        # ignored by manifest-driven readers; same-name re-writes are
+        # idempotent).
         ldir = lin.lineage_dir(out_dir)
         if os.path.isdir(ldir):
             shutil.rmtree(ldir)
 
-    if not files:
-        summary = lin.summarize(lin.load_lineage(out_dir))
-        summary["resumed_shards_skipped"] = skipped
-        summary["new_shards_written"] = 0
-        if snapshot:
-            summary["snapshot_version"] = lin.commit_snapshot(out_dir)["version"]
-        return summary
-
-    # Expected rows per shard (footer-only metadata reads) drive incremental
-    # manifest commits. Footer reads are IO-bound and independent — a serial
-    # loop is an O(shards) driver stall (measured ~50 s for 500 shards on a
-    # slow volume; hours at Common-Crawl's ~10^5 shards), so lin.thread_map.
-    # WARC shards have no footer: the count is a full record scan (also
-    # thread-mapped) — the documented reason parquet stays the production
-    # format and WARC ingestion is the interop path.
-    if files[0].endswith(WARC_EXTS):
-        # ``tolerant_warc=True`` is the crawl-archive salvage mode: damaged
-        # members/records cost their pages, not the shard — the tolerant
-        # count and reader share one pairing implementation, so the
-        # expected-rows accounting stays exact under damage.
-        expected = dict(
-            lin.thread_map(
-                lambda f: (stable_shard_id(f),
-                           count_warc_pages(f, tolerant=tolerant_warc)),
-                files,
-            )
-        )
-        src = read_pages_warc(
-            files, include_paths=True, tolerant=tolerant_warc
+    if files:
+        # Ship package code by value so workers never need the repo on
+        # sys.path.
+        ensure_worker_importable()
+        # from_items caps its default block count at 200; one block per
+        # file keeps one task per file at any file count.
+        summaries = rd.from_items(
+            [{"path": f} for f in files], override_num_blocks=len(files)
         ).map_batches(
-            lambda t: t.drop_columns(["text"]), batch_format="pyarrow"
+            ExtractFile(out_dir, cfg, tolerant_warc),
+            batch_format="pyarrow", batch_size=1,
         )
-    else:
-        expected = dict(
-            lin.thread_map(
-                lambda f: (stable_shard_id(f), pq.ParquetFile(f).metadata.num_rows),
-                files,
-            )
-        )
-        src = read_pages(files)
+        # Drain the (tiny) summary stream; each task committed its shard.
+        for _ in summaries.iter_batches(batch_size=4096, batch_format="pyarrow"):
+            pass
 
-    docs = extract_dataset(src, cfg)
-
-    # batch_size=None: whole parse output blocks, so the writer fuses into the
-    # parse task and commits as the stream goes, not when a big batch fills.
-    part_summaries = docs.map_batches(
-        PartWriter(out_dir, expected), batch_format="pyarrow", batch_size=None
-    )
-    # Drain the (tiny) summary stream — this is the consuming sink; manifests
-    # commit incrementally inside PartWriter as shards complete. No groupby:
-    # even a summaries-only sort barrier costs seconds of fixed overhead that
-    # short high-parallelism runs can't amortize.
-    for _ in part_summaries.iter_batches(batch_size=4096, batch_format="pyarrow"):
-        pass
-
-    # Straggler sweep: commit any shard whose parts all landed but whose
-    # writer didn't observe the complete set (cross-task visibility race).
-    committed = {r["shard_id"] for r in lin.load_lineage(out_dir)}
-    for sid, exp_rows in expected.items():
-        if sid not in committed:
-            rec = lin.try_commit_shard(out_dir, sid, exp_rows)
-            if rec is None:
-                raise RuntimeError(
-                    f"shard {sid} incomplete after stream drain "
-                    f"(expected {exp_rows} rows) — input mutated mid-run?"
-                )
-
-    all_records = lin.load_lineage(out_dir)
-    summary = lin.summarize(all_records)
+    summary = lin.summarize(lin.load_lineage(out_dir))
     summary["resumed_shards_skipped"] = skipped
-    summary["new_shards_written"] = len(expected)
+    summary["new_shards_written"] = len(files)
     if snapshot:
         summary["snapshot_version"] = lin.commit_snapshot(out_dir)["version"]
     return summary
@@ -303,13 +314,13 @@ def run_incremental_recrawl(
     name; brand-new basenames create fresh shards (pure appends).
 
     Three steps, with no shuffle: (1) ``run_extraction_job`` extracts the
-    delta into a staging table at ``out_dir/_recrawl`` — the same read ->
-    sniff -> extract -> PartWriter -> commit chain and completeness check
-    as a full job, one committed staged shard per delta file; (2) each
-    staged shard holding rows is merged with ``lineage.upsert_shard`` in
-    its own Ray task, through the shared filesystem (the same assumption
-    PartWriter's incremental commits make; see lineage.pending_dir), so
-    no table rows pass through the driver; (3) the staging table is
+    delta into a staging table at ``out_dir/_recrawl`` — the same
+    per-file read -> sniff -> extract -> write -> commit task as a full
+    job, one committed staged shard per delta file; (2) each staged shard
+    holding rows is merged with ``lineage.upsert_shard`` in its own Ray
+    task, through a filesystem the driver and workers share (where the
+    staging table sits), so no table rows pass through the driver; (3) the
+    staging table is
     deleted, also when a step fails. Re-extracted-but-unchanged docs
     replace in place with identical content (idempotent by content
     addressing); the per-shard result is byte-equivalent to a full

@@ -1,10 +1,10 @@
 """WARC source for the pages table (ISO 28500, the Common Crawl container).
 
-``read_pages_warc`` turns .warc / .warc.gz shard files into PAGES_SCHEMA
-rows for ``run_extraction_job``; ``count_warc_pages`` gives the job its
-expected rows per shard. ``write_pages_warc`` writes the same layout, so a
-parquet corpus can be re-encoded as WARC input. Parquet itself is read
-directly by the pipeline (``extract_pipeline.read_pages``).
+``read_warc_file`` turns one .warc / .warc.gz shard file into a
+PAGES_SCHEMA table; ``run_extraction_job``'s file task reads each WARC input
+with it, and ``read_pages_warc`` runs it once per file as a Dataset.
+``write_pages_warc`` writes the same layout, so a parquet corpus can be
+re-encoded as WARC input. Parquet itself is read directly by the pipeline.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ def list_input_files(input_path: str | list) -> list:
     the file BASENAME (sniff.stable_shard_id), so files from nested segment
     directories could alias one another's shards. A directory holding no
     shard file at that level raises ValueError naming it, never an empty
-    job. A directory may contain one format, not a mix: the two need
-    different expected-row accounting and the ambiguity would hide a
-    misconfigured input."""
+    job. A directory may contain one format, not a mix: the ambiguity
+    would hide a misconfigured input."""
     if isinstance(input_path, (list, tuple)):
         files = sorted(str(p) for p in input_path)
     elif os.path.isfile(input_path):
@@ -332,42 +331,14 @@ def _gunzip_members(blob: bytes, tolerant: bool = False,
     return b"".join(out)
 
 
-def count_warc_pages(path: str, tolerant: bool = False) -> int:
-    """Exact page count of one WARC shard — the ``expected_rows`` source
-    for the extraction job's incremental manifest commits. Parquet gets
-    this from footer metadata for free; WARC has no footer, so this is a
-    full record scan (decompress + header walk). IO-bound and per-file
-    independent — run it under lineage.thread_map. ``tolerant`` must match
-    the reader's mode: both count/yield exactly the SALVAGEABLE pages
-    (complete response+conversion pairs) through the same parser, so the
-    expected-rows accounting stays consistent under damage."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:2] == b"\x1f\x8b":
-        blob = _gunzip_members(blob, tolerant=tolerant)
-    if not tolerant:
-        return sum(
-            1 for hdrs, _ in _parse_warc_records(blob)
-            if hdrs["warc-type"] == "response"
-        )
-    # salvage mode: count EXACTLY the pages the tolerant reader yields —
-    # one shared generator (_iter_warc_pages) is the single source of
-    # truth, or the job's expected-rows accounting would block a damaged
-    # shard's commit on any count/reader divergence. count_only skips the
-    # text decode / row build but keeps identical control flow.
-    return sum(1 for _ in _iter_warc_pages(blob, tolerant=True,
-                                           count_only=True))
-
-
 def _iter_warc_pages(blob: bytes, tolerant: bool, stats: dict | None = None,
                      count_only: bool = False):
     """Pair (response, conversion) records of one plain-WARC byte blob into
     PAGES_SCHEMA row dicts — the SINGLE implementation behind
-    read_pages_warc, count_warc_pages(tolerant=True) and
-    warc_salvage_report, so the three can never disagree about which pages
-    a damaged shard still yields. Tolerant mode skips any page whose
-    records are damaged (missing headers, failed HTTP unwrap, bad date,
-    broken pairing) and counts the skip ONCE per page in
+    read_warc_file and warc_salvage_report, so the two can never disagree
+    about which pages a damaged shard still yields. Tolerant mode skips
+    any page whose records are damaged (missing headers, failed HTTP
+    unwrap, bad date, broken pairing) and counts the skip ONCE per page in
     ``stats["dropped_pages"]`` (a response failure pre-drops its
     conversion); strict mode raises on the first damage. ``count_only``
     (tolerant only) keeps the identical control flow but skips the text
@@ -452,42 +423,36 @@ def warc_salvage_report(path: str) -> dict:
     }
 
 
-def read_pages_warc(input_path: str | list, include_paths: bool = False,
-                    tolerant: bool = False) -> rd.Dataset:
-    """WARC pages source: read .warc / .warc.gz shard files as binary blobs
-    (one task per file — shard files ARE the parallelism unit, exactly as
-    Common Crawl segments are) and reassemble (response, conversion) record
-    pairs into the PAGES_SCHEMA the extraction job consumes. Gzip shards
-    (detected by magic, not extension) are decompressed member-by-member.
-    ``include_paths=True`` appends the source file as a ``path`` column —
-    the shard identity the extraction job's resume contract keys on.
-    Byte-identical downstream output vs the parquet path on the same
-    logical rows (pytest-asserted).
-
-    ``tolerant=True`` is the crawl-archive SALVAGE mode: torn gzip
+def read_warc_file(path: str, tolerant: bool = False) -> pa.Table:
+    """One .warc / .warc.gz shard file as a PAGES_SCHEMA table: the raw
+    bytes, decompressed member by member when gzip (detected by magic, not
+    extension), then (response, conversion) record pairs reassembled into
+    rows. ``tolerant=True`` is the crawl-archive SALVAGE mode: torn gzip
     members and malformed records are skipped with resync (see
     _parse_warc_records), per-record field damage (bad utf-8, missing
-    headers, unpaired pairs) drops just that page — the intact pages of a
-    damaged shard still flow, exactly the pages
-    ``count_warc_pages(tolerant=True)`` counts; damage totals per shard
-    via ``warc_salvage_report``. Strict mode (default) raises, which is
-    correct for shards THIS engine wrote."""
-    schema = PAGES_SCHEMA
-    if include_paths:
-        schema = pa.schema(list(PAGES_SCHEMA) + [pa.field("path", pa.string())])
+    headers, unpaired pairs) drops just that page, and the intact pages of
+    a damaged shard still come back; ``warc_salvage_report`` counts them
+    and the damage. Strict mode (default) raises, which is correct for
+    shards THIS engine wrote."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    if blob[:2] == b"\x1f\x8b":
+        blob = _gunzip_members(blob, tolerant=tolerant)
+    return pa.Table.from_pylist(list(_iter_warc_pages(blob, tolerant=tolerant)),
+                                schema=PAGES_SCHEMA)
+
+
+def read_pages_warc(input_path: str | list, tolerant: bool = False) -> rd.Dataset:
+    """WARC pages source as a Dataset: one ``read_warc_file`` task per
+    shard file (shard files ARE the parallelism unit, exactly as Common
+    Crawl segments are). Byte-identical downstream output vs the parquet
+    path on the same logical rows (pytest-asserted). ``tolerant`` is
+    ``read_warc_file``'s salvage mode."""
 
     def parse(t: pa.Table) -> pa.Table:
-        rows = []
-        for src_path in t["path"].to_pylist():
-            with open(src_path, "rb") as f:
-                blob = f.read()
-            if blob[:2] == b"\x1f\x8b":
-                blob = _gunzip_members(blob, tolerant=tolerant)
-            for row in _iter_warc_pages(blob, tolerant=tolerant):
-                if include_paths:
-                    row["path"] = src_path
-                rows.append(row)
-        return pa.Table.from_pylist(rows, schema=schema)
+        return pa.concat_tables(
+            [read_warc_file(p, tolerant=tolerant) for p in t["path"].to_pylist()]
+        )
 
     # Path-grain read (one task per file via from_items + the raw bytes
     # opened INSIDE the task): rd.read_binary_files would auto-decompress

@@ -1,10 +1,11 @@
 """Ray Data stages for the extraction pipeline.
 
-The parse stage is a *callable class* whose instance runs as plain Ray Data
-tasks (``ds.map_batches(ExtractDocuments(cfg), batch_size=...)``), fused
-with the sniff stage before it and the part writer after it. Its state is
-the frozen config and a password book, built once on the driver and shipped
-with every task; the parser modules compile their regexes and dispatch
+The parse stage is a *callable class*. The extraction job calls its
+instance inside each per-file task (``extract_pipeline.ExtractFile``), on
+slices of the file; the no-write Dataset API runs it as plain Ray Data
+tasks (``ds.map_batches(ExtractDocuments(cfg), batch_size=...)``). Its
+state is the frozen config and a password book, built once on the driver
+and shipped with every task; the parser modules compile their regexes and dispatch
 tables at import time, once per worker process. Each ``__call__`` processes
 one Arrow batch of documents.
 
@@ -13,8 +14,8 @@ Python by nature (it IS the workload — a DOM/content-stream parse per
 document, exactly like the reference's per-doc fitz calls), but everything
 around it (slicing, column assembly, output table construction) is Arrow.
 
-Skew handling: the pipeline uses a small ``batch_size`` for this stage so a
-giant document rides with at most batch_size-1 small ones, and payloads are
+Skew handling: the pipeline feeds this stage small batches so a giant
+document rides with at most batch_size-1 small ones, and payloads are
 truncated at ``cfg.max_payload_bytes`` (counted in lineage) — SURVEY.md §4.2.
 """
 

@@ -8,9 +8,9 @@ granularity instead of per-document rows (SURVEY.md §2.1 S10, §4.2 item 3).
 
 Layout under ``out_dir``::
 
-    data/shard={id}/part-{contenthash}.parquet   # extraction rows (appended
-                                                 #   by extraction tasks,
-                                                 #   NO keyed shuffle)
+    data/shard={id}/part-{contenthash}.parquet   # a shard's rows, written by
+                                                 #   its extraction task (one
+                                                 #   part) or a merge
     lineage/shard_{id:05d}.json                  # manifest: the exact part
                                                  #   list + counters; written
                                                  #   strictly AFTER its parts
@@ -18,15 +18,14 @@ Layout under ``out_dir``::
                                                  #   table (same layout);
                                                  #   deleted when it returns
 
-Why parts + manifests instead of one file per shard: writing one file per
-shard requires an all-to-all shuffle of the (heavy) extraction output to
-co-locate each shard's rows. Instead, every extraction task writes the rows
-it already holds, split by shard, as content-addressed part files — zero
-data movement — and records a tiny part summary under ``pending_dir``.
-The writer that sees a shard's summaries reach its expected row count
-commits the shard's manifest (``try_commit_shard``); the driver sweeps any
-shard left uncommitted once the stream ends. A reader trusts ONLY parts
-listed in a committed manifest, so:
+A shard is one input file, and one extraction task reads, parses and
+writes it, so the task that writes a shard's parts holds every part's
+summary record (``write_part`` returns it). It commits the shard's manifest
+from those records once they add up to the file's rows
+(``try_commit_shard``), with no listing and no second writer to wait for.
+Merges (compaction, upsert, delete) rewrite a shard the same way: parts
+first, then the manifest from the records in hand. A reader trusts ONLY
+parts listed in a committed manifest, so:
 
 - crash before a shard's manifest -> shard incomplete -> fully re-processed
   on resume; any orphan parts from the crashed attempt are simply never
@@ -34,6 +33,10 @@ listed in a committed manifest, so:
   part names are content hashes);
 - resume = validate manifests, then drop the completed shards' input files
   from the read list, *before* the expensive parse stage (no shuffle).
+
+Tables written before commits came from the writer's records also hold
+per-part summaries under ``lineage/pending/``. Nothing reads them; a fresh
+(non-resume) run deletes them with the rest of ``lineage/``.
 
 The manifest carries the counters the north star mandates (parse_failures,
 empty_extractions, truncations) plus row counts and an order-insensitive
@@ -88,11 +91,12 @@ class LocalAtomicFS:
     the S3 writer) is exercisable: an object store has NO rename — a PUT
     is atomic per object but listings may lag — so the interface exposes
     only whole-object ``put_bytes`` / ``write_table`` (each backend
-    supplies its own atomicity) and the commit protocol must survive
-    eventual listing (tests/test_object_store_fs.py injects such a
-    backend). The protocol's correctness never depends on rename: a part
-    or manifest object is either fully visible or absent, and readers
-    trust only manifest-listed parts.
+    supplies its own atomicity) and the commit must survive eventual
+    listing (tests/test_object_store_fs.py injects such a backend): it
+    never lists, since the writer commits from the part records it holds.
+    Its correctness never depends on rename either: a part or manifest
+    object is either fully visible or absent, and readers trust only
+    manifest-listed parts.
     """
 
     def makedirs(self, path: str) -> None:
@@ -171,19 +175,6 @@ def shard_data_dir(out_dir: str, shard_id: int) -> str:
 
 def manifest_path(out_dir: str, shard_id: int) -> str:
     return os.path.join(lineage_dir(out_dir), f"shard_{shard_id:05d}.json")
-
-
-def pending_dir(out_dir: str, shard_id: int) -> str:
-    """Per-shard scratch of part-summary JSONs, written after each data part.
-    Enables *incremental* manifest commits mid-run: once the summaries'
-    row-count total reaches the shard's expected input rows, the shard is
-    complete and its manifest can be committed immediately — a kill at T
-    preserves every shard finished before T (FIXTURES.md §4 item 4).
-
-    NB: the completeness check scans this directory, so writers of one shard
-    and the driver's end-of-stream straggler sweep must share a filesystem
-    (local mode, a shared FS or an object store)."""
-    return os.path.join(lineage_dir(out_dir), "pending", f"shard_{shard_id}")
 
 
 def xor_content_hash(hashes: List[str]) -> str:
@@ -364,7 +355,9 @@ def write_part(out_dir: str, shard_id: int, table: pa.Table,
     The part stores ``table`` without ``doc_text`` and ``pages.page_md``
     when it has ``pages``, and each DOM page's ``layout_json`` as its
     ``layout_tags`` where that rebuilds it exactly: readers rebuild all
-    three (module docstring).
+    three (module docstring). The caller keeps the returned record and
+    commits the shard from it (``try_commit_shard`` or
+    ``commit_shard_manifest``); nothing else records the part.
     """
     import hashlib
 
@@ -382,57 +375,32 @@ def write_part(out_dir: str, shard_id: int, table: pa.Table,
     rec = part_counters(table)
     rec["shard_id"] = shard_id
     rec["part"] = part_name
-
-    # Record the part summary under pending/ (whole-object put) so
-    # completeness is checkable mid-run. Ordering contract: the DATA part
-    # is visible before its summary, so a committed count never references
-    # a missing part.
-    pdir = pending_dir(out_dir, shard_id)
-    fs.makedirs(pdir)
-    spath = os.path.join(pdir, part_name.replace(".parquet", ".json"))
-    fs.put_bytes(spath, json.dumps(rec, sort_keys=True).encode("utf-8"))
     return rec
 
 
-def load_pending(out_dir: str, shard_id: int, fs: Optional[Any] = None) -> list:
-    fs = _fs(fs)
-    pdir = pending_dir(out_dir, shard_id)
-    if not fs.isdir(pdir):
-        return []
-    out = []
-    for name in fs.listdir(pdir):
-        if not name.endswith(".json"):
-            continue
-        try:
-            out.append(json.loads(fs.read_bytes(os.path.join(pdir, name))))
-        except (OSError, json.JSONDecodeError):
-            continue  # torn write; the data part exists but isn't countable yet
-    return out
-
-
 def try_commit_shard(out_dir: str, shard_id: int, expected_rows: int,
+                     part_records: list,
                      fs: Optional[Any] = None) -> Dict[str, Any] | None:
-    """Commit the shard's manifest iff all expected rows' parts are visible.
+    """Commit the shard's manifest from ``part_records`` (the records
+    ``write_part`` returned for its parts) iff they hold ``expected_rows``
+    rows; otherwise return None and write nothing.
 
-    Safe under concurrent writers: only the writer that observes the complete
-    set commits; racing double-commits write identical content (sorted part
-    list over the same complete set). Safe under EVENTUAL listing (object
-    stores): a lagging list under-counts, so the commit is deferred — never
-    taken early — and a later writer (or resume pass) commits once the
-    listing catches up."""
-    pend = load_pending(out_dir, shard_id, fs)
-    if sum(r["n_docs"] for r in pend) != expected_rows:
+    The count is over distinct part names: a retried write of the same
+    rows lands on the same content-addressed part, so its second record
+    adds nothing. Nothing is listed, so the commit is as immediate on an
+    object store whose LIST lags as on a POSIX directory."""
+    records = list({r["part"]: r for r in part_records}.values())
+    if sum(r["n_docs"] for r in records) != expected_rows:
         return None
-    return commit_shard_manifest(out_dir, shard_id, pend, fs)
+    return commit_shard_manifest(out_dir, shard_id, records, fs)
 
 
 def purge_shard(out_dir: str, shard_id: int, fs: Optional[Any] = None) -> None:
-    """Remove a shard's data parts, pending summaries and manifest — used
-    before re-processing an incomplete shard so stale parts from a crashed
-    attempt can never mix into the new attempt's completeness count."""
+    """Remove a shard's data parts and manifest — used before re-processing
+    an incomplete shard, so a crashed attempt's parts do not linger beside
+    the new attempt's."""
     fs = _fs(fs)
-    for path in (shard_data_dir(out_dir, shard_id), pending_dir(out_dir, shard_id)):
-        fs.rmtree(path)
+    fs.rmtree(shard_data_dir(out_dir, shard_id))
     fs.remove(manifest_path(out_dir, shard_id))
 
 
@@ -474,8 +442,8 @@ def commit_shard_manifest(out_dir: str, shard_id: int, part_records: list,
 
 def thread_map(fn, items, max_workers: int = 32) -> list:
     """Map an IO-bound fn over items with a bounded thread pool, preserving
-    order. Shared by every O(shards) footer/metadata scan (a serial loop is
-    a driver stall at crawl-scale shard counts)."""
+    order. Shared by the O(shards) manifest validation and table merges (a
+    serial loop is a driver stall at crawl-scale shard counts)."""
     from concurrent.futures import ThreadPoolExecutor
 
     items = list(items)
@@ -537,7 +505,7 @@ def completed_shards(out_dir: str, validate_data: bool = True,
 
     Validation is footer-only IO per part and independent across shards, so
     it runs through thread_map — a serial scan is an O(shards) resume stall
-    at crawl-scale shard counts (same fix as the job's expected-rows scan).
+    at crawl-scale shard counts.
 
     Consistency: like ``read_all``, this sees the manifests LIST shows; a
     shard committed a moment ago on a store whose LIST lags counts as
@@ -684,13 +652,10 @@ def compact_shard(out_dir: str, shard_id: int, target_rows: int = 100_000,
             f"({rec['content_hash']}/{rec['n_docs']} -> "
             f"{new_rec['content_hash']}/{new_rec['n_docs']})"
         )
-    # old parts are now unreferenced; unlink them and their pending records
+    # old parts are now unreferenced; unlink them
     ddir = shard_data_dir(out_dir, shard_id)
-    pdir = pending_dir(out_dir, shard_id)
-    keep = set(new_rec["parts"])
-    for part in old_parts - keep:
+    for part in old_parts - set(new_rec["parts"]):
         fs.remove(os.path.join(ddir, part))
-        fs.remove(os.path.join(pdir, part.replace(".parquet", ".json")))
     return new_rec
 
 
@@ -779,10 +744,8 @@ def upsert_shard(out_dir: str, shard_id: int, updates: pa.Table,
     new_rec = commit_shard_manifest(out_dir, shard_id, new_records, fs)
 
     ddir = shard_data_dir(out_dir, shard_id)
-    pdir = pending_dir(out_dir, shard_id)
     for part in old_parts - set(new_rec["parts"]):
         fs.remove(os.path.join(ddir, part))
-        fs.remove(os.path.join(pdir, part.replace(".parquet", ".json")))
     new_rec = dict(new_rec)
     new_rec["n_replaced"] = n_replaced
     new_rec["n_appended"] = n_appended
@@ -825,10 +788,8 @@ def delete_rows(out_dir: str, shard_id: int, keys: List[str],
     new_rec = commit_shard_manifest(out_dir, shard_id, new_records, fs)
 
     ddir = shard_data_dir(out_dir, shard_id)
-    pdir = pending_dir(out_dir, shard_id)
     for part in set(rec["parts"]) - set(new_rec["parts"]):
         fs.remove(os.path.join(ddir, part))
-        fs.remove(os.path.join(pdir, part.replace(".parquet", ".json")))
     new_rec = dict(new_rec)
     new_rec["n_deleted"] = n_deleted
     return new_rec
@@ -1057,10 +1018,6 @@ def vacuum(out_dir: str, keep_snapshots: int = 2,
                         except OSError:
                             continue  # vanished under us -> nothing to GC
                     fs.remove(ppath)
-                    fs.remove(os.path.join(
-                        pending_dir(out_dir, sid),
-                        part.replace(".parquet", ".json"),
-                    ))
                     dropped_parts += 1
     return {"snapshots_dropped": len(drop), "parts_dropped": dropped_parts}
 

@@ -10,10 +10,10 @@ two properties that break naive commit protocols on real object stores:
   * **eventual listing** — GET-by-key is read-your-writes, but LIST lags
     until an explicit `sync()`, so a lagging list under-counts fresh parts.
 
-The assertions pin the protocol's two safety claims: a commit is only ever
-*deferred* (never taken early) under lagging listings, and the resulting
-manifests/content hashes are byte-identical to a POSIX `LocalAtomicFS` run
-over the same rows.
+The assertions pin the commit's two safety claims: the writer commits a
+shard from the part records it holds, so a lagging listing can neither
+delay nor fool it, and the resulting manifests/content hashes are
+byte-identical to a POSIX `LocalAtomicFS` run over the same rows.
 """
 
 import hashlib
@@ -118,40 +118,42 @@ OUT = "bucket/job"
 
 
 class TestCommitUnderEventualListing:
-    def test_commit_deferred_until_listing_catches_up(self):
+    def test_held_records_commit_without_listing(self, tmp_path):
+        # LIST never syncs here, so nothing this test writes is listable:
+        # the commit must come from the records the writer holds alone.
         fs = EventualObjectStore()
-        L.write_part(OUT, 0, _rows(0, 5), fs)
-        L.write_part(OUT, 0, _rows(5, 5), fs)
+        local_out = str(tmp_path / "job")
+        recs = [L.write_part(OUT, 0, _rows(i0, 5), fs) for i0 in (0, 5)]
+        loc_recs = [L.write_part(local_out, 0, _rows(i0, 5)) for i0 in (0, 5)]
 
-        # LIST lags: pending/ appears empty -> the commit must be deferred,
-        # never taken early with a partial part set.
-        assert L.try_commit_shard(OUT, 0, 10, fs) is None
-        assert not fs.isdir(L.lineage_dir(OUT))  # no manifest object PUT
-
-        fs.sync()
-        rec = L.try_commit_shard(OUT, 0, 10, fs)
+        rec = L.try_commit_shard(OUT, 0, 10, recs, fs)
         assert rec is not None and rec["n_docs"] == 10 and len(rec["parts"]) == 2
+        assert not fs.isdir(L.lineage_dir(OUT))  # still nothing listable
+        assert rec == L.try_commit_shard(local_out, 0, 10, loc_recs)
+        with open(L.manifest_path(local_out, 0), "rb") as f:
+            assert fs.read_bytes(L.manifest_path(OUT, 0)) == f.read()
 
-    def test_partial_listing_undercounts_and_defers(self):
+    def test_undercount_puts_no_manifest(self):
         fs = EventualObjectStore()
-        L.write_part(OUT, 1, _rows(0, 4), fs)
-        fs.sync()  # first part becomes listable
-        L.write_part(OUT, 1, _rows(4, 4), fs)  # second not yet listable
+        first = L.write_part(OUT, 1, _rows(0, 4), fs)
+        L.write_part(OUT, 1, _rows(4, 4), fs)  # its record is not passed on
+        n_puts = fs.n_puts
 
-        assert L.try_commit_shard(OUT, 1, 8, fs) is None  # under-count -> defer
-        fs.sync()
-        assert L.try_commit_shard(OUT, 1, 8, fs)["n_docs"] == 8
+        assert L.try_commit_shard(OUT, 1, 8, [first], fs) is None
+        assert fs.n_puts == n_puts
+        assert L.manifest_path(OUT, 1) not in fs.objects
 
     def test_double_put_of_same_rows_is_idempotent(self):
         # Content-addressed part names: a retried writer re-PUTs the same
-        # object under the same key, so completeness counting never doubles.
+        # object under the same key, so its second record adds no rows.
         fs = EventualObjectStore()
-        L.write_part(OUT, 2, _rows(0, 6), fs)
-        L.write_part(OUT, 2, _rows(0, 6), fs)  # retry of the same rows
-        fs.sync()
-        assert len(L.load_pending(OUT, 2, fs)) == 1
-        rec = L.try_commit_shard(OUT, 2, 6, fs)
-        assert rec["n_docs"] == 6 and len(rec["parts"]) == 1
+        a = L.write_part(OUT, 2, _rows(0, 6), fs)
+        b = L.write_part(OUT, 2, _rows(0, 6), fs)  # retry of the same rows
+        assert a["part"] == b["part"]
+        assert [k for k in fs.objects if k.startswith(L.shard_data_dir(OUT, 2))] == [
+            L.shard_data_dir(OUT, 2) + "/" + a["part"]]
+        rec = L.try_commit_shard(OUT, 2, 6, [a, b], fs)
+        assert rec["n_docs"] == 6 and rec["parts"] == [a["part"]]
 
 
 class TestUpsertUnderEventualListing:
@@ -172,14 +174,15 @@ class TestCrossBackendDeterminism:
     def test_manifest_matches_local_fs_run(self, tmp_path):
         fs = EventualObjectStore()
         local_out = str(tmp_path / "job")
+        obj_recs, loc_recs = {}, {}
         for sid, spans in ((0, [(0, 5), (5, 3)]), (7, [(100, 4)])):
             for i0, n in spans:
-                L.write_part(OUT, sid, _rows(i0, n), fs)
-                L.write_part(local_out, sid, _rows(i0, n))
+                obj_recs.setdefault(sid, []).append(L.write_part(OUT, sid, _rows(i0, n), fs))
+                loc_recs.setdefault(sid, []).append(L.write_part(local_out, sid, _rows(i0, n)))
         fs.sync()
         for sid, exp in ((0, 8), (7, 4)):
-            obj = L.try_commit_shard(OUT, sid, exp, fs)
-            loc = L.try_commit_shard(local_out, sid, exp)
+            obj = L.try_commit_shard(OUT, sid, exp, obj_recs[sid], fs)
+            loc = L.try_commit_shard(local_out, sid, exp, loc_recs[sid])
             assert obj is not None and loc is not None
             for key in ("parts", "n_docs", "content_hash", "counters"):
                 assert obj.get(key) == loc.get(key), key
@@ -194,9 +197,9 @@ class TestResumeOverObjectStore:
     def test_resume_sees_only_committed_shards(self):
         fs = EventualObjectStore()
         # shard 0 committed; shard 1 has parts but crashed pre-commit
-        L.write_part(OUT, 0, _rows(0, 5), fs)
+        rec = L.write_part(OUT, 0, _rows(0, 5), fs)
         fs.sync()
-        L.try_commit_shard(OUT, 0, 5, fs)
+        L.try_commit_shard(OUT, 0, 5, [rec], fs)
         L.write_part(OUT, 1, _rows(50, 5), fs)
         fs.sync()
 
@@ -204,19 +207,19 @@ class TestResumeOverObjectStore:
         # re-attempt of shard 1: purge stale parts, rewrite, commit
         L.purge_shard(OUT, 1, fs)
         fs.sync()
-        assert L.load_pending(OUT, 1, fs) == []
-        L.write_part(OUT, 1, _rows(50, 5), fs)
+        assert not fs.isdir(L.shard_data_dir(OUT, 1))
+        rec = L.write_part(OUT, 1, _rows(50, 5), fs)
         fs.sync()
-        L.try_commit_shard(OUT, 1, 5, fs)
+        L.try_commit_shard(OUT, 1, 5, [rec], fs)
         fs.sync()
         assert L.completed_shards(OUT, fs=fs) == {0, 1}
         assert L.read_all(OUT, fs).num_rows == 10
 
     def test_validation_detects_missing_data_object(self):
         fs = EventualObjectStore()
-        L.write_part(OUT, 3, _rows(0, 5), fs)
+        part = L.write_part(OUT, 3, _rows(0, 5), fs)
         fs.sync()
-        rec = L.try_commit_shard(OUT, 3, 5, fs)
+        rec = L.try_commit_shard(OUT, 3, 5, [part], fs)
         fs.sync()
         # lose the data object after commit (bucket lifecycle / operator error)
         fs.remove(L.shard_data_dir(OUT, 3) + "/" + rec["parts"][0])
@@ -254,10 +257,10 @@ class TestSnapshots:
     """Iceberg-style versioned reads over the lineage layer (round 4)."""
 
     def _commit(self, out, sid, i0, n, fs=None):
-        L.write_part(out, sid, _rows(i0, n), fs)
+        part = L.write_part(out, sid, _rows(i0, n), fs)
         if fs is not None:
             fs.sync()
-        rec = L.try_commit_shard(out, sid, n, fs)
+        rec = L.try_commit_shard(out, sid, n, [part], fs)
         assert rec is not None
         return rec
 
@@ -295,9 +298,9 @@ class TestSnapshots:
 
     def test_snapshots_over_object_store_seam(self):
         fs = EventualObjectStore()
-        L.write_part("b/t", 0, _rows(0, 6), fs)
+        part = L.write_part("b/t", 0, _rows(0, 6), fs)
         fs.sync()
-        L.try_commit_shard("b/t", 0, 6, fs)
+        L.try_commit_shard("b/t", 0, 6, [part], fs)
         # under LAGGING listing the fresh manifest isn't pinnable yet — a
         # snapshot taken now correctly pins the empty visible state
         assert L.commit_snapshot("b/t", fs)["shards"] == []
@@ -379,11 +382,11 @@ class TestVacuum:
         recs = [L.write_part(out, 0, _rows(0, 4))]
         L.commit_shard_manifest(out, 0, recs)
         L.commit_snapshot(out)
-        L.write_part(out, 7, _rows(20, 3))  # in-flight, no manifest yet
+        part = L.write_part(out, 7, _rows(20, 3))  # in-flight, no manifest yet
         res = L.vacuum(out, keep_snapshots=1)  # default retention
         assert res["parts_dropped"] == 0
         # ... the job later commits the shard and its data is intact
-        rec = L.try_commit_shard(out, 7, 3)
+        rec = L.try_commit_shard(out, 7, 3, [part])
         assert rec is not None
         assert L.read_all(out).num_rows == 7
         # an explicit min_age_s=0 (job known inactive) WOULD collect it
@@ -467,22 +470,22 @@ class TestVacuum:
 
     def test_retention_window_over_object_store(self):
         fs = EventualObjectStore()
-        L.write_part("b/w", 0, _rows(0, 4), fs)
+        part = L.write_part("b/w", 0, _rows(0, 4), fs)
         fs.sync()
-        L.try_commit_shard("b/w", 0, 4, fs)
+        L.try_commit_shard("b/w", 0, 4, [part], fs)
         fs.sync()
         L.commit_snapshot("b/w", fs)
-        L.write_part("b/w", 5, _rows(9, 2), fs)  # in-flight part
+        part = L.write_part("b/w", 5, _rows(9, 2), fs)  # in-flight part
         fs.sync()
         assert L.vacuum("b/w", keep_snapshots=1, fs=fs)["parts_dropped"] == 0
         fs.sync()
-        assert L.try_commit_shard("b/w", 5, 2, fs) is not None
+        assert L.try_commit_shard("b/w", 5, 2, [part], fs) is not None
 
     def test_vacuum_over_object_store(self):
         fs = EventualObjectStore()
-        L.write_part("b/v", 0, _rows(0, 4), fs)
+        part = L.write_part("b/v", 0, _rows(0, 4), fs)
         fs.sync()
-        L.try_commit_shard("b/v", 0, 4, fs)
+        L.try_commit_shard("b/v", 0, 4, [part], fs)
         fs.sync()
         L.commit_snapshot("b/v", fs)
         L.write_part("b/v", 8, _rows(9, 2), fs)  # orphan, never committed
@@ -607,9 +610,9 @@ class TestUpsert:
 
         fs = EventualObjectStore()
         out = "b/up"
-        L.write_part(out, 0, _rows(0, 4), fs)
+        part = L.write_part(out, 0, _rows(0, 4), fs)
         fs.sync()
-        L.try_commit_shard(out, 0, 4, fs)
+        L.try_commit_shard(out, 0, 4, [part], fs)
         fs.sync()
         L.commit_snapshot(out, fs)  # v1 pins pre-upsert state
         fs.sync()
@@ -646,9 +649,9 @@ class TestDelete:
 
         fs = EventualObjectStore()
         out = "b/del"
-        L.write_part(out, 0, _rows(0, 4), fs)
+        part = L.write_part(out, 0, _rows(0, 4), fs)
         fs.sync()
-        L.try_commit_shard(out, 0, 4, fs)
+        L.try_commit_shard(out, 0, 4, [part], fs)
         fs.sync()
         L.commit_snapshot(out, fs)
         fs.sync()

@@ -4,6 +4,7 @@ and must resume correctly from per-shard lineage."""
 
 import glob
 import os
+import re
 import shutil
 import signal
 import sys
@@ -186,9 +187,14 @@ def test_parallelism_levels_byte_identical(ray_session, corpus_dir, oracle_resul
     t1, t2 = read_output(out1), read_output(out2)
     assert_matches_oracle(t1, oracle_results)
     assert_matches_oracle(t2, oracle_results)
-    # Row-level byte stability across CPU counts (file/part layout may vary
-    # with block composition; the manifest-read row set must not).
+    # Row-level byte stability across CPU counts, and the same part layout:
+    # one task per input file writes each shard as one content-addressed
+    # part, whatever the CPU count.
     assert t1.sort_by("url").equals(t2.sort_by("url"))
+    parts1 = {r["shard_id"]: r["parts"] for r in lin.load_lineage(out1)}
+    parts2 = {r["shard_id"]: r["parts"] for r in lin.load_lineage(out2)}
+    assert parts1 == parts2
+    assert all(len(p) == 1 for p in parts1.values())
 
 
 def test_resume_skips_completed_shards(ray_session, corpus_dir, oracle_results, tmp_path):
@@ -209,6 +215,14 @@ def test_resume_skips_completed_shards(ray_session, corpus_dir, oracle_results, 
     torn = done[2]
     shutil.copytree(lin.shard_data_dir(out_full, torn), lin.shard_data_dir(out_part, torn))
     # no manifest for `torn` -> incomplete (its orphan parts must be ignored)
+    # Tables written before commits came from the writer's own part records
+    # also hold per-part summaries under lineage/pending/; no reader looks
+    # at them, so resume must work with them left in place.
+    for sid in (*keep, torn):
+        pdir = os.path.join(out_part, "lineage", "pending", f"shard_{sid}")
+        os.makedirs(pdir)
+        with open(os.path.join(pdir, "part-0123456789abcdef0123.json"), "w") as f:
+            f.write('{"n_docs": 999, "part": "part-0123456789abcdef0123.parquet"}')
 
     assert lin.completed_shards(out_part) == set(keep)
 
@@ -259,6 +273,41 @@ def test_pages_dataset_explosion(ray_session, corpus_dir, oracle_results):
         rows.sort(key=lambda r: r["page"])
         assert [r["method"] for r in rows] == [p["method"] for p in o["pages"]]
         assert [r["page_md"] for r in rows] == [p["page_md"] for p in o["pages"]]
+
+
+def test_file_task_raises_naming_a_file_whose_shard_does_not_commit(corpus_dir, tmp_path):
+    """The file task commits its shard only when the rows it wrote are the
+    rows it read; otherwise it raises, naming the file, and leaves no
+    manifest behind."""
+    from service1_text_extraction_ray.pipelines.extract_pipeline import ExtractFile
+    from service1_text_extraction_ray.sources.pages_source import list_input_files
+
+    path = list_input_files(corpus_dir)[0]
+    task = ExtractFile(str(tmp_path / "out"), CFG)
+    extract = task.extract
+    task.extract = lambda batch: extract(batch).slice(1)  # drops one doc per slice
+    with pytest.raises(RuntimeError, match=re.escape(path)):
+        task(pa.table({"path": [path]}))
+    assert lin.load_lineage(str(tmp_path / "out")) == []
+
+
+def test_job_rejects_input_files_sharing_a_shard_id(corpus_dir, tmp_path):
+    """Shard identity is the file basename, and each file's task commits
+    its shard alone: two files with one basename (here from two
+    directories) would overwrite one another's manifest, so the job refuses
+    them up front, naming both, before it writes anything."""
+    from service1_text_extraction_ray.sources.pages_source import list_input_files
+
+    src = list_input_files(corpus_dir)[0]
+    files = []
+    for d in ("a", "b"):
+        os.makedirs(tmp_path / d)
+        files.append(shutil.copy(src, tmp_path / d))
+    out = str(tmp_path / "out")
+    with pytest.raises(ValueError, match="share a shard id") as err:
+        run_extraction_job(files, out, CFG)
+    assert all(f in str(err.value) for f in files)
+    assert not os.path.exists(out)
 
 
 def test_extract_dataset_streaming_no_write(ray_session, corpus_dir):

@@ -672,8 +672,8 @@ class TestArchiveSources:
 class TestWarcSalvage:
     """Tolerant (salvage-mode) WARC ingestion: real crawl archives contain
     damaged members/records; a poison shard must cost its broken pages,
-    not the task — and the tolerant count must equal the tolerant reader
-    exactly (the job's expected-rows contract)."""
+    not the task — and the salvage report must count exactly the pages the
+    tolerant reader yields."""
 
     def _shard(self, tmp_path, n=12, gz=True):
         import os
@@ -700,7 +700,7 @@ class TestWarcSalvage:
         import pytest
 
         from service1_text_extraction_ray.sources.pages_source import (
-            count_warc_pages, warc_salvage_report)
+            warc_salvage_report)
 
         src = self._shard(tmp_path)
         blob = bytearray(open(src, "rb").read())
@@ -723,7 +723,6 @@ class TestWarcSalvage:
         # the intact pages survive; the damaged page's pair is dropped
         assert 0 < len(got) < len(good)
         assert set(got["url"]).issubset(set(good["url"]))
-        assert count_warc_pages(bad, tolerant=True) == len(got)
         rep = warc_salvage_report(bad)
         assert rep["n_pages_ok"] == len(got)
         assert rep["torn_gzip_members"] + rep["parser_resyncs"] >= 1
@@ -731,7 +730,7 @@ class TestWarcSalvage:
 
     def test_truncated_tail_and_spliced_garbage(self, ray_session, tmp_path):
         from service1_text_extraction_ray.sources.pages_source import (
-            count_warc_pages)
+            warc_salvage_report)
 
         src = self._shard(tmp_path)
         blob = open(src, "rb").read()
@@ -742,11 +741,11 @@ class TestWarcSalvage:
             bad = str(tmp_path / name)
             open(bad, "wb").write(mutated)
             got = self._read(bad, tolerant=True)  # never raises
-            assert count_warc_pages(bad, tolerant=True) == len(got)
+            assert warc_salvage_report(bad)["n_pages_ok"] == len(got)
 
     def test_plain_warc_header_corruption_resyncs(self, ray_session, tmp_path):
         from service1_text_extraction_ray.sources.pages_source import (
-            count_warc_pages)
+            warc_salvage_report)
 
         src = self._shard(tmp_path, gz=False)
         blob = bytearray(open(src, "rb").read())
@@ -758,7 +757,7 @@ class TestWarcSalvage:
         got = self._read(bad, tolerant=True)
         full = self._read(src, tolerant=False)
         assert 0 < len(got) <= len(full)
-        assert count_warc_pages(bad, tolerant=True) == len(got)
+        assert warc_salvage_report(bad)["n_pages_ok"] == len(got)
 
     def test_undamaged_shard_identical_in_both_modes(self, ray_session, tmp_path):
         src = self._shard(tmp_path)
@@ -771,8 +770,10 @@ class TestTolerantWarcJob:
     def test_job_over_damaged_warc_shard(self, ray_session, tmp_path):
         """End-to-end: an extraction job over a WARC input set containing a
         damaged shard completes in salvage mode (losing only the damaged
-        pages, manifests exact) and fails loudly in strict mode."""
+        pages, manifests exact) and fails loudly in strict mode, naming the
+        damaged file."""
         import os
+        import re
 
         import pytest
 
@@ -781,7 +782,7 @@ class TestTolerantWarcJob:
         from service1_text_extraction_ray.pipelines.extract_pipeline import (
             run_extraction_job)
         from service1_text_extraction_ray.sources.pages_source import (
-            write_pages_warc)
+            warc_salvage_report, write_pages_warc)
         from service1_text_extraction_ray.state import lineage as lin
         import ray.data as rdm
 
@@ -798,7 +799,7 @@ class TestTolerantWarcJob:
         open(p0, "wb").write(bytes(blob))
 
         out_strict = str(tmp_path / "strict")
-        with pytest.raises(Exception):
+        with pytest.raises(Exception, match=re.escape(shards[0])):
             run_extraction_job(wdir, out_strict, ExtractConfig())
 
         out = str(tmp_path / "tolerant")
@@ -807,6 +808,10 @@ class TestTolerantWarcJob:
         assert 0 < summary["n_docs"] < 40       # damaged pages lost, rest kept
         assert len(lin.load_lineage(out)) == 2  # BOTH shards committed
         assert lin.read_all(out).num_rows == summary["n_docs"]
+        # each shard holds exactly the pages salvage parsing keeps of it
+        assert summary["n_docs"] == sum(
+            warc_salvage_report(os.path.join(wdir, s))["n_pages_ok"]
+            for s in shards)
 
 
 class TestArchiveSalvage:
