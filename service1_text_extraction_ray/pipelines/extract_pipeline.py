@@ -6,18 +6,21 @@ Replaces the reference's FastAPI/Postgres/asyncio plumbing
 
     from_items(input files,                    # one block per file; completed
                one block per file)             #   files pruned on resume
-      -> map_batches(ExtractFile,              # per file, in ONE task: read
+      -> map_batches(ExtractFile | MergeFile,  # per file, in ONE task: read
                      batch_size=1)             #   it whole -> sniff -> extract
                                                #   in PARSE_BATCH_SIZE slices
-                                               #   -> one content-addressed
-                                               #   part -> commit the shard
-                                               #   manifest: NO shuffle
-      -> drain the tiny part-summary stream
+                                               #   -> commit: one content-
+                                               #   addressed part + the shard
+                                               #   manifest, or a merge into
+                                               #   the shard: NO shuffle
+      -> drain the tiny summary stream
 
-``run_incremental_recrawl`` runs the same job into a staging table, then
-merges each staged shard into the table with one ``lineage.upsert_shard``
-task per shard. Both entry points share one write path and one commit, and
-no Ray Data shuffle (groupby, repartition, sort) runs in either.
+Both entry points run this one graph (``_run_file_tasks``) and differ only
+in the task's commit step. ``run_extraction_job`` runs ``ExtractFile``,
+which writes the file's rows as a new shard. ``run_incremental_recrawl``
+runs ``MergeFile``, which merges them into the file's shard by url
+(``lineage.upsert_shard``). No Ray work starts outside Ray Data, and no
+Ray Data shuffle (groupby, repartition, sort) runs in either.
 
 Design notes (SURVEY.md §4.2):
 
@@ -56,7 +59,6 @@ from typing import Optional
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray
 import ray.data as rd
 
 from .. import ensure_worker_importable
@@ -169,13 +171,13 @@ class PartWriter:
 
 
 class ExtractFile:
-    """The job's one task kind: read one input file whole (parquet with
+    """The engine's one task kind: read one input file whole (parquet with
     ``INPUT_COLUMNS`` only, or WARC through ``read_warc_file``, whose
     salvage mode ``tolerant_warc`` selects), sniff it, extract it in
-    ``PARSE_BATCH_SIZE`` slices, write its doc rows as one part and commit
-    its shard. Takes a one-row ``path`` batch and returns the shard's
-    part-summary rows. Raises, naming the file, when the file cannot be
-    read or its shard does not commit."""
+    ``PARSE_BATCH_SIZE`` slices and ``commit`` its doc rows: here, one
+    part and the shard's manifest. Takes a one-row ``path`` batch and
+    returns the commit's summary rows (part summaries). Raises, naming the
+    file, when the file cannot be read or its shard does not commit."""
 
     def __init__(self, out_dir: str, cfg: ExtractConfig,
                  tolerant_warc: bool = False) -> None:
@@ -202,17 +204,49 @@ class ExtractFile:
             self.extract(table.slice(start, PARSE_BATCH_SIZE))
             for start in range(0, max(table.num_rows, 1), PARSE_BATCH_SIZE)
         ])
-        sid = stable_shard_id(path)
+        return self.commit(path, stable_shard_id(path), table.num_rows, docs)
+
+    def commit(self, path: str, sid: int, n_read: int, docs: pa.Table) -> pa.Table:
+        """Write ``docs`` as the shard's one part and commit its manifest
+        from the part record; a zero-row file commits a shard with no
+        parts."""
         writer = PartWriter(self.out_dir)
         summary = writer(docs)
-        # A zero-row file commits its shard with no parts.
-        if lin.try_commit_shard(self.out_dir, sid, table.num_rows,
+        if lin.try_commit_shard(self.out_dir, sid, n_read,
                                 writer.part_records.get(sid, [])) is None:
             raise RuntimeError(
                 f"shard {sid} of input file {path} did not commit: "
-                f"{table.num_rows} rows read, {docs.num_rows} written"
+                f"{n_read} rows read, {docs.num_rows} written"
             )
         return summary
+
+
+MERGE_SUMMARY_SCHEMA = pa.schema(
+    [("n_replaced", pa.int64()), ("n_appended", pa.int64()), ("n_docs", pa.int64())]
+)
+
+
+class MergeFile(ExtractFile):
+    """The recrawl's task: ``ExtractFile`` whose commit merges the file's
+    doc rows into its shard by url (``lineage.upsert_shard``, which writes
+    the merged parts, then re-points the manifest) instead of writing the
+    shard anew. Returns one ``MERGE_SUMMARY_SCHEMA`` row; a zero-row file
+    changes nothing and returns none. Raises, naming the file and leaving
+    its shard as it was, when the rows extracted are not the rows read."""
+
+    def commit(self, path: str, sid: int, n_read: int, docs: pa.Table) -> pa.Table:
+        if docs.num_rows != n_read:
+            raise RuntimeError(
+                f"shard {sid} of input file {path} did not merge: "
+                f"{n_read} rows read, {docs.num_rows} extracted"
+            )
+        if not n_read:
+            return MERGE_SUMMARY_SCHEMA.empty_table()
+        rec = lin.upsert_shard(self.out_dir, sid, docs)
+        return pa.Table.from_pylist(
+            [{k: rec[k] for k in MERGE_SUMMARY_SCHEMA.names}],
+            schema=MERGE_SUMMARY_SCHEMA,
+        )
 
 
 def _check_distinct_shards(files: list) -> None:
@@ -229,6 +263,23 @@ def _check_distinct_shards(files: list) -> None:
             "input files share a shard id (shard identity is the file "
             f"basename): {clashes}"
         )
+
+
+def _run_file_tasks(files: list, task: ExtractFile) -> list:
+    """Run ``task`` on every input file, one plain Ray Data task per file,
+    and return the summary tables the tasks returned (tiny: one row per
+    shard at most). Each task committed its own shard."""
+    if not files:
+        return []
+    # Ship package code by value so workers never need the repo on sys.path.
+    ensure_worker_importable()
+    # from_items caps its default block count at 200; one block per file
+    # keeps one task per file at any file count.
+    return list(
+        rd.from_items([{"path": f} for f in files], override_num_blocks=len(files))
+        .map_batches(task, batch_format="pyarrow", batch_size=1)
+        .iter_batches(batch_size=4096, batch_format="pyarrow")
+    )
 
 
 def run_extraction_job(
@@ -271,22 +322,7 @@ def run_extraction_job(
         if os.path.isdir(ldir):
             shutil.rmtree(ldir)
 
-    if files:
-        # Ship package code by value so workers never need the repo on
-        # sys.path.
-        ensure_worker_importable()
-        # from_items caps its default block count at 200; one block per
-        # file keeps one task per file at any file count.
-        summaries = rd.from_items(
-            [{"path": f} for f in files], override_num_blocks=len(files)
-        ).map_batches(
-            ExtractFile(out_dir, cfg, tolerant_warc),
-            batch_format="pyarrow", batch_size=1,
-        )
-        # Drain the (tiny) summary stream; each task committed its shard.
-        for _ in summaries.iter_batches(batch_size=4096, batch_format="pyarrow"):
-            pass
-
+    _run_file_tasks(files, ExtractFile(out_dir, cfg, tolerant_warc))
     summary = lin.summarize(lin.load_lineage(out_dir))
     summary["resumed_shards_skipped"] = skipped
     summary["new_shards_written"] = len(files)
@@ -313,21 +349,24 @@ def run_incremental_recrawl(
     a recrawl file replaces the shard of the original file with the same
     name; brand-new basenames create fresh shards (pure appends).
 
-    Three steps, with no shuffle: (1) ``run_extraction_job`` extracts the
-    delta into a staging table at ``out_dir/_recrawl`` — the same
-    per-file read -> sniff -> extract -> write -> commit task as a full
-    job, one committed staged shard per delta file; (2) each staged shard
-    holding rows is merged with ``lineage.upsert_shard`` in its own Ray
-    task, through a filesystem the driver and workers share (where the
-    staging table sits), so no table rows pass through the driver; (3) the
-    staging table is
-    deleted, also when a step fails. Re-extracted-but-unchanged docs
-    replace in place with identical content (idempotent by content
-    addressing); the per-shard result is byte-equivalent to a full
-    re-extraction of the merged inputs (order-insensitive content_hash
-    equality, pinned by tests/test_pipeline_e2e.py::TestIncrementalRecrawl).
+    One ``MergeFile`` task per delta file, with no shuffle: it reads,
+    sniffs and extracts the file as a full job's task does, then merges
+    the rows into the file's shard (``lineage.upsert_shard``) through a
+    filesystem the driver and workers share, so no table rows pass through
+    the driver. A zero-row delta file leaves its shard untouched.
 
-    The input must be parquet: a WARC input raises ValueError up front.
+    Each shard's merge is atomic (new parts first, then the manifest
+    re-points), but the recrawl as a whole is not: a failing file raises,
+    naming the file, with its own shard as it was and other files' shards
+    possibly merged. Re-running the same recrawl converges, since a merge
+    is idempotent: unchanged docs replace in place with identical content
+    and land on the same content-addressed parts. The per-shard result is
+    byte-equivalent to a full re-extraction of the merged inputs
+    (order-insensitive content_hash equality, pinned by
+    tests/test_pipeline_e2e.py::TestIncrementalRecrawl).
+
+    The input must be parquet: a WARC input raises ValueError up front, as
+    do delta files that share a shard id.
 
     Returns ``{"shards_touched", "n_replaced", "n_appended",
     "n_docs_touched_shards"}`` (+ ``snapshot_version`` when requested);
@@ -339,24 +378,9 @@ def run_incremental_recrawl(
             "run_incremental_recrawl reads parquet shards only; "
             f"got WARC input {files[0]!r}"
         )
-    if not files:
-        return {"shards_touched": 0, "n_replaced": 0, "n_appended": 0,
-                "n_docs_touched_shards": 0}
-
-    # The staging table sits beside data/, lineage/ and snapshots/, never
-    # inside them, so no reader of the table sees staged rows.
-    stage = os.path.join(out_dir, "_recrawl")
-    try:
-        run_extraction_job(files, stage, cfg)
-        # A zero-row delta file commits an empty staged shard; it changes
-        # nothing, so its table shard is left as it is.
-        sids = [r["shard_id"] for r in lin.load_lineage(stage) if r["n_docs"]]
-        results = ray.get(
-            [_merge_staged_shard.remote(out_dir, stage, sid) for sid in sids]
-        )
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
-
+    _check_distinct_shards(files)
+    results = [r for t in _run_file_tasks(files, MergeFile(out_dir, cfg))
+               for r in t.to_pylist()]
     out = {
         "shards_touched": len(results),
         "n_replaced": sum(r["n_replaced"] for r in results),
@@ -367,12 +391,3 @@ def run_incremental_recrawl(
     if snapshot:
         out["snapshot_version"] = lin.commit_snapshot(out_dir)["version"]
     return out
-
-
-@ray.remote
-def _merge_staged_shard(out_dir: str, stage: str, shard_id: int) -> dict:
-    """Upsert one committed staged shard into the table, worker-side, in
-    the stored layout (no text is rebuilt only to be dropped again); only
-    the merge counters travel back to the driver."""
-    rec = lin.upsert_shard(out_dir, shard_id, lin.read_stored_shard(stage, shard_id))
-    return {k: rec[k] for k in ("n_replaced", "n_appended", "n_docs")}

@@ -14,18 +14,17 @@ Layout under ``out_dir``::
     lineage/shard_{id:05d}.json                  # manifest: the exact part
                                                  #   list + counters; written
                                                  #   strictly AFTER its parts
-    _recrawl/                                    # a running recrawl's staging
-                                                 #   table (same layout);
-                                                 #   deleted when it returns
 
 A shard is one input file, and one extraction task reads, parses and
 writes it, so the task that writes a shard's parts holds every part's
 summary record (``write_part`` returns it). It commits the shard's manifest
 from those records once they add up to the file's rows
 (``try_commit_shard``), with no listing and no second writer to wait for.
-Merges (compaction, upsert, delete) rewrite a shard the same way: parts
-first, then the manifest from the records in hand. A reader trusts ONLY
-parts listed in a committed manifest, so:
+Merges (compaction, upsert, delete) rewrite a shard the same way, through
+one path: ``_write_parts`` writes the new parts, then ``_repoint`` commits
+the manifest from the records in hand and only then unlinks the parts it
+no longer lists. A reader trusts ONLY parts listed in a committed
+manifest, so:
 
 - crash before a shard's manifest -> shard incomplete -> fully re-processed
   on resume; any orphan parts from the crashed attempt are simply never
@@ -555,15 +554,6 @@ def read_shard(out_dir: str, shard_id: int, fs: Optional[Any] = None) -> pa.Tabl
     return _read_parts(out_dir, [_committed_manifest(out_dir, shard_id, fs)], fs)
 
 
-def read_stored_shard(out_dir: str, shard_id: int,
-                      fs: Optional[Any] = None) -> pa.Table:
-    """``read_shard`` in the stored layout: no derived text, for rows that
-    are only merged into another table (``upsert_shard``)."""
-    fs = _fs(fs)
-    return _read_parts(out_dir, [_committed_manifest(out_dir, shard_id, fs)],
-                       fs, _stored_layout)
-
-
 def read_all(out_dir: str, fs: Optional[Any] = None) -> pa.Table:
     """Read every committed shard's rows (manifest-listed parts only).
 
@@ -615,6 +605,30 @@ def summarize(records: List[Dict[str, Any]]) -> Dict[str, Any]:
     return out
 
 
+def _write_parts(out_dir: str, shard_id: int, rows: pa.Table,
+                 target_rows: int, fs: Any) -> List[Dict[str, Any]]:
+    """Write ``rows`` as the shard's new content-addressed parts, in
+    ``ceil(n / target_rows)`` even slices (none for no rows), and return
+    their records. The first step of every merge."""
+    n = rows.num_rows
+    step = max(1, -(-n // max(1, -(-n // target_rows))))
+    return [write_part(out_dir, shard_id, rows.slice(start, step), fs)
+            for start in range(0, n, step)]
+
+
+def _repoint(out_dir: str, shard_id: int, records: List[Dict[str, Any]],
+             old_parts: List[str], fs: Any) -> Dict[str, Any]:
+    """Commit the shard's manifest from ``records`` (its new parts, which
+    exist), then unlink those of ``old_parts`` it no longer lists. A crash
+    at any step leaves either the old or the new manifest, each naming only
+    parts that exist. Returns the new manifest record."""
+    rec = commit_shard_manifest(out_dir, shard_id, records, fs)
+    ddir = shard_data_dir(out_dir, shard_id)
+    for part in set(old_parts) - set(rec["parts"]):
+        fs.remove(os.path.join(ddir, part))
+    return rec
+
+
 def compact_shard(out_dir: str, shard_id: int, target_rows: int = 100_000,
                   fs: Optional[Any] = None) -> Dict[str, Any]:
     """Small-file compaction for one committed shard — the storage-
@@ -625,38 +639,28 @@ def compact_shard(out_dir: str, shard_id: int, target_rows: int = 100_000,
     target_rows)`` right-sized parts. Crash-safe by the same commit
     discipline as extraction: new content-addressed parts are written
     FIRST, then the manifest atomically re-points to them, and only then
-    are the old parts unlinked — a crash at any step leaves either the old
-    or the new manifest, each referencing only parts that exist (orphans
-    are never read). Counters and the order-insensitive content_hash are
-    preserved exactly (asserted here, not assumed); already-compact shards
-    are a no-op, and re-running lands on identical content-addressed names.
-    Returns the (possibly unchanged) manifest record."""
+    are the old parts unlinked (``_repoint``). Counters and the
+    order-insensitive content_hash are preserved exactly: the new parts'
+    records are checked against the manifest BEFORE it re-points, so a
+    mismatch raises RuntimeError with the shard as it was (the new parts
+    are orphans, never read). Already-compact shards are a no-op, and
+    re-running lands on identical content-addressed names. Returns the
+    (possibly unchanged) manifest record."""
     fs = _fs(fs)
     rec = _committed_manifest(out_dir, shard_id, fs)
-    n_new = max(1, -(-rec["n_docs"] // target_rows))
-    if len(rec["parts"]) <= n_new:
+    if len(rec["parts"]) <= max(1, -(-rec["n_docs"] // target_rows)):
         return rec  # already compact
 
     table = _read_parts(out_dir, [rec], fs, _stored_layout)
-    old_parts = set(rec["parts"])
-    new_records = []
-    step = -(-table.num_rows // n_new)
-    for start in range(0, table.num_rows, step):
-        new_records.append(
-            write_part(out_dir, shard_id, table.slice(start, step), fs)
-        )
-    new_rec = commit_shard_manifest(out_dir, shard_id, new_records, fs)
-    if new_rec["content_hash"] != rec["content_hash"] or new_rec["n_docs"] != rec["n_docs"]:
+    records = _write_parts(out_dir, shard_id, table, target_rows, fs)
+    new = summarize(records)
+    if new["content_hash"] != rec["content_hash"] or new["n_docs"] != rec["n_docs"]:
         raise RuntimeError(
             f"compaction changed shard {shard_id} content "
             f"({rec['content_hash']}/{rec['n_docs']} -> "
-            f"{new_rec['content_hash']}/{new_rec['n_docs']})"
+            f"{new['content_hash']}/{new['n_docs']})"
         )
-    # old parts are now unreferenced; unlink them
-    ddir = shard_data_dir(out_dir, shard_id)
-    for part in old_parts - set(new_rec["parts"]):
-        fs.remove(os.path.join(ddir, part))
-    return new_rec
+    return _repoint(out_dir, shard_id, records, rec["parts"], fs)
 
 
 def upsert_shard(out_dir: str, shard_id: int, updates: pa.Table,
@@ -671,12 +675,13 @@ def upsert_shard(out_dir: str, shard_id: int, updates: pa.Table,
 
     Crash-safe by the same discipline as compaction: the merged
     content-addressed parts are written FIRST, then the manifest
-    atomically re-points, and only then are replaced parts unlinked — a
-    crash at any step leaves a manifest whose parts all exist. The merged
-    rows are sorted by ``key`` before the part split, so the same logical
-    upsert lands on identical part names at any parallelism. Counters and
-    content_hash are recomputed from the merged rows (content genuinely
-    changed — unlike compaction there is no preservation invariant).
+    atomically re-points, and only then are replaced parts unlinked
+    (``_repoint``) — a crash at any step leaves a manifest whose parts all
+    exist. The merged rows are sorted by ``key`` before the part split, so
+    the same logical upsert lands on identical part names at any
+    parallelism. Counters and content_hash are recomputed from the merged
+    rows (content genuinely changed — unlike compaction there is no
+    preservation invariant).
     Snapshots pinned before the upsert keep reading the OLD rows until a
     replaced part is unlinked, after which they expire (SnapshotExpired)
     exactly like compaction — pin-then-upsert plus vacuum retention is
@@ -697,10 +702,10 @@ def upsert_shard(out_dir: str, shard_id: int, updates: pa.Table,
     rec = load_manifest(out_dir, shard_id, fs)
     if rec is None:
         old = updates.schema.empty_table()
-        old_parts: set = set()
+        old_parts: List[str] = []
     else:
         old = _read_parts(out_dir, [rec], fs, _stored_layout)
-        old_parts = set(rec["parts"])
+        old_parts = rec["parts"]
 
     # Counters are in KEYS, not raw rows: a base shard may legitimately
     # carry duplicate keys (nothing dedups urls at ingest); an upsert of
@@ -735,18 +740,8 @@ def upsert_shard(out_dir: str, shard_id: int, updates: pa.Table,
 
     merged = pa.concat_tables([align(kept), align(updates)]).sort_by(key)
 
-    new_records = []
-    step = max(1, -(-merged.num_rows // max(1, -(-merged.num_rows // target_rows))))
-    for start in range(0, merged.num_rows, step):
-        new_records.append(
-            write_part(out_dir, shard_id, merged.slice(start, step), fs)
-        )
-    new_rec = commit_shard_manifest(out_dir, shard_id, new_records, fs)
-
-    ddir = shard_data_dir(out_dir, shard_id)
-    for part in old_parts - set(new_rec["parts"]):
-        fs.remove(os.path.join(ddir, part))
-    new_rec = dict(new_rec)
+    records = _write_parts(out_dir, shard_id, merged, target_rows, fs)
+    new_rec = _repoint(out_dir, shard_id, records, old_parts, fs)
     new_rec["n_replaced"] = n_replaced
     new_rec["n_appended"] = n_appended
     return new_rec
@@ -776,21 +771,8 @@ def delete_rows(out_dir: str, shard_id: int, keys: List[str],
         rec["n_deleted"] = 0
         return rec
 
-    new_records = []
-    if kept.num_rows:
-        step = max(
-            1, -(-kept.num_rows // max(1, -(-kept.num_rows // target_rows)))
-        )
-        for start in range(0, kept.num_rows, step):
-            new_records.append(
-                write_part(out_dir, shard_id, kept.slice(start, step), fs)
-            )
-    new_rec = commit_shard_manifest(out_dir, shard_id, new_records, fs)
-
-    ddir = shard_data_dir(out_dir, shard_id)
-    for part in set(rec["parts"]) - set(new_rec["parts"]):
-        fs.remove(os.path.join(ddir, part))
-    new_rec = dict(new_rec)
+    records = _write_parts(out_dir, shard_id, kept, target_rows, fs)
+    new_rec = _repoint(out_dir, shard_id, records, rec["parts"], fs)
     new_rec["n_deleted"] = n_deleted
     return new_rec
 

@@ -7,8 +7,9 @@ starting from the job CLI and the pipeline module. Importing ``a.b.c``
 also runs ``a/__init__.py`` and ``a/b/__init__.py``, so parent packages of
 every reached module count as reached.
 
-Two more walks check that no engine module calls a Ray Data shuffle and
-that every ``map_batches`` runs its function as plain tasks."""
+Three more walks check that no engine module calls a Ray Data shuffle,
+that every ``map_batches`` runs its function as plain tasks, and that no
+Ray work starts outside Ray Data."""
 
 import ast
 from pathlib import Path
@@ -124,3 +125,22 @@ def test_engine_runs_batches_as_tasks():
         if kw.arg in POOL_KEYWORDS
     )
     assert not offenders, f"map_batches run as an actor pool: {offenders}"
+
+
+def test_engine_launches_ray_work_only_through_ray_data():
+    """One way to run work on Ray: a Ray Data graph. No engine module
+    defines or calls a remote function or actor (``ray.remote`` as a
+    decorator or call, ``f.remote(...)``) or waits on an object ref
+    (``ray.get``)."""
+    offenders = sorted(
+        f"{p.relative_to(PKG_DIR)}:{node.lineno}"
+        for p in PKG_DIR.rglob("*.py")
+        for node in ast.walk(ast.parse(p.read_text()))
+        if (isinstance(node, ast.Attribute) and (
+            node.attr == "remote"
+            or (node.attr == "get" and isinstance(node.value, ast.Name)
+                and node.value.id == "ray")))
+        or (isinstance(node, ast.ImportFrom) and node.module == "ray"
+            and {a.name for a in node.names} & {"remote", "get"})
+    )
+    assert not offenders, f"Ray work outside Ray Data: {offenders}"

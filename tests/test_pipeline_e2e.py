@@ -53,6 +53,17 @@ CLI_TIMEOUT_S = 300
 _JOB_ENV = dict(os.environ, RAY_ADDRESS="local")
 
 
+def _tree_bytes(root: str) -> dict:
+    """Every file under ``root``, by relative path, with its bytes."""
+    out = {}
+    for d, _, names in os.walk(root):
+        for n in names:
+            path = os.path.join(d, n)
+            with open(path, "rb") as f:
+                out[os.path.relpath(path, root)] = f.read()
+    return out
+
+
 def _job_cli(input_dir: str, out_dir: str, num_cpus: int = 2) -> list:
     return [
         sys.executable, "-m", "service1_text_extraction_ray.pipelines.job",
@@ -291,11 +302,39 @@ def test_file_task_raises_naming_a_file_whose_shard_does_not_commit(corpus_dir, 
     assert lin.load_lineage(str(tmp_path / "out")) == []
 
 
+def test_failed_merge_leaves_its_shard_as_it_was(corpus_dir, tmp_path):
+    """The recrawl's file task merges only when the rows it extracted are
+    the rows it read; otherwise it raises, naming the file, before it
+    writes anything, so the shard's manifest and parts stay byte for byte
+    as they were."""
+    from service1_text_extraction_ray.pipelines.extract_pipeline import (
+        ExtractFile,
+        MergeFile,
+    )
+    from service1_text_extraction_ray.sources.pages_source import list_input_files
+
+    path = list_input_files(corpus_dir)[0]
+    out = str(tmp_path / "out")
+    ExtractFile(out, CFG)(pa.table({"path": [path]}))
+    before = _tree_bytes(out)
+    task = MergeFile(out, CFG)
+    extract = task.extract
+    task.extract = lambda batch: extract(batch).slice(1)  # drops one doc per slice
+    with pytest.raises(RuntimeError, match=re.escape(path)):
+        task(pa.table({"path": [path]}))
+    assert _tree_bytes(out) == before
+
+
 def test_job_rejects_input_files_sharing_a_shard_id(corpus_dir, tmp_path):
     """Shard identity is the file basename, and each file's task commits
     its shard alone: two files with one basename (here from two
-    directories) would overwrite one another's manifest, so the job refuses
-    them up front, naming both, before it writes anything."""
+    directories) would overwrite one another's manifest, so the job and
+    the recrawl refuse them up front, naming both, before they write
+    anything."""
+    from service1_text_extraction_ray.pipelines.extract_pipeline import (
+        ExtractFile,
+        run_incremental_recrawl,
+    )
     from service1_text_extraction_ray.sources.pages_source import list_input_files
 
     src = list_input_files(corpus_dir)[0]
@@ -308,6 +347,14 @@ def test_job_rejects_input_files_sharing_a_shard_id(corpus_dir, tmp_path):
         run_extraction_job(files, out, CFG)
     assert all(f in str(err.value) for f in files)
     assert not os.path.exists(out)
+
+    # A recrawl of the two files into a table holding their shard.
+    ExtractFile(out, CFG)(pa.table({"path": [src]}))
+    before = _tree_bytes(out)
+    with pytest.raises(ValueError, match="share a shard id") as err:
+        run_incremental_recrawl(files, out, CFG)
+    assert all(f in str(err.value) for f in files)
+    assert _tree_bytes(out) == before
 
 
 def test_extract_dataset_streaming_no_write(ray_session, corpus_dir):
@@ -462,6 +509,25 @@ class TestCompaction:
         # second pass: no-op (content-addressed names, already compact)
         again = L.compact_shard(out, 3, target_rows=100)
         assert again["parts"] == after["parts"]
+
+    def test_compact_checks_content_before_it_commits(self, tmp_path, monkeypatch):
+        """A compaction whose rewritten parts do not hold the shard's
+        content raises before the manifest re-points: the manifest and the
+        old parts stay as they were."""
+        from service1_text_extraction_ray.state import lineage as L
+
+        out = str(tmp_path / "job")
+        recs = [L.write_part(out, 3, self._rows(i0, 5)) for i0 in (0, 5, 10)]
+        L.commit_shard_manifest(out, 3, recs)
+        with open(L.manifest_path(out, 3), "rb") as f:
+            manifest = f.read()
+        read = L._read_parts
+        monkeypatch.setattr(L, "_read_parts", lambda *a, **k: read(*a, **k).slice(1))
+        with pytest.raises(RuntimeError, match="compaction changed shard 3"):
+            L.compact_shard(out, 3, target_rows=100)
+        with open(L.manifest_path(out, 3), "rb") as f:
+            assert f.read() == manifest
+        assert {r["part"] for r in recs} <= set(os.listdir(L.shard_data_dir(out, 3)))
 
     def test_compact_output_summary_unchanged(self, tmp_path):
         from service1_text_extraction_ray.state import lineage as L
@@ -772,12 +838,30 @@ class TestIncrementalRecrawl:
         assert res["n_docs_touched_shards"] == 50
         assert lin.read_all(out).num_rows == n0 + 50
 
+    def test_rerun_of_a_recrawl_converges(self, ray_session, corpus_dir, tmp_path):
+        """A recrawl commits shard by shard, so a failed one may leave some
+        shards merged; re-running it converges. Here the second run of the
+        same recrawl replaces every delta doc with itself and leaves every
+        table file byte for byte as the first run left it."""
+        from service1_text_extraction_ray.pipelines.extract_pipeline import (
+            run_incremental_recrawl)
+
+        out = str(tmp_path / "out")
+        run_extraction_job(corpus_dir, out, CFG)
+        rdir, _, rows = self._recrawl_file(corpus_dir, tmp_path)
+        run_incremental_recrawl(rdir, out, CFG)
+        once = _tree_bytes(out)
+        res = run_incremental_recrawl(rdir, out, CFG)
+        assert _tree_bytes(out) == once
+        assert {p.split(os.sep)[0] for p in once} == {"data", "lineage"}
+        assert res["n_replaced"] == len(rows) and res["n_appended"] == 0
+
     def test_zero_row_delta_file_leaves_its_shard_untouched(
         self, ray_session, corpus_dir, tmp_path
     ):
         """A delta file with no rows changes nothing: its shard keeps its
-        manifest and parts, it is not counted as touched, and the staging
-        table is gone afterwards."""
+        manifest and parts, it is not counted as touched, and the recrawl
+        leaves no staging directory behind."""
         from service1_text_extraction_ray.functions.sniff import stable_shard_id
         from service1_text_extraction_ray.pipelines.extract_pipeline import (
             run_incremental_recrawl)
