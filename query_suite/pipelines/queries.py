@@ -178,10 +178,8 @@ _SCANNED_EXTRACTION_CACHE: Dict[tuple, rd.Dataset] = {}
 def _scanned_extraction(sf_dir: str) -> rd.Dataset:
     from service1_text_extraction_ray.functions.extract import ExtractConfig
     from ..sources.page_formats import documents_to_scanned_pages
-    from service1_text_extraction_ray.stages.extract_stage import (
-        ExtractDocuments,
-        SniffStage,
-    )
+    from service1_text_extraction_ray.functions.sniff import sniff_table
+    from service1_text_extraction_ray.stages.extract_stage import ExtractDocuments
 
     # Key on the Ray SESSION too: a materialized Dataset's block refs die
     # with their session, so a shutdown/init cycle in one process (e.g. a
@@ -204,7 +202,8 @@ def _scanned_extraction(sf_dir: str) -> rd.Dataset:
         # callable INSTANCE keeps function mode.
         ds = (
             documents_to_scanned_pages(sf_dir)
-            .map_batches(SniffStage(cfg), batch_format="pyarrow")
+            .map_batches(sniff_table, batch_format="pyarrow",
+                         fn_kwargs={"size_bucket_edges": cfg.size_bucket_edges})
             .map_batches(ExtractDocuments(cfg), batch_format="pyarrow")
             .materialize()
         )
@@ -9581,11 +9580,9 @@ def q_extract_eval(sf_dir: str) -> rd.Dataset:
 
     from collections import Counter
 
-    from service1_text_extraction_ray.functions.extract import ExtractConfig
     from service1_text_extraction_ray.functions.html_extract import extract_html_text
     from service1_text_extraction_ray.functions.synth import make_article_html
 
-    cfg = ExtractConfig()
     out_schema = pa.schema([
         ("doc_id", pa.int64()), ("n_gold", pa.int64()),
         ("n_extracted", pa.int64()), ("n_common", pa.int64()),
@@ -9604,12 +9601,7 @@ def q_extract_eval(sf_dir: str) -> rd.Dataset:
             ]
             html = make_article_html(title, paragraphs,
                                      _random.Random(int(doc_id)))
-            extracted, _ = extract_html_text(
-                html,
-                min_block_chars=cfg.min_block_chars,
-                min_heading_chars=cfg.min_heading_chars,
-                max_link_density=cfg.max_link_density,
-            )
+            extracted, _ = extract_html_text(html)
             gold = Counter(title.split())
             for p in paragraphs:
                 gold.update(p.split())

@@ -61,11 +61,6 @@ class ExtractConfig:
     min_text_length: int = MIN_TEXT_LENGTH
     max_pages: Optional[int] = None
 
-    # HTML boilerplate heuristics (html_extract.py).
-    min_block_chars: int = 25
-    min_heading_chars: int = 8
-    max_link_density: float = 0.5
-
     # Scale/skew guards (SURVEY.md §4.2): payloads beyond this are truncated
     # (counted, never crashed on).
     max_payload_bytes: int = 1_048_576
@@ -107,12 +102,7 @@ def _extract_html(
     """Built-in HTML extractor (DOM parse + boilerplate strip)."""
     pages: List[Dict[str, Any]] = []
     try:
-        text, kept = extract_html_text(
-            payload,
-            min_block_chars=cfg.min_block_chars,
-            min_heading_chars=cfg.min_heading_chars,
-            max_link_density=cfg.max_link_density,
-        )
+        text, kept = extract_html_text(payload)
         if gate_page_text(text, cfg.min_text_length):
             layout = html_layout(kept) if cfg.emit_layout else None
             pages.append(_page_row(1, METHOD_DOM, text.strip(), layout))

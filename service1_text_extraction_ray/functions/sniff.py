@@ -7,9 +7,9 @@ The new engine instead sniffs magic bytes on the ``html: binary`` payload
 column so one input table can carry mixed HTML/PDF/other content
 (SURVEY.md §4.2 item 5).
 
-``sniff_table`` is the vectorized batch version used by the pipeline;
-``sniff_payload`` is the scalar version shared with the sequential oracle.
-Both MUST agree (unit-tested).
+``sniff_payload`` is the one content-kind decision: the parse dispatches
+on it (``extract.extract_document``), and ``sniff_table``, the per-batch
+sniff stage, labels each row's ``content_kind`` with it.
 """
 
 from __future__ import annotations
@@ -64,8 +64,7 @@ def sniff_payload(payload: bytes | None) -> str:
     if stripped[:1] == b"<":
         # Feed check only for the three root-ish prefixes (a <!DOCTYPE html>
         # page never pays the root-tag scan; a comment-prefixed feed is
-        # consistently classified html — documented prefilter, identical in
-        # the vectorized path so scalar/table sniffs always agree).
+        # classified html — a documented prefilter).
         if stripped[:5] == b"<?xml" or stripped[:4] in (b"<rss", b"<fee"):
             if detect_feed(payload) is not None:
                 return KIND_FEED
@@ -91,72 +90,22 @@ def stable_shard_id(path: str) -> int:
 
 
 def sniff_table(batch: pa.Table, size_bucket_edges: tuple[int, ...]) -> pa.Table:
-    """Vectorized sniff stage: content_kind, payload_len, size_bucket,
-    shard_id (from the reader's ``path`` column, which is then dropped).
+    """Sniff stage: content_kind, payload_len, size_bucket, shard_id (from
+    the reader's ``path`` column, which is then dropped).
 
-    payload_len / prefix checks use pyarrow kernels (zero-copy over the binary
-    column); shard ids are computed once per distinct path in the batch
-    (dictionary-encode, hash the few uniques), not per row.
+    ``content_kind`` is ``sniff_payload`` of each row, the same call the
+    parse dispatches on, so a row's stored kind is the kind it was parsed
+    as. Each row passes only its first 512 bytes: ``sniff_payload`` reads
+    no further (the ``%PDF-`` check reads 5, ``_is_texty`` 64 and
+    ``feeds.detect_feed`` 512). payload_len and size_bucket are pyarrow /
+    numpy kernels; shard ids are computed once per distinct path in the
+    batch (dictionary-encode, hash the few uniques), not per row.
     """
     payload = batch["html"]
     n = len(batch)
 
     payload_len = pc.fill_null(pc.binary_length(payload), 0)
-
-    is_pdf = pc.fill_null(pc.starts_with(payload, pattern=b"%PDF-"), False)
-
-    # HTML detection, vectorized for the dominant case: a payload that starts
-    # directly with '<' (virtually all real markup). Only rows that start
-    # with a BOM or leading whitespace need the scalar lstrip fallback —
-    # find those rows with one more kernel and loop over just them.
-    is_pdf_np = is_pdf.to_numpy(zero_copy_only=False)
-    is_html_np = pc.fill_null(
-        pc.starts_with(payload, pattern=b"<"), False
-    ).to_numpy(zero_copy_only=False)
-    kinds = np.where(
-        is_pdf_np, KIND_PDF, np.where(is_html_np, KIND_HTML, KIND_OTHER)
-    ).astype(object)
-
-    # Feed refinement: only '<'-prefixed rows whose first element could be
-    # an rss/feed root (cheap vectorized prefix prefilter; the scalar
-    # root-tag scan runs on just those rows — feeds are rare in a crawl).
-    maybe_feed = is_html_np & pc.fill_null(
-        pc.or_(
-            pc.or_(
-                pc.starts_with(payload, pattern=b"<?xml"),
-                pc.starts_with(payload, pattern=b"<rss"),
-            ),
-            pc.starts_with(payload, pattern=b"<feed"),
-        ),
-        False,
-    ).to_numpy(zero_copy_only=False)
-    if maybe_feed.any():
-        head512 = pc.binary_slice(payload, 0, 512)
-        for i in np.nonzero(maybe_feed)[0]:
-            if detect_feed(head512[int(i)].as_py()) is not None:
-                kinds[i] = KIND_FEED
-
-    lens_np = payload_len.to_numpy(zero_copy_only=False)
-    maybe_slow = ~is_pdf_np & ~is_html_np & (lens_np > 0)
-    if maybe_slow.any():
-        head = pc.binary_slice(payload, 0, 512)
-        for i in np.nonzero(maybe_slow)[0]:
-            h = head[int(i)].as_py()
-            if h:
-                if h[:3] == b"\xef\xbb\xbf":
-                    h = h[3:]
-                hs = h.lstrip(b" \t\r\n")
-                if hs[:1] == b"<":
-                    # BOM/whitespace-prefixed markup: same feed refinement
-                    # (same three-prefix gate as the scalar path)
-                    kinds[i] = (
-                        KIND_FEED
-                        if (hs[:5] == b"<?xml" or hs[:4] in (b"<rss", b"<fee"))
-                        and detect_feed(hs) is not None
-                        else KIND_HTML
-                    )
-                elif _is_texty(h[:64]):
-                    kinds[i] = KIND_TEXT
+    kinds = [sniff_payload(h) for h in pc.binary_slice(payload, 0, 512).to_pylist()]
 
     # Shard from source file: encode the handful of distinct paths per batch.
     # Datasets with no file provenance (in-memory synthesis, adapters) fall
@@ -172,6 +121,7 @@ def sniff_table(batch: pa.Table, size_bucket_edges: tuple[int, ...]) -> pa.Table
             (zlib.crc32(u.encode("utf-8")) % 256 for u in urls), dtype=np.int64, count=n
         )
 
+    lens_np = payload_len.to_numpy(zero_copy_only=False)
     bucket = np.digitize(lens_np, size_bucket_edges).astype(np.int8)
 
     out = batch.drop_columns(["path"]) if "path" in batch.column_names else batch

@@ -7,8 +7,9 @@ Replaces the reference's FastAPI/Postgres/asyncio plumbing
     from_items(input files,                    # one block per file; completed
                one block per file)             #   files pruned on resume
       -> map_batches(ExtractFile | MergeFile,  # per file, in ONE task: read
-                     batch_size=1)             #   it whole -> sniff -> extract
-                                               #   in PARSE_BATCH_SIZE slices
+                     batch_size=1)             #   it whole -> sniff_table ->
+                                               #   ExtractDocuments in
+                                               #   PARSE_BATCH_SIZE slices
                                                #   -> commit: one content-
                                                #   addressed part + the shard
                                                #   manifest, or a merge into
@@ -45,9 +46,12 @@ Design notes (SURVEY.md §4.2):
 - **Resume**: shard ownership is a pure function of the input file name, so a
   resumed run prunes completed files from the input list — skipped work
   costs zero IO, not just zero parse.
+- **One content-kind decision**: ``sniff_table`` labels each row's
+  ``content_kind`` with ``sniff.sniff_payload``, the call the parse
+  dispatches on, so a row is stored as the kind it was parsed as.
 - **No-write mode** (``extract_dataset`` over ``read_pages`` /
-  ``read_pages_warc``): the sniff and parse stages as a doc-grain Dataset,
-  for callers that want to keep composing.
+  ``read_pages_warc``): ``sniff_table`` and ``ExtractDocuments`` as a
+  doc-grain Dataset, for callers that want to keep composing.
 """
 
 from __future__ import annotations
@@ -63,13 +67,13 @@ import ray.data as rd
 
 from .. import ensure_worker_importable
 from ..functions.extract import ExtractConfig
-from ..functions.sniff import stable_shard_id
+from ..functions.sniff import sniff_table, stable_shard_id
 from ..sources.pages_source import (
     WARC_EXTS,
     list_input_files,
     read_warc_file,
 )
-from ..stages.extract_stage import ExtractDocuments, SniffStage, explode_pages
+from ..stages.extract_stage import ExtractDocuments, explode_pages
 from ..state import lineage as lin
 
 # Input columns the extraction graph actually needs — never read text/lang
@@ -103,7 +107,7 @@ def _default_pool_size() -> tuple:
 
 
 def extract_dataset(ds: rd.Dataset, cfg: Optional[ExtractConfig] = None) -> rd.Dataset:
-    """Sniff + extraction, both as plain Ray Data tasks.
+    """``sniff_table`` + ``ExtractDocuments``, both as plain Ray Data tasks.
 
     Returns the doc-grain Dataset (DOC_SCHEMA) without writing — fully lazy.
     Resume happens upstream, by pruning completed files from the read list
@@ -112,7 +116,11 @@ def extract_dataset(ds: rd.Dataset, cfg: Optional[ExtractConfig] = None) -> rd.D
     cfg = cfg or ExtractConfig()
     # Ship package code by value so workers never need the repo on sys.path.
     ensure_worker_importable()
-    ds = ds.map_batches(SniffStage(cfg), batch_format="pyarrow")
+    ds = ds.map_batches(
+        sniff_table,
+        batch_format="pyarrow",
+        fn_kwargs={"size_bucket_edges": cfg.size_bucket_edges},
+    )
     return ds.map_batches(
         ExtractDocuments(cfg),
         batch_format="pyarrow",
@@ -177,14 +185,15 @@ class ExtractFile:
     ``PARSE_BATCH_SIZE`` slices and ``commit`` its doc rows: here, one
     part and the shard's manifest. Takes a one-row ``path`` batch and
     returns the commit's summary rows (part summaries). Raises, naming the
-    file, when the file cannot be read or its shard does not commit."""
+    file, when the file cannot be read, holds a null url, or its shard does
+    not commit."""
 
-    def __init__(self, out_dir: str, cfg: ExtractConfig,
+    def __init__(self, out_dir: str, cfg: Optional[ExtractConfig],
                  tolerant_warc: bool = False) -> None:
         self.out_dir = out_dir
+        self.cfg = cfg or ExtractConfig()
         self.tolerant_warc = tolerant_warc
-        self.sniff = SniffStage(cfg)
-        self.extract = ExtractDocuments(cfg)
+        self.extract = ExtractDocuments(self.cfg)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         (path,) = batch["path"].to_pylist()
@@ -195,10 +204,16 @@ class ExtractFile:
                 table = pq.read_table(path, columns=INPUT_COLUMNS)
         except (OSError, ValueError, KeyError) as e:
             raise ValueError(f"cannot read input file {path}: {e}") from e
+        # url is a row's identity (part names, merges by url): a null one
+        # would fail only at the write, after the whole parse.
+        n = table["url"].null_count
+        if n:
+            raise ValueError(f"input file {path} has {n} rows with a null url")
         # The source file is the provenance the sniff stage turns into the
         # shard id.
-        table = self.sniff(table.append_column(
-            "path", pa.array([path] * table.num_rows, pa.string())))
+        table = sniff_table(table.append_column(
+            "path", pa.array([path] * table.num_rows, pa.string())),
+            self.cfg.size_bucket_edges)
         # An empty file still takes one (empty) slice, for the doc schema.
         docs = pa.concat_tables([
             self.extract(table.slice(start, PARSE_BATCH_SIZE))

@@ -57,6 +57,9 @@ def main(argv=None) -> int:
         # recrawl reads parquet only; accepting the flag would silently
         # drop it
         p.error("--tolerant-warc applies to WARC extraction, not --recrawl")
+    if args.recrawl and args.resume:
+        # a recrawl merges every file it is given; it has no shards to skip
+        p.error("--resume applies to extraction, not --recrawl")
 
     import ray
 

@@ -27,7 +27,6 @@ import pyarrow as pa
 
 from ..functions.extract import ExtractConfig, doc_content_hash, extract_document
 from ..functions.passwords import PasswordBook
-from ..functions.sniff import sniff_table
 
 # Arrow schema of the doc-grain extraction output (page rows nested so no
 # shuffle is needed to recover either grain).
@@ -70,20 +69,6 @@ DOC_SCHEMA = pa.schema(
         PAGES_FIELD,
     ]
 )
-
-
-class SniffStage:
-    """Vectorized pre-stage: content kind, payload length, size bucket, shard id.
-
-    Stateless per batch apart from the frozen config — run as plain tasks
-    (cheap, elastic); pyarrow kernels on the binary column.
-    """
-
-    def __init__(self, cfg: Optional[ExtractConfig] = None) -> None:
-        self.cfg = cfg or ExtractConfig()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return sniff_table(batch, self.cfg.size_bucket_edges)
 
 
 class ExtractDocuments:

@@ -407,31 +407,10 @@ def commit_shard_manifest(out_dir: str, shard_id: int, part_records: list,
                           fs: Optional[Any] = None) -> Dict[str, Any]:
     """Write the shard manifest AFTER all its parts exist (the commit point)."""
     fs = _fs(fs)
-    parts = sorted({r["part"] for r in part_records})
-    acc = 0
-    record = {
-        "version": LINEAGE_VERSION,
-        "shard_id": shard_id,
-        "parts": parts,
-        "n_docs": 0,
-        "n_pages": 0,
-        "n_pages_ok": 0,
-        "parse_failures": 0,
-        "empty_extractions": 0,
-        "truncations": 0,
-        "password_required": 0,
-        "status": "ok",
-    }
-    for r in part_records:
-        record["n_docs"] += r["n_docs"]
-        record["n_pages"] += r["n_pages"]
-        record["n_pages_ok"] += r["n_pages_ok"]
-        record["parse_failures"] += r["parse_failures"]
-        record["empty_extractions"] += r["empty_extractions"]
-        record["truncations"] += r["truncations"]
-        record["password_required"] += r.get("password_required", 0)
-        acc ^= int(r["content_hash"], 16)
-    record["content_hash"] = f"{acc:016x}"
+    record = summarize(part_records)
+    del record["n_shards"]
+    record.update(version=LINEAGE_VERSION, shard_id=shard_id, status="ok",
+                  parts=sorted({r["part"] for r in part_records}))
 
     lpath = manifest_path(out_dir, shard_id)
     fs.makedirs(os.path.dirname(lpath))
@@ -579,27 +558,20 @@ def read_all(out_dir: str, fs: Optional[Any] = None) -> pa.Table:
     return _read_parts(out_dir, load_lineage(out_dir, fs), fs)
 
 
+# The counters a part record, a shard manifest and the job summary carry.
+COUNTERS = ("n_docs", "n_pages", "n_pages_ok", "parse_failures",
+            "empty_extractions", "truncations", "password_required")
+
+
 def summarize(records: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Merge per-shard lineage into the job-level counter summary."""
-    out = {
-        "n_shards": len(records),
-        "n_docs": 0,
-        "n_pages": 0,
-        "n_pages_ok": 0,
-        "parse_failures": 0,
-        "empty_extractions": 0,
-        "truncations": 0,
-        "password_required": 0,
-    }
+    """Merge per-shard lineage (or one shard's part records) into the
+    counter summary: each counter summed, the content hashes XORed."""
+    out = {"n_shards": len(records), **dict.fromkeys(COUNTERS, 0)}
     acc = 0
     for r in records:
-        out["n_docs"] += r["n_docs"]
-        out["n_pages"] += r["n_pages"]
-        out["n_pages_ok"] += r["n_pages_ok"]
-        out["parse_failures"] += r["parse_failures"]
-        out["empty_extractions"] += r["empty_extractions"]
-        out["truncations"] += r["truncations"]
-        out["password_required"] += r.get("password_required", 0)
+        for k in COUNTERS:
+            # manifests older than password tracking lack that counter
+            out[k] += r.get(k, 0)
         acc ^= int(r["content_hash"], 16)
     out["content_hash"] = f"{acc:016x}"
     return out

@@ -530,16 +530,17 @@ def test_tag_soup_extraction_total_and_deterministic(soup):
 @settings(max_examples=2500, deadline=None)
 @given(soup=_tag_soup())
 def test_tag_soup_batch_stage_equals_sequential(soup):
-    """Differential: the Arrow actor-batch path (SniffStage ->
-    ExtractDocuments) must produce byte-identical doc_text/content_hash to
-    a direct sequential extract_document call — the plumbing (truncation,
-    null handling, Arrow round-trip) adds nothing and loses nothing."""
+    """Differential: the Arrow batch path (sniff_table ->
+    ExtractDocuments) must produce byte-identical doc_text/content_hash and
+    the same content_kind as a direct sequential extract_document call —
+    the plumbing (truncation, null handling, Arrow round-trip) adds nothing
+    and loses nothing."""
     import pyarrow as _pa
 
     from service1_text_extraction_ray.functions.extract import doc_content_hash
     from service1_text_extraction_ray.functions.synth import PAGES_SCHEMA
-    from service1_text_extraction_ray.stages.extract_stage import (
-        ExtractDocuments, SniffStage)
+    from service1_text_extraction_ray.functions.sniff import sniff_table
+    from service1_text_extraction_ray.stages.extract_stage import ExtractDocuments
 
     payload = soup.encode("utf-8", "surrogatepass")
     batch = _pa.Table.from_pylist(
@@ -547,12 +548,43 @@ def test_tag_soup_batch_stage_equals_sequential(soup):
           "text": "", "lang": "en"}],
         schema=PAGES_SCHEMA,
     )
-    out = ExtractDocuments(CFG)(SniffStage(CFG)(batch)).to_pylist()[0]
+    out = ExtractDocuments(CFG)(
+        sniff_table(batch, CFG.size_bucket_edges)).to_pylist()[0]
     seq = extract_document("u://soup", payload, CFG)
     assert out["doc_text"] == seq["doc_text"]
     assert out["status"] == seq["status"]
     assert out["n_pages"] == seq["n_pages"]
     assert out["content_hash"] == doc_content_hash(seq["doc_text"])
+    assert out["content_kind"] == seq["content_kind"]
+
+
+# Prefixes that steer sniff_payload down each of its branches: BOM and
+# whitespace before markup, markup, the three feed root-tag prefixes, the
+# PDF magic and a NUL (binary).
+_SNIFF_PREFIXES = [b"\xef\xbb\xbf", b" \t\r\n", b"<", b"<?xml ", b"<rss",
+                   b"<feed", b"%PDF-", b"\x00"]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(payloads=st.lists(
+    st.builds(lambda pre, rest: pre + rest,
+              st.lists(st.sampled_from(_SNIFF_PREFIXES), max_size=3).map(b"".join),
+              st.binary(max_size=700)),
+    min_size=1, max_size=8))
+def test_sniff_table_labels_rows_with_sniff_payload(payloads):
+    """One content-kind decision: the stored content_kind is the kind the
+    parse dispatches on, and sniff_payload reads no byte past 512 (which
+    lets sniff_table pass it only each row's head)."""
+    import pyarrow as _pa
+
+    from service1_text_extraction_ray.functions.sniff import sniff_table
+
+    t = _pa.table({"url": [f"u{i}" for i in range(len(payloads))],
+                   "html": _pa.array(payloads, _pa.binary())})
+    kinds = sniff_table(t, CFG.size_bucket_edges)["content_kind"].to_pylist()
+    assert kinds == [sniff_payload(p) for p in payloads]
+    for p in payloads:
+        assert sniff_payload(p) == sniff_payload(p[:512])
 
 
 @settings(max_examples=1500, deadline=None)
@@ -676,19 +708,21 @@ def test_pdf_soup_batch_stage_equals_sequential(payload):
 
     from service1_text_extraction_ray.functions.extract import doc_content_hash
     from service1_text_extraction_ray.functions.synth import PAGES_SCHEMA
-    from service1_text_extraction_ray.stages.extract_stage import (
-        ExtractDocuments, SniffStage)
+    from service1_text_extraction_ray.functions.sniff import sniff_table
+    from service1_text_extraction_ray.stages.extract_stage import ExtractDocuments
 
     batch = _pa.Table.from_pylist(
         [{"url": "u://pdfsoup", "warc_ts": 0, "html": payload,
           "text": "", "lang": "en"}],
         schema=PAGES_SCHEMA,
     )
-    out = ExtractDocuments(CFG)(SniffStage(CFG)(batch)).to_pylist()[0]
+    out = ExtractDocuments(CFG)(
+        sniff_table(batch, CFG.size_bucket_edges)).to_pylist()[0]
     seq = extract_document("u://pdfsoup", payload, CFG)
     assert out["doc_text"] == seq["doc_text"]
     assert out["status"] == seq["status"]
     assert out["content_hash"] == doc_content_hash(seq["doc_text"])
+    assert out["content_kind"] == seq["content_kind"]
 
 
 def test_pdf_soup_untouched_base_extracts():

@@ -22,7 +22,8 @@ from service1_text_extraction_ray.functions.html_extract import (
     parse_blocks,
     select_content_blocks,
 )
-from service1_text_extraction_ray.stages.extract_stage import ExtractDocuments, SniffStage
+from service1_text_extraction_ray.functions.sniff import sniff_table
+from service1_text_extraction_ray.stages.extract_stage import ExtractDocuments
 from service1_text_extraction_ray.state import lineage as lin
 
 
@@ -376,7 +377,7 @@ def _extract(payloads, cfg=X.ExtractConfig()):
         "lang": ["en"] * n,
         "path": ["pages-00000.parquet"] * n,
     })
-    return ExtractDocuments(cfg)(SniffStage(cfg)(src))
+    return ExtractDocuments(cfg)(sniff_table(src, cfg.size_bucket_edges))
 
 
 def _through_storage(docs):

@@ -15,6 +15,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from service1_text_extraction_ray.functions.extract import ExtractConfig, extract_document
+from service1_text_extraction_ray.functions.sniff import sniff_table
 from service1_text_extraction_ray.functions.synth import gen_pages_table, write_pages_parquet
 from service1_text_extraction_ray.pipelines.extract_pipeline import (
     extract_dataset,
@@ -24,7 +25,6 @@ from service1_text_extraction_ray.pipelines.extract_pipeline import (
 from service1_text_extraction_ray.stages.extract_stage import (
     DOC_SCHEMA,
     ExtractDocuments,
-    SniffStage,
     explode_pages,
 )
 from service1_text_extraction_ray.state import lineage as lin
@@ -302,6 +302,31 @@ def test_file_task_raises_naming_a_file_whose_shard_does_not_commit(corpus_dir, 
     assert lin.load_lineage(str(tmp_path / "out")) == []
 
 
+@pytest.mark.parametrize("task_name", ["ExtractFile", "MergeFile"])
+def test_file_task_refuses_a_file_with_null_urls_before_parsing(task_name, tmp_path):
+    """A null url fails the file task right after the read, naming the
+    file: nothing is parsed and no manifest is written."""
+    from service1_text_extraction_ray.pipelines import extract_pipeline
+
+    src = gen_pages_table(5, seed=1)
+    urls = src["url"].to_pylist()
+    urls[1] = urls[3] = None
+    src = src.set_column(src.schema.get_field_index("url"), "url",
+                         pa.array(urls, pa.string()))
+    path = str(tmp_path / "pages-00000.parquet")
+    pq.write_table(src, path)
+    out = str(tmp_path / "out")
+    task = getattr(extract_pipeline, task_name)(out, CFG)
+
+    def no_parse(batch):
+        raise AssertionError("a file with null urls was parsed")
+
+    task.extract = no_parse
+    with pytest.raises(ValueError, match=re.escape(f"input file {path} has 2 rows with a null url")):
+        task(pa.table({"path": [path]}))
+    assert lin.load_lineage(out) == []
+
+
 def test_failed_merge_leaves_its_shard_as_it_was(corpus_dir, tmp_path):
     """The recrawl's file task merges only when the rows it extracted are
     the rows it read; otherwise it raises, naming the file, before it
@@ -568,7 +593,7 @@ class TestStoredLayout:
     def _docs(n, seed=42, start=0):
         src = gen_pages_table(n, seed=seed, start=start)
         src = src.append_column("path", pa.array(["pages-00000.parquet"] * n))
-        return ExtractDocuments(CFG)(SniffStage(CFG)(src)).sort_by("url")
+        return ExtractDocuments(CFG)(sniff_table(src, CFG.size_bucket_edges)).sort_by("url")
 
     @staticmethod
     def _mixed_shard(out, sid, docs, monkeypatch):
@@ -908,6 +933,18 @@ class TestIncrementalRecrawl:
             job.main(argv)
         assert exc.value.code == 2
         assert "--tolerant-warc" in capsys.readouterr().err
+
+    def test_job_cli_rejects_resume_with_recrawl(self, tmp_path, capsys):
+        """A recrawl merges every file it is given and has no shards to
+        skip, so ``--resume`` with ``--recrawl`` is refused, not dropped."""
+        from service1_text_extraction_ray.pipelines import job
+
+        argv = ["--input", str(tmp_path), "--output", str(tmp_path / "out"),
+                "--recrawl", "--resume"]
+        with pytest.raises(SystemExit) as exc:
+            job.main(argv)
+        assert exc.value.code == 2
+        assert "--resume" in capsys.readouterr().err
 
 
 RECRAWL_KEYS = {"shards_touched", "n_replaced", "n_appended",

@@ -78,6 +78,10 @@ class TestSniff:
         payloads = [
             b"%PDF-1.4 x", b"<html>", b"  <div>", b"\xef\xbb\xbf<p>", b"junk",
             b"", None, b"%PDF", b"\x00\x01binary",
+            # BOM + text with a few non-ASCII bytes in its first 64: the
+            # BOM counts against the printable share, so this is "other"
+            b"\xef\xbb\xbf" + "Release notes for the café menu, crème "
+            "section. All items are listed below.".encode(),
         ]
         urls = [f"https://e/{i}" for i in range(len(payloads))]
         t = pa.table(
@@ -86,7 +90,7 @@ class TestSniff:
                 "html": pa.array(payloads, pa.binary()),
             }
         )
-        paths = ["/in/a.parquet"] * 4 + ["/in/b.parquet"] * 5
+        paths = ["/in/a.parquet"] * 4 + ["/in/b.parquet"] * 6
         t = t.append_column("path", pa.array(paths, pa.string()))
         out = sniff_table(t, size_bucket_edges=(4, 8))
         got = out["content_kind"].to_pylist()
