@@ -25,7 +25,15 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from .html_extract import decode_payload, dump_layout, extract_html_text, html_layout
+# html_layout is not called here (html_layout_json writes the same JSON);
+# extraction_bench/replay.py still wraps this module's name for its trace.
+from .html_extract import (
+    decode_payload,
+    dump_layout,
+    extract_html_text,
+    html_layout,
+    html_layout_json,
+)
 from .ocr import get_ocr_backend, ocr_page
 from .page_render import OCR_SCALE, rasterize_page, write_gray_png_array
 from .passwords import (
@@ -104,11 +112,12 @@ def _extract_html(
     try:
         text, kept = extract_html_text(payload)
         if gate_page_text(text, cfg.min_text_length):
-            layout = html_layout(kept) if cfg.emit_layout else None
+            layout = (html_layout_json(text, " ".join(b.tag for b in kept))
+                      if cfg.emit_layout else "")
             pages.append(_page_row(1, METHOD_DOM, text.strip(), layout))
         else:
             # Gate failed, no OCR backend: reference no-tesseract branch.
-            pages.append(_page_row(1, METHOD_FAILED, "", None))
+            pages.append(_page_row(1, METHOD_FAILED, ""))
         return {"pages": pages}
     except Exception as e:  # defensive: parser bugs become failure rows
         return {"status": STATUS_PARSE_FAILURE, "error": f"html: {e}"}
@@ -127,8 +136,8 @@ def _extract_plain_text(
         text = decode_payload(payload).replace("\r\n", "\n").replace("\r", "\n")
         text = text.strip()
         if gate_page_text(text, cfg.min_text_length):
-            return {"pages": [_page_row(1, METHOD_TEXT, text, None)]}
-        return {"pages": [_page_row(1, METHOD_FAILED, "", None)]}
+            return {"pages": [_page_row(1, METHOD_TEXT, text)]}
+        return {"pages": [_page_row(1, METHOD_FAILED, "")]}
     except Exception as e:  # defensive
         return {"status": STATUS_PARSE_FAILURE, "error": f"text: {e}"}
 
@@ -174,11 +183,11 @@ def _extract_pdf(
         parsed = doc.extract_pages(max_pages=cfg.max_pages)
         for idx, page in enumerate(parsed, start=1):
             if gate_page_text(page.text, cfg.min_text_length):
-                layout = page.layout if cfg.emit_layout else None
+                layout = dump_layout(page.layout) if cfg.emit_layout else ""
                 pages.append(_page_row(idx, METHOD_PDF, page.text.strip(), layout))
             else:
                 row = _ocr_pdf_page(idx, page, cfg) if cfg.ocr_backend else None
-                pages.append(row or _page_row(idx, METHOD_FAILED, "", None))
+                pages.append(row or _page_row(idx, METHOD_FAILED, ""))
         return {
             "pages": pages,
             "password_used": password_used,
@@ -214,7 +223,7 @@ def _ocr_pdf_page(idx: int, page: Any, cfg: ExtractConfig) -> Optional[Dict[str,
         )
         return _page_row(
             idx, METHOD_TESSERACT, text.strip(),
-            layout if cfg.emit_layout else None,
+            dump_layout(layout) if cfg.emit_layout else "",
         )
     except Exception:
         return None
@@ -242,8 +251,8 @@ def _extract_feed(
         lines.append(f"{title} <{link}>".strip())
     text = "\n".join(lines).strip()
     if text and not is_garbage_text(text):
-        return {"pages": [_page_row(1, METHOD_FEED, text, None)]}
-    return {"pages": [_page_row(1, METHOD_FAILED, "", None)]}
+        return {"pages": [_page_row(1, METHOD_FEED, text)]}
+    return {"pages": [_page_row(1, METHOD_FAILED, "")]}
 
 
 # §2.9 user-extension surface (SURVEY.md): content kind -> extractor. An
@@ -321,14 +330,16 @@ def extract_document(
     }
 
 
-def _page_row(page: int, method: str, text: str, layout: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+def _page_row(page: int, method: str, text: str, layout_json: str = "") -> Dict[str, Any]:
+    """One page row; ``layout_json`` is the page's serialized layout
+    (``dump_layout``, or ``html_layout_json`` for a DOM page)."""
     return {
         "page": page,
         "method": method,
         "text": text,
         "page_md": page_markdown(page, method, text),
         "n_chars": len(text),
-        "layout_json": dump_layout(layout),
+        "layout_json": layout_json,
     }
 
 

@@ -36,6 +36,7 @@ import json
 import re
 from dataclasses import dataclass
 from html.parser import HTMLParser
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import List, Optional
 
 _WS_RE = re.compile(r"\s+")
@@ -284,7 +285,11 @@ def extract_html_text(
     return "\n\n".join(b.text for b in kept), kept
 
 
-def html_layout(kept_blocks: List[Block], line_height: float = 30.0) -> dict:
+# The pseudo-y step between consecutive blocks of an HTML page's layout.
+_LINE_HEIGHT = 30.0
+
+
+def html_layout(kept_blocks: List[Block], line_height: float = _LINE_HEIGHT) -> dict:
     """Synthetic layout tree for HTML pages in the reference's layout shape
     (``core_pdf_processor.py:418-465``): one layout block per kept content
     block at a deterministic pseudo-y, so the layout-recreation formatter
@@ -319,9 +324,9 @@ def html_layout(kept_blocks: List[Block], line_height: float = 30.0) -> dict:
 
 def dump_layout(layout: Optional[dict]) -> str:
     """A page's ``layout_json``: the layout tree as compact, key-sorted
-    JSON, or ``""`` when there is none. Extraction and the layout rebuild
-    both serialize through here, so a rebuilt layout is the extracted one
-    byte for byte."""
+    JSON, or ``""`` when there is none. A DOM page's layout is written by
+    ``html_layout_json`` instead, which the tests hold to this byte for
+    byte."""
     return json.dumps(layout, sort_keys=True, separators=(",", ":")) if layout else ""
 
 
@@ -337,10 +342,22 @@ def html_layout_tags(layout_json: str) -> str:
 
 
 def html_layout_json(text: str, tags: str) -> str:
-    """Rebuild a DOM page's ``layout_json`` from its text (the kept blocks
-    joined by blank lines) and its ``html_layout_tags``. Exact only when the
-    page's layout came from ``html_layout`` of those blocks; callers that
-    store the tags instead of the JSON check the rebuild first."""
-    blocks = [Block(t, 0, tag, False)
-              for t, tag in zip(text.split("\n\n"), tags.split(" "))]
-    return dump_layout(html_layout(blocks))
+    """A DOM page's ``layout_json`` from its text (the kept blocks joined by
+    blank lines) and its ``html_layout_tags``: ``dump_layout(html_layout(
+    blocks))`` written directly, one f-string per block in its sorted key
+    order, with json's own string escaping and float ``repr``. Extraction
+    writes the page's layout through here and the part readers rebuild it
+    through here. Exact only when the page's layout came from
+    ``html_layout`` of those blocks; callers that store the tags instead
+    of the JSON check the rebuild first."""
+    blocks = []
+    for i, (block, tag) in enumerate(zip(text.split("\n\n"), tags.split(" "))):
+        y0 = round(i * _LINE_HEIGHT, 2)
+        bbox = f"[0.0,{y0!r},612.0,{round(y0 + _LINE_HEIGHT * 0.67, 2)!r}]"
+        blocks.append(
+            f'{{"bbox":{bbox},"lines":[{{"bbox":{bbox},"spans":[{{"bbox":{bbox},'
+            f'"flags":0,"font":{_json_str("html:" + tag)},"size":12.0,'
+            f'"text":{_json_str(block)}}}]}}]}}'
+        )
+    return ('{"blocks":[' + ",".join(blocks)
+            + '],"height":792.0,"rotation":0,"width":612.0}')

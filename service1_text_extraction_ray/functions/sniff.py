@@ -109,13 +109,18 @@ def sniff_table(batch: pa.Table, size_bucket_edges: tuple[int, ...]) -> pa.Table
 
     # Shard from source file: encode the handful of distinct paths per batch.
     # Datasets with no file provenance (in-memory synthesis, adapters) fall
-    # back to a url-hash shard — resume does not apply to them anyway.
+    # back to a url-hash shard — resume does not apply to them anyway. A
+    # null url has no shard: refuse the batch, counting them, as the file
+    # task refuses a file.
     if "path" in batch.column_names:
         enc = pc.dictionary_encode(batch["path"].combine_chunks())
         dict_vals = enc.dictionary.to_pylist()
         shard_of = np.array([stable_shard_id(p) for p in dict_vals], dtype=np.int64)
         shard = shard_of[enc.indices.to_numpy(zero_copy_only=False)]
     else:
+        n_null = batch["url"].null_count
+        if n_null:
+            raise ValueError(f"batch has {n_null} rows with a null url")
         urls = batch["url"].to_pylist()
         shard = np.fromiter(
             (zlib.crc32(u.encode("utf-8")) % 256 for u in urls), dtype=np.int64, count=n

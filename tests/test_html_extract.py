@@ -19,6 +19,7 @@ from service1_text_extraction_ray.functions.html_extract import (
     dump_layout,
     extract_html_text,
     html_layout,
+    html_layout_json,
     parse_blocks,
     select_content_blocks,
 )
@@ -365,7 +366,7 @@ def _html_extractor(fn):
 def _dom_extractor(text, layout):
     """An HTML extractor emitting one DOM page with this text and layout."""
     return lambda url, payload, cfg, book: {
-        "pages": [X._page_row(1, X.METHOD_DOM, text, layout)]}
+        "pages": [X._page_row(1, X.METHOD_DOM, text, dump_layout(layout))]}
 
 
 def _extract(payloads, cfg=X.ExtractConfig()):
@@ -422,6 +423,37 @@ def test_html_layout_round_trips_through_storage(blocks):
     else:  # no block to hold a tag: the JSON is kept
         assert stored["layout_json"] == layout
     assert back.equals(docs)
+
+
+# Block texts as html_layout_json's callers split them: no newline (the
+# block separator is a blank line), but every other escape json.dumps makes.
+_LAYOUT_TEXT = st.text(
+    st.one_of(
+        st.characters(blacklist_characters="\n"),
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028",
+                         "\U0001f600", "\ud800"]),
+    ),
+    max_size=16,
+)
+_LAYOUT_TAG = st.sampled_from(sorted(BLOCK_TAGS | {"body"}))
+
+
+def _check_layout_json(blocks):
+    reference = dump_layout(html_layout([Block(t, 0, tag, False) for t, tag in blocks]))
+    text = "\n\n".join(t for t, _ in blocks)
+    assert html_layout_json(text, " ".join(tag for _, tag in blocks)) == reference
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_LAYOUT_TEXT, _LAYOUT_TAG), min_size=1, max_size=300))
+def test_html_layout_json_writes_the_reference_json(blocks):
+    _check_layout_json(blocks)
+
+
+@pytest.mark.parametrize("n", [1, 4, 257, 600])
+def test_html_layout_json_rounds_far_blocks_as_the_reference(n):
+    # Block i sits at y = round(i * 30, 2): cover large indices explicitly.
+    _check_layout_json([(f"block {i} \"quoted\"", "p") for i in range(n)])
 
 
 def _override_layout():

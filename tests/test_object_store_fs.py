@@ -21,9 +21,14 @@ import io
 import os
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
+from service1_text_extraction_ray.functions.extract import ExtractConfig
+from service1_text_extraction_ray.functions.sniff import sniff_table
+from service1_text_extraction_ray.functions.synth import gen_pages_table
+from service1_text_extraction_ray.stages.extract_stage import ExtractDocuments
 from service1_text_extraction_ray.state import lineage as L
 
 
@@ -71,11 +76,6 @@ class EventualObjectStore:
         self.objects[path] = bytes(data)
         self.put_times[path] = time.time()
 
-    def write_table(self, table, path):
-        sink = pa.BufferOutputStream()
-        pq.write_table(table, sink)
-        self.put_bytes(path, sink.getvalue().to_pybytes())
-
     def read_table(self, path):
         return pq.read_table(pa.BufferReader(self.read_bytes(path)))
 
@@ -112,6 +112,22 @@ def _rows(i0, n):
             [hashlib.sha256(str(i).encode()).hexdigest() for i in range(i0, i0 + n)]
         ),
     })
+
+
+def _docs(n, seed):
+    """Extracted DOC_SCHEMA rows (HTML and PDF pages) of ``n`` synthetic
+    pages."""
+    cfg = ExtractConfig()
+    src = gen_pages_table(n, seed=seed).select(["url", "warc_ts", "html", "lang"])
+    src = src.append_column("path", pa.array(["pages-00000.parquet"] * n))
+    return ExtractDocuments(cfg)(sniff_table(src, cfg.size_bucket_edges))
+
+
+def _codecs(data):
+    """The compression of every column chunk of the Parquet file ``data``."""
+    meta = pq.ParquetFile(pa.BufferReader(data)).metadata
+    return {meta.row_group(g).column(c).compression
+            for g in range(meta.num_row_groups) for c in range(meta.num_columns)}
 
 
 OUT = "bucket/job"
@@ -155,6 +171,18 @@ class TestCommitUnderEventualListing:
         rec = L.try_commit_shard(OUT, 2, 6, [a, b], fs)
         assert rec["n_docs"] == 6 and rec["parts"] == [a["part"]]
 
+    def test_manifest_counts_a_repeated_record_once(self):
+        # A direct commit from a list holding one part's record twice
+        # describes that part's rows once: counters and the XOR hash too.
+        fs = EventualObjectStore()
+        a = L.write_part(OUT, 3, _rows(0, 6), fs)
+        once = L.commit_shard_manifest(OUT, 3, [a], fs)
+        manifest = fs.objects[L.manifest_path(OUT, 3)]
+        twice = L.commit_shard_manifest(OUT, 3, [a, dict(a)], fs)
+        assert twice == once
+        assert twice["n_docs"] == 6 and twice["content_hash"] == a["content_hash"]
+        assert fs.objects[L.manifest_path(OUT, 3)] == manifest
+
 
 class TestUpsertUnderEventualListing:
     def test_upsert_keeps_a_shard_listing_cannot_see_yet(self):
@@ -191,6 +219,58 @@ class TestCrossBackendDeterminism:
         t_obj = L.read_all(OUT, fs)
         t_loc = L.read_all(local_out)
         assert t_obj.sort_by("url").equals(t_loc.sort_by("url"))
+
+
+class TestPartEncoding:
+    """Lineage encodes every part (zstd Parquet); a backend only stores the
+    bytes, so one part is the same object on every backend."""
+
+    def test_backends_store_the_same_zstd_bytes(self, tmp_path):
+        fs = EventualObjectStore()
+        local_out = str(tmp_path / "job")
+        docs = _docs(24, seed=1)
+        obj = L.write_part(OUT, 0, docs, fs)
+        loc = L.write_part(local_out, 0, docs)
+        assert obj == loc
+        data = fs.objects[os.path.join(L.shard_data_dir(OUT, 0), obj["part"])]
+        with open(os.path.join(L.shard_data_dir(local_out, 0), loc["part"]), "rb") as f:
+            assert f.read() == data
+        assert _codecs(data) == {"ZSTD"}
+
+    @staticmethod
+    def _shard(out, snappy_first):
+        """Shard 0 of ``out`` from two parts of extracted rows; with
+        ``snappy_first`` its first part is re-encoded with pyarrow's default
+        codec (snappy), as earlier versions wrote every part."""
+        first, second = _docs(12, seed=1), _docs(24, seed=3).slice(12)
+        recs = [L.write_part(out, 0, first), L.write_part(out, 0, second)]
+        path = os.path.join(L.shard_data_dir(out, 0), recs[0]["part"])
+        if snappy_first:
+            pq.write_table(L._part_layout(first), path)
+        with open(path, "rb") as f:
+            assert _codecs(f.read()) == ({"SNAPPY"} if snappy_first else {"ZSTD"})
+        L.commit_shard_manifest(out, 0, recs)
+        return pa.concat_tables([first, second])
+
+    @pytest.mark.parametrize("merge", ["read", "upsert", "compact"])
+    def test_snappy_and_zstd_parts_mix_in_one_shard(self, tmp_path, merge):
+        mixed, fresh = str(tmp_path / "mixed"), str(tmp_path / "fresh")
+        rows = self._shard(mixed, snappy_first=True)
+        assert self._shard(fresh, snappy_first=False).equals(rows)
+        if merge == "upsert":
+            updates = _docs(8, seed=2)
+            for out in (mixed, fresh):
+                L.upsert_shard(out, 0, updates)
+            kept = rows.filter(pc.invert(pc.is_in(rows["url"], updates["url"])))
+            rows = pa.concat_tables([kept, updates])
+        elif merge == "compact":
+            for out in (mixed, fresh):
+                assert len(L.compact_shard(out, 0)["parts"]) == 1
+        assert L.load_manifest(mixed, 0) == L.load_manifest(fresh, 0)
+        expected = rows.sort_by("url")
+        for out in (mixed, fresh):
+            assert L.read_shard(out, 0).sort_by("url").equals(expected)
+            assert L.read_all(out).sort_by("url").equals(expected)
 
 
 class TestResumeOverObjectStore:
@@ -248,8 +328,7 @@ class TestNoRenameEverIssued:
         # private implementation detail of its atomic put.
         assert not hasattr(EventualObjectStore(), "rename")
         for name in ("makedirs", "isdir", "listdir", "read_bytes", "put_bytes",
-                     "write_table", "read_table", "num_rows", "remove", "rmtree",
-                     "mtime"):
+                     "read_table", "num_rows", "remove", "rmtree", "mtime"):
             assert hasattr(L.LocalAtomicFS(), name), name
 
 
@@ -754,6 +833,7 @@ class TestLocalAtomicFSThreads:
         fs = L.LocalAtomicFS()
         blob, table = str(tmp_path / "blob"), str(tmp_path / "part.parquet")
         rows = _rows(0, 50)
+        part = L._encode_part(rows)
         start = threading.Barrier(4)
         errors = []
 
@@ -762,7 +842,7 @@ class TestLocalAtomicFSThreads:
             try:
                 for _ in range(100):
                     fs.put_bytes(blob, bytes([i]) * 4096)
-                    fs.write_table(rows, table)
+                    fs.put_bytes(table, part)
             except OSError as e:  # collected for the assertion below
                 errors.append(e)
 

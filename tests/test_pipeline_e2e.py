@@ -327,6 +327,19 @@ def test_file_task_refuses_a_file_with_null_urls_before_parsing(task_name, tmp_p
     assert lin.load_lineage(out) == []
 
 
+def test_sniff_without_paths_refuses_null_urls():
+    """With no ``path`` column (an in-memory dataset through
+    ``extract_dataset``) the shard comes from the url: a null url fails the
+    batch with a ValueError that counts the rows, as the file task does."""
+    src = gen_pages_table(5, seed=1)
+    urls = src["url"].to_pylist()
+    urls[1] = urls[3] = None
+    src = src.set_column(src.schema.get_field_index("url"), "url",
+                         pa.array(urls, pa.string()))
+    with pytest.raises(ValueError, match="has 2 rows with a null url"):
+        sniff_table(src, CFG.size_bucket_edges)
+
+
 def test_failed_merge_leaves_its_shard_as_it_was(corpus_dir, tmp_path):
     """The recrawl's file task merges only when the rows it extracted are
     the rows it read; otherwise it raises, naming the file, before it
