@@ -98,6 +98,13 @@ class ExtractConfig:
     # (core_pdf_processor.py:391-400 fallback, :467-490 call shape).
     ocr_backend: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        # An out-of-range bound fails no parse: it silently changes every row.
+        for name, low in (("max_payload_bytes", 1), ("max_pages", 1), ("min_text_length", 0)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ValueError(f"ExtractConfig.{name} must be >= {low}, got {value}")
+
 
 def gate_page_text(text: str, min_text_length: int) -> bool:
     """The reference acceptance predicate (core_pdf_processor.py:378-386)."""
@@ -255,25 +262,17 @@ def _extract_feed(
     return {"pages": [_page_row(1, METHOD_FAILED, "")]}
 
 
-# §2.9 user-extension surface (SURVEY.md): content kind -> extractor. An
-# extractor is any callable ``(url, payload, cfg, book) -> partial result
-# dict`` with optional keys {pages, status, error, password_required,
-# password_used, attempts_made}; extract_document fills the defaults and
-# derives the doc-level columns. Register a new payload family (e.g. a
-# WARC-record or XML extractor) with ``register_extractor`` — the sniff
-# stage's kind string is the dispatch key, and extraction tasks pick the
-# registration up at import time (module-level, ships with the package).
+# Content kind -> extractor, the table extract_document dispatches on; the
+# sniff stage's kind string is the key. An extractor is any callable
+# ``(url, payload, cfg, book) -> partial result dict`` with optional keys
+# {pages, status, error, password_required, password_used, attempts_made};
+# extract_document fills the defaults and derives the doc-level columns.
 EXTRACTORS: Dict[str, Any] = {
     KIND_HTML: _extract_html,
     KIND_PDF: _extract_pdf,
     KIND_FEED: _extract_feed,
     KIND_TEXT: _extract_plain_text,
 }
-
-
-def register_extractor(kind: str, fn) -> None:
-    """Register (or override) the extractor for a content kind."""
-    EXTRACTORS[kind] = fn
 
 
 def extract_document(

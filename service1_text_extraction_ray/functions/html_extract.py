@@ -268,12 +268,7 @@ def select_content_blocks(
     return kept
 
 
-def extract_html_text(
-    payload: bytes,
-    min_block_chars: int = 25,
-    min_heading_chars: int = 8,
-    max_link_density: float = 0.5,
-) -> tuple[str, List[Block]]:
+def extract_html_text(payload: bytes) -> tuple[str, List[Block]]:
     """Full HTML main-content extraction: payload bytes -> (text, kept_blocks).
 
     The returned text is kept blocks joined with blank lines; the acceptance
@@ -281,7 +276,7 @@ def extract_html_text(
     """
     html_text = decode_payload(payload)
     blocks = parse_blocks(html_text)
-    kept = select_content_blocks(blocks, min_block_chars, min_heading_chars, max_link_density)
+    kept = select_content_blocks(blocks)
     return "\n\n".join(b.text for b in kept), kept
 
 
@@ -289,7 +284,7 @@ def extract_html_text(
 _LINE_HEIGHT = 30.0
 
 
-def html_layout(kept_blocks: List[Block], line_height: float = _LINE_HEIGHT) -> dict:
+def html_layout(kept_blocks: List[Block]) -> dict:
     """Synthetic layout tree for HTML pages in the reference's layout shape
     (``core_pdf_processor.py:418-465``): one layout block per kept content
     block at a deterministic pseudo-y, so the layout-recreation formatter
@@ -297,8 +292,8 @@ def html_layout(kept_blocks: List[Block], line_height: float = _LINE_HEIGHT) -> 
     """
     blocks = []
     for i, b in enumerate(kept_blocks):
-        y0 = round(i * line_height, 2)
-        y1 = round(y0 + line_height * 0.67, 2)
+        y0 = round(i * _LINE_HEIGHT, 2)
+        y1 = round(y0 + _LINE_HEIGHT * 0.67, 2)
         bbox = [0.0, y0, 612.0, y1]
         blocks.append(
             {

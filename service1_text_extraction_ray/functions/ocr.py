@@ -8,9 +8,6 @@ Reference surface (``core_pdf_processor.py``):
   582): ``image_to_data`` word boxes, conf >= 30, grouped into blocks
   (|y - block.y| > 20) and lines (|y - line.y| > 5), spans with
   ``font="tesseract"``, ``size=height``, ``flags=0``.
-- ``_extract_page_with_tesseract_enhanced`` (:944-1000): ``--psm 6`` first;
-  if the text is shorter than 10 chars or ``_is_garbage_text`` flags it,
-  retry with ``--psm 3``.
 
 This sandbox has no tesseract, so the shipped backend is ``FakeOcrBackend``
 — a real, deterministic optical recognizer for pages rasterized by
@@ -25,15 +22,10 @@ recovered. A real tesseract backend would register beside it with the same
 two methods; everything downstream (the ladder, the layout grouping, the
 extraction gate wiring in functions/extract.py) is backend-agnostic.
 
-psm semantics of the fake (documented interpretation, deterministic):
-
-- psm 3 (fully automatic): all line bands, split into paragraph blocks at
-  inter-line gaps > 1.5x the median gap, blocks joined with a blank line.
-- psm 6 (single uniform block): assumes uniformly spaced lines — returns
-  only the FIRST uniformly-spaced block. On pages that really are one
-  block this is the whole page; on (small header) + (gap) + (body) pages
-  it returns just the header, which is what makes the reference's
-  ``--psm 3`` retry ladder observable with a deterministic golden.
+``image_to_string`` reads every line band and splits them into paragraph
+blocks (``_split_blocks``), joined with a blank line: tesseract's default
+fully automatic segmentation, the mode the reference's ``image_to_string``
+call uses.
 """
 
 from __future__ import annotations
@@ -45,12 +37,10 @@ import numpy as np
 
 from .bitfont import GLYPH_H, GLYPH_W, GLYPH_INDEX
 from .page_render import read_gray_png
-from .quality import is_garbage_text
 
 INK_THRESHOLD = 128  # pixel < threshold counts as ink
 MAX_GLYPH_SCALE = 8
 WORD_GAP_GLYPHS = 6  # cell gap >= 6k px separates words (intra-word max 5k)
-MIN_OCR_CHARS = 10  # reference retry gate (core_pdf_processor.py:986)
 MIN_WORD_CONF = 30  # reference layout filter (core_pdf_processor.py:516)
 BLOCK_Y_GAP = 20  # reference block grouping (core_pdf_processor.py:527)
 LINE_Y_GAP = 5  # reference line grouping (core_pdf_processor.py:543)
@@ -257,13 +247,8 @@ class FakeOcrBackend:
 
     name = "fake"
 
-    def image_to_string(self, png: bytes, psm: int = 3) -> str:
-        lines = _segment_page(png)
-        blocks = _split_blocks(lines)
-        if not blocks:
-            return ""
-        if psm == 6:
-            blocks = blocks[:1]
+    def image_to_string(self, png: bytes) -> str:
+        blocks = _split_blocks(_segment_page(png))
         return "\n\n".join(
             "\n".join(line.text for line in blk) for blk in blocks
         )
@@ -369,11 +354,3 @@ def ocr_page(backend: Any, png: bytes, width: int, height: int) -> Tuple[str, Di
     layout = ocr_layout_from_data(backend.image_to_data(png), width, height)
     return text, layout
 
-
-def ocr_text_enhanced(backend: Any, png: bytes) -> str:
-    """The reference's enhanced ladder (:944-1000): ``--psm 6`` first, retry
-    with ``--psm 3`` when the result is short (<10 chars) or garbage."""
-    text = backend.image_to_string(png, psm=6).strip()
-    if len(text) < MIN_OCR_CHARS or is_garbage_text(text):
-        text = backend.image_to_string(png, psm=3).strip()
-    return text

@@ -1,5 +1,5 @@
-"""PDF standard security handler (RC4 /V 1-2 /R 2-3 and AES-128 /V 4 /R 4)
-on the stdlib (+numpy for the vectorized AES decrypt path).
+"""PDF standard security handler (RC4 /V 1-2 /R 2-3, AES-128 /V 4 /R 4 and
+AES-256 /V 5 /R 5-6).
 
 From-scratch implementation of the public PDF 1.7 spec (ISO 32000-1 §7.6.2-
 7.6.3) encryption algorithms the reference exercises through PyMuPDF
@@ -18,10 +18,12 @@ inside the <=3-attempt password loop):
   verified by the FIPS-197 Appendix C known-answer test.
 
 Both sides (the parser's decrypt and ``synth.make_pdf``'s encrypt) use these
-same pure functions, so fixture round-trips are exact by construction.
-RC4 here is a 25-line stdlib implementation — fine for fixtures and for the
-per-document data sizes this engine decrypts; both it and AES-128 are kept
-for *format compatibility* (the PDF spec itself deprecates RC4), not as a
+same functions, so fixture round-trips are exact by construction. AES-CBC,
+and RC4 at the key lengths common PDFs use (5, 10 and 16 bytes), run
+natively through ``cryptography``; the from-scratch ciphers here run the
+other RC4 key lengths, stand in when it is missing, and are the reference
+the known-answer tests pin it against. RC4 and AES-128 are kept for
+*format compatibility* (the PDF spec itself deprecates RC4), not as a
 security recommendation. /V 5 (AESV3: AES-256-CBC, SHA-2 handler, ISO
 32000-2 §7.6.4) is implemented for both /R 5 (deprecated single-SHA-256)
 and /R 6 (the iterated Algorithm 2.B hash): /U //UE //O //OE verification
@@ -260,13 +262,6 @@ def aes_key_schedule(key: bytes) -> bytes:
     return bytes(w)
 
 
-def aes128_key_schedule(key: bytes) -> bytes:
-    """Expanded key: 11 round keys x 16 bytes (FIPS-197 §5.2)."""
-    if len(key) != 16:
-        raise ValueError("AES-128 key must be 16 bytes")
-    return aes_key_schedule(key)
-
-
 def aes_encrypt_block(ks: bytes, block: bytes) -> bytes:
     """One-block AES encryption for any expanded key length (writer side +
     known-answer tests)."""
@@ -288,11 +283,6 @@ def aes_encrypt_block(ks: bytes, block: bytes) -> bytes:
     s = bytearray(_SBOX[b] for b in s)
     s = bytearray(s[_SHIFT[i]] for i in range(16))
     return bytes(a ^ b for a, b in zip(s, ks[16 * nr : 16 * nr + 16]))
-
-
-def aes128_encrypt_block(ks: bytes, block: bytes) -> bytes:
-    """One-block AES-128 encryption (compat alias over aes_encrypt_block)."""
-    return aes_encrypt_block(ks, block)
 
 
 def _aes128_decrypt_blocks(ks: bytes, blocks):

@@ -12,8 +12,6 @@ Citations into /root/reference:
   ``f"\\n--- PAGE {page_num} ---\\n{text}\\n"`` then ``.strip()``
   (``core_pdf_processor.py:807-811`` batch path and :1045-1055
   ``extract_text_from_pdf_simple``); skips pages whose text strips empty.
-- ``layout_markdown`` — layout JSON in a fenced code block
-  (``core_pdf_processor.py:671-683``).
 - ``recreate_text_with_layout`` — visual-structure recreation
   (``core_pdf_processor.py:709-781``): blocks sorted by y, lines sorted by y,
   indent = two spaces per ``int(x/20)``, blank line on block gap >20 or >10,
@@ -22,7 +20,6 @@ Citations into /root/reference:
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Iterable, List, Tuple
 
 
@@ -42,24 +39,6 @@ def combine_pages(pages: Iterable[Tuple[int, str]]) -> str:
         if text.strip():
             combined += f"\n--- PAGE {page_num} ---\n{text}\n"
     return combined.strip()
-
-
-def combine_pages_title_case(pages: Iterable[Tuple[int, str]]) -> str:
-    """The PDFService combine variant (reference P14, pdf_service.py:111-124):
-    ``--- Page N ---`` markers (title case, NOT the batch path's ``PAGE``) and
-    no empty-page skip — every page contributes a marker."""
-    combined = ""
-    for page_num, text in pages:
-        combined += f"\n--- Page {page_num} ---\n{text}\n"
-    return combined.strip()
-
-
-def layout_markdown(page_num: int, layout: Dict[str, Any]) -> str:
-    """Layout JSON fenced in a markdown code block (core_pdf_processor.py:671-683)."""
-    return (
-        f"# Page {page_num} - Layout Information\n\n"
-        "```json\n" + json.dumps(layout, indent=2) + "\n```"
-    )
 
 
 def recreate_text_with_layout(text: str, layout: Dict[str, Any]) -> str:

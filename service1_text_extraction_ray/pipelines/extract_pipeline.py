@@ -310,14 +310,18 @@ def run_extraction_job(
     its shard. Returns the job summary (counters merged across shards,
     including previously-completed ones on resume). ``tolerant_warc=True``
     reads WARC inputs in salvage mode (``read_warc_file``): damaged
-    members and records cost their pages, not the shard. Input files that
-    share a shard id raise ValueError before anything runs.
+    members and records cost their pages, not the shard. An empty file
+    list, a path that is not an existing shard file
+    (``list_input_files``) and input files that share a shard id raise
+    ValueError before anything runs or is removed.
     ``snapshot=True`` additionally pins the committed state as the next
     table snapshot (lineage.commit_snapshot — Iceberg-style versioned
     reads) and reports ``snapshot_version``."""
     cfg = cfg or ExtractConfig()
 
     files = list_input_files(input_path)
+    if not files:  # refused before the purge below drops the table's manifests
+        raise ValueError("run_extraction_job got an empty input file list")
     _check_distinct_shards(files)
     skipped = 0
     if resume:

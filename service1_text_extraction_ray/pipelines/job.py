@@ -61,20 +61,7 @@ def main(argv=None) -> int:
         # a recrawl merges every file it is given; it has no shards to skip
         p.error("--resume applies to extraction, not --recrawl")
 
-    import ray
-
-    owns_session = not ray.is_initialized()
-    if owns_session:
-        kwargs = dict(address="local", include_dashboard=False, logging_level="ERROR")
-        if args.num_cpus:
-            kwargs["num_cpus"] = args.num_cpus
-        ray.init(**kwargs)
-    from ray.data import DataContext
-
-    DataContext.get_current().enable_progress_bars = False
-
     from ..functions.extract import ExtractConfig
-    from .extract_pipeline import run_extraction_job, run_incremental_recrawl
 
     cfg_kwargs = {}
     if args.max_pages is not None:
@@ -87,15 +74,33 @@ def main(argv=None) -> int:
         cfg_kwargs["emit_layout"] = False
     if args.ocr_backend:
         cfg_kwargs["ocr_backend"] = args.ocr_backend
+    # Built before Ray starts, so an out-of-range value costs no session.
+    try:
+        cfg = ExtractConfig(**cfg_kwargs)
+    except ValueError as e:
+        p.error(str(e))
+
+    import ray
+
+    owns_session = not ray.is_initialized()
+    if owns_session:
+        kwargs = dict(address="local", include_dashboard=False, logging_level="ERROR")
+        if args.num_cpus:
+            kwargs["num_cpus"] = args.num_cpus
+        ray.init(**kwargs)
+    from ray.data import DataContext
+
+    DataContext.get_current().enable_progress_bars = False
+
+    from .extract_pipeline import run_extraction_job, run_incremental_recrawl
 
     if args.recrawl:
         summary = run_incremental_recrawl(
-            args.input, args.output, ExtractConfig(**cfg_kwargs),
-            snapshot=args.snapshot,
+            args.input, args.output, cfg, snapshot=args.snapshot,
         )
     else:
         summary = run_extraction_job(
-            args.input, args.output, ExtractConfig(**cfg_kwargs),
+            args.input, args.output, cfg,
             resume=args.resume, snapshot=args.snapshot,
             tolerant_warc=args.tolerant_warc,
         )

@@ -18,6 +18,7 @@ from ..functions.sniff import sniff_payload
 from ..functions.synth import PAGES_SCHEMA
 
 WARC_EXTS = (".warc", ".warc.gz")
+SHARD_EXTS = (".parquet",) + WARC_EXTS
 
 
 def list_input_files(input_path: str | list) -> list:
@@ -27,23 +28,28 @@ def list_input_files(input_path: str | list) -> list:
     the file BASENAME (sniff.stable_shard_id), so files from nested segment
     directories could alias one another's shards. A directory holding no
     shard file at that level raises ValueError naming it, never an empty
-    job. A directory may contain one format, not a mix: the ambiguity
-    would hide a misconfigured input."""
+    job. Every path listed or given must be an existing file with a shard
+    extension; ValueError names any that is not. A directory may contain
+    one format, not a mix: the ambiguity would hide a misconfigured
+    input."""
     if isinstance(input_path, (list, tuple)):
         files = sorted(str(p) for p in input_path)
-    elif os.path.isfile(input_path):
+    elif not os.path.isdir(input_path):
         files = [input_path]
     else:
         files = sorted(
             os.path.join(input_path, f)
             for f in os.listdir(input_path)
-            if f.endswith(".parquet") or f.endswith(WARC_EXTS)
+            if f.endswith(SHARD_EXTS)
         )
         if not files:
             raise ValueError(
                 f"no .parquet or .warc[.gz] input shard directly in "
                 f"{input_path!r} (nested directories are not listed)"
             )
+    bad = [f for f in files if not (f.endswith(SHARD_EXTS) and os.path.isfile(f))]
+    if bad:
+        raise ValueError(f"input paths that are not .parquet or .warc[.gz] files: {bad}")
     pq_files = [f for f in files if f.endswith(".parquet")]
     if pq_files and len(pq_files) != len(files):
         raise ValueError("mixed parquet and WARC inputs in one job")
@@ -331,8 +337,7 @@ def _gunzip_members(blob: bytes, tolerant: bool = False,
     return b"".join(out)
 
 
-def _iter_warc_pages(blob: bytes, tolerant: bool, stats: dict | None = None,
-                     count_only: bool = False):
+def _iter_warc_pages(blob: bytes, tolerant: bool, stats: dict | None = None):
     """Pair (response, conversion) records of one plain-WARC byte blob into
     PAGES_SCHEMA row dicts — the SINGLE implementation behind
     read_warc_file and warc_salvage_report, so the two can never disagree
@@ -340,14 +345,9 @@ def _iter_warc_pages(blob: bytes, tolerant: bool, stats: dict | None = None,
     any page whose records are damaged (missing headers, failed HTTP
     unwrap, bad date, broken pairing) and counts the skip ONCE per page in
     ``stats["dropped_pages"]`` (a response failure pre-drops its
-    conversion); strict mode raises on the first damage. ``count_only``
-    (tolerant only) keeps the identical control flow but skips the text
-    decode and row construction, yielding True per page — decode uses
-    errors='replace' in tolerant mode so skipping it cannot change which
-    pages survive."""
+    conversion); strict mode raises on the first damage."""
     import datetime as _dt
 
-    assert not count_only or tolerant, "count_only requires tolerant mode"
     pending: dict = {}
     dropped_uris: set = set()
 
@@ -376,9 +376,6 @@ def _iter_warc_pages(blob: bytes, tolerant: bool, stats: dict | None = None,
                 rh, rp = pending.pop(uri)
                 date = rh["warc-date"].rstrip("Z")
                 ts = _dt.datetime.fromisoformat(date)
-                if count_only:
-                    yield True
-                    continue
                 yield {
                     "url": uri,
                     "warc_ts": ts,
@@ -413,8 +410,7 @@ def warc_salvage_report(path: str) -> dict:
     stats: dict = {}
     if blob[:2] == b"\x1f\x8b":
         blob = _gunzip_members(blob, tolerant=True, stats=stats)
-    n = sum(1 for _ in _iter_warc_pages(blob, tolerant=True, stats=stats,
-                                        count_only=True))
+    n = sum(1 for _ in _iter_warc_pages(blob, tolerant=True, stats=stats))
     return {
         "n_pages_ok": n,
         "torn_gzip_members": stats.get("torn_gzip_members", 0),

@@ -33,6 +33,11 @@ manifest, so:
 - resume = validate manifests, then drop the completed shards' input files
   from the read list, *before* the expensive parse stage (no shuffle).
 
+The job calls ``write_part``, ``try_commit_shard``, ``completed_shards``,
+``purge_shard``, ``upsert_shard`` and ``commit_snapshot``. Users read the
+table (``read_shard``, ``read_all``, ``read_snapshot``) and maintain it
+(``compact_shard``, ``delete_rows``, ``vacuum``): README's "Public API".
+
 Tables written before commits came from the writer's records also hold
 per-part summaries under ``lineage/pending/``. Nothing reads them; a fresh
 (non-resume) run deletes them with the rest of ``lineage/``.
@@ -446,16 +451,16 @@ def commit_shard_manifest(out_dir: str, shard_id: int, part_records: list,
     return record
 
 
-def thread_map(fn, items, max_workers: int = 32) -> list:
-    """Map an IO-bound fn over items with a bounded thread pool, preserving
-    order. Shared by the O(shards) manifest validation and table merges (a
-    serial loop is a driver stall at crawl-scale shard counts)."""
+def thread_map(fn, items) -> list:
+    """Map an IO-bound fn over items with a pool of at most 32 threads,
+    preserving order. Shared by the O(shards) manifest validation and table
+    merges (a serial loop is a driver stall at crawl-scale shard counts)."""
     from concurrent.futures import ThreadPoolExecutor
 
     items = list(items)
     if not items:
         return []
-    with ThreadPoolExecutor(max_workers=min(max_workers, max(4, len(items)))) as pool:
+    with ThreadPoolExecutor(max_workers=min(32, max(4, len(items)))) as pool:
         return list(pool.map(fn, items))
 
 
@@ -503,8 +508,7 @@ def load_lineage(out_dir: str, fs: Optional[Any] = None) -> List[Dict[str, Any]]
     return records
 
 
-def completed_shards(out_dir: str, validate_data: bool = True,
-                     fs: Optional[Any] = None) -> Set[int]:
+def completed_shards(out_dir: str, fs: Optional[Any] = None) -> Set[int]:
     """Shard ids whose manifest is valid AND whose listed parts all exist with
     the recorded total row count (guards against data removed/corrupted after
     the manifest was committed).
@@ -519,8 +523,6 @@ def completed_shards(out_dir: str, validate_data: bool = True,
     parts and manifest."""
     fs = _fs(fs)
     records = load_lineage(out_dir, fs)
-    if not validate_data:
-        return {rec["shard_id"] for rec in records}
 
     def check(rec: Dict[str, Any]) -> int | None:
         sid = rec["shard_id"]
@@ -605,13 +607,18 @@ def summarize(records: List[Dict[str, Any]]) -> Dict[str, Any]:
     return out
 
 
+# Rows per part a merge writes at most: ``_write_parts`` cuts a shard into
+# ``ceil(n / PART_TARGET_ROWS)`` even parts.
+PART_TARGET_ROWS = 100_000
+
+
 def _write_parts(out_dir: str, shard_id: int, rows: pa.Table,
-                 target_rows: int, fs: Any) -> List[Dict[str, Any]]:
+                 fs: Any) -> List[Dict[str, Any]]:
     """Write ``rows`` as the shard's new content-addressed parts, in
-    ``ceil(n / target_rows)`` even slices (none for no rows), and return
-    their records. The first step of every merge."""
+    ``ceil(n / PART_TARGET_ROWS)`` even slices (none for no rows), and
+    return their records. The first step of every merge."""
     n = rows.num_rows
-    step = max(1, -(-n // max(1, -(-n // target_rows))))
+    step = max(1, -(-n // max(1, -(-n // PART_TARGET_ROWS))))
     return [write_part(out_dir, shard_id, rows.slice(start, step), fs)
             for start in range(0, n, step)]
 
@@ -629,14 +636,14 @@ def _repoint(out_dir: str, shard_id: int, records: List[Dict[str, Any]],
     return rec
 
 
-def compact_shard(out_dir: str, shard_id: int, target_rows: int = 100_000,
+def compact_shard(out_dir: str, shard_id: int,
                   fs: Optional[Any] = None) -> Dict[str, Any]:
     """Small-file compaction for one committed shard — the storage-
     maintenance pass every long-lived 100-TB layout needs (many appends ->
     many tiny parts -> footer-read amplification on every consumer).
 
     Merges the shard's manifest-listed parts into ``ceil(n_docs /
-    target_rows)`` right-sized parts. Crash-safe by the same commit
+    PART_TARGET_ROWS)`` right-sized parts. Crash-safe by the same commit
     discipline as extraction: new content-addressed parts are written
     FIRST, then the manifest atomically re-points to them, and only then
     are the old parts unlinked (``_repoint``). Counters and the
@@ -648,11 +655,11 @@ def compact_shard(out_dir: str, shard_id: int, target_rows: int = 100_000,
     (possibly unchanged) manifest record."""
     fs = _fs(fs)
     rec = _committed_manifest(out_dir, shard_id, fs)
-    if len(rec["parts"]) <= max(1, -(-rec["n_docs"] // target_rows)):
+    if len(rec["parts"]) <= max(1, -(-rec["n_docs"] // PART_TARGET_ROWS)):
         return rec  # already compact
 
     table = _read_parts(out_dir, [rec], fs, _stored_layout)
-    records = _write_parts(out_dir, shard_id, table, target_rows, fs)
+    records = _write_parts(out_dir, shard_id, table, fs)
     new = summarize(records)
     if new["content_hash"] != rec["content_hash"] or new["n_docs"] != rec["n_docs"]:
         raise RuntimeError(
@@ -664,7 +671,7 @@ def compact_shard(out_dir: str, shard_id: int, target_rows: int = 100_000,
 
 
 def upsert_shard(out_dir: str, shard_id: int, updates: pa.Table,
-                 key: str = "url", target_rows: int = 100_000,
+                 key: str = "url",
                  fs: Optional[Any] = None) -> Dict[str, Any]:
     """MERGE (upsert) one shard: stored rows whose ``key`` matches an
     update row are REPLACED by it; update rows with new keys are APPENDED
@@ -740,7 +747,7 @@ def upsert_shard(out_dir: str, shard_id: int, updates: pa.Table,
 
     merged = pa.concat_tables([align(kept), align(updates)]).sort_by(key)
 
-    records = _write_parts(out_dir, shard_id, merged, target_rows, fs)
+    records = _write_parts(out_dir, shard_id, merged, fs)
     new_rec = _repoint(out_dir, shard_id, records, old_parts, fs)
     new_rec["n_replaced"] = n_replaced
     new_rec["n_appended"] = n_appended
@@ -748,7 +755,7 @@ def upsert_shard(out_dir: str, shard_id: int, updates: pa.Table,
 
 
 def delete_rows(out_dir: str, shard_id: int, keys: List[str],
-                key: str = "url", target_rows: int = 100_000,
+                key: str = "url",
                 fs: Optional[Any] = None) -> Dict[str, Any]:
     """Hard-delete rows by key from one committed shard (GDPR/takedown
     shape — no tombstones: the surviving rows are rewritten as fresh
@@ -771,26 +778,24 @@ def delete_rows(out_dir: str, shard_id: int, keys: List[str],
         rec["n_deleted"] = 0
         return rec
 
-    records = _write_parts(out_dir, shard_id, kept, target_rows, fs)
+    records = _write_parts(out_dir, shard_id, kept, fs)
     new_rec = _repoint(out_dir, shard_id, records, rec["parts"], fs)
     new_rec["n_deleted"] = n_deleted
     return new_rec
 
 
 def upsert_rows(out_dir: str, updates: pa.Table, key: str = "url",
-                shard_col: str = "shard_id", target_rows: int = 100_000,
                 fs: Optional[Any] = None) -> Dict[str, Any]:
-    """Table-level MERGE: split ``updates`` by its ``shard_col`` and upsert
+    """Table-level MERGE: split ``updates`` by its ``shard_id`` and upsert
     each affected shard (thread-pooled — per-shard work is IO-bound part
     rewriting; untouched shards are never read). The update stream must
     already carry the table's shard assignment, which every row written by
     this engine does (DOC_SCHEMA ``shard_id``). Returns totals."""
-    sids = sorted(set(updates[shard_col].to_pylist()))
+    sids = sorted(set(updates["shard_id"].to_pylist()))
 
     def one(sid):
-        sub = updates.filter(pc.equal(updates[shard_col], sid))
-        return upsert_shard(out_dir, int(sid), sub, key=key,
-                            target_rows=target_rows, fs=fs)
+        sub = updates.filter(pc.equal(updates["shard_id"], sid))
+        return upsert_shard(out_dir, int(sid), sub, key=key, fs=fs)
 
     recs = thread_map(one, sids)
     return {
@@ -798,18 +803,6 @@ def upsert_rows(out_dir: str, updates: pa.Table, key: str = "url",
         "n_replaced": sum(r["n_replaced"] for r in recs),
         "n_appended": sum(r["n_appended"] for r in recs),
     }
-
-
-def compact_output(out_dir: str, target_rows: int = 100_000,
-                   fs: Optional[Any] = None) -> Dict[str, Any]:
-    """Compact every committed shard (thread-pooled: compaction is IO-bound
-    and shards are independent). Returns the job summary over the resulting
-    manifests — byte-identical counters/content_hash to pre-compaction."""
-    records = load_lineage(out_dir, fs)
-    thread_map(
-        lambda r: compact_shard(out_dir, r["shard_id"], target_rows, fs), records
-    )
-    return summarize(load_lineage(out_dir, fs))
 
 
 # ---------------------------------------------------------------------------
@@ -820,8 +813,7 @@ def compact_output(out_dir: str, target_rows: int = 100_000,
 # n_docs, content_hash) into one atomically-PUT object
 # ``snapshots/v%06d.json``. Reading a snapshot sees exactly that row set
 # regardless of later appends — the versioned-read contract incremental
-# corpus builds need (diff v(N) vs v(N-1), reproduce a training run's
-# exact input). Compaction REWRITES parts and unlinks the old ones, which
+# corpus builds need (reproduce a training run's exact input). Compaction REWRITES parts and unlinks the old ones, which
 # EXPIRES any snapshot referencing them (Iceberg's vacuum semantics);
 # ``read_snapshot`` then raises ``SnapshotExpired`` instead of returning
 # partial data. Snapshot numbering is monotonic via the same
@@ -923,20 +915,6 @@ def read_snapshot(out_dir: str, version: int,
         ) from e
 
 
-def table_history(out_dir: str, fs: Optional[Any] = None) -> List[Dict[str, Any]]:
-    """(version, n_shards, n_docs) per snapshot — the table's commit log."""
-    fs = _fs(fs)
-    out = []
-    for v in list_snapshots(out_dir, fs):
-        snap = load_snapshot(out_dir, v, fs)
-        out.append({
-            "version": v,
-            "n_shards": len(snap["shards"]),
-            "n_docs": sum(s["n_docs"] for s in snap["shards"]),
-        })
-    return out
-
-
 #: Default orphan-retention window (seconds). Parts younger than this are
 #: NEVER garbage-collected: an extraction job writes data parts BEFORE the
 #: manifest that references them, so a just-written part of an in-flight
@@ -1002,27 +980,3 @@ def vacuum(out_dir: str, keep_snapshots: int = 2,
                     fs.remove(ppath)
                     dropped_parts += 1
     return {"snapshots_dropped": len(drop), "parts_dropped": dropped_parts}
-
-
-def snapshot_diff(out_dir: str, v_old: int, v_new: int,
-                  fs: Optional[Any] = None) -> Dict[str, Any]:
-    """Shard-level diff between two snapshots — the incremental-build
-    primitive (recrawl N vs N-1: which shards changed, how many docs
-    appeared). Compares per-shard content hashes, so compaction (which
-    preserves content) reports NO change while real appends/rewrites do.
-    Returns ``{"added_shards": [...], "removed_shards": [...],
-    "changed_shards": [...], "docs_delta": int}``."""
-    fs = _fs(fs)
-    old = {s["shard_id"]: s for s in load_snapshot(out_dir, v_old, fs)["shards"]}
-    new = {s["shard_id"]: s for s in load_snapshot(out_dir, v_new, fs)["shards"]}
-    return {
-        "added_shards": sorted(set(new) - set(old)),
-        "removed_shards": sorted(set(old) - set(new)),
-        "changed_shards": sorted(
-            sid for sid in set(old) & set(new)
-            if old[sid]["content_hash"] != new[sid]["content_hash"]
-            or old[sid]["n_docs"] != new[sid]["n_docs"]
-        ),
-        "docs_delta": sum(s["n_docs"] for s in new.values())
-        - sum(s["n_docs"] for s in old.values()),
-    }

@@ -6,6 +6,8 @@ import json
 import os
 import random
 
+import pytest
+
 from service1_text_extraction_ray.functions.extract import (
     ExtractConfig,
     extract_document,
@@ -98,6 +100,24 @@ def test_max_pages_config():
     payload = make_pdf([lines] * 4, rng())
     res = extract_document("u", payload, ExtractConfig(max_pages=2))
     assert res["n_pages"] == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_payload_bytes", -1), ("max_payload_bytes", 0),
+    ("max_pages", 0), ("max_pages", -1),
+    ("min_text_length", -1),
+])
+def test_config_refuses_out_of_range_values(field, value):
+    """An out-of-range bound would not fail the parse: it would silently
+    truncate every payload, or read every PDF as zero pages."""
+    with pytest.raises(ValueError, match=field):
+        ExtractConfig(**{field: value})
+
+
+def test_config_accepts_its_edge_values():
+    cfg = ExtractConfig(max_payload_bytes=1, max_pages=1, min_text_length=0)
+    assert (cfg.max_payload_bytes, cfg.max_pages, cfg.min_text_length) == (1, 1, 0)
+    assert ExtractConfig(max_pages=None).max_pages is None
 
 
 def test_page_md_format():
@@ -241,9 +261,9 @@ class TestPasswordLoop:
 
 
 class TestExtractorRegistry:
-    """§2.9 extension surface: content-kind -> extractor registry."""
+    """The content-kind -> extractor dispatch table."""
 
-    def test_register_custom_kind(self):
+    def test_register_custom_kind(self, monkeypatch):
         from service1_text_extraction_ray.functions import extract as X
 
         def tsv_extractor(url, payload, cfg, book):
@@ -252,19 +272,14 @@ class TestExtractorRegistry:
                                "page_md": text, "n_chars": len(text),
                                "layout_json": ""}]}
 
-        # 'other' normally fails; override, then restore
-        prev = dict(X.EXTRACTORS)
-        try:
-            X.register_extractor("other", tsv_extractor)
-            # NUL prefix keeps the payload out of the text kind so the
-            # custom 'other' extractor is what fires
-            res = X.extract_document("u", b"\x00a\tb\tc", CFG)
-            assert res["status"] == "ok"
-            assert res["pages"][0]["method"] == "tsv"
-            assert res["doc_text"].endswith("a b c")
-        finally:
-            X.EXTRACTORS.clear()
-            X.EXTRACTORS.update(prev)
+        # 'other' normally fails; monkeypatch restores the table
+        monkeypatch.setitem(X.EXTRACTORS, "other", tsv_extractor)
+        # NUL prefix keeps the payload out of the text kind so the
+        # custom 'other' extractor is what fires
+        res = X.extract_document("u", b"\x00a\tb\tc", CFG)
+        assert res["status"] == "ok"
+        assert res["pages"][0]["method"] == "tsv"
+        assert res["doc_text"].endswith("a b c")
 
     def test_unregistered_kind_fails_counted(self):
         res = extract_document("u", b"\x00\x01\x02binary junk", CFG)

@@ -355,12 +355,11 @@ _PAGE = b"<html><body><p>" + b"Plenty of plain words in one paragraph here. " * 
 
 @contextlib.contextmanager
 def _html_extractor(fn):
-    prev = X.EXTRACTORS[X.KIND_HTML]
-    X.register_extractor(X.KIND_HTML, fn)
-    try:
+    # A context manager, not the fixture: hypothesis runs many examples
+    # per test call.
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setitem(X.EXTRACTORS, X.KIND_HTML, fn)
         yield
-    finally:
-        X.register_extractor(X.KIND_HTML, prev)
 
 
 def _dom_extractor(text, layout):

@@ -304,16 +304,17 @@ class TestResumeOverObjectStore:
         # lose the data object after commit (bucket lifecycle / operator error)
         fs.remove(L.shard_data_dir(OUT, 3) + "/" + rec["parts"][0])
         assert L.completed_shards(OUT, fs=fs) == set()
-        assert L.completed_shards(OUT, validate_data=False, fs=fs) == {3}
+        assert {r["shard_id"] for r in L.load_lineage(OUT, fs)} == {3}
 
 
 class TestCompactionOverObjectStore:
-    def test_compaction_preserves_content_hash(self):
+    def test_compaction_preserves_content_hash(self, monkeypatch):
+        monkeypatch.setattr(L, "PART_TARGET_ROWS", 100)
         fs = EventualObjectStore()
         recs = [L.write_part(OUT, 4, _rows(i0, 4), fs) for i0 in (0, 4, 8)]
         before = L.commit_shard_manifest(OUT, 4, recs, fs)
         fs.sync()
-        after = L.compact_shard(OUT, 4, target_rows=100, fs=fs)
+        after = L.compact_shard(OUT, 4, fs=fs)
         assert len(after["parts"]) == 1
         assert after["content_hash"] == before["content_hash"]
         fs.sync()
@@ -356,19 +357,19 @@ class TestSnapshots:
         assert L.read_snapshot(out, 1).num_rows == 5
         assert L.read_snapshot(out, 2).num_rows == 12
         assert L.read_all(out).num_rows == 12
-        assert L.table_history(out) == [
-            {"version": 1, "n_shards": 1, "n_docs": 5},
-            {"version": 2, "n_shards": 2, "n_docs": 12},
-        ]
+        assert L.list_snapshots(out) == [1, 2]
+        assert [len(L.load_snapshot(out, v)["shards"])
+                for v in L.list_snapshots(out)] == [1, 2]
 
-    def test_compaction_expires_referencing_snapshots(self, tmp_path):
+    def test_compaction_expires_referencing_snapshots(self, tmp_path, monkeypatch):
         import pytest
 
+        monkeypatch.setattr(L, "PART_TARGET_ROWS", 100)
         out = str(tmp_path / "tbl2")
         recs = [L.write_part(out, 3, _rows(i0, 4)) for i0 in (0, 4, 8)]
         L.commit_shard_manifest(out, 3, recs)
         v = L.commit_snapshot(out)["version"]
-        L.compact_shard(out, 3, target_rows=100)  # rewrites to one part
+        L.compact_shard(out, 3)  # rewrites to one part
         with pytest.raises(L.SnapshotExpired):
             L.read_snapshot(out, v)
         # a fresh snapshot over the compacted state reads fine
@@ -413,10 +414,12 @@ class TestSnapshots:
 
 
 class TestVacuum:
-    def test_vacuum_drops_old_snapshots_and_orphans(self, tmp_path):
+    def test_vacuum_drops_old_snapshots_and_orphans(self, tmp_path, monkeypatch):
         import os
 
         import pytest
+
+        monkeypatch.setattr(L, "PART_TARGET_ROWS", 100)
 
         out = str(tmp_path / "tbl3")
         # three committed states -> three snapshots
@@ -427,7 +430,7 @@ class TestVacuum:
         L.commit_shard_manifest(out, 0, recs)
         L.commit_snapshot(out)  # v2
         # compaction rewrites to one part -> v1/v2 now reference dead parts
-        L.compact_shard(out, 0, target_rows=100)
+        L.compact_shard(out, 0)
         L.commit_snapshot(out)  # v3 (pins the compacted part)
         # plant an orphan part from a "crashed attempt" in another shard
         orphan_dir = L.shard_data_dir(out, 9)
@@ -576,31 +579,9 @@ class TestVacuum:
         assert L.read_snapshot("b/v", 1, fs).num_rows == 4
 
 
-class TestSnapshotDiff:
-    def test_diff_reports_appends_not_compaction(self, tmp_path):
-        out = str(tmp_path / "tbl5")
-        recs = [L.write_part(out, 0, _rows(0, 4))]
-        L.commit_shard_manifest(out, 0, recs)
-        L.commit_snapshot(out)  # v1
-        # append to shard 0 AND add shard 1
-        recs.append(L.write_part(out, 0, _rows(4, 2)))
-        L.commit_shard_manifest(out, 0, recs)
-        L.commit_shard_manifest(out, 1, [L.write_part(out, 1, _rows(10, 3))])
-        L.commit_snapshot(out)  # v2
-        d = L.snapshot_diff(out, 1, 2)
-        assert d == {"added_shards": [1], "removed_shards": [],
-                     "changed_shards": [0], "docs_delta": 5}
-        # compaction preserves content -> diff v2 vs v3 reports nothing
-        L.compact_shard(out, 0, target_rows=100)
-        L.commit_snapshot(out)  # v3
-        d2 = L.snapshot_diff(out, 2, 3)
-        assert d2 == {"added_shards": [], "removed_shards": [],
-                      "changed_shards": [], "docs_delta": 0}
-
-
 class TestUpsert:
     """MERGE (upsert) at shard granularity — the recrawl-refresh primitive
-    completing the table lifecycle (append/compact/snapshot/vacuum/diff)."""
+    completing the table lifecycle (append/compact/snapshot/vacuum)."""
 
     @staticmethod
     def _recrawl(i0, n):

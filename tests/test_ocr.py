@@ -2,8 +2,8 @@
 
 Covers: the 5x7 bitmap font's template-index invariants, the stdlib PNG
 codec, the from-scratch rasterizer, the deterministic pixel-OCR backend
-(segmentation, glyph-scale inference, collision disambiguation, psm
-semantics), the reference-shaped tesseract layout grouping
+(segmentation, glyph-scale inference, collision disambiguation,
+paragraph blocks), the reference-shaped tesseract layout grouping
 (core_pdf_processor.py:492-582 quirks), the gate->OCR wiring in
 extract_document (:391-416), and exact planted-text recovery over the
 scanned synthetic corpora.
@@ -216,22 +216,6 @@ class TestFakeOcr:
 
         png = self._png([("join in jijn", 40, 60, 12)])
         assert FakeOcrBackend().image_to_string(png) == "join in jijn"
-
-    def test_psm6_trap_and_enhanced_retry(self):
-        from service1_text_extraction_ray.functions.ocr import (
-            FakeOcrBackend,
-            ocr_text_enhanced,
-        )
-
-        spans = [("p. 7", 40, 40, 12)] + [
-            (f"Body line {i} of the page.", 40, 200 + 14 * i, 12) for i in range(4)
-        ]
-        png = self._png(spans)
-        b = FakeOcrBackend()
-        assert b.image_to_string(png, psm=6) == "p. 7"  # <10 chars
-        p3 = b.image_to_string(png, psm=3)
-        assert p3.startswith("p. 7\n\nBody line 0")
-        assert ocr_text_enhanced(b, png) == p3  # the retry fired
 
     def test_layout_grouping_reference_quirks(self):
         from service1_text_extraction_ray.functions.ocr import ocr_layout_from_data

@@ -9,14 +9,21 @@ every reached module count as reached.
 
 Three more walks check that no engine module calls a Ray Data shuffle,
 that every ``map_batches`` runs its function as plain tasks, and that no
-Ray work starts outside Ray Data."""
+Ray work starts outside Ray Data.
+
+The function-grain walk does the same inside modules: every top-level def
+of the package is reached from the engine's entry functions or from code
+that runs at import, is public API that README documents, or is pinned to
+the one file outside the package that still needs it."""
 
 import ast
+import re
 from pathlib import Path
 
 import service1_text_extraction_ray as pkg
 
 PKG_DIR = Path(pkg.__file__).parent
+REPO_DIR = PKG_DIR.parent
 PKG = PKG_DIR.name
 ENTRY_POINTS = (f"{PKG}.pipelines.job", f"{PKG}.pipelines.extract_pipeline")
 
@@ -144,3 +151,168 @@ def test_engine_launches_ray_work_only_through_ray_data():
             and {a.name for a in node.names} & {"remote", "get"})
     )
     assert not offenders, f"Ray work outside Ray Data: {offenders}"
+
+
+# -- function grain -----------------------------------------------------------
+
+# The job CLI and the two job functions it runs.
+ENTRY_FUNCTIONS = {
+    "pipelines/job.py": {"main"},
+    "pipelines/extract_pipeline.py": {"run_extraction_job", "run_incremental_recrawl"},
+}
+
+# Functions users call beside the job; each is listed in README's
+# "Public API" section with the reason a user calls it.
+PUBLIC_API = {
+    # the output table's readers and maintenance (state/lineage.py)
+    "read_all", "read_shard", "read_snapshot",
+    "compact_shard", "delete_rows", "vacuum",
+    # extraction without writing a table
+    "read_pages", "read_pages_warc", "extract_dataset",
+    "extract_pages_dataset", "explode_pages", "warc_salvage_report",
+}
+
+# Unreached defs kept for the one file outside the package that still
+# needs them: the benchmark, the query suite, or a test that uses the def
+# as its oracle. A pin fails once its holder stops naming the def, so it
+# goes when the holder does.
+PINNED = {
+    "_default_pool_size": "extraction_bench/job.py",
+    "html_layout": "extraction_bench/replay.py",
+    "run_oracle": "tests/test_extract_document.py",
+    "_is_garbage_text_reference": "tests/test_quality.py",
+    "parse_pdf": "tests/test_pdf_extract.py",
+    "recreate_text_with_layout": "query_suite/pipelines/queries.py",
+    "upsert_rows": "query_suite/pipelines/queries.py",
+    "write_pages_warc": "query_suite/pipelines/queries.py",
+}
+
+# Whole modules pinned the same way: the seeded corpus generator, which
+# the engine imports only for PAGES_SCHEMA.
+PINNED_MODULES = {
+    "functions/synth.py": "extraction_bench/workloads.py",
+}
+
+DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names(node) -> set:
+    """Every name and attribute a node's code mentions."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _import_time_names(tree) -> set:
+    """Names mentioned by a module's code that runs when it is imported:
+    everything but the bodies of functions (their decorators and default
+    values do run)."""
+    out, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo += node.decorator_list + node.args.defaults
+            todo += [d for d in node.args.kw_defaults if d is not None]
+            continue
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            out.add(node.id if isinstance(node, ast.Name) else node.attr)
+        todo += ast.iter_child_nodes(node)
+    return out
+
+
+def _package_defs():
+    """``{(module path relative to the package, name): def node}`` for
+    every top-level def, and the names import-time code mentions."""
+    defs, at_import = {}, set()
+    for p in sorted(PKG_DIR.rglob("*.py")):
+        tree = ast.parse(p.read_text())
+        rel = str(p.relative_to(PKG_DIR))
+        defs.update({(rel, n.name): n for n in tree.body if isinstance(n, DEF_NODES)})
+        at_import |= _import_time_names(tree)
+    return defs, at_import
+
+
+def _reach(defs: dict, roots: set) -> set:
+    """Names reached from ``roots``, following every def of a reached name
+    through the names its body mentions. By name, not by binding, so a
+    def is never missed as reached: the walk can only miss dead code."""
+    bodies: dict = {}
+    for (_, name), node in defs.items():
+        bodies.setdefault(name, set()).update(_names(node))
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += bodies.get(name, ())
+    return reached
+
+
+def _mentions(rel_path: str, name: str) -> bool:
+    path = REPO_DIR / rel_path
+    return path.is_file() and re.search(rf"\b{re.escape(name)}\b", path.read_text()) is not None
+
+
+def _readme_public_api() -> str:
+    """README's "Public API" section."""
+    text = (REPO_DIR / "README.md").read_text()
+    start = text.find("\n## Public API\n")
+    assert start >= 0, "README.md has no '## Public API' section"
+    end = text.find("\n## ", start + 1)
+    return text[start:end if end >= 0 else len(text)]
+
+
+def test_every_package_def_is_reached_public_or_pinned():
+    defs, at_import = _package_defs()
+    entries = set().union(*ENTRY_FUNCTIONS.values())
+    missing = sorted(
+        f"{mod}:{name}" for mod, names in ENTRY_FUNCTIONS.items()
+        for name in names if (mod, name) not in defs
+    )
+    assert not missing, f"entry functions not defined: {missing}"
+    pinned_module_defs = {n for (mod, n) in defs if mod in PINNED_MODULES}
+    reached = _reach(defs, entries | at_import | PUBLIC_API
+                     | set(PINNED) | pinned_module_defs)
+    unreached = sorted(
+        f"{mod}:{name}" for (mod, name) in defs
+        if name not in reached and mod not in PINNED_MODULES
+    )
+    assert not unreached, (
+        f"package defs nothing reaches: {unreached} — delete them, or list "
+        "them in PUBLIC_API (with a README entry) or PINNED (with the file "
+        "outside the package that needs them)"
+    )
+
+
+def test_pins_are_live():
+    """Each pin names a def the entry points do not reach and a file
+    outside the package that still names it. A pin that stops holding
+    fails, so it goes, and with it the def unless something reaches it."""
+    defs, at_import = _package_defs()
+    names = {n for (_, n) in defs}
+    reached = _reach(defs, set().union(*ENTRY_FUNCTIONS.values())
+                     | at_import | PUBLIC_API)
+    stale = []
+    for name, holder in PINNED.items():
+        if name not in names:
+            stale.append(f"{name}: not defined in the package")
+        elif name in reached:
+            stale.append(f"{name}: reached without the pin")
+        if holder.startswith(PKG) or not _mentions(holder, name):
+            stale.append(f"{name}: {holder} is not a file outside the package naming it")
+    for mod, holder in PINNED_MODULES.items():
+        if not (PKG_DIR / mod).is_file() or not _mentions(holder, mod[:-3].replace("/", ".")):
+            stale.append(f"{mod}: gone, or {holder} no longer imports it")
+    assert not stale, f"stale pins: {stale}"
+
+
+def test_public_api_is_documented():
+    defs, _ = _package_defs()
+    names = {n for (_, n) in defs}
+    section = _readme_public_api()
+    undefined = sorted(PUBLIC_API - names)
+    undocumented = sorted(n for n in PUBLIC_API if f"`{n}(" not in section)
+    assert not undefined, f"PUBLIC_API names no package def: {undefined}"
+    assert not undocumented, (
+        f"PUBLIC_API names missing from README's Public API section: "
+        f"{undocumented}"
+    )

@@ -117,15 +117,15 @@ class TestAES:
         key schedule, and both cipher directions."""
         from service1_text_extraction_ray.functions.pdf_crypt import (
             _aes128_decrypt_blocks,
-            aes128_encrypt_block,
-            aes128_key_schedule,
+            aes_encrypt_block,
+            aes_key_schedule,
         )
         import numpy as np
 
         key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
         pt = bytes.fromhex("00112233445566778899aabbccddeeff")
-        ks = aes128_key_schedule(key)
-        ct = aes128_encrypt_block(ks, pt)
+        ks = aes_key_schedule(key)
+        ct = aes_encrypt_block(ks, pt)
         assert ct.hex() == "69c4e0d86a7b0430d8cdb78070b4c55a"
         back = _aes128_decrypt_blocks(ks, np.frombuffer(ct, np.uint8).reshape(1, 16))
         assert back.tobytes() == pt

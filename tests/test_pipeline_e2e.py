@@ -395,6 +395,48 @@ def test_job_rejects_input_files_sharing_a_shard_id(corpus_dir, tmp_path):
     assert _tree_bytes(out) == before
 
 
+@pytest.mark.parametrize("case", ["empty", "missing", "not_a_shard", "missing_file_arg"])
+def test_job_refuses_bad_input_before_touching_the_table(corpus_dir, tmp_path, case):
+    """An input that names no shard file is refused before the job purges
+    or removes anything: the committed table stays byte for byte."""
+    from service1_text_extraction_ray.pipelines.extract_pipeline import ExtractFile
+    from service1_text_extraction_ray.sources.pages_source import list_input_files
+
+    out = str(tmp_path / "out")
+    ExtractFile(out, CFG)(pa.table({"path": [list_input_files(corpus_dir)[0]]}))
+    before = _tree_bytes(out)
+    (tmp_path / "notes.txt").write_text("not a shard")
+    bad = {
+        "empty": ([], "empty input file list"),
+        "missing": ([str(tmp_path / "gone.parquet")], "gone.parquet"),
+        "not_a_shard": ([str(tmp_path / "notes.txt")], "notes.txt"),
+        "missing_file_arg": (str(tmp_path / "gone.parquet"), "gone.parquet"),
+    }
+    input_path, message = bad[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_extraction_job(input_path, out, CFG)
+    assert _tree_bytes(out) == before
+
+
+def test_job_cli_refuses_an_out_of_range_config_before_ray_starts(
+        corpus_dir, tmp_path, capsys, monkeypatch):
+    import ray
+
+    from service1_text_extraction_ray.pipelines import job
+
+    def no_ray():
+        raise AssertionError("the CLI touched Ray before checking its config")
+
+    monkeypatch.setattr(ray, "is_initialized", no_ray)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        job.main(["--input", corpus_dir, "--output", str(out),
+                  "--max-payload-bytes", "-1"])
+    assert exc.value.code == 2
+    assert "max_payload_bytes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_extract_dataset_streaming_no_write(ray_session, corpus_dir):
     from service1_text_extraction_ray.pipelines.extract_pipeline import read_pages
 
@@ -425,7 +467,7 @@ def test_kill_and_resume_preserves_completed_shards(corpus_dir, tmp_path):
     killed = False
     try:
         while time.time() < deadline:
-            if lin.completed_shards(out, validate_data=False):
+            if lin.load_lineage(out):
                 _kill_job(proc)
                 killed = True
                 break
@@ -521,15 +563,16 @@ class TestCompaction:
             ),
         })
 
-    def test_compact_preserves_content_and_is_idempotent(self, tmp_path):
+    def test_compact_preserves_content_and_is_idempotent(self, tmp_path, monkeypatch):
         from service1_text_extraction_ray.state import lineage as L
 
+        monkeypatch.setattr(L, "PART_TARGET_ROWS", 100)
         out = str(tmp_path / "job")
         recs = [L.write_part(out, 3, self._rows(i0, 5)) for i0 in (0, 5, 10)]
         before = L.commit_shard_manifest(out, 3, recs)
         assert len(before["parts"]) == 3
 
-        after = L.compact_shard(out, 3, target_rows=100)
+        after = L.compact_shard(out, 3)
         assert len(after["parts"]) == 1
         assert after["content_hash"] == before["content_hash"]
         assert after["n_docs"] == before["n_docs"] == 15
@@ -545,8 +588,15 @@ class TestCompaction:
             f"https://d/{i}" for i in range(15)
         )
         # second pass: no-op (content-addressed names, already compact)
-        again = L.compact_shard(out, 3, target_rows=100)
+        again = L.compact_shard(out, 3)
         assert again["parts"] == after["parts"]
+        # three parts over a smaller target: 12 rows / 6 -> 2 even parts
+        monkeypatch.setattr(L, "PART_TARGET_ROWS", 6)
+        recs = [L.write_part(out, 4, self._rows(i0, 4)) for i0 in (20, 24, 28)]
+        before = L.commit_shard_manifest(out, 4, recs)
+        split = L.compact_shard(out, 4)
+        assert len(split["parts"]) == 2
+        assert L.summarize([split]) == L.summarize([before])
 
     def test_compact_checks_content_before_it_commits(self, tmp_path, monkeypatch):
         """A compaction whose rewritten parts do not hold the shard's
@@ -561,28 +611,12 @@ class TestCompaction:
             manifest = f.read()
         read = L._read_parts
         monkeypatch.setattr(L, "_read_parts", lambda *a, **k: read(*a, **k).slice(1))
+        monkeypatch.setattr(L, "PART_TARGET_ROWS", 100)
         with pytest.raises(RuntimeError, match="compaction changed shard 3"):
-            L.compact_shard(out, 3, target_rows=100)
+            L.compact_shard(out, 3)
         with open(L.manifest_path(out, 3), "rb") as f:
             assert f.read() == manifest
         assert {r["part"] for r in recs} <= set(os.listdir(L.shard_data_dir(out, 3)))
-
-    def test_compact_output_summary_unchanged(self, tmp_path):
-        from service1_text_extraction_ray.state import lineage as L
-
-        out = str(tmp_path / "job2")
-        for sid in (0, 1):
-            recs = [
-                L.write_part(out, sid, self._rows(100 * sid + i0, 4))
-                for i0 in (0, 4, 8)
-            ]
-            L.commit_shard_manifest(out, sid, recs)
-        before = L.summarize(L.load_lineage(out))
-        after = L.compact_output(out, target_rows=6)
-        assert after == before
-        for sid in (0, 1):
-            rec = {r["shard_id"]: r for r in L.load_lineage(out)}[sid]
-            assert len(rec["parts"]) == 2  # 12 rows / 6 per part
 
 
 def _part_form(path: str) -> str:
@@ -648,7 +682,8 @@ class TestStoredLayout:
         out = str(tmp_path / "t")
         docs = self._docs(60)
         before = self._mixed_shard(out, 0, docs, monkeypatch)
-        after = lin.compact_shard(out, 0, target_rows=100)
+        monkeypatch.setattr(lin, "PART_TARGET_ROWS", 100)
+        after = lin.compact_shard(out, 0)
         assert len(after["parts"]) == 1
         assert dict(after, parts=None) == dict(before, parts=None)
         self._assert_newest_form(out, 0, after["parts"])
@@ -702,6 +737,7 @@ class TestStoredLayout:
         byte for byte as before the field existed, also when compaction
         (whose rows carry the field) rewrites it."""
         pdf = self._pdf_rows(400)
+        monkeypatch.setattr(lin, "PART_TARGET_ROWS", 1000)
 
         def read(out, sid, part):
             path = os.path.join(lin.shard_data_dir(out, sid), part)
@@ -714,7 +750,7 @@ class TestStoredLayout:
             whole = lin.write_part(out, 1, pdf)
             parts = [read(out, 0, r["part"]) for r in recs] + [read(out, 1, whole["part"])]
             lin.commit_shard_manifest(out, 0, recs)
-            compacted = lin.compact_shard(out, 0, target_rows=1000)
+            compacted = lin.compact_shard(out, 0)
             assert len(compacted["parts"]) == 1
             parts.append(read(out, 0, compacted["parts"][0]))
             return [p for p, _ in parts], [b for _, b in parts]

@@ -4,7 +4,6 @@ import pyarrow as pa
 
 from service1_text_extraction_ray.functions.render import (
     combine_pages,
-    layout_markdown,
     page_markdown,
     recreate_text_with_layout,
 )
@@ -31,11 +30,6 @@ class TestRenderFormats:
 
     def test_combine_pages_skips_whitespace_only(self):
         assert combine_pages([(1, "  \n ")]) == ""
-
-    def test_layout_markdown_fenced(self):
-        md = layout_markdown(2, {"width": 10})
-        assert md.startswith("# Page 2 - Layout Information\n\n```json\n")
-        assert md.endswith("\n```")
 
     def test_recreate_text_with_layout_thresholds(self):
         layout = {
@@ -114,21 +108,6 @@ class TestSniff:
         out = sniff_table(t, size_bucket_edges=(4, 8))
         assert out["content_kind"].to_pylist() == ["html", "pdf"]
         assert all(0 <= s < 256 for s in out["shard_id"].to_pylist())
-
-
-def test_combine_pages_title_case_variant():
-    """P14 (pdf_service.py:111-124): title-case markers, empty pages kept."""
-    from service1_text_extraction_ray.functions.render import (
-        combine_pages,
-        combine_pages_title_case,
-    )
-
-    pages = [(1, "first"), (2, ""), (3, "third")]
-    out = combine_pages_title_case(pages)
-    assert out == "--- Page 1 ---\nfirst\n\n--- Page 2 ---\n\n\n--- Page 3 ---\nthird"
-    # the batch-path variant skips empty pages and uses upper-case markers
-    assert "--- PAGE 1 ---" in combine_pages(pages)
-    assert "PAGE 2" not in combine_pages(pages)
 
 
 class TestPageRenderStub:

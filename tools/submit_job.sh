@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Launch the extraction job on a Ray cluster via `ray job submit` — the
-# north-rule launch path. On a real cluster set RAY_ADDRESS to the head
-# node's dashboard address (http://<head>:8265); in this sandbox the same
-# entrypoint runs against the local session (RAY_ADDRESS=local is preset,
-# and pipelines/job.py falls back to a local ray.init).
+# north-rule launch path. On a real cluster set RAY_DASHBOARD_ADDRESS to
+# the head node's dashboard address (http://<head>:8265). Without it the
+# script runs the same entrypoint directly, which starts a local Ray
+# session when none exists (pipelines/job.py).
 #
 # Usage: tools/submit_job.sh <input-pages-parquet> <output-dir> [--resume]
 #
