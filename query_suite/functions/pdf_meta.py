@@ -5,7 +5,10 @@ accessors over the document catalog and page dictionaries: the /Info
 dictionary, the outline, embedded files, fonts, optional-content layers,
 AcroForm fields, XMP, page labels, link and text annotations, and the
 structure tree. Text extraction never reads any of them; it lives in
-``service1_text_extraction_ray.functions.pdf_extract``.
+``service1_text_extraction_ray.functions.pdf_extract``. The accessors
+reuse the engine's walks rather than copy them: ``fonts`` lists a page's
+/Font entries with ``_resource_entries``, and ``structure`` reads each
+page's spans through the inherited ``_page_spans``.
 """
 
 from __future__ import annotations
@@ -16,23 +19,16 @@ from typing import Dict, List, Optional, Tuple
 from service1_text_extraction_ray.functions.pdf_extract import (
     PdfDocument as _EnginePdfDocument,
     PdfParseError,
-    _FONT_ENTRY_RE,
-    _FONT_RES_RE,
     _PdfObject,
     _REF_RE,
     _TYPE_RE,
-    _content_bytes,
     _decode_stream,
     _doc_off_ocgs,
-    _interpret_text,
-    _page_cid_fonts,
-    _page_form_xobjects,
-    _page_hidden_ocs,
     _page_order,
-    _page_simple_encodings,
     _parse_string_entry,
     _read_literal_string,
     _resolve_dict,
+    _resource_entries,
     _scan_dict,
     _skip_ws,
 )
@@ -244,16 +240,8 @@ class PdfDocument(_EnginePdfDocument):
             return []
         out: List[Tuple[int, str, str, str, int]] = []
         for idx, (_, _, _, res) in enumerate(pages):
-            if not res:
-                continue
-            fm = _FONT_RES_RE.search(res)
-            if fm is None:
-                continue
-            font_dict = _resolve_dict(self._objects, res, fm)
-            if font_dict is None:
-                continue
-            for name, num in _FONT_ENTRY_RE.findall(font_dict):
-                fobj = self._objects.get(int(num))
+            for name, num in _resource_entries(self._objects, res, "Font"):
+                fobj = self._objects.get(num)
                 if fobj is None:
                     continue
                 st = re.search(rb"/Subtype\s*/(\w+)", fobj.dict_bytes)
@@ -278,7 +266,7 @@ class PdfDocument(_EnginePdfDocument):
                         embedded = 1
                 out.append((
                     idx,
-                    name.decode("latin-1"),
+                    name,
                     bm.group(1).decode("latin-1") if bm else "",
                     st.group(1).decode("latin-1") if st else "",
                     embedded,
@@ -694,26 +682,12 @@ class PdfDocument(_EnginePdfDocument):
             page_nums = _page_order(self._objects, self._root)
         except PdfParseError:
             return []
-        cfm = self._encrypt.cfm if self._encrypt is not None else "V2"
         off_ocgs = _doc_off_ocgs(self._objects, self._root)
         by_page: Dict[int, Dict[int, str]] = {}
         for pnum, _rot, _box, resources in page_nums:
             texts: Dict[int, str] = {}
             try:
-                content = _content_bytes(
-                    self._objects, self._objects[pnum], self._file_key, cfm=cfm
-                )
-                spans = _interpret_text(
-                    content,
-                    _page_cid_fonts(self._objects, resources, self._file_key, cfm)
-                    or None,
-                    _page_form_xobjects(self._objects, resources, self._file_key, cfm)
-                    or None,
-                    simple_encodings=_page_simple_encodings(self._objects, resources)
-                    or None,
-                    hidden_ocs=_page_hidden_ocs(self._objects, resources, off_ocgs)
-                    or None,
-                )
+                spans = self._page_spans(pnum, resources, off_ocgs)
             except PdfParseError:
                 spans = []
             for sp in spans:

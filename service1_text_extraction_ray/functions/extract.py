@@ -34,7 +34,7 @@ from .html_extract import (
     html_layout,
     html_layout_json,
 )
-from .ocr import get_ocr_backend, ocr_page
+from .ocr import OCR_BACKENDS, get_ocr_backend, ocr_page
 from .page_render import OCR_SCALE, rasterize_page, write_gray_png_array
 from .passwords import (
     DEFAULT_PASSWORD,
@@ -104,6 +104,12 @@ class ExtractConfig:
             value = getattr(self, name)
             if value is not None and value < low:
                 raise ValueError(f"ExtractConfig.{name} must be >= {low}, got {value}")
+        # An unknown backend would fail every gate-failed PDF, good pages too.
+        if self.ocr_backend and self.ocr_backend not in OCR_BACKENDS:
+            raise ValueError(
+                f"ExtractConfig.ocr_backend must be one of {sorted(OCR_BACKENDS)}, "
+                f"got {self.ocr_backend!r}"
+            )
 
 
 def gate_page_text(text: str, min_text_length: int) -> bool:
@@ -217,8 +223,8 @@ def _ocr_pdf_page(idx: int, page: Any, cfg: ExtractConfig) -> Optional[Dict[str,
     ``method="tesseract"`` (:394-399 — no re-gate). Backend errors return
     None (caller emits the failed row, the "Both fitz and tesseract
     failed" branch :404-409)."""
-    # An unknown backend NAME is a config bug -> raise (fail fast), unlike
-    # a backend runtime error on one page -> failed row (isolation).
+    # ExtractConfig has refused an unknown backend NAME; a backend runtime
+    # error on one page -> failed row (isolation).
     backend = get_ocr_backend(cfg.ocr_backend)
     try:
         canvas = rasterize_page(

@@ -282,26 +282,21 @@ class FakeOcrBackend:
 OCR_BACKENDS: Dict[str, Any] = {"fake": FakeOcrBackend}
 
 
-def resolve_ocr_backend(name: Optional[str]) -> Optional[Any]:
-    if not name:
-        return None
-    cls = OCR_BACKENDS.get(name)
-    if cls is None:
-        raise ValueError(f"unknown OCR backend: {name!r}")
-    return cls()
-
-
 _BACKEND_SINGLETONS: Dict[str, Any] = {}
 
 
 def get_ocr_backend(name: Optional[str]) -> Optional[Any]:
     """Per-process backend singleton (the reference's A1 parser-per-process
     idiom — a real tesseract/model backend is built once per worker, not
-    once per page)."""
+    once per page). None for no name; ValueError for a name missing from
+    ``OCR_BACKENDS`` (``ExtractConfig`` refuses one before any job runs)."""
     if not name:
         return None
     if name not in _BACKEND_SINGLETONS:
-        _BACKEND_SINGLETONS[name] = resolve_ocr_backend(name)
+        cls = OCR_BACKENDS.get(name)
+        if cls is None:
+            raise ValueError(f"unknown OCR backend: {name!r}")
+        _BACKEND_SINGLETONS[name] = cls()
     return _BACKEND_SINGLETONS[name]
 
 

@@ -39,6 +39,10 @@ surface as per-page/per-doc ``parse_failure`` rows, never exceptions):
   (StandardEncoding/WinAnsi ~ latin-1) text, with ``/Encoding
   /Differences`` glyph-name remapping honored per font (uniXXXX names and
   an Adobe-Glyph-List subset; inline or indirect encoding dicts).
+- Page resources: ``_page_resources`` resolves a page's ``/Resources``
+  once, one ``_resource_entries`` walk per category dict (``/Font``,
+  ``/XObject``, ``/Properties``; see ``_PageResources``), and
+  ``PdfDocument._page_spans`` runs the page's content with them.
 - The xref table is ignored (objects are located by scanning) — tolerant of
   broken/truncated xref sections, which is the common real-world corruption.
 
@@ -745,44 +749,6 @@ def _parse_differences(enc_bytes: bytes) -> Optional[Dict[int, str]]:
     return table or None
 
 
-def _page_simple_encodings(
-    objects: Dict[int, _PdfObject],
-    resources: Optional[bytes],
-) -> Dict[str, Dict[int, str]]:
-    """Map font resource name -> byte->char override table for every simple
-    (non-Type0) font whose /Encoding carries a /Differences array — inline
-    (``/Encoding << ... /Differences [...] >>``) or as an indirect
-    encoding object. Bytes absent from the table keep the latin-1 path."""
-    if not resources:
-        return {}
-    fm = _FONT_RES_RE.search(resources)
-    if fm is None:
-        return {}
-    font_dict = _resolve_dict(objects, resources, fm)
-    if font_dict is None:
-        return {}
-    out: Dict[str, Dict[int, str]] = {}
-    for name, num in _FONT_ENTRY_RE.findall(font_dict):
-        fobj = objects.get(int(num))
-        if fobj is None:
-            continue
-        st = re.search(rb"/Subtype\s*/(\w+)", fobj.dict_bytes)
-        if st is not None and st.group(1) == b"Type0":
-            continue  # composite fonts use the CMap path
-        enc_bytes = fobj.dict_bytes
-        rm = _ENCODING_REF_RE.search(fobj.dict_bytes)
-        if rm is not None:
-            eobj = objects.get(int(rm.group(1)))
-            if eobj is None:
-                continue
-            enc_bytes = eobj.dict_bytes
-        table = _base_encoding_table(enc_bytes)
-        table.update(_parse_differences(enc_bytes) or {})
-        if table:
-            out[name.decode("latin-1")] = table
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Composite (Type0/CID) fonts: /ToUnicode CMap -> cid -> text mapping
 # ---------------------------------------------------------------------------
@@ -850,9 +816,6 @@ def _parse_tounicode(data: bytes) -> Dict[int, str]:
     return out
 
 
-_FONT_RES_RE = re.compile(rb"/Font\s*(<<|\d+\s+\d+\s+R)")
-_FONT_ENTRY_RE = re.compile(rb"/(\w+)\s+(\d+)\s+\d+\s+R")
-_XOBJECT_RES_RE = re.compile(rb"/XObject\s*(<<|\d+\s+\d+\s+R)")
 _RESOURCES_RE = re.compile(rb"/Resources\s*(<<|\d+\s+\d+\s+R)")
 _TOUNICODE_REF_RE = re.compile(rb"/ToUnicode\s+(\d+)\s+\d+\s+R")
 
@@ -870,47 +833,6 @@ def _resolve_dict(
             return None
     ref = objects.get(int(spec.split()[0]))
     return ref.dict_bytes if ref is not None else None
-
-
-def _page_cid_fonts(
-    objects: Dict[int, _PdfObject],
-    resources: Optional[bytes],
-    file_key: Optional[bytes],
-    cfm: str,
-) -> Dict[str, Dict[int, str]]:
-    """Map font resource name -> cid->text table for every Type0 font with
-    a /ToUnicode CMap in the page's resources. Single-byte (simple) fonts
-    are absent from the map and keep the latin-1 path; a Type0 font WITHOUT
-    /ToUnicode decodes to U+FFFD per code (documented subset boundary — the
-    reference's fitz reads the embedded font program instead).
-    """
-    if not resources:
-        return {}
-    fm = _FONT_RES_RE.search(resources)
-    if fm is None:
-        return {}
-    font_dict = _resolve_dict(objects, resources, fm)
-    if font_dict is None:
-        return {}
-    fonts: Dict[str, Dict[int, str]] = {}
-    for name, num in _FONT_ENTRY_RE.findall(font_dict):
-        fobj = objects.get(int(num))
-        if fobj is None:
-            continue
-        st = re.search(rb"/Subtype\s*/(\w+)", fobj.dict_bytes)
-        if st is None or st.group(1) != b"Type0":
-            continue
-        tm = _TOUNICODE_REF_RE.search(fobj.dict_bytes)
-        cmap: Dict[int, str] = {}
-        if tm is not None:
-            cobj = objects.get(int(tm.group(1)))
-            if cobj is not None and cobj.stream is not None:
-                try:
-                    cmap = _parse_tounicode(_decode_stream(cobj, file_key, cfm))
-                except PdfParseError:
-                    cmap = {}
-        fonts[name.decode("latin-1")] = cmap
-    return fonts
 
 
 def _doc_off_ocgs(
@@ -946,124 +868,143 @@ def _doc_off_ocgs(
     return {int(r.group(1)) for r in _REF_RE.finditer(cfg[fm.end() - 1 : end])}
 
 
-_PROPERTIES_RES_RE = re.compile(rb"/Properties\s*(<<|\d+\s+\d+\s+R)")
+# A page's /Resources holds one dict per category, inline or by reference,
+# of ``/name N 0 R`` entries (ISO 32000-1 §7.8.3).
+_RESOURCE_DICT_RE = {
+    category: re.compile(rb"/" + category.encode() + rb"\s*(<<|\d+\s+\d+\s+R)")
+    for category in ("Font", "XObject", "Properties")
+}
+_RESOURCE_ENTRY_RE = re.compile(rb"/(\w+)\s+(\d+)\s+\d+\s+R")
+_SUBTYPE_RE = re.compile(rb"/Subtype\s*/(\w+)")
 
 
-def _page_hidden_ocs(
+def _resource_entries(
+    objects: Dict[int, _PdfObject], resources: Optional[bytes], category: str
+) -> List[Tuple[str, int]]:
+    """``(name, object number)`` of each entry in the page's ``category``
+    dict (``"Font"``, ``"XObject"`` or ``"Properties"``), in dict order.
+    Empty when the page has no resources or no such dict, or the dict
+    reference dangles. The only code that searches a page's /Resources."""
+    if not resources:
+        return []
+    m = _RESOURCE_DICT_RE[category].search(resources)
+    if m is None:
+        return []
+    entries = _resolve_dict(objects, resources, m)
+    if entries is None:
+        return []
+    return [(name.decode("latin-1"), int(num))
+            for name, num in _RESOURCE_ENTRY_RE.findall(entries)]
+
+
+@dataclass
+class _PageResources:
+    """What a page's content stream needs from its /Resources, keyed by
+    resource name (the operand of ``Tf``, ``Do`` or ``/OC /name BDC``).
+
+    - ``cid_fonts``: a cid->text table per Type0 font, from its /ToUnicode
+      CMap. A Type0 font without one maps to an empty table, so each code
+      decodes to U+FFFD (documented subset boundary: the reference's fitz
+      reads the embedded font program instead).
+    - ``simple_encodings``: a byte->char override table per simple font
+      whose /Encoding (inline or indirect) names WinAnsi or MacRoman or
+      carries /Differences. Other fonts and bytes keep latin-1.
+    - ``forms``: decoded content per /Form XObject (PDF 1.7 §8.10: headers,
+      footers and letterheads invoked by ``Do``). Subset boundary: the
+      form's own /Resources and /Matrix are ignored, so forms use the
+      page's fonts and page coordinates, as the synth fixtures emit them.
+    - ``images``: ``{width, height, gray}`` per /Image XObject (§8.9.5),
+      the scanned-page path the OCR fallback rasterizes. ``gray`` holds
+      row-major pixels for 8-bit /DeviceGray and is None otherwise: the
+      rasterizer then draws a flat box and OCR sees no glyphs.
+    - ``hidden_ocs``: /Properties names bound to an optional-content group
+      that is OFF.
+    """
+
+    cid_fonts: Dict[str, Dict[int, str]] = field(default_factory=dict)
+    simple_encodings: Dict[str, Dict[int, str]] = field(default_factory=dict)
+    forms: Dict[str, bytes] = field(default_factory=dict)
+    images: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    hidden_ocs: set = field(default_factory=set)
+
+
+def _page_resources(
     objects: Dict[int, _PdfObject],
     resources: Optional[bytes],
+    file_key: Optional[bytes],
+    cfm: str,
     off_ocgs: set,
-) -> set:
-    """Resource names in the page's /Properties dict that resolve to an
-    OFF optional-content group — the names a ``/OC /name BDC`` mark uses.
-    Empty when the page has no /Properties or nothing is switched off."""
-    if not resources or not off_ocgs:
-        return set()
-    pm = _PROPERTIES_RES_RE.search(resources)
-    if pm is None:
-        return set()
-    props = _resolve_dict(objects, resources, pm)
-    if props is None:
-        return set()
-    return {
-        name.decode("latin-1")
-        for name, num in _FONT_ENTRY_RE.findall(props)
-        if int(num) in off_ocgs
-    }
+) -> _PageResources:
+    """Resolve a page's resources in one walk per category, reading each
+    font's and each XObject's /Subtype once."""
+    res = _PageResources()
+    for name, num in _resource_entries(objects, resources, "Font"):
+        fobj = objects.get(num)
+        if fobj is None:
+            continue
+        st = _SUBTYPE_RE.search(fobj.dict_bytes)
+        if st is not None and st.group(1) == b"Type0":
+            cmap: Dict[int, str] = {}
+            tm = _TOUNICODE_REF_RE.search(fobj.dict_bytes)
+            cobj = objects.get(int(tm.group(1))) if tm is not None else None
+            if cobj is not None and cobj.stream is not None:
+                try:
+                    cmap = _parse_tounicode(_decode_stream(cobj, file_key, cfm))
+                except PdfParseError:
+                    pass
+            res.cid_fonts[name] = cmap
+            continue
+        # A simple font; one without /Subtype counts as one too.
+        enc_bytes = fobj.dict_bytes
+        rm = _ENCODING_REF_RE.search(enc_bytes)
+        if rm is not None:
+            eobj = objects.get(int(rm.group(1)))
+            if eobj is None:
+                continue  # dangling encoding ref: the font keeps latin-1
+            enc_bytes = eobj.dict_bytes
+        table = _base_encoding_table(enc_bytes)
+        table.update(_parse_differences(enc_bytes) or {})
+        if table:
+            res.simple_encodings[name] = table
 
-
-def _page_image_xobjects(
-    objects: Dict[int, _PdfObject],
-    resources: Optional[bytes],
-    file_key: Optional[bytes],
-    cfm: str,
-) -> Dict[str, Dict[str, Any]]:
-    """Map XObject resource name -> image record for every /Subtype /Image
-    entry in the page's resources (PDF 1.7 §8.9.5) — the scanned-page path
-    the OCR fallback rasterizes. Pixel decode subset: 8-bit /DeviceGray
-    through the standard filter chain (``gray`` = row-major bytes); any
-    other colorspace/depth keeps the placement with ``gray=None`` (the
-    rasterizer draws a flat box, and OCR sees no glyphs — the honest
-    analogue of an unsupported image)."""
-    if not resources:
-        return {}
-    xm = _XOBJECT_RES_RE.search(resources)
-    if xm is None:
-        return {}
-    xdict = _resolve_dict(objects, resources, xm)
-    if xdict is None:
-        return {}
-    images: Dict[str, Dict[str, Any]] = {}
-    for name, num in _FONT_ENTRY_RE.findall(xdict):
-        xobj = objects.get(int(num))
+    for name, num in _resource_entries(objects, resources, "XObject"):
+        xobj = objects.get(num)
         if xobj is None or xobj.stream is None:
             continue
-        st = re.search(rb"/Subtype\s*/(\w+)", xobj.dict_bytes)
-        if st is None or st.group(1) != b"Image":
-            continue
-        wm = re.search(rb"/Width\s+(\d+)", xobj.dict_bytes)
-        hm = re.search(rb"/Height\s+(\d+)", xobj.dict_bytes)
-        if wm is None or hm is None:
-            continue
-        width, height = int(wm.group(1)), int(hm.group(1))
-        gray: Optional[bytes] = None
-        bpc = re.search(rb"/BitsPerComponent\s+(\d+)", xobj.dict_bytes)
-        cs = re.search(rb"/ColorSpace\s*/(\w+)", xobj.dict_bytes)
-        if (
-            bpc is not None
-            and bpc.group(1) == b"8"
-            and cs is not None
-            and cs.group(1) == b"DeviceGray"
-        ):
+        st = _SUBTYPE_RE.search(xobj.dict_bytes)
+        subtype = st.group(1) if st is not None else None
+        if subtype == b"Form":
             try:
-                data = _decode_stream(xobj, file_key, cfm)
-                if len(data) >= width * height:
-                    gray = data[: width * height]
+                res.forms[name] = _decode_stream(xobj, file_key, cfm)
             except PdfParseError:
-                gray = None
-        images[name.decode("latin-1")] = {
-            "width": width,
-            "height": height,
-            "gray": gray,
+                pass
+        elif subtype == b"Image":
+            d = xobj.dict_bytes
+            wm = re.search(rb"/Width\s+(\d+)", d)
+            hm = re.search(rb"/Height\s+(\d+)", d)
+            if wm is None or hm is None:
+                continue
+            width, height = int(wm.group(1)), int(hm.group(1))
+            gray: Optional[bytes] = None
+            bpc = re.search(rb"/BitsPerComponent\s+(\d+)", d)
+            cs = re.search(rb"/ColorSpace\s*/(\w+)", d)
+            if (bpc is not None and bpc.group(1) == b"8"
+                    and cs is not None and cs.group(1) == b"DeviceGray"):
+                try:
+                    data = _decode_stream(xobj, file_key, cfm)
+                    if len(data) >= width * height:
+                        gray = data[: width * height]
+                except PdfParseError:
+                    gray = None
+            res.images[name] = {"width": width, "height": height, "gray": gray}
+
+    if off_ocgs:
+        # The OFF set holds reference numbers: the group object is not read.
+        res.hidden_ocs = {
+            name for name, num in _resource_entries(objects, resources, "Properties")
+            if num in off_ocgs
         }
-    return images
-
-
-def _page_form_xobjects(
-    objects: Dict[int, _PdfObject],
-    resources: Optional[bytes],
-    file_key: Optional[bytes],
-    cfm: str,
-) -> Dict[str, bytes]:
-    """Map XObject resource name -> decoded content bytes for every
-    /Subtype /Form entry in the page's resources (PDF 1.7 §8.10: reusable
-    content streams invoked by the ``Do`` operator — headers/footers/
-    letterheads in real corpora). Image XObjects are surfaced separately
-    (``_page_image_xobjects``) for the raster/OCR path.
-    Subset boundary (documented): the form's own /Resources and /Matrix
-    are ignored — forms inherit the page's fonts and draw in page
-    coordinates, which is exactly how the synth fixtures emit them."""
-    if not resources:
-        return {}
-    xm = _XOBJECT_RES_RE.search(resources)
-    if xm is None:
-        return {}
-    xdict = _resolve_dict(objects, resources, xm)
-    if xdict is None:
-        return {}
-    forms: Dict[str, bytes] = {}
-    for name, num in _FONT_ENTRY_RE.findall(xdict):
-        xobj = objects.get(int(num))
-        if xobj is None or xobj.stream is None:
-            continue
-        st = re.search(rb"/Subtype\s*/(\w+)", xobj.dict_bytes)
-        if st is None or st.group(1) != b"Form":
-            continue
-        try:
-            forms[name.decode("latin-1")] = _decode_stream(xobj, file_key, cfm)
-        except PdfParseError:
-            continue
-    return forms
+    return res
 
 
 def _find_root(data: bytes, objects: Dict[int, _PdfObject]) -> int:
@@ -1144,30 +1085,6 @@ def _page_order(objects: Dict[int, _PdfObject], root_num: int) -> List[tuple]:
     if not pages:
         raise PdfParseError("empty page tree")
     return pages
-
-
-def _content_bytes(
-    objects: Dict[int, _PdfObject],
-    page: _PdfObject,
-    file_key: Optional[bytes] = None,
-    cfm: str = "V2",
-) -> bytes:
-    refs: List[int] = []
-    cm = _CONTENTS_REF_RE.search(page.dict_bytes)
-    if cm:
-        refs.append(int(cm.group(1)))
-    else:
-        am = _CONTENTS_ARR_RE.search(page.dict_bytes)
-        if am:
-            refs.extend(int(r.group(1)) for r in _REF_RE.finditer(am.group(1)))
-    out = bytearray()
-    for r in refs:
-        obj = objects.get(r)
-        if obj is None or obj.stream is None:
-            raise PdfParseError(f"missing content stream {r}")
-        out += _decode_stream(obj, file_key, cfm)
-        out += b"\n"
-    return bytes(out)
 
 
 # --------------------------------------------------------------------------
@@ -1375,13 +1292,9 @@ _MAX_FORM_DEPTH = 8  # Do-recursion bound (cyclic form refs must not hang)
 
 def _interpret_text(
     content: bytes,
-    cid_fonts: Optional[Dict[str, Dict[int, str]]] = None,
-    xobjects: Optional[Dict[str, bytes]] = None,
-    _depth: int = 0,
-    simple_encodings: Optional[Dict[str, Dict[int, str]]] = None,
-    hidden_ocs: Optional[set] = None,
-    image_xobjects: Optional[Dict[str, Dict[str, Any]]] = None,
+    res: Optional[_PageResources] = None,
     image_out: Optional[List[Dict[str, Any]]] = None,
+    _depth: int = 0,
 ) -> List[Span]:
     """Execute the text operators of a content stream, emitting spans.
 
@@ -1390,14 +1303,17 @@ def _interpret_text(
     ``-n/1000 * size`` (the PDF kerning rule); strings advance x by an
     approximate glyph width (affects bboxes only, not text bytes).
 
-    ``cid_fonts`` maps font resource names (Tf operand) to cid->text
-    tables for composite (Type0/Identity-H) fonts: while such a font is
-    selected, string bytes are 2-byte big-endian CIDs decoded through the
-    table (unmapped cid -> U+FFFD); other fonts keep the single-byte
-    latin-1 path. ``simple_encodings`` maps font names to byte->char
-    /Differences override tables (bytes absent from the table keep
-    latin-1).
+    ``res`` holds the page's resolved resources (none when omitted).
+    While a composite (Type0/Identity-H) font is selected, string bytes
+    are 2-byte big-endian CIDs decoded through its cid->text table
+    (unmapped cid -> U+FFFD); other fonts keep the single-byte latin-1
+    path, through their byte->char override table if they have one.
+    ``Do`` interprets a Form in place and appends an Image's placement to
+    ``image_out``; text and images inside an OFF optional-content mark
+    are dropped.
     """
+    if res is None:
+        res = _PageResources()
     spans: List[Span] = []
     stack: List[Any] = []
     in_array: Optional[List[Any]] = None
@@ -1426,14 +1342,14 @@ def _interpret_text(
         nonlocal cx
         if not raw or any(h for h, _ in mc_stack):
             return
-        cmap = cid_fonts.get(font) if cid_fonts else None
+        cmap = res.cid_fonts.get(font)
         if cmap is not None:
             text = "".join(
                 cmap.get(int.from_bytes(raw[i : i + 2], "big"), "�")
                 for i in range(0, len(raw) - 1, 2)
             )
         else:
-            diff = simple_encodings.get(font) if simple_encodings else None
+            diff = res.simple_encodings.get(font)
             if diff is not None:
                 text = "".join(
                     diff.get(b, chr(b)) for b in raw
@@ -1465,9 +1381,7 @@ def _interpret_text(
             continue
         if in_array is not None:
             if kind in ("num", "str"):
-                in_array.append(tok[1] if kind == "num" else tok[1])
-                if kind == "str":
-                    in_array[-1] = tok[1]
+                in_array.append(tok[1])
             continue
         if kind in ("num", "str", "name", "dict"):
             stack.append(tok[1])
@@ -1535,11 +1449,10 @@ def _interpret_text(
                 if len(stack) >= 2:
                     tag, props = stack[-2], stack[-1]
                     if (
-                        hidden_ocs
-                        and isinstance(tag, bytes) and tag == b"/OC"
+                        isinstance(tag, bytes) and tag == b"/OC"
                         and isinstance(props, bytes)
                         and not props.startswith(b"<<")
-                        and props.decode("latin-1").lstrip("/") in hidden_ocs
+                        and props.decode("latin-1").lstrip("/") in res.hidden_ocs
                     ):
                         hid = True
                     if isinstance(props, bytes) and props.startswith(b"<<"):
@@ -1568,11 +1481,9 @@ def _interpret_text(
                 )
             elif op == b"Do":
                 fname = stack[-1]
-                if not isinstance(fname, bytes):
-                    pass
-                else:
+                if isinstance(fname, bytes):
                     key = fname.decode("latin-1").lstrip("/")
-                    img = image_xobjects.get(key) if image_xobjects else None
+                    img = res.images.get(key)
                     if img is not None:
                         # Image XObject: the unit square through the CTM is
                         # the placement rect (PDF-space, bottom-up).
@@ -1582,28 +1493,18 @@ def _interpret_text(
                             A, B, C, D, E, F = ctm
                             xs = [E, A + E, C + E, A + C + E]
                             ys = [F, B + F, D + F, B + D + F]
-                            image_out.append(
-                                {
-                                    "bbox_pdf": (
-                                        min(xs), min(ys), max(xs), max(ys)
-                                    ),
-                                    "width": img["width"],
-                                    "height": img["height"],
-                                    "gray": img["gray"],
-                                }
-                            )
-                    elif xobjects and _depth < _MAX_FORM_DEPTH:
+                            image_out.append({
+                                "bbox_pdf": (min(xs), min(ys), max(xs), max(ys)),
+                                **img,
+                            })
+                    elif _depth < _MAX_FORM_DEPTH:
                         # Form XObject invocation: interpret the form's
-                        # content stream in place (page coordinates —
-                        # subset contract of _page_form_xobjects),
-                        # emitting into the same span list.
-                        form = xobjects.get(key)
+                        # content stream in place (page coordinates, see
+                        # _PageResources), emitting into the same list.
+                        form = res.forms.get(key)
                         if form is not None and not any(h for h, _ in mc_stack):
                             spans.extend(
-                                _interpret_text(form, cid_fonts, xobjects,
-                                                _depth + 1, simple_encodings,
-                                                hidden_ocs, image_xobjects,
-                                                image_out)
+                                _interpret_text(form, res, image_out, _depth + 1)
                             )
         except (IndexError, ValueError, TypeError):
             # Malformed operand stack — tolerant skip (per-page failure
@@ -2009,6 +1910,37 @@ class PdfDocument:
             self._root = _find_root(self._payload, self._objects)
         return True
 
+    def _page_spans(
+        self,
+        page_num: int,
+        resources: Optional[bytes],
+        off_ocgs: set,
+        image_out: Optional[List[Dict[str, Any]]] = None,
+    ) -> List[Span]:
+        """One page's spans: its decoded content streams, run through the
+        interpreter with the page's resources. ``resources`` and
+        ``off_ocgs`` come from ``_page_order`` and ``_doc_off_ocgs``. A
+        missing or undecodable content stream raises ``PdfParseError``."""
+        cfm = self._encrypt.cfm if self._encrypt is not None else "V2"
+        page = self._objects[page_num]
+        refs: List[int] = []
+        cm = _CONTENTS_REF_RE.search(page.dict_bytes)
+        if cm:
+            refs.append(int(cm.group(1)))
+        else:
+            am = _CONTENTS_ARR_RE.search(page.dict_bytes)
+            if am:
+                refs.extend(int(r.group(1)) for r in _REF_RE.finditer(am.group(1)))
+        content = bytearray()
+        for r in refs:
+            obj = self._objects.get(r)
+            if obj is None or obj.stream is None:
+                raise PdfParseError(f"missing content stream {r}")
+            content += _decode_stream(obj, self._file_key, cfm)
+            content += b"\n"
+        res = _page_resources(self._objects, resources, self._file_key, cfm, off_ocgs)
+        return _interpret_text(bytes(content), res, image_out)
+
     def extract_pages(self, max_pages: Optional[int] = None) -> List[PdfPage]:
         """Pages in document order (text + layout tree).
 
@@ -2026,37 +1958,15 @@ class PdfDocument:
 
         pages: List[PdfPage] = []
         default_box = (0.0, 0.0, 612.0, 792.0)
-        cfm = self._encrypt.cfm if self._encrypt is not None else "V2"
         off_ocgs = _doc_off_ocgs(self._objects, self._root)
         for pnum, rotate, box, resources in page_nums[:total]:
-            page_obj = self._objects[pnum]
             if box is None:
                 box = default_box
             width = box[2] - box[0]
             height = box[3] - box[1]
             try:
-                content = _content_bytes(
-                    self._objects, page_obj, self._file_key, cfm=cfm,
-                )
-                cid_fonts = _page_cid_fonts(
-                    self._objects, resources, self._file_key, cfm
-                )
-                xobjects = _page_form_xobjects(
-                    self._objects, resources, self._file_key, cfm
-                )
-                image_xobjs = _page_image_xobjects(
-                    self._objects, resources, self._file_key, cfm
-                )
-                simple_enc = _page_simple_encodings(self._objects, resources)
-                hidden = _page_hidden_ocs(self._objects, resources, off_ocgs)
                 placements: List[Dict[str, Any]] = []
-                spans = _interpret_text(
-                    content, cid_fonts or None, xobjects or None,
-                    simple_encodings=simple_enc or None,
-                    hidden_ocs=hidden or None,
-                    image_xobjects=image_xobjs or None,
-                    image_out=placements if image_xobjs else None,
-                )
+                spans = self._page_spans(pnum, resources, off_ocgs, placements)
                 page = _assemble_page(spans, width, height, rotate)
                 for pl in placements:
                     x0, y0, x1, y1 = pl.pop("bbox_pdf")

@@ -193,7 +193,9 @@ def _parse_warc_records(blob: bytes, tolerant: bool = False,
     shards contain damaged records; a poison shard must cost its broken
     records, not the task). Strict mode (the default — and the right
     mode for shards THIS engine wrote, where damage means a writer bug)
-    keeps the original raise-on-damage semantics byte-for-byte."""
+    raises ValueError on the same damage, a payload shorter than its
+    Content-Length included. A last record that lacks only its trailing
+    ``\r\n\r\n`` is whole and reads in both modes."""
     pos, n = 0, len(blob)
     while pos < n:
         if blob.startswith(b"\r\n", pos):  # inter-record separators
@@ -210,7 +212,7 @@ def _parse_warc_records(blob: bytes, tolerant: bool = False,
                 hdrs[k.strip().lower()] = v.strip()
             length = int(hdrs["content-length"])
             payload = blob[end + 4 : end + 4 + length]
-            if tolerant and len(payload) < length:
+            if len(payload) < length:
                 raise ValueError(f"torn record payload at byte {pos}")
             pos = end + 4 + length
         except (ValueError, KeyError):

@@ -941,9 +941,15 @@ def vacuum(out_dir: str, keep_snapshots: int = 2,
     to run concurrently with extraction (Iceberg remove-orphan-files
     semantics). Pass ``min_age_s=0`` only when no job is active on
     ``out_dir``. Returns counts ``{"snapshots_dropped": n,
-    "parts_dropped": m}``."""
+    "parts_dropped": m}``. A negative ``keep_snapshots`` or ``min_age_s``
+    raises ValueError before anything is removed."""
     import time as _time
 
+    # Either would otherwise pick the most destructive setting: every
+    # snapshot dropped, or the parts of an in-flight job removed.
+    for name, value in (("keep_snapshots", keep_snapshots), ("min_age_s", min_age_s)):
+        if value < 0:
+            raise ValueError(f"vacuum: {name} must be >= 0, got {value}")
     fs = _fs(fs)
     now = _time.time()
     versions = list_snapshots(out_dir, fs)

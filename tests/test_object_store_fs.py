@@ -475,6 +475,30 @@ class TestVacuum:
         res = L.vacuum(str(tmp_path / "tbl6b"), keep_snapshots=1, min_age_s=0)
         assert res["parts_dropped"] == 0  # (no such table -> no-op, sanity)
 
+    def test_negative_arguments_are_refused_before_anything_is_removed(
+            self, tmp_path):
+        out = str(tmp_path / "tbl7")
+        for v in range(2):  # two snapshots
+            L.commit_shard_manifest(out, 0, [L.write_part(out, 0, _rows(4 * v, 4))])
+            L.commit_snapshot(out)
+        L.write_part(out, 9, _rows(50, 3))  # an orphan (or an in-flight part)
+
+        def tree():
+            return {
+                os.path.relpath(os.path.join(d, f), out):
+                    open(os.path.join(d, f), "rb").read()
+                for d, _, files in os.walk(out) for f in files
+            }
+
+        before = tree()
+        for name, kwargs in (
+            ("keep_snapshots", {"keep_snapshots": -1, "min_age_s": 0}),
+            ("min_age_s", {"keep_snapshots": 1, "min_age_s": -1.0}),
+        ):
+            with pytest.raises(ValueError, match=name):
+                L.vacuum(out, **kwargs)
+            assert tree() == before
+
     def test_vacuum_mid_read_surfaces_snapshot_expired(self, tmp_path):
         # VERDICT r4 item 8: a reader holding snapshot v while vacuum
         # expires it mid-read must get SnapshotExpired deterministically —

@@ -356,18 +356,14 @@ class TestExtractOcrLadder:
             assert all(p["method"] == "tesseract" for p in r["pages"])
 
     def test_unknown_backend_name_fails_fast(self):
-        import random
+        from service1_text_extraction_ray.functions.extract import ExtractConfig
 
-        from service1_text_extraction_ray.functions.extract import (
-            ExtractConfig,
-            extract_document,
-        )
-        from service1_text_extraction_ray.functions.synth import make_scanned_pdf
-
-        pdf = make_scanned_pdf([["x"]], random.Random(1))
-        r = extract_document("u", pdf, ExtractConfig(ocr_backend="nope"))
-        # config bug surfaces as a parse_failure row, not a silent skip
-        assert r["status"] == "parse_failure"
+        # a config bug is refused before any document is read, naming the
+        # field, instead of turning every gate-failed PDF into a failure row
+        with pytest.raises(ValueError, match="ocr_backend"):
+            ExtractConfig(ocr_backend="nope")
+        assert ExtractConfig(ocr_backend="fake").ocr_backend == "fake"
+        assert ExtractConfig(ocr_backend=None).ocr_backend is None
 
 
 class TestOcrQueries:

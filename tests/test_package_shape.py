@@ -9,7 +9,8 @@ every reached module count as reached.
 
 Three more walks check that no engine module calls a Ray Data shuffle,
 that every ``map_batches`` runs its function as plain tasks, and that no
-Ray work starts outside Ray Data.
+Ray work starts outside Ray Data. One more pins the engine-private names
+the query suite imports.
 
 The function-grain walk does the same inside modules: every top-level def
 of the package is reached from the engine's entry functions or from code
@@ -93,6 +94,39 @@ def test_engine_never_imports_the_query_suite():
         if m == "query_suite" or m.startswith("query_suite.")
     )
     assert not offenders, f"engine modules importing query_suite: {offenders}"
+
+
+# Engine-private names the query suite imports, by engine module. Each one
+# pins an engine internal from outside the package, so the list may only
+# shrink as the suite retires.
+QUERY_SUITE_PRIVATES = {
+    "functions.pdf_extract": {
+        "_PdfObject", "_REF_RE", "_TYPE_RE", "_decode_stream",
+        "_doc_off_ocgs", "_page_order", "_parse_string_entry",
+        "_read_literal_string", "_resolve_dict", "_resource_entries",
+        "_scan_dict", "_skip_ws",
+    },
+    "sources.pages_source": {
+        "_encode_page_records", "_gunzip_members", "_iter_warc_pages",
+        "_parse_warc_records", "_sha1_b32", "_warc_record",
+        "_write_warc_shard",
+    },
+}
+
+
+def test_query_suite_imports_only_the_listed_engine_privates():
+    """Every ``from <engine module> import _name`` in the query suite,
+    function-local ones included, must be listed, and every listed name
+    imported."""
+    imported: dict = {}
+    for p in (REPO_DIR / "query_suite").rglob("*.py"):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.startswith(PKG + ".")):
+                imported.setdefault(node.module[len(PKG) + 1:], set()).update(
+                    a.name for a in node.names if a.name.startswith("_"))
+    imported = {mod: names for mod, names in imported.items() if names}
+    assert imported == QUERY_SUITE_PRIVATES
 
 
 SHUFFLES = {"groupby", "map_groups", "repartition", "random_shuffle"}

@@ -1121,3 +1121,66 @@ class TestStructure:
                           b"/S /Document /K [11 0 R 20 0 R 21 0 R]")
         st = PdfDocument(pdf).structure()
         assert (0, "H1", "Title 0") in st  # still emits, never hangs
+
+
+def _stream_obj(num: int, dict_entries: bytes, data: bytes) -> bytes:
+    return (
+        b"%d 0 obj << " % num + dict_entries
+        + b" /Length %d >>\nstream\n" % len(data) + data + b"\nendstream endobj\n"
+    )
+
+
+class TestPageResources:
+    def test_one_page_mixing_every_resource_decision(self):
+        """One page whose resources hold every case the resource walk
+        decides: an inline /Font dict (a Type0 font without /ToUnicode, a
+        WinAnsi + /Differences simple font, a dangling ref), a referenced
+        /XObject dict (a Form, an Image, an entry that is not a stream)
+        and /Properties names bound to an OFF, an ON and a dangling OFF
+        optional-content group."""
+        content = (
+            b"BT /F1 12 Tf 72 720 Td (\x93AB\x94) Tj ET\n"  # WinAnsi + Differences
+            b"BT /F0 12 Tf 72 700 Td (\x00\x41) Tj ET\n"  # Type0, no /ToUnicode
+            b"BT /F9 12 Tf 72 680 Td (\xe9t\xe9) Tj ET\n"  # dangling: latin-1
+            b"/Fm1 Do /Nx Do\n"
+            b"q 100 0 0 50 72 300 cm /Im1 Do Q\n"
+            b"/OC /oc2 BDC BT /F1 12 Tf 72 560 Td (Shown) Tj ET EMC\n"
+            b"/OC /oc1 BDC BT /F1 12 Tf 72 540 Td (Hidden) Tj ET "
+            b"q 10 0 0 10 0 0 cm /Im1 Do Q EMC\n"
+            b"/OC /oc3 BDC BT /F1 12 Tf 72 520 Td (Gone) Tj ET EMC\n"
+        )
+        pdf = (
+            b"%PDF-1.5\n"
+            b"1 0 obj << /Type /Catalog /Pages 2 0 R /OCProperties "
+            b"<< /OCGs [9 0 R 10 0 R] /D << /OFF [9 0 R 11 0 R] >> >> >> endobj\n"
+            b"2 0 obj << /Type /Pages /Kids [3 0 R] /Count 1 >> endobj\n"
+            b"3 0 obj << /Type /Page /Parent 2 0 R /MediaBox [0 0 612 792] "
+            b"/Contents 4 0 R /Resources << "
+            b"/Font << /F0 5 0 R /F1 6 0 R /F9 99 0 R >> /XObject 7 0 R "
+            b"/Properties << /oc1 9 0 R /oc2 10 0 R /oc3 11 0 R >> >> >> endobj\n"
+            + _stream_obj(4, b"", content)
+            + b"5 0 obj << /Type /Font /Subtype /Type0 /BaseFont /X "
+            b"/Encoding /Identity-H >> endobj\n"
+            b"6 0 obj << /Type /Font /Subtype /Type1 /BaseFont /Helvetica "
+            b"/Encoding << /BaseEncoding /WinAnsiEncoding "
+            b"/Differences [ 65 /eacute ] >> >> endobj\n"
+            b"7 0 obj << /Fm1 12 0 R /Im1 13 0 R /Nx 14 0 R >> endobj\n"
+            b"9 0 obj << /Type /OCG /Name (Off) >> endobj\n"
+            b"10 0 obj << /Type /OCG /Name (On) >> endobj\n"
+            + _stream_obj(12, b"/Type /XObject /Subtype /Form",
+                          b"BT /F1 12 Tf 72 600 Td (Form A) Tj ET")
+            + _stream_obj(13, b"/Type /XObject /Subtype /Image /Width 2 "
+                          b"/Height 2 /ColorSpace /DeviceGray /BitsPerComponent 8",
+                          b"\x00\x40\x80\xff")
+            + b"14 0 obj << /Type /XObject /Subtype /Form >> endobj\n"
+            b"trailer << /Root 1 0 R >>\n%%EOF\n"
+        )
+        (page,) = parse_pdf(pdf)
+        assert page.text.split("\n") == [
+            "“éB”", "�", "été", "Form é", "Shown",
+        ]
+        # the visible placement only: the one under /oc1 is hidden
+        assert page.images == [{
+            "bbox": [72.0, 442.0, 172.0, 492.0],
+            "width": 2, "height": 2, "gray": b"\x00\x40\x80\xff",
+        }]

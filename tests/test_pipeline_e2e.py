@@ -437,6 +437,25 @@ def test_job_cli_refuses_an_out_of_range_config_before_ray_starts(
     assert not out.exists()
 
 
+def test_job_cli_refuses_an_unknown_ocr_backend_before_ray_starts(
+        corpus_dir, tmp_path, capsys, monkeypatch):
+    import ray
+
+    from service1_text_extraction_ray.pipelines import job
+
+    def no_ray():
+        raise AssertionError("the CLI touched Ray before checking its config")
+
+    monkeypatch.setattr(ray, "is_initialized", no_ray)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        job.main(["--input", corpus_dir, "--output", str(out),
+                  "--ocr-backend", "nope"])
+    assert exc.value.code == 2
+    assert "ocr_backend" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_extract_dataset_streaming_no_write(ray_session, corpus_dir):
     from service1_text_extraction_ray.pipelines.extract_pipeline import read_pages
 

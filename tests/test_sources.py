@@ -759,6 +759,29 @@ class TestWarcSalvage:
         assert 0 < len(got) <= len(full)
         assert warc_salvage_report(bad)["n_pages_ok"] == len(got)
 
+    def test_torn_last_payload_raises_in_strict_mode(self, tmp_path):
+        import pytest
+
+        from service1_text_extraction_ray.functions.synth import gen_pages_table
+        from service1_text_extraction_ray.sources.pages_source import (
+            _encode_page_records, read_warc_file, warc_salvage_report)
+
+        rows = gen_pages_table(2, seed=42).to_pylist()
+        blob = b"".join(r for row in rows for r in _encode_page_records(row))
+        torn = str(tmp_path / "torn.warc")
+        open(torn, "wb").write(blob[:-20])  # cuts into the last payload
+        with pytest.raises(ValueError, match="malformed WARC record"):
+            read_warc_file(torn)
+        got = read_warc_file(torn, tolerant=True)
+        assert got["url"].to_pylist() == [rows[0]["url"]]
+        rep = warc_salvage_report(torn)
+        assert (rep["n_pages_ok"], rep["dropped_pages"]) == (1, 1)
+        # a file missing only its closing CRLF CRLF is whole
+        unclosed = str(tmp_path / "unclosed.warc")
+        open(unclosed, "wb").write(blob[:-4])
+        assert read_warc_file(unclosed)["url"].to_pylist() == [
+            r["url"] for r in rows]
+
     def test_undamaged_shard_identical_in_both_modes(self, ray_session, tmp_path):
         src = self._shard(tmp_path)
         a = self._read(src, tolerant=False).sort_values("url").reset_index(drop=True)
