@@ -78,39 +78,6 @@ def make_link_page(doc_id: int, source: str, lang: str) -> tuple[bytes, str]:
     return html.encode("utf-8"), base_url
 
 
-def make_meta_page(doc_id: int, source: str, lang: str, n_chars: int) -> tuple[bytes, str]:
-    """Deterministic metadata-bearing page from the document's own columns —
-    fixture for functions/meta.py. Branch coverage: og:title present for
-    doc_id%3!=0, description for doc_id%4!=0, canonical <link> (RELATIVE,
-    exercising resolution) for doc_id%2==0 with a /5 bucket so ~5 even docs
-    share one canonical target (the dedup_canonical fixture); a second
-    <title> and a <script> decoy title must be ignored."""
-    og = (
-        f'<meta property="og:title" content="OG {doc_id}">'
-        if doc_id % 3 != 0 else ""
-    )
-    desc = (
-        f'<meta name="description" content="{lang} description {n_chars}">'
-        if doc_id % 4 != 0 else ""
-    )
-    # even docs: RELATIVE canonical (exercises resolution; self-host target,
-    # unique per page with the testdata's doc_id%20 source layout); odd
-    # docs: ABSOLUTE cross-site canonical shared by the 5 odd ids of each
-    # /10 bucket — the dedup_canonical duplicate groups.
-    canon = (
-        f'<link rel="canonical" href="/canon/{doc_id // 5}">'
-        if doc_id % 2 == 0
-        else f'<link rel="canonical" href="https://archive.example.org/c/{doc_id // 10}">'
-    )
-    decoy = "<script>var t = '<title>NOPE</title>';</script>"
-    html = (
-        f"<html><head><title>Doc {doc_id} · {source}</title>{og}{desc}{canon}"
-        f"{decoy}<title>second ignored</title></head>"
-        f"<body><p>{lang} body</p></body></html>"
-    )
-    return html.encode("utf-8"), f"https://{source}.example.com/p/{doc_id}"
-
-
 def make_jsonld_page(doc_id: int, source: str, lang: str, n_chars: int) -> tuple[bytes, str]:
     """Deterministic JSON-LD-bearing page from the document's own columns —
     fixture for functions/structured.py. Branch coverage:
@@ -235,67 +202,6 @@ def make_pdf_link_doc(doc_id: int, source: str) -> tuple[bytes, str]:
     return pdf, url
 
 
-def make_image_page(doc_id: int, source: str, lang: str) -> tuple[bytes, str]:
-    """Deterministic image-bearing page — fixture for the image-alt pair
-    extractor (functions/links.extract_image_alts). Branch coverage:
-    RELATIVE src resolved through a <base href> for doc_id%6==3, absolute
-    cross-host src, root-relative src; drops that must contribute nothing:
-    missing alt, empty (decorative) alt, a data: URI, and a <script>
-    decoy img."""
-    base_url = f"https://{source}.example.com/g/{doc_id}/index.html"
-    base_tag = (
-        f'<base href="https://img{doc_id % 4}.example.org/cdn/">'
-        if doc_id % 6 == 3 else ""
-    )
-    imgs = [
-        f'<img src="pics/{doc_id % 7}.jpg" alt="{lang} photo {doc_id % 7}">',
-        f'<img src="https://media.example.net/m/{doc_id % 5}.png" '
-        f'alt="Figure {doc_id % 5}">',
-        f'<img src="/static/logo{doc_id % 3}.gif" alt="Logo {doc_id % 3}">',
-    ]
-    drops = (
-        '<img src="plain.jpg">'                       # no alt
-        '<img src="deco.jpg" alt="">'                  # decorative
-        '<img src="data:image/gif;base64,R0lGOD" alt="inline">'  # data URI
-    )
-    decoy = "<script>var i = '<img src=\"x.jpg\" alt=\"NOPE\">';</script>"
-    html = (
-        f"<html><head><title>gallery {doc_id}</title>{base_tag}{decoy}</head>"
-        f"<body><p>{lang} gallery</p>{''.join(imgs)}{drops}</body></html>"
-    )
-    return html.encode("utf-8"), base_url
-
-
-def make_hreflang_page(doc_id: int, source: str, lang: str) -> tuple[bytes, str]:
-    """Deterministic hreflang-bearing page — fixture for the alternate-
-    language extractor. Cluster structure: docs sharing doc_id//4 form one
-    translation set; each page lists all 3 language variants (en/de/fr,
-    RELATIVE hrefs — exercising resolution) plus an x-default (absolute).
-    Drops: a stylesheet <link>, an alternate WITHOUT hreflang (an RSS
-    autodiscovery link), and a <script> decoy."""
-    base_url = f"https://{source}.example.com/t/{doc_id}"
-    cluster = doc_id // 4
-    alts = "".join(
-        f'<link rel="alternate" hreflang="{lg}" href="/i18n/{cluster}/{lg}">'
-        for lg in ("en", "de", "fr")
-    )
-    xdef = (
-        f'<link rel="alternate" hreflang="x-default" '
-        f'href="https://www.example.com/i18n/{cluster}">'
-    )
-    drops = (
-        '<link rel="stylesheet" href="/style.css">'
-        '<link rel="alternate" type="application/rss+xml" href="/feed.xml">'
-    )
-    decoy = ("<script>var l = '<link rel=\"alternate\" hreflang=\"zz\" "
-             "href=\"/no\">';</script>")
-    html = (
-        f"<html><head><title>t {doc_id}</title>{alts}{xdef}{drops}{decoy}</head>"
-        f"<body><p>{lang} translated page</p></body></html>"
-    )
-    return html.encode("utf-8"), base_url
-
-
 def make_pdf_outline_doc(doc_id: int, source: str) -> tuple[bytes, str]:
     """Deterministic PDF with a bookmark tree — fixture for
     PdfDocument.outline(). Structure: 1 + doc_id%3 top-level sections
@@ -336,95 +242,6 @@ def make_pdf_outline_doc(doc_id: int, source: str) -> tuple[bytes, str]:
         + b"trailer << /Root 1 0 R >>\n%%EOF\n"
     )
     return pdf, url
-
-
-def make_microdata_page(doc_id: int, source: str, lang: str, n_chars: int) -> tuple[bytes, str]:
-    """Deterministic microdata-bearing page — fixture for
-    structured.extract_microdata. One Product entity per page (name, img
-    image, meta sku, time released) with a NESTED Offer entity (price) for
-    doc_id%3==0; drops: an itemprop outside any scope, an empty-value
-    meta, and a <script> decoy."""
-    url = f"https://{source}.example.com/shop/{doc_id}"
-    offer = (
-        f'<div itemscope itemtype="https://schema.org/Offer">'
-        f'<span itemprop="price">{doc_id % 90 + 10}.{doc_id % 100:02d}</span></div>'
-        if doc_id % 3 == 0 else ""
-    )
-    html = (
-        f"<html><head><title>shop {doc_id}</title>"
-        "<script>var m = '<span itemprop=\"name\">NOPE</span>';</script></head>"
-        f"<body>"
-        f'<div itemscope itemtype="https://schema.org/Product">'
-        f'<span itemprop="name">Product {doc_id} ({lang})</span>'
-        f'<img itemprop="image" src="/img/{doc_id % 8}.jpg">'
-        f'<meta itemprop="sku" content="SKU-{source}-{doc_id}">'
-        f"{offer}"
-        f'<time itemprop="released" datetime="2024-01-{1 + doc_id % 28:02d}">x</time>'
-        f'<meta itemprop="empty" content="">'
-        f"</div>"
-        f'<span itemprop="orphan">{n_chars}</span>'
-        f"</body></html>"
-    )
-    return html.encode("utf-8"), url
-
-
-def make_feed_discovery_page(doc_id: int, source: str, lang: str) -> tuple[bytes, str]:
-    """Deterministic page with feed-autodiscovery links — fixture for
-    meta.discover_feeds. Every page advertises an RSS feed (relative
-    href); doc_id%4==0 pages also an Atom feed (absolute, titled); drops:
-    an hreflang alternate, a stylesheet, and a text/html alternate."""
-    url = f"https://{source}.example.com/blog/{doc_id}"
-    atom = (
-        f'<link rel="alternate" type="application/atom+xml" '
-        f'href="https://feeds.example.net/{source}/atom.xml" '
-        f'title="Atom feed for {source}">'
-        if doc_id % 4 == 0 else ""
-    )
-    drops = (
-        f'<link rel="alternate" hreflang="de" href="/de/{doc_id}">'
-        '<link rel="stylesheet" href="/s.css">'
-        f'<link rel="alternate" type="text/html" href="/m/{doc_id}">'
-    )
-    html = (
-        f"<html><head><title>blog {doc_id}</title>"
-        f'<link rel="alternate" type="application/rss+xml" href="/feed/{doc_id % 5}.xml">'
-        f"{atom}{drops}</head><body><p>{lang} post</p></body></html>"
-    )
-    return html.encode("utf-8"), url
-
-
-def make_rdfa_page(doc_id: int, source: str, lang: str) -> tuple[bytes, str]:
-    """Deterministic RDFa-Lite-bearing page — fixture for
-    structured.extract_rdfa. One Article entity per page (name text,
-    datePublished datetime, image src, wordCount content) under a body
-    vocab; doc_id%3==0 pages nest a Person entity (reporter name); a CURIE
-    property (dc:subject) follows the nested scope, back on the Article;
-    drops: a chained property on the typeof tag, an empty-value meta, an
-    out-of-scope property, and a <script> decoy."""
-    url = f"https://{source}.example.com/news/{doc_id}"
-    person = (
-        f'<span typeof="Person"><span property="name">'
-        f"Reporter {doc_id % 10}</span></span>"
-        if doc_id % 3 == 0 else ""
-    )
-    html = (
-        f"<html><head><title>news {doc_id}</title>"
-        "<script>var r = '<span property=\"name\">NOPE</span>';</script></head>"
-        f'<body vocab="https://schema.org/">'
-        f'<article typeof="Article" property="chained">'
-        f'<h1 property="name">Story {doc_id} ({lang})</h1>'
-        f'<time property="datePublished" '
-        f'datetime="2024-{1 + doc_id % 12:02d}-{1 + doc_id % 28:02d}">d</time>'
-        f'<img property="image" src="/img/{doc_id % 8}.jpg">'
-        f'<meta property="wordCount" content="{100 + doc_id % 900}">'
-        f"{person}"
-        f'<span property="dc:subject">beat-{doc_id % 5}</span>'
-        f'<meta property="empty" content="">'
-        f"</article>"
-        f'<span property="orphan">{lang}</span>'
-        f"</body></html>"
-    )
-    return html.encode("utf-8"), url
 
 
 def make_paginated_page(doc_id: int, source: str, lang: str) -> tuple[bytes, str]:
@@ -488,80 +305,6 @@ def make_status_page(doc_id: int, source: str, lang: str) -> tuple[bytes, str]:
         f"<body><p>{body}</p></body></html>"
     )
     return html.encode("utf-8"), f"https://{source}.example.com/s/{doc_id}"
-
-
-def make_license_page(doc_id: int, source: str) -> str:
-    """Deterministic page-footer text for license detection
-    (functions/quality.py detect_license). doc_id%5 selects: 0 cc-by,
-    1 cc-by-nc, 2 cc-by-nd, 3 mit, 4 no declaration."""
-    footer = {
-        0: "Licensed under the Creative Commons Attribution 4.0 License.",
-        1: "Licensed under the Creative Commons Attribution-NonCommercial 4.0 License.",
-        2: "Licensed under the Creative Commons Attribution-NoDerivatives 4.0 License.",
-        3: "Released under the MIT License.",
-    }.get(doc_id % 5, "All rights reserved.")
-    return f"Article {doc_id} from {source}.\n\n{footer}\n"
-
-
-def make_social_page(doc_id: int, source: str, lang: str) -> tuple[bytes, str]:
-    """Deterministic social-card fixture page (functions/meta.py
-    extract_social_card). Branches: og:image RELATIVE for doc_id%2==0
-    (exercises resolution) else absent; og:type article/website by %3
-    (absent on %3==2); twitter:card summary vs summary_large_image by %4
-    (absent on %4==3); twitter:site for %5!=0; plus a decoy og:image
-    inside a script."""
-    parts = []
-    if doc_id % 2 == 0:
-        parts.append(f'<meta property="og:image" content="/img/{doc_id % 9}.jpg">')
-    if doc_id % 3 == 0:
-        parts.append('<meta property="og:type" content="article">')
-    elif doc_id % 3 == 1:
-        parts.append('<meta property="og:type" content="website">')
-    if doc_id % 4 == 0:
-        parts.append('<meta name="twitter:card" content="summary">')
-    elif doc_id % 4 in (1, 2):
-        parts.append('<meta name="twitter:card" content="summary_large_image">')
-    if doc_id % 5 != 0:
-        parts.append(f'<meta name="twitter:site" content="@{source}">')
-    decoy = "<script>var m = '<meta property=\"og:image\" content=\"NOPE\">';</script>"
-    html = (
-        f"<html><head><title>S{doc_id}</title>{''.join(parts)}{decoy}</head>"
-        f"<body><p>{lang} social body</p></body></html>"
-    )
-    return html.encode("utf-8"), f"https://{source}.example.com/sp/{doc_id}"
-
-
-def make_nav_page(doc_id: int, source: str) -> tuple[bytes, str]:
-    """Deterministic redirect/form fixture page. Branches: meta refresh on
-    doc_id%4==1 (delay doc_id%7, RELATIVE target) and %4==3 (bare reload,
-    NO url -> not a redirect); a search form on doc_id%3!=0 (GET, q +
-    lang fields) and a POST login form on doc_id%5==0 (user/pass);
-    refresh decoy inside a script."""
-    parts = []
-    if doc_id % 4 == 1:
-        parts.append(
-            f'<meta http-equiv="refresh" content="{doc_id % 7}; url=/moved/{doc_id // 4}">'
-        )
-    elif doc_id % 4 == 3:
-        parts.append('<meta http-equiv="Refresh" content="5">')
-    body = []
-    if doc_id % 3 != 0:
-        body.append(
-            '<form action="/search" method="get">'
-            '<input name="q"><select name="lang"></select></form>'
-        )
-    if doc_id % 5 == 0:
-        body.append(
-            f'<form action="https://auth.example.org/login" method="POST">'
-            '<input name="user"><input name="pass" type="password">'
-            '<input type="submit"></form>'
-        )
-    decoy = "<script>var s='<meta http-equiv=\"refresh\" content=\"0;url=/NO\">';</script>"
-    html = (
-        f"<html><head><title>N{doc_id}</title>{''.join(parts)}{decoy}</head>"
-        f"<body>{''.join(body)}</body></html>"
-    )
-    return html.encode("utf-8"), f"https://{source}.example.com/n/{doc_id}"
 
 
 def make_redirect_hop_page(doc_id: int) -> tuple[bytes, str]:
@@ -717,43 +460,6 @@ def make_pdf_xmp_doc(doc_id: int, source: str) -> tuple[bytes, str]:
         b"trailer << /Root 1 0 R >>\n%%EOF\n"
     )
     return pdf, url
-
-
-def make_headings_page(doc_id: int, source: str, lang: str) -> tuple[bytes, str]:
-    """Deterministic heading-outline page from the document's own columns —
-    fixture for functions/meta.extract_headings. Branch coverage:
-
-    - h1 ``Doc {doc_id}`` (odd docs wrap the id in <em> — nested inline
-      text must concatenate to the identical string).
-    - (doc_id%3)+1 sections: h2 ``Section {k} of doc {doc_id}`` (even k
-      uses a nested <em>of</em> variant), each with ((doc_id+k)%2)+1 h3
-      ``Part {k}.{j}`` children.
-    - Decoys contributing nothing: nav h2, footer h6, a display:none h3,
-      and a whitespace-only h4.
-    """
-    url = f"https://{source}.example.com/h/{doc_id}"
-    n_sections = (doc_id % 3) + 1
-    h1 = (
-        f"<h1>Doc <em>{doc_id}</em></h1>" if doc_id % 2
-        else f"<h1>Doc {doc_id}</h1>"
-    )
-    parts = [
-        f"<html><head><title>outline {doc_id}</title></head><body>",
-        "<nav><h2>Site menu</h2></nav>",
-        h1,
-    ]
-    for k in range(1, n_sections + 1):
-        if k % 2 == 0:
-            parts.append(f"<h2>Section {k} <em>of</em> doc {doc_id}</h2>")
-        else:
-            parts.append(f"<h2>Section {k} of doc {doc_id}</h2>")
-        if k == 1:
-            parts.append(f'<div style="display:none"><h3>Hidden {doc_id}</h3></div>')
-            parts.append("<h4>   </h4>")
-        for j in range(1, ((doc_id + k) % 2) + 2):
-            parts.append(f"<h3>Part {k}.{j}</h3><p>body text {lang}</p>")
-    parts.append("<footer><h6>Footer heading</h6></footer></body></html>")
-    return "".join(parts).encode("utf-8"), url
 
 
 def make_pdf_annot_doc(doc_id: int, source: str, lang: str) -> tuple[bytes, str]:

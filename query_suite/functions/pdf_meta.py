@@ -33,7 +33,6 @@ from service1_text_extraction_ray.functions.pdf_extract import (
     _skip_ws,
 )
 
-_WS = b" \t\r\n\f\x00"
 _INFO_REF_RE = re.compile(rb"/Info\s+(\d+)\s+\d+\s+R")
 _ANNOTS_RE = re.compile(rb"/Annots\s*\[([^\]]*)\]")
 _ACTION_REF_RE = re.compile(rb"/A\s+(\d+)\s+\d+\s+R")

@@ -92,7 +92,6 @@ def parse_sitemap(
 # --- deterministic synthetic sitemap tree (oracle-replayable) --------------
 
 N_CHILD_SITEMAPS = 2
-MAX_URLS_PER_CHILD = 6
 
 
 def n_urls_in_child(host: str, k: int) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from typing import List
-MAX_PAGES: int | None = None
 
 
 _CURRENCY_REPLACEMENTS = {

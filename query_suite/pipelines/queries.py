@@ -1,11 +1,10 @@
 """Driver-facing query/operator suite over the testdata tables.
 
 Each public ``q_*`` function takes ``sf_dir`` and returns a Dataset /
-pandas.DataFrame / pyarrow.Table. They are registered in ``__ray_entry__.py``
-with (where SQL-expressible) a DuckDB oracle the driver compares against
-(row-count + schema + order-insensitive value hash).
+pandas.DataFrame / pyarrow.Table. Where SQL-expressible, a ``SQL_*`` DuckDB
+oracle beside it computes the same result, and the tests compare the two.
 
-Exact-match discipline (the driver hashes values):
+Exact-match discipline (results are compared value for value):
 
 - Money/float *sums* are computed in integer cents: each row's double product
   is rounded once (identical IEEE arithmetic in Ray and DuckDB), then summed
@@ -33,14 +32,10 @@ import ray
 import ray.data as rd
 
 from ..functions.text_utils import (
-    chunk_text,
-    clean_unicode,
     extract_dates,
     extract_numbers,
-    normalize_whitespace,
     remove_page_headers_footers,
 )
-from service1_text_extraction_ray.functions.render import recreate_text_with_layout
 from ..sources.page_formats import documents_to_pages
 from service1_text_extraction_ray import ensure_worker_importable
 from service1_text_extraction_ray.pipelines.extract_pipeline import (
@@ -78,8 +73,6 @@ def _texts(t: pa.Table, col: str = "text") -> List[str]:
     return pc.fill_null(t[col], "").to_pylist()
 
 
-STOPWORDS = ("the", "a", "and", "of", "to", "in", "is")
-
 # ---------------------------------------------------------------------------
 # Extraction family (the flagship engine; non-SQL -> rows-only driver check)
 # ---------------------------------------------------------------------------
@@ -89,42 +82,6 @@ DOC_SCALAR_COLUMNS = [
     "status", "truncated", "n_pages", "n_pages_ok", "doc_text", "doc_chars",
     "content_hash", "password_required", "password_used", "attempts_made",
 ]
-
-
-def q_extract_docs(sf_dir: str) -> rd.Dataset:
-    """Flagship: documents -> synthetic pages -> full extraction, doc grain.
-
-    Streaming end to end; the driver materializes the (small at sf<=0.1)
-    result itself.
-    """
-    return extract_dataset(documents_to_pages(sf_dir)).select_columns(DOC_SCALAR_COLUMNS)
-
-
-def q_extract_pages(sf_dir: str) -> rd.Dataset:
-    """Page-grain extraction view (flat_map explode, no shuffle)."""
-    return extract_pages_dataset(documents_to_pages(sf_dir)).select_columns(
-        ["url", "page", "method", "extracted_text", "page_md", "n_chars", "status"]
-    )
-
-
-def q_extract_layout_text(sf_dir: str) -> rd.Dataset:
-    """Layout-recreated text per extracted page (reference P8 semantics,
-    core_pdf_processor.py:709-781), as a vectorized post-stage."""
-    import json
-
-    def recreate(batch: pa.Table) -> pa.Table:
-        texts = []
-        for lj, t in zip(batch["layout_json"].to_pylist(), batch["extracted_text"].to_pylist()):
-            layout = json.loads(lj) if lj else {}
-            texts.append(recreate_text_with_layout(t, layout))
-        return pa.Table.from_arrays(
-            [batch["url"], batch["page"], pa.array(texts, pa.string()),
-             pa.array([len(t) for t in texts], pa.int64())],
-            names=["url", "page", "layout_text", "layout_text_chars"],
-        )
-
-    pages = extract_pages_dataset(documents_to_pages(sf_dir))
-    return pages.map_batches(recreate, batch_format="pyarrow")
 
 
 def q_layout_stats(sf_dir: str) -> rd.Dataset:
@@ -151,18 +108,6 @@ def q_layout_stats(sf_dir: str) -> rd.Dataset:
 
     pages = extract_pages_dataset(documents_to_pages(sf_dir))
     return pages.map_batches(stats, batch_format="pyarrow")
-
-
-def q_render_pages(sf_dir: str) -> rd.Dataset:
-    """Page -> image render (P14, pdf_service.py:126-142): a real from-
-    scratch bitmap-font rasterization (render_ok=True) for every page with
-    a layout tree, deterministic placeholder PNG (render_ok=False) for
-    pages without one (stages/multimodal.py). Row counts only, no value oracle;
-    PNG validity + determinism + OCR round-trip pytest-verified."""
-    from ..stages.multimodal import render_pages_batch
-
-    pages = extract_pages_dataset(documents_to_pages(sf_dir))
-    return pages.map_batches(render_pages_batch, batch_format="pyarrow")
 
 
 # One materialized doc-grain extraction of the scanned corpus per
@@ -291,78 +236,6 @@ def q_ocr_eval(sf_dir: str) -> rd.Dataset:
     return joined.map_batches(score, batch_format="pyarrow")
 
 
-def q_extract_tables(sf_dir: str) -> rd.Dataset:
-    """Structured HTML <table> extraction (functions/html_tables.py): each
-    outermost table becomes one row (doc_id, table_idx, n_rows, n_cols,
-    table_md). Pages are synthesized deterministically per document from its
-    OWN columns (synth.make_table_page), so the DuckDB oracle reconstructs
-    the expected markdown exactly from the documents table — the extraction
-    family's first value-hash-checked query (the parse itself is inside the
-    checked loop, not just row counts). Pure per-batch flat map: one page in,
-    0..2 table rows out, no shuffle."""
-    from ..functions.html_tables import extract_html_tables, table_markdown
-    from ..functions.fixtures import make_table_page
-
-    out_schema = pa.schema([
-        ("doc_id", pa.int64()), ("table_idx", pa.int64()),
-        ("n_rows", pa.int64()), ("n_cols", pa.int64()),
-        ("table_md", pa.string()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_pylist()
-        langs = t["lang"].to_pylist()
-        sources = t["source"].to_pylist()
-        n_chars = t["n_chars"].to_pylist()
-        rows = []
-        for d, lang, src, nc in zip(ids, langs, sources, n_chars):
-            page = make_table_page(int(d), lang, src, int(nc))
-            for idx, tab in enumerate(extract_html_tables(page)):
-                rows.append({
-                    "doc_id": int(d), "table_idx": idx,
-                    "n_rows": tab.n_rows, "n_cols": tab.n_cols,
-                    "table_md": table_markdown(tab),
-                })
-        if not rows:
-            return out_schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "lang", "source", "n_chars"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-def _sql_extract_tables() -> str:
-    """Expected tables reconstructed from the documents columns: table 0 has
-    a (k, v) header plus 1 + doc_id%4 data rows of (k{i}, n_chars+i); table 1
-    (doc_id%5==0) is ((lang, src), (lang, source)). Data rows <= 4, so the
-    row aggregation is a fixed CASE chain (no lateral unnest needed)."""
-    row_i = lambda i: (
-        f"CASE WHEN doc_id % 4 >= {i} THEN chr(10) || '| k{i} | ' "
-        f"|| CAST(n_chars + {i} AS VARCHAR) || ' |' ELSE '' END"
-    )
-    t0_md = (
-        "'| k | v |' || chr(10) || '| --- | --- |' || chr(10) || "
-        "'| k0 | ' || CAST(n_chars AS VARCHAR) || ' |' || "
-        + " || ".join(row_i(i) for i in (1, 2, 3))
-    )
-    return f"""
-SELECT doc_id, CAST(0 AS BIGINT) AS table_idx,
-       CAST(2 + doc_id % 4 AS BIGINT) AS n_rows,
-       CAST(2 AS BIGINT) AS n_cols,
-       {t0_md} AS table_md
-FROM documents
-UNION ALL
-SELECT doc_id, CAST(1 AS BIGINT), CAST(2 AS BIGINT), CAST(2 AS BIGINT),
-       '| lang | src |' || chr(10) || '| --- | --- |' || chr(10) ||
-       '| ' || lang || ' | ' || source || ' |'
-FROM documents WHERE doc_id % 5 = 0
-"""
-
-
-SQL_EXTRACT_TABLES = _sql_extract_tables()
-
-
 # --- extract-once, consume-many (round-2 VERDICT #3) ------------------------
 #
 # Five driver queries (extract_summary, doc_embeddings, embeddings_wide,
@@ -417,73 +290,9 @@ def extracted_docs_dataset(sf_dir: str) -> rd.Dataset:
     return rd.read_parquet(ensure_extracted_docs(sf_dir))
 
 
-def q_extract_summary(sf_dir: str) -> rd.Dataset:
-    """Counter roll-up by content kind and status (grouped aggregate over the
-    extraction output — the reference's G1/G2/G4 summaries). Reads the
-    extract-once doc-grain materialization; the SQL oracle aggregates the
-    SAME parquet in DuckDB, verifying the distributed groupby/sums (the
-    extraction itself is byte-golden-tested, SURVEY.md §5)."""
-    from ray.data.aggregate import Count, Sum
-
-    docs = extracted_docs_dataset(sf_dir)
-    return docs.groupby(["content_kind", "status"]).aggregate(
-        Count(alias_name="n_docs"),
-        Sum("n_pages", alias_name="n_pages"),
-        Sum("n_pages_ok", alias_name="n_pages_ok"),
-        Sum("doc_chars", alias_name="total_chars"),
-    )
-
-
-def sql_extract_summary(sf_dir: str | None = None) -> str:
-    """DuckDB oracle over the extract-once parquet (round-2 VERDICT #5:
-    'oracle extract_summary by loading the extraction output into DuckDB
-    from the written parts'). Builds the cache if Ray is up so the oracle
-    never races the query. oracle_sql() is a static contract, so the sf the
-    driver compares at comes from $GRAFT_ORACLE_SF_DIR (default sf0.01, the
-    driver's correctness scale) — tools/check_oracles.py sets it to its
-    sf_dir argument so sweeps at other scales stay honest."""
-    if sf_dir is None:
-        sf_dir = os.environ.get("GRAFT_ORACLE_SF_DIR", "/root/testdata/sf0.01")
-    try:
-        if ray.is_initialized():
-            ensure_extracted_docs(sf_dir)
-    except Exception:
-        pass  # cache will exist once the Ray query has run
-    glob = os.path.join(_extract_cache_dir(sf_dir), "*.parquet")
-    return f"""
-SELECT content_kind, status, count(*) AS n_docs,
-       CAST(sum(n_pages) AS BIGINT) AS n_pages,
-       CAST(sum(n_pages_ok) AS BIGINT) AS n_pages_ok,
-       CAST(sum(doc_chars) AS BIGINT) AS total_chars
-FROM read_parquet('{glob}')
-GROUP BY content_kind, status
-"""
-
-
 # ---------------------------------------------------------------------------
 # Text analysis over `documents` (SQL oracles)
 # ---------------------------------------------------------------------------
-
-
-def q_doc_token_counts(sf_dir: str) -> rd.Dataset:
-    """Whitespace token counts per document — vectorized (Arrow
-    count_substring_regex over \\S+ runs; zero-copy, no Python loop)."""
-
-    def f(t: pa.Table) -> pa.Table:
-        text = pc.fill_null(t["text"], "")
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "n_tokens": pc.cast(pc.count_substring_regex(text, r"\S+"), pa.int64()),
-        })
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
-
-
-SQL_DOC_TOKEN_COUNTS = """
-SELECT doc_id,
-       CAST(len(list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '')) AS BIGINT) AS n_tokens
-FROM documents
-"""
 
 
 # GPT-2-style pre-tokenizer shape, restricted to RE2-compatible constructs
@@ -495,7 +304,7 @@ _BPE_RX = re.compile(BPE_TOKEN_PATTERN)
 
 def q_doc_bpe_token_counts(sf_dir: str) -> rd.Dataset:
     """BPE-ish pre-tokenizer counts per doc (the training-data token budget
-    estimator; whitespace counts are q_doc_token_counts)."""
+    estimator)."""
 
     def f(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -506,314 +315,6 @@ def q_doc_bpe_token_counts(sf_dir: str) -> rd.Dataset:
         })
 
     return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
-
-
-SQL_DOC_BPE_TOKEN_COUNTS = f"""
-SELECT doc_id,
-       CAST(len(regexp_extract_all(text, '{BPE_TOKEN_PATTERN.replace("'", "''")}')) AS BIGINT) AS n_bpe_tokens
-FROM documents
-"""
-
-
-def q_doc_quality_scores(sf_dir: str) -> rd.Dataset:
-    """Shallow quality features per doc (integer counts -> exact)."""
-
-    def f(t: pa.Table) -> pa.Table:
-        text = pc.fill_null(t["text"], "")
-
-        def _count(pat: str) -> pa.ChunkedArray:
-            return pc.cast(pc.count_substring_regex(text, pat), pa.int64())
-
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "len_chars": pc.cast(pc.utf8_length(text), pa.int64()),
-            "alpha_chars": _count(r"[A-Za-z]"),
-            "digit_chars": _count(r"[0-9]"),
-            "space_chars": pc.cast(pc.count_substring(text, " "), pa.int64()),
-            "n_tokens": _count(r"\S+"),
-        })
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
-
-
-SQL_DOC_QUALITY_SCORES = """
-SELECT doc_id,
-       CAST(length(text) AS BIGINT) AS len_chars,
-       CAST(length(regexp_replace(text, '[^A-Za-z]', '', 'g')) AS BIGINT) AS alpha_chars,
-       CAST(length(regexp_replace(text, '[^0-9]', '', 'g')) AS BIGINT) AS digit_chars,
-       CAST(length(text) - length(replace(text, ' ', '')) AS BIGINT) AS space_chars,
-       CAST(len(list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '')) AS BIGINT) AS n_tokens
-FROM documents
-"""
-
-
-def q_doc_stopword_counts(sf_dir: str) -> rd.Dataset:
-    """Stopword token counts (whitespace-token semantics on both sides)."""
-    pattern = r"(?:^|\s)(?:" + "|".join(STOPWORDS) + r")(?=\s|$)"
-    rx = re.compile(pattern)
-
-    def f(t: pa.Table) -> pa.Table:
-        sw = frozenset(STOPWORDS)
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "n_stopwords": pa.array(
-                [sum(1 for w in x.split() if w in sw) for x in _texts(t)],
-                pa.int64(),
-            ),
-        })
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
-
-
-SQL_DOC_STOPWORD_COUNTS = """
-SELECT doc_id,
-       CAST(len(list_filter(regexp_split_to_array(text, '\\s+'),
-                            x -> x IN ('the','a','and','of','to','in','is'))) AS BIGINT) AS n_stopwords
-FROM documents
-"""
-
-
-def q_lang_distribution(sf_dir: str) -> rd.Dataset:
-    from ray.data.aggregate import Count, Sum
-
-    return (
-        _read(sf_dir, "documents", ["lang", "n_chars"])
-        .groupby("lang")
-        .aggregate(Count(alias_name="n_docs"), Sum("n_chars", alias_name="sum_chars"))
-    )
-
-
-SQL_LANG_DISTRIBUTION = """
-SELECT lang, count(*) AS n_docs, CAST(sum(n_chars) AS BIGINT) AS sum_chars
-FROM documents GROUP BY lang
-"""
-
-
-def q_doc_normalize_ws(sf_dir: str) -> rd.Dataset:
-    """normalize_whitespace as a distributed operator (reference P12,
-    text_utils.py:142-147)."""
-
-    def f(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "norm_text": pa.array(
-                [normalize_whitespace(x) for x in _texts(t)], pa.string()
-            ),
-        })
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
-
-
-SQL_DOC_NORMALIZE_WS = """
-SELECT doc_id, trim(regexp_replace(text, '\\s+', ' ', 'g')) AS norm_text
-FROM documents
-"""
-
-
-CHUNK_MAX_CHARS, CHUNK_OVERLAP = 500, 50
-
-
-def q_doc_chunk_counts(sf_dir: str) -> rd.Dataset:
-    """chunk_text operator (reference P10) — chunk count + total chunk chars
-    per doc. Exact SQL oracle: the greedy break-scan is replayed in a
-    recursive CTE (SQL_DOC_CHUNK_COUNTS)."""
-
-    def f(t: pa.Table) -> pa.Table:
-        chunks = [
-            chunk_text(x, max_chars=CHUNK_MAX_CHARS, overlap=CHUNK_OVERLAP)
-            for x in _texts(t)
-        ]
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "n_chunks": pa.array([len(cs) for cs in chunks], pa.int64()),
-            "chunk_chars": pa.array(
-                [sum(len(c) for c in cs) for cs in chunks], pa.int64()
-            ),
-        })
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
-
-
-def _sql_chunk_counts() -> str:
-    """Recursive-CTE replay of chunk_text's greedy scan (same break-char
-    priority, same rfind window semantics, same overlap rewind). Each
-    recursion level consumes one chunk per in-flight document."""
-    M, OV = CHUNK_MAX_CHARS, CHUNK_OVERLAP
-    breaks = ["\n\n", "\n", ". ", "! ", "? "]
-
-    pos_cols, bp_cols = [], []
-    for i, bc in enumerate(breaks):
-        rev = bc[::-1].replace("'", "''").replace("\n", "' || chr(10) || '")
-        rev_lit = f"'{rev}'"
-        L = len(bc)
-        # last occurrence of bc fully inside the window w (1-based in w)
-        pos_cols.append(
-            f"CASE WHEN strpos(rw, {rev_lit}) > 0 "
-            f"THEN length(w) - strpos(rw, {rev_lit}) - {L} + 2 END AS pos{i}"
-        )
-        # Python's `if pos > start` == window position >= 2
-        bp_cols.append(
-            f"CASE WHEN pos{i} >= 2 THEN start + pos{i} - 1 + {L} END AS bp{i}"
-        )
-    coalesce = "COALESCE(" + ", ".join(f"bp{i}" for i in range(len(breaks))) + f", start + {M})"
-
-    return f"""
-WITH RECURSIVE state AS (
-  SELECT doc_id, coalesce(text, '') AS text, CAST(0 AS BIGINT) AS start,
-         CAST(0 AS BIGINT) AS n_chunks, CAST(0 AS BIGINT) AS chunk_chars,
-         FALSE AS done
-  FROM documents WHERE length(coalesce(text, '')) > {M}
-  UNION ALL
-  SELECT doc_id, text,
-         CASE WHEN terminal THEN start ELSE break_pos - {OV} END,
-         n_chunks + 1,
-         chunk_chars + (CASE WHEN terminal THEN length(text) ELSE break_pos END) - start,
-         terminal
-  FROM (
-    SELECT doc_id, text, start, n_chunks, chunk_chars,
-           (start + {M} >= length(text)) AS terminal,
-           {coalesce} AS break_pos
-    FROM (
-      SELECT *, {", ".join(bp_cols)}
-      FROM (
-        SELECT *, {", ".join(pos_cols)}
-        FROM (
-          SELECT *, reverse(w) AS rw FROM (
-            SELECT *, substr(text, start + 1, {M}) AS w
-            FROM state WHERE NOT done
-          )
-        )
-      )
-    )
-  )
-)
-SELECT doc_id, n_chunks, chunk_chars FROM state WHERE done
-UNION ALL
-SELECT doc_id, CAST(1 AS BIGINT) AS n_chunks,
-       CAST(length(coalesce(text, '')) AS BIGINT) AS chunk_chars
-FROM documents WHERE length(coalesce(text, '')) <= {M}
-"""
-
-
-SQL_DOC_CHUNK_COUNTS = _sql_chunk_counts()
-
-
-def q_doc_clean_unicode(sf_dir: str) -> rd.Dataset:
-    """clean_unicode operator (reference P9). Non-SQL -> rows-only check."""
-
-    def f(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "clean_text": pa.array(
-                [clean_unicode(x) for x in _texts(t)], pa.string()
-            ),
-        })
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
-
-
-LANG_PROFILES = {
-    "en": ("the", "and", "of", "to", "in", "is", "that", "it", "for", "was"),
-    "de": ("der", "die", "und", "das", "ist", "nicht", "mit", "ein", "zu", "den"),
-    "fr": ("le", "la", "et", "les", "des", "est", "pas", "que", "une", "pour"),
-    "es": ("el", "la", "de", "que", "los", "es", "una", "por", "con", "para"),
-}
-
-
-def _sql_clean_unicode() -> str:
-    """Exact oracle for clean_unicode, built from the SAME replacement
-    tables the Python side uses: the sequential replace chains, then one
-    character-class pass (keep \\t\\n\\r, U+0020-U+00FF, and the currency
-    keep-set; everything else — controls, non-latin, emoji — becomes a
-    space), exactly the reference's per-char loop."""
-    from ..functions.text_utils import (
-        _CURRENCY_REPLACEMENTS,
-        _KEEP_CURRENCY,
-        _UNICODE_REPLACEMENTS,
-    )
-
-    def esc(s: str) -> str:
-        return s.replace("'", "''")
-
-    expr = "coalesce(text, '')"
-    for old, new in list(_CURRENCY_REPLACEMENTS.items()) + list(
-        _UNICODE_REPLACEMENTS.items()
-    ):
-        expr = f"replace({expr}, '{esc(old)}', '{esc(new)}')"
-    keep = "".join(sorted(_KEEP_CURRENCY))
-    return f"""
-SELECT doc_id,
-       regexp_replace({expr},
-                      '[^\\x09\\x0A\\x0D\\x20-\\xFF{keep}]', ' ', 'g') AS clean_text
-FROM documents
-"""
-
-
-SQL_DOC_CLEAN_UNICODE = _sql_clean_unicode()
-
-
-def q_language_id(sf_dir: str) -> rd.Dataset:
-    """Heuristic n-gram/stopword language ID over the text column (a
-    training-data-pipeline staple). Deterministic scores; exact SQL oracle
-    (the scoring is a per-profile token count + first-max-in-fixed-order
-    argmax, both SQL-expressible).
-
-    Profiles are tiny in-module frequency tables; a real system would
-    broadcast larger models via ray.put — same shape, bigger payload.
-    """
-    profiles = {k: set(v) for k, v in LANG_PROFILES.items()}
-
-    def f(t: pa.Table) -> pa.Table:
-        def lid(x: str) -> str:
-            words = x.lower().split()
-            if not words:
-                return "und"
-            best, best_n = "und", 0
-            for lang in ("de", "en", "es", "fr"):  # fixed order: deterministic ties
-                n = sum(1 for w in words if w in profiles[lang])
-                if n > best_n:
-                    best, best_n = lang, n
-            return best
-
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "pred_lang": pa.array([lid(x) for x in _texts(t)], pa.string()),
-        })
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
-
-
-def _sql_lang_counts() -> str:
-    parts = []
-    for lang in ("de", "en", "es", "fr"):
-        in_list = ", ".join(f"'{w}'" for w in LANG_PROFILES[lang])
-        parts.append(
-            f"CAST(len(list_filter(w, x -> x IN ({in_list}))) AS BIGINT) AS n_{lang}"
-        )
-    return ",\n         ".join(parts)
-
-
-# The Python loop updates only on STRICTLY greater in the fixed order
-# (de, en, es, fr), so the winner is the first language in that order that
-# attains the maximum — exactly this CASE chain.
-SQL_LANGUAGE_ID = f"""
-WITH tok AS (
-  SELECT doc_id,
-         list_filter(regexp_split_to_array(lower(text), '\\s+'), x -> x <> '') AS w
-  FROM documents
-), cnt AS (
-  SELECT doc_id,
-         {_sql_lang_counts()}
-  FROM tok
-)
-SELECT doc_id,
-       CASE WHEN greatest(n_de, n_en, n_es, n_fr) = 0 THEN 'und'
-            WHEN n_de = greatest(n_de, n_en, n_es, n_fr) THEN 'de'
-            WHEN n_en = greatest(n_de, n_en, n_es, n_fr) THEN 'en'
-            WHEN n_es = greatest(n_de, n_en, n_es, n_fr) THEN 'es'
-            ELSE 'fr' END AS pred_lang
-FROM cnt
-"""
 
 
 def q_doc_extract_numbers(sf_dir: str) -> rd.Dataset:
@@ -837,19 +338,6 @@ def q_doc_extract_numbers(sf_dir: str) -> rd.Dataset:
     return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
 
 
-_SQL_MONTHS = "Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec"
-SQL_DOC_EXTRACT_NUMBERS = f"""
-SELECT doc_id,
-       CAST(len(regexp_extract_all(text, '\\b\\d{{1,3}}(?:,\\d{{3}})*(?:\\.\\d{{1,2}})?\\b')) AS BIGINT) AS n_numbers,
-       CAST(len(regexp_extract_all(text, '(?i)\\b\\d{{1,2}}\\s+(?:{_SQL_MONTHS})\\w*\\s+\\d{{4}}\\b'))
-          + len(regexp_extract_all(text, '(?i)\\b(?:{_SQL_MONTHS})\\w*\\s+\\d{{1,2}},?\\s+\\d{{4}}\\b'))
-          + len(regexp_extract_all(text, '\\b\\d{{4}}-\\d{{2}}-\\d{{2}}\\b'))
-          + len(regexp_extract_all(text, '\\b\\d{{1,2}}/\\d{{1,2}}/\\d{{4}}\\b'))
-          + len(regexp_extract_all(text, '\\b\\d{{1,2}}\\.\\d{{1,2}}\\.\\d{{4}}\\b')) AS BIGINT) AS n_dates
-FROM documents
-"""
-
-
 def q_doc_strip_headers(sf_dir: str) -> rd.Dataset:
     """remove_page_headers_footers (reference P13, text_utils.py:149-166) as a
     distributed operator over the documents table."""
@@ -863,32 +351,6 @@ def q_doc_strip_headers(sf_dir: str) -> rd.Dataset:
         })
 
     return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
-
-
-# Python str.strip() (the reference's text_utils.py:155 `line.strip()`)
-# strips every codepoint with str.isspace() — not just space/tab/CR. The
-# oracle's trim charset must match on arbitrary input (a '\x0c' or NBSP at
-# a line edge would otherwise diverge). \n is excluded: lines are already
-# split on it.
-_PY_STRIP_CODEPOINTS = (
-    9, 11, 12, 13, 28, 29, 30, 31, 32, 133, 160, 5760,
-    8192, 8193, 8194, 8195, 8196, 8197, 8198, 8199, 8200, 8201, 8202,
-    8232, 8233, 8239, 8287, 12288,
-)
-_SQL_STRIP_CHARSET = " || ".join(f"chr({c})" for c in _PY_STRIP_CODEPOINTS)
-
-SQL_DOC_STRIP_HEADERS = f"""
-SELECT doc_id,
-       array_to_string(
-         list_filter(
-           list_transform(str_split(text, chr(10)), x -> trim(x, {_SQL_STRIP_CHARSET})),
-           x -> NOT (regexp_matches(x, '(?i)^Page [0-9]+$')
-                     OR regexp_matches(x, '^[0-9]+$')
-                     OR length(x) < 3
-                     OR regexp_matches(x, '^-+$'))),
-         chr(10)) AS stripped_text
-FROM documents
-"""
 
 
 def q_doc_shingle_stats(sf_dir: str) -> rd.Dataset:
@@ -906,117 +368,6 @@ def q_doc_shingle_stats(sf_dir: str) -> rd.Dataset:
         })
 
     return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
-
-
-SQL_DOC_SHINGLE_STATS = """
-WITH tok AS (
-  SELECT doc_id, list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '') AS w
-  FROM documents
-)
-SELECT doc_id,
-       CAST(CASE
-         WHEN len(w) = 0 THEN 0
-         WHEN len(w) < 3 THEN 1
-         ELSE len(list_distinct(list_transform(range(1, len(w) - 1),
-                                               i -> w[i] || ' ' || w[i + 1] || ' ' || w[i + 2])))
-       END AS BIGINT) AS n_shingles
-FROM tok
-"""
-
-
-# ---------------------------------------------------------------------------
-# Deterministic sampling (hash-based — reproducible across runs, machines
-# and cluster sizes, unlike RNG sampling; the standard way to cut a stable
-# training-data subset or holdout)
-# ---------------------------------------------------------------------------
-
-SAMPLE_PERMILLE = 100  # keep ~10% of docs
-STRATA_PER_LANG = 20   # per-language stratified sample size
-
-
-def _doc_sample_key(doc_id: int) -> int:
-    """16-bit sampling key from md5(doc_id) — uniform, deterministic."""
-    return int.from_bytes(hashlib.md5(str(doc_id).encode()).digest()[:2], "big")
-
-
-def q_doc_sample(sf_dir: str) -> rd.Dataset:
-    """Hash-based Bernoulli sampling: keep docs whose md5(doc_id) 16-bit key
-    falls under the rate threshold. Pure per-batch filter — no shuffle, no
-    RNG state, identical subset at any parallelism."""
-    thresh = (65536 * SAMPLE_PERMILLE) // 1000
-    out_schema = pa.schema([
-        ("doc_id", pa.int64()), ("lang", pa.string()), ("n_chars", pa.int64()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        keep = pa.array(
-            [_doc_sample_key(d) < thresh for d in t["doc_id"].to_pylist()],
-            pa.bool_(),
-        )
-        # typed Arrow out: an all-filtered block stays schema-stable
-        return t.filter(keep).cast(out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_DOC_SAMPLE = f"""
-SELECT doc_id, lang, n_chars FROM documents
-WHERE (instr('0123456789abcdef', substr(md5(CAST(doc_id AS VARCHAR)), 1, 1)) - 1) * 4096
-    + (instr('0123456789abcdef', substr(md5(CAST(doc_id AS VARCHAR)), 2, 1)) - 1) * 256
-    + (instr('0123456789abcdef', substr(md5(CAST(doc_id AS VARCHAR)), 3, 1)) - 1) * 16
-    + (instr('0123456789abcdef', substr(md5(CAST(doc_id AS VARCHAR)), 4, 1)) - 1)
-    < {(65536 * SAMPLE_PERMILLE) // 1000}
-"""
-
-
-def q_sample_per_lang(sf_dir: str) -> rd.Dataset:
-    """Stratified sampling: the STRATA_PER_LANG docs with the smallest
-    md5(doc_id) key per language — the top-N-per-group shape (per-batch
-    partial prune, then a tiny per-group head), giving a balanced,
-    reproducible per-language subset."""
-
-    _ORDER = [("skey", "ascending"), ("doc_id", "ascending")]
-
-    def tag_and_prune(t: pa.Table) -> pa.Table:
-        tbl = pa.table({
-            "lang": t["lang"],
-            "doc_id": pc.cast(t["doc_id"], pa.int64()),
-            "skey": pa.array(
-                [hashlib.md5(str(d).encode()).hexdigest()
-                 for d in t["doc_id"].to_pylist()],
-                pa.string(),
-            ),
-        }).sort_by(_ORDER)
-        seen: Dict[str, int] = {}
-        keep = []
-        for lg in tbl["lang"].to_pylist():
-            seen[lg] = seen.get(lg, 0) + 1
-            keep.append(seen[lg] <= STRATA_PER_LANG)
-        return tbl.filter(pa.array(keep, pa.bool_()))
-
-    def head_n(g: pa.Table) -> pa.Table:
-        return g.sort_by(_ORDER).slice(0, STRATA_PER_LANG).select(["lang", "doc_id"])
-
-    return (
-        _read(sf_dir, "documents", ["doc_id", "lang"])
-        .map_batches(tag_and_prune, batch_format="pyarrow")
-        .groupby("lang")
-        .map_groups(head_n, batch_format="pyarrow")
-    )
-
-
-SQL_SAMPLE_PER_LANG = f"""
-SELECT lang, doc_id FROM (
-  SELECT lang, doc_id,
-         row_number() OVER (
-           PARTITION BY lang
-           ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id
-         ) AS rn
-  FROM documents
-) WHERE rn <= {STRATA_PER_LANG}
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -1081,41 +432,6 @@ def q_doc_gopher_filter(sf_dir: str) -> rd.Dataset:
     return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
 
 
-_SQL_GOPHER_STOPS = ", ".join(f"'{w}'" for w in GOPHER_STOPWORDS)
-SQL_DOC_GOPHER_FILTER = f"""
-WITH base AS (
-  SELECT doc_id, coalesce(text, '') AS t,
-         list_filter(regexp_split_to_array(coalesce(text, ''), '\\s+'), x -> x <> '') AS w,
-         str_split(coalesce(text, ''), chr(10)) AS lines
-  FROM documents
-),
-counts AS (
-  SELECT doc_id,
-         CAST(len(w) AS BIGINT) AS n_words,
-         CAST(coalesce(list_aggregate(list_transform(w, x -> length(x)), 'sum'), 0) AS BIGINT) AS sum_word_chars,
-         CAST((length(t) - length(replace(t, '#', '')))
-              + (length(t) - length(replace(t, '...', ''))) // 3 AS BIGINT) AS n_symbols,
-         CAST(len(lines) AS BIGINT) AS n_lines,
-         CAST(len(list_filter(lines, l -> regexp_matches(l, '^[ \t]*[-*] '))) AS BIGINT) AS n_bullet_lines,
-         CAST(len(list_filter(lines, l -> regexp_matches(l, '\\.\\.\\.[ \t]*$'))) AS BIGINT) AS n_ellipsis_lines,
-         CAST(len(list_filter(w, x -> regexp_matches(x, '[A-Za-z]'))) AS BIGINT) AS n_alpha_words,
-         CAST(len(list_distinct(list_filter(
-             list_filter(regexp_split_to_array(lower(t), '\\s+'), x -> x <> ''),
-             x -> x IN ({_SQL_GOPHER_STOPS})))) AS BIGINT) AS n_stopwords_present
-  FROM base
-)
-SELECT *,
-       (n_words BETWEEN 50 AND 100000
-        AND 3 * n_words <= sum_word_chars AND sum_word_chars <= 10 * n_words
-        AND 10 * n_symbols < n_words
-        AND 10 * n_bullet_lines < 9 * n_lines
-        AND 10 * n_ellipsis_lines < 3 * n_lines
-        AND 5 * n_alpha_words > 4 * n_words
-        AND n_stopwords_present >= 2) AS keep
-FROM counts
-"""
-
-
 def q_doc_repetition(sf_dir: str) -> rd.Dataset:
     """Repetition signal (the Gopher duplicate-line family): per doc, the
     number of lines, distinct lines, and characters living in lines whose
@@ -1139,21 +455,6 @@ def q_doc_repetition(sf_dir: str) -> rd.Dataset:
         })
 
     return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
-
-
-SQL_DOC_REPETITION = """
-WITH base AS (
-  SELECT doc_id, str_split(coalesce(text, ''), chr(10)) AS lines FROM documents
-)
-SELECT doc_id,
-       CAST(len(lines) AS BIGINT) AS n_lines,
-       CAST(len(list_distinct(lines)) AS BIGINT) AS n_distinct_lines,
-       CAST(coalesce(list_aggregate(
-         list_transform(list_filter(lines,
-                                    l -> len(list_filter(lines, x -> x = l)) > 1),
-                        l -> length(l)), 'sum'), 0) AS BIGINT) AS dup_line_chars
-FROM base
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -1197,12 +498,6 @@ def q_dedup_exact(sf_dir: str) -> rd.Dataset:
         shard_min,
         dedup_schema,
     )
-
-
-SQL_DEDUP_EXACT = """
-SELECT md5(text) AS text_hash, min(doc_id) AS doc_id
-FROM documents GROUP BY md5(text)
-"""
 
 
 def _shingles(text: str, k: int = 3) -> set:
@@ -1549,125 +844,6 @@ def q_dedup_jaccard(sf_dir: str) -> rd.Dataset:
     )
 
 
-# Exact oracle via an exploded (doc_id, shingle) self-join: intersection
-# sizes come from a hash join + GROUP BY (never a per-pair nested scan);
-# pairs with Jaccard >= 0.8 necessarily share shingles, so the join loses
-# nothing; empty-empty pairs (Jaccard 100 by convention) are unioned in.
-_JACC_CTES = f"""tok AS (
-  SELECT doc_id,
-         list_filter(regexp_split_to_array(coalesce(text, ''), '\\s+'), x -> x <> '') AS w
-  FROM documents
-),
-shingles AS (
-  SELECT doc_id, CASE
-    WHEN len(w) = 0 THEN []
-    WHEN len(w) < 3 THEN [array_to_string(w, ' ')]
-    ELSE list_distinct(list_transform(range(1, len(w) - 1),
-                                      i -> w[i] || ' ' || w[i + 1] || ' ' || w[i + 2]))
-  END AS sh FROM tok
-),
-sizes AS (SELECT doc_id, len(sh) AS n FROM shingles),
-ex AS (SELECT doc_id, unnest(sh) AS s FROM shingles),
-inter AS (
-  SELECT a.doc_id AS da, b.doc_id AS db, count(*) AS i
-  FROM ex a JOIN ex b ON a.s = b.s AND a.doc_id < b.doc_id
-  GROUP BY a.doc_id, b.doc_id
-),
-scored AS (
-  SELECT da, db,
-         CAST(round_even(100.0 * i / greatest(1, sa.n + sb.n - i), 0) AS BIGINT) AS jaccard_pct
-  FROM inter JOIN sizes sa ON sa.doc_id = inter.da
-             JOIN sizes sb ON sb.doc_id = inter.db
-)"""
-
-_JACC_SELECT = f"""SELECT da AS doc_id_a, db AS doc_id_b, jaccard_pct FROM scored
-WHERE jaccard_pct >= {JACCARD_DUP_PCT}
-UNION ALL
-SELECT a.doc_id AS doc_id_a, b.doc_id AS doc_id_b, CAST(100 AS BIGINT) AS jaccard_pct
-FROM sizes a JOIN sizes b ON a.doc_id < b.doc_id AND a.n = 0 AND b.n = 0"""
-
-SQL_DEDUP_JACCARD = f"WITH {_JACC_CTES}\n{_JACC_SELECT}"
-
-
-def _sql_minhash_bands_prefix() -> str:
-    """Shared CTE prefix replaying the MinHash banding in SQL
-    (tok -> shingles -> ms -> sigs -> bands) — used by the full-pipeline
-    oracle AND the cap-cost eval oracle, so both replay the identical
-    signature arithmetic."""
-    M = 1 << 64
-
-    def u64le(col: str, off: int) -> str:
-        return " + ".join(
-            f"CAST({_sql_hexbyte(col, off + j)} AS UBIGINT) * {256 ** j}"
-            for j in range(8)
-        )
-
-    sig_exprs = ", ".join(
-        f"CASE WHEN len(ms) = 0 THEN CAST({M - 1} AS UBIGINT) ELSE "
-        f"list_min(list_transform(ms, p -> "
-        f"CAST((CAST(p.base AS HUGEINT) * {k} + p.mix) % {M} AS UBIGINT))) END AS s{k}"
-        for k in range(1, 65)
-    )
-    band_selects = "\nUNION ALL\n".join(
-        f"SELECT doc_id, {b} AS band, [s{4 * b + 1}, s{4 * b + 2}, s{4 * b + 3}, s{4 * b + 4}] AS bl FROM sigs"
-        for b in range(16)
-    )
-    return f"""tok AS (
-  SELECT doc_id,
-         list_filter(regexp_split_to_array(coalesce(text, ''), '\\s+'), x -> x <> '') AS w
-  FROM documents
-),
-shingles AS (
-  SELECT doc_id, CASE
-    WHEN len(w) = 0 THEN []
-    WHEN len(w) < 3 THEN [array_to_string(w, ' ')]
-    ELSE list_distinct(list_transform(range(1, len(w) - 1),
-                                      i -> w[i] || ' ' || w[i + 1] || ' ' || w[i + 2]))
-  END AS sh FROM tok
-),
-ms AS (
-  SELECT doc_id, sh, list_transform(list_transform(sh, s -> md5(s)),
-         m -> {{'base': {u64le('m', 0)}, 'mix': ({u64le('m', 8)}) | 1}}) AS ms
-  FROM shingles
-),
-sigs AS (SELECT doc_id, sh, {sig_exprs} FROM ms),
-bands AS ({band_selects})"""
-
-
-def sql_dedup_minhash_lsh() -> str:
-    """Exact oracle for the FULL MinHash+LSH pipeline — banding included.
-
-    The signature arithmetic (salted-md5 base/mix, Carter-Wegman affine
-    rehash mod 2^64) is replayed in HUGEINT modular arithmetic; banding
-    becomes a hash-joinable (band, 4-sig-slice) self-join (md5-compacting
-    the band is only an optimization — bucket equality IS sig-slice
-    equality); candidates are verified with the same distinct-3-gram Jaccard
-    (round_even = Python round). Models the UNCAPPED semantics; the
-    implementation's 128-id bucket cap only triggers on degenerate
-    mass-identical corpora (measured: max natural bucket at sf0.1 is 6;
-    sql_dedup_minhash_cap is the eval that prices the cap exactly).
-    """
-    inter = "len(list_filter(sa.sh, x -> list_contains(sb.sh, x)))"
-    return f"""
-WITH {_sql_minhash_bands_prefix()},
-cand AS (
-  SELECT DISTINCT a.doc_id AS da, b.doc_id AS db
-  FROM bands a JOIN bands b
-    ON a.band = b.band AND a.bl = b.bl AND a.doc_id < b.doc_id
-),
-scored AS (
-  SELECT da, db,
-         CASE WHEN len(sa.sh) = 0 AND len(sb.sh) = 0 THEN 100
-              ELSE CAST(round_even(100.0 * {inter}
-                   / greatest(1, len(sa.sh) + len(sb.sh) - {inter}), 0) AS BIGINT)
-         END AS jaccard_pct
-  FROM cand JOIN sigs sa ON sa.doc_id = cand.da
-            JOIN sigs sb ON sb.doc_id = cand.db
-)
-SELECT da AS doc_id_a, db AS doc_id_b, jaccard_pct FROM scored WHERE jaccard_pct >= 80
-"""
-
-
 def q_dedup_minhash_cap(sf_dir: str) -> pd.DataFrame:
     """Measured cost of MINHASH_BUCKET_CAP — the EVAL operator that turns the
     cap's silently-logged recall bound into a number (round-3 VERDICT #5):
@@ -1740,26 +916,6 @@ def q_dedup_minhash_cap(sf_dir: str) -> pd.DataFrame:
     })
 
 
-def sql_dedup_minhash_cap() -> str:
-    return f"""
-WITH {_sql_minhash_bands_prefix()},
-bsz AS (
-  SELECT band, bl, count(DISTINCT doc_id) AS n
-  FROM bands GROUP BY band, bl HAVING count(DISTINCT doc_id) >= 2
-)
-SELECT CAST(count(*) AS BIGINT) AS n_buckets,
-       CAST(coalesce(sum(CASE WHEN n > {MINHASH_BUCKET_CAP} THEN 1 ELSE 0 END), 0) AS BIGINT)
-         AS n_buckets_capped,
-       CAST(coalesce(sum(n * (n - 1) // 2), 0) AS BIGINT) AS pairs_before_cap,
-       CAST(coalesce(sum(least(n, {MINHASH_BUCKET_CAP}) * (least(n, {MINHASH_BUCKET_CAP}) - 1) // 2), 0) AS BIGINT)
-         AS pairs_kept,
-       CAST(coalesce(sum(n * (n - 1) // 2), 0)
-            - coalesce(sum(least(n, {MINHASH_BUCKET_CAP}) * (least(n, {MINHASH_BUCKET_CAP}) - 1) // 2), 0) AS BIGINT)
-         AS pairs_dropped_by_cap
-FROM bsz
-"""
-
-
 _EMPTY_CLUSTERS = {
     "doc_id": "int64", "cluster_id": "int64",
     "cluster_size": "int64", "is_canonical": "int64",
@@ -1784,8 +940,8 @@ def q_dedup_clusters(sf_dir: str) -> pd.DataFrame:
     until fixpoint — O(component diameter) rounds, and near-dup components
     are shallow (diameter 1-3 measured at both sf levels).
 
-    Oracle: recursive-CTE transitive closure over the SAME pair SQL
-    (sql_dedup_minhash_lsh nested as a CTE) -> min-reachable-id per node.
+    Oracle: recursive-CTE transitive closure over the same pair SQL
+    -> min-reachable-id per node.
     """
     pairs = q_dedup_minhash_lsh(sf_dir)
 
@@ -1820,27 +976,6 @@ def q_dedup_clusters(sf_dir: str) -> pd.DataFrame:
     return out.astype(_EMPTY_CLUSTERS)
 
 
-def sql_dedup_clusters() -> str:
-    return f"""
-WITH RECURSIVE pairs AS ({sql_dedup_minhash_lsh()}),
-edges AS (
-  SELECT doc_id_a AS a, doc_id_b AS b FROM pairs
-  UNION SELECT doc_id_b, doc_id_a FROM pairs
-),
-nodes AS (SELECT DISTINCT a FROM edges),
-reach AS (
-  SELECT a, a AS b FROM nodes
-  UNION
-  SELECT r.a, e.b FROM reach r JOIN edges e ON r.b = e.a
-),
-comp AS (SELECT a AS doc_id, min(b) AS cluster_id FROM reach GROUP BY a),
-sizes AS (SELECT cluster_id, count(*) AS cluster_size FROM comp GROUP BY cluster_id)
-SELECT c.doc_id, c.cluster_id, s.cluster_size,
-       CAST(c.doc_id = c.cluster_id AS BIGINT) AS is_canonical
-FROM comp c JOIN sizes s USING (cluster_id)
-"""
-
-
 def _simhash64(text: str) -> int:
     """64-bit SimHash over whitespace tokens (deterministic md5 token
     hashes). Bit votes vectorized across all tokens at once (one (n x 64)
@@ -1860,68 +995,6 @@ def _simhash64(text: str) -> int:
     for i in np.flatnonzero(set_bits):
         out |= 1 << int(i)
     return out
-
-
-def q_dedup_simhash(sf_dir: str) -> rd.Dataset:
-    """SimHash fingerprints (near-dup by Hamming distance downstream)."""
-
-    def f(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "simhash": pa.array(
-                [f"{_simhash64(x):016x}" for x in _texts(t)], pa.string()
-            ),
-        })
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
-
-
-def _sql_hexbyte(col: str, idx: int) -> str:
-    """Byte ``idx`` of a hex-digest string column (shared oracle helper)."""
-    c1 = f"substr({col}, {2 * idx + 1}, 1)"
-    c2 = f"substr({col}, {2 * idx + 2}, 1)"
-    return (
-        f"((instr('0123456789abcdef', {c1}) - 1) * 16"
-        f" + instr('0123456789abcdef', {c2}) - 1)"
-    )
-
-
-def _sql_md5_u64le(col: str) -> str:
-    """Little-endian uint64 of the first 8 bytes of a hex md5 column."""
-    return " + ".join(
-        f"CAST({_sql_hexbyte(col, j)} AS UBIGINT) * {256 ** j}" for j in range(8)
-    )
-
-
-def _sql_simhash_cte() -> str:
-    """CTE computing ``sig(doc_id, simhash UBIGINT)`` — the exact SimHash
-    semantics of _simhash64 (per-occurrence word votes, strict-majority
-    bits) in SQL."""
-    bitsum = " + ".join(
-        f"CASE WHEN 2 * len(list_filter(h, v -> (v >> {i}) & 1 = 1)) > nw "
-        f"THEN CAST({2 ** i} AS UBIGINT) ELSE CAST(0 AS UBIGINT) END"
-        for i in range(64)
-    )
-    return f"""
-tok AS (
-  SELECT doc_id,
-         list_filter(regexp_split_to_array(coalesce(text, ''), '\\s+'), x -> x <> '') AS w
-  FROM documents
-),
-hs AS (
-  SELECT doc_id, len(w) AS nw,
-         list_transform(list_transform(w, x -> md5(x)), m -> {_sql_md5_u64le('m')}) AS h
-  FROM tok
-),
-sig AS (
-  SELECT doc_id, CAST({bitsum} AS UBIGINT) AS simhash FROM hs
-)"""
-
-
-SQL_DEDUP_SIMHASH = f"""
-WITH {_sql_simhash_cte()}
-SELECT doc_id, lower(lpad(hex(simhash), 16, '0')) AS simhash FROM sig
-"""
 
 
 SIMHASH_BANDS = 4          # 4 x 16-bit bands: Hamming<=3 dups share >=1 band
@@ -2045,26 +1118,13 @@ def q_dedup_simhash_pairs(sf_dir: str) -> pd.DataFrame:
     )
 
 
-# Exact oracle: pigeonhole-complete banding + exact verify means the output
-# IS the brute-force predicate "hamming(simhash_a, simhash_b) <= 3, a < b".
-# (The oracle models the uncapped semantics; SIMHASH_BUCKET_CAP only drops
-# pairs on degenerate mass-identical corpora, which the testdata is not.)
-SQL_DEDUP_SIMHASH_PAIRS = f"""
-WITH {_sql_simhash_cte()}
-SELECT a.doc_id AS doc_id_a, b.doc_id AS doc_id_b,
-       CAST(bit_count(xor(a.simhash, b.simhash)) AS BIGINT) AS hamming
-FROM sig a JOIN sig b ON a.doc_id < b.doc_id
-WHERE bit_count(xor(a.simhash, b.simhash)) <= {SIMHASH_MAX_HAMMING}
-"""
-
-
 WINNOW_K, WINNOW_W = 8, 16
 
 
 def winnow_fingerprints(text: str) -> set:
     """Winnowing fingerprint set (Schleimer et al., SIGMOD'03): k-gram char
-    md5s (8-byte little-endian), window-min selection. Shared by
-    q_doc_fingerprints and q_host_mirror_overlap."""
+    md5s (8-byte little-endian), window-min selection. Used by
+    q_host_mirror_overlap."""
     K, W = WINNOW_K, WINNOW_W
     if len(text) < K:
         return set()
@@ -2076,80 +1136,6 @@ def winnow_fingerprints(text: str) -> set:
     for i in range(0, max(1, len(hs) - W + 1)):
         picked.add(min(hs[i : i + W]))
     return picked
-
-
-def q_doc_fingerprints(sf_dir: str) -> rd.Dataset:
-    """Winnowing-style rolling-hash fingerprints (Schleimer et al., SIGMOD'03
-    lineage): k-gram char hashes, window-min selection; per-doc count + XOR."""
-
-    def fp(text: str) -> tuple[int, int]:
-        picked = winnow_fingerprints(text)
-        acc = 0
-        for p in picked:
-            acc ^= p
-        return len(picked), acc
-
-    def f(t: pa.Table) -> pa.Table:
-        res = [fp(x) for x in _texts(t)]
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "n_fingerprints": pa.array([r[0] for r in res], pa.int64()),
-            "fingerprint_xor": pa.array([f"{r[1]:016x}" for r in res], pa.string()),
-        })
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
-
-
-def _sql_doc_fingerprints() -> str:
-    """Exact oracle for q_doc_fingerprints: the winnowing scan in SQL.
-    Per-position md5s via list_transform; little-endian uint64 from the hex
-    digest by digit-position byte extraction; window minima via list slices;
-    distinct + bit_xor fold. Short docs (<K chars) emit the zero row, like
-    the Python side."""
-    K, W = 8, 16
-
-    def hexbyte(col: str, idx: int) -> str:
-        c1 = f"substr({col}, {2 * idx + 1}, 1)"
-        c2 = f"substr({col}, {2 * idx + 2}, 1)"
-        return (
-            f"((instr('0123456789abcdef', {c1}) - 1) * 16"
-            f" + instr('0123456789abcdef', {c2}) - 1)"
-        )
-
-    u64 = " + ".join(
-        f"CAST({hexbyte('m', j)} AS UBIGINT) * {256 ** j}" for j in range(8)
-    )
-    return f"""
-WITH long_docs AS (
-  SELECT doc_id, coalesce(text, '') AS text FROM documents
-  WHERE length(coalesce(text, '')) >= {K}
-),
-hexes AS (
-  SELECT doc_id,
-         list_transform(range(1, length(text) - {K} + 2),
-                        i -> md5(substr(text, i, {K}))) AS hx
-  FROM long_docs
-),
-hs AS (SELECT doc_id, list_transform(hx, m -> {u64}) AS h FROM hexes),
-mins AS (
-  SELECT doc_id,
-         list_distinct(list_transform(
-           range(1, greatest(len(h) - {W} + 1, 1) + 1),
-           i -> list_min(h[i:i+{W - 1}]))) AS m
-  FROM hs
-)
-SELECT doc_id,
-       CAST(len(m) AS BIGINT) AS n_fingerprints,
-       lower(lpad(hex(list_aggregate(m, 'bit_xor')), 16, '0')) AS fingerprint_xor
-FROM mins
-UNION ALL
-SELECT doc_id, CAST(0 AS BIGINT) AS n_fingerprints,
-       '0000000000000000' AS fingerprint_xor
-FROM documents WHERE length(coalesce(text, '')) < {K}
-"""
-
-
-SQL_DOC_FINGERPRINTS = _sql_doc_fingerprints()
 
 
 # ---------------------------------------------------------------------------
@@ -2198,80 +1184,6 @@ def q_knn_cosine(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame({"vec_id": top["vec_id"].astype("int64").to_numpy()})
 
 
-def sql_knn_cosine() -> str:
-    qv = _query_vector()
-    lit = "[" + ", ".join(repr(float(x)) for x in qv) + "]"
-    return f"""
-SELECT vec_id FROM (
-  SELECT vec_id,
-         list_cosine_similarity(CAST(embedding AS DOUBLE[]), {lit}) AS sim
-  FROM embeddings
-) ORDER BY sim DESC, vec_id ASC LIMIT {KNN_K}
-"""
-
-
-KNN_BATCH_SEED = 777
-KNN_BATCH_Q = 8
-
-
-def q_knn_batch(sf_dir: str) -> pd.DataFrame:
-    """Batched brute-force cosine top-k: ONE numpy matmul per data batch
-    against a broadcast (Q x d) query MATRIX — the realistic serving shape
-    (amortizes the scan across all queries). Per-batch per-query top-k
-    partials, tiny driver merge. Exact oracle per (query_id, vec_id)."""
-    rs = np.random.RandomState(KNN_BATCH_SEED)
-    qm = rs.standard_normal((KNN_BATCH_Q, 64))
-    qm = qm / np.linalg.norm(qm, axis=1)[:, None]
-    qref = ray.put(qm)
-
-    def topk_batch(batch: pa.Table) -> pa.Table:
-        q = ray.get(qref)
-        ids = batch["vec_id"].to_numpy(zero_copy_only=False)
-        mat = np.stack(batch["embedding"].to_pandas().to_numpy()).astype(np.float64)
-        norms = np.linalg.norm(mat, axis=1)
-        norms[norms == 0] = 1.0
-        sims = (mat / norms[:, None]) @ q.T  # (n, Q)
-        k = min(KNN_K, len(ids))
-        out_qid, out_vid, out_sim = [], [], []
-        for qi in range(q.shape[0]):
-            idx = np.lexsort((ids, -sims[:, qi]))[:k]  # sim desc, vec_id asc
-            out_qid.extend([qi] * k)
-            out_vid.extend(ids[idx])
-            out_sim.extend(sims[idx, qi])
-        return pa.table({"query_id": pa.array(out_qid, pa.int64()),
-                         "vec_id": pa.array(out_vid, pa.int64()),
-                         "sim": pa.array(out_sim, pa.float64())})
-
-    partials = (
-        _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-        .map_batches(topk_batch, batch_format="pyarrow")
-        .to_pandas()
-    )
-    top = (
-        partials.sort_values(
-            ["query_id", "sim", "vec_id"], ascending=[True, False, True]
-        )
-        .groupby("query_id", sort=True)
-        .head(KNN_K)
-    )
-    return top[["query_id", "vec_id"]].reset_index(drop=True)
-
-
-def sql_knn_batch() -> str:
-    rs = np.random.RandomState(KNN_BATCH_SEED)
-    qm = rs.standard_normal((KNN_BATCH_Q, 64))
-    parts = []
-    for qi in range(KNN_BATCH_Q):
-        lit = "[" + ", ".join(repr(float(x)) for x in qm[qi]) + "]"
-        parts.append(f"""
-(SELECT {qi} AS query_id, vec_id FROM (
-  SELECT vec_id,
-         list_cosine_similarity(CAST(embedding AS DOUBLE[]), {lit}) AS sim
-  FROM embeddings
-) ORDER BY sim DESC, vec_id ASC LIMIT {KNN_K})""")
-    return "\nUNION ALL\n".join(parts)
-
-
 # ---------------------------------------------------------------------------
 # MMR diversified retrieval (Carbonell & Goldstein 1998) — exact integer
 # ---------------------------------------------------------------------------
@@ -2280,7 +1192,6 @@ MMR_K = 5
 MMR_LAM_NUM = 7   # lambda = 0.7 in tenths: score = 7*sim_q - 3*max_sim_sel
 MMR_LAM_CMP = 3
 MMR_UNIT = 1_000_000
-MMR_DIM = 64  # embedding width (KM_DIM is defined later in this module)
 
 
 def _mmr_int8(mat: np.ndarray) -> np.ndarray:
@@ -2406,65 +1317,6 @@ def q_retrieval_mmr(sf_dir: str) -> pd.DataFrame:
     )
 
 
-def _sql_retrieval_mmr_build() -> str:
-    qv = _query_vector()
-    qcodes = _mmr_int8(qv[None, :])[0]
-    qnn = int((qcodes * qcodes).sum())
-    qlit = "[" + ", ".join(str(int(c)) for c in qcodes) + "]"
-
-    def cosu(dot: str, nna: str, nnb: str) -> str:
-        den = f"CAST(floor(sqrt(CAST(({nna}) * ({nnb}) AS DOUBLE))) AS BIGINT)"
-        return (f"CASE WHEN {den} = 0 THEN 0 "
-                f"WHEN ({dot}) >= 0 THEN (({dot}) * {MMR_UNIT}) // {den} "
-                f"ELSE -(((-({dot})) * {MMR_UNIT}) // {den}) END")
-
-    rng = f"range(1, {MMR_DIM + 1})"
-    dotq = f"list_sum(list_transform({rng}, i -> n2.cs[i] * ({qlit})[i]))"
-    parts = [f"""q8 AS (
-  SELECT vec_id, list_transform(
-           emb, x -> CASE WHEN am = 0 THEN CAST(0 AS BIGINT)
-                          ELSE CAST(round(x / (am / 127.0)) AS BIGINT) END
-         ) AS cs
-  FROM (SELECT vec_id, CAST(embedding AS DOUBLE[]) AS emb,
-               list_aggregate(
-                 list_transform(CAST(embedding AS DOUBLE[]), x -> abs(x)),
-                 'max') AS am
-        FROM embeddings)
-),
-n2 AS (
-  SELECT vec_id, cs, list_sum(list_transform(cs, x -> x * x)) AS nn FROM q8
-),
-s0 AS (
-  SELECT vec_id, cs, nn,
-         {cosu(dotq, 'n2.nn', str(qnn))} AS simq,
-         CAST(0 AS BIGINT) AS ms
-  FROM n2
-)"""]
-    dotw = f"list_sum(list_transform({rng}, i -> v.cs[i] * w.cs[i]))"
-    for r in range(1, MMR_K + 1):
-        parts.append(f"""sel{r} AS (
-  SELECT vec_id, cs, nn,
-         CAST({MMR_LAM_NUM} * simq - {MMR_LAM_CMP} * ms AS BIGINT) AS score
-  FROM s{r - 1}
-  ORDER BY score DESC, vec_id ASC LIMIT 1
-),
-s{r} AS (
-  SELECT v.vec_id, v.cs, v.nn, v.simq,
-         greatest(v.ms, {cosu(dotw, 'v.nn', 'w.nn')}) AS ms
-  FROM s{r - 1} v CROSS JOIN sel{r} w
-  WHERE v.vec_id <> w.vec_id
-)""")
-    sel = "\nUNION ALL\n".join(
-        f"SELECT {r} AS rnk, vec_id, score AS score_units FROM sel{r}"
-        for r in range(1, MMR_K + 1)
-    )
-    return ("WITH " + ",\n".join(parts)
-            + f"\nSELECT * FROM (\n{sel}\n) ORDER BY rnk")
-
-
-SQL_RETRIEVAL_MMR = _sql_retrieval_mmr_build()
-
-
 def q_ann_lsh(sf_dir: str) -> pd.DataFrame:
     """LSH-bucketed approximate NN (the scale path): 12 seeded random
     hyperplanes -> 12-bit signature buckets; search only the query's bucket
@@ -2513,38 +1365,6 @@ def q_ann_lsh(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"vec_id": pd.Series([], dtype="int64")})
     top = partials.sort_values(["sim", "vec_id"], ascending=[False, True]).head(KNN_K)
     return pd.DataFrame({"vec_id": top["vec_id"].astype("int64").to_numpy()})
-
-
-def sql_ann_lsh() -> str:
-    """Exact oracle for q_ann_lsh: the planes are seed-deterministic, so the
-    signature computation, the probe set and the bucket-restricted top-k are
-    all expressible with inline plane literals + list_dot_product. vec_id
-    tiebreaks both sides."""
-    N_PLANES = 8
-    rs = np.random.RandomState(KNN_SEED + 1)
-    planes = rs.standard_normal((N_PLANES, 64))
-    qv = _query_vector()
-    qsig = int("".join("1" if p @ qv > 0 else "0" for p in planes), 2)
-    probe = sorted({qsig} | {qsig ^ (1 << b) for b in range(N_PLANES)})
-    probe_list = ", ".join(str(p) for p in probe)
-    qlit = "[" + ", ".join(repr(float(x)) for x in qv) + "]"
-    sig_terms = []
-    for b in range(N_PLANES):
-        plit = "[" + ", ".join(repr(float(x)) for x in planes[b]) + "]"
-        weight = 1 << (N_PLANES - 1 - b)
-        sig_terms.append(
-            f"CASE WHEN list_dot_product(CAST(embedding AS DOUBLE[]), {plit}) > 0 "
-            f"THEN {weight} ELSE 0 END"
-        )
-    sig_expr = " + ".join(sig_terms)
-    return f"""
-SELECT vec_id FROM (
-  SELECT vec_id,
-         list_cosine_similarity(CAST(embedding AS DOUBLE[]), {qlit}) AS sim
-  FROM embeddings
-  WHERE ({sig_expr}) IN ({probe_list})
-) ORDER BY sim DESC, vec_id ASC LIMIT {KNN_K}
-"""
 
 
 NEAR_DUP_SIM = 0.4  # chosen in a wide empirical gap of the synthetic corpus
@@ -2659,7 +1479,7 @@ def q_dedup_embedding_lsh(sf_dir: str) -> rd.Dataset:
     buckets; pytest checks planted near-identical dups are found and that
     every emitted pair is truly >= threshold (no false positives).
 
-    MEASURED trade (q_dedup_lsh_recall): precision 1.0, recall 0.10 at
+    MEASURED trade: precision 1.0, recall 0.10 at
     sf0.01 — and that is not a tuning failure but the geometry of this
     corpus: its true near-dup pairs sit at cosine 0.4-0.55, where the
     per-plane collision probability is only ~0.63, so reaching 90% recall
@@ -2669,9 +1489,8 @@ def q_dedup_embedding_lsh(sf_dir: str) -> rd.Dataset:
     (>= ~0.8, p_plane >= 0.8). Production routing at low thresholds is
     q_dedup_semantic's k-means routing (data-adaptive cells concentrate
     same-cluster near-dups far better than random hyperplanes) or the
-    exact chunk-pair join. This operator stays as the high-sim fast path,
-    and q_dedup_lsh_recall is the gate that says which regime a corpus is
-    in — measure, don't guess."""
+    exact chunk-pair join. This operator stays as the high-sim fast path;
+    measure which regime a corpus is in, don't guess."""
     rs = np.random.RandomState(KNN_SEED + 3)
     planes = rs.standard_normal((EMB_LSH_PLANES, 64))
     planes_ref = ray.put(planes)
@@ -2722,39 +1541,6 @@ def q_dedup_embedding_lsh(sf_dir: str) -> rd.Dataset:
         .groupby("bucket")
         .map_groups(pairs_in_bucket, batch_format="pandas")
     )
-
-
-SQL_DEDUP_EMBEDDING = f"""
-SELECT a.vec_id AS vec_id_a, b.vec_id AS vec_id_b
-FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
-WHERE list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
-                             CAST(b.embedding AS DOUBLE[])) >= {NEAR_DUP_SIM}
-"""
-
-
-def sql_dedup_embedding_lsh() -> str:
-    """Exact oracle for q_dedup_embedding_lsh: bucket = inline-plane sign
-    bits (normalization does not change signs), pairs = same-bucket self-join
-    with the cosine threshold."""
-    rs = np.random.RandomState(KNN_SEED + 3)
-    planes = rs.standard_normal((EMB_LSH_PLANES, 64))
-    sig_terms = []
-    for b in range(EMB_LSH_PLANES):
-        plit = "[" + ", ".join(repr(float(x)) for x in planes[b]) + "]"
-        sig_terms.append(
-            f"CASE WHEN list_dot_product(CAST(embedding AS DOUBLE[]), {plit}) > 0 "
-            f"THEN {1 << b} ELSE 0 END"
-        )
-    sig_expr = " + ".join(sig_terms)
-    return f"""
-WITH sig AS (
-  SELECT vec_id, embedding, ({sig_expr}) AS bucket FROM embeddings
-)
-SELECT a.vec_id AS vec_id_a, b.vec_id AS vec_id_b
-FROM sig a JOIN sig b ON a.vec_id < b.vec_id AND a.bucket = b.bucket
-WHERE list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
-                             CAST(b.embedding AS DOUBLE[])) >= {NEAR_DUP_SIM}
-"""
 
 
 IVF_N_CENTROIDS = 16
@@ -2810,7 +1596,7 @@ def q_ann_ivf(sf_dir: str) -> pd.DataFrame:
     scores only vectors whose list is among the query's IVF_NPROBE probed
     lists. At 10^9 vectors the assignment becomes a partitioning key (one
     shuffle, lists stored clustered); here it is a per-batch filter. Exact
-    oracle: sql_ann_ivf inlines the (deterministic) centroids; recall vs
+    oracle: the SQL inlines the (deterministic) centroids; recall vs
     brute force is additionally pytest-verified. vec_id tiebreaks both
     sides (boundary determinism)."""
     cent, probe = _ivf_centroids(sf_dir)
@@ -2850,59 +1636,6 @@ def q_ann_ivf(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"vec_id": pd.Series([], dtype="int64")})
     top = partials.sort_values(["sim", "vec_id"], ascending=[False, True]).head(KNN_K)
     return pd.DataFrame({"vec_id": top["vec_id"].astype("int64").to_numpy()})
-
-
-def sql_ann_ivf(sf_dir: str | None = None) -> str:
-    """Exact oracle for q_ann_ivf (round-2 VERDICT #5): the centroid fit is
-    deterministic (parquet-head sample + seeded Lloyd, _ivf_centroids), so
-    the centroids and probe set are inlined as literals. The centroids
-    depend on the table the query runs over, so the inlined sf comes from
-    $GRAFT_ORACLE_SF_DIR (default sf0.01, the driver's correctness scale
-    — same contract as sql_extract_summary). The per-row list
-    assignment replays numpy's argmax (first index of the max, via
-    list_position on the dot-product list — normalization doesn't change the
-    argmax), the probe filter is an IN list, and the restricted cosine top-k
-    tiebreaks on vec_id like the Ray side."""
-    if sf_dir is None:
-        sf_dir = os.environ.get("GRAFT_ORACLE_SF_DIR", "/root/testdata/sf0.01")
-    cent, probe = _ivf_centroids(sf_dir)
-    qv = _query_vector()
-    qlit = "[" + ", ".join(repr(float(x)) for x in qv) + "]"
-    dot_terms = ", ".join(
-        "list_dot_product(e, ["
-        + ", ".join(repr(float(x)) for x in cent[c])
-        + "])"
-        for c in range(len(cent))
-    )
-    probe_list = ", ".join(str(p) for p in sorted(probe))
-    return f"""
-WITH base AS (
-  SELECT vec_id, CAST(embedding AS DOUBLE[]) AS e FROM embeddings
-),
-dots AS (
-  SELECT vec_id, e, [{dot_terms}] AS d FROM base
-),
-assigned AS (
-  SELECT vec_id, e, list_position(d, list_max(d)) - 1 AS lst FROM dots
-)
-SELECT vec_id FROM (
-  SELECT vec_id, list_cosine_similarity(e, {qlit}) AS sim
-  FROM assigned WHERE lst IN ({probe_list})
-) ORDER BY sim DESC, vec_id ASC LIMIT {KNN_K}
-"""
-
-
-def q_embedding_label_stats(sf_dir: str) -> rd.Dataset:
-    from ray.data.aggregate import Count
-
-    return (
-        _read(sf_dir, "embeddings", ["label"])
-        .groupby("label")
-        .aggregate(Count(alias_name="n"))
-    )
-
-
-SQL_EMBEDDING_LABEL_STATS = "SELECT label, count(*) AS n FROM embeddings GROUP BY label"
 
 
 # ---------------------------------------------------------------------------
@@ -3081,519 +1814,6 @@ def q_extract_knn(sf_dir: str) -> pd.DataFrame:
 
 
 # ---------------------------------------------------------------------------
-# Multimodal plumbing (stubbed decode; real Ray-side schema/actors)
-# ---------------------------------------------------------------------------
-
-
-def q_media_features(sf_dir: str) -> rd.Dataset:
-    """Opaque-binary media pipeline: documents' text bytes stand in for media
-    payloads (deterministic), flowed through the actor-pool feature stage
-    (stages/multimodal.py). Rows-only driver check; determinism pytest-checked."""
-    from ..stages.multimodal import MEDIA_SCHEMA, MediaFeatureExtractor
-
-    kinds = ("image", "audio", "video")
-
-    def to_media(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_pylist()
-        texts = batch["text"].to_pylist()
-        return pa.Table.from_arrays(
-            [
-                pa.array([int(i) for i in ids], pa.int64()),
-                pa.array([kinds[int(i) % 3] for i in ids], pa.string()),
-                pa.array([(t or "").encode("utf-8") for t in texts], pa.binary()),
-            ],
-            schema=MEDIA_SCHEMA,
-        )
-
-    feats = (
-        _read(sf_dir, "documents", ["doc_id", "text"])
-        .map_batches(to_media, batch_format="pyarrow")
-        .map_batches(
-            MediaFeatureExtractor,
-            batch_format="pyarrow",
-            batch_size=64,
-            concurrency=(1, 4),
-        )
-    )
-    return feats.select_columns(
-        ["media_id", "media_type", "n_bytes", "sha256", "decode_ok", "width", "height", "duration_ms"]
-    )
-
-
-def _media_dataset(sf_dir: str) -> rd.Dataset:
-    """documents' text bytes as deterministic opaque media rows (shared by
-    the feature / resize / frame-sample stages)."""
-    from ..stages.multimodal import MEDIA_SCHEMA
-
-    kinds = ("image", "audio", "video")
-
-    def to_media(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_pylist()
-        texts = batch["text"].to_pylist()
-        return pa.Table.from_arrays(
-            [
-                pa.array([int(i) for i in ids], pa.int64()),
-                pa.array([kinds[int(i) % 3] for i in ids], pa.string()),
-                pa.array([(t or "").encode("utf-8") for t in texts], pa.binary()),
-            ],
-            schema=MEDIA_SCHEMA,
-        )
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        to_media, batch_format="pyarrow"
-    )
-
-
-def q_media_resize(sf_dir: str) -> rd.Dataset:
-    """Media resize plumbing (stub rasterizer): actor-pool stage emitting a
-    real placeholder PNG at the aspect-fitted target geometry per media row.
-    Rows-only driver check; determinism + geometry pytest-verified."""
-    from ..stages.multimodal import MediaResize
-
-    out = _media_dataset(sf_dir).map_batches(
-        MediaResize, batch_format="pyarrow", batch_size=64, concurrency=(1, 4)
-    )
-    return out.select_columns(
-        ["media_id", "media_type", "target_w", "target_h", "resize_ok"]
-    )
-
-
-def q_media_frames(sf_dir: str) -> rd.Dataset:
-    """Video frame-sampling plumbing (stub decoder): each video row explodes
-    into per-frame rows at a fixed interval over the stub duration — the
-    flat_map shape a real ffmpeg sampler slots into. Rows-only driver
-    check; per-row frame counts pytest-verified."""
-    from ..stages.multimodal import FrameSampler
-
-    out = _media_dataset(sf_dir).map_batches(
-        FrameSampler, batch_format="pyarrow", batch_size=64, concurrency=(1, 4)
-    )
-    return out.select_columns(["media_id", "frame_idx", "ts_ms", "decode_ok"])
-
-
-def _media_checker_dataset(sf_dir: str) -> rd.Dataset:
-    """REAL image rows: one deterministic 8-bit grayscale checkerboard PNG
-    per document, encoded through the engine's own from-scratch codec
-    (functions/page_render.write_gray_png_array — real zlib DEFLATE).
-    Width/height/period are pure integer functions of doc_id, so pixel
-    statistics after a genuine decode are replayable arithmetically in
-    SQL — the exact-oracle construction for a real encode→decode round
-    trip (the checkerboard's on-pixel count is closed-form)."""
-    from ..stages.multimodal import MEDIA_SCHEMA
-
-    def to_png(batch: pa.Table) -> pa.Table:
-        from service1_text_extraction_ray.functions.page_render import (
-            write_gray_png_array,
-        )
-
-        ids = [int(i) for i in batch["doc_id"].to_pylist()]
-        payloads = []
-        for d in ids:
-            w, h, p = 24 + d % 41, 16 + d % 29, 1 + d % 5
-            y, x = np.mgrid[0:h, 0:w]
-            arr = (((x // p + y // p) % 2 == 0) * 255).astype(np.uint8)
-            payloads.append(write_gray_png_array(arr))
-        return pa.Table.from_arrays(
-            [
-                pa.array(ids, pa.int64()),
-                pa.array(["image"] * len(ids), pa.string()),
-                pa.array(payloads, pa.binary()),
-            ],
-            schema=MEDIA_SCHEMA,
-        )
-
-    return _read(sf_dir, "documents", ["doc_id"]).map_batches(
-        to_png, batch_format="pyarrow"
-    )
-
-
-def q_media_decode(sf_dir: str) -> rd.Dataset:
-    """REAL image decode (stages/multimodal.PngDecoder): each checkerboard
-    PNG is decoded through the full zlib + scanline-filter path and exact
-    integer pixel statistics come out — width, height, on-pixel count
-    (>=128), pixel sum, floor mean in milli-units. The DuckDB oracle
-    replays the statistics in closed form from doc_id (the checkerboard's
-    even-cell count is ``ex*ey + (w-ex)*(h-ey)``), so a hash match proves
-    the real codec round-trips bit-exactly — the multimodal decode stage
-    is no longer a stub for the engine's native raster format. Actor-pool
-    stage (decoder built once per actor); per-row failures isolate into
-    decode_ok=False rows."""
-    from ..stages.multimodal import PngDecoder
-
-    out_schema = pa.schema([
-        ("media_id", pa.int64()), ("width", pa.int64()),
-        ("height", pa.int64()), ("n_on", pa.int64()),
-        ("px_sum", pa.int64()), ("mean_milli", pa.int64()),
-        ("decode_ok", pa.bool_()),
-    ])
-
-    class DecodeStage:
-        def __init__(self) -> None:
-            self.dec = PngDecoder()
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            rows = []
-            for mid, payload in zip(
-                t["media_id"].to_pylist(), t["media"].to_pylist()
-            ):
-                try:
-                    d = self.dec.decode(payload or b"", "image")
-                    rows.append({
-                        "media_id": int(mid), "width": d["width"],
-                        "height": d["height"], "n_on": d["n_on"],
-                        "px_sum": d["px_sum"], "mean_milli": d["mean_milli"],
-                        "decode_ok": True,
-                    })
-                except Exception:
-                    rows.append({
-                        "media_id": int(mid), "width": 0, "height": 0,
-                        "n_on": 0, "px_sum": 0, "mean_milli": 0,
-                        "decode_ok": False,
-                    })
-            return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _media_checker_dataset(sf_dir).map_batches(
-        DecodeStage, batch_format="pyarrow", batch_size=256, concurrency=(1, 4)
-    )
-
-
-SQL_MEDIA_DECODE = """
-WITH g AS (
-  SELECT doc_id AS media_id,
-         24 + doc_id % 41 AS w, 16 + doc_id % 29 AS h, 1 + doc_id % 5 AS p
-  FROM documents
-),
-c AS (
-  SELECT media_id, w, h,
-         (w // (2 * p)) * p + least(w % (2 * p), p) AS ex,
-         (h // (2 * p)) * p + least(h % (2 * p), p) AS ey
-  FROM g
-)
-SELECT CAST(media_id AS BIGINT) AS media_id,
-       CAST(w AS BIGINT) AS width,
-       CAST(h AS BIGINT) AS height,
-       CAST(ex * ey + (w - ex) * (h - ey) AS BIGINT) AS n_on,
-       CAST(255 * (ex * ey + (w - ex) * (h - ey)) AS BIGINT) AS px_sum,
-       CAST((1000 * 255 * (ex * ey + (w - ex) * (h - ey))) // (w * h)
-            AS BIGINT) AS mean_milli,
-       true AS decode_ok
-FROM c
-"""
-
-
-def q_media_resize_px(sf_dir: str) -> rd.Dataset:
-    """REAL pixel resize over the checkerboard corpus: MediaResize detects
-    the native raster format, nearest-neighbor-resamples the actual pixel
-    array into the aspect-fitted 64-box and re-encodes — resize_ok=True
-    end to end (contrast q_media_resize, whose opaque text payloads stay
-    on the declared stub path). Geometry is exact-oracled; resized PIXEL
-    content is pinned by pytest goldens (floor-index mapping is integer-
-    deterministic)."""
-    from ..stages.multimodal import MediaResize
-
-    out = _media_checker_dataset(sf_dir).map_batches(
-        MediaResize, batch_format="pyarrow", batch_size=128, concurrency=(1, 4)
-    )
-    return out.select_columns(
-        ["media_id", "target_w", "target_h", "resize_ok"]
-    )
-
-
-SQL_MEDIA_RESIZE_PX = """
-WITH g AS (
-  SELECT doc_id AS media_id,
-         24 + doc_id % 41 AS w, 16 + doc_id % 29 AS h
-  FROM documents
-)
-SELECT CAST(media_id AS BIGINT) AS media_id,
-       CAST(greatest(1, round(w * 64.0 / greatest(w, h))) AS INTEGER) AS target_w,
-       CAST(greatest(1, round(h * 64.0 / greatest(w, h))) AS INTEGER) AS target_h,
-       true AS resize_ok
-FROM g
-"""
-
-
-def q_media_audio_decode(sf_dir: str) -> rd.Dataset:
-    """REAL audio decode (stages/multimodal.WavDecoder): deterministic
-    square-wave RIFF/WAVE PCM-8 files — one per document, written by the
-    from-scratch WAV writer — parsed back through the chunk-walking
-    reader, yielding true duration and exact integer sample statistics.
-    Sample count and square-wave period are pure functions of doc_id, so
-    the high-sample count is closed-form (the 1-D checkerboard), making
-    the DuckDB oracle an arithmetic replay of a genuine binary
-    encode→decode round trip. Actor-pool stage; non-WAV rows isolate into
-    decode_ok=False."""
-    from ..stages.multimodal import WAV_RATE, WavDecoder, write_wav_pcm8
-
-    out_schema = pa.schema([
-        ("media_id", pa.int64()), ("n_samples", pa.int64()),
-        ("rate", pa.int64()), ("duration_ms", pa.int64()),
-        ("n_hi", pa.int64()), ("sample_sum", pa.int64()),
-        ("decode_ok", pa.bool_()),
-    ])
-
-    def to_wav(batch: pa.Table) -> pa.Table:
-        ids = [int(i) for i in batch["doc_id"].to_pylist()]
-        payloads = []
-        for d in ids:
-            n, p = 800 + d % 401, 2 + d % 9
-            i = np.arange(n, dtype=np.int64)
-            samples = np.where((i // p) % 2 == 0, 192, 64).astype(np.uint8)
-            payloads.append(write_wav_pcm8(samples))
-        return pa.table({
-            "media_id": pa.array(ids, pa.int64()),
-            "media": pa.array(payloads, pa.binary()),
-        })
-
-    class AudioDecodeStage:
-        def __init__(self) -> None:
-            self.dec = WavDecoder()
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            rows = []
-            for mid, payload in zip(
-                t["media_id"].to_pylist(), t["media"].to_pylist()
-            ):
-                try:
-                    d = self.dec.decode(payload or b"", "audio")
-                    rows.append({
-                        "media_id": int(mid), "n_samples": d["n_samples"],
-                        "rate": d["rate"], "duration_ms": d["duration_ms"],
-                        "n_hi": d["n_hi"], "sample_sum": d["sample_sum"],
-                        "decode_ok": True,
-                    })
-                except Exception:
-                    rows.append({
-                        "media_id": int(mid), "n_samples": 0, "rate": 0,
-                        "duration_ms": 0, "n_hi": 0, "sample_sum": 0,
-                        "decode_ok": False,
-                    })
-            return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return (
-        _read(sf_dir, "documents", ["doc_id"])
-        .map_batches(to_wav, batch_format="pyarrow")
-        .map_batches(
-            AudioDecodeStage, batch_format="pyarrow", batch_size=256,
-            concurrency=(1, 4),
-        )
-    )
-
-
-SQL_MEDIA_AUDIO_DECODE = """
-WITH g AS (
-  SELECT doc_id AS media_id,
-         800 + doc_id % 401 AS n, 2 + doc_id % 9 AS p
-  FROM documents
-),
-c AS (
-  SELECT media_id, n,
-         (n // (2 * p)) * p + least(n % (2 * p), p) AS hi
-  FROM g
-)
-SELECT CAST(media_id AS BIGINT) AS media_id,
-       CAST(n AS BIGINT) AS n_samples,
-       CAST(8000 AS BIGINT) AS rate,
-       CAST((1000 * n) // 8000 AS BIGINT) AS duration_ms,
-       CAST(hi AS BIGINT) AS n_hi,
-       CAST(192 * hi + 64 * (n - hi) AS BIGINT) AS sample_sum,
-       true AS decode_ok
-FROM c
-"""
-
-
-def q_media_video_frames(sf_dir: str) -> rd.Dataset:
-    """REAL animation decode (stages/multimodal.GifDecoder + the
-    from-scratch GIF89a/LZW codec in functions/gif.py): one deterministic
-    checkerboard GIF animation per document — frame count, geometry,
-    pattern period and per-frame delay are pure integer functions of
-    doc_id, with each frame inverting the checkerboard phase — decoded
-    back through full LZW (variable code width, dictionary growth) into
-    per-frame rows with exact pixel statistics. The DuckDB oracle replays
-    every frame's on-pixel count in closed form (even-cell count, phase
-    alternating), so a hash match proves the binary animation
-    encode→decode round trip frame-exact. FrameSampler runs the same
-    decoder for its real regime (pytest-covered)."""
-    from ..functions.gif import write_gif
-    from ..stages.multimodal import GifDecoder
-
-    out_schema = pa.schema([
-        ("media_id", pa.int64()), ("frame_idx", pa.int64()),
-        ("ts_ms", pa.int64()), ("width", pa.int64()),
-        ("height", pa.int64()), ("n_on", pa.int64()),
-        ("decode_ok", pa.bool_()),
-    ])
-
-    def to_gif(batch: pa.Table) -> pa.Table:
-        ids = [int(i) for i in batch["doc_id"].to_pylist()]
-        payloads = []
-        for d in ids:
-            nf, w, h, p = 2 + d % 7, 16 + d % 17, 12 + d % 13, 1 + d % 4
-            y, x = np.mgrid[0:h, 0:w]
-            cell = (x // p + y // p) % 2
-            frames = [
-                (cell == (f % 2)).astype(np.uint8) for f in range(nf)
-            ]
-            payloads.append(write_gif(frames, delay_cs=5 + d % 10))
-        return pa.table({
-            "media_id": pa.array(ids, pa.int64()),
-            "media": pa.array(payloads, pa.binary()),
-        })
-
-    class VideoDecodeStage:
-        def __init__(self) -> None:
-            self.dec = GifDecoder()
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            rows = []
-            for mid, payload in zip(
-                t["media_id"].to_pylist(), t["media"].to_pylist()
-            ):
-                try:
-                    d = self.dec.decode(payload or b"", "video")
-                    ts = 0
-                    for i, (frame, delay) in enumerate(
-                        zip(d["frames"], d["delays_cs"])
-                    ):
-                        rows.append({
-                            "media_id": int(mid), "frame_idx": i,
-                            "ts_ms": ts, "width": int(frame.shape[1]),
-                            "height": int(frame.shape[0]),
-                            "n_on": int((frame >= 128).sum()),
-                            "decode_ok": True,
-                        })
-                        ts += 10 * int(delay)
-                except Exception:
-                    rows.append({
-                        "media_id": int(mid), "frame_idx": -1, "ts_ms": 0,
-                        "width": 0, "height": 0, "n_on": 0,
-                        "decode_ok": False,
-                    })
-            return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return (
-        _read(sf_dir, "documents", ["doc_id"])
-        .map_batches(to_gif, batch_format="pyarrow")
-        .map_batches(
-            VideoDecodeStage, batch_format="pyarrow", batch_size=128,
-            concurrency=(1, 4),
-        )
-    )
-
-
-SQL_MEDIA_VIDEO_FRAMES = """
-WITH g AS (
-  SELECT doc_id AS media_id,
-         2 + doc_id % 7 AS nf, 16 + doc_id % 17 AS w,
-         12 + doc_id % 13 AS h, 1 + doc_id % 4 AS p,
-         5 + doc_id % 10 AS delay_cs
-  FROM documents
-),
-c AS (
-  SELECT *,
-         (w // (2 * p)) * p + least(w % (2 * p), p) AS ex,
-         (h // (2 * p)) * p + least(h % (2 * p), p) AS ey
-  FROM g
-),
-f AS (
-  SELECT media_id, w, h, delay_cs, ex, ey, unnest(range(nf)) AS frame_idx
-  FROM c
-)
-SELECT CAST(media_id AS BIGINT) AS media_id,
-       CAST(frame_idx AS BIGINT) AS frame_idx,
-       CAST(10 * delay_cs * frame_idx AS BIGINT) AS ts_ms,
-       CAST(w AS BIGINT) AS width,
-       CAST(h AS BIGINT) AS height,
-       CAST(CASE WHEN frame_idx % 2 = 0
-                 THEN ex * ey + (w - ex) * (h - ey)
-                 ELSE w * h - (ex * ey + (w - ex) * (h - ey)) END
-            AS BIGINT) AS n_on,
-       true AS decode_ok
-FROM f
-"""
-
-
-def _sql_sha_byte(idx: int) -> str:
-    """SQL expression for byte ``idx`` of the sha256 hex string column
-    ``sha256`` (hex-digit position lookup; DuckDB 1.0 has no hex->int cast)."""
-    c1 = f"substr(sha256, {2 * idx + 1}, 1)"
-    c2 = f"substr(sha256, {2 * idx + 2}, 1)"
-    return (
-        f"((instr('0123456789abcdef', {c1}) - 1) * 16"
-        f" + instr('0123456789abcdef', {c2}) - 1)"
-    )
-
-
-# Exact oracle for q_media_features: the stub decoder's pseudo-metadata is a
-# pure function of sha256(payload) (stages/multimodal.py DecoderStub), and
-# the payload is the doc text's utf-8 bytes — all SQL-expressible. The byte
-# values are recovered from the hex digest by digit-position lookup.
-SQL_MEDIA_FEATURES = f"""
-WITH m AS (
-  SELECT doc_id AS media_id,
-         CASE doc_id % 3 WHEN 0 THEN 'image' WHEN 1 THEN 'audio' ELSE 'video' END AS media_type,
-         CAST(octet_length(encode(coalesce(text, ''))) AS BIGINT) AS n_bytes,
-         sha256(coalesce(text, '')) AS sha256
-  FROM documents
-)
-SELECT media_id, media_type, n_bytes, sha256,
-       TRUE AS decode_ok,
-       CAST(16 + ({_sql_sha_byte(0)}) % 2048 AS INTEGER) AS width,
-       CAST(16 + ({_sql_sha_byte(1)}) % 2048 AS INTEGER) AS height,
-       CAST(CASE WHEN media_type IN ('audio', 'video')
-                 THEN ({_sql_sha_byte(2)}) + 256 * ({_sql_sha_byte(3)})
-                 ELSE 0 END AS INTEGER) AS duration_ms
-FROM m
-"""
-
-
-# Exact oracle for q_media_resize: the aspect-fit geometry is a pure function
-# of the stub decoder's sha-derived dims. Python's round() is banker's
-# rounding -> round_even on the identically-ordered double expression
-# (w * (target / max(w, h, 1))).
-SQL_MEDIA_RESIZE = f"""
-WITH m AS (
-  SELECT doc_id AS media_id,
-         CASE doc_id % 3 WHEN 0 THEN 'image' WHEN 1 THEN 'audio' ELSE 'video' END AS media_type,
-         sha256(coalesce(text, '')) AS sha256
-  FROM documents
-),
-dims AS (
-  SELECT media_id, media_type,
-         16 + ({_sql_sha_byte(0)}) % 2048 AS w,
-         16 + ({_sql_sha_byte(1)}) % 2048 AS h
-  FROM m
-)
-SELECT media_id, media_type,
-       CAST(greatest(1, round_even(w * (64.0 / greatest(w, h, 1)), 0)) AS INTEGER) AS target_w,
-       CAST(greatest(1, round_even(h * (64.0 / greatest(w, h, 1)), 0)) AS INTEGER) AS target_h,
-       FALSE AS resize_ok
-FROM dims
-"""
-
-
-# Exact oracle for q_media_frames: video rows only (doc_id % 3 = 2), frame
-# count = min(MAX_FRAMES, max(1, duration_ms // FRAME_INTERVAL_MS)) with the
-# stub duration from sha bytes 2-3, exploded with range()/unnest.
-SQL_MEDIA_FRAMES = f"""
-WITH m AS (
-  SELECT doc_id AS media_id, sha256(coalesce(text, '')) AS sha256
-  FROM documents WHERE doc_id % 3 = 2
-),
-d AS (
-  SELECT media_id,
-         least(8, greatest(1, (({_sql_sha_byte(2)}) + 256 * ({_sql_sha_byte(3)})) // 1000)) AS n
-  FROM m
-)
-SELECT media_id,
-       CAST(f AS INTEGER) AS frame_idx,
-       CAST(f * 1000 AS INTEGER) AS ts_ms,
-       FALSE AS decode_ok
-FROM (SELECT media_id, unnest(range(0, CAST(n AS BIGINT))) AS f FROM d)
-"""
-
-
-# ---------------------------------------------------------------------------
 # URL decomposition (webtext: per-site grouping keys — functions/urls.py)
 # ---------------------------------------------------------------------------
 
@@ -3622,79 +1842,6 @@ def _synth_urls(t: pa.Table) -> pa.ChunkedArray:
         + extra + "/doc-" + d.map("{:08d}".format) + query
     )
     return pa.array(urls.to_numpy(dtype=object), pa.string())
-
-
-def q_url_host_stats(sf_dir: str) -> rd.Dataset:
-    """Per-host corpus stats over parsed URLs: synthesize each document's
-    URL from its own columns, decompose the whole column with ONE
-    vectorized extract_regex (functions/urls.parse_urls — no per-row
-    Python), then pre-combine per block to <= n_hosts partial rows before
-    a tiny groupby exchange. Output: one row per host with doc count,
-    https count, explicit-port count, query-string count, summed path
-    depth, and the host's tld. The group key is the parsed HOST (the
-    per-site scope every crawl-side operator — politeness, per-site dedup,
-    domain priors — partitions on)."""
-    from ..functions.urls import parse_urls
-
-    def partial(t: pa.Table) -> pa.Table:
-        parsed = parse_urls(_synth_urls(t))
-        stats = pa.Table.from_arrays(
-            [
-                parsed["host"],
-                parsed["tld"],
-                pc.cast(pc.equal(parsed["scheme"], "https"), pa.int64()),
-                pc.cast(pc.is_valid(parsed["port"]), pa.int64()),
-                pc.cast(pc.is_valid(parsed["query"]), pa.int64()),
-                parsed["path_depth"],
-            ],
-            names=["host", "tld", "is_https", "has_port", "has_query", "path_depth"],
-        )
-        g = stats.group_by(["host", "tld"]).aggregate(
-            [([], "count_all"), ("is_https", "sum"), ("has_port", "sum"),
-             ("has_query", "sum"), ("path_depth", "sum")]
-        )
-        return pa.Table.from_arrays(
-            [g["host"], g["tld"], pc.cast(g["count_all"], pa.int64()),
-             pc.cast(g["is_https_sum"], pa.int64()),
-             pc.cast(g["has_port_sum"], pa.int64()),
-             pc.cast(g["has_query_sum"], pa.int64()),
-             pc.cast(g["path_depth_sum"], pa.int64())],
-            names=["host", "tld", "n_docs", "n_https", "n_port", "n_query",
-                   "sum_path_depth"],
-        )
-
-    from ray.data.aggregate import Max, Sum
-
-    return (
-        _read(sf_dir, "documents", ["doc_id", "source", "lang"])
-        .map_batches(partial, batch_format="pyarrow")
-        .repartition(8)
-        .groupby("host")
-        .aggregate(
-            Max("tld", alias_name="tld"),
-            Sum("n_docs", alias_name="n_docs"),
-            Sum("n_https", alias_name="n_https"),
-            Sum("n_port", alias_name="n_port"),
-            Sum("n_query", alias_name="n_query"),
-            Sum("sum_path_depth", alias_name="sum_path_depth"),
-        )
-    )
-
-
-SQL_URL_HOST_STATS = """
-SELECT source || '.example.' ||
-         CASE doc_id % 3 WHEN 0 THEN 'com' WHEN 1 THEN 'org' ELSE 'net' END
-         AS host,
-       CASE doc_id % 3 WHEN 0 THEN 'com' WHEN 1 THEN 'org' ELSE 'net' END
-         AS tld,
-       count(*) AS n_docs,
-       CAST(sum(CASE WHEN doc_id % 5 = 0 THEN 0 ELSE 1 END) AS BIGINT) AS n_https,
-       CAST(sum(CASE WHEN doc_id % 11 = 0 THEN 1 ELSE 0 END) AS BIGINT) AS n_port,
-       CAST(sum(CASE WHEN doc_id % 2 = 0 THEN 1 ELSE 0 END) AS BIGINT) AS n_query,
-       CAST(sum(2 + doc_id % 3) AS BIGINT) AS sum_path_depth
-FROM documents
-GROUP BY 1, 2
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -3850,181 +1997,6 @@ def q_dedup_edit_distance(sf_dir: str) -> pd.DataFrame:
     if len(verified) == 0:
         return pd.DataFrame({k: pd.Series([], dtype=v) for k, v in empty.items()})
     return verified.drop_duplicates().reset_index(drop=True).astype(empty)
-
-
-SQL_DEDUP_EDIT_DISTANCE = f"""
-WITH {_sql_simhash_cte()},
-pref AS (
-  SELECT doc_id, substr(coalesce(text, ''), 1, {EDIT_PREFIX_CHARS}) AS p
-  FROM documents
-)
-SELECT a.doc_id AS doc_id_a, b.doc_id AS doc_id_b,
-       CAST(levenshtein(pa.p, pb.p) AS BIGINT) AS edit_dist
-FROM sig a
-JOIN sig b ON a.doc_id < b.doc_id
-JOIN pref pa ON pa.doc_id = a.doc_id
-JOIN pref pb ON pb.doc_id = b.doc_id
-WHERE bit_count(xor(a.simhash, b.simhash)) <= {SIMHASH_MAX_HAMMING}
-  AND levenshtein(pa.p, pb.p) <= {EDIT_MAX_DIST}
-"""
-
-
-# ---------------------------------------------------------------------------
-# Web-graph extraction: outlinks + host link graph (functions/links.py)
-# ---------------------------------------------------------------------------
-
-
-def q_extract_outlinks(sf_dir: str) -> rd.Dataset:
-    """Outlink + robots extraction: synthesize a deterministic link-bearing
-    page per document (synth.make_link_page — absolute/protocol-relative/
-    root-relative/dot-dot hrefs, nofollow ads, javascript:/mailto:/#fragment
-    drops, <script> decoys, meta robots), parse with the streaming
-    functions/links.py extractor, and explode to one row per kept link:
-    (doc_id, link_idx, href, anchor, nofollow, page_noindex). The parse —
-    the real per-doc workload — runs inside the checked loop; the DuckDB
-    oracle reconstructs every resolved URL and anchor string exactly from
-    the documents columns. Pure per-batch flat map, no shuffle."""
-    from ..functions.links import extract_outlinks
-    from ..functions.fixtures import make_link_page
-
-    out_schema = pa.schema([
-        ("doc_id", pa.int64()), ("link_idx", pa.int64()),
-        ("href", pa.string()), ("anchor", pa.string()),
-        ("nofollow", pa.bool_()), ("page_noindex", pa.bool_()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src, lang in zip(
-            t["doc_id"].to_pylist(), t["source"].to_pylist(), t["lang"].to_pylist()
-        ):
-            html, base = make_link_page(int(d), src, lang or "en")
-            links, noindex, _ = extract_outlinks(html, base)
-            for i, ln in enumerate(links):
-                rows.append({
-                    "doc_id": int(d), "link_idx": i, "href": ln.href,
-                    "anchor": ln.anchor, "nofollow": ln.nofollow,
-                    "page_noindex": noindex,
-                })
-        if not rows:
-            return out_schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "source", "lang"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_EXTRACT_OUTLINKS = """
-WITH base AS (
-  SELECT doc_id, source, (doc_id % 7 = 0) AS page_noindex FROM documents
-)
-SELECT doc_id, CAST(0 AS BIGINT) AS link_idx,
-       'https://src' || ((doc_id * 7 + 1) % 20) || '.example.net/x/' || (doc_id % 9) AS href,
-       'ref ' || (doc_id % 9) AS anchor, FALSE AS nofollow, page_noindex
-FROM base
-UNION ALL
-SELECT doc_id, 1, 'https://cdn.example.org/lib/' || (doc_id % 4),
-       'cdn ' || (doc_id % 4), FALSE, page_noindex FROM base
-UNION ALL
-SELECT doc_id, 2, 'https://' || (CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END) || '/local/' || (doc_id % 5),
-       'local ' || (doc_id % 5), FALSE, page_noindex FROM base
-UNION ALL
-SELECT doc_id, 3,
-       'https://' || (CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END)
-         || CASE WHEN doc_id % 6 = 3 THEN '/dir/up/' ELSE '/d/up/' END
-         || (doc_id % 3),
-       'up ' || (doc_id % 3), FALSE, page_noindex FROM base
-UNION ALL
-SELECT doc_id, 4, 'http://ads.example.com/click?id=' || (doc_id % 11),
-       'ad', TRUE, page_noindex FROM base WHERE doc_id % 2 = 0
-"""
-
-
-def q_host_link_graph(sf_dir: str) -> rd.Dataset:
-    """Host-level link graph from extracted outlinks: FOLLOWABLE links only
-    (link not rel=nofollow AND page robots not nofollow), target host parsed
-    with the vectorized URL decomposer. Per target host: total in-links and
-    distinct source hosts. Topology: per-block (target, source-host) partial
-    counts (the parse output never rides a shuffle raw), one groupby over
-    the pair partials to finish the counts, then a per-host reduce of the
-    (now unique) pairs — in-degree aggregation at web scale is exactly this
-    two-level pair-partial shape."""
-    from ..functions.links import extract_outlinks, split_url
-    from ..functions.fixtures import make_link_page
-
-    pair_schema = pa.schema([
-        ("host", pa.string()), ("src_host", pa.string()), ("n_links", pa.int64()),
-    ])
-
-    def pairs(t: pa.Table) -> pa.Table:
-        counts: dict[tuple[str, str], int] = {}
-        for d, src, lang in zip(
-            t["doc_id"].to_pylist(), t["source"].to_pylist(), t["lang"].to_pylist()
-        ):
-            html, base = make_link_page(int(d), src, lang or "en")
-            links, _, page_nofollow = extract_outlinks(html, base)
-            if page_nofollow:
-                continue
-            src_host = split_url(base)[1]
-            for ln in links:
-                if ln.nofollow:
-                    continue
-                key = (split_url(ln.href)[1], src_host)
-                counts[key] = counts.get(key, 0) + 1
-        if not counts:
-            return pair_schema.empty_table()
-        return pa.Table.from_pylist(
-            [{"host": h, "src_host": s, "n_links": n} for (h, s), n in counts.items()],
-            schema=pair_schema,
-        )
-
-    from ray.data.aggregate import Count, Sum
-
-    def finish(t: pa.Table) -> pa.Table:
-        g = t.group_by("host").aggregate([("n_links", "sum"), ([], "count_all")])
-        return pa.Table.from_arrays(
-            [g["host"], pc.cast(g["n_links_sum"], pa.int64()),
-             pc.cast(g["count_all"], pa.int64())],
-            names=["host", "n_links", "n_src_hosts"],
-        )
-
-    return (
-        _read(sf_dir, "documents", ["doc_id", "source", "lang"])
-        .map_batches(pairs, batch_format="pyarrow")
-        .groupby(["host", "src_host"])
-        .aggregate(Sum("n_links", alias_name="n_links"))
-        .repartition(8)
-        .map_batches(finish, batch_format="pyarrow")
-        .groupby("host")
-        .aggregate(
-            Sum("n_links", alias_name="n_links"),
-            Sum("n_src_hosts", alias_name="n_src_hosts"),
-        )
-    )
-
-
-SQL_HOST_LINK_GRAPH = """
-WITH base AS (
-  SELECT doc_id, source FROM documents WHERE doc_id % 7 <> 0
-),
-links AS (
-  SELECT 'src' || ((doc_id * 7 + 1) % 20) || '.example.net' AS host,
-         source || '.example.com' AS src_host
-  FROM base
-  UNION ALL
-  SELECT 'cdn.example.org', source || '.example.com' FROM base
-  UNION ALL
-  SELECT CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END, source || '.example.com' FROM base
-  UNION ALL
-  SELECT CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END, source || '.example.com' FROM base
-)
-SELECT host,
-       count(*) AS n_links,
-       count(DISTINCT src_host) AS n_src_hosts
-FROM links
-GROUP BY host
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -4265,44 +2237,6 @@ def q_host_pagerank(sf_dir: str) -> rd.Dataset:
     return pr
 
 
-def _sql_host_pagerank() -> str:
-    links = """
-base AS (SELECT doc_id, source FROM documents WHERE doc_id % 7 <> 0),
-links AS (
-  SELECT source || '.example.com' AS src,
-         'src' || ((doc_id * 7 + 1) % 20) || '.example.net' AS dst FROM base
-  UNION ALL
-  SELECT source || '.example.com', 'cdn.example.org' FROM base
-  UNION ALL
-  SELECT source || '.example.com', CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END FROM base
-  UNION ALL
-  SELECT source || '.example.com', CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END FROM base
-),
-edges AS (SELECT src, dst, count(*) AS n FROM links GROUP BY 1, 2),
-outd AS (SELECT src, CAST(sum(n) AS BIGINT) AS out_n FROM edges GROUP BY 1),
-hosts AS (SELECT src AS host FROM edges UNION SELECT dst FROM edges),
-pr0 AS (SELECT host, CAST(1000000 AS BIGINT) AS pr FROM hosts)"""
-    its = []
-    for i in range(PAGERANK_ITERS):
-        its.append(f"""
-c{i + 1} AS (
-  SELECT e.dst AS host, CAST(sum((p.pr * e.n) // o.out_n) AS BIGINT) AS contrib
-  FROM edges e JOIN pr{i} p ON p.host = e.src JOIN outd o ON o.src = e.src
-  GROUP BY 1),
-pr{i + 1} AS (
-  SELECT h.host,
-         CAST({PR_BASE} + ({PR_DAMP} * coalesce(c.contrib, 0)) // {PR_UNIT}
-              AS BIGINT) AS pr
-  FROM pr{i} h LEFT JOIN c{i + 1} c USING (host))""")
-    return (
-        "WITH " + links + "," + ",".join(its)
-        + f"\nSELECT host, pr FROM pr{PAGERANK_ITERS}"
-    )
-
-
-SQL_HOST_PAGERANK = _sql_host_pagerank()
-
-
 # ---------------------------------------------------------------------------
 # Iterative graph algorithm #2: connected components of the host link graph
 # (undirected) — min-label propagation to FIXPOINT, so the result equals the
@@ -4464,32 +2398,6 @@ def _components_broadcast(edges: rd.Dataset) -> rd.Dataset:
             )
             return rd.from_arrow(out)
     raise RuntimeError(f"components did not converge in {CC_MAX_ITERS} rounds")
-
-
-SQL_HOST_COMPONENTS = """
-WITH RECURSIVE
-base AS (SELECT doc_id, source FROM documents WHERE doc_id % 7 <> 0),
-links AS (
-  SELECT source || '.example.com' AS src,
-         'src' || ((doc_id * 7 + 1) % 20) || '.example.net' AS dst FROM base
-  UNION ALL
-  SELECT source || '.example.com', 'cdn.example.org' FROM base
-  UNION ALL
-  SELECT source || '.example.com', CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END FROM base
-),
-uedges AS (
-  SELECT src AS a, dst AS b FROM links
-  UNION
-  SELECT dst, src FROM links
-),
-hosts AS (SELECT DISTINCT a AS host FROM uedges),
-reach(a, b) AS (
-  SELECT host, host FROM hosts
-  UNION
-  SELECT r.a, e.b FROM reach r JOIN uedges e ON r.b = e.a
-)
-SELECT a AS host, min(b) AS component FROM reach GROUP BY a
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -4686,60 +2594,6 @@ def _hits_broadcast(edges: rd.Dataset) -> rd.Dataset:
     return rd.from_arrow(out)
 
 
-def _sql_host_hits() -> str:
-    links = """
-base AS (SELECT doc_id, source FROM documents WHERE doc_id % 7 <> 0),
-links AS (
-  SELECT source || '.example.com' AS src,
-         'src' || ((doc_id * 7 + 1) % 20) || '.example.net' AS dst FROM base
-  UNION ALL
-  SELECT source || '.example.com', 'cdn.example.org' FROM base
-  UNION ALL
-  SELECT source || '.example.com', CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END FROM base
-  UNION ALL
-  SELECT source || '.example.com', CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END FROM base
-),
-edges AS MATERIALIZED (SELECT src, dst, CAST(count(*) AS BIGINT) AS n FROM links GROUP BY 1, 2),
-hosts AS MATERIALIZED (SELECT src AS host FROM edges UNION SELECT dst FROM edges),
-hub0 AS MATERIALIZED (SELECT host, CAST(1000000 AS BIGINT) AS score FROM hosts)"""
-    U = HITS_UNIT
-    its = []
-    # every CTE is MATERIALIZED: DuckDB otherwise re-inlines each reference,
-    # and the chained-iteration references grow exponentially (a hang at
-    # HITS_ITERS=3 even on a 40-host graph)
-    for i in range(HITS_ITERS):
-        its.append(f"""
-araw{i + 1} AS MATERIALIZED (
-  SELECT h.host, CAST(coalesce(sum(s.score * e.n), 0) AS BIGINT) AS score
-  FROM hosts h
-  LEFT JOIN edges e ON e.dst = h.host
-  LEFT JOIN hub{i} s ON s.host = e.src
-  GROUP BY h.host),
-auth{i + 1} AS MATERIALIZED (
-  SELECT host, CAST(CAST(score AS HUGEINT) * {U}
-       // greatest((SELECT max(score) FROM araw{i + 1}), 1) AS BIGINT) AS score
-  FROM araw{i + 1}),
-hraw{i + 1} AS MATERIALIZED (
-  SELECT h.host, CAST(coalesce(sum(s.score * e.n), 0) AS BIGINT) AS score
-  FROM hosts h
-  LEFT JOIN edges e ON e.src = h.host
-  LEFT JOIN auth{i + 1} s ON s.host = e.dst
-  GROUP BY h.host),
-hub{i + 1} AS MATERIALIZED (
-  SELECT host, CAST(CAST(score AS HUGEINT) * {U}
-       // greatest((SELECT max(score) FROM hraw{i + 1}), 1) AS BIGINT) AS score
-  FROM hraw{i + 1})""")
-    return (
-        "WITH " + links + "," + ",".join(its)
-        + f"""
-SELECT h.host, h.score AS hub, a.score AS auth
-FROM hub{HITS_ITERS} h JOIN auth{HITS_ITERS} a USING (host)"""
-    )
-
-
-SQL_HOST_HITS = _sql_host_hits()
-
-
 # ---------------------------------------------------------------------------
 # Iterative graph algorithm #4: BFS hop distance from a crawl seed set
 # ---------------------------------------------------------------------------
@@ -4907,34 +2761,6 @@ def _seed_distance_broadcast(edges: rd.Dataset) -> rd.Dataset:
             )
             return rd.from_arrow(out)
     raise RuntimeError(f"seed distance did not converge in {SEED_DIST_CAP + 1} rounds")
-
-
-SQL_HOST_SEED_DISTANCE = f"""
-WITH RECURSIVE
-base AS (SELECT doc_id, source FROM documents WHERE doc_id % 7 <> 0),
-links AS (
-  SELECT source || '.example.com' AS src,
-         'src' || ((doc_id * 7 + 1) % 20) || '.example.net' AS dst FROM base
-  UNION ALL
-  SELECT source || '.example.com', 'cdn.example.org' FROM base
-  UNION ALL
-  SELECT source || '.example.com', CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END FROM base
-),
-uedges AS (
-  SELECT src AS a, dst AS b FROM links
-  UNION
-  SELECT dst, src FROM links
-),
-hosts AS (SELECT DISTINCT a AS host FROM uedges),
-walk(host, d) AS (
-  SELECT host, CAST(0 AS BIGINT) FROM hosts WHERE host LIKE '%.example.org'
-  UNION
-  SELECT e.b, w.d + 1 FROM walk w JOIN uedges e ON e.a = w.host
-  WHERE w.d < {SEED_DIST_CAP}
-)
-SELECT h.host, coalesce((SELECT min(w.d) FROM walk w WHERE w.host = h.host), -1) AS dist
-FROM hosts h
-"""
 
 
 SSSP_DIST_CAP = 60  # >= weighted diameter (weights <= 3, hop cap 20); shared with the oracle
@@ -5126,356 +2952,6 @@ def _sssp_broadcast(uedges: rd.Dataset) -> rd.Dataset:
     raise RuntimeError(f"sssp did not converge in {SSSP_DIST_CAP + 1} rounds")
 
 
-SQL_HOST_SSSP = f"""
-WITH RECURSIVE
-base AS (SELECT doc_id, source FROM documents WHERE doc_id % 7 <> 0),
-links AS (
-  SELECT source || '.example.com' AS src,
-         'src' || ((doc_id * 7 + 1) % 20) || '.example.net' AS dst FROM base
-  UNION ALL
-  SELECT source || '.example.com', 'cdn.example.org' FROM base
-  UNION ALL
-  SELECT source || '.example.com', CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END FROM base
-  UNION ALL
-  SELECT source || '.example.com', CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END FROM base
-),
-e AS (SELECT src, dst, count(*) AS n FROM links GROUP BY src, dst),
-wdir AS (
-  SELECT src AS a, dst AS b,
-         CASE WHEN n >= 4 THEN 1 WHEN n >= 2 THEN 2 ELSE 3 END AS w
-  FROM e
-),
-uedges AS (
-  SELECT a, b, CAST(min(w) AS BIGINT) AS w
-  FROM (SELECT a, b, w FROM wdir UNION ALL SELECT b, a, w FROM wdir)
-  GROUP BY a, b
-),
-hosts AS (SELECT DISTINCT a AS host FROM uedges),
-walk(host, d) AS (
-  SELECT host, CAST(0 AS BIGINT) FROM hosts WHERE host LIKE '%.example.org'
-  UNION
-  SELECT e.b, w.d + e.w FROM walk w JOIN uedges e ON e.a = w.host
-  WHERE w.d < {SSSP_DIST_CAP}
-)
-SELECT h.host,
-       CASE WHEN m.d IS NULL OR m.d > {SSSP_DIST_CAP} THEN -1 ELSE m.d END AS dist
-FROM hosts h
-LEFT JOIN (SELECT host, min(d) AS d FROM walk GROUP BY host) m USING (host)
-"""
-
-
-def q_dedup_incremental(sf_dir: str) -> rd.Dataset:
-    """Incremental ingestion dedup: which NEW documents (odd doc_ids, the
-    'incoming shard') are not already in the EXISTING corpus (even doc_ids)
-    by exact content hash — the production shape for appending a crawl
-    increment to a deduplicated corpus. Both sides stream; md5 keys are
-    computed per block (32-byte keys ride the shuffle, never text) and the
-    co-partitioned anti hash_join emits the novel docs. At scale the
-    existing side is the corpus hash index (or its bloom front, see
-    customers_without_big_orders) — same topology either way."""
-    from .relational import hash_join
-
-    def hashed(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_pylist()
-        texts = t["text"].to_pylist()
-        return pa.Table.from_arrays(
-            [
-                pa.array(ids, pa.int64()),
-                pa.array(
-                    [hashlib.md5((x or "").encode("utf-8")).hexdigest() for x in texts],
-                    pa.string(),
-                ),
-            ],
-            names=["doc_id", "h"],
-        )
-
-    docs = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        hashed, batch_format="pyarrow"
-    )
-
-    def parity(p: int):
-        def f(t: pa.Table) -> pa.Table:
-            keep = pc.equal(pc.bit_wise_and(t["doc_id"], pa.scalar(1, pa.int64())),
-                            pa.scalar(p, pa.int64()))
-            return t.filter(keep)
-
-        return f
-
-    new = docs.map_batches(parity(1), batch_format="pyarrow")
-    existing = docs.map_batches(parity(0), batch_format="pyarrow")
-    novel = hash_join(
-        new,
-        existing.map_batches(
-            lambda t: t.select(["h"]).append_column(
-                "x", pa.nulls(t.num_rows, pa.int64()).fill_null(0)
-            ),
-            batch_format="pyarrow",
-        ),
-        left_on="h",
-        right_on="h",
-        key_type=pa.string(),
-        left_fields=[pa.field("doc_id", pa.int64())],
-        right_fields=[pa.field("x", pa.int64())],
-        how="anti",
-    )
-    return novel.map_batches(
-        lambda t: t.select(["doc_id"]), batch_format="pyarrow"
-    )
-
-
-SQL_DEDUP_INCREMENTAL = """
-SELECT d.doc_id
-FROM documents d
-WHERE d.doc_id % 2 = 1
-  AND NOT EXISTS (
-    SELECT 1 FROM documents e
-    WHERE e.doc_id % 2 = 0
-      AND md5(coalesce(e.text, '')) = md5(coalesce(d.text, ''))
-  )
-"""
-
-
-# ---------------------------------------------------------------------------
-# Page metadata extraction + canonical-URL dedup (functions/meta.py)
-# ---------------------------------------------------------------------------
-
-
-def q_extract_meta(sf_dir: str) -> rd.Dataset:
-    """<title>/OpenGraph/description/canonical extraction over deterministic
-    metadata pages (synth.make_meta_page): the parser — first-title-wins,
-    script decoy suppression, relative-canonical resolution — runs inside
-    the value-hash-checked loop; the oracle rebuilds every string from the
-    documents columns. Pure per-batch map, no shuffle."""
-    from ..functions.meta import extract_meta
-    from ..functions.fixtures import make_meta_page
-
-    out_schema = pa.schema([
-        ("doc_id", pa.int64()), ("title", pa.string()),
-        ("og_title", pa.string()), ("description", pa.string()),
-        ("canonical", pa.string()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src, lang, nc in zip(
-            t["doc_id"].to_pylist(), t["source"].to_pylist(),
-            t["lang"].to_pylist(), t["n_chars"].to_pylist(),
-        ):
-            html, base = make_meta_page(int(d), src, lang or "en", int(nc))
-            m = extract_meta(html, base)
-            rows.append({"doc_id": int(d), **m})
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "source", "lang", "n_chars"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_EXTRACT_META = """
-SELECT doc_id,
-       'Doc ' || doc_id || ' · ' || source AS title,
-       CASE WHEN doc_id % 3 <> 0 THEN 'OG ' || doc_id END AS og_title,
-       CASE WHEN doc_id % 4 <> 0 THEN lang || ' description ' || n_chars END
-         AS description,
-       CASE WHEN doc_id % 2 = 0
-            THEN 'https://' || source || '.example.com/canon/' || (doc_id // 5)
-            ELSE 'https://archive.example.org/c/' || (doc_id // 10)
-       END AS canonical
-FROM documents
-"""
-
-
-def q_dedup_canonical(sf_dir: str) -> rd.Dataset:
-    """Canonical-URL dedup: pages whose <link rel=canonical> resolves to the
-    same target are site-declared duplicates — the strongest dedup signal a
-    web corpus has (no similarity computation at all). Per-block partials
-    (canonical, min doc_id, count) then one groupby merge; output one row
-    per canonical target shared by >= 2 pages with the representative
-    (lowest doc_id) and the group size."""
-    from ..functions.meta import extract_meta
-    from ..functions.fixtures import make_meta_page
-
-    part_schema = pa.schema([
-        ("canonical", pa.string()), ("rep_doc_id", pa.int64()),
-        ("n_pages", pa.int64()),
-    ])
-
-    def partial(t: pa.Table) -> pa.Table:
-        acc: dict[str, list[int]] = {}
-        for d, src, lang, nc in zip(
-            t["doc_id"].to_pylist(), t["source"].to_pylist(),
-            t["lang"].to_pylist(), t["n_chars"].to_pylist(),
-        ):
-            html, base = make_meta_page(int(d), src, lang or "en", int(nc))
-            canon = extract_meta(html, base)["canonical"]
-            if canon is None:
-                continue
-            if canon in acc:
-                acc[canon][0] = min(acc[canon][0], int(d))
-                acc[canon][1] += 1
-            else:
-                acc[canon] = [int(d), 1]
-        if not acc:
-            return part_schema.empty_table()
-        return pa.Table.from_pylist(
-            [{"canonical": c, "rep_doc_id": v[0], "n_pages": v[1]}
-             for c, v in acc.items()],
-            schema=part_schema,
-        )
-
-    from ray.data.aggregate import Min, Sum
-
-    merged = (
-        _read(sf_dir, "documents", ["doc_id", "source", "lang", "n_chars"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("canonical")
-        .aggregate(
-            Min("rep_doc_id", alias_name="rep_doc_id"),
-            Sum("n_pages", alias_name="n_pages"),
-        )
-    )
-
-    def dupsonly(t: pa.Table) -> pa.Table:
-        return t.filter(pc.greater_equal(t["n_pages"], pa.scalar(2, pa.int64())))
-
-    return merged.map_batches(dupsonly, batch_format="pyarrow")
-
-
-SQL_DEDUP_CANONICAL = """
-WITH c AS (
-  SELECT doc_id,
-         CASE WHEN doc_id % 2 = 0
-              THEN 'https://' || source || '.example.com/canon/' || (doc_id // 5)
-              ELSE 'https://archive.example.org/c/' || (doc_id // 10)
-         END AS canonical
-  FROM documents
-)
-SELECT canonical, min(doc_id) AS rep_doc_id, count(*) AS n_pages
-FROM c GROUP BY 1 HAVING count(*) >= 2
-"""
-
-
-# ---------------------------------------------------------------------------
-# Sentence segmentation stats
-# ---------------------------------------------------------------------------
-
-_SENT_SPLIT = re.compile(r"[.!?]+[ \t\n\r\f]+")
-
-
-def q_doc_sentences(sf_dir: str) -> rd.Dataset:
-    """Per-doc sentence segmentation ([.!?]+ followed by whitespace — the
-    explicit char class keeps Python-re and DuckDB-RE2 semantics identical;
-    \\s differs between the engines): sentence count, word count, and the
-    longest sentence's word count. Pure per-batch map; all-integer output."""
-
-    def f(t: pa.Table) -> pa.Table:
-        n_sents, n_words, max_words = [], [], []
-        for x in _texts(t):
-            sents = [s for s in _SENT_SPLIT.split(x) if s != ""]
-            wc = [len(s.split()) for s in sents]
-            n_sents.append(len(sents))
-            n_words.append(len(x.split()))
-            max_words.append(max(wc, default=0))
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "n_sentences": pa.array(n_sents, pa.int64()),
-            "n_words": pa.array(n_words, pa.int64()),
-            "max_sentence_words": pa.array(max_words, pa.int64()),
-        })
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_DOC_SENTENCES = r"""
-WITH s AS (
-  SELECT doc_id,
-         list_filter(regexp_split_to_array(coalesce(text, ''), '[.!?]+[ \t\n\r\f]+'),
-                     x -> x <> '') AS sents,
-         list_filter(regexp_split_to_array(coalesce(text, ''), '[ \t\n\r\f\v\x1c\x1d\x1e\x1f\x85   ]+'),
-                     x -> x <> '') AS words
-  FROM documents
-)
-SELECT doc_id,
-       CAST(len(sents) AS BIGINT) AS n_sentences,
-       CAST(len(words) AS BIGINT) AS n_words,
-       CAST(coalesce(list_max(list_transform(sents,
-            x -> len(list_filter(regexp_split_to_array(x, '[ \t\n\r\f\v\x1c\x1d\x1e\x1f\x85   ]+'), w -> w <> '')))), 0) AS BIGINT)
-         AS max_sentence_words
-FROM s
-"""
-
-
-# ---------------------------------------------------------------------------
-# Partitioned-parquet sink with read-back verification
-# ---------------------------------------------------------------------------
-
-
-def q_write_partitioned(sf_dir: str) -> rd.Dataset:
-    """Key-partitioned parquet sink (the north rule's 'resumable output,
-    one directory per key range'): filter the corpus (n_chars >= 200),
-    write it hive-partitioned by lang under a content-keyed /tmp dir
-    (atomic tmp+rename, concurrent callers converge), then READ THE FILES
-    BACK and count per partition directory — so the oracle checks what
-    actually landed on disk, not what the writer claimed. A failed run
-    reruns only missing partitions in a real deployment; here the readback
-    proves partition completeness."""
-    import shutil
-
-    st = os.stat(os.path.join(sf_dir, "documents.parquet"))
-    key = hashlib.md5(
-        f"partwrite|{os.path.realpath(sf_dir)}|{st.st_size}|{st.st_mtime_ns}".encode()
-    ).hexdigest()[:16]
-    path = os.path.join("/tmp/graft_partitioned", key)
-    if not os.path.exists(os.path.join(path, "_SUCCESS")):
-        os.makedirs("/tmp/graft_partitioned", exist_ok=True)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        shutil.rmtree(tmp, ignore_errors=True)
-
-        def keep(t: pa.Table) -> pa.Table:
-            return t.filter(pc.greater_equal(t["n_chars"], pa.scalar(200, pa.int64())))
-
-        (
-            _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
-            .map_batches(keep, batch_format="pyarrow")
-            .write_parquet(tmp, partition_cols=["lang"])
-        )
-        with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
-            f.write("ok")
-        try:
-            os.rename(tmp, path)
-        except OSError:
-            shutil.rmtree(tmp, ignore_errors=True)
-
-    back = rd.read_parquet(path, file_extensions=["parquet"])
-    from ray.data.aggregate import Count, Sum
-
-    def tag(t: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays(
-            [pc.cast(t["lang"], pa.string()),
-             pa.nulls(t.num_rows, pa.int64()).fill_null(1),
-             pc.cast(t["n_chars"], pa.int64())],
-            names=["lang", "one", "n_chars"],
-        )
-
-    return (
-        back.map_batches(tag, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(
-            Sum("one", alias_name="n_docs"),
-            Sum("n_chars", alias_name="total_chars"),
-        )
-    )
-
-
-SQL_WRITE_PARTITIONED = """
-SELECT lang, count(*) AS n_docs,
-       CAST(sum(n_chars) AS BIGINT) AS total_chars
-FROM documents WHERE n_chars >= 200 GROUP BY lang
-"""
-
-
 # ---------------------------------------------------------------------------
 # Normalized-text dedup (CCNet-style canonicalize -> exact hash)
 # ---------------------------------------------------------------------------
@@ -5539,18 +3015,6 @@ def q_dedup_normalized(sf_dir: str) -> rd.Dataset:
     return merged.map_batches(typed, batch_format="pyarrow")
 
 
-SQL_DEDUP_NORMALIZED = r"""
-WITH n AS (
-  SELECT doc_id,
-         md5(trim(regexp_replace(regexp_replace(lower(coalesce(text, '')),
-             '[!-/:-@\[-`{-~]', '', 'g'), '\s+', ' ', 'g'))) AS h
-  FROM documents
-)
-SELECT h, min(doc_id) AS rep_doc_id, count(*) AS n_docs
-FROM n GROUP BY h
-"""
-
-
 def q_doc_compression_ratio(sf_dir: str) -> rd.Dataset:
     """Per-doc zlib compression ratio — the classic repetitiveness signal
     (highly-templated/boilerplate text compresses far better than natural
@@ -5582,316 +3046,11 @@ def q_doc_compression_ratio(sf_dir: str) -> rd.Dataset:
     )
 
 
-def q_frontier_scores(sf_dir: str) -> rd.Dataset:
-    """Crawl-frontier prioritization — the composition op: extracted
-    followable outlinks (q_extract_outlinks semantics) are scored by the
-    target host's PageRank discounted by link depth:
-    ``score = pr[host] // (1 + path_depth)``. PageRank is the integer-
-    quantized q_host_pagerank result (small: one row per host), broadcast
-    via ray.put into the per-batch scorer; hrefs are decomposed with the
-    vectorized URL parser. Output one row per followable link. Everything
-    stays integer, so the oracle replays the whole composition (unrolled
-    PageRank CTEs + reconstructed links) exactly."""
-    from ..functions.links import extract_outlinks
-    from ..functions.fixtures import make_link_page
-    from ..functions.urls import parse_urls
-
-    pr_tbl = q_host_pagerank(sf_dir)
-    pr_map = {
-        r["host"]: int(r["pr"])
-        for b in pr_tbl.iter_batches(batch_format="pyarrow")
-        for r in b.to_pylist()
-    }
-    pr_ref = ray.put(pr_map)
-
-    out_schema = pa.schema([
-        ("doc_id", pa.int64()), ("href", pa.string()), ("score", pa.int64()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        prs = ray.get(pr_ref)
-        ids, hrefs = [], []
-        for d, src, lang in zip(
-            t["doc_id"].to_pylist(), t["source"].to_pylist(), t["lang"].to_pylist()
-        ):
-            html, base = make_link_page(int(d), src, lang or "en")
-            links, _, page_nofollow = extract_outlinks(html, base)
-            if page_nofollow:
-                continue
-            for ln in links:
-                if not ln.nofollow:
-                    ids.append(int(d))
-                    hrefs.append(ln.href)
-        if not ids:
-            return out_schema.empty_table()
-        parsed = parse_urls(pa.array(hrefs, pa.string()))
-        hosts = parsed["host"].to_pylist()
-        depths = parsed["path_depth"].to_pylist()
-        scores = [prs.get(h, 0) // (1 + (dep or 0)) for h, dep in zip(hosts, depths)]
-        return pa.Table.from_arrays(
-            [pa.array(ids, pa.int64()), pa.array(hrefs, pa.string()),
-             pa.array(scores, pa.int64())],
-            schema=out_schema,
-        )
-
-    return _read(sf_dir, "documents", ["doc_id", "source", "lang"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-def _sql_frontier_scores() -> str:
-    # reconstructed followable links with their parsed path depth
-    links = """
-flinks AS (
-  SELECT doc_id,
-         'https://src' || ((doc_id * 7 + 1) % 20) || '.example.net/x/' || (doc_id % 9) AS href,
-         'src' || ((doc_id * 7 + 1) % 20) || '.example.net' AS host,
-         2 AS depth
-  FROM fbase
-  UNION ALL
-  SELECT doc_id, 'https://cdn.example.org/lib/' || (doc_id % 4),
-         'cdn.example.org', 2 FROM fbase
-  UNION ALL
-  SELECT doc_id, 'https://' || (CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END) || '/local/' || (doc_id % 5),
-         CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END, 2 FROM fbase
-  UNION ALL
-  SELECT doc_id,
-         'https://' || (CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END)
-           || CASE WHEN doc_id % 6 = 3 THEN '/dir/up/' ELSE '/d/up/' END
-           || (doc_id % 3),
-         CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END, 3 FROM fbase
-)"""
-    pagerank_cte = SQL_HOST_PAGERANK.split("WITH", 1)[1].rsplit("\nSELECT", 1)[0]
-    return f"""
-WITH {pagerank_cte},
-fbase AS (SELECT doc_id, source FROM documents WHERE doc_id % 7 <> 0),
-{links.lstrip()}
-SELECT f.doc_id, f.href,
-       CAST(coalesce(p.pr, 0) // (1 + f.depth) AS BIGINT) AS score
-FROM flinks f LEFT JOIN pr{PAGERANK_ITERS} p ON p.host = f.host
-"""
-
-
-SQL_FRONTIER_SCORES = _sql_frontier_scores()
-
-
-def q_read_partition_pruned(sf_dir: str) -> rd.Dataset:
-    """Partition-pruned read over the hive-partitioned output of
-    q_write_partitioned: only the ``lang=en`` directory's files are listed
-    and read — no other partition's bytes leave storage (the 'prune at the
-    read' rule applied to the PARTITION axis; the column/row-group pruning
-    variant is orders_priority_counts). Returns the en-partition stats;
-    the oracle recomputes them from the source table with the same
-    filter."""
-    import glob as _glob
-
-    # ensure the partitioned output exists (same cache the writer query uses)
-    for _ in q_write_partitioned(sf_dir).iter_batches(batch_format="pyarrow"):
-        pass
-    st = os.stat(os.path.join(sf_dir, "documents.parquet"))
-    key = hashlib.md5(
-        f"partwrite|{os.path.realpath(sf_dir)}|{st.st_size}|{st.st_mtime_ns}".encode()
-    ).hexdigest()[:16]
-    en_dir = os.path.join("/tmp/graft_partitioned", key, "lang=en")
-    files = sorted(_glob.glob(os.path.join(en_dir, "*.parquet")))
-
-    from ray.data.aggregate import Max, Min, Sum
-
-    def tag(t: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays(
-            [pa.nulls(t.num_rows, pa.int64()).fill_null(1),
-             pc.cast(t["n_chars"], pa.int64()),
-             pc.cast(t["doc_id"], pa.int64())],
-            names=["one", "n_chars", "doc_id"],
-        )
-
-    def finish(t: pa.Table) -> pa.Table:
-        g = t.group_by([]).aggregate(
-            [("one", "sum"), ("n_chars", "sum"), ("doc_id", "min"), ("doc_id", "max")]
-        )
-        return pa.Table.from_arrays(
-            [pc.cast(g["one_sum"], pa.int64()),
-             pc.cast(g["n_chars_sum"], pa.int64()),
-             pc.cast(g["doc_id_min"], pa.int64()),
-             pc.cast(g["doc_id_max"], pa.int64())],
-            names=["n_docs", "total_chars", "min_doc_id", "max_doc_id"],
-        )
-
-    partials = rd.read_parquet(files).map_batches(
-        tag, batch_format="pyarrow"
-    ).map_batches(finish, batch_format="pyarrow")
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by([]).aggregate(
-            [("n_docs", "sum"), ("total_chars", "sum"),
-             ("min_doc_id", "min"), ("max_doc_id", "max")]
-        )
-        return pa.Table.from_arrays(
-            [pc.cast(g["n_docs_sum"], pa.int64()),
-             pc.cast(g["total_chars_sum"], pa.int64()),
-             pc.cast(g["min_doc_id_min"], pa.int64()),
-             pc.cast(g["max_doc_id_max"], pa.int64())],
-            names=["n_docs", "total_chars", "min_doc_id", "max_doc_id"],
-        )
-
-    return partials.repartition(1).map_batches(merge, batch_format="pyarrow")
-
-
-SQL_READ_PARTITION_PRUNED = """
-SELECT count(*) AS n_docs,
-       CAST(sum(n_chars) AS BIGINT) AS total_chars,
-       min(doc_id) AS min_doc_id,
-       max(doc_id) AS max_doc_id
-FROM documents WHERE n_chars >= 200 AND lang = 'en'
-"""
-
-
 # ---------------------------------------------------------------------------
 # Vector aggregate: per-label embedding centroids (the k-means/IVF kernel)
 # ---------------------------------------------------------------------------
 
 CENTROID_UNIT = 1_000_000  # micro-unit quantization -> order-independent sums
-
-
-def q_label_centroids(sf_dir: str) -> rd.Dataset:
-    """Per-label embedding centroid — the vector AGGREGATE every clustering
-    / IVF build runs, as a first-class exact query: each block flattens its
-    list<float> column, quantizes to int64 micro-units (round half-away-
-    from-zero, matching DuckDB), and emits per-(label, dim) partial sums +
-    counts; one groupby merges the partials; mean_micro = truncating
-    integer division (DuckDB's // convention). Output one row per
-    (label, dim) — all integer, bit-identical at any parallelism."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        emb = t["embedding"].combine_chunks()
-        flat = pc.list_flatten(emb)
-        q = pc.cast(
-            pc.round(
-                pc.multiply(pc.cast(flat, pa.float64()), pa.scalar(float(CENTROID_UNIT))),
-                round_mode="half_towards_infinity",
-            ),
-            pa.int64(),
-        ).to_numpy(zero_copy_only=False)
-        n = t.num_rows
-        d = len(q) // n
-        mat = q.reshape(n, d)
-        labels = t["label"].to_numpy(zero_copy_only=False)
-        rows = []
-        for lab in np.unique(labels):
-            sums = mat[labels == lab].sum(axis=0, dtype=np.int64)
-            cnt = int((labels == lab).sum())
-            for dim in range(d):
-                rows.append({"label": int(lab), "dim": dim + 1,
-                             "n_vecs": cnt, "sum_micro": int(sums[dim])})
-        return pa.Table.from_pylist(rows, schema=pa.schema([
-            ("label", pa.int64()), ("dim", pa.int64()),
-            ("n_vecs", pa.int64()), ("sum_micro", pa.int64()),
-        ]))
-
-    from ray.data.aggregate import Sum as RSum
-
-    merged = (
-        _read(sf_dir, "embeddings", ["embedding", "label"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["label", "dim"])
-        .aggregate(
-            RSum("n_vecs", alias_name="n_vecs"),
-            RSum("sum_micro", alias_name="sum_micro"),
-        )
-    )
-
-    def finish(t: pa.Table) -> pa.Table:
-        s = t["sum_micro"].to_numpy(zero_copy_only=False)
-        n = t["n_vecs"].to_numpy(zero_copy_only=False)
-        mean = np.sign(s) * (np.abs(s) // n)  # truncating division (DuckDB //)
-        return pa.Table.from_arrays(
-            [pc.cast(t["label"], pa.int64()), pc.cast(t["dim"], pa.int64()),
-             pc.cast(t["n_vecs"], pa.int64()), pc.cast(t["sum_micro"], pa.int64()),
-             pa.array(mean.astype(np.int64))],
-            names=["label", "dim", "n_vecs", "sum_micro", "mean_micro"],
-        )
-
-    return merged.map_batches(finish, batch_format="pyarrow")
-
-
-SQL_LABEL_CENTROIDS = f"""
-WITH q AS (
-  SELECT label,
-         unnest(generate_series(1, len(embedding))) AS dim,
-         CAST(round(CAST(unnest(embedding) AS DOUBLE) * {CENTROID_UNIT}) AS BIGINT) AS qv
-  FROM embeddings
-)
-SELECT CAST(label AS BIGINT) AS label, CAST(dim AS BIGINT) AS dim,
-       count(*) AS n_vecs,
-       CAST(sum(qv) AS BIGINT) AS sum_micro,
-       CAST(sum(qv) // count(*) AS BIGINT) AS mean_micro
-FROM q GROUP BY label, dim
-"""
-
-
-def q_lang_confusion(sf_dir: str) -> rd.Dataset:
-    """Language-ID confusion matrix — the evaluation composition: the
-    heuristic predictor (q_language_id semantics) runs per block, pairs
-    with the labeled lang column, and per-block (true, pred) partial
-    counts merge in a tiny groupby. The eval-matrix shape every classifier
-    stage in a curation pipeline reports."""
-    profiles = {k: set(v) for k, v in LANG_PROFILES.items()}
-
-    def partial(df: pa.Table) -> pa.Table:
-        def lid(t: str) -> str:
-            words = t.lower().split()
-            if not words:
-                return "und"
-            best, best_n = "und", 0
-            for lang in ("de", "en", "es", "fr"):
-                n = sum(1 for w in words if w in profiles[lang])
-                if n > best_n:
-                    best, best_n = lang, n
-            return best
-
-        counts: Dict[tuple, int] = {}
-        for true_lang, x in zip(
-            pc.fill_null(df["lang"], "und").to_pylist(), _texts(df)
-        ):
-            key = (true_lang, lid(x))
-            counts[key] = counts.get(key, 0) + 1
-        keys = sorted(counts)
-        return pa.table({
-            "true_lang": pa.array([k[0] for k in keys], pa.string()),
-            "pred_lang": pa.array([k[1] for k in keys], pa.string()),
-            "n_docs": pa.array([counts[k] for k in keys], pa.int64()),
-        })
-
-    from ray.data.aggregate import Sum as RSum
-
-    return (
-        _read(sf_dir, "documents", ["text", "lang"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["true_lang", "pred_lang"])
-        .aggregate(RSum("n_docs", alias_name="n_docs"))
-    )
-
-
-SQL_LANG_CONFUSION = f"""
-WITH tok AS (
-  SELECT coalesce(lang, 'und') AS true_lang,
-         list_filter(regexp_split_to_array(lower(text), '\\s+'), x -> x <> '') AS w
-  FROM documents
-), cnt AS (
-  SELECT true_lang,
-         {_sql_lang_counts()}
-  FROM tok
-)
-SELECT true_lang,
-       CASE WHEN greatest(n_de, n_en, n_es, n_fr) = 0 THEN 'und'
-            WHEN n_de = greatest(n_de, n_en, n_es, n_fr) THEN 'de'
-            WHEN n_en = greatest(n_de, n_en, n_es, n_fr) THEN 'en'
-            WHEN n_es = greatest(n_de, n_en, n_es, n_fr) THEN 'es'
-            ELSE 'fr' END AS pred_lang,
-       count(*) AS n_docs
-FROM cnt
-GROUP BY 1, 2
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -6157,27 +3316,6 @@ def q_dedup_near_clusters(sf_dir: str) -> rd.Dataset:
     return comp.map_batches(back, batch_format="pyarrow")
 
 
-# The jaccard CTEs are FLATTENED into the outer WITH (DuckDB drops nested
-# CTE scope when a nested WITH body is a top-level UNION ALL); the union
-# select is wrapped in a subquery for the same reason.
-SQL_DEDUP_NEAR_CLUSTERS = f"""
-WITH RECURSIVE {_JACC_CTES},
-pairs AS (SELECT * FROM ({_JACC_SELECT}) u),
-uedges AS (
-  SELECT doc_id_a AS a, doc_id_b AS b FROM pairs
-  UNION
-  SELECT doc_id_b, doc_id_a FROM pairs
-),
-nodes AS (SELECT DISTINCT a AS d FROM uedges),
-reach(a, b) AS (
-  SELECT d, d FROM nodes
-  UNION
-  SELECT r.a, e.b FROM reach r JOIN uedges e ON r.b = e.a
-)
-SELECT a AS doc_id, min(b) AS cluster_id FROM reach GROUP BY a
-"""
-
-
 def q_dedup_select_best(sf_dir: str) -> rd.Dataset:
     """Representative selection per near-dup cluster — the step production
     dedup actually ships: given the connected components of the verified
@@ -6248,92 +3386,6 @@ def q_dedup_select_best(sf_dir: str) -> rd.Dataset:
         .groupby("cluster_id")
         .map_groups(merge, batch_format="pyarrow")
     )
-
-
-SQL_DEDUP_SELECT_BEST = f"""
-WITH RECURSIVE {_JACC_CTES},
-pairs AS (SELECT * FROM ({_JACC_SELECT}) u),
-uedges AS (
-  SELECT doc_id_a AS a, doc_id_b AS b FROM pairs
-  UNION
-  SELECT doc_id_b, doc_id_a FROM pairs
-),
-nodes AS (SELECT DISTINCT a AS d FROM uedges),
-reach(a, b) AS (
-  SELECT d, d FROM nodes
-  UNION
-  SELECT r.a, e.b FROM reach r JOIN uedges e ON r.b = e.a
-),
-comp2 AS (SELECT a AS doc_id, min(b) AS cluster_id FROM reach GROUP BY a),
-qsc AS (
-  SELECT c.cluster_id, c.doc_id,
-         CAST(length(regexp_replace(d.text, '[^A-Za-z]', '', 'g')) AS BIGINT)
-           AS alpha
-  FROM comp2 c JOIN documents d USING (doc_id)
-),
-rk AS (
-  SELECT cluster_id, doc_id, alpha,
-         row_number() OVER (PARTITION BY cluster_id
-                            ORDER BY alpha DESC, doc_id ASC) AS rn,
-         count(*) OVER (PARTITION BY cluster_id) AS n
-  FROM qsc
-)
-SELECT cluster_id, doc_id AS keep_doc_id, alpha AS keep_alpha_chars,
-       CAST(n AS BIGINT) AS n_members
-FROM rk WHERE rn = 1
-"""
-
-
-def q_extract_pdf_info(sf_dir: str) -> rd.Dataset:
-    """PDF document-information metadata (ISO 32000-1 §14.3.3): open each
-    synthesized PDF payload and read the /Info dictionary's Title/Author/
-    Producer — the PDF twin of the HTML q_extract_meta operator. Pure
-    per-batch map over the pages stream (the open + trailer walk is the
-    per-doc workload); non-PDF payloads and encrypted docs (whose strings
-    are themselves encrypted — out of subset, documented) produce no row.
-    The oracle reconstructs the deterministic fixture metadata exactly."""
-    from ..functions.pdf_meta import PdfDocument
-    from service1_text_extraction_ray.functions.pdf_extract import PdfParseError
-    from ..sources.page_formats import documents_to_pages
-
-    out_schema = pa.schema([
-        ("url", pa.string()), ("title", pa.string()),
-        ("author", pa.string()), ("producer", pa.string()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for url, payload in zip(t["url"].to_pylist(), t["html"].to_pylist()):
-            if not payload.startswith(b"%PDF-"):
-                continue
-            try:
-                doc = PdfDocument(payload)
-            except PdfParseError:
-                continue
-            info = doc.info()
-            if not info:
-                continue
-            rows.append({
-                "url": url,
-                "title": info.get("Title", ""),
-                "author": info.get("Author", ""),
-                "producer": info.get("Producer", ""),
-            })
-        if not rows:
-            return out_schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return documents_to_pages(sf_dir).map_batches(f, batch_format="pyarrow")
-
-
-SQL_EXTRACT_PDF_INFO = """
-SELECT 'https://docs.example/' || lpad(CAST(doc_id AS VARCHAR), 8, '0') AS url,
-       'Document ' || doc_id AS title,
-       'crawler-' || (doc_id % 7) AS author,
-       'synthpdf 1.0' AS producer
-FROM documents
-WHERE doc_id % 20 IN (14, 15)
-"""
 
 
 def q_knn_self_1nn(sf_dir: str) -> rd.Dataset:
@@ -6449,21 +3501,6 @@ def q_knn_self_1nn(sf_dir: str) -> rd.Dataset:
         .map_groups(best_in_partition, batch_format="pandas")
     )
     return hash_exchange(partials, ["vec_id"], reduce_best, out_schema)
-
-
-SQL_KNN_SELF_1NN = """
-SELECT vec_id, nn_id FROM (
-  SELECT a.vec_id, b.vec_id AS nn_id,
-         row_number() OVER (
-           PARTITION BY a.vec_id
-           ORDER BY list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
-                                           CAST(b.embedding AS DOUBLE[])) DESC,
-                    b.vec_id
-         ) AS rn
-  FROM embeddings a JOIN embeddings b ON a.vec_id <> b.vec_id
-)
-WHERE rn = 1
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -6583,67 +3620,6 @@ def _kmeans_fit(sf_dir: str):
     return emb, cent
 
 
-def _sql_kmeans_chain() -> str:
-    dist = ("list_sum(list_transform(range(1, %d), i -> "
-            "(v[i] - c[i]) * (v[i] - c[i])))" % (KM_DIM + 1))
-    parts = [f"""
-vq AS (
-  SELECT vec_id,
-         list_transform(CAST(embedding AS DOUBLE[]),
-                        x -> CAST(round({KM_UNIT} * x) AS BIGINT)) AS v
-  FROM embeddings
-),
-c0 AS (
-  SELECT vec_id AS cluster, v AS c FROM vq WHERE vec_id < {KMEANS_K}
-)"""]
-    prev = "c0"
-    for it in range(1, KMEANS_ITERS + 1):
-        parts.append(f""",
-a{it} AS (
-  SELECT vec_id, cluster FROM (
-    SELECT q.vec_id, t.cluster,
-           row_number() OVER (
-             PARTITION BY q.vec_id
-             ORDER BY {dist.replace('v[i]', 'q.v[i]').replace('c[i]', 't.c[i]')},
-                      t.cluster) AS rn
-    FROM vq q CROSS JOIN {prev} t
-  ) WHERE rn = 1
-),
-c{it} AS (
-  SELECT p.cluster,
-         coalesce(u.c, p.c) AS c
-  FROM {prev} p LEFT JOIN (
-    SELECT cluster, list(s ORDER BY i) AS c FROM (
-      SELECT a.cluster, t.i,
-             CAST(sum(q.v[t.i]) // count(*) AS BIGINT) AS s
-      FROM a{it} a JOIN vq q USING (vec_id)
-           CROSS JOIN range(1, {KM_DIM + 1}) t(i)
-      GROUP BY a.cluster, t.i
-    ) GROUP BY cluster
-  ) u ON u.cluster = p.cluster
-)""")
-        prev = f"c{it}"
-    parts.append(f""",
-afinal AS (
-  SELECT vec_id, cluster FROM (
-    SELECT q.vec_id, t.cluster,
-           row_number() OVER (
-             PARTITION BY q.vec_id
-             ORDER BY {dist.replace('v[i]', 'q.v[i]').replace('c[i]', 't.c[i]')},
-                      t.cluster) AS rn
-    FROM vq q CROSS JOIN {prev} t
-  ) WHERE rn = 1
-)""")
-    return "".join(parts).lstrip()
-
-
-def _sql_kmeans() -> str:
-    return "WITH " + _sql_kmeans_chain() + "\nSELECT vec_id, cluster FROM afinal"
-
-
-SQL_KMEANS_EMBEDDINGS = _sql_kmeans()
-
-
 # ---------------------------------------------------------------------------
 # SemDeDup: semantic dedup inside k-means clusters (Abbas et al. 2023)
 # ---------------------------------------------------------------------------
@@ -6737,49 +3713,6 @@ def q_dedup_semantic(sf_dir: str) -> rd.Dataset:
     )
 
 
-def _sql_dedup_semantic() -> str:
-    return ("WITH " + _sql_kmeans_chain() + f""",
-q8 AS (
-  SELECT vec_id, list_transform(
-           emb, x -> CASE WHEN am = 0 THEN CAST(0 AS BIGINT)
-                          ELSE CAST(round(x / (am / 127.0)) AS BIGINT) END
-         ) AS cs
-  FROM (SELECT vec_id, CAST(embedding AS DOUBLE[]) AS emb,
-               list_aggregate(
-                 list_transform(CAST(embedding AS DOUBLE[]), x -> abs(x)),
-                 'max') AS am
-        FROM embeddings)
-),
-n2 AS (
-  SELECT vec_id, cs,
-         list_sum(list_transform(cs, x -> x * x)) AS nn
-  FROM q8
-),
-dups AS (
-  SELECT x.vec_id, min(y.vec_id) AS dup_of
-  FROM afinal x JOIN afinal y
-       ON y.cluster = x.cluster AND y.vec_id < x.vec_id
-       JOIN n2 a ON a.vec_id = x.vec_id
-       JOIN n2 b ON b.vec_id = y.vec_id
-  WHERE list_sum(list_transform(range(1, {KM_DIM + 1}),
-                                i -> a.cs[i] * b.cs[i])) > 0
-    AND {SEMDEDUP_DEN}
-        * list_sum(list_transform(range(1, {KM_DIM + 1}),
-                                  i -> a.cs[i] * b.cs[i]))
-        * list_sum(list_transform(range(1, {KM_DIM + 1}),
-                                  i -> a.cs[i] * b.cs[i]))
-        >= {SEMDEDUP_NUM} * a.nn * b.nn
-  GROUP BY x.vec_id
-)
-SELECT f.vec_id, f.cluster,
-       CAST(CASE WHEN d.vec_id IS NULL THEN 0 ELSE 1 END AS BIGINT) AS is_dup,
-       CAST(coalesce(d.dup_of, -1) AS BIGINT) AS dup_of
-FROM afinal f LEFT JOIN dups d ON d.vec_id = f.vec_id""")
-
-
-SQL_DEDUP_SEMANTIC = _sql_dedup_semantic()
-
-
 # ---------------------------------------------------------------------------
 # Distributed Gram / covariance accumulation (the PCA-whitening feed)
 # ---------------------------------------------------------------------------
@@ -6840,21 +3773,6 @@ def q_embedding_gram(sf_dir: str) -> rd.Dataset:
             RSum("sum_qq", alias_name="sum_qq"),
         )
     )
-
-
-SQL_EMBEDDING_GRAM = f"""
-WITH q AS (
-  SELECT vec_id,
-         unnest(generate_series(1, len(embedding))) AS dim,
-         CAST(round(CAST(unnest(embedding) AS DOUBLE) * {CENTROID_UNIT}) AS BIGINT) AS qv
-  FROM embeddings
-)
-SELECT a.dim AS dim_i, b.dim AS dim_j,
-       count(*) AS n_vecs,
-       CAST(sum(a.qv * b.qv) AS BIGINT) AS sum_qq
-FROM q a JOIN q b ON a.vec_id = b.vec_id AND a.dim <= b.dim
-GROUP BY a.dim, b.dim
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -6929,45 +3847,6 @@ def q_embedding_pca_power(sf_dir: str) -> rd.Dataset:
     return _read(sf_dir, "embeddings", ["vec_id", "embedding"]).map_batches(
         project, batch_format="pyarrow"
     )
-
-
-def _sql_pca_power() -> str:
-    parts = [f"""q AS (
-  SELECT vec_id,
-         unnest(generate_series(1, len(embedding))) AS dim,
-         CAST(round(CAST(unnest(embedding) AS DOUBLE) * {CENTROID_UNIT})
-              AS BIGINT) AS qv
-  FROM embeddings
-),
-g AS (
-  SELECT a.dim AS i, b.dim AS j, CAST(sum(a.qv * b.qv) AS HUGEINT) AS v
-  FROM q a JOIN q b ON a.vec_id = b.vec_id
-  GROUP BY 1, 2
-),
-x0 AS (
-  SELECT DISTINCT dim, CAST({PCA_UNIT} AS HUGEINT) AS x FROM q
-)"""]
-    for r in range(1, PCA_ITERS + 1):
-        parts.append(f"""y{r} AS (
-  SELECT g.i AS dim, CAST(sum(g.v * x.x) AS HUGEINT) AS y
-  FROM g JOIN x{r - 1} x ON x.dim = g.j
-  GROUP BY 1
-),
-m{r} AS (SELECT max(abs(y)) AS m FROM y{r}),
-x{r} AS (
-  SELECT dim,
-         CAST(CASE WHEN m.m = 0 THEN 0
-                   WHEN y >= 0 THEN (y * {PCA_UNIT}) // m.m
-                   ELSE -((-y * {PCA_UNIT}) // m.m) END AS HUGEINT) AS x
-  FROM y{r}, m{r} m
-)""")
-    return ("WITH " + ",\n".join(parts) + f"""
-SELECT q.vec_id, CAST(sum(q.qv * x.x) AS BIGINT) AS pc1_score
-FROM q JOIN x{PCA_ITERS} x ON x.dim = q.dim
-GROUP BY q.vec_id""")
-
-
-SQL_EMBEDDING_PCA_POWER = _sql_pca_power()
 
 
 # ---------------------------------------------------------------------------
@@ -7045,31 +3924,6 @@ def q_embedding_quantize_int8(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_EMBEDDING_QUANTIZE_INT8 = f"""
-WITH e AS (
-  SELECT vec_id,
-         unnest(generate_series(1, len(embedding))) AS dim,
-         CAST(unnest(embedding) AS DOUBLE) AS v
-  FROM embeddings
-),
-s AS (SELECT vec_id, max(abs(v)) / 127.0 AS scale FROM e GROUP BY vec_id),
-q AS (
-  SELECT e.vec_id, e.dim, e.v, s.scale,
-         CASE WHEN s.scale = 0 THEN 0
-              ELSE CAST(round(e.v / s.scale) AS BIGINT) END AS qv
-  FROM e JOIN s ON e.vec_id = s.vec_id
-)
-SELECT vec_id,
-       any_value(scale) AS scale,
-       CAST(sum(qv) AS BIGINT) AS sum_q,
-       CAST(sum(abs(qv)) AS BIGINT) AS sum_abs_q,
-       CAST(sum(dim * qv) AS BIGINT) AS sum_dim_q,
-       CAST(sum(CAST(round(abs(v - qv * scale) * {ERR_UNIT}.0) AS BIGINT)) AS BIGINT) AS err_nano
-FROM q
-GROUP BY vec_id
-"""
-
-
 # ---------------------------------------------------------------------------
 # Shingle novelty — the "new information fraction" curation score: how much
 # of a document's 3-gram content appears in NO earlier document (first
@@ -7144,28 +3998,6 @@ def q_doc_shingle_novelty(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_DOC_SHINGLE_NOVELTY = """
-WITH tok AS (
-  SELECT doc_id, list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '') AS w
-  FROM documents
-),
-sh AS (
-  SELECT doc_id, unnest(CASE
-    WHEN len(w) < 3 THEN [array_to_string(w, ' ')]
-    ELSE list_distinct(list_transform(range(1, len(w) - 1),
-                                      i -> w[i] || ' ' || w[i + 1] || ' ' || w[i + 2]))
-  END) AS s
-  FROM tok WHERE len(w) > 0
-),
-m AS (SELECT s, min(doc_id) AS first_doc FROM sh GROUP BY s)
-SELECT sh.doc_id,
-       count(*) AS n_shingles,
-       CAST(sum(CASE WHEN sh.doc_id = m.first_doc THEN 1 ELSE 0 END) AS BIGINT) AS n_novel
-FROM sh JOIN m ON sh.s = m.s
-GROUP BY sh.doc_id
-"""
-
-
 # ---------------------------------------------------------------------------
 # Crawl-budget apportionment — the scheduling step between frontier scoring
 # and fetching: split a fixed global request budget across hosts exactly
@@ -7227,1451 +4059,11 @@ def q_host_crawl_budget(sf_dir: str) -> pd.DataFrame:
     return out.astype({"n_docs": "int64", "budget": "int64"}).reset_index(drop=True)
 
 
-SQL_HOST_CRAWL_BUDGET = f"""
-WITH hc AS (
-  SELECT source || '.example.' ||
-           CASE doc_id % 3 WHEN 0 THEN 'com' WHEN 1 THEN 'org' ELSE 'net' END AS host,
-         count(*) AS n_docs
-  FROM documents GROUP BY 1
-),
-t AS (SELECT sum(n_docs) AS total FROM hc),
-b AS (
-  SELECT host, n_docs,
-         ({CRAWL_BUDGET} * n_docs) // total AS base,
-         ({CRAWL_BUDGET} * n_docs) % total AS rem
-  FROM hc, t
-),
-r AS (
-  SELECT host, n_docs, base,
-         row_number() OVER (ORDER BY rem DESC, host ASC) AS rk
-  FROM b
-)
-SELECT host, n_docs,
-       CAST(base + CASE WHEN rk <= {CRAWL_BUDGET} - (SELECT sum(base) FROM b)
-                        THEN 1 ELSE 0 END AS BIGINT) AS budget
-FROM r
-"""
-
-
 # ---------------------------------------------------------------------------
 # Robots-exclusion gate — the crawl-politeness step between frontier scoring
 # and fetching: every followable outlink is checked against its TARGET
 # host's robots.txt (RFC 9309 longest-match semantics, functions/robots.py).
 # ---------------------------------------------------------------------------
-
-
-def q_frontier_allowed(sf_dir: str) -> rd.Dataset:
-    """Followable outlinks annotated with the robots-exclusion verdict of
-    their target host — the allow/deny gate every crawler runs before a
-    fetch (the missing step in the extract_outlinks -> frontier_scores ->
-    host_crawl_budget stack).
-
-    No network exists, so each host's robots.txt body is synthesized
-    deterministically (``make_robots_txt``: the governing rule set is a
-    pure function of the host string) and parsed by the REAL RFC 9309
-    parser — group selection past a decoy deny-all agent, wildcard ``*``
-    patterns, longest-match precedence with Allow winning ties. Per batch,
-    robots are fetched+parsed once per DISTINCT host (a dict cache; at web
-    scale this stage is an actor pool whose per-actor LRU holds the
-    host->rules map, exactly the A2 password-cache idiom). Pure map — no
-    shuffle; link extraction and URL decomposition reuse the outlink parser
-    and the vectorized URL parser. The SQL oracle replays the synthetic
-    rule table (k = (len(host)+ord(host[0])) % 5) over reconstructed links;
-    the parser's full semantics are unit-tested separately."""
-    from ..functions.links import extract_outlinks
-    from ..functions.robots import AGENT, is_allowed, make_robots_txt, parse_robots
-    from ..functions.fixtures import make_link_page
-    from ..functions.urls import parse_urls
-
-    out_schema = pa.schema([
-        ("doc_id", pa.int64()), ("href", pa.string()), ("allowed", pa.int64()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rules_cache: dict = {}
-        ids, hrefs = [], []
-        for d, src, lang in zip(
-            t["doc_id"].to_pylist(), t["source"].to_pylist(), t["lang"].to_pylist()
-        ):
-            html, base = make_link_page(int(d), src, lang or "en")
-            links, _, page_nofollow = extract_outlinks(html, base)
-            if page_nofollow:
-                continue
-            for ln in links:
-                if not ln.nofollow:
-                    ids.append(int(d))
-                    hrefs.append(ln.href)
-        if not ids:
-            return out_schema.empty_table()
-        parsed = parse_urls(pa.array(hrefs, pa.string()))
-        hosts = parsed["host"].to_pylist()
-        paths = parsed["path"].to_pylist()
-        allowed = []
-        for h, p in zip(hosts, paths):
-            rules = rules_cache.get(h)
-            if rules is None:
-                rules = parse_robots(make_robots_txt(h or ""), AGENT)
-                rules_cache[h] = rules
-            allowed.append(1 if is_allowed(rules, p or "/") else 0)
-        return pa.Table.from_arrays(
-            [pa.array(ids, pa.int64()), pa.array(hrefs, pa.string()),
-             pa.array(allowed, pa.int64())],
-            schema=out_schema,
-        )
-
-    return _read(sf_dir, "documents", ["doc_id", "source", "lang"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_FRONTIER_ALLOWED = """
-WITH fbase AS (SELECT doc_id, source FROM documents WHERE doc_id % 7 <> 0),
-flinks AS (
-  SELECT doc_id,
-         'https://src' || ((doc_id * 7 + 1) % 20) || '.example.net/x/' || (doc_id % 9) AS href,
-         'src' || ((doc_id * 7 + 1) % 20) || '.example.net' AS host,
-         '/x/' || (doc_id % 9) AS path
-  FROM fbase
-  UNION ALL
-  SELECT doc_id, 'https://cdn.example.org/lib/' || (doc_id % 4),
-         'cdn.example.org', '/lib/' || (doc_id % 4) FROM fbase
-  UNION ALL
-  SELECT doc_id,
-         'https://' || (CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END) || '/local/' || (doc_id % 5),
-         CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END,
-         '/local/' || (doc_id % 5) FROM fbase
-  UNION ALL
-  SELECT doc_id,
-         'https://' || (CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END)
-           || CASE WHEN doc_id % 6 = 3 THEN '/dir/up/' ELSE '/d/up/' END
-           || (doc_id % 3),
-         CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END,
-         (CASE WHEN doc_id % 6 = 3 THEN '/dir/up/' ELSE '/d/up/' END) || (doc_id % 3) FROM fbase
-)
-SELECT doc_id, href,
-       CAST(CASE ((length(host) + ascii(substr(host, 1, 1))) % 5)
-            WHEN 0 THEN 1
-            WHEN 1 THEN CASE WHEN starts_with(path, '/x/') THEN 0 ELSE 1 END
-            WHEN 2 THEN CASE WHEN starts_with(path, '/local/')
-                              AND NOT starts_with(path, '/local/2')
-                        THEN 0 ELSE 1 END
-            WHEN 3 THEN CASE WHEN starts_with(path, '/d/') THEN 1 ELSE 0 END
-            ELSE CASE WHEN path LIKE '/%/up/%' THEN 0 ELSE 1 END
-       END AS BIGINT) AS allowed
-FROM flinks
-"""
-
-
-def q_host_sitemap_urls(sf_dir: str) -> rd.Dataset:
-    """Sitemap-tree discovery — the frontier-seeding step after the robots
-    gate: for every corpus host, fetch ``/sitemap.xml`` (a sitemapindex),
-    follow its child urlsets, and emit one row per discovered URL with its
-    lastmod and priority (ppm). Bodies are deterministic synthetics (no
-    network) parsed by the REAL tolerant scanner (functions/sitemaps.py:
-    namespaces, CDATA, entity escapes, omitted fields -> spec defaults).
-
-    Topology: the host list is a per-block distinct partial over
-    documents.source followed by a tiny groupby (20 hosts here; millions at
-    web scale — still a rounding error next to the page corpus), then the
-    index->children->entries explosion runs as a flat ``map_batches`` over
-    the host rows, one task per host block. The SQL oracle replays the
-    synthetic tree (entity/CDATA/default branches included) from the same
-    distinct-source set."""
-    from ..functions.sitemaps import (
-        N_CHILD_SITEMAPS, make_sitemap, make_sitemap_index, parse_sitemap,
-    )
-
-    out_schema = pa.schema([
-        ("host", pa.string()), ("url", pa.string()),
-        ("lastmod", pa.string()), ("priority_ppm", pa.int64()),
-    ])
-
-    def distinct_partial(t: pa.Table) -> pa.Table:
-        hosts = pc.unique(t["source"])
-        return pa.Table.from_arrays(
-            [pc.binary_join_element_wise(
-                pc.cast(hosts, pa.string()), ".example.com", "")],
-            names=["host"],
-        )
-
-    def crawl_tree(t: pa.Table) -> pa.Table:
-        hosts_out, urls, mods, prios = [], [], [], []
-        for host in t["host"].to_pylist():
-            kind, children = parse_sitemap(make_sitemap_index(host))
-            assert kind == "index" and len(children) == N_CHILD_SITEMAPS
-            for k, (child_loc, _, _) in enumerate(children):
-                assert child_loc == f"https://{host}/sitemap-{k}.xml"
-                ckind, entries = parse_sitemap(make_sitemap(host, k))
-                assert ckind == "urlset"
-                for loc, lastmod, prio in entries:
-                    hosts_out.append(host)
-                    urls.append(loc)
-                    mods.append(lastmod)
-                    prios.append(prio)
-        return pa.Table.from_arrays(
-            [pa.array(hosts_out, pa.string()), pa.array(urls, pa.string()),
-             pa.array(mods, pa.string()), pa.array(prios, pa.int64())],
-            schema=out_schema,
-        )
-
-    return (
-        _read(sf_dir, "documents", ["source"])
-        .map_batches(distinct_partial, batch_format="pyarrow")
-        .groupby("host")
-        .map_groups(
-            lambda t: pa.Table.from_arrays([t["host"][:1]], names=["host"]),
-            batch_format="pyarrow",
-        )
-        .map_batches(crawl_tree, batch_format="pyarrow")
-    )
-
-
-SQL_HOST_SITEMAP_URLS = """
-WITH hosts AS (SELECT DISTINCT source || '.example.com' AS host FROM documents),
-g AS (
-  SELECT host, t1.k, t2.i
-  FROM hosts
-  CROSS JOIN generate_series(0, 1) t1(k)
-  CROSS JOIN generate_series(0, 5) t2(i)
-  WHERE t2.i < 4 + (length(host) + t1.k) % 3
-)
-SELECT host,
-       'https://' || host || '/p/' || k || '/' || i
-         || CASE WHEN i % 4 = 0 THEN '?x=1&ref=home' ELSE '' END AS url,
-       '2024-01-' || printf('%02d', 1 + (i * 7 + length(host) + k) % 28) AS lastmod,
-       CAST(CASE WHEN i % 5 = 1 THEN 500000
-                 ELSE ((i + k) % 9 + 1) * 100000 END AS BIGINT) AS priority_ppm
-FROM g
-"""
-
-
-def q_crawl_plan(sf_dir: str) -> rd.Dataset:
-    """END-TO-END crawl plan — the composition every scheduler runs before a
-    fetch wave, in one pipeline: followable outlinks -> robots-exclusion
-    gate (REAL RFC 9309 parser over deterministic per-host bodies) ->
-    PageRank/depth frontier score -> Hamilton largest-remainder budget per
-    TARGET host (apportioned over the allowed-link mass) -> per-host slot
-    assignment (rank by score desc within host, keep rank <= budget).
-
-    Everything stays integer, so the oracle replays the WHOLE composition:
-    unrolled PageRank CTEs x reconstructed links x the robots k-rule table
-    x Hamilton CTEs x a window rank. Topology: the allowed-link stream is
-    extracted once and MATERIALIZED (robots parse + link extraction per doc
-    dominates; the stream itself is small next to the corpus), feeding both
-    the tiny per-host counts for the apportionment and the ranking pass;
-    PageRank and the budget table broadcast via ray.put (host-cardinality
-    maps); the only exchange is ONE hash_exchange on host for the in-shard
-    vectorized rank+filter."""
-    from ..functions.links import extract_outlinks
-    from ..functions.robots import AGENT, is_allowed, make_robots_txt, parse_robots
-    from ..functions.fixtures import make_link_page
-    from ..functions.urls import parse_urls
-
-    link_schema = pa.schema([
-        ("doc_id", pa.int64()), ("href", pa.string()), ("host", pa.string()),
-        ("score", pa.int64()),
-    ])
-
-    pr_map = {
-        r["host"]: int(r["pr"])
-        for b in q_host_pagerank(sf_dir).iter_batches(batch_format="pyarrow")
-        for r in b.to_pylist()
-    }
-    pr_ref = ray.put(pr_map)
-
-    def allowed_links(t: pa.Table) -> pa.Table:
-        prs = ray.get(pr_ref)
-        rules_cache: dict = {}
-        ids, hrefs = [], []
-        for d, src, lang in zip(
-            t["doc_id"].to_pylist(), t["source"].to_pylist(), t["lang"].to_pylist()
-        ):
-            html, base = make_link_page(int(d), src, lang or "en")
-            links, _, page_nofollow = extract_outlinks(html, base)
-            if page_nofollow:
-                continue
-            for ln in links:
-                if not ln.nofollow:
-                    ids.append(int(d))
-                    hrefs.append(ln.href)
-        if not ids:
-            return link_schema.empty_table()
-        parsed = parse_urls(pa.array(hrefs, pa.string()))
-        hosts = parsed["host"].to_pylist()
-        paths = parsed["path"].to_pylist()
-        depths = parsed["path_depth"].to_pylist()
-        out_i, out_h, out_ho, out_s = [], [], [], []
-        for i, (h, p, dep) in enumerate(zip(hosts, paths, depths)):
-            rules = rules_cache.get(h)
-            if rules is None:
-                rules = parse_robots(make_robots_txt(h or ""), AGENT)
-                rules_cache[h] = rules
-            if not is_allowed(rules, p or "/"):
-                continue
-            out_i.append(ids[i])
-            out_h.append(hrefs[i])
-            out_ho.append(h)
-            out_s.append(prs.get(h, 0) // (1 + (dep or 0)))
-        return pa.Table.from_arrays(
-            [pa.array(out_i, pa.int64()), pa.array(out_h, pa.string()),
-             pa.array(out_ho, pa.string()), pa.array(out_s, pa.int64())],
-            schema=link_schema,
-        )
-
-    docs = _read(sf_dir, "documents", ["doc_id", "source", "lang"])
-    # materialize ONCE: the allowed-link stream is a small fraction of the
-    # page corpus in bytes, and deriving it means a robots parse + link
-    # extraction per doc — measured 13.1 s -> 10.5 s at sf0.1/32cpu vs the
-    # derive-twice variant this replaces (rest of the time is the PageRank
-    # sub-pipeline + the Hamilton barrier, both inherent to the composition)
-    links = docs.map_batches(allowed_links, batch_format="pyarrow").materialize()
-
-    # pass 1: per-host allowed-link mass -> Hamilton apportionment (exact
-    # int64, sum(budget) == CRAWL_BUDGET; host table is tiny by definition)
-    from ray.data.aggregate import Sum as _Sum
-
-    def host_partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("host").aggregate([([], "count_all")])
-        return pa.Table.from_arrays(
-            [g["host"], pc.cast(g["count_all"], pa.int64())],
-            names=["host", "n_links"],
-        )
-
-    hc = (
-        links.map_batches(host_partial, batch_format="pyarrow")
-        .groupby("host")
-        .aggregate(_Sum("n_links", alias_name="n_links"))
-        .to_pandas()
-    )
-    total = int(hc["n_links"].sum())
-    scaled = CRAWL_BUDGET * hc["n_links"].astype("int64")
-    hc["base"] = scaled // total
-    hc["rem"] = scaled % total
-    extra = CRAWL_BUDGET - int(hc["base"].sum())
-    hc = hc.sort_values(["rem", "host"], ascending=[False, True])
-    bonus = np.zeros(len(hc), dtype="int64")
-    bonus[:extra] = 1
-    budget_map = dict(zip(hc["host"], (hc["base"].to_numpy() + bonus).tolist()))
-    budget_ref = ray.put(budget_map)
-
-    out_schema = pa.schema([
-        ("host", pa.string()), ("href", pa.string()), ("doc_id", pa.int64()),
-        ("score", pa.int64()), ("slot", pa.int64()),
-    ])
-
-    def shard_rank(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
-        budgets = ray.get(budget_ref)
-        df = t.to_pandas().sort_values(
-            ["host", "score", "href", "doc_id"],
-            ascending=[True, False, True, True],
-            kind="mergesort",
-        )
-        slot = df.groupby("host", sort=False).cumcount().to_numpy() + 1
-        cap = df["host"].map(lambda h: budgets.get(h, 0)).to_numpy(dtype="int64")
-        keep = slot <= cap
-        df = df[keep]
-        return pa.Table.from_arrays(
-            [pa.array(df["host"].to_numpy(dtype=object), pa.string()),
-             pa.array(df["href"].to_numpy(dtype=object), pa.string()),
-             pa.array(df["doc_id"].to_numpy(dtype="int64")),
-             pa.array(df["score"].to_numpy(dtype="int64")),
-             pa.array(slot[keep].astype("int64"))],
-            schema=out_schema,
-        )
-
-    # pass 2: rank the materialized link stream within host
-    from .relational import hash_exchange
-
-    return hash_exchange(links, ["host"], shard_rank, out_schema)
-
-
-def _sql_crawl_plan() -> str:
-    pagerank_cte = SQL_HOST_PAGERANK.split("WITH", 1)[1].rsplit("\nSELECT", 1)[0]
-    flinks = SQL_FRONTIER_ALLOWED.split("WITH", 1)[1].rsplit("\nSELECT", 1)[0]
-    return f"""
-WITH {pagerank_cte},
-{flinks},
-al AS (
-  SELECT f.doc_id, f.href, f.host,
-         CAST(coalesce(p.pr, 0) // (1 + len(string_split(trim(f.path, '/'), '/'))
-              - CASE WHEN trim(f.path, '/') = '' THEN 1 ELSE 0 END) AS BIGINT) AS score
-  FROM flinks f LEFT JOIN pr{PAGERANK_ITERS} p ON p.host = f.host
-  WHERE CASE ((length(f.host) + ascii(substr(f.host, 1, 1))) % 5)
-          WHEN 0 THEN 1
-          WHEN 1 THEN CASE WHEN starts_with(f.path, '/x/') THEN 0 ELSE 1 END
-          WHEN 2 THEN CASE WHEN starts_with(f.path, '/local/')
-                            AND NOT starts_with(f.path, '/local/2')
-                      THEN 0 ELSE 1 END
-          WHEN 3 THEN CASE WHEN starts_with(f.path, '/d/') THEN 1 ELSE 0 END
-          ELSE CASE WHEN f.path LIKE '/%/up/%' THEN 0 ELSE 1 END
-        END = 1
-),
-hc AS (SELECT host, count(*) AS n_links FROM al GROUP BY host),
-t AS (SELECT sum(n_links) AS total FROM hc),
-b AS (
-  SELECT host, ({CRAWL_BUDGET} * n_links) // total AS base,
-         ({CRAWL_BUDGET} * n_links) % total AS rem
-  FROM hc, t
-),
-r AS (
-  SELECT host, base, row_number() OVER (ORDER BY rem DESC, host ASC) AS rk
-  FROM b
-),
-bud AS (
-  SELECT host,
-         base + CASE WHEN rk <= {CRAWL_BUDGET} - (SELECT sum(base) FROM b)
-                     THEN 1 ELSE 0 END AS budget
-  FROM r
-),
-ranked AS (
-  SELECT al.host, al.href, al.doc_id, al.score,
-         row_number() OVER (PARTITION BY al.host
-                            ORDER BY al.score DESC, al.href, al.doc_id) AS slot
-  FROM al
-)
-SELECT ranked.host, href, doc_id, score, CAST(slot AS BIGINT) AS slot
-FROM ranked JOIN bud ON bud.host = ranked.host
-WHERE slot <= bud.budget
-"""
-
-
-def q_extract_jsonld(sf_dir: str) -> rd.Dataset:
-    """schema.org JSON-LD entity extraction over deterministic ld+json pages
-    (synth.make_jsonld_page): MIME-gated block collection, tolerant-parse
-    salvage (the json_utils trailing-comma fix runs inside the value-hashed
-    loop for doc_id%7==0 pages), @graph flattening, decoy drops, and the
-    %13 missing-comma pages whose repaired block is untyped (no entity).
-    Pure per-batch map, no shuffle; the oracle rebuilds every entity
-    row from the documents columns, including which pages salvage and which
-    fail."""
-    from ..functions.structured import extract_jsonld
-    from ..functions.fixtures import make_jsonld_page
-
-    out_schema = pa.schema([
-        ("url", pa.string()), ("entity_type", pa.string()),
-        ("name", pa.string()), ("word_count", pa.int64()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src, lang, nc in zip(
-            t["doc_id"].to_pylist(), t["source"].to_pylist(),
-            t["lang"].to_pylist(), t["n_chars"].to_pylist(),
-        ):
-            html, url = make_jsonld_page(int(d), src, lang or "en", int(nc))
-            for ent in extract_jsonld(html):
-                rows.append({"url": url, **ent})
-        if not rows:
-            return out_schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(
-        sf_dir, "documents", ["doc_id", "source", "lang", "n_chars"]
-    ).map_batches(f, batch_format="pyarrow")
-
-
-SQL_EXTRACT_JSONLD = """
-WITH base AS (
-  SELECT doc_id, source, n_chars,
-         'https://' || source || '.example.com/a/' || doc_id AS url
-  FROM documents
-)
-SELECT url, 'Article' AS entity_type, 'Doc ' || doc_id AS name,
-       n_chars AS word_count
-FROM base WHERE doc_id % 13 <> 0
-UNION ALL
-SELECT url, 'Organization', 'Org ' || source, CAST(NULL AS BIGINT)
-FROM base WHERE doc_id % 5 = 0
-UNION ALL
-SELECT url, 'WebPage', 'Page ' || doc_id, CAST(NULL AS BIGINT)
-FROM base WHERE doc_id % 5 = 0
-"""
-
-
-def q_extract_feed(sf_dir: str) -> rd.Dataset:
-    """RSS 2.0 / Atom feed-item extraction over deterministic feed documents
-    (synth.make_feed_page): root-tag dispatch, namespaced Atom tags,
-    rel="self" decoy links, RFC 822 + ISO 8601 timestamp normalization to
-    epoch seconds, and the %11 truncated-XML pages that parse to nothing.
-    Pure per-batch map, no shuffle; the oracle regenerates every item row
-    (including the exact epoch arithmetic) from the documents columns."""
-    from service1_text_extraction_ray.functions.feeds import parse_feed
-    from service1_text_extraction_ray.functions.synth import make_feed_page
-
-    out_schema = pa.schema([
-        ("url", pa.string()), ("feed_kind", pa.string()),
-        ("feed_title", pa.string()), ("item_title", pa.string()),
-        ("link", pa.string()), ("pub_epoch", pa.int64()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src, lang in zip(
-            t["doc_id"].to_pylist(), t["source"].to_pylist(),
-            t["lang"].to_pylist(),
-        ):
-            xml, url = make_feed_page(int(d), src, lang or "en")
-            feed = parse_feed(xml)
-            if feed is None:
-                continue
-            for it in feed["items"]:
-                rows.append({
-                    "url": url, "feed_kind": feed["kind"],
-                    "feed_title": feed["feed_title"], **it,
-                    "link": it["link"],
-                })
-        if not rows:
-            return out_schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "source", "lang"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_EXTRACT_FEED = f"""
-WITH s(i) AS (VALUES (0), (1), (2)),
-base AS (
-  SELECT doc_id, source,
-         'https://' || source || '.example.com/feed/' || doc_id || '.xml' AS url
-  FROM documents WHERE doc_id % 11 <> 0
-)
-SELECT url,
-       CASE WHEN doc_id % 2 = 0 THEN 'rss' ELSE 'atom' END AS feed_kind,
-       'Feed ' || source || ' ' || doc_id AS feed_title,
-       'Item ' || doc_id || '-' || i AS item_title,
-       'https://' || source || '.example.com/post/' || doc_id || '/' || i AS link,
-       {1_600_000_000} + doc_id * 3600 + i * 60 AS pub_epoch
-FROM base, s
-WHERE s.i < 1 + base.doc_id % 3
-"""
-
-
-def q_feed_freshness(sf_dir: str) -> rd.Dataset:
-    """Per-host feed freshness — the recrawl-scheduling signal: item count,
-    newest pub_epoch, and posting cadence (seconds between first and last
-    item per feed, averaged over the host's feeds as exact integer
-    division). Composition: extract_feed -> per-block pyarrow partials ->
-    one groupby merge on host; everything int64 so the oracle replays the
-    arithmetic exactly. The partial is per-FEED (url, count, min, max) —
-    mergeable even if a feed's items straddle a block split (count sums,
-    min/max combine), so no assumption about block boundaries survives
-    into the result; the span arithmetic happens only after the per-url
-    combine inside the host shard."""
-    from .relational import hash_exchange
-
-    part_schema = pa.schema([
-        ("host", pa.string()), ("url", pa.string()), ("n_items", pa.int64()),
-        ("min_epoch", pa.int64()), ("max_epoch", pa.int64()),
-    ])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = pa.Table.from_arrays(
-            [t["url"], t["pub_epoch"]], names=["url", "pub_epoch"]
-        ).group_by("url").aggregate([
-            ("pub_epoch", "min"), ("pub_epoch", "max"), ([], "count_all"),
-        ])
-        urls = g["url"].to_pylist()
-        hosts = pa.array([u.split("/")[2] for u in urls], pa.string())
-        return pa.Table.from_arrays(
-            [hosts, g["url"], pc.cast(g["count_all"], pa.int64()),
-             pc.cast(g["pub_epoch_min"], pa.int64()),
-             pc.cast(g["pub_epoch_max"], pa.int64())],
-            schema=part_schema,
-        )
-
-    out_schema = pa.schema([
-        ("host", pa.string()), ("n_items", pa.int64()),
-        ("latest_epoch", pa.int64()), ("avg_span_s", pa.int64()),
-    ])
-
-    def merge(t: pa.Table) -> pa.Table:
-        # per-feed combine first (split-proof), then the host report
-        f = t.group_by(["host", "url"]).aggregate([
-            ("n_items", "sum"), ("min_epoch", "min"), ("max_epoch", "max"),
-        ])
-        span = pc.subtract(f["max_epoch_max"], f["min_epoch_min"])
-        f2 = pa.Table.from_arrays(
-            [f["host"], pc.cast(f["n_items_sum"], pa.int64()),
-             pc.cast(f["max_epoch_max"], pa.int64()),
-             pc.cast(span, pa.int64())],
-            names=["host", "n_items", "latest", "span"],
-        )
-        g = f2.group_by("host").aggregate([
-            ("n_items", "sum"), ("latest", "max"), ("span", "sum"),
-            ([], "count_all"),
-        ])
-        spans = g["span_sum"].to_numpy(zero_copy_only=False)
-        feeds = g["count_all"].to_numpy(zero_copy_only=False)
-        return pa.Table.from_arrays(
-            [g["host"], pc.cast(g["n_items_sum"], pa.int64()),
-             pc.cast(g["latest_max"], pa.int64()),
-             pa.array((spans // feeds).astype("int64"))],
-            schema=out_schema,
-        )
-
-    parts = q_extract_feed(sf_dir).map_batches(partial, batch_format="pyarrow")
-    return hash_exchange(parts, ["host"], merge, out_schema)
-
-
-SQL_FEED_FRESHNESS = """
-WITH s(i) AS (VALUES (0), (1), (2)),
-items AS (
-  SELECT source, doc_id,
-         1600000000 + doc_id * 3600 + i * 60 AS pub_epoch
-  FROM documents, s
-  WHERE doc_id % 11 <> 0 AND s.i < 1 + doc_id % 3
-),
-per_feed AS (
-  SELECT source || '.example.com' AS host, doc_id,
-         count(*) AS n_items, max(pub_epoch) AS latest,
-         max(pub_epoch) - min(pub_epoch) AS span
-  FROM items GROUP BY 1, 2
-)
-SELECT host, CAST(sum(n_items) AS BIGINT) AS n_items,
-       max(latest) AS latest_epoch,
-       CAST(sum(span) // count(*) AS BIGINT) AS avg_span_s
-FROM per_feed GROUP BY host
-"""
-
-
-def q_jsonld_type_counts(sf_dir: str) -> rd.Dataset:
-    """schema.org entity-type histogram with per-type wordCount totals —
-    the corpus-composition report a curation pass reads first. Per-block
-    pyarrow partials over extract_jsonld, one groupby merge."""
-    from .relational import hash_exchange
-
-    part_schema = pa.schema([
-        ("entity_type", pa.string()), ("n", pa.int64()),
-        ("word_count_sum", pa.int64()),
-    ])
-
-    def partial(t: pa.Table) -> pa.Table:
-        wc = pc.fill_null(t["word_count"], 0)
-        g = pa.Table.from_arrays(
-            [t["entity_type"], wc], names=["entity_type", "wc"]
-        ).group_by("entity_type").aggregate([("wc", "sum"), ([], "count_all")])
-        return pa.Table.from_arrays(
-            [g["entity_type"], pc.cast(g["count_all"], pa.int64()),
-             pc.cast(g["wc_sum"], pa.int64())],
-            schema=part_schema,
-        )
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("entity_type").aggregate([
-            ("n", "sum"), ("word_count_sum", "sum"),
-        ])
-        return pa.Table.from_arrays(
-            [g["entity_type"], pc.cast(g["n_sum"], pa.int64()),
-             pc.cast(g["word_count_sum_sum"], pa.int64())],
-            schema=part_schema,
-        )
-
-    parts = q_extract_jsonld(sf_dir).map_batches(partial, batch_format="pyarrow")
-    return hash_exchange(parts, ["entity_type"], merge, part_schema)
-
-
-SQL_JSONLD_TYPE_COUNTS = """
-WITH ents AS (
-  SELECT 'Article' AS entity_type, n_chars AS wc FROM documents WHERE doc_id % 13 <> 0
-  UNION ALL
-  SELECT 'Organization', 0 FROM documents WHERE doc_id % 5 = 0
-  UNION ALL
-  SELECT 'WebPage', 0 FROM documents WHERE doc_id % 5 = 0
-)
-SELECT entity_type, CAST(count(*) AS BIGINT) AS n,
-       CAST(sum(wc) AS BIGINT) AS word_count_sum
-FROM ents GROUP BY entity_type
-"""
-
-
-def q_extract_pdf_links(sf_dir: str) -> rd.Dataset:
-    """URI link annotations from PDFs (ISO 32000-1 §12.5.6.5 /Link +
-    §12.6.4.7 /URI actions) — the PDF twin of extract_outlinks, feeding
-    the same web-graph operators. Deterministic annotation-bearing PDFs
-    from the documents columns (synth.make_pdf_link_doc: indirect and
-    inline actions, /Square and internal-GoTo decoys); pure per-batch
-    map, no shuffle; the oracle replays the URI construction."""
-    from ..functions.pdf_meta import PdfDocument
-    from service1_text_extraction_ray.functions.pdf_extract import PdfParseError
-    from ..functions.fixtures import make_pdf_link_doc
-
-    out_schema = pa.schema([
-        ("url", pa.string()), ("page", pa.int64()), ("uri", pa.string()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src in zip(t["doc_id"].to_pylist(), t["source"].to_pylist()):
-            pdf, url = make_pdf_link_doc(int(d), src)
-            try:
-                doc = PdfDocument(pdf)
-            except PdfParseError:
-                continue
-            for page, uri in doc.links():
-                rows.append({"url": url, "page": page, "uri": uri})
-        if not rows:
-            return out_schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "source"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_EXTRACT_PDF_LINKS = """
-WITH s(i) AS (VALUES (0), (1), (2), (3), (4))
-SELECT 'https://' || source || '.example.com/pdf/' || doc_id AS url,
-       CAST(1 AS BIGINT) AS page,
-       'https://ref' || ((doc_id * 5 + i) % 17) || '.example.net/p/'
-           || (doc_id % 9) || '/' || i AS uri
-FROM documents, s
-WHERE s.i < 2 + doc_id % 3
-"""
-
-
-def q_extract_pdf_annots(sf_dir: str) -> rd.Dataset:
-    """Comment/markup annotations from PDFs (ISO 32000-1 §12.5.6.4 /Text
-    notes, §12.5.6.10 text markup, §12.5.6.6 /FreeText) with their
-    /Contents note strings — reviewer commentary is sidecar text a
-    document corpus wants alongside the body. Deterministic annotated
-    PDFs from the documents columns (synth.make_pdf_annot_doc: Text/
-    Highlight/FreeText kinds; Link/Square/contents-less decoys dropped);
-    pure per-batch map, no shuffle; the oracle replays every note
-    string. Extends the /Annots walk extract_pdf_links proved."""
-    from ..functions.pdf_meta import PdfDocument
-    from service1_text_extraction_ray.functions.pdf_extract import PdfParseError
-    from ..functions.fixtures import make_pdf_annot_doc
-
-    out_schema = pa.schema([
-        ("url", pa.string()), ("page", pa.int64()),
-        ("subtype", pa.string()), ("contents", pa.string()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src, lang in zip(
-            t["doc_id"].to_pylist(), t["source"].to_pylist(),
-            t["lang"].to_pylist(),
-        ):
-            pdf, url = make_pdf_annot_doc(int(d), src, lang or "en")
-            try:
-                doc = PdfDocument(pdf)
-                annots = doc.annotations()  # _page_order can raise too
-            except PdfParseError:
-                continue
-            for page, subtype, contents in annots:
-                rows.append({"url": url, "page": page,
-                             "subtype": subtype, "contents": contents})
-        if not rows:
-            return out_schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "source", "lang"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_EXTRACT_PDF_ANNOTS = """
-WITH base AS (
-  SELECT doc_id, source,
-         CASE WHEN lang IS NULL OR lang = '' THEN 'en' ELSE lang END AS lng,
-         'https://' || source || '.example.com/pdfa/' || doc_id AS url
-  FROM documents
-)
-SELECT url, CAST(1 AS BIGINT) AS page, 'Text' AS subtype,
-       'Note ' || doc_id || '-' || t.i AS contents
-FROM base, unnest(range(1, (doc_id % 2) + 2)) AS t(i)
-UNION ALL
-SELECT url, CAST(1 AS BIGINT), 'Highlight', 'HL ' || doc_id
-FROM base WHERE doc_id % 2 = 0
-UNION ALL
-SELECT url, CAST(1 AS BIGINT), 'FreeText', 'Free ' || lng || ' ' || doc_id
-FROM base
-"""
-
-
-def q_extract_headings(sf_dir: str) -> rd.Dataset:
-    """Heading-outline extraction (h1-h6 hierarchy with parent links) —
-    the table-of-contents structure a document-understanding corpus keys
-    sections on. Deterministic outline pages (synth.make_headings_page:
-    nested-inline text assembly, nav/footer/hidden/empty decoys all
-    dropped); the oracle regenerates every (pos, level, text, parent_pos)
-    row from the documents columns, the parent via a self-join on the
-    section's h2. Pure per-batch map, no shuffle."""
-    from ..functions.meta import extract_headings
-    from ..functions.fixtures import make_headings_page
-
-    out_schema = pa.schema([
-        ("url", pa.string()), ("pos", pa.int64()), ("level", pa.int64()),
-        ("text", pa.string()), ("parent_pos", pa.int64()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src, lang in zip(
-            t["doc_id"].to_pylist(), t["source"].to_pylist(),
-            t["lang"].to_pylist(),
-        ):
-            html, url = make_headings_page(int(d), src, lang or "en")
-            for h in extract_headings(html):
-                rows.append({"url": url, **h})
-        if not rows:
-            return out_schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "source", "lang"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_EXTRACT_HEADINGS = """
-WITH base AS (
-  SELECT doc_id, source,
-         'https://' || source || '.example.com/h/' || doc_id AS url,
-         (doc_id % 3) + 1 AS ns
-  FROM documents
-),
-hrows AS (
-  SELECT doc_id, url, 0 AS k, 0 AS j, 1 AS level,
-         'Doc ' || doc_id AS text
-  FROM base
-  UNION ALL
-  SELECT doc_id, url, s.k, 0, 2,
-         'Section ' || s.k || ' of doc ' || doc_id
-  FROM base, unnest(range(1, ns + 1)) AS s(k)
-  UNION ALL
-  SELECT doc_id, url, s.k, t.j, 3, 'Part ' || s.k || '.' || t.j
-  FROM base, unnest(range(1, ns + 1)) AS s(k),
-       unnest(range(1, ((doc_id + s.k) % 2) + 2)) AS t(j)
-),
-p AS (
-  SELECT doc_id, url, k, j, level, text,
-         CAST(row_number() OVER (
-           PARTITION BY doc_id ORDER BY k, j, level) AS BIGINT) AS pos
-  FROM hrows
-)
-SELECT p.url, p.pos, CAST(p.level AS BIGINT) AS level, p.text,
-       CAST(CASE WHEN p.level = 1 THEN -1
-                 WHEN p.level = 2 THEN 1
-                 ELSE par.pos END AS BIGINT) AS parent_pos
-FROM p LEFT JOIN p par
-  ON par.doc_id = p.doc_id AND par.k = p.k AND par.j = 0
-     AND par.level = 2 AND p.level = 3
-"""
-
-
-def q_extract_image_alts(sf_dir: str) -> rd.Dataset:
-    """Image-alt pair extraction — the (image URL, caption) pairing a
-    CLIP-style multimodal corpus is built from. Deterministic gallery
-    pages (synth.make_image_page: base-href re-rooting, absolute/root/
-    relative srcs, decorative/data:/script drops); the oracle rebuilds
-    every resolved src and alt from the documents columns, including the
-    %6==3 base-href branch. Pure per-batch map, no shuffle."""
-    from ..functions.links import extract_image_alts
-    from ..functions.fixtures import make_image_page
-
-    out_schema = pa.schema([
-        ("url", pa.string()), ("src", pa.string()), ("alt", pa.string()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src, lang in zip(
-            t["doc_id"].to_pylist(), t["source"].to_pylist(),
-            t["lang"].to_pylist(),
-        ):
-            html, base = make_image_page(int(d), src, lang or "en")
-            for img in extract_image_alts(html, base):
-                rows.append({"url": base, "src": img.src, "alt": img.alt})
-        if not rows:
-            return out_schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "source", "lang"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_EXTRACT_IMAGE_ALTS = """
-WITH base AS (
-  SELECT doc_id, source, lang,
-         'https://' || source || '.example.com/g/' || doc_id || '/index.html' AS url,
-         CASE WHEN doc_id % 6 = 3
-              THEN 'https://img' || (doc_id % 4) || '.example.org'
-              ELSE 'https://' || source || '.example.com' END AS eff_host,
-         CASE WHEN doc_id % 6 = 3
-              THEN 'https://img' || (doc_id % 4) || '.example.org/cdn/'
-              ELSE 'https://' || source || '.example.com/g/' || doc_id || '/' END
-           AS eff_dir
-  FROM documents
-)
-SELECT url, eff_dir || 'pics/' || (doc_id % 7) || '.jpg' AS src,
-       lang || ' photo ' || (doc_id % 7) AS alt
-FROM base
-UNION ALL
-SELECT url, 'https://media.example.net/m/' || (doc_id % 5) || '.png',
-       'Figure ' || (doc_id % 5)
-FROM base
-UNION ALL
-SELECT url, eff_host || '/static/logo' || (doc_id % 3) || '.gif',
-       'Logo ' || (doc_id % 3)
-FROM base
-"""
-
-
-def q_extract_hreflang(sf_dir: str) -> rd.Dataset:
-    """hreflang alternate-language extraction (<link rel=alternate
-    hreflang>) — the site-declared translation set. Deterministic fixture
-    pages (synth.make_hreflang_page: relative hrefs resolved, x-default
-    kept, stylesheet/RSS/script drops); pure per-batch map; the oracle
-    rebuilds every (lang, href) row."""
-    from ..functions.meta import extract_hreflang
-    from ..functions.fixtures import make_hreflang_page
-
-    out_schema = pa.schema([
-        ("url", pa.string()), ("hreflang", pa.string()), ("href", pa.string()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src, lang in zip(
-            t["doc_id"].to_pylist(), t["source"].to_pylist(),
-            t["lang"].to_pylist(),
-        ):
-            html, base = make_hreflang_page(int(d), src, lang or "en")
-            for lg, href in extract_hreflang(html, base):
-                rows.append({"url": base, "hreflang": lg, "href": href})
-        if not rows:
-            return out_schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "source", "lang"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_EXTRACT_HREFLANG = """
-WITH langs(lg) AS (VALUES ('en'), ('de'), ('fr')),
-base AS (
-  SELECT doc_id, source, doc_id // 4 AS cluster,
-         'https://' || source || '.example.com/t/' || doc_id AS url
-  FROM documents
-)
-SELECT url, lg AS hreflang,
-       'https://' || source || '.example.com/i18n/' || cluster || '/' || lg AS href
-FROM base, langs
-UNION ALL
-SELECT url, 'x-default',
-       'https://www.example.com/i18n/' || cluster
-FROM base
-"""
-
-
-def q_hreflang_clusters(sf_dir: str) -> rd.Dataset:
-    """Translation-set consolidation: pages sharing an x-default alternate
-    are the SAME content in different languages — group by that target,
-    keep the cluster size and the representative (lowest url). The
-    multilingual sibling of dedup_canonical: per-block partials (cluster
-    key, min url, count) then one groupby merge; only clusters with >= 2
-    pages surface (a lone page declares nothing to consolidate)."""
-    from ..functions.meta import extract_hreflang
-    from ..functions.fixtures import make_hreflang_page
-    from .relational import hash_exchange
-
-    part_schema = pa.schema([
-        ("cluster_href", pa.string()), ("rep_url", pa.string()),
-        ("n_pages", pa.int64()),
-    ])
-
-    def partial(t: pa.Table) -> pa.Table:
-        acc: dict = {}
-        for d, src, lang in zip(
-            t["doc_id"].to_pylist(), t["source"].to_pylist(),
-            t["lang"].to_pylist(),
-        ):
-            html, base = make_hreflang_page(int(d), src, lang or "en")
-            key = None
-            for lg, href in extract_hreflang(html, base):
-                if lg == "x-default":
-                    key = href
-                    break
-            if key is None:
-                continue
-            if key in acc:
-                acc[key][0] = min(acc[key][0], base)
-                acc[key][1] += 1
-            else:
-                acc[key] = [base, 1]
-        if not acc:
-            return part_schema.empty_table()
-        return pa.Table.from_pylist(
-            [{"cluster_href": k, "rep_url": v[0], "n_pages": v[1]}
-             for k, v in acc.items()],
-            schema=part_schema,
-        )
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("cluster_href").aggregate([
-            ("rep_url", "min"), ("n_pages", "sum"),
-        ])
-        out = pa.Table.from_arrays(
-            [g["cluster_href"], g["rep_url_min"],
-             pc.cast(g["n_pages_sum"], pa.int64())],
-            schema=part_schema,
-        )
-        return out.filter(pc.greater_equal(out["n_pages"], pa.scalar(2, pa.int64())))
-
-    parts = _read(sf_dir, "documents", ["doc_id", "source", "lang"]).map_batches(
-        partial, batch_format="pyarrow"
-    )
-    return hash_exchange(parts, ["cluster_href"], merge, part_schema)
-
-
-SQL_HREFLANG_CLUSTERS = """
-WITH base AS (
-  SELECT doc_id // 4 AS cluster,
-         'https://' || source || '.example.com/t/' || doc_id AS url
-  FROM documents
-)
-SELECT 'https://www.example.com/i18n/' || cluster AS cluster_href,
-       min(url) AS rep_url, CAST(count(*) AS BIGINT) AS n_pages
-FROM base GROUP BY cluster HAVING count(*) >= 2
-"""
-
-
-def q_extract_pdf_outline(sf_dir: str) -> rd.Dataset:
-    """PDF bookmark-tree extraction (ISO 32000-1 §12.3.3 document outline):
-    (depth, reading-order position, title) per item — the section
-    structure a long-document chunker keys on. Deterministic outline
-    fixtures (synth.make_pdf_outline_doc); the oracle replays the tree
-    walk's reading order arithmetically. Pure per-batch map."""
-    from ..functions.pdf_meta import PdfDocument
-    from service1_text_extraction_ray.functions.pdf_extract import PdfParseError
-    from ..functions.fixtures import make_pdf_outline_doc
-
-    out_schema = pa.schema([
-        ("url", pa.string()), ("ord", pa.int64()),
-        ("depth", pa.int64()), ("title", pa.string()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src in zip(t["doc_id"].to_pylist(), t["source"].to_pylist()):
-            pdf, url = make_pdf_outline_doc(int(d), src)
-            try:
-                doc = PdfDocument(pdf)
-            except PdfParseError:
-                continue
-            for i, (depth, title) in enumerate(doc.outline(), start=1):
-                rows.append({"url": url, "ord": i, "depth": depth,
-                             "title": title})
-        if not rows:
-            return out_schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "source"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_EXTRACT_PDF_OUTLINE = """
-WITH s(k) AS (VALUES (0), (1), (2)),
-base AS (
-  SELECT doc_id,
-         'https://' || source || '.example.com/book/' || doc_id AS url
-  FROM documents
-)
-SELECT url, CASE WHEN k = 0 THEN 1 ELSE CAST(k + 3 AS BIGINT) END AS ord,
-       CAST(1 AS BIGINT) AS depth, 'Section ' || doc_id || '-' || k AS title
-FROM base, s WHERE s.k < 1 + doc_id % 3
-UNION ALL
-SELECT url, CAST(2 + j AS BIGINT), 2, 'Sub ' || doc_id || '-0-' || j
-FROM base, (VALUES (0), (1)) subs(j)
-"""
-
-
-def q_extract_pdf_forms(sf_dir: str) -> rd.Dataset:
-    """AcroForm field extraction (ISO 32000-1 §12.7 interactive forms):
-    (ord, fully-qualified name, type, value, flags) per terminal field —
-    filled government/financial forms are a data-extraction target the
-    reference's corpus (annual reports) is full of. Exercises /FT and /V
-    inheritance, dotted non-terminal names, radio groups whose kids are
-    /T-less widgets, and a /T-less decoy that must not emit. Deterministic
-    fixtures (synth.make_pdf_form_doc); pure per-batch map; the oracle
-    replays every field row."""
-    from ..functions.pdf_meta import PdfDocument
-    from service1_text_extraction_ray.functions.pdf_extract import PdfParseError
-    from ..functions.fixtures import make_pdf_form_doc
-
-    out_schema = pa.schema([
-        ("url", pa.string()), ("ord", pa.int64()), ("name", pa.string()),
-        ("ftype", pa.string()), ("value", pa.string()), ("flags", pa.int64()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src in zip(t["doc_id"].to_pylist(), t["source"].to_pylist()):
-            pdf, url = make_pdf_form_doc(int(d), src)
-            try:
-                doc = PdfDocument(pdf)
-            except PdfParseError:
-                continue
-            for i, (name, ftype, value, flags) in enumerate(
-                doc.form_fields(), start=1
-            ):
-                rows.append({
-                    "url": url, "ord": i, "name": name, "ftype": ftype,
-                    "value": value, "flags": flags,
-                })
-        if not rows:
-            return out_schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "source"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_EXTRACT_PDF_FORMS = """
-WITH base AS (
-  SELECT doc_id,
-         'https://' || source || '.example.com/form/' || doc_id AS url
-  FROM documents
-)
-SELECT url, CAST(1 AS BIGINT) AS ord, 'title' AS name, 'Tx' AS ftype,
-       'Doc ' || doc_id AS value, CAST(0 AS BIGINT) AS flags FROM base
-UNION ALL
-SELECT url, 2, 'agree', 'Btn',
-       CASE WHEN doc_id % 2 = 1 THEN 'Yes' ELSE 'Off' END, 0 FROM base
-UNION ALL
-SELECT url, 3, 'color', 'Ch', 'c' || (doc_id % 4), 131072 FROM base
-UNION ALL
-SELECT url, 4, 'grp', 'Btn', 'opt' || (doc_id % 3), 32768 FROM base
-UNION ALL
-SELECT url, 5, 'addr.city', 'Tx', 'City ' || (doc_id % 10), 0 FROM base
-UNION ALL
-SELECT url, 6, 'addr.zip', 'Tx', CAST(10000 + doc_id AS VARCHAR), 0 FROM base
-"""
-
-
-def q_extract_pdf_xmp(sf_dir: str) -> rd.Dataset:
-    """XMP metadata extraction (ISO 32000-1 §14.3.2): dc:title, dc:creator
-    and xmp:CreateDate from the catalog's /Metadata RDF packet — the
-    provenance twin of q_extract_pdf_info (most modern producers write XMP
-    alongside or instead of the /Info dictionary). Deterministic fixtures
-    (synth.make_pdf_xmp_doc); pure per-batch map; the oracle replays every
-    property."""
-    from ..functions.pdf_meta import PdfDocument
-    from service1_text_extraction_ray.functions.pdf_extract import PdfParseError
-    from ..functions.fixtures import make_pdf_xmp_doc
-
-    out_schema = pa.schema([
-        ("url", pa.string()), ("dc_title", pa.string()),
-        ("dc_creator", pa.string()), ("create_date", pa.string()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src in zip(t["doc_id"].to_pylist(), t["source"].to_pylist()):
-            pdf, url = make_pdf_xmp_doc(int(d), src)
-            try:
-                doc = PdfDocument(pdf)
-            except PdfParseError:
-                continue
-            x = doc.xmp()
-            if not x:
-                continue
-            rows.append({
-                "url": url, "dc_title": x.get("dc_title", ""),
-                "dc_creator": x.get("dc_creator", ""),
-                "create_date": x.get("create_date", ""),
-            })
-        if not rows:
-            return out_schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "source"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_EXTRACT_PDF_XMP = """
-SELECT 'https://' || source || '.example.com/xmp/' || doc_id AS url,
-       'Report ' || doc_id AS dc_title,
-       'author-' || (doc_id % 5) AS dc_creator,
-       '2024-' || lpad(CAST(1 + doc_id % 12 AS VARCHAR), 2, '0') || '-'
-                || lpad(CAST(1 + doc_id % 28 AS VARCHAR), 2, '0')
-                || 'T00:00:00Z' AS create_date
-FROM documents
-"""
-
-
-def q_extract_microdata(sf_dir: str) -> rd.Dataset:
-    """schema.org microdata extraction (itemscope/itemprop attributes —
-    the other structured-data wire format next to JSON-LD): one row per
-    (entity ordinal, itemtype, prop, value), values from natural value
-    attributes (src/content/datetime) or whitespace-normalized text.
-    Deterministic product pages (synth.make_microdata_page: nested Offer
-    entities, orphan-prop/empty-value/script drops); pure per-batch map;
-    the oracle replays every row including the entity ordinals."""
-    from ..functions.structured import extract_microdata
-    from ..functions.fixtures import make_microdata_page
-
-    out_schema = pa.schema([
-        ("url", pa.string()), ("entity", pa.int64()),
-        ("itemtype", pa.string()), ("prop", pa.string()),
-        ("value", pa.string()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src, lang, nc in zip(
-            t["doc_id"].to_pylist(), t["source"].to_pylist(),
-            t["lang"].to_pylist(), t["n_chars"].to_pylist(),
-        ):
-            html, url = make_microdata_page(int(d), src, lang or "en", int(nc))
-            for r in extract_microdata(html):
-                rows.append({"url": url, **r})
-        if not rows:
-            return out_schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(
-        sf_dir, "documents", ["doc_id", "source", "lang", "n_chars"]
-    ).map_batches(f, batch_format="pyarrow")
-
-
-SQL_EXTRACT_MICRODATA = """
-WITH base AS (
-  SELECT doc_id, source, lang,
-         'https://' || source || '.example.com/shop/' || doc_id AS url
-  FROM documents
-),
-product AS (
-  SELECT url, CAST(1 AS BIGINT) AS entity,
-         'https://schema.org/Product' AS itemtype, doc_id, source, lang
-  FROM base
-)
-SELECT url, entity, itemtype, 'name' AS prop,
-       'Product ' || doc_id || ' (' || lang || ')' AS value FROM product
-UNION ALL
-SELECT url, entity, itemtype, 'image', '/img/' || (doc_id % 8) || '.jpg'
-FROM product
-UNION ALL
-SELECT url, entity, itemtype, 'sku', 'SKU-' || source || '-' || doc_id
-FROM product
-UNION ALL
-SELECT url, CAST(2 AS BIGINT), 'https://schema.org/Offer', 'price',
-       (doc_id % 90 + 10) || '.' || lpad(CAST(doc_id % 100 AS VARCHAR), 2, '0')
-FROM product WHERE doc_id % 3 = 0
-UNION ALL
-SELECT url, entity, itemtype, 'released',
-       '2024-01-' || lpad(CAST(1 + doc_id % 28 AS VARCHAR), 2, '0')
-FROM product
-"""
-
-
-def q_discover_feeds(sf_dir: str) -> rd.Dataset:
-    """Feed autodiscovery (<link rel=alternate type=application/rss+xml|
-    atom+xml>) — how a crawler finds a site's feeds from any page, the
-    upstream step of extract_feed. Deterministic fixture pages
-    (synth.make_feed_discovery_page: relative hrefs resolved, hreflang/
-    stylesheet/text-html drops); pure per-batch map; exact oracle."""
-    from ..functions.meta import discover_feeds
-    from ..functions.fixtures import make_feed_discovery_page
-
-    out_schema = pa.schema([
-        ("url", pa.string()), ("feed_kind", pa.string()),
-        ("feed_url", pa.string()), ("title", pa.string()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src, lang in zip(
-            t["doc_id"].to_pylist(), t["source"].to_pylist(),
-            t["lang"].to_pylist(),
-        ):
-            html, url = make_feed_discovery_page(int(d), src, lang or "en")
-            for kind, href, title in discover_feeds(html, url):
-                rows.append({"url": url, "feed_kind": kind,
-                             "feed_url": href, "title": title})
-        if not rows:
-            return out_schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "source", "lang"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_DISCOVER_FEEDS = """
-WITH base AS (
-  SELECT doc_id, source,
-         'https://' || source || '.example.com/blog/' || doc_id AS url
-  FROM documents
-)
-SELECT url, 'rss' AS feed_kind,
-       'https://' || source || '.example.com/feed/' || (doc_id % 5) || '.xml'
-         AS feed_url,
-       '' AS title
-FROM base
-UNION ALL
-SELECT url, 'atom', 'https://feeds.example.net/' || source || '/atom.xml',
-       'Atom feed for ' || source
-FROM base WHERE doc_id % 4 = 0
-"""
-
-
-def q_extract_rdfa(sf_dir: str) -> rd.Dataset:
-    """RDFa Lite extraction (vocab/typeof/property attributes — the THIRD
-    schema.org wire format, completing the JSON-LD / microdata / RDFa
-    trio): one row per (entity ordinal, rtype, prop, value), vocab-
-    expanded terms, CURIE passthrough, content-attr priority.
-    Deterministic article pages (synth.make_rdfa_page: nested Person
-    entities, chained/orphan/empty/script drops); pure per-batch map; the
-    oracle replays every row including entity ordinals and vocab
-    expansion."""
-    from ..functions.structured import extract_rdfa
-    from ..functions.fixtures import make_rdfa_page
-
-    out_schema = pa.schema([
-        ("url", pa.string()), ("entity", pa.int64()),
-        ("rtype", pa.string()), ("prop", pa.string()),
-        ("value", pa.string()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src, lang in zip(
-            t["doc_id"].to_pylist(), t["source"].to_pylist(),
-            t["lang"].to_pylist(),
-        ):
-            html, url = make_rdfa_page(int(d), src, lang or "en")
-            for r in extract_rdfa(html):
-                rows.append({"url": url, **r})
-        if not rows:
-            return out_schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "source", "lang"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_EXTRACT_RDFA = """
-WITH base AS (
-  SELECT doc_id, source, lang,
-         'https://' || source || '.example.com/news/' || doc_id AS url
-  FROM documents
-),
-art AS (
-  SELECT url, CAST(1 AS BIGINT) AS entity,
-         'https://schema.org/Article' AS rtype, doc_id, source, lang
-  FROM base
-)
-SELECT url, entity, rtype, 'https://schema.org/name' AS prop,
-       'Story ' || doc_id || ' (' || lang || ')' AS value FROM art
-UNION ALL
-SELECT url, entity, rtype, 'https://schema.org/datePublished',
-       '2024-' || lpad(CAST(1 + doc_id % 12 AS VARCHAR), 2, '0')
-            || '-' || lpad(CAST(1 + doc_id % 28 AS VARCHAR), 2, '0')
-FROM art
-UNION ALL
-SELECT url, entity, rtype, 'https://schema.org/image',
-       '/img/' || (doc_id % 8) || '.jpg' FROM art
-UNION ALL
-SELECT url, entity, rtype, 'https://schema.org/wordCount',
-       CAST(100 + doc_id % 900 AS VARCHAR) FROM art
-UNION ALL
-SELECT url, CAST(2 AS BIGINT), 'https://schema.org/Person',
-       'https://schema.org/name', 'Reporter ' || (doc_id % 10)
-FROM art WHERE doc_id % 3 = 0
-UNION ALL
-SELECT url, entity, rtype, 'dc:subject', 'beat-' || (doc_id % 5) FROM art
-"""
-
-
-def q_crawl_schedule(sf_dir: str) -> rd.Dataset:
-    """Politeness schedule for one fetch wave: each host's Hamilton budget
-    (q_host_crawl_budget) expands to per-slot fetch times paced by the
-    host's robots.txt ``Crawl-delay`` (REAL parser — robots.parse_crawl_delay
-    with group selection against a decoy group; the de-facto extension
-    Bing/Yandex honor). slot k fetches at (k-1)*delay seconds; wave_end_s
-    (the host's last fetch) is what a scheduler balances against budget.
-
-    Topology: the budget table is host-cardinality (tiny by definition —
-    see q_host_crawl_budget's scale note); the slot EXPANSION — the part
-    that is row-scale, CRAWL_BUDGET rows here, budget x 10^8 hosts at web
-    scale — runs distributed as a flat per-batch map over the host table.
-    The oracle replays Hamilton x the delay rule x generate_series."""
-    from ..functions.robots import make_robots_txt, parse_crawl_delay
-
-    out_schema = pa.schema([
-        ("host", pa.string()), ("slot", pa.int64()),
-        ("delay_s", pa.int64()), ("fetch_at_s", pa.int64()),
-    ])
-
-    hosts = q_host_crawl_budget(sf_dir)  # host-cardinality pandas table
-
-    def expand(t: pa.Table) -> pa.Table:
-        budgets = pc.cast(t["budget"], pa.int64()).to_numpy()
-        if budgets.sum() == 0:
-            return out_schema.empty_table()
-        host_list = t["host"].to_pylist()
-        delays = np.array(
-            [parse_crawl_delay(make_robots_txt(h)) for h in host_list],
-            dtype="int64",
-        )
-        host_rep = np.repeat(np.array(host_list, dtype=object), budgets)
-        delay_rep = np.repeat(delays, budgets)
-        # slot = 1..budget within each host: global arange minus each run's start
-        ends = np.cumsum(budgets)
-        starts = ends - budgets
-        slots = np.arange(ends[-1], dtype="int64") - np.repeat(starts, budgets) + 1
-        return pa.Table.from_arrays(
-            [pa.array(host_rep, pa.string()), pa.array(slots),
-             pa.array(delay_rep), pa.array((slots - 1) * delay_rep)],
-            schema=out_schema,
-        )
-
-    return rd.from_pandas(hosts).map_batches(expand, batch_format="pyarrow")
-
-
-SQL_CRAWL_SCHEDULE = f"""
-WITH hc AS (
-  SELECT source || '.example.' ||
-           CASE doc_id % 3 WHEN 0 THEN 'com' WHEN 1 THEN 'org' ELSE 'net' END AS host,
-         count(*) AS n_docs
-  FROM documents GROUP BY 1
-),
-t AS (SELECT sum(n_docs) AS total FROM hc),
-b AS (
-  SELECT host, n_docs,
-         ({CRAWL_BUDGET} * n_docs) // total AS base,
-         ({CRAWL_BUDGET} * n_docs) % total AS rem
-  FROM hc, t
-),
-r AS (
-  SELECT host, base,
-         row_number() OVER (ORDER BY rem DESC, host ASC) AS rk
-  FROM b
-),
-budget AS (
-  SELECT host,
-         base + CASE WHEN rk <= {CRAWL_BUDGET} - (SELECT sum(base) FROM b)
-                     THEN 1 ELSE 0 END AS budget,
-         1 + (length(host) + ascii(substr(host, 1, 1))) % 4 AS delay_s
-  FROM r
-)
-SELECT host, CAST(UNNEST(generate_series(1, CAST(budget AS BIGINT))) AS BIGINT) AS slot,
-       CAST(delay_s AS BIGINT) AS delay_s,
-       CAST((UNNEST(generate_series(1, CAST(budget AS BIGINT))) - 1) * delay_s AS BIGINT)
-         AS fetch_at_s
-FROM budget
-"""
 
 
 def _pagination_rows(t: pa.Table):
@@ -8694,174 +4086,6 @@ def _pagination_rows(t: pa.Table):
             "has_next": int("next" in rels), "has_prev": int("prev" in rels),
         })
     return rows
-
-
-def q_extract_pagination(sf_dir: str) -> rd.Dataset:
-    """Per-page pagination signals: rel=next/prev link presence (parsed
-    from the head with extract_rel_links) plus the chain key and position
-    a crawler derives from the URL's page parameter. Pure per-batch map;
-    the oracle replays every row."""
-    out_schema = pa.schema([
-        ("url", pa.string()), ("chain_url", pa.string()), ("pos", pa.int64()),
-        ("has_next", pa.int64()), ("has_prev", pa.int64()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = _pagination_rows(t)
-        if not rows:
-            return out_schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "source", "lang"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_EXTRACT_PAGINATION = """
-SELECT 'https://' || source || '.example.com/art/' || (doc_id // 80)
-         || '?page=' || ((doc_id % 80) // 20 + 1) AS url,
-       'https://' || source || '.example.com/art/' || (doc_id // 80) AS chain_url,
-       CAST((doc_id % 80) // 20 + 1 AS BIGINT) AS pos,
-       CAST(CASE WHEN (doc_id % 80) // 20 + 1 < 4 THEN 1 ELSE 0 END AS BIGINT) AS has_next,
-       CAST(CASE WHEN (doc_id % 80) // 20 + 1 > 1 THEN 1 ELSE 0 END AS BIGINT) AS has_prev
-FROM documents
-"""
-
-
-def q_pagination_chains(sf_dir: str) -> rd.Dataset:
-    """Pagination-chain assembly: group per-page pagination rows by chain
-    key and report each chain's page count, position span, and whether it
-    is COMPLETE (starts at page 1, positions contiguous, exactly one tail
-    page without rel=next). Because the fixture's series fragment across
-    hosts, incomplete fragments are the common case — the gap structure a
-    recrawl scheduler queues. Topology: per-block partial chain stats
-    (count/min/max/tails — the url_host_stats pre-combine shape), one tiny
-    groupby merge keyed on chain_url, completeness decided per merged row;
-    at web scale chains are bounded (tens of pages), so no skew risk."""
-    from ray.data.aggregate import Max, Min, Sum
-
-    part_schema = pa.schema([
-        ("chain_url", pa.string()), ("n_pages", pa.int64()),
-        ("first_pos", pa.int64()), ("last_pos", pa.int64()),
-        ("n_tails", pa.int64()),
-    ])
-
-    def partial(t: pa.Table) -> pa.Table:
-        acc: dict = {}
-        for r in _pagination_rows(t):
-            k = r["chain_url"]
-            tail = 1 - r["has_next"]
-            if k in acc:
-                a = acc[k]
-                a[0] += 1
-                a[1] = min(a[1], r["pos"])
-                a[2] = max(a[2], r["pos"])
-                a[3] += tail
-            else:
-                acc[k] = [1, r["pos"], r["pos"], tail]
-        if not acc:
-            return part_schema.empty_table()
-        return pa.Table.from_pylist(
-            [{"chain_url": k, "n_pages": v[0], "first_pos": v[1],
-              "last_pos": v[2], "n_tails": v[3]} for k, v in acc.items()],
-            schema=part_schema,
-        )
-
-    def finish(t: pa.Table) -> pa.Table:
-        complete = pc.and_(
-            pc.and_(
-                pc.equal(t["n_pages"],
-                         pc.add(pc.subtract(t["last_pos"], t["first_pos"]), 1)),
-                pc.equal(t["first_pos"], 1),
-            ),
-            pc.equal(t["n_tails"], 1),
-        )
-        return pa.Table.from_arrays(
-            [t["chain_url"], t["n_pages"], t["first_pos"], t["last_pos"],
-             pc.cast(complete, pa.int64())],
-            names=["chain_url", "n_pages", "first_pos", "last_pos", "complete"],
-        )
-
-    return (
-        _read(sf_dir, "documents", ["doc_id", "source", "lang"])
-        .map_batches(partial, batch_format="pyarrow")
-        .repartition(8)
-        .groupby("chain_url")
-        .aggregate(
-            Sum("n_pages", alias_name="n_pages"),
-            Min("first_pos", alias_name="first_pos"),
-            Max("last_pos", alias_name="last_pos"),
-            Sum("n_tails", alias_name="n_tails"),
-        )
-        .map_batches(finish, batch_format="pyarrow")
-    )
-
-
-SQL_PAGINATION_CHAINS = """
-WITH p AS (
-  SELECT 'https://' || source || '.example.com/art/' || (doc_id // 80) AS chain_url,
-         (doc_id % 80) // 20 + 1 AS pos,
-         CASE WHEN (doc_id % 80) // 20 + 1 < 4 THEN 0 ELSE 1 END AS tail
-  FROM documents
-)
-SELECT chain_url, count(*) AS n_pages,
-       CAST(min(pos) AS BIGINT) AS first_pos,
-       CAST(max(pos) AS BIGINT) AS last_pos,
-       CAST(CASE WHEN count(*) = max(pos) - min(pos) + 1
-                  AND min(pos) = 1 AND sum(tail) = 1
-                 THEN 1 ELSE 0 END AS BIGINT) AS complete
-FROM p GROUP BY chain_url
-"""
-
-
-# ---------------------------------------------------------------------------
-# Indexability + soft-404 classification (functions/meta.py page_status)
-# ---------------------------------------------------------------------------
-
-
-def q_page_indexability(sf_dir: str) -> rd.Dataset:
-    """Per-page indexability report: robots-meta directives (noindex /
-    nofollow, case-insensitive token list incl. the 'none' alias) and the
-    soft-404 classifier (servers answering 200 for missing pages — a
-    404-ish title, or an error phrase on a thin page). The signals a crawl
-    pipeline uses to drop pages BEFORE they pollute a training corpus.
-    Pure per-batch map over deterministic status pages
-    (synth.make_status_page); the real HTML parser runs inside the
-    value-hash-checked loop; the oracle rebuilds the flags from doc_id
-    arithmetic."""
-    from ..functions.meta import page_status
-    from ..functions.fixtures import make_status_page
-
-    out_schema = pa.schema([
-        ("doc_id", pa.int64()), ("noindex", pa.bool_()),
-        ("nofollow", pa.bool_()), ("soft404", pa.bool_()),
-        ("reason", pa.string()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src, lang in zip(
-            t["doc_id"].to_pylist(), t["source"].to_pylist(), t["lang"].to_pylist()
-        ):
-            html, _ = make_status_page(int(d), src, lang or "en")
-            s = page_status(html)
-            rows.append({"doc_id": int(d), **s})
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "source", "lang"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_PAGE_INDEXABILITY = """
-SELECT doc_id,
-       (doc_id % 6 = 1 OR doc_id % 6 = 5) AS noindex,
-       (doc_id % 6 = 3 OR doc_id % 6 = 5) AS nofollow,
-       (doc_id % 9 = 4 OR doc_id % 9 = 7) AS soft404,
-       CASE WHEN doc_id % 9 = 4 THEN 'title'
-            WHEN doc_id % 9 = 7 THEN 'body' END AS reason
-FROM documents
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -8913,19 +4137,6 @@ def q_host_templates(sf_dir: str) -> rd.Dataset:
         .groupby(["host", "template_hash"])
         .aggregate(RSum("n_pages", alias_name="n_pages"))
     )
-
-
-SQL_HOST_TEMPLATES = """
-WITH seq AS (
-  SELECT source AS host,
-         'html|head|title'
-         || CASE WHEN doc_id % 6 IN (1, 3, 5) THEN '|meta' ELSE '' END
-         || '|script|body|p' AS s
-  FROM documents
-)
-SELECT host, md5(s) AS template_hash, CAST(count(*) AS BIGINT) AS n_pages
-FROM seq GROUP BY 1, 2
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -8997,51 +4208,6 @@ def q_host_mirror_overlap(sf_dir: str) -> rd.Dataset:
         .groupby(["host_a", "host_b"])
         .aggregate(RSum("n_shared", alias_name="n_shared"))
     )
-
-
-def _sql_host_mirror_overlap() -> str:
-    """Oracle: the q_doc_fingerprints winnowing scan carrying the host
-    column, then a distinct (host, fp) self-join across host pairs."""
-    K, W = WINNOW_K, WINNOW_W
-
-    def hexbyte(col: str, idx: int) -> str:
-        c1 = f"substr({col}, {2 * idx + 1}, 1)"
-        c2 = f"substr({col}, {2 * idx + 2}, 1)"
-        return (
-            f"((instr('0123456789abcdef', {c1}) - 1) * 16"
-            f" + instr('0123456789abcdef', {c2}) - 1)"
-        )
-
-    u64 = " + ".join(
-        f"CAST({hexbyte('m', j)} AS UBIGINT) * {256 ** j}" for j in range(8)
-    )
-    return f"""
-WITH long_docs AS (
-  SELECT source AS host, coalesce(text, '') AS text FROM documents
-  WHERE length(coalesce(text, '')) >= {K}
-),
-hexes AS (
-  SELECT host,
-         list_transform(range(1, length(text) - {K} + 2),
-                        i -> md5(substr(text, i, {K}))) AS hx
-  FROM long_docs
-),
-hs AS (SELECT host, list_transform(hx, m -> {u64}) AS h FROM hexes),
-mins AS (
-  SELECT host,
-         list_distinct(list_transform(
-           range(1, greatest(len(h) - {W} + 1, 1) + 1),
-           i -> list_min(h[i:i+{W - 1}]))) AS m
-  FROM hs
-),
-hostfp AS (SELECT DISTINCT host, unnest(m) AS fp FROM mins)
-SELECT a.host AS host_a, b.host AS host_b, CAST(count(*) AS BIGINT) AS n_shared
-FROM hostfp a JOIN hostfp b ON a.fp = b.fp AND a.host < b.host
-GROUP BY 1, 2
-"""
-
-
-SQL_HOST_MIRROR_OVERLAP = _sql_host_mirror_overlap()
 
 
 # ---------------------------------------------------------------------------
@@ -9167,31 +4333,6 @@ def q_sitemap_coverage(sf_dir: str) -> rd.Dataset:
     return hash_exchange(both, ["url"], one_sided, out_schema)
 
 
-SQL_SITEMAP_COVERAGE = """
-WITH hosts AS (SELECT DISTINCT source || '.example.com' AS host FROM documents),
-declared AS (
-  SELECT host,
-         'https://' || host || '/p/' || t1.k || '/' || t2.i
-           || CASE WHEN t2.i % 4 = 0 THEN '?x=1&ref=home' ELSE '' END AS url
-  FROM hosts
-  CROSS JOIN generate_series(0, 1) t1(k)
-  CROSS JOIN generate_series(0, 5) t2(i)
-  WHERE t2.i < 4 + (length(host) + t1.k) % 3
-),
-crawled AS (
-  SELECT DISTINCT source || '.example.com' AS host,
-         'https://' || source || '.example.com/p/' || (doc_id % 2) || '/' || (doc_id % 6)
-           || CASE WHEN (doc_id % 6) % 4 = 0 THEN '?x=1&ref=home' ELSE '' END AS url
-  FROM documents
-)
-SELECT host, url, 'missing' AS status
-FROM declared d WHERE NOT EXISTS (SELECT 1 FROM crawled c WHERE c.url = d.url)
-UNION ALL
-SELECT host, url, 'unlisted' AS status
-FROM crawled c WHERE NOT EXISTS (SELECT 1 FROM declared d WHERE d.url = c.url)
-"""
-
-
 # ---------------------------------------------------------------------------
 # Product quantization ANN (Jégou et al., TPAMI 2011) — the memory-scale path
 # ---------------------------------------------------------------------------
@@ -9304,70 +4445,6 @@ def q_ann_pq(sf_dir: str) -> pd.DataFrame:
     cand = partials.sort_values(["sim", "vec_id"], ascending=[False, True]).head(PQ_RERANK)
     top = cand.sort_values(["dot", "vec_id"], ascending=[False, True]).head(KNN_K)
     return pd.DataFrame({"vec_id": top["vec_id"].astype("int64").to_numpy()})
-
-
-def sql_ann_pq(sf_dir: str | None = None) -> str:
-    """Exact oracle for q_ann_pq: codebooks and the ADC LUT are
-    deterministic integers -> inlined as literals (the sql_ann_ivf
-    contract, sf from $GRAFT_ORACLE_SF_DIR). Per subspace the integer L2
-    argmin replays via list_position(list_min) over the 16 inline distance
-    expressions; the score is the sum of LUT list-indexing terms; top-k
-    tiebreaks on vec_id."""
-    if sf_dir is None:
-        sf_dir = os.environ.get("GRAFT_ORACLE_SF_DIR", "/root/testdata/sf0.01")
-    books = _pq_codebooks(sf_dir)
-    qq = _pq_quantize(_query_vector()[None, :])[0]
-    qlit = "[" + ", ".join(str(int(v)) for v in qq) + "]"
-    sub = books.shape[2]
-    lut = np.einsum("mks,ms->mk", books, qq.reshape(PQ_M, sub))
-
-    sim_terms = []
-    for m in range(PQ_M):
-        dists = []
-        for c in range(PQ_K):
-            terms = " + ".join(
-                f"(xq[{m * sub + j + 1}] - {books[m, c, j]})"
-                f" * (xq[{m * sub + j + 1}] - {books[m, c, j]})"
-                for j in range(sub)
-            )
-            dists.append(f"({terms})")
-        dlist = "[" + ", ".join(dists) + "]"
-        llist = "[" + ", ".join(str(int(v)) for v in lut[m]) + "]"
-        sim_terms.append(
-            f"{llist}[list_position(dl{m}, list_min(dl{m}))]"
-        )
-        # dl{m} computed in the projection below
-    dl_cols = []
-    for m in range(PQ_M):
-        dists = []
-        for c in range(PQ_K):
-            terms = " + ".join(
-                f"(xq[{m * sub + j + 1}] - {books[m, c, j]})"
-                f" * (xq[{m * sub + j + 1}] - {books[m, c, j]})"
-                for j in range(sub)
-            )
-            dists.append(f"({terms})")
-        dl_cols.append("[" + ", ".join(dists) + f"] AS dl{m}")
-    return f"""
-WITH base AS (
-  SELECT vec_id,
-         list_transform(CAST(embedding AS DOUBLE[]),
-                        v -> CAST(round(v * {PQ_UNIT}) AS BIGINT)) AS xq
-  FROM embeddings
-),
-dls AS (
-  SELECT vec_id, {", ".join(dl_cols)} FROM base
-),
-scored AS (
-  SELECT b.vec_id, {" + ".join(sim_terms)} AS sim,
-         list_dot_product(b.xq, {qlit}) AS dot
-  FROM dls JOIN base b USING (vec_id)
-),
-cand AS (
-  SELECT vec_id, dot FROM scored ORDER BY sim DESC, vec_id ASC LIMIT {PQ_RERANK}
-)
-SELECT vec_id FROM cand ORDER BY dot DESC, vec_id ASC LIMIT {KNN_K}
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -9516,51 +4593,6 @@ def _communities_broadcast(edges: rd.Dataset) -> rd.Dataset:
     return rd.from_arrow(out)
 
 
-def _sql_host_communities() -> str:
-    links = """
-base AS (SELECT doc_id, source FROM documents WHERE doc_id % 7 <> 0),
-links AS (
-  SELECT source || '.example.com' AS src,
-         'src' || ((doc_id * 7 + 1) % 20) || '.example.net' AS dst FROM base
-  UNION ALL
-  SELECT source || '.example.com', 'cdn.example.org' FROM base
-  UNION ALL
-  SELECT source || '.example.com', CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END FROM base
-  UNION ALL
-  SELECT source || '.example.com', CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END FROM base
-),
-edges AS MATERIALIZED (SELECT src, dst, CAST(count(*) AS BIGINT) AS n FROM links GROUP BY 1, 2),
-uedges AS MATERIALIZED (
-  SELECT src AS a, dst AS b, n FROM edges
-  UNION ALL
-  SELECT dst, src, n FROM edges
-),
-hosts AS MATERIALIZED (SELECT DISTINCT a AS host FROM uedges),
-lab0 AS MATERIALIZED (SELECT host, host AS label FROM hosts)"""
-    its = []
-    for i in range(LABELPROP_ITERS):
-        its.append(f"""
-wsum{i + 1} AS MATERIALIZED (
-  SELECT e.a AS host, l.label, CAST(sum(e.n) AS BIGINT) AS w
-  FROM uedges e JOIN lab{i} l ON l.host = e.b
-  GROUP BY 1, 2),
-pick{i + 1} AS MATERIALIZED (
-  SELECT host, label,
-         row_number() OVER (PARTITION BY host ORDER BY w DESC, label ASC) AS rn
-  FROM wsum{i + 1}),
-lab{i + 1} AS MATERIALIZED (
-  SELECT h.host, coalesce(p.label, h.host) AS label
-  FROM hosts h LEFT JOIN (SELECT host, label FROM pick{i + 1} WHERE rn = 1) p
-    USING (host))""")
-    return (
-        "WITH " + links + "," + ",".join(its)
-        + f"\nSELECT host, label AS community FROM lab{LABELPROP_ITERS}"
-    )
-
-
-SQL_HOST_COMMUNITIES = _sql_host_communities()
-
-
 # ---------------------------------------------------------------------------
 # Extraction-quality evaluation: token P/R vs the planted gold article
 # ---------------------------------------------------------------------------
@@ -9621,634 +4653,7 @@ def q_extract_eval(sf_dir: str) -> rd.Dataset:
     )
 
 
-def q_extract_social_card(sf_dir: str) -> rd.Dataset:
-    """OpenGraph/Twitter share-card extraction (og:type, og:image with
-    relative-URL resolution, twitter:card, twitter:site) over
-    deterministic social fixture pages — the metadata completing
-    extract_meta's title/description surface. Pure per-batch map; the
-    oracle rebuilds every value from doc_id arithmetic."""
-    from ..functions.meta import extract_social_card
-    from ..functions.fixtures import make_social_page
-
-    out_schema = pa.schema([
-        ("doc_id", pa.int64()), ("og_type", pa.string()),
-        ("og_image", pa.string()), ("twitter_card", pa.string()),
-        ("twitter_site", pa.string()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src, lang in zip(
-            t["doc_id"].to_pylist(), t["source"].to_pylist(), t["lang"].to_pylist()
-        ):
-            html, base = make_social_page(int(d), src, lang or "en")
-            rows.append({"doc_id": int(d), **extract_social_card(html, base)})
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "source", "lang"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_EXTRACT_SOCIAL_CARD = """
-SELECT doc_id,
-       CASE WHEN doc_id % 3 = 0 THEN 'article'
-            WHEN doc_id % 3 = 1 THEN 'website' END AS og_type,
-       CASE WHEN doc_id % 2 = 0
-            THEN 'https://' || source || '.example.com/img/' || (doc_id % 9) || '.jpg'
-       END AS og_image,
-       CASE WHEN doc_id % 4 = 0 THEN 'summary'
-            WHEN doc_id % 4 IN (1, 2) THEN 'summary_large_image' END AS twitter_card,
-       CASE WHEN doc_id % 5 <> 0 THEN '@' || source END AS twitter_site
-FROM documents
-"""
-
-
-def q_warc_cdx(sf_dir: str) -> rd.Dataset:
-    """Build AND VERIFY the CDX random-access index over a WARC export of
-    the corpus (the fourth Common Crawl artifact, after WARC/WET/WAT):
-    pages -> .warc.gz shards with per-record gzip members + one CDX
-    parquet per shard, written task-locally by the writer itself (no
-    extra pass).
-
-    Round-5 exact oracle (VERDICT r4 #4): output per record is
-      (urlkey, cdx_ts, url, rec_type, digest_ok, record_ok)
-    — urlkey (SURT sort key), the 14-digit CDX timestamp, url and
-    rec_type are pure string/timestamp arithmetic the DuckDB oracle
-    replays from the documents table; digest_ok / record_ok carry the
-    NON-SQL half as verified booleans: each CDX row's (shard, offset,
-    length) is exercised with a real ranged read (read_warc_record —
-    one gzip member fetched and decompressed), the payload's sha1 is
-    recomputed against the indexed digest, and the record's WARC-Type /
-    Target-URI are checked against the index row. The oracle pins both
-    TRUE for every record, so a wrong offset, member boundary, digest or
-    record header fails the value hash — the binary fields are checked
-    end-to-end, not just counted. Shard names/offsets themselves depend
-    on block composition (parallelism) and stay in the on-disk index."""
-    import hashlib as _hl
-    import tempfile
-    import zlib
-
-    from ..sources.page_formats import (
-        documents_to_pages,
-        read_warc_record,
-        write_pages_warc,
-    )
-    from service1_text_extraction_ray.sources.pages_source import (
-        parse_http_response,
-    )
-
-    out_root = os.path.join(
-        tempfile.gettempdir(),
-        f"graft_cdx_{zlib.crc32(sf_dir.encode()):08x}",
-    )
-    wdir, cdir = os.path.join(out_root, "warc"), os.path.join(out_root, "cdx")
-    import shutil
-
-    shutil.rmtree(out_root, ignore_errors=True)
-    write_pages_warc(documents_to_pages(sf_dir), wdir,
-                     gzip_members=True, cdx_dir=cdir)
-
-    out_schema = pa.schema([
-        ("urlkey", pa.string()), ("cdx_ts", pa.string()),
-        ("url", pa.string()), ("rec_type", pa.string()),
-        ("digest_ok", pa.bool_()), ("record_ok", pa.bool_()),
-    ])
-
-    def verify(t: pa.Table) -> pa.Table:
-        import base64
-
-        d_ok, r_ok = [], []
-        for row in t.to_pylist():
-            try:
-                hdrs, payload = read_warc_record(
-                    os.path.join(wdir, row["shard"]),
-                    int(row["offset"]), int(row["length"]),
-                )
-                if row["rec_type"] == "response":
-                    _, _, body = parse_http_response(payload)
-                else:
-                    body = payload
-                digest = "sha1:" + base64.b32encode(
-                    _hl.sha1(body).digest()
-                ).decode("ascii")
-                d_ok.append(digest == row["digest"])
-                r_ok.append(
-                    hdrs.get("warc-type") == row["rec_type"]
-                    and hdrs.get("warc-target-uri") == row["url"]
-                )
-            except (OSError, ValueError, KeyError):
-                d_ok.append(False)
-                r_ok.append(False)
-        return pa.Table.from_arrays(
-            [t["urlkey"], t["timestamp"], t["url"], t["rec_type"],
-             pa.array(d_ok, pa.bool_()), pa.array(r_ok, pa.bool_())],
-            schema=out_schema,
-        )
-
-    return rd.read_parquet(cdir).map_batches(verify, batch_format="pyarrow")
-
-
-SQL_WARC_CDX = """
-WITH recs AS (
-  SELECT doc_id, 'response' AS rec_type FROM documents
-  UNION ALL
-  SELECT doc_id, 'conversion' FROM documents
-)
-SELECT 'example,docs)/' || lpad(CAST(doc_id AS VARCHAR), 8, '0') AS urlkey,
-       strftime(make_timestamp(1735689600000000 + doc_id * 37000000),
-                '%Y%m%d%H%M%S') AS cdx_ts,
-       'https://docs.example/' || lpad(CAST(doc_id AS VARCHAR), 8, '0') AS url,
-       rec_type,
-       true AS digest_ok,
-       true AS record_ok
-FROM recs
-"""
-
-
-def q_table_upsert(sf_dir: str) -> pd.DataFrame:
-    """MERGE (upsert) exercised end-to-end through the lineage layer
-    (state/lineage.py upsert_rows — the recrawl-refresh primitive): build
-    a 4-shard committed table from the even documents, then apply one
-    table-level upsert that REPLACES every doc_id%6==0 row with recrawled
-    content (+1000 chars, new hash) and APPENDS fresh odd doc_id%7==0
-    rows — and return the final table's rows read back through the
-    manifests. Every byte of the result is closed-form arithmetic over
-    the documents table, so the DuckDB oracle replays the merge exactly:
-    a wrong replacement, lost append, duplicate row or stale part fails
-    the value hash. Shard routing is the stored shard_id row column
-    (doc_id % 4), as in DOC_SCHEMA."""
-    import hashlib as _hl
-    import shutil
-    import tempfile
-    import zlib as _zl
-
-    from service1_text_extraction_ray.state import lineage as lin
-
-    out = os.path.join(
-        tempfile.gettempdir(),
-        f"graft_upsert_{_zl.crc32(sf_dir.encode()):08x}",
-    )
-    shutil.rmtree(out, ignore_errors=True)
-
-    docs = (
-        rd.read_parquet(_pq(sf_dir, "documents"),
-                        columns=["doc_id", "text", "n_chars"])
-        .to_pandas()
-        .sort_values("doc_id")
-    )
-
-    def mk_rows(df, recrawl=False):
-        n = len(df)
-        bump = 1000 if recrawl else 0
-        tag = "v2-" if recrawl else ""
-        return pa.table({
-            "url": pa.array([f"https://t.example/{d:08d}" for d in df["doc_id"]]),
-            "status": pa.array(["ok"] * n),
-            "n_pages": pa.array(np.ones(n, dtype=np.int64)),
-            "n_pages_ok": pa.array(np.ones(n, dtype=np.int64)),
-            "doc_chars": pa.array(df["n_chars"].to_numpy(dtype="int64") + bump),
-            "truncated": pa.array([False] * n),
-            "password_required": pa.array([False] * n),
-            "content_hash": pa.array([
-                _hl.md5((tag + (t or "")).encode("utf-8")).hexdigest()
-                for t in df["text"]
-            ]),
-            "shard_id": pa.array(df["doc_id"].to_numpy(dtype="int64") % 4),
-        })
-
-    # even doc_ids land on shards 0 and 2 only; the appended odd rows later
-    # route to shards 1/3, exercising upsert's fresh-shard creation too
-    base = docs[docs["doc_id"] % 2 == 0]
-    for sid in sorted((base["doc_id"] % 4).unique()):
-        sub = base[base["doc_id"] % 4 == sid]
-        lin.commit_shard_manifest(
-            out, int(sid), [lin.write_part(out, int(sid), mk_rows(sub))]
-        )
-
-    replaced = docs[docs["doc_id"] % 6 == 0]
-    appended = docs[(docs["doc_id"] % 2 == 1) & (docs["doc_id"] % 7 == 0)]
-    upd = pa.concat_tables([mk_rows(replaced, recrawl=True), mk_rows(appended)])
-    lin.upsert_rows(out, upd)
-
-    final = lin.read_all(out)
-    return (
-        final.select(["url", "shard_id", "doc_chars", "content_hash"])
-        .to_pandas()
-        .astype({"shard_id": "int64", "doc_chars": "int64"})
-    )
-
-
-SQL_TABLE_UPSERT = """
-WITH base AS (
-  SELECT doc_id, text, n_chars FROM documents WHERE doc_id % 2 = 0
-),
-merged AS (
-  -- surviving originals: even docs NOT recrawled
-  SELECT doc_id, text, n_chars, false AS recrawled
-  FROM base WHERE doc_id % 6 <> 0
-  UNION ALL
-  -- replaced rows (doc_id%6=0 is even, so these REPLACE base rows)
-  SELECT doc_id, text, n_chars, true
-  FROM documents WHERE doc_id % 6 = 0
-  UNION ALL
-  -- appended rows: odd doc_id%7=0 never existed in the base table
-  SELECT doc_id, text, n_chars, false
-  FROM documents WHERE doc_id % 2 = 1 AND doc_id % 7 = 0
-)
-SELECT 'https://t.example/' || lpad(CAST(doc_id AS VARCHAR), 8, '0') AS url,
-       CAST(doc_id % 4 AS BIGINT) AS shard_id,
-       CAST(n_chars + CASE WHEN recrawled THEN 1000 ELSE 0 END AS BIGINT)
-         AS doc_chars,
-       md5(CASE WHEN recrawled THEN 'v2-' ELSE '' END || coalesce(text, ''))
-         AS content_hash
-FROM merged
-"""
-
-
-def q_warc_salvage(sf_dir: str) -> rd.Dataset:
-    """Salvage-mode WARC ingestion proven end-to-end with an EXACT oracle:
-    write a deterministic single-shard .warc.gz of the first 1000 pages,
-    then DAMAGE the response member of every doc_id % 50 == 0 page (one
-    flipped byte — gzip's member CRC makes the drop deterministic) and
-    read the shard back tolerantly. Exactly the damaged pages disappear
-    (their conversion records become unpaired and are dropped too); every
-    surviving page's wet text round-trips byte-exactly. The DuckDB oracle
-    replays the survivor set and text lengths from the documents table —
-    a salvage that drops too much, too little, or corrupts a survivor
-    fails the value hash. Plumbing: sources.pages_source salvage walkers
-    (same code path the --tolerant-warc job flag uses)."""
-    import shutil
-    import tempfile
-    import zlib as _zl
-
-    from ..sources.page_formats import documents_to_pages
-    from service1_text_extraction_ray.sources.pages_source import (
-        _gunzip_members,
-        _iter_warc_pages,
-        _parse_warc_records,
-        write_pages_warc,
-    )
-
-    out_root = os.path.join(
-        tempfile.gettempdir(),
-        f"graft_salvage_{_zl.crc32(sf_dir.encode()):08x}",
-    )
-    shutil.rmtree(out_root, ignore_errors=True)
-
-    cutoff = "https://docs.example/00001000"
-    pages = documents_to_pages(sf_dir).map_batches(
-        lambda t: t.filter(pc.less(t["url"], cutoff)),
-        batch_format="pyarrow",
-    ).repartition(1)
-    write_pages_warc(pages, out_root, gzip_members=True)
-    shard = os.path.join(out_root, sorted(os.listdir(out_root))[0])
-
-    # Deterministic damage, independent of member order: split the shard
-    # into its gzip members, parse each to find its record's url/type, and
-    # flip one byte inside the response members of the target pages.
-    with open(shard, "rb") as f:
-        blob = f.read()
-    members, rest = [], blob
-    while rest:
-        d = _zl.decompressobj(wbits=31)
-        plain = d.decompress(rest) + d.flush()
-        members.append((rest[: len(rest) - len(d.unused_data)], plain))
-        rest = d.unused_data
-    damaged = []
-    for raw, plain in members:
-        hdrs, _ = next(_parse_warc_records(plain))
-        url = hdrs.get("warc-target-uri", "")
-        doc_id = int(url.rsplit("/", 1)[-1]) if url else -1
-        if hdrs.get("warc-type") == "response" and doc_id % 50 == 0:
-            b = bytearray(raw)
-            b[len(b) // 2] ^= 0x5A
-            raw = bytes(b)
-        damaged.append(raw)
-    with open(shard, "wb") as f:
-        f.write(b"".join(damaged))
-
-    # tolerant read-back (driver-side single shard — the fixture is tiny;
-    # the distributed path over the same walkers is read_pages_warc)
-    plain = _gunzip_members(open(shard, "rb").read(), tolerant=True)
-    rows = [
-        {"url": r["url"], "wet_chars": len(r["text"])}
-        for r in _iter_warc_pages(plain, tolerant=True)
-    ]
-    return rd.from_arrow(pa.Table.from_pylist(
-        rows,
-        schema=pa.schema([("url", pa.string()), ("wet_chars", pa.int64())]),
-    ))
-
-
-SQL_WARC_SALVAGE = """
-SELECT 'https://docs.example/' || lpad(CAST(doc_id AS VARCHAR), 8, '0') AS url,
-       CAST(length(coalesce(text, '')) AS BIGINT) AS wet_chars
-FROM documents
-WHERE doc_id < 1000 AND doc_id % 50 <> 0
-"""
-
-
-def q_archive_salvage(sf_dir: str) -> rd.Dataset:
-    """Salvage-mode ZIP ingestion proven end-to-end with an EXACT oracle
-    (the archive analog of q_warc_salvage): write a deterministic
-    single-shard zip of the first 1000 documents, corrupt the compressed
-    payload of every doc_id % 50 == 0 member (one flipped byte — DEFLATE
-    inflation fails or the inflated size mismatches, so the member drops
-    deterministically in the local-header walk), then read tolerantly.
-    Exactly the damaged members disappear; survivors round-trip
-    byte-exactly. Oracle replays the survivor set + text lengths from the
-    documents table."""
-    import shutil
-    import struct as _st
-    import tempfile
-    import zlib as _zl
-
-    from ..sources.page_formats import read_docs_archive, write_docs_zip
-
-    out_root = os.path.join(
-        tempfile.gettempdir(),
-        f"graft_asalvage_{_zl.crc32(sf_dir.encode()):08x}",
-    )
-    shutil.rmtree(out_root, ignore_errors=True)
-
-    docs = (
-        _read(sf_dir, "documents", ["doc_id", "text"])
-        .map_batches(
-            lambda t: t.filter(pc.less(t["doc_id"], 1000)),
-            batch_format="pyarrow",
-        )
-        .repartition(1)
-    )
-    write_docs_zip(docs, out_root)
-    shard = os.path.join(out_root, sorted(os.listdir(out_root))[0])
-
-    blob = bytearray(open(shard, "rb").read())
-    raw = bytes(blob)
-    pos = 0
-    while True:
-        pos = raw.find(b"PK\x03\x04", pos)
-        if pos < 0:
-            break
-        csize = _st.unpack("<I", raw[pos + 18 : pos + 22])[0]
-        nlen = _st.unpack("<H", raw[pos + 26 : pos + 28])[0]
-        elen = _st.unpack("<H", raw[pos + 28 : pos + 30])[0]
-        name = raw[pos + 30 : pos + 30 + nlen].decode("utf-8", "replace")
-        start = pos + 30 + nlen + elen
-        m = re.match(r"^docs/(\d+)\.txt$", name)
-        if m and int(m.group(1)) % 50 == 0 and csize > 0:
-            blob[start + csize // 2] ^= 0x5A
-        pos = start + csize
-    open(shard, "wb").write(bytes(blob))
-
-    ds = read_docs_archive(out_root, tolerant=True)
-    return ds.map_batches(
-        lambda t: pa.Table.from_arrays(
-            [t["doc_id"],
-             pc.cast(pc.utf8_length(t["text"]), pa.int64())],
-            names=["doc_id", "text_chars"],
-        ),
-        batch_format="pyarrow",
-    )
-
-
-SQL_ARCHIVE_SALVAGE = """
-SELECT doc_id, CAST(length(coalesce(text, '')) AS BIGINT) AS text_chars
-FROM documents
-WHERE doc_id < 1000 AND doc_id % 50 <> 0
-"""
-
-
-def q_doc_nfc_normalize(sf_dir: str) -> rd.Dataset:
-    """Unicode NFC normalization per document (the canonical-composition
-    pass multilingual training corpora run before tokenization — decomposed
-    e+COMBINING ACUTE and precomposed é must tokenize identically). To
-    exercise real composition on the mostly-ASCII corpus, a deterministic
-    DECOMPOSED suffix (e + U+0301, n + U+0303) is appended on BOTH sides;
-    NFC composes it, so ``changed`` is verifiably true everywhere and the
-    length delta is pinned. Exact oracle via DuckDB's nfc_normalize (both
-    engines implement UAX #15; parity spot-verified incl. Hangul). Pure
-    per-batch map — no shuffle."""
-    import unicodedata
-
-    suffix = " e\u0301n\u0303"  # decomposed; NFC composes to " \xe9\xf1" (5 cps -> 3)
-
-    def f(t: pa.Table) -> pa.Table:
-        raw = [x + suffix for x in _texts(t)]
-        nfc = [unicodedata.normalize("NFC", x) for x in raw]
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "nfc_text": pa.array(nfc, pa.string()),
-            "nfc_chars": pa.array([len(x) for x in nfc], pa.int64()),
-            "changed": pa.array(
-                [a != b for a, b in zip(raw, nfc)], pa.bool_()
-            ),
-        })
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_DOC_NFC_NORMALIZE = """
-WITH g AS (
-  SELECT doc_id,
-         coalesce(text, '') || ' e' || chr(769) || 'n' || chr(771) AS raw
-  FROM documents
-)
-SELECT doc_id,
-       nfc_normalize(raw) AS nfc_text,
-       CAST(length(nfc_normalize(raw)) AS BIGINT) AS nfc_chars,
-       nfc_normalize(raw) <> raw AS changed
-FROM g
-"""
-
-
 PROFILE_COLUMNS = ("doc_id", "lang", "source", "n_chars", "text")
-
-
-def q_table_profile(sf_dir: str) -> pd.DataFrame:
-    """Table profiling — the ANALYZE/statistics pass every engine runs
-    before planning (per column: row count, null count, EXACT distinct
-    count, lexicographic/numeric min and max as strings).
-
-    Topology (both passes 100-TB-shaped):
-    1. scalar stats: ONE corpus read emits a 5-value partial per column
-       per block (n, n_null, min, max ride as constant-size rows), merged
-       on the driver — O(blocks x columns) rows, never values.
-    2. exact NDV: the same read emits per-block DISTINCT (column,
-       md5(value)) pairs — values never leave the block, 16-byte hashes
-       ride the exchange — then one hash_exchange on (col, h) co-locates
-       every occurrence of a value in one shard, where per-shard distinct
-       counts reduce to (col, n) partials; a tiny groupby-sum finishes.
-       Exact (md5 collisions aside), unlike the HLL sketch the events
-       family uses — profiling wants the exact number at vacuum time.
-    """
-    from ray.data.aggregate import Sum as RSum
-
-    from .relational import hash_exchange
-
-    cols = list(PROFILE_COLUMNS)
-
-    def scalar_partials(t: pa.Table) -> pa.Table:
-        # min/max ride TYPED (int columns in int fields) so the driver
-        # merge preserves numeric order; stringification happens once at
-        # the end ("9" > "10" lexicographically — the classic trap).
-        rows = []
-        for c in cols:
-            vals = [v for v in t[c].to_pylist() if v is not None]
-            is_int = pa.types.is_integer(t.schema.field(c).type)
-            rows.append({
-                "column": c,
-                "n_rows": t.num_rows,
-                "n_null": t.num_rows - len(vals),
-                "min_int": min(vals) if vals and is_int else None,
-                "max_int": max(vals) if vals and is_int else None,
-                "min_str": min(vals) if vals and not is_int else None,
-                "max_str": max(vals) if vals and not is_int else None,
-            })
-        return pa.Table.from_pylist(rows, schema=pa.schema([
-            ("column", pa.string()), ("n_rows", pa.int64()),
-            ("n_null", pa.int64()), ("min_int", pa.int64()),
-            ("max_int", pa.int64()), ("min_str", pa.string()),
-            ("max_str", pa.string()),
-        ]))
-
-    def distinct_pairs(t: pa.Table) -> pa.Table:
-        out_c, out_h = [], []
-        for c in cols:
-            seen = {
-                _md5(str(v)) for v in t[c].to_pylist() if v is not None
-            }
-            out_c.extend([c] * len(seen))
-            out_h.extend(sorted(seen))
-        return pa.table({
-            "col": pa.array(out_c, pa.string()),
-            "h": pa.array(out_h, pa.string()),
-        })
-
-    ndv_schema = pa.schema([("col", pa.string()), ("n", pa.int64())])
-
-    def shard_ndv(t: pa.Table) -> pa.Table:
-        g = (
-            t.group_by(["col", "h"]).aggregate([])
-            .group_by("col").aggregate([("h", "count")])
-        )
-        return pa.Table.from_arrays(
-            [g["col"], pc.cast(g["h_count"], pa.int64())], schema=ndv_schema
-        )
-
-    docs = _read(sf_dir, "documents", cols)
-    scal = docs.map_batches(scalar_partials, batch_format="pyarrow").to_pandas()
-    ndv = (
-        hash_exchange(
-            docs.map_batches(distinct_pairs, batch_format="pyarrow"),
-            ["col", "h"], shard_ndv, ndv_schema,
-        )
-        .groupby("col")
-        .aggregate(RSum("n", alias_name="n_distinct"))
-        .to_pandas()
-        .set_index("col")["n_distinct"]
-    )
-
-    rows = []
-    for c in cols:
-        sub = scal[scal["column"] == c]
-        if sub["min_int"].notna().any():
-            mn: object = sub["min_int"].dropna().min()
-            mx: object = sub["max_int"].dropna().max()
-            mn, mx = str(int(mn)), str(int(mx))
-        else:
-            mins = sub["min_str"].dropna()
-            maxs = sub["max_str"].dropna()
-            mn = min(mins) if len(mins) else None
-            mx = max(maxs) if len(maxs) else None
-        rows.append({
-            "column": c,
-            "n_rows": int(sub["n_rows"].sum()),
-            "n_null": int(sub["n_null"].sum()),
-            "n_distinct": int(ndv.get(c, 0)),
-            "min_val": mn,
-            "max_val": mx,
-        })
-    out = pd.DataFrame(rows)
-    out["n_rows"] = out["n_rows"].astype("int64")
-    out["n_null"] = out["n_null"].astype("int64")
-    out["n_distinct"] = out["n_distinct"].astype("int64")
-    return out
-
-
-def _sql_table_profile() -> str:
-    parts = []
-    for c in PROFILE_COLUMNS:
-        parts.append(f"""
-SELECT '{c}' AS "column",
-       count(*) AS n_rows,
-       count(*) - count({c}) AS n_null,
-       count(DISTINCT {c}) AS n_distinct,
-       CAST(min({c}) AS VARCHAR) AS min_val,
-       CAST(max({c}) AS VARCHAR) AS max_val
-FROM documents""")
-    return "\nUNION ALL\n".join(parts)
-
-
-SQL_TABLE_PROFILE = _sql_table_profile()
-
-
-def _archive_roundtrip(sf_dir: str, fmt: str) -> rd.Dataset:
-    """Shared tar/zip round-trip: documents(doc_id, text) -> content-
-    addressed archive shards under /tmp (real stdlib tarfile/zipfile with
-    gzip/DEFLATE compression) -> distributed read-back (one task per
-    shard) -> (doc_id, n_bytes, text_md5). The oracle recomputes byte
-    length + md5 from the parquet column directly, so a hash match proves
-    the archive encode->compress->decode round trip byte-exact."""
-    import shutil
-    import tempfile
-    import zlib
-
-    from ..sources.page_formats import read_docs_archive, write_docs_tar, write_docs_zip
-
-    out_dir = os.path.join(
-        tempfile.gettempdir(),
-        f"graft_arch_{fmt}_{zlib.crc32(sf_dir.encode()):08x}",
-    )
-    shutil.rmtree(out_dir, ignore_errors=True)
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    writer = write_docs_tar if fmt == "tar" else write_docs_zip
-    writer(docs, out_dir)
-
-    def stats(t: pa.Table) -> pa.Table:
-        texts = _texts(t)
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "n_bytes": pa.array(
-                [len(x.encode("utf-8")) for x in texts], pa.int64()
-            ),
-            "text_md5": pa.array([_md5(x) for x in texts], pa.string()),
-        })
-
-    return read_docs_archive(out_dir).map_batches(
-        stats, batch_format="pyarrow"
-    )
-
-
-def q_archive_tar_roundtrip(sf_dir: str) -> rd.Dataset:
-    """Tar.gz document-dump ingest (S9 at corpus scale): see
-    _archive_roundtrip."""
-    return _archive_roundtrip(sf_dir, "tar")
-
-
-def q_archive_zip_roundtrip(sf_dir: str) -> rd.Dataset:
-    """ZIP/DEFLATE document-dump ingest: see _archive_roundtrip."""
-    return _archive_roundtrip(sf_dir, "zip")
-
-
-SQL_ARCHIVE_ROUNDTRIP = """
-SELECT doc_id,
-       CAST(octet_length(encode(coalesce(text, ''))) AS BIGINT) AS n_bytes,
-       md5(coalesce(text, '')) AS text_md5
-FROM documents
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -10451,215 +4856,6 @@ def q_host_reciprocity(sf_dir: str) -> rd.Dataset:
     return joined.map_batches(finish, batch_format="pyarrow")
 
 
-SQL_HOST_RECIPROCITY = """
-WITH base AS (SELECT doc_id, source FROM documents WHERE doc_id % 7 <> 0),
-links AS (
-  SELECT source || '.example.com' AS src,
-         'src' || ((doc_id * 7 + 1) % 20) || '.example.net' AS dst FROM base
-  UNION ALL
-  SELECT source || '.example.com', 'cdn.example.org' FROM base
-  UNION ALL
-  SELECT source || '.example.com', CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END FROM base
-),
-edges AS (SELECT DISTINCT src, dst FROM links WHERE src <> dst),
-recip AS (
-  SELECT e.src AS host, CAST(count(*) AS BIGINT) AS n_reciprocal
-  FROM edges e JOIN edges r ON r.src = e.dst AND r.dst = e.src
-  GROUP BY 1
-)
-SELECT e.src AS host, CAST(count(*) AS BIGINT) AS n_out,
-       coalesce(any_value(r.n_reciprocal), 0) AS n_reciprocal
-FROM edges e LEFT JOIN recip r ON r.host = e.src
-GROUP BY e.src
-"""
-
-
-def q_extract_meta_refresh(sf_dir: str) -> rd.Dataset:
-    """HTML meta-refresh redirect extraction (the crawler-visible redirect
-    CC honors like a 3xx): one row per redirecting page with the delay
-    and the RESOLVED absolute target; bare reloads (no url=) and script
-    decoys must not emit. Pure per-batch map over nav fixture pages; the
-    oracle rebuilds delay/target from doc_id arithmetic."""
-    from ..functions.meta import parse_meta_refresh
-    from ..functions.fixtures import make_nav_page
-
-    out_schema = pa.schema([
-        ("doc_id", pa.int64()), ("delay_s", pa.int64()),
-        ("target", pa.string()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src in zip(t["doc_id"].to_pylist(), t["source"].to_pylist()):
-            html, base = make_nav_page(int(d), src)
-            r = parse_meta_refresh(html, base)
-            if r is not None:
-                rows.append({"doc_id": int(d), "delay_s": r[0], "target": r[1]})
-        if not rows:
-            return out_schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "source"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_EXTRACT_META_REFRESH = """
-SELECT doc_id,
-       CAST(doc_id % 7 AS BIGINT) AS delay_s,
-       'https://' || source || '.example.com/moved/' || (doc_id // 4) AS target
-FROM documents WHERE doc_id % 4 = 1
-"""
-
-
-def q_extract_forms(sf_dir: str) -> rd.Dataset:
-    """Form extraction (action/method/field names) — what a frontier uses
-    to recognize unbounded form spaces (search endpoints, logins) before
-    crawling into them. One row per form in document order with the
-    resolved action; field names joined '|'. The oracle rebuilds both
-    fixture forms from doc_id arithmetic."""
-    from ..functions.meta import extract_forms
-    from ..functions.fixtures import make_nav_page
-
-    out_schema = pa.schema([
-        ("doc_id", pa.int64()), ("form_idx", pa.int64()),
-        ("action", pa.string()), ("method", pa.string()),
-        ("fields", pa.string()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src in zip(t["doc_id"].to_pylist(), t["source"].to_pylist()):
-            html, base = make_nav_page(int(d), src)
-            for i, fm in enumerate(extract_forms(html, base)):
-                rows.append({
-                    "doc_id": int(d), "form_idx": i,
-                    "action": fm["action"], "method": fm["method"],
-                    "fields": "|".join(fm["fields"]),
-                })
-        if not rows:
-            return out_schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "source"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_EXTRACT_FORMS = """
-SELECT doc_id, CAST(0 AS BIGINT) AS form_idx,
-       'https://' || source || '.example.com/search' AS action,
-       'get' AS method, 'q|lang' AS fields
-FROM documents WHERE doc_id % 3 <> 0
-UNION ALL
-SELECT doc_id,
-       CAST(CASE WHEN doc_id % 3 <> 0 THEN 1 ELSE 0 END AS BIGINT) AS form_idx,
-       'https://auth.example.org/login' AS action,
-       'post' AS method, 'user|pass' AS fields
-FROM documents WHERE doc_id % 5 = 0
-"""
-
-
-def q_extract_pdf_attachments(sf_dir: str) -> rd.Dataset:
-    """PDF embedded-file extraction (ISO 32000-1 §7.11.4 /EmbeddedFiles
-    name tree -> Filespec -> /EF stream through the normal filter chain)
-    — attachments are a real corpus source (invoice XML, datasets inside
-    reports). One row per attachment in tree order with the decoded
-    bytes' length and md5; /Kids-nested trees and Flate-compressed
-    streams both exercised by the fixture mix. The oracle rebuilds
-    name/size/md5 arithmetically (content is a repeat() of a derivable
-    string)."""
-    from ..functions.pdf_meta import PdfDocument
-    from service1_text_extraction_ray.functions.synth import make_pdf_attachment_doc
-
-    out_schema = pa.schema([
-        ("doc_id", pa.int64()), ("att_idx", pa.int64()),
-        ("filename", pa.string()), ("n_bytes", pa.int64()),
-        ("md5", pa.string()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src in zip(t["doc_id"].to_pylist(), t["source"].to_pylist()):
-            pdf, _ = make_pdf_attachment_doc(int(d), src)
-            for i, (name, data) in enumerate(PdfDocument(pdf).attachments()):
-                rows.append({
-                    "doc_id": int(d), "att_idx": i, "filename": name,
-                    "n_bytes": len(data),
-                    "md5": hashlib.md5(data).hexdigest(),
-                })
-        if not rows:
-            return out_schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "source"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_EXTRACT_PDF_ATTACHMENTS = """
-WITH ks AS (
-  SELECT doc_id, source, unnest(range(0, 1 + doc_id % 2)) AS k
-  FROM documents
-),
-att AS (
-  SELECT doc_id, CAST(k AS BIGINT) AS att_idx,
-         'att-' || doc_id || '-' || k || '.txt' AS filename,
-         repeat('attachment ' || doc_id || '-' || k || ' from ' || source
-                || chr(10), CAST(2 + k AS INT)) AS content
-  FROM ks
-)
-SELECT doc_id, att_idx, filename,
-       CAST(length(content) AS BIGINT) AS n_bytes,
-       md5(content) AS md5
-FROM att
-"""
-
-
-def q_extract_pdf_page_labels(sf_dir: str) -> rd.Dataset:
-    """Page-label extraction (ISO 32000-1 §12.4.2 /PageLabels number
-    tree): roman/letter front matter with optional prefixes, then decimal
-    body restarting at /St — the mapping viewers use to show "iv" vs "4",
-    and what citation tooling needs to resolve printed page numbers. One
-    row per page with its label; oracle rebuilds labels from doc_id
-    arithmetic."""
-    from ..functions.pdf_meta import PdfDocument
-    from ..functions.fixtures import make_pdf_labeled_doc
-
-    out_schema = pa.schema([
-        ("doc_id", pa.int64()), ("page_idx", pa.int64()),
-        ("label", pa.string()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src in zip(t["doc_id"].to_pylist(), t["source"].to_pylist()):
-            pdf, _ = make_pdf_labeled_doc(int(d), src)
-            for i, lab in enumerate(PdfDocument(pdf).page_labels()):
-                rows.append({"doc_id": int(d), "page_idx": i, "label": lab})
-        if not rows:
-            return out_schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "source"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_EXTRACT_PDF_PAGE_LABELS = """
-WITH pages AS (
-  SELECT doc_id, unnest(range(0, 2 + doc_id % 3)) AS page_idx
-  FROM documents
-)
-SELECT doc_id, CAST(page_idx AS BIGINT) AS page_idx,
-       CASE WHEN page_idx = 0
-            THEN CASE WHEN doc_id % 2 = 0 THEN 'i' ELSE 'App-A' END
-            ELSE CAST(1 + doc_id % 5 + page_idx - 1 AS VARCHAR)
-       END AS label
-FROM pages
-"""
-
-
 # ---------------------------------------------------------------------------
 # Iterative graph algorithm #6: k-core decomposition of the host graph
 # ---------------------------------------------------------------------------
@@ -10775,58 +4971,6 @@ def q_host_kcore(sf_dir: str) -> rd.Dataset:
         schema=pa.schema([("host", pa.string()), ("coreness", pa.int64())]),
     )
     return rd.from_arrow(out)
-
-
-def _sql_host_kcore() -> str:
-    """Fixed-unroll replay of the peeling loop: KCORE_KMAX phases x
-    KCORE_ROUNDS rounds, each round = alive-degree + filter; rounds after a
-    phase's fixpoint are no-ops, so the unroll equals the data-driven loop
-    (whose caps the Ray path enforces by raising)."""
-    head = """
-base AS (SELECT doc_id, source FROM documents WHERE doc_id % 7 <> 0),
-links AS (
-  SELECT source || '.example.com' AS src,
-         'src' || ((doc_id * 7 + 1) % 20) || '.example.net' AS dst FROM base
-  UNION ALL
-  SELECT source || '.example.com', 'cdn.example.org' FROM base
-  UNION ALL
-  SELECT source || '.example.com', CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END FROM base
-),
-uedges AS MATERIALIZED (
-  SELECT src AS a, dst AS b FROM links WHERE src <> dst
-  UNION
-  SELECT dst, src FROM links WHERE src <> dst
-),
-hosts AS (SELECT src AS host FROM links UNION SELECT dst FROM links),
-a1_0 AS MATERIALIZED (SELECT host FROM hosts)"""
-    # every alive-set CTE is MATERIALIZED: DuckDB inlines plain CTEs, and a
-    # 48-round chain that references its predecessor twice per round would
-    # otherwise re-expand the parquet scan exponentially
-    parts = [head]
-    prev = "a1_0"
-    removed = []
-    for k in range(1, KCORE_KMAX + 1):
-        phase_start = prev
-        for r in range(1, KCORE_ROUNDS + 1):
-            cur = f"a{k}_{r}"
-            parts.append(f"""{cur} AS MATERIALIZED (
-  SELECT x.host FROM {prev} x
-  WHERE (SELECT count(*) FROM uedges e JOIN {prev} y ON e.b = y.host
-         WHERE e.a = x.host) >= {k})""")
-            prev = cur
-        removed.append(
-            f"SELECT host, {k - 1} AS coreness FROM {phase_start} "
-            f"EXCEPT SELECT host, {k - 1} FROM {prev}"
-        )
-    return (
-        "WITH " + ",".join(parts)
-        + "\nSELECT host, CAST(coreness AS BIGINT) AS coreness FROM ("
-        + " UNION ALL ".join(removed)
-        + ")"
-    )
-
-
-SQL_HOST_KCORE = _sql_host_kcore()
 
 
 # ---------------------------------------------------------------------------
@@ -11256,65 +5400,6 @@ FROM deg d LEFT JOIN tri t USING (host) LEFT JOIN dropped dr USING (host)
 # ---------------------------------------------------------------------------
 
 
-# Replays the engine's capped plan exactly (degree orientation + rank
-# window for the triangle numerator and the dropped-wedge accounting;
-# wedge denominator by the closed form over symmetric degrees). The
-# cap-free INDEPENDENT formulation (id-ordered 3-way self-join) is pinned
-# equal in pytest on inputs where the cap cannot bind — the same split of
-# duties as host_clustering's oracle + its skewed-hub fixtures.
-SQL_HOST_TRANSITIVITY = f"""
-WITH base AS (SELECT doc_id, source FROM documents WHERE doc_id % 7 <> 0),
-links AS (
-  SELECT source || '.example.com' AS src,
-         'src' || ((doc_id * 7 + 1) % 20) || '.example.net' AS dst FROM base
-  UNION ALL
-  SELECT source || '.example.com', 'cdn.example.org' FROM base
-  UNION ALL
-  SELECT source || '.example.com', CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END FROM base
-),
-uedges AS MATERIALIZED (
-  SELECT src AS a, dst AS b FROM links WHERE src <> dst
-  UNION
-  SELECT dst, src FROM links WHERE src <> dst
-),
-e AS MATERIALIZED (SELECT a, b FROM uedges WHERE a < b),
-deg AS MATERIALIZED (SELECT a AS host, count(*) AS d FROM uedges GROUP BY 1),
-agg AS (
-  SELECT CAST(count(*) AS BIGINT) AS n_hosts,
-         CAST(sum(d) // 2 AS BIGINT) AS n_edges,
-         CAST(sum(d * (d - 1) // 2) AS BIGINT) AS n_wedges
-  FROM deg
-),
-o AS (
-  SELECT CASE WHEN (da.d < db.d) OR (da.d = db.d AND e.a < e.b)
-              THEN e.a ELSE e.b END AS src,
-         CASE WHEN (da.d < db.d) OR (da.d = db.d AND e.a < e.b)
-              THEN e.b ELSE e.a END AS dst
-  FROM e JOIN deg da ON da.host = e.a JOIN deg db ON db.host = e.b
-),
-r AS (SELECT src, dst, row_number() OVER (PARTITION BY src ORDER BY dst) AS rn
-      FROM o),
-w AS MATERIALIZED (
-  SELECT r1.dst AS x, r2.dst AS y,
-         (r1.rn <= {WEDGE_OUT_CAP} AND r2.rn <= {WEDGE_OUT_CAP}) AS kept
-  FROM r r1 JOIN r r2 ON r1.src = r2.src AND r1.dst < r2.dst
-),
-tri AS (
-  SELECT CAST(count(*) AS BIGINT) AS n_triangles
-  FROM w JOIN e ON e.a = w.x AND e.b = w.y WHERE w.kept
-),
-dropped AS (
-  SELECT CAST(count(*) FILTER (WHERE NOT kept) AS BIGINT) AS wd FROM w
-)
-SELECT a.n_hosts, a.n_edges, a.n_wedges, t.n_triangles,
-       d.wd AS wedges_dropped_by_cap,
-       CAST(CASE WHEN a.n_wedges > 0
-                 THEN (3 * {CLUST_UNIT} * t.n_triangles) // a.n_wedges
-                 ELSE 0 END AS BIGINT) AS transitivity_micro
-FROM agg a, tri t, dropped d
-"""
-
-
 def q_host_components_star(sf_dir: str) -> rd.Dataset:
     """Connected components by alternating LARGE-STAR / SMALL-STAR rounds
     (Kiveris et al. 2014, "Connected Components in MapReduce and Beyond") —
@@ -11513,36 +5598,6 @@ def q_knn_int8(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame({"vec_id": top["vec_id"].astype("int64").to_numpy()})
 
 
-def sql_knn_int8() -> str:
-    qq = _int8_codes(_query_vector()[None, :])[0]
-    lit = "[" + ", ".join(str(int(x)) for x in qq) + "]"
-    nq = int((qq * qq).sum())
-    return f"""
-WITH codes AS (
-  SELECT vec_id,
-         list_transform(
-           CAST(embedding AS DOUBLE[]),
-           x -> CASE WHEN s.mx = 0 THEN 0.0 ELSE round(x / (s.mx / 127.0)) END
-         ) AS q
-  FROM embeddings,
-       LATERAL (SELECT list_max(list_transform(CAST(embedding AS DOUBLE[]),
-                                               x -> abs(x))) AS mx) s
-),
-scored AS (
-  SELECT vec_id,
-         list_dot_product(q, CAST({lit} AS DOUBLE[])) AS dot,
-         list_dot_product(q, q) AS nv
-  FROM codes
-)
-SELECT vec_id FROM (
-  SELECT vec_id,
-         CASE WHEN sqrt(nv * {nq}.0) > 0
-              THEN dot / sqrt(nv * {nq}.0) ELSE 0.0 END AS sim
-  FROM scored
-) ORDER BY sim DESC, vec_id ASC LIMIT {KNN_K}
-"""
-
-
 # ---------------------------------------------------------------------------
 # Graph statistic: degree assortativity of the host graph
 # ---------------------------------------------------------------------------
@@ -11632,46 +5687,6 @@ def q_host_assortativity(sf_dir: str) -> pd.DataFrame:
         "n_stubs": [int(sums["n"])],
         "assortativity": [r],
     })
-
-
-SQL_HOST_ASSORTATIVITY = """
-WITH base AS (SELECT doc_id, source FROM documents WHERE doc_id % 7 <> 0),
-links AS (
-  SELECT source || '.example.com' AS src,
-         'src' || ((doc_id * 7 + 1) % 20) || '.example.net' AS dst FROM base
-  UNION ALL
-  SELECT source || '.example.com', 'cdn.example.org' FROM base
-  UNION ALL
-  SELECT source || '.example.com', CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END FROM base
-),
-uedges AS MATERIALIZED (
-  SELECT src AS a, dst AS b FROM links WHERE src <> dst
-  UNION
-  SELECT dst, src FROM links WHERE src <> dst
-),
-deg AS (SELECT a AS host, CAST(count(*) AS BIGINT) AS deg FROM uedges GROUP BY 1),
-pairs AS (
-  SELECT da.deg AS x, db.deg AS y
-  FROM uedges e
-  JOIN deg da ON da.host = e.a
-  JOIN deg db ON db.host = e.b
-),
-m AS (
-  SELECT CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(x) AS BIGINT) AS sx, CAST(sum(y) AS BIGINT) AS sy,
-         CAST(sum(x * x) AS BIGINT) AS sxx, CAST(sum(y * y) AS BIGINT) AS syy,
-         CAST(sum(x * y) AS BIGINT) AS sxy
-  FROM pairs
-)
-SELECT n AS n_stubs,
-       CASE WHEN sqrt(CAST(n AS DOUBLE) * sxx - CAST(sx AS DOUBLE) * sx)
-                 * sqrt(CAST(n AS DOUBLE) * syy - CAST(sy AS DOUBLE) * sy) > 0
-            THEN (CAST(n AS DOUBLE) * sxy - CAST(sx AS DOUBLE) * sy)
-                 / (sqrt(CAST(n AS DOUBLE) * sxx - CAST(sx AS DOUBLE) * sx)
-                    * sqrt(CAST(n AS DOUBLE) * syy - CAST(sy AS DOUBLE) * sy))
-            ELSE 0.0 END AS assortativity
-FROM m
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -11847,139 +5862,6 @@ def q_redirect_resolve(sf_dir: str) -> rd.Dataset:
         )
 
     return state.map_batches(finish, batch_format="pyarrow")
-
-
-SQL_REDIRECT_RESOLVE = """
-WITH RECURSIVE info AS (
-  SELECT doc_id,
-         CASE WHEN (doc_id // 8) % 11 = 0
-              THEN CASE WHEN doc_id % 8 < 3 THEN 1 ELSE 0 END
-              WHEN doc_id % 8 <= (doc_id // 8) % 6 THEN 1 ELSE 0 END
-           AS is_redir,
-         CASE WHEN (doc_id // 8) % 11 = 0 AND doc_id % 8 = 2
-              THEN doc_id - 2 ELSE doc_id + 1 END AS nxt
-  FROM documents
-),
-walk AS (
-  SELECT doc_id AS start_id, doc_id AS cur, 0 AS hops, is_redir AS redirecting
-  FROM info
-  UNION ALL
-  SELECT w.start_id, i.nxt, w.hops + 1, COALESCE(i2.is_redir, 0)
-  FROM walk w
-  JOIN info i ON i.doc_id = w.cur AND i.is_redir = 1
-  LEFT JOIN info i2 ON i2.doc_id = i.nxt
-  WHERE w.redirecting = 1 AND w.hops < 12
-),
-last AS (
-  SELECT start_id, max(hops) AS mh FROM walk GROUP BY start_id
-)
-SELECT 'https://hub.example.com/r/' || w.start_id AS url,
-       CASE WHEN w.redirecting = 1 THEN ''
-            ELSE 'https://hub.example.com/r/' || w.cur END AS final_url,
-       CAST(CASE WHEN w.redirecting = 1 THEN -1 ELSE w.hops END AS BIGINT)
-         AS n_hops,
-       CAST(w.redirecting AS BIGINT) AS is_cycle
-FROM walk w JOIN last l ON l.start_id = w.start_id AND w.hops = l.mh
-"""
-
-
-def q_extract_pdf_fonts(sf_dir: str) -> rd.Dataset:
-    """PDF font-inventory extraction (ISO 32000-1 §9.6-9.7): one row per
-    page /Font resource entry with the BaseFont name, subtype and whether
-    a font program is embedded — what a corpus triage pass uses to route
-    documents (unembedded exotic fonts mean unreliable text extraction;
-    Type0-without-program pages are the OCR queue). Type1 / TrueType+
-    FontFile2 / Type0-with-descendant-descriptor and a dangling-ref decoy
-    all exercised by the fixture mix. Pure per-batch map; the oracle
-    rebuilds every row from doc_id arithmetic."""
-    from ..functions.pdf_meta import PdfDocument
-    from service1_text_extraction_ray.functions.synth import make_pdf_font_doc
-
-    out_schema = pa.schema([
-        ("doc_id", pa.int64()), ("res_name", pa.string()),
-        ("base_font", pa.string()), ("subtype", pa.string()),
-        ("embedded", pa.int64()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src in zip(t["doc_id"].to_pylist(), t["source"].to_pylist()):
-            pdf, _ = make_pdf_font_doc(int(d), src)
-            for _pg, name, base, sub, emb in PdfDocument(pdf).fonts():
-                rows.append({
-                    "doc_id": int(d), "res_name": name, "base_font": base,
-                    "subtype": sub, "embedded": emb,
-                })
-        if not rows:
-            return out_schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "source"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_EXTRACT_PDF_FONTS = """
-SELECT doc_id, 'F1' AS res_name, 'Helvetica' AS base_font,
-       'Type1' AS subtype, CAST(0 AS BIGINT) AS embedded
-FROM documents
-UNION ALL
-SELECT doc_id, 'F2', 'Body' || (doc_id % 5), 'TrueType', 1
-FROM documents WHERE doc_id % 2 = 0
-UNION ALL
-SELECT doc_id, 'F3', 'CJK' || (doc_id % 4), 'Type0', 0
-FROM documents WHERE doc_id % 3 = 0
-"""
-
-
-def q_extract_pdf_layers(sf_dir: str) -> rd.Dataset:
-    """PDF optional-content layers (ISO 32000-1 §8.11): one row per OCG
-    with its default-config visibility AND whether its marked content
-    survived into the extracted text — hidden watermark/stamp layers are
-    the PDF twin of hidden HTML subtrees and must NOT leak into a
-    training corpus. in_text is checked against the real extract_pages
-    output, so the oracle equality in_text == is_on pins the
-    suppression semantics end to end (the /Artifact BMC decoration in
-    the fixture stays visible, proving only /OC marks hide). Pure
-    per-batch map."""
-    from ..functions.pdf_meta import PdfDocument
-    from service1_text_extraction_ray.functions.synth import make_pdf_ocg_doc
-
-    out_schema = pa.schema([
-        ("doc_id", pa.int64()), ("layer", pa.string()),
-        ("is_on", pa.int64()), ("in_text", pa.int64()),
-    ])
-    marker = {"Main": "Body", "Watermark": "WM"}
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src in zip(t["doc_id"].to_pylist(), t["source"].to_pylist()):
-            pdf, _ = make_pdf_ocg_doc(int(d), src)
-            doc = PdfDocument(pdf)
-            text = doc.extract_pages()[0].text
-            for name, on in doc.layers():
-                rows.append({
-                    "doc_id": int(d), "layer": name, "is_on": on,
-                    "in_text": int(f"{marker[name]} {d}" in text),
-                })
-        if not rows:
-            return out_schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "source"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_EXTRACT_PDF_LAYERS = """
-SELECT doc_id, 'Main' AS layer, CAST(1 AS BIGINT) AS is_on,
-       CAST(1 AS BIGINT) AS in_text
-FROM documents
-UNION ALL
-SELECT doc_id, 'Watermark', CAST(doc_id % 2 AS BIGINT),
-       CAST(doc_id % 2 AS BIGINT)
-FROM documents
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -12166,244 +6048,3 @@ def q_host_trustrank(sf_dir: str) -> rd.Dataset:
         )
 
     return tr
-
-
-def _sql_host_trustrank() -> str:
-    links = """
-base AS (SELECT doc_id, source FROM documents WHERE doc_id % 7 <> 0),
-links AS (
-  SELECT source || '.example.com' AS src,
-         'src' || ((doc_id * 7 + 1) % 20) || '.example.net' AS dst FROM base
-  UNION ALL
-  SELECT source || '.example.com', 'cdn.example.org' FROM base
-  UNION ALL
-  SELECT source || '.example.com', CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END FROM base
-  UNION ALL
-  SELECT source || '.example.com', CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org' ELSE source || '.example.com' END FROM base
-),
-edges AS (SELECT src, dst, count(*) AS n FROM links GROUP BY 1, 2),
-outd AS (SELECT src, CAST(sum(n) AS BIGINT) AS out_n FROM edges GROUP BY 1),
-hosts AS (SELECT src AS host FROM edges UNION SELECT dst FROM edges),
-bs AS (
-  SELECT CAST(({base} * count(*))
-              // greatest(1, sum(CASE WHEN host LIKE '%.example.org'
-                                      THEN 1 ELSE 0 END)) AS BIGINT) AS v
-  FROM hosts),
-tr0 AS (
-  SELECT host, CAST(CASE WHEN host LIKE '%.example.org'
-                         THEN (SELECT v FROM bs) ELSE 0 END AS BIGINT) AS tr
-  FROM hosts)""".format(base=PR_BASE)
-    its = []
-    for i in range(PAGERANK_ITERS):
-        its.append(f"""
-c{i + 1} AS (
-  SELECT e.dst AS host, CAST(sum((p.tr * e.n) // o.out_n) AS BIGINT) AS contrib
-  FROM edges e JOIN tr{i} p ON p.host = e.src JOIN outd o ON o.src = e.src
-  GROUP BY 1),
-tr{i + 1} AS (
-  SELECT h.host,
-         CAST(CASE WHEN h.host LIKE '%.example.org'
-                   THEN (SELECT v FROM bs) ELSE 0 END
-              + ({PR_DAMP} * coalesce(c.contrib, 0)) // {PR_UNIT}
-              AS BIGINT) AS tr
-  FROM tr{i} h LEFT JOIN c{i + 1} c USING (host))""")
-    return (
-        "WITH " + links + "," + ",".join(its)
-        + f"\nSELECT host, tr FROM tr{PAGERANK_ITERS}"
-    )
-
-
-SQL_HOST_TRUSTRANK = _sql_host_trustrank()
-
-
-# ---------------------------------------------------------------------------
-# Dedup-pipeline evaluation: recall/precision of the LSH scale path against
-# the exact all-pairs ground truth
-# ---------------------------------------------------------------------------
-
-def q_dedup_lsh_recall(sf_dir: str) -> pd.DataFrame:
-    """Measured recall/precision of q_dedup_embedding_lsh (the approximate
-    O(N)-shuffle scale path) against q_dedup_embedding (the exact all-pairs
-    ground truth) at the SAME threshold — the eval gate that prices the
-    banding trade before anyone trusts the fast path on a real corpus: a
-    single 16-plane signature match is a harsh filter, and this number (not
-    the docstring) says what it costs in missed near-dups. Precision is 1.0
-    by construction (the LSH path verifies exact cosine in-bucket); the
-    operator still counts FP so a future regression surfaces as a number,
-    not an assumption.
-
-    Shape: both pair streams tag themselves into a union, ONE hash_exchange
-    on the (a, b) pair key co-locates the two sides, per-shard TP/FP/FN
-    partial counts fold on the driver (3 ints per shard). No pair set is
-    ever driver-materialized. Oracle composes the two existing SQL replays
-    with INTERSECT/EXCEPT."""
-    from .relational import hash_exchange
-
-    exact = q_dedup_embedding(sf_dir)
-    lsh = q_dedup_embedding_lsh(sf_dir)
-
-    def tag(side: int):
-        def f(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "vec_id_a": pc.cast(t["vec_id_a"], pa.int64()),
-                "vec_id_b": pc.cast(t["vec_id_b"], pa.int64()),
-                "side": pa.array(np.full(t.num_rows, side, np.int64)),
-            })
-        return f
-
-    both = exact.map_batches(tag(0), batch_format="pyarrow").union(
-        lsh.map_batches(tag(1), batch_format="pyarrow")
-    )
-    part_schema = pa.schema([
-        ("tp", pa.int64()), ("fp", pa.int64()), ("fn", pa.int64()),
-    ])
-
-    def shard_counts(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        g = df.groupby(["vec_id_a", "vec_id_b"])["side"].agg(["count", "sum"])
-        tp = int(((g["count"] == 2)).sum())
-        fp = int(((g["count"] == 1) & (g["sum"] == 1)).sum())
-        fn = int(((g["count"] == 1) & (g["sum"] == 0)).sum())
-        return pa.Table.from_pylist([{"tp": tp, "fp": fp, "fn": fn}],
-                                    schema=part_schema)
-
-    parts = hash_exchange(
-        both, ["vec_id_a", "vec_id_b"], shard_counts, part_schema,
-        num_shards=16,
-    ).to_pandas()
-    tp, fp, fn = int(parts["tp"].sum()), int(parts["fp"].sum()), int(parts["fn"].sum())
-    prec = 0 if tp + fp == 0 else (tp * 1_000_000) // (tp + fp)
-    rec = 0 if tp + fn == 0 else (tp * 1_000_000) // (tp + fn)
-    return pd.DataFrame({
-        "n_exact": pd.array([tp + fn], dtype="int64"),
-        "n_lsh": pd.array([tp + fp], dtype="int64"),
-        "tp": pd.array([tp], dtype="int64"),
-        "fp": pd.array([fp], dtype="int64"),
-        "fn": pd.array([fn], dtype="int64"),
-        "precision_micro": pd.array([prec], dtype="int64"),
-        "recall_micro": pd.array([rec], dtype="int64"),
-    })
-
-
-def sql_dedup_lsh_recall() -> str:
-    return f"""
-WITH lsh AS ({sql_dedup_embedding_lsh()}),
-ex AS ({SQL_DEDUP_EMBEDDING}),
-tpq AS (SELECT count(*) AS c FROM
-        (SELECT vec_id_a, vec_id_b FROM lsh
-         INTERSECT SELECT vec_id_a, vec_id_b FROM ex)),
-fpq AS (SELECT count(*) AS c FROM
-        (SELECT vec_id_a, vec_id_b FROM lsh
-         EXCEPT SELECT vec_id_a, vec_id_b FROM ex)),
-fnq AS (SELECT count(*) AS c FROM
-        (SELECT vec_id_a, vec_id_b FROM ex
-         EXCEPT SELECT vec_id_a, vec_id_b FROM lsh))
-SELECT CAST(tpq.c + fnq.c AS BIGINT) AS n_exact,
-       CAST(tpq.c + fpq.c AS BIGINT) AS n_lsh,
-       CAST(tpq.c AS BIGINT) AS tp,
-       CAST(fpq.c AS BIGINT) AS fp,
-       CAST(fnq.c AS BIGINT) AS fn,
-       CAST(CASE WHEN tpq.c + fpq.c = 0 THEN 0
-                 ELSE tpq.c * 1000000 // (tpq.c + fpq.c) END AS BIGINT)
-         AS precision_micro,
-       CAST(CASE WHEN tpq.c + fnq.c = 0 THEN 0
-                 ELSE tpq.c * 1000000 // (tpq.c + fnq.c) END AS BIGINT)
-         AS recall_micro
-FROM tpq, fpq, fnq
-"""
-
-
-# ---------------------------------------------------------------------------
-# ANN evaluation: measured top-K recall of the approximate indexes against
-# exact brute-force cosine
-# ---------------------------------------------------------------------------
-
-def q_ann_recall(sf_dir: str) -> pd.DataFrame:
-    """Recall@K of the two approximate-nearest-neighbor paths (IVF probe and
-    LSH bucket filter) against the exact brute-force top-K for the fixed
-    benchmark query — the companion gate to q_dedup_lsh_recall on the
-    retrieval side: the approximate index you deploy at 10^9 vectors is
-    chosen by THIS number per corpus, not by the structure's reputation.
-    All three rankings are existing verified pipelines; each result is
-    K = 10 ids (driver-scale by definition), so the overlap is a set
-    intersection of constant-size results — the corpus-side work stays
-    inside the three distributed queries. Oracle composes the three SQL
-    replays with INTERSECT."""
-    def _ids(res) -> set:
-        df = res.to_pandas() if hasattr(res, "to_pandas") else res
-        return set(df["vec_id"].astype(int))
-
-    exact = _ids(q_knn_cosine(sf_dir))
-    out = []
-    for method, q in (("ivf", q_ann_ivf), ("lsh", q_ann_lsh)):
-        got = _ids(q(sf_dir))
-        hits = len(got & exact)
-        out.append({"method": method, "hits": hits,
-                    "recall_micro": (hits * 1_000_000) // max(1, len(exact))})
-    return pd.DataFrame(out).astype({"hits": "int64", "recall_micro": "int64"})
-
-
-def sql_ann_recall() -> str:
-    return f"""
-WITH ex AS (SELECT vec_id FROM ({sql_knn_cosine()})),
-ivf AS (SELECT vec_id FROM ({sql_ann_ivf()})),
-lsh AS (SELECT vec_id FROM ({sql_ann_lsh()})),
-n AS (SELECT count(*) AS k FROM ex),
-hi AS (SELECT count(*) AS h FROM (SELECT vec_id FROM ivf INTERSECT SELECT vec_id FROM ex)),
-hl AS (SELECT count(*) AS h FROM (SELECT vec_id FROM lsh INTERSECT SELECT vec_id FROM ex))
-SELECT 'ivf' AS method, CAST(hi.h AS BIGINT) AS hits,
-       CAST(hi.h * 1000000 // greatest(1, n.k) AS BIGINT) AS recall_micro
-FROM hi, n
-UNION ALL
-SELECT 'lsh', CAST(hl.h AS BIGINT),
-       CAST(hl.h * 1000000 // greatest(1, n.k) AS BIGINT)
-FROM hl, n
-"""
-
-
-def q_extract_pdf_structure(sf_dir: str) -> rd.Dataset:
-    """Tagged-PDF logical structure (ISO 32000-1 §14.7): one row per
-    structure element in depth-first reading order with its mapped role
-    and marked-content text — the accessibility/reading-order view a
-    layout-aware corpus builder prefers over raw span order (and the
-    channel through which /Artifact page chrome is EXCLUDED by the
-    author's own markup rather than by heuristics). The fixture plants an
-    /Artifact page number and an unmarked span that plain extraction keeps;
-    the oracle pins that neither ever appears in a structure row, that
-    /RoleMap is applied (custom /Para maps to /P), and that the element
-    order replays exactly. Pure per-batch map."""
-    from ..functions.pdf_meta import PdfDocument
-    from service1_text_extraction_ray.functions.synth import make_pdf_tagged_doc
-
-    out_schema = pa.schema([
-        ("doc_id", pa.int64()), ("idx", pa.int64()),
-        ("role", pa.string()), ("text", pa.string()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src in zip(t["doc_id"].to_pylist(), t["source"].to_pylist()):
-            pdf, _ = make_pdf_tagged_doc(int(d), src)
-            for idx, role, text in PdfDocument(pdf).structure():
-                rows.append({"doc_id": int(d), "idx": idx,
-                             "role": role, "text": text})
-        if not rows:
-            return out_schema.empty_table()
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "source"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_EXTRACT_PDF_STRUCTURE = """
-WITH g AS (
-  SELECT doc_id, unnest(generate_series(0, 1 + doc_id % 3)) AS idx
-  FROM documents
-)
-SELECT doc_id, CAST(idx AS BIGINT) AS idx,
-       CASE WHEN idx = 0 THEN 'H1' ELSE 'P' END AS role,
-       CASE WHEN idx = 0 THEN 'Title ' || doc_id
-            ELSE 'Para ' || doc_id || '-' || idx END AS text
-FROM g
-"""

@@ -22,7 +22,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data.aggregate import Max, Min, Sum
 
 
 def _pq(sf_dir: str, table: str) -> str:
@@ -49,91 +49,6 @@ def _cents_pd(series: pd.Series) -> pd.Series:
     v = series.to_numpy(dtype="float64") * 100.0
     out = np.where(v >= 0, np.floor(v + 0.5), np.ceil(v - 0.5))
     return pd.Series(out.astype("int64"), index=series.index)
-
-
-# ---------------------------------------------------------------------------
-# Grouped aggregate with pre-aggregation (TPC-H Q1 shape)
-# ---------------------------------------------------------------------------
-
-Q1_CUTOFF = "1998-09-02"
-
-
-def q_pricing_summary(sf_dir: str) -> rd.Dataset:
-    """Lineitem pricing summary (TPC-H Q1 shape).
-
-    The vectorized pre-stage computes per-row cents columns AND combines
-    them per block (pyarrow group_by -> ≤6 partial rows per block), so the
-    exchange moves a few hundred int64-partial rows instead of every
-    lineitem; the cents columns make the partial sums exact and
-    order-independent. The final groupby runs over coalesced blocks.
-    """
-    _PARTIAL_COLS = [
-        "sum_qty", "sum_base_price_cents", "sum_disc_price_cents",
-        "sum_charge_cents", "count_order",
-    ]
-
-    def prep(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(
-            pc.less_equal(batch["l_shipdate"], pa.scalar(pd.Timestamp(Q1_CUTOFF)))
-        )
-        disc_price = pc.multiply(
-            batch["l_extendedprice"], pc.subtract(pa.scalar(1.0), batch["l_discount"])
-        )
-        charge = pc.multiply(
-            disc_price, pc.add(pa.scalar(1.0), batch["l_tax"])
-        )
-        rows = pa.Table.from_arrays(
-            [
-                batch["l_returnflag"],
-                batch["l_linestatus"],
-                pc.cast(pc.round(batch["l_quantity"], round_mode="half_towards_infinity"), pa.int64()),
-                _cents(batch["l_extendedprice"]),
-                _cents(disc_price),
-                _cents(charge),
-            ],
-            names=[
-                "l_returnflag", "l_linestatus", "qty",
-                "base_price_cents", "disc_price_cents", "charge_cents",
-            ],
-        )
-        g = rows.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("qty", "sum"), ("base_price_cents", "sum"),
-             ("disc_price_cents", "sum"), ("charge_cents", "sum"),
-             ([], "count_all")]
-        )
-        return pa.Table.from_arrays(
-            [
-                g["l_returnflag"], g["l_linestatus"], g["qty_sum"],
-                g["base_price_cents_sum"], g["disc_price_cents_sum"],
-                g["charge_cents_sum"], pc.cast(g["count_all"], pa.int64()),
-            ],
-            names=["l_returnflag", "l_linestatus"] + _PARTIAL_COLS,
-        )
-
-    return (
-        _read(
-            sf_dir, "lineitem",
-            ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
-             "l_discount", "l_tax", "l_shipdate"],
-        )
-        .map_batches(prep, batch_format="pyarrow")
-        .repartition(8)
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(*[Sum(c, alias_name=c) for c in _PARTIAL_COLS])
-    )
-
-
-SQL_PRICING_SUMMARY = f"""
-SELECT l_returnflag, l_linestatus,
-       CAST(sum(CAST(round(l_quantity) AS BIGINT)) AS BIGINT) AS sum_qty,
-       CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)) AS BIGINT) AS sum_base_price_cents,
-       CAST(sum(CAST(round(l_extendedprice * (1 - l_discount) * 100) AS BIGINT)) AS BIGINT) AS sum_disc_price_cents,
-       CAST(sum(CAST(round(l_extendedprice * (1 - l_discount) * (1 + l_tax) * 100) AS BIGINT)) AS BIGINT) AS sum_charge_cents,
-       count(*) AS count_order
-FROM lineitem
-WHERE l_shipdate <= TIMESTAMP '{Q1_CUTOFF} 00:00:00'
-GROUP BY l_returnflag, l_linestatus
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -512,30 +427,6 @@ def q_segment_order_stats(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_SEGMENT_ORDER_STATS = """
-SELECT c.c_mktsegment,
-       count(*) AS n_orders,
-       CAST(sum(CAST(round(o.o_totalprice * 100) AS BIGINT)) AS BIGINT) AS sum_totalprice_cents
-FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
-GROUP BY c.c_mktsegment
-"""
-
-
-def _order_count_partials(sf_dir: str) -> rd.Dataset:
-    """Per-BLOCK (o_custkey, n_orders) partial counts — no shuffle."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("o_custkey").aggregate([([], "count_all")])
-        return pa.Table.from_arrays(
-            [pc.cast(g["o_custkey"], pa.int64()), pc.cast(g["count_all"], pa.int64())],
-            names=["o_custkey", "n_orders"],
-        )
-
-    return _read(sf_dir, "orders", ["o_custkey"]).map_batches(
-        partial, batch_format="pyarrow"
-    )
-
-
 Q3_SEGMENT = "BUILDING"
 Q3_CUTOFF = "1996-06-30"
 Q3_TOPK = 10
@@ -655,45 +546,6 @@ LIMIT {Q3_TOPK}
 """
 
 
-def q_customer_order_counts(sf_dir: str) -> rd.Dataset:
-    """LEFT OUTER hash join: every customer with its order count, 0 when it
-    has none — the join flavor a broadcast probe can't express once both
-    sides are fact-sized. Orders are pre-reduced per block and the final
-    per-custkey combine is fused into the join's shard merge
-    (combine_right_sum); unmatched customers surface as typed nulls that a
-    vectorized fill turns into 0."""
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    joined = hash_join(
-        cust,
-        _order_count_partials(sf_dir),
-        left_on="c_custkey",
-        right_on="o_custkey",
-        key_type=pa.int64(),
-        left_fields=[pa.field("c_mktsegment", pa.string())],
-        right_fields=[pa.field("n_orders", pa.int64())],
-        combine_right_sum=True,
-        how="left",
-    )
-
-    def fill_zero(t: pa.Table) -> pa.Table:
-        return t.set_column(
-            t.schema.get_field_index("n_orders"),
-            "n_orders",
-            pc.fill_null(t["n_orders"], pa.scalar(0, pa.int64())),
-        )
-
-    return joined.map_batches(fill_zero, batch_format="pyarrow")
-
-
-SQL_CUSTOMER_ORDER_COUNTS = """
-SELECT c.c_custkey, c.c_mktsegment,
-       COALESCE(o.cnt, 0) AS n_orders
-FROM customer c
-LEFT JOIN (SELECT o_custkey, count(*) AS cnt FROM orders GROUP BY o_custkey) o
-  ON c.c_custkey = o.o_custkey
-"""
-
-
 DORMANT_CUTOFF = "1997-06-01"
 
 
@@ -734,317 +586,12 @@ def q_customers_dormant(sf_dir: str) -> rd.Dataset:
     ]))
 
 
-SQL_CUSTOMERS_DORMANT = f"""
-SELECT c_custkey, c_mktsegment FROM customer c
-WHERE NOT EXISTS (SELECT 1 FROM orders o
-                  WHERE o.o_custkey = c.c_custkey
-                    AND o.o_orderdate >= DATE '{DORMANT_CUTOFF}')
-"""
-
-
-def q_customers_with_orders(sf_dir: str) -> rd.Dataset:
-    """Distributed SEMI join twin of q_customers_no_orders."""
-    return hash_join(
-        _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]),
-        _order_count_partials(sf_dir),
-        left_on="c_custkey",
-        right_on="o_custkey",
-        key_type=pa.int64(),
-        left_fields=[pa.field("c_mktsegment", pa.string())],
-        right_fields=[pa.field("n_orders", pa.int64())],
-        how="semi",
-    )
-
-
-SQL_CUSTOMERS_WITH_ORDERS = """
-SELECT c_custkey, c_mktsegment FROM customer c
-WHERE EXISTS (SELECT 1 FROM orders o WHERE o.o_custkey = c.c_custkey)
-"""
-
-
-def q_nation_customer_counts(sf_dir: str) -> rd.Dataset:
-    """customer ⋈ nation ⋈ region via one composed broadcast lookup."""
-    nation = _read(sf_dir, "nation", ["n_nationkey", "n_name", "n_regionkey"]).to_pandas()
-    region = _read(sf_dir, "region", ["r_regionkey", "r_name"]).to_pandas()
-    dim = nation.merge(region, left_on="n_regionkey", right_on="r_regionkey")
-    key_to_names = dim.set_index("n_nationkey")[["n_name", "r_name"]]
-    ref = ray.put(key_to_names)
-
-    def join_and_count(df: pd.DataFrame) -> pd.DataFrame:
-        # broadcast-join the two tiny dims, then pre-combine per block so
-        # the exchange moves <= 25 (region, nation, count) partial rows
-        lookup = ray.get(ref)
-        joined = df.join(lookup, on="c_nationkey")
-        g = joined.groupby(["r_name", "n_name"], sort=False, as_index=False).size()
-        return g.rename(columns={"size": "n_customers"}).astype({"n_customers": "int64"})
-
-    return (
-        _read(sf_dir, "customer", ["c_nationkey"])
-        .map_batches(join_and_count, batch_format="pandas")
-        .repartition(8)
-        .groupby(["r_name", "n_name"])
-        .aggregate(Sum("n_customers", alias_name="n_customers"))
-    )
-
-
-SQL_NATION_CUSTOMER_COUNTS = """
-SELECT r.r_name, n.n_name, count(*) AS n_customers
-FROM customer c
-JOIN nation n ON c.c_nationkey = n.n_nationkey
-JOIN region r ON n.n_regionkey = r.r_regionkey
-GROUP BY r.r_name, n.n_name
-"""
-
-
 # ---------------------------------------------------------------------------
 # Top-k / sort / limit / filter
 # ---------------------------------------------------------------------------
 
-TOPK_CUSTOMERS = 10
-
-
-def q_top_customers_by_revenue(sf_dir: str) -> pd.DataFrame:
-    """Top-10 customers by total order value: per-BLOCK partial sums
-    (pyarrow group_by — one int64 row per customer per block crosses the
-    wire), a hash_exchange on custkey whose shard fn finishes the sum AND
-    takes the shard's top-k, then a tiny driver merge of the <=k-per-shard
-    partials — never a global sort for 10 rows, and never a sort-aggregate
-    keyed on 10^5+ distinct custkeys (the exchange orders num_shards int64
-    ids). o_custkey is the tiebreak at every level (boundary determinism)."""
-    topk_schema = pa.schema(
-        [pa.field("o_custkey", pa.int64()), pa.field("revenue_cents", pa.int64())]
-    )
-
-    def partial_sums(batch: pa.Table) -> pa.Table:
-        rows = pa.Table.from_arrays(
-            [pc.cast(batch["o_custkey"], pa.int64()), _cents(batch["o_totalprice"])],
-            names=["o_custkey", "totalprice_cents"],
-        )
-        g = rows.group_by("o_custkey").aggregate([("totalprice_cents", "sum")])
-        return pa.Table.from_arrays(
-            [g["o_custkey"], g["totalprice_cents_sum"]],
-            schema=topk_schema,
-        )
-
-    def shard_topk(t: pa.Table) -> pa.Table:
-        g = t.group_by("o_custkey").aggregate([("revenue_cents", "sum")])
-        df = pa.Table.from_arrays(
-            [g["o_custkey"], g["revenue_cents_sum"]], schema=topk_schema
-        ).to_pandas()
-        top = df.sort_values(
-            ["revenue_cents", "o_custkey"], ascending=[False, True]
-        ).head(TOPK_CUSTOMERS)
-        return pa.Table.from_pandas(top, schema=topk_schema, preserve_index=False)
-
-    partials = hash_exchange(
-        _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]).map_batches(
-            partial_sums, batch_format="pyarrow"
-        ),
-        ["o_custkey"],
-        shard_topk,
-        topk_schema,
-    ).to_pandas()
-    top = partials.sort_values(
-        ["revenue_cents", "o_custkey"], ascending=[False, True]
-    ).head(TOPK_CUSTOMERS)
-    return top[["o_custkey", "revenue_cents"]].reset_index(drop=True)
-
-
-SQL_TOP_CUSTOMERS_BY_REVENUE = f"""
-SELECT o_custkey, CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT) AS revenue_cents
-FROM orders GROUP BY o_custkey
-ORDER BY revenue_cents DESC, o_custkey ASC LIMIT {TOPK_CUSTOMERS}
-"""
-
 
 HIGH_VALUE_CUT = 400000.0
-
-
-HIGH_VALUE_TOPK = 20
-
-
-def q_high_value_orders(sf_dir: str) -> pd.DataFrame:
-    """Filter + project + top-20 by raw double (no arithmetic -> exact).
-    The price predicate is pushed to the read (row-group pruning); the top-k
-    is per-BLOCK partial top-k + a tiny driver merge of <=k-per-block rows —
-    no global Sort operator (round-2 VERDICT #6: filtered cardinality is
-    unbounded in general). o_orderkey is the tiebreak on both sides
-    (boundary determinism under the driver's value hash)."""
-    import pyarrow.dataset as pds
-
-    _SCHEMA = pa.schema([
-        ("o_orderkey", pa.int64()), ("o_custkey", pa.int64()),
-        ("o_totalprice", pa.float64()), ("o_orderpriority", pa.string()),
-    ])
-
-    def block_topk(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _SCHEMA.empty_table()
-        df = t.to_pandas().sort_values(
-            ["o_totalprice", "o_orderkey"], ascending=[False, True]
-        ).head(HIGH_VALUE_TOPK)
-        return pa.Table.from_pandas(df, schema=_SCHEMA, preserve_index=False)
-
-    partials = (
-        rd.read_parquet(
-            _pq(sf_dir, "orders"),
-            columns=["o_orderkey", "o_custkey", "o_totalprice", "o_orderpriority"],
-            filter=pds.field("o_totalprice") > HIGH_VALUE_CUT,
-        )
-        .map_batches(block_topk, batch_format="pyarrow")
-        .to_pandas()
-    )
-    top = partials.sort_values(
-        ["o_totalprice", "o_orderkey"], ascending=[False, True]
-    ).head(HIGH_VALUE_TOPK)
-    return top.reset_index(drop=True)
-
-
-SQL_HIGH_VALUE_ORDERS = f"""
-SELECT o_orderkey, o_custkey, o_totalprice, o_orderpriority
-FROM orders WHERE o_totalprice > {HIGH_VALUE_CUT}
-ORDER BY o_totalprice DESC, o_orderkey ASC LIMIT {HIGH_VALUE_TOPK}
-"""
-
-
-def q_orders_priority_counts(sf_dir: str) -> rd.Dataset:
-    """Filtered grouped count with the filter PUSHED TO THE READ: the date
-    range travels as a pyarrow dataset expression, so parquet row groups
-    outside it never leave storage (row-group statistics pruning) — the
-    "prune at the read" rule applied to rows, not just columns."""
-    import pyarrow.dataset as pds
-
-    flt = (pds.field("o_orderdate") >= pd.Timestamp("1995-01-01")) & (
-        pds.field("o_orderdate") < pd.Timestamp("1996-01-01")
-    )
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("o_orderpriority").aggregate([([], "count_all")])
-        return pa.Table.from_arrays(
-            [g["o_orderpriority"], pc.cast(g["count_all"], pa.int64())],
-            names=["o_orderpriority", "n_orders"],
-        )
-
-    return (
-        rd.read_parquet(
-            _pq(sf_dir, "orders"),
-            columns=["o_orderpriority", "o_orderdate"],
-            filter=flt,
-        )
-        .map_batches(partial, batch_format="pyarrow")  # <=5 rows per block
-        .repartition(8)
-        .groupby("o_orderpriority")
-        .aggregate(Sum("n_orders", alias_name="n_orders"))
-    )
-
-
-SQL_ORDERS_PRIORITY_COUNTS = """
-SELECT o_orderpriority, count(*) AS n_orders
-FROM orders
-WHERE o_orderdate >= TIMESTAMP '1995-01-01' AND o_orderdate < TIMESTAMP '1996-01-01'
-GROUP BY o_orderpriority
-"""
-
-
-def q_part_type_stats(sf_dir: str) -> rd.Dataset:
-    """min/max on raw doubles (exact, no accumulation) + int sum + count.
-    All four aggregates are mergeable, so each block pre-combines to <=
-    n_distinct_types partial rows (pyarrow group_by) and the exchange only
-    merges partials (count->sum, min->min, max->max, sum->sum)."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        rows = pa.Table.from_arrays(
-            [t["p_type"], t["p_retailprice"], pc.cast(t["p_size"], pa.int64())],
-            names=["p_type", "p_retailprice", "p_size64"],
-        )
-        g = rows.group_by("p_type").aggregate(
-            [([], "count_all"), ("p_retailprice", "min"),
-             ("p_retailprice", "max"), ("p_size64", "sum")]
-        )
-        return pa.Table.from_arrays(
-            [g["p_type"], pc.cast(g["count_all"], pa.int64()),
-             g["p_retailprice_min"], g["p_retailprice_max"], g["p_size64_sum"]],
-            names=["p_type", "n_parts", "min_price", "max_price", "sum_size"],
-        )
-
-    return (
-        _read(sf_dir, "part", ["p_type", "p_retailprice", "p_size"])
-        .map_batches(partial, batch_format="pyarrow")
-        .repartition(8)
-        .groupby("p_type")
-        .aggregate(
-            Sum("n_parts", alias_name="n_parts"),
-            Min("min_price", alias_name="min_price"),
-            Max("max_price", alias_name="max_price"),
-            Sum("sum_size", alias_name="sum_size"),
-        )
-    )
-
-
-SQL_PART_TYPE_STATS = """
-SELECT p_type, count(*) AS n_parts,
-       min(p_retailprice) AS min_price,
-       max(p_retailprice) AS max_price,
-       CAST(sum(CAST(p_size AS BIGINT)) AS BIGINT) AS sum_size
-FROM part GROUP BY p_type
-"""
-
-
-# ---------------------------------------------------------------------------
-# Distinct counting (two-level groupby: no giant per-group state)
-# ---------------------------------------------------------------------------
-
-
-def q_distinct_parts_per_flag(sf_dir: str) -> rd.Dataset:
-    """count(distinct l_partkey) per returnflag: per-block local dedup
-    (vectorized, no shuffle) shrinks the stream, ONE hash_exchange on the
-    (flag, partkey) pair co-locates surviving duplicates for the exact
-    dedup + per-flag partial counts, then a tiny final groupby sums ≤
-    num_shards rows per flag. Replaces the composite-string-key
-    ``groupby((flag, partkey))`` sort — the int64 shard sort measured ~5x
-    cheaper on identical rows — and never builds a per-group set on one
-    worker."""
-    pair_schema = pa.schema(
-        [pa.field("l_returnflag", pa.string()), pa.field("l_partkey", pa.int64())]
-    )
-    partial_schema = pa.schema(
-        [pa.field("l_returnflag", pa.string()), pa.field("_n", pa.int64())]
-    )
-
-    def local_distinct(t: pa.Table) -> pa.Table:
-        g = t.group_by(["l_returnflag", "l_partkey"]).aggregate([([], "count_all")])
-        return pa.Table.from_arrays(
-            [g["l_returnflag"], pc.cast(g["l_partkey"], pa.int64())],
-            schema=pair_schema,
-        )
-
-    def shard_count(t: pa.Table) -> pa.Table:
-        dedup = t.group_by(["l_returnflag", "l_partkey"]).aggregate([([], "count_all")])
-        g = dedup.group_by("l_returnflag").aggregate([([], "count_all")])
-        return pa.Table.from_arrays(
-            [g["l_returnflag"], pc.cast(g["count_all"], pa.int64())],
-            schema=partial_schema,
-        )
-
-    partials = hash_exchange(
-        _read(sf_dir, "lineitem", ["l_returnflag", "l_partkey"]).map_batches(
-            local_distinct, batch_format="pyarrow"
-        ),
-        ["l_returnflag", "l_partkey"],
-        shard_count,
-        partial_schema,
-    )
-    return (
-        partials.repartition(8)
-        .groupby("l_returnflag")
-        .aggregate(Sum("_n", alias_name="n_distinct_parts"))
-    )
-
-
-SQL_DISTINCT_PARTS_PER_FLAG = """
-SELECT l_returnflag, count(DISTINCT l_partkey) AS n_distinct_parts
-FROM lineitem GROUP BY l_returnflag
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -1081,16 +628,6 @@ def q_order_price_quantiles(sf_dir: str) -> rd.Dataset:
         .groupby("o_orderpriority")
         .map_groups(quants, batch_format="pandas")
     )
-
-
-SQL_ORDER_PRICE_QUANTILES = """
-SELECT o_orderpriority,
-       count(*) AS n_orders,
-       quantile_disc(o_totalprice, 0.5) AS p50,
-       quantile_disc(o_totalprice, 0.9) AS p90,
-       quantile_disc(o_totalprice, 0.99) AS p99
-FROM orders GROUP BY o_orderpriority
-"""
 
 
 HLL_P = 12  # 2^12 registers -> ~1.6% standard error
@@ -1164,62 +701,6 @@ def q_distinct_users_hll(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame(
         {"n_distinct_users_est": pd.Series([_hll_estimate(merged)], dtype="int64")}
     )
-
-
-def _sql_distinct_users_hll() -> str:
-    """Exact oracle for the HLL estimate: md5-derived registers (idx = low
-    12 bits, rank = 53 - bit_length(high 52 bits) via a generated CASE
-    chain), exact-integer harmonic numerator in HUGEINT, then the same
-    fixed float sequence (alpha, linear-counting branch, round_even)."""
-    m = 1 << HLL_P
-
-    def hexbyte(col: str, idx: int) -> str:
-        c1 = f"substr({col}, {2 * idx + 1}, 1)"
-        c2 = f"substr({col}, {2 * idx + 2}, 1)"
-        return (
-            f"((instr('0123456789abcdef', {c1}) - 1) * 16"
-            f" + instr('0123456789abcdef', {c2}) - 1)"
-        )
-
-    u64 = " + ".join(
-        f"CAST({hexbyte('md5(CAST(user_id AS VARCHAR))', j)} AS UBIGINT) * {256 ** j}"
-        for j in range(8)
-    )
-    # rank = 53 - bit_length(w), w = h >> 12 (52 significant bits)
-    rank_case = (
-        "CASE "
-        + " ".join(f"WHEN w >= {1 << (52 - r)} THEN {r}" for r in range(1, 53))
-        + " ELSE 53 END"
-    )
-    est = f"(0.7213 / (1 + 1.079 / {m})) * {m} * {m} * {float(1 << 53)!r} / CAST(n_int AS DOUBLE)"
-    return f"""
-WITH h AS (
-  SELECT ({u64}) AS hv FROM events
-),
-w AS (SELECT hv % {m} AS idx, hv >> {HLL_P} AS w FROM h),
-regs AS (SELECT idx, max({rank_case}) AS rank FROM w GROUP BY idx),
-agg AS (
-  SELECT count(*) AS n_present,
-         SUM(CAST(CASE rank
-           {" ".join(f"WHEN {r} THEN {1 << (53 - r)}" for r in range(1, 54))}
-         END AS HUGEINT)) AS present_sum
-  FROM regs
-),
-folded AS (
-  SELECT ({m} - n_present) AS zeros,
-         present_sum + CAST(({m} - n_present) AS HUGEINT) * {1 << 53} AS n_int
-  FROM agg
-)
-SELECT CAST(round_even(CASE
-    WHEN {est} <= 2.5 * {m} AND zeros > 0
-    THEN {m} * ln({m} / CAST(zeros AS DOUBLE))
-    ELSE {est}
-  END, 0) AS BIGINT) AS n_distinct_users_est
-FROM folded
-"""
-
-
-SQL_DISTINCT_USERS_HLL = _sql_distinct_users_hll()
 
 
 TDIGEST_DELTA = 200  # compression: <= ~2*delta centroids per digest
@@ -1439,84 +920,6 @@ def q_customers_without_big_orders_bloom(sf_dir: str) -> rd.Dataset:
 # ---------------------------------------------------------------------------
 
 
-def q_supplier_nation_balance(sf_dir: str) -> rd.Dataset:
-    """supplier ⋈ nation grouped balance stats (broadcast dim join; the
-    acctbal sum in exact integer cents)."""
-    nation = (
-        _read(sf_dir, "nation", ["n_nationkey", "n_name"])
-        .to_pandas()
-        .set_index("n_nationkey")["n_name"]
-    )
-    ref = ray.put(nation)
-
-    def join(df: pd.DataFrame) -> pd.DataFrame:
-        lookup = ray.get(ref)
-        out = pd.DataFrame()
-        out["n_name"] = df["s_nationkey"].map(lookup)
-        out["acctbal_cents"] = _cents_pd(df["s_acctbal"])
-        return out
-
-    return (
-        _read(sf_dir, "supplier", ["s_nationkey", "s_acctbal"])
-        .map_batches(join, batch_format="pandas")
-        .groupby("n_name")
-        .aggregate(
-            Count(alias_name="n_suppliers"),
-            Sum("acctbal_cents", alias_name="sum_acctbal_cents"),
-        )
-    )
-
-
-SQL_SUPPLIER_NATION_BALANCE = """
-SELECT n.n_name,
-       count(*) AS n_suppliers,
-       CAST(sum(CAST(round(s.s_acctbal * 100) AS BIGINT)) AS BIGINT) AS sum_acctbal_cents
-FROM supplier s JOIN nation n ON s.s_nationkey = n.n_nationkey
-GROUP BY n.n_name
-"""
-
-
-def q_events_hourly(sf_dir: str) -> rd.Dataset:
-    """Tumbling 1-hour window counts/sums per event type (vectorized floor).
-    Per-block partial combine (pyarrow group_by — one row per hour×type per
-    block) before the exchange; the final groupby sums partials over
-    coalesced blocks."""
-
-    def f(batch: pa.Table) -> pa.Table:
-        hour = pc.floor_temporal(batch["ts"], unit="hour")
-        rows = pa.Table.from_arrays(
-            [hour, batch["event_type"], _cents(batch["value"])],
-            names=["hour", "event_type", "value_cents"],
-        )
-        g = rows.group_by(["hour", "event_type"]).aggregate(
-            [([], "count_all"), ("value_cents", "sum")]
-        )
-        return pa.Table.from_arrays(
-            [g["hour"], g["event_type"], pc.cast(g["count_all"], pa.int64()),
-             g["value_cents_sum"]],
-            names=["hour", "event_type", "n_events", "sum_value_cents"],
-        )
-
-    return (
-        _read(sf_dir, "events", ["ts", "event_type", "value"])
-        .map_batches(f, batch_format="pyarrow")
-        .repartition(8)
-        .groupby(["hour", "event_type"])
-        .aggregate(
-            Sum("n_events", alias_name="n_events"),
-            Sum("sum_value_cents", alias_name="sum_value_cents"),
-        )
-    )
-
-
-SQL_EVENTS_HOURLY = """
-SELECT date_trunc('hour', ts) AS hour, event_type,
-       count(*) AS n_events,
-       CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT) AS sum_value_cents
-FROM events GROUP BY date_trunc('hour', ts), event_type
-"""
-
-
 SESSION_GAP_S = 1800
 
 
@@ -1561,19 +964,6 @@ def q_events_sessionize(sf_dir: str) -> rd.Dataset:
         shard_sessions,
         sess_schema,
     )
-
-
-SQL_EVENTS_SESSIONIZE = f"""
-SELECT user_id,
-       CAST(1 + sum(CASE WHEN gap_s > {SESSION_GAP_S} THEN 1 ELSE 0 END) AS BIGINT) AS n_sessions,
-       count(*) AS n_events
-FROM (
-  SELECT user_id, ts,
-         epoch(ts - lag(ts) OVER (PARTITION BY user_id ORDER BY ts)) AS gap_s
-  FROM events
-)
-GROUP BY user_id
-"""
 
 
 # Token-bucket rate limiter replay: capacity RL_CAP, one token per full
@@ -1638,35 +1028,6 @@ def q_events_rate_limit(sf_dir: str) -> rd.Dataset:
         _read(sf_dir, "events", ["event_id", "ts", "user_id"]),
         ["user_id"], shard_replay, out_schema,
     )
-
-
-SQL_EVENTS_RATE_LIMIT = f"""
-WITH RECURSIVE r AS (
-  SELECT event_id, user_id,
-         date_diff('second', TIMESTAMP '1970-01-01', ts) AS sec,
-         row_number() OVER (PARTITION BY user_id
-                            ORDER BY ts, event_id) AS rn
-  FROM events
-),
-e AS (
-  SELECT event_id, user_id, sec, rn,
-         CAST(1 AS BIGINT) AS allowed,
-         CAST({RL_CAP} - 1 AS BIGINT) AS tokens_after
-  FROM r WHERE rn = 1
-  UNION ALL
-  SELECT r.event_id, r.user_id, r.sec, r.rn,
-         CAST(CASE WHEN least({RL_CAP}, e.tokens_after
-                        + (r.sec - e.sec) // {RL_REFILL_S}) >= 1
-                   THEN 1 ELSE 0 END AS BIGINT),
-         CAST(least({RL_CAP}, e.tokens_after
-                    + (r.sec - e.sec) // {RL_REFILL_S})
-              - CASE WHEN least({RL_CAP}, e.tokens_after
-                              + (r.sec - e.sec) // {RL_REFILL_S}) >= 1
-                     THEN 1 ELSE 0 END AS BIGINT)
-  FROM e JOIN r ON r.user_id = e.user_id AND r.rn = e.rn + 1
-)
-SELECT event_id, user_id, allowed, tokens_after FROM e
-"""
 
 
 def q_events_asof_orders(sf_dir: str) -> rd.Dataset:
@@ -1748,119 +1109,6 @@ def q_events_asof_orders(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_EVENTS_ASOF_ORDERS = """
-SELECT e.user_id, e.ts, o.o_orderdate AS last_order_date
-FROM events e ASOF JOIN orders o
-  ON e.user_id = o.o_custkey AND e.ts >= o.o_orderdate
-"""
-
-
-TOPK_USERS_PER_HOUR = 3
-
-
-def q_events_topk_users_hourly(sf_dir: str) -> rd.Dataset:
-    """Windowed rank over time buckets: the 3 most active users per hour
-    (count desc, user_id asc tiebreak). Shape: per-BLOCK (hour, user)
-    partial counts (pyarrow group_by — the raw stream never crosses the
-    wire), ONE hash_exchange on the hour whose shard fn finishes the counts
-    and ranks ALL its hours vectorized (one pandas sort + groupby head per
-    shard, no per-hour Python dispatch)."""
-    rank_schema = pa.schema(
-        [pa.field("hour", pa.timestamp("us")), pa.field("rank", pa.int64()),
-         pa.field("user_id", pa.int64()), pa.field("n", pa.int64())]
-    )
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        rows = pa.Table.from_arrays(
-            [pc.floor_temporal(batch["ts"], unit="hour"),
-             pc.cast(batch["user_id"], pa.int64())],
-            names=["hour", "user_id"],
-        )
-        g = rows.group_by(["hour", "user_id"]).aggregate([([], "count_all")])
-        return pa.Table.from_arrays(
-            [g["hour"], g["user_id"], pc.cast(g["count_all"], pa.int64())],
-            names=["hour", "user_id", "n"],
-        )
-
-    def shard_topk(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return rank_schema.empty_table()
-        df = (
-            t.to_pandas()
-            .groupby(["hour", "user_id"], sort=False, as_index=False)["n"].sum()
-            .sort_values(["hour", "n", "user_id"],
-                         ascending=[True, False, True], kind="mergesort")
-        )
-        top = df.groupby("hour", sort=False).head(TOPK_USERS_PER_HOUR)
-        rank = top.groupby("hour", sort=False).cumcount() + 1
-        return pa.Table.from_arrays(
-            [
-                pa.Array.from_pandas(top["hour"]).cast(pa.timestamp("us")),
-                pa.array(rank.to_numpy(dtype="int64")),
-                pa.array(top["user_id"].to_numpy(dtype="int64")),
-                pa.array(top["n"].to_numpy(dtype="int64")),
-            ],
-            schema=rank_schema,
-        )
-
-    return hash_exchange(
-        _read(sf_dir, "events", ["ts", "user_id"]).map_batches(
-            bucket, batch_format="pyarrow"
-        ),
-        ["hour"],
-        shard_topk,
-        rank_schema,
-    )
-
-
-SQL_EVENTS_TOPK_USERS_HOURLY = f"""
-SELECT hour, CAST(rank AS BIGINT) AS rank, user_id, n FROM (
-  SELECT date_trunc('hour', ts) AS hour, user_id, count(*) AS n,
-         row_number() OVER (
-           PARTITION BY date_trunc('hour', ts)
-           ORDER BY count(*) DESC, user_id ASC
-         ) AS rank
-  FROM events GROUP BY date_trunc('hour', ts), user_id
-)
-WHERE rank <= {TOPK_USERS_PER_HOUR}
-"""
-
-
-def q_user_event_type_matrix(sf_dir: str) -> rd.Dataset:
-    """Per (user, event_type) counts — the reference's value_counts analogue
-    (G4) at event grain. Per-block pyarrow partial counts first (one row per
-    (user, type) per block crosses the wire), then a hash_exchange on
-    user_id finishes the sum per shard — no sort-aggregate keyed on the full
-    (user x type) composite."""
-    matrix_schema = pa.schema(
-        [pa.field("user_id", pa.int64()), pa.field("event_type", pa.string()),
-         pa.field("n", pa.int64())]
-    )
-
-    def partial_counts(t: pa.Table) -> pa.Table:
-        g = t.group_by(["user_id", "event_type"]).aggregate([([], "count_all")])
-        return pa.Table.from_arrays(
-            [pc.cast(g["user_id"], pa.int64()), g["event_type"],
-             pc.cast(g["count_all"], pa.int64())],
-            schema=matrix_schema,
-        )
-
-    def shard_counts(t: pa.Table) -> pa.Table:
-        g = t.group_by(["user_id", "event_type"]).aggregate([("n", "sum")])
-        return pa.Table.from_arrays(
-            [g["user_id"], g["event_type"], g["n_sum"]], schema=matrix_schema
-        )
-
-    return hash_exchange(
-        _read(sf_dir, "events", ["user_id", "event_type"]).map_batches(
-            partial_counts, batch_format="pyarrow"
-        ),
-        ["user_id"],
-        shard_counts,
-        matrix_schema,
-    )
-
-
 def q_events_sliding_window(sf_dir: str) -> rd.Dataset:
     """Sliding-window aggregate: per event_type, a 3-hour rolling event count
     anchored at each hour (current + 2 preceding hours).
@@ -1906,20 +1154,6 @@ def q_events_sliding_window(sf_dir: str) -> rd.Dataset:
         return out[out["hour"].isin(g["hour"])]
 
     return hourly.groupby("event_type").map_groups(rolling, batch_format="pandas")
-
-
-SQL_EVENTS_SLIDING_WINDOW = """
-WITH hourly AS (
-  SELECT event_type, date_trunc('hour', ts) AS hour, count(*) AS n
-  FROM events GROUP BY event_type, date_trunc('hour', ts)
-)
-SELECT event_type, hour,
-       CAST(sum(n) OVER (
-         PARTITION BY event_type ORDER BY hour
-         RANGE BETWEEN INTERVAL 2 HOUR PRECEDING AND CURRENT ROW
-       ) AS BIGINT) AS n_3h
-FROM hourly
-"""
 
 
 TOPN_PER_SEGMENT = 3
@@ -2012,20 +1246,6 @@ def q_top_orders_per_segment(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_TOP_ORDERS_PER_SEGMENT = f"""
-SELECT c_mktsegment, CAST(rank AS BIGINT) AS rank, o_orderkey, o_totalprice
-FROM (
-  SELECT c.c_mktsegment, o.o_orderkey, o.o_totalprice,
-         row_number() OVER (
-           PARTITION BY c.c_mktsegment
-           ORDER BY o.o_totalprice DESC, o.o_orderkey ASC
-         ) AS rank
-  FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
-)
-WHERE rank <= {TOPN_PER_SEGMENT}
-"""
-
-
 def q_customers_without_big_orders(sf_dir: str) -> rd.Dataset:
     """Anti-join: customers with no order above HIGH_VALUE_CUT (the
     reference's skip-already-processed idiom J3 at table scale).
@@ -2071,22 +1291,6 @@ def q_customers_without_big_orders(sf_dir: str) -> rd.Dataset:
     return _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).map_batches(
         anti, batch_format="pandas"
     )
-
-
-SQL_CUSTOMERS_WITHOUT_BIG_ORDERS = f"""
-SELECT CAST(c_custkey AS BIGINT) AS c_custkey, c_mktsegment
-FROM customer c
-WHERE NOT EXISTS (
-  SELECT 1 FROM orders o
-  WHERE o.o_custkey = c.c_custkey AND o.o_totalprice > {HIGH_VALUE_CUT}
-)
-"""
-
-
-SQL_USER_EVENT_TYPE_MATRIX = """
-SELECT user_id, event_type, count(*) AS n
-FROM events GROUP BY user_id, event_type
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -2150,20 +1354,6 @@ def q_orders_latest_per_customer(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_ORDERS_LATEST_PER_CUSTOMER = """
-SELECT o_custkey, o_orderkey, o_orderdate, o_totalprice
-FROM (
-  SELECT o_custkey, o_orderkey, o_orderdate, o_totalprice,
-         row_number() OVER (
-           PARTITION BY o_custkey
-           ORDER BY o_orderdate DESC, o_orderkey DESC
-         ) AS rn
-  FROM orders
-)
-WHERE rn = 1
-"""
-
-
 # ---------------------------------------------------------------------------
 # Range (interval) join and cumulative window — the two windowed-operator
 # shapes the family still lacked (SURVEY.md §2.8 has none; as-of covers
@@ -2221,18 +1411,6 @@ def q_orders_followup_counts(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_ORDERS_FOLLOWUP_COUNTS = f"""
-SELECT o1.o_orderkey,
-       CAST(count(o2.o_orderkey) AS BIGINT) AS n_followups
-FROM orders o1
-LEFT JOIN orders o2
-  ON o2.o_custkey = o1.o_custkey
- AND o2.o_orderdate > o1.o_orderdate
- AND o2.o_orderdate <= o1.o_orderdate + INTERVAL {FOLLOWUP_DAYS} DAY
-GROUP BY o1.o_orderkey
-"""
-
-
 def q_user_running_value(sf_dir: str) -> rd.Dataset:
     """Cumulative window: per user, the running sum of event value (integer
     cents) in event_id order (unique, monotone with ingest time) — the
@@ -2273,15 +1451,6 @@ def q_user_running_value(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_USER_RUNNING_VALUE = """
-SELECT event_id, user_id,
-       CAST(sum(CAST(round(value * 100) AS BIGINT)) OVER (
-         PARTITION BY user_id ORDER BY event_id
-       ) AS BIGINT) AS running_value_cents
-FROM events
-"""
-
-
 # ---------------------------------------------------------------------------
 # Aggregate-family extensions: rollup, pivot, histogram, per-group mode,
 # correlation from exact integer partials (SURVEY.md §2.5 lists only plain
@@ -2289,117 +1458,13 @@ FROM events
 # general engine needs)
 # ---------------------------------------------------------------------------
 
-ROLLUP_ALL = "ALL"
-
-
-def _orders_finest(sf_dir: str) -> pd.DataFrame:
-    """Finest-grain (priority, status) revenue partials — the single scan
-    all ROLLUP/CUBE levels derive from (a few dozen rows once reduced)."""
-
-    def prep(t: pa.Table) -> pa.Table:
-        rows = pa.Table.from_arrays(
-            [t["o_orderpriority"], t["o_orderstatus"], _cents(t["o_totalprice"])],
-            names=["o_orderpriority", "o_orderstatus", "cents"],
-        )
-        g = rows.group_by(["o_orderpriority", "o_orderstatus"]).aggregate(
-            [("cents", "sum"), ([], "count_all")]
-        )
-        return pa.Table.from_arrays(
-            [g["o_orderpriority"], g["o_orderstatus"],
-             pc.cast(g["count_all"], pa.int64()), g["cents_sum"]],
-            names=["o_orderpriority", "o_orderstatus", "n_orders", "revenue_cents"],
-        )
-
-    return (
-        _read(sf_dir, "orders", ["o_orderpriority", "o_orderstatus", "o_totalprice"])
-        .map_batches(prep, batch_format="pyarrow")
-        .repartition(8)
-        .groupby(["o_orderpriority", "o_orderstatus"])
-        .aggregate(
-            Sum("n_orders", alias_name="n_orders"),
-            Sum("revenue_cents", alias_name="revenue_cents"),
-        )
-        .to_pandas()  # the finest grain is (priorities x statuses) rows — tiny
-    )
-
-
-def q_orders_rollup(sf_dir: str) -> pd.DataFrame:
-    """ROLLUP aggregate: revenue by (priority, status), per-priority
-    subtotals, and the grand total — in ONE pass. The coarser levels are
-    derived from the FINEST-grain partials (a few dozen rows), never from a
-    second scan: per-block pyarrow partials -> one tiny groupby -> driver
-    derivation of subtotal/total rows. 'ALL' markers instead of SQL NULLs
-    keep the driver's value hash unambiguous."""
-    finest = _orders_finest(sf_dir)
-    by_prio = (
-        finest.groupby("o_orderpriority", as_index=False)[["n_orders", "revenue_cents"]]
-        .sum()
-        .assign(o_orderstatus=ROLLUP_ALL)
-    )
-    total = pd.DataFrame([{
-        "o_orderpriority": ROLLUP_ALL, "o_orderstatus": ROLLUP_ALL,
-        "n_orders": finest["n_orders"].sum(),
-        "revenue_cents": finest["revenue_cents"].sum(),
-    }])
-    out = pd.concat([finest, by_prio, total], ignore_index=True)
-    out = out[["o_orderpriority", "o_orderstatus", "n_orders", "revenue_cents"]]
-    return out.astype({"n_orders": "int64", "revenue_cents": "int64"})
-
-
-SQL_ORDERS_ROLLUP = f"""
-SELECT coalesce(o_orderpriority, '{ROLLUP_ALL}') AS o_orderpriority,
-       coalesce(o_orderstatus, '{ROLLUP_ALL}') AS o_orderstatus,
-       count(*) AS n_orders,
-       CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT) AS revenue_cents
-FROM orders
-GROUP BY ROLLUP (o_orderpriority, o_orderstatus)
-"""
-
-
-def q_orders_cube(sf_dir: str) -> pd.DataFrame:
-    """CUBE aggregate: ROLLUP's three levels plus the per-status margin —
-    all four grouping sets derived from the SAME single finest-grain scan
-    (_orders_finest). A cube never needs one pass per grouping set: coarser
-    cells are sums of finest cells, computed on the driver over a few dozen
-    rows."""
-    finest = _orders_finest(sf_dir)
-    margins = []
-    for keep, drop in (
-        (["o_orderpriority"], "o_orderstatus"),
-        (["o_orderstatus"], "o_orderpriority"),
-    ):
-        m = (
-            finest.groupby(keep, as_index=False)[["n_orders", "revenue_cents"]]
-            .sum()
-            .assign(**{drop: ROLLUP_ALL})
-        )
-        margins.append(m)
-    total = pd.DataFrame([{
-        "o_orderpriority": ROLLUP_ALL, "o_orderstatus": ROLLUP_ALL,
-        "n_orders": finest["n_orders"].sum(),
-        "revenue_cents": finest["revenue_cents"].sum(),
-    }])
-    out = pd.concat([finest, *margins, total], ignore_index=True)
-    out = out[["o_orderpriority", "o_orderstatus", "n_orders", "revenue_cents"]]
-    return out.astype({"n_orders": "int64", "revenue_cents": "int64"})
-
-
-SQL_ORDERS_CUBE = f"""
-SELECT coalesce(o_orderpriority, '{ROLLUP_ALL}') AS o_orderpriority,
-       coalesce(o_orderstatus, '{ROLLUP_ALL}') AS o_orderstatus,
-       count(*) AS n_orders,
-       CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT) AS revenue_cents
-FROM orders
-GROUP BY CUBE (o_orderpriority, o_orderstatus)
-"""
-
 
 EVENT_TYPES = ("click", "error", "purchase", "signup", "view")
 
 
 def q_user_event_pivot(sf_dir: str) -> rd.Dataset:
     """PIVOT: per-user event counts as one WIDE row (n_click, n_error, ...)
-    — the wide twin of q_user_event_type_matrix. The pivot happens inside
+    — a wide per-user event-type matrix. The pivot happens inside
     map_batches (each block -> one partial wide row per user, vectorized
     pyarrow dictionary-encode + bincount), so the exchange moves fixed-width
     int64 rows and the final reduce is a plain Sum per column — a pivot
@@ -2445,62 +1510,6 @@ def q_user_event_pivot(sf_dir: str) -> rd.Dataset:
         shard_sum,
         pivot_schema,
     )
-
-
-SQL_USER_EVENT_PIVOT = "\n".join(
-    ["SELECT user_id,"]
-    + [
-        f"       CAST(count(*) FILTER (event_type = '{t}') AS BIGINT) AS n_{t},"
-        for t in EVENT_TYPES[:-1]
-    ]
-    + [
-        f"       CAST(count(*) FILTER (event_type = '{EVENT_TYPES[-1]}') AS BIGINT) AS n_{EVENT_TYPES[-1]}",
-        "FROM events GROUP BY user_id",
-    ]
-)
-
-
-HIST_BIN_WIDTH = 50_000  # dollars per bin over o_totalprice
-
-
-def q_order_price_histogram(sf_dir: str) -> rd.Dataset:
-    """Fixed-width histogram of order prices: bin = floor(price / width).
-    Per-block vectorized binning + partial counts (pyarrow group_by), then
-    one tiny groupby over <= ~12 bins — the canonical distributed-histogram
-    shape (partials are mergeable; no raw row ever crosses the wire)."""
-
-    def binit(t: pa.Table) -> pa.Table:
-        b = pc.cast(
-            pc.floor(pc.divide(t["o_totalprice"], pa.scalar(float(HIST_BIN_WIDTH)))),
-            pa.int64(),
-        )
-        rows = pa.Table.from_arrays(
-            [b, _cents(t["o_totalprice"])], names=["bin", "cents"]
-        )
-        g = rows.group_by("bin").aggregate([([], "count_all"), ("cents", "sum")])
-        return pa.Table.from_arrays(
-            [g["bin"], pc.cast(g["count_all"], pa.int64()), g["cents_sum"]],
-            names=["bin", "n_orders", "sum_cents"],
-        )
-
-    return (
-        _read(sf_dir, "orders", ["o_totalprice"])
-        .map_batches(binit, batch_format="pyarrow")
-        .repartition(8)
-        .groupby("bin")
-        .aggregate(
-            Sum("n_orders", alias_name="n_orders"),
-            Sum("sum_cents", alias_name="sum_cents"),
-        )
-    )
-
-
-SQL_ORDER_PRICE_HISTOGRAM = f"""
-SELECT CAST(floor(o_totalprice / {HIST_BIN_WIDTH}) AS BIGINT) AS bin,
-       count(*) AS n_orders,
-       CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT) AS sum_cents
-FROM orders GROUP BY 1
-"""
 
 
 def q_part_size_mode(sf_dir: str) -> rd.Dataset:
@@ -2558,19 +1567,6 @@ def q_part_size_mode(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_PART_SIZE_MODE = """
-SELECT p_type, mode_size, n_mode FROM (
-  SELECT p_type, CAST(p_size AS BIGINT) AS mode_size,
-         count(*) AS n_mode,
-         row_number() OVER (
-           PARTITION BY p_type ORDER BY count(*) DESC, p_size ASC
-         ) AS rn
-  FROM part GROUP BY p_type, p_size
-)
-WHERE rn = 1
-"""
-
-
 def q_lineitem_corr(sf_dir: str) -> pd.DataFrame:
     """Pearson correlation of (quantity, price-in-dollars) per returnflag
     from EXACT integer partials: each block contributes
@@ -2623,139 +1619,6 @@ def q_lineitem_corr(sf_dir: str) -> pd.DataFrame:
     }).reset_index(drop=True)
 
 
-SQL_LINEITEM_CORR = """
-WITH p AS (
-  SELECT l_returnflag,
-         CAST(count(*) AS HUGEINT) AS n,
-         sum(CAST(CAST(round(l_quantity) AS BIGINT) AS HUGEINT)) AS sx,
-         sum(CAST(CAST(round(l_extendedprice) AS BIGINT) AS HUGEINT)) AS sy,
-         sum(CAST(CAST(round(l_quantity) AS BIGINT) AS HUGEINT)
-             * CAST(round(l_quantity) AS BIGINT)) AS sxx,
-         sum(CAST(CAST(round(l_extendedprice) AS BIGINT) AS HUGEINT)
-             * CAST(round(l_extendedprice) AS BIGINT)) AS syy,
-         sum(CAST(CAST(round(l_quantity) AS BIGINT) AS HUGEINT)
-             * CAST(round(l_extendedprice) AS BIGINT)) AS sxy
-  FROM lineitem GROUP BY l_returnflag
-)
-SELECT l_returnflag,
-       CAST(n AS BIGINT) AS n_rows,
-       (CAST(n AS DOUBLE) * CAST(sxy AS DOUBLE) - CAST(sx AS DOUBLE) * CAST(sy AS DOUBLE))
-       / (sqrt(CAST(n AS DOUBLE) * CAST(sxx AS DOUBLE) - CAST(sx AS DOUBLE) * CAST(sx AS DOUBLE))
-          * sqrt(CAST(n AS DOUBLE) * CAST(syy AS DOUBLE) - CAST(sy AS DOUBLE) * CAST(sy AS DOUBLE)))
-       AS corr_qty_price
-FROM p
-"""
-
-
-def q_events_sessions(sf_dir: str) -> rd.Dataset:
-    """Session-GRAIN windows: one row per (user, session) with event count
-    and start/end timestamps — the explode view of q_events_sessionize
-    (which emits per-user totals). Same topology: ONE hash_exchange on
-    user_id, then inside a shard the boundary mask, per-user cumulative
-    session index, and the (user, session) aggregate are all C-level
-    vectorized passes over the shard's sorted rows. Session ids are
-    1-based in time order, so the output is exact at any parallelism."""
-    sess_schema = pa.schema(
-        [pa.field("user_id", pa.int64()), pa.field("session_idx", pa.int64()),
-         pa.field("n_events", pa.int64()),
-         pa.field("start_ts", pa.timestamp("us")),
-         pa.field("end_ts", pa.timestamp("us"))]
-    )
-
-    def shard_sessions(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return sess_schema.empty_table()
-        df = t.to_pandas().sort_values(["user_id", "ts"], kind="mergesort")
-        same_user = df["user_id"].eq(df["user_id"].shift())
-        gaps = df["ts"].diff().dt.total_seconds()
-        new_session = (~same_user | (gaps > SESSION_GAP_S)).astype("int64")
-        df = df.assign(
-            session_idx=new_session.groupby(
-                df["user_id"].to_numpy(), sort=False
-            ).cumsum()
-        )
-        agg = (
-            df.groupby(["user_id", "session_idx"], sort=False)
-            .agg(n_events=("ts", "size"), start_ts=("ts", "min"),
-                 end_ts=("ts", "max"))
-            .reset_index()
-        )
-        return pa.Table.from_arrays(
-            [
-                pa.array(agg["user_id"].to_numpy(dtype="int64")),
-                pa.array(agg["session_idx"].to_numpy(dtype="int64")),
-                pa.array(agg["n_events"].to_numpy(dtype="int64")),
-                pa.Array.from_pandas(agg["start_ts"]).cast(pa.timestamp("us")),
-                pa.Array.from_pandas(agg["end_ts"]).cast(pa.timestamp("us")),
-            ],
-            schema=sess_schema,
-        )
-
-    return hash_exchange(
-        _read(sf_dir, "events", ["user_id", "ts"]),
-        ["user_id"],
-        shard_sessions,
-        sess_schema,
-    )
-
-
-SQL_EVENTS_SESSIONS = f"""
-WITH g AS (
-  SELECT user_id, ts,
-         CASE WHEN lag(ts) OVER w IS NULL
-                OR epoch(ts - lag(ts) OVER w) > {SESSION_GAP_S}
-              THEN 1 ELSE 0 END AS new_s
-  FROM events WINDOW w AS (PARTITION BY user_id ORDER BY ts)
-),
-s AS (
-  SELECT user_id, ts,
-         sum(new_s) OVER (PARTITION BY user_id ORDER BY ts
-                          ROWS UNBOUNDED PRECEDING) AS sid
-  FROM g
-)
-SELECT user_id, CAST(sid AS BIGINT) AS session_idx,
-       count(*) AS n_events, min(ts) AS start_ts, max(ts) AS end_ts
-FROM s GROUP BY user_id, sid
-"""
-
-
-def q_customers_not_event_users(sf_dir: str) -> rd.Dataset:
-    """Set difference (EXCEPT): customers with no event row — SURVEY.md §2.7
-    notes the reference has no union/intersect/except; this supplies the
-    missing one (semi = customers_with_orders; key-level anti = here). The
-    probe side (events) is per-BLOCK deduped to distinct user_ids inside
-    map_batches — presence is all anti needs, so duplicates across blocks
-    are harmless and no pre-shuffle reduce runs — then the co-partitioned
-    hash join runs anti. Fully distributed: no driver-collected probe set."""
-
-    def block_distinct(t: pa.Table) -> pa.Table:
-        g = t.group_by("user_id").aggregate([])
-        return pa.Table.from_arrays(
-            [pc.cast(g["user_id"], pa.int64())], names=["user_id"]
-        )
-
-    users = _read(sf_dir, "events", ["user_id"]).map_batches(
-        block_distinct, batch_format="pyarrow"
-    )
-    return hash_join(
-        _read(sf_dir, "customer", ["c_custkey"]),
-        users,
-        left_on="c_custkey",
-        right_on="user_id",
-        key_type=pa.int64(),
-        left_fields=[],
-        right_fields=[],
-        how="anti",
-    )
-
-
-SQL_CUSTOMERS_NOT_EVENT_USERS = """
-SELECT c_custkey FROM customer
-EXCEPT
-SELECT user_id AS c_custkey FROM events
-"""
-
-
 FUNNEL_STEPS = ("view", "click", "purchase")
 
 
@@ -2803,27 +1666,6 @@ def q_events_funnel(sf_dir: str) -> rd.Dataset:
         shard_funnel,
         out_schema,
     )
-
-
-SQL_EVENTS_FUNNEL = """
-WITH u AS (SELECT DISTINCT user_id FROM events),
-v AS (SELECT user_id, min(ts) AS t FROM events WHERE event_type = 'view' GROUP BY 1),
-c AS (SELECT e.user_id, min(e.ts) AS t FROM events e
-      JOIN v ON e.user_id = v.user_id AND e.ts > v.t
-      WHERE e.event_type = 'click' GROUP BY 1),
-p AS (SELECT e.user_id, min(e.ts) AS t FROM events e
-      JOIN c ON e.user_id = c.user_id AND e.ts > c.t
-      WHERE e.event_type = 'purchase' GROUP BY 1)
-SELECT u.user_id,
-       CASE WHEN p.user_id IS NOT NULL THEN 3
-            WHEN c.user_id IS NOT NULL THEN 2
-            WHEN v.user_id IS NOT NULL THEN 1
-            ELSE 0 END AS funnel_stage
-FROM u
-LEFT JOIN v ON u.user_id = v.user_id
-LEFT JOIN c ON u.user_id = c.user_id
-LEFT JOIN p ON u.user_id = p.user_id
-"""
 
 
 def q_events_props_stats(sf_dir: str) -> rd.Dataset:
@@ -2895,147 +1737,6 @@ def q_events_props_stats(sf_dir: str) -> rd.Dataset:
     return merged.map_batches(finish, batch_format="pyarrow")
 
 
-SQL_EVENTS_PROPS_STATS = """
-SELECT event_type,
-       count(*) AS n_events,
-       CAST(sum(CAST(json_extract_string(props, '$.k') AS BIGINT)) AS BIGINT) AS sum_k,
-       CAST(sum(CAST(json_extract_string(props, '$.k') AS BIGINT)) AS DOUBLE)
-         / count(*) AS avg_k
-FROM events
-GROUP BY event_type
-"""
-
-
-def _week_start_days(ts_us: np.ndarray) -> np.ndarray:
-    """Monday-start week truncation in integer epoch DAYS (1970-01-01 was a
-    Thursday, so dow = (days+3) % 7) — exact integer arithmetic, matching
-    DuckDB's date_trunc('week', ts)."""
-    days = ts_us // 86_400_000_000
-    return days - (days + 3) % 7
-
-
-def q_events_retention(sf_dir: str) -> rd.Dataset:
-    """Cohort retention matrix: users are cohorted by the Monday-start week
-    of their FIRST signup event; each later active week (any event type)
-    increments that (cohort_week, week_offset) cell's distinct-user count.
-    The product-analytics companion to the funnel — per-user state across
-    the whole timeline, so it rides ONE hash_exchange on user_id; inside a
-    shard the per-user first-signup, the week truncation, and the distinct
-    (user, week) pairs are all integer-vectorized. Pair partials (already
-    distinct, since a user lives in exactly one shard) then merge in a tiny
-    groupby-sum. Exact at any parallelism."""
-    out_schema = pa.schema([
-        pa.field("cohort_week", pa.timestamp("us")),
-        pa.field("week_offset", pa.int64()),
-        pa.field("n_users", pa.int64()),
-    ])
-
-    def shard_retention(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
-        df = t.to_pandas()
-        ts_us = df["ts"].astype("int64").to_numpy()
-        week = _week_start_days(ts_us)
-        uid = df["user_id"].to_numpy()
-        signup = df["event_type"].eq("signup").to_numpy()
-        if not signup.any():
-            return out_schema.empty_table()
-        s = pd.Series(ts_us[signup], index=uid[signup])
-        first_signup_us = s.groupby(level=0).min()
-        cohort_week = pd.Series(
-            _week_start_days(first_signup_us.to_numpy()),
-            index=first_signup_us.index,
-        )
-        cw = pd.Series(uid).map(cohort_week).to_numpy()
-        keep = ~np.isnan(cw)
-        offs = week[keep] - cw[keep].astype(np.int64)
-        offs //= 7
-        keep2 = offs >= 0  # pre-signup activity doesn't count toward retention
-        cells = pd.DataFrame({
-            "user": uid[keep][keep2],
-            "cohort_days": cw[keep][keep2].astype(np.int64),
-            "week_offset": offs[keep2],
-        }).drop_duplicates(["user", "cohort_days", "week_offset"])
-        agg = (
-            cells.groupby(["cohort_days", "week_offset"], sort=False)
-            .size()
-            .reset_index(name="n_users")
-        )
-        return pa.Table.from_arrays(
-            [
-                pa.array(agg["cohort_days"].to_numpy() * 86_400_000_000).cast(
-                    pa.timestamp("us")
-                ),
-                pa.array(agg["week_offset"].to_numpy(dtype="int64")),
-                pa.array(agg["n_users"].to_numpy(dtype="int64")),
-            ],
-            schema=out_schema,
-        )
-
-    pairs = hash_exchange(
-        _read(sf_dir, "events", ["user_id", "ts", "event_type"]),
-        ["user_id"],
-        shard_retention,
-        out_schema,
-    )
-    return pairs.groupby(["cohort_week", "week_offset"]).aggregate(
-        Sum("n_users", alias_name="n_users")
-    )
-
-
-SQL_EVENTS_RETENTION = """
-WITH first_signup AS (
-  SELECT user_id, date_trunc('week', min(ts)) AS cohort_week
-  FROM events WHERE event_type = 'signup' GROUP BY user_id
-),
-active AS (
-  SELECT DISTINCT e.user_id, f.cohort_week,
-         date_diff('day', f.cohort_week, date_trunc('week', e.ts)) // 7
-           AS week_offset
-  FROM events e JOIN first_signup f USING (user_id)
-  WHERE date_trunc('week', e.ts) >= f.cohort_week
-)
-SELECT CAST(cohort_week AS TIMESTAMP) AS cohort_week,
-       CAST(week_offset AS BIGINT) AS week_offset,
-       count(*) AS n_users
-FROM active GROUP BY 1, 2
-"""
-
-
-def q_order_price_quantiles_cont(sf_dir: str) -> rd.Dataset:
-    """Interpolated per-priority quantiles (DuckDB quantile_cont convention:
-    linear interpolation at rank q*(n-1)) — the continuous companion to the
-    quantile_disc query, same one-groupby co-partition topology."""
-
-    def quants(g: pd.DataFrame) -> pd.DataFrame:
-        v = g["o_totalprice"].sort_values().to_numpy()
-        n = len(v)
-        row = {"o_orderpriority": g["o_orderpriority"].iloc[0], "n_orders": n}
-        for q in QUANTILES:
-            h = q * (n - 1)
-            lo = int(np.floor(h))
-            hi = min(lo + 1, n - 1)
-            frac = h - lo
-            row[f"p{int(q * 100)}"] = float(v[lo] + (v[hi] - v[lo]) * frac)
-        return pd.DataFrame([row])
-
-    return (
-        _read(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
-        .groupby("o_orderpriority")
-        .map_groups(quants, batch_format="pandas")
-    )
-
-
-SQL_ORDER_PRICE_QUANTILES_CONT = """
-SELECT o_orderpriority,
-       count(*) AS n_orders,
-       quantile_cont(o_totalprice, 0.5) AS p50,
-       quantile_cont(o_totalprice, 0.9) AS p90,
-       quantile_cont(o_totalprice, 0.99) AS p99
-FROM orders GROUP BY o_orderpriority
-"""
-
-
 PROFILE_COLUMNS = (
     "o_orderkey", "o_custkey", "o_orderstatus",
     "o_totalprice", "o_orderdate", "o_orderpriority",
@@ -3105,223 +1806,6 @@ def q_orders_profile(sf_dir: str) -> rd.Dataset:
     return out
 
 
-SQL_ORDERS_PROFILE = " UNION ALL ".join(
-    f"SELECT '{c}' AS col, count(*) AS n_rows,"
-    f" CAST(count(*) - count({c}) AS BIGINT) AS n_nulls,"
-    f" count(DISTINCT {c}) AS n_distinct FROM orders"
-    for c in PROFILE_COLUMNS
-)
-
-
-Q5_REGION = "ASIA"
-Q5_DATE_LO = "1996-01-01"
-Q5_DATE_HI = "1998-01-01"
-
-
-def q_nation_revenue(sf_dir: str) -> rd.Dataset:
-    """TPC-H Q5 shape: revenue by nation for one region and a date range,
-    with the LOCAL-supplier condition (customer nation == supplier nation)
-    — the 5-table join (region ⋈ nation ⋈ customer ⋈ orders ⋈ lineitem ⋈
-    supplier) that mixes BOTH join regimes the engine has:
-      - region/nation/supplier are dim-sized -> driver-collected broadcast
-        maps via ray.put (supplier is sf x 10k rows; at a scale where even
-        that outgrows broadcast, swap for a third hash_join — same code
-        shape as the orders edge);
-      - customer ⋈ orders and the lineitem edge are fact ⋈ fact -> two
-        co-partitioned hash_joins, with lineitem pre-reduced per
-        (l_orderkey, s_nationkey) per BLOCK so the join exchange moves
-        integer-cent partials, not raw line items.
-    The local-supplier filter runs vectorized right after the final join;
-    per-nation partials then merge in a 5-row groupby. All money stays in
-    integer cents end-to-end."""
-    import pyarrow.dataset as pds
-
-    lo, hi = pd.Timestamp(Q5_DATE_LO), pd.Timestamp(Q5_DATE_HI)
-
-    # --- broadcast side: nations of the region, nationkey -> name, supplier map
-    nation = pd.read_parquet(_pq(sf_dir, "nation"))
-    region = pd.read_parquet(_pq(sf_dir, "region"))
-    rkey = int(region.loc[region["r_name"] == Q5_REGION, "r_regionkey"].iloc[0])
-    nat = nation[nation["n_regionkey"] == rkey]
-    nation_names = dict(zip(nat["n_nationkey"].astype(int), nat["n_name"]))
-    nation_keys = set(nation_names)
-    supp = pd.read_parquet(_pq(sf_dir, "supplier"), columns=["s_suppkey", "s_nationkey"])
-    # sorted key/value arrays, not a dict: the per-block lookup is then one
-    # np.searchsorted over the whole column instead of a Python hash per row
-    _sk = np.argsort(supp["s_suppkey"].to_numpy(dtype="int64"), kind="mergesort")
-    supp_map_ref = ray.put((
-        supp["s_suppkey"].to_numpy(dtype="int64")[_sk],
-        supp["s_nationkey"].to_numpy(dtype="int64")[_sk],
-    ))
-    nk_ref = ray.put(nation_keys)
-
-    # --- customers of the region's nations (broadcast filter at the read)
-    def cust_filter(t: pa.Table) -> pa.Table:
-        keys = ray.get(nk_ref)
-        mask = pc.is_in(
-            t["c_nationkey"], value_set=pa.array(sorted(keys), pa.int64())
-        )
-        return t.filter(mask).select(["c_custkey", "c_nationkey"])
-
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).map_batches(
-        cust_filter, batch_format="pyarrow"
-    )
-    orders = rd.read_parquet(
-        _pq(sf_dir, "orders"),
-        columns=["o_orderkey", "o_custkey"],
-        filter=(pds.field("o_orderdate") >= lo) & (pds.field("o_orderdate") < hi),
-    )
-    # fact ⋈ fact #1: orders ⋈ customer -> (o_orderkey, c_nationkey)
-    order_nation = hash_join(
-        orders,
-        cust,
-        left_on="o_custkey",
-        right_on="c_custkey",
-        key_type=pa.int64(),
-        left_fields=[pa.field("o_orderkey", pa.int64())],
-        right_fields=[pa.field("c_nationkey", pa.int64())],
-    ).select_columns(["o_orderkey", "c_nationkey"])
-
-    # lineitem: map suppkey -> supplier nation (broadcast), pre-reduce per
-    # (l_orderkey, s_nationkey) per block
-    def li_partial(t: pa.Table) -> pa.Table:
-        skeys, snats = ray.get(supp_map_ref)
-        sk = t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        s_nat = snats[np.searchsorted(skeys, sk)]
-        rev = _cents(
-            pc.multiply(
-                t["l_extendedprice"], pc.subtract(pa.scalar(1.0), t["l_discount"])
-            )
-        )
-        rows = pa.Table.from_arrays(
-            [pc.cast(t["l_orderkey"], pa.int64()),
-             pa.array(s_nat),
-             rev],
-            names=["l_orderkey", "s_nationkey", "revenue_cents"],
-        )
-        g = rows.group_by(["l_orderkey", "s_nationkey"]).aggregate(
-            [("revenue_cents", "sum")]
-        )
-        return pa.Table.from_arrays(
-            [g["l_orderkey"], g["s_nationkey"],
-             pc.cast(g["revenue_cents_sum"], pa.int64())],
-            names=["l_orderkey", "s_nationkey", "revenue_cents"],
-        )
-
-    li = _read(
-        sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"]
-    ).map_batches(li_partial, batch_format="pyarrow")
-
-    # fact ⋈ fact #2: lineitem partials ⋈ order_nation on orderkey
-    joined = hash_join(
-        li,
-        order_nation,
-        left_on="l_orderkey",
-        right_on="o_orderkey",
-        key_type=pa.int64(),
-        left_fields=[pa.field("s_nationkey", pa.int64()),
-                     pa.field("revenue_cents", pa.int64())],
-        right_fields=[pa.field("c_nationkey", pa.int64())],
-    )
-
-    # local-supplier condition + per-nation block partials
-    def local_partial(t: pa.Table) -> pa.Table:
-        keep = pc.equal(t["s_nationkey"], t["c_nationkey"])
-        f = t.filter(keep)
-        g = pa.Table.from_arrays(
-            [f["c_nationkey"], f["revenue_cents"]],
-            names=["n_nationkey", "revenue_cents"],
-        ).group_by("n_nationkey").aggregate([("revenue_cents", "sum")])
-        return pa.Table.from_arrays(
-            [g["n_nationkey"], pc.cast(g["revenue_cents_sum"], pa.int64())],
-            names=["n_nationkey", "revenue_cents"],
-        )
-
-    merged = (
-        joined.map_batches(local_partial, batch_format="pyarrow")
-        .repartition(8)
-        .groupby("n_nationkey")
-        .aggregate(Sum("revenue_cents", alias_name="revenue_cents"))
-    )
-
-    def name_it(t: pa.Table) -> pa.Table:
-        names = [nation_names[int(k)] for k in t["n_nationkey"].to_pylist()]
-        return pa.Table.from_arrays(
-            [pa.array(names, pa.string()),
-             pc.cast(t["revenue_cents"], pa.int64())],
-            names=["n_name", "revenue_cents"],
-        )
-
-    return merged.map_batches(name_it, batch_format="pyarrow")
-
-
-SQL_NATION_REVENUE = f"""
-SELECT n.n_name,
-       CAST(sum(CAST(round(l.l_extendedprice * (1 - l.l_discount) * 100) AS BIGINT)) AS BIGINT)
-         AS revenue_cents
-FROM region r
-JOIN nation n ON n.n_regionkey = r.r_regionkey
-JOIN customer c ON c.c_nationkey = n.n_nationkey
-JOIN orders o ON o.o_custkey = c.c_custkey
-JOIN lineitem l ON l.l_orderkey = o.o_orderkey
-JOIN supplier s ON s.s_suppkey = l.l_suppkey AND s.s_nationkey = c.c_nationkey
-WHERE r.r_name = '{Q5_REGION}'
-  AND o.o_orderdate >= TIMESTAMP '{Q5_DATE_LO} 00:00:00'
-  AND o.o_orderdate < TIMESTAMP '{Q5_DATE_HI} 00:00:00'
-GROUP BY n.n_name
-"""
-
-
-SALT_BUCKETS = 16
-
-
-def q_distinct_users_per_type_salted(sf_dir: str) -> rd.Dataset:
-    """EXACT distinct users per event type via SALTED two-level aggregation
-    — the hot-key treatment for HOLISTIC aggregates (the north rule's
-    'salt hot keys' clause, applied to an aggregate instead of a join).
-    event_type has only 5 values, so a naive groupby(event_type) +
-    in-group dedup concentrates each hot key's entire user stream in ONE
-    task. Salting by hash(user_id) % SALT_BUCKETS splits every key into
-    disjoint-BY-CONSTRUCTION user subsets: per-(type, salt) distinct
-    counts are computed independently (bounded per-task memory) and SUM
-    exactly — no approximation, no single-task bottleneck. Per-block
-    dedup shrinks the stream before the one (type, salt) exchange."""
-
-    def block_partial(t: pa.Table) -> pa.Table:
-        uid = pc.cast(t["user_id"], pa.int64())
-        salt = pc.bit_wise_and(uid, pa.scalar(SALT_BUCKETS - 1, pa.int64()))
-        g = pa.Table.from_arrays(
-            [t["event_type"], pa.chunked_array([salt]) if isinstance(salt, pa.ChunkedArray) else salt, uid],
-            names=["event_type", "salt", "user_id"],
-        ).group_by(["event_type", "salt", "user_id"]).aggregate([])
-        return g
-
-    def count_salt_group(g: pd.DataFrame) -> pd.DataFrame:
-        # rows of one (type, salt) shard: distinct users across blocks
-        n = g["user_id"].nunique()
-        return pd.DataFrame(
-            {"event_type": [g["event_type"].iloc[0]],
-             "salt": [int(g["salt"].iloc[0])],
-             "n_users": pd.Series([n], dtype="int64")}
-        )
-
-    per_salt = (
-        _read(sf_dir, "events", ["event_type", "user_id"])
-        .map_batches(block_partial, batch_format="pyarrow")
-        .groupby(["event_type", "salt"])
-        .map_groups(count_salt_group, batch_format="pandas")
-    )
-    return per_salt.groupby("event_type").aggregate(
-        Sum("n_users", alias_name="n_users")
-    )
-
-
-SQL_DISTINCT_USERS_PER_TYPE_SALTED = """
-SELECT event_type, count(DISTINCT user_id) AS n_users
-FROM events GROUP BY event_type
-"""
-
-
 def q_events_transitions(sf_dir: str) -> rd.Dataset:
     """Per-user ordered event-type transition counts (the Markov-chain view
     of behavior): for each user's time-ordered event stream, count every
@@ -3365,66 +1849,6 @@ def q_events_transitions(sf_dir: str) -> rd.Dataset:
     return partials.groupby(["prev_type", "next_type"]).aggregate(
         Sum("n", alias_name="n")
     )
-
-
-SQL_EVENTS_TRANSITIONS = """
-WITH s AS (
-  SELECT user_id, event_type,
-         lag(event_type) OVER (PARTITION BY user_id ORDER BY ts, event_id)
-           AS prev_type
-  FROM events
-)
-SELECT prev_type, event_type AS next_type, count(*) AS n
-FROM s WHERE prev_type IS NOT NULL
-GROUP BY prev_type, next_type
-"""
-
-
-def q_customer_activity_reconcile(sf_dir: str) -> rd.Dataset:
-    """FULL OUTER co-partitioned hash join — the reconciliation shape:
-    per-customer order counts vs per-user event counts, keeping keys that
-    exist on only ONE side (customers who order but never click, users who
-    click but never order) with typed nulls on the other. Both inputs are
-    per-block partial counts and both per-key combines are fused into the
-    join's single exchange (combine_left_sum + combine_right_sum) — two
-    fact tables reconciled with ONE shuffle of integer partials."""
-
-    def count_partial(key_in: str, key_out: str, val: str):
-        def f(t: pa.Table) -> pa.Table:
-            g = t.group_by(key_in).aggregate([([], "count_all")])
-            return pa.Table.from_arrays(
-                [pc.cast(g[key_in], pa.int64()), pc.cast(g["count_all"], pa.int64())],
-                names=[key_out, val],
-            )
-
-        return f
-
-    orders = _read(sf_dir, "orders", ["o_custkey"]).map_batches(
-        count_partial("o_custkey", "custkey", "n_orders"), batch_format="pyarrow"
-    )
-    events = _read(sf_dir, "events", ["user_id"]).map_batches(
-        count_partial("user_id", "user_id", "n_events"), batch_format="pyarrow"
-    )
-    return hash_join(
-        orders,
-        events,
-        left_on="custkey",
-        right_on="user_id",
-        key_type=pa.int64(),
-        left_fields=[pa.field("n_orders", pa.int64())],
-        right_fields=[pa.field("n_events", pa.int64())],
-        combine_left_sum=True,
-        combine_right_sum=True,
-        how="full",
-    )
-
-
-SQL_CUSTOMER_ACTIVITY_RECONCILE = """
-WITH o AS (SELECT o_custkey AS k, count(*) AS n_orders FROM orders GROUP BY 1),
-e AS (SELECT user_id AS k, count(*) AS n_events FROM events GROUP BY 1)
-SELECT coalesce(o.k, e.k) AS custkey, o.n_orders, e.n_events
-FROM o FULL OUTER JOIN e ON o.k = e.k
-"""
 
 
 BASKET_MIN_COUNT = 2
@@ -3491,56 +1915,6 @@ def q_part_cooccurrence(sf_dir: str) -> rd.Dataset:
     return hash_exchange(partials, ["part_a", "part_b"], merge_support, pair_schema)
 
 
-SQL_PART_COOCCURRENCE = f"""
-WITH li AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem)
-SELECT a.l_partkey AS part_a, b.l_partkey AS part_b, count(*) AS n_orders
-FROM li a JOIN li b
-  ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey
-GROUP BY 1, 2
-HAVING count(*) >= {BASKET_MIN_COUNT}
-"""
-
-
-NTILE_BUCKETS = 4
-
-
-def q_orders_ntile(sf_dir: str) -> rd.Dataset:
-    """NTILE window function: each order's price quartile WITHIN its
-    priority class (deterministic total order: price, then orderkey —
-    ties must be pinned or ntile is nondeterministic in any engine). One
-    groupby co-partitions each priority; inside the group the sort and
-    the SQL-standard bucket sizing (first n % k buckets get one extra
-    row) are vectorized numpy."""
-
-    def tiles(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["o_totalprice", "o_orderkey"], kind="mergesort")
-        n = len(g)
-        base, extra = divmod(n, NTILE_BUCKETS)
-        sizes = np.full(NTILE_BUCKETS, base, dtype=np.int64)
-        sizes[:extra] += 1
-        buckets = np.repeat(np.arange(1, NTILE_BUCKETS + 1, dtype=np.int64), sizes)
-        return pd.DataFrame({
-            "o_orderkey": g["o_orderkey"].to_numpy(),
-            "o_orderpriority": g["o_orderpriority"].to_numpy(),
-            "quartile": buckets[:n],
-        })
-
-    return (
-        _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority", "o_totalprice"])
-        .groupby("o_orderpriority")
-        .map_groups(tiles, batch_format="pandas")
-    )
-
-
-SQL_ORDERS_NTILE = f"""
-SELECT o_orderkey, o_orderpriority,
-       CAST(ntile({NTILE_BUCKETS}) OVER (
-         PARTITION BY o_orderpriority
-         ORDER BY o_totalprice, o_orderkey) AS BIGINT) AS quartile
-FROM orders
-"""
-
-
 # ---------------------------------------------------------------------------
 # Offset windows (LAG/LEAD) and set intersection — the remaining window /
 # set-op shapes of a general engine (SURVEY.md §2.6/§2.7 list only ranks,
@@ -3591,17 +1965,6 @@ def q_user_event_gaps(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_USER_EVENT_GAPS = """
-SELECT event_id, user_id,
-       CAST(coalesce(epoch_us(ts) - lag(epoch_us(ts)) OVER w, -1) AS BIGINT)
-         AS prev_gap_us,
-       CAST(coalesce(lead(epoch_us(ts)) OVER w - epoch_us(ts), -1) AS BIGINT)
-         AS next_gap_us
-FROM events
-WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-"""
-
-
 INTERSECT_NATION_A = "NATION_1"
 INTERSECT_NATION_B = "NATION_2"
 
@@ -3615,7 +1978,7 @@ def q_parts_both_nations(sf_dir: str) -> rd.Dataset:
     block, not per lineitem — and ONE hash_exchange on partkey ORs the
     flags and keeps keys with both. Set intersection distributes as a
     flag-max aggregate, the same partial-combine shape as every other
-    keyed reduce here (EXCEPT is q_customers_not_event_users)."""
+    keyed reduce here."""
     supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).to_pandas()
     nat = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
     key_a = set(nat[nat["n_name"] == INTERSECT_NATION_A]["n_nationkey"])
@@ -3668,19 +2031,6 @@ def q_parts_both_nations(sf_dir: str) -> rd.Dataset:
     ), out_schema)  # the intersection can be empty at small sf
 
 
-SQL_PARTS_BOTH_NATIONS = f"""
-SELECT DISTINCT l_partkey AS partkey
-FROM lineitem JOIN supplier ON l_suppkey = s_suppkey
-              JOIN nation ON s_nationkey = n_nationkey
-WHERE n_name = '{INTERSECT_NATION_A}'
-INTERSECT
-SELECT DISTINCT l_partkey AS partkey
-FROM lineitem JOIN supplier ON l_suppkey = s_suppkey
-              JOIN nation ON s_nationkey = n_nationkey
-WHERE n_name = '{INTERSECT_NATION_B}'
-"""
-
-
 def q_orders_above_cust_avg(sf_dir: str) -> rd.Dataset:
     """Correlated-subquery decorrelation: orders strictly above their OWN
     customer's average order value ("price > AVG(...) per customer" — the
@@ -3719,20 +2069,6 @@ def q_orders_above_cust_avg(sf_dir: str) -> rd.Dataset:
         shard_filter,
         out_schema,
     )
-
-
-SQL_ORDERS_ABOVE_CUST_AVG = """
-SELECT o_orderkey, o_custkey, cents
-FROM (
-  SELECT o_orderkey, o_custkey,
-         CAST(round(o_totalprice * 100) AS BIGINT) AS cents,
-         sum(CAST(round(o_totalprice * 100) AS BIGINT))
-           OVER (PARTITION BY o_custkey) AS s,
-         count(*) OVER (PARTITION BY o_custkey) AS n
-  FROM orders
-)
-WHERE cents * n > s
-"""
 
 
 def q_events_outliers(sf_dir: str) -> rd.Dataset:
@@ -3790,23 +2126,6 @@ def q_events_outliers(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_EVENTS_OUTLIERS = """
-SELECT event_id, user_id, cents
-FROM (
-  SELECT event_id, user_id,
-         CAST(round(value * 100) AS BIGINT) AS cents,
-         count(*) OVER w AS n,
-         sum(CAST(round(value * 100) AS BIGINT)) OVER w AS s,
-         sum(CAST(round(value * 100) AS BIGINT)
-             * CAST(round(value * 100) AS BIGINT)) OVER w AS q
-  FROM events
-  WINDOW w AS (PARTITION BY user_id)
-)
-WHERE (cents * n - s) > 0
-  AND (cents * n - s) * (cents * n - s) > 4 * (n * q - s * s)
-"""
-
-
 def q_distinct_users_hll_by_type(sf_dir: str) -> pd.DataFrame:
     """GROUPED HyperLogLog: approximate distinct users PER EVENT TYPE — the
     sketch-per-key shape that replaces an exact per-group distinct's full
@@ -3846,62 +2165,6 @@ def q_distinct_users_hll_by_type(sf_dir: str) -> pd.DataFrame:
     })
 
 
-def _sql_distinct_users_hll_by_type() -> str:
-    """Grouped twin of _sql_distinct_users_hll: identical register and
-    estimate arithmetic with event_type threaded through every level."""
-    m = 1 << HLL_P
-
-    def hexbyte(col: str, idx: int) -> str:
-        c1 = f"substr({col}, {2 * idx + 1}, 1)"
-        c2 = f"substr({col}, {2 * idx + 2}, 1)"
-        return (
-            f"((instr('0123456789abcdef', {c1}) - 1) * 16"
-            f" + instr('0123456789abcdef', {c2}) - 1)"
-        )
-
-    u64 = " + ".join(
-        f"CAST({hexbyte('md5(CAST(user_id AS VARCHAR))', j)} AS UBIGINT) * {256 ** j}"
-        for j in range(8)
-    )
-    rank_case = (
-        "CASE "
-        + " ".join(f"WHEN w >= {1 << (52 - r)} THEN {r}" for r in range(1, 53))
-        + " ELSE 53 END"
-    )
-    est = (
-        f"(0.7213 / (1 + 1.079 / {m})) * {m} * {m} * {float(1 << 53)!r}"
-        f" / CAST(n_int AS DOUBLE)"
-    )
-    return f"""
-WITH h AS (
-  SELECT event_type, ({u64}) AS hv FROM events
-),
-w AS (SELECT event_type, hv % {m} AS idx, hv >> {HLL_P} AS w FROM h),
-regs AS (SELECT event_type, idx, max({rank_case}) AS rank FROM w GROUP BY 1, 2),
-agg AS (
-  SELECT event_type, count(*) AS n_present,
-         SUM(CAST(CASE rank
-           {" ".join(f"WHEN {r} THEN {1 << (53 - r)}" for r in range(1, 54))}
-         END AS HUGEINT)) AS present_sum
-  FROM regs GROUP BY 1
-),
-folded AS (
-  SELECT event_type, ({m} - n_present) AS zeros,
-         present_sum + CAST(({m} - n_present) AS HUGEINT) * {1 << 53} AS n_int
-  FROM agg
-)
-SELECT event_type, CAST(round_even(CASE
-    WHEN {est} <= 2.5 * {m} AND zeros > 0
-    THEN {m} * ln({m} / CAST(zeros AS DOUBLE))
-    ELSE {est}
-  END, 0) AS BIGINT) AS n_distinct_users_est
-FROM folded
-"""
-
-
-SQL_DISTINCT_USERS_HLL_BY_TYPE = _sql_distinct_users_hll_by_type()
-
-
 def q_orders_percent_rank(sf_dir: str) -> rd.Dataset:
     """PERCENT_RANK window in exact integer parts-per-million:
     ppm = (rank - 1) * 1e6 // (n - 1) within each priority class, rank by
@@ -3926,18 +2189,6 @@ def q_orders_percent_rank(sf_dir: str) -> rd.Dataset:
         .groupby("o_orderpriority")
         .map_groups(ranks, batch_format="pandas")
     )
-
-
-SQL_ORDERS_PERCENT_RANK = """
-SELECT o_orderkey, o_orderpriority,
-       CAST((CAST(rank() OVER (
-              PARTITION BY o_orderpriority
-              ORDER BY o_totalprice, o_orderkey) AS BIGINT) - 1) * 1000000
-            // greatest(1, CAST(count(*) OVER (
-              PARTITION BY o_orderpriority) AS BIGINT) - 1)
-            AS BIGINT) AS pct_rank_ppm
-FROM orders
-"""
 
 
 def q_user_event_paths(sf_dir: str) -> rd.Dataset:
@@ -3980,23 +2231,13 @@ def q_user_event_paths(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_USER_EVENT_PATHS = """
-SELECT user_id,
-       string_agg(event_type, '>' ORDER BY ts, event_id) AS path,
-       count(*) AS n_events
-FROM events
-GROUP BY user_id
-"""
-
-
 EQD_BUCKETS = 8
 
 
 def q_order_price_histogram_eqd(sf_dir: str) -> rd.Dataset:
     """EQUI-DEPTH histogram of order prices: bucket boundaries at the exact
     k/B quantiles (DuckDB's quantile_disc convention, element ceil(q*n)-1),
-    then per-bucket counts — the optimizer-statistics shape (equi-WIDTH is
-    q_order_price_histogram). Two passes: pass 1 computes the B boundaries
+    then per-bucket counts — the optimizer-statistics shape. Two passes: pass 1 computes the B boundaries
     with the same single-group exact sort as q_order_price_quantiles (same
     documented one-task bound; t-digest is the scale path), pass 2
     broadcasts the tiny boundary array and pre-combines per-block
@@ -4079,90 +2320,6 @@ def q_order_price_histogram_eqd(sf_dir: str) -> rd.Dataset:
     )
 
 
-def _sql_eqd() -> str:
-    bs = ", ".join(
-        f"quantile_disc(c, {k}/{EQD_BUCKETS}.0) AS b{k}"
-        for k in range(1, EQD_BUCKETS + 1)
-    )
-    case = (
-        "CASE "
-        + " ".join(f"WHEN c <= b{k} THEN {k}" for k in range(1, EQD_BUCKETS + 1))
-        + " END"
-    )
-    hi = (
-        "CASE bucket "
-        + " ".join(f"WHEN {k} THEN b{k}" for k in range(1, EQD_BUCKETS + 1))
-        + " END"
-    )
-    return f"""
-WITH v AS (SELECT CAST(round(o_totalprice * 100) AS BIGINT) AS c FROM orders),
-bounds AS (SELECT {bs} FROM v),
-tagged AS (SELECT {case} AS bucket, * FROM v CROSS JOIN bounds)
-SELECT bucket, CAST({hi} AS BIGINT) AS hi_cents, count(*) AS n_orders
-FROM tagged
-GROUP BY bucket, {hi.replace("bucket", "bucket")}
-"""
-
-
-SQL_ORDER_PRICE_HISTOGRAM_EQD = _sql_eqd()
-
-
-def q_orders_mom(sf_dir: str) -> pd.DataFrame:
-    """Aggregate-then-window composition: monthly revenue with the
-    month-over-month delta — the reporting shape (GROUP BY month, then
-    LAG over the aggregated series). Per-block pyarrow partials
-    pre-combine (month, cents, n) so the groupby moves <= #months rows per
-    block; the aggregated series is calendar-scale (~tens of rows), so the
-    window runs on the driver — windowing a RESULT is not a driver-side
-    loop over data. All integer cents."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        months = pc.strftime(t["o_orderdate"], format="%Y-%m")
-        rows = pa.Table.from_arrays(
-            [months, _cents(t["o_totalprice"])], names=["month", "cents"]
-        )
-        g = rows.group_by("month").aggregate([("cents", "sum"), ([], "count_all")])
-        return pa.Table.from_arrays(
-            [g["month"], pc.cast(g["cents_sum"], pa.int64()),
-             pc.cast(g["count_all"], pa.int64())],
-            names=["month", "revenue_cents", "n_orders"],
-        )
-
-    agg = (
-        _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
-        .map_batches(partial, batch_format="pyarrow")
-        .repartition(8)
-        .groupby("month")
-        .aggregate(Sum("revenue_cents", alias_name="revenue_cents"),
-                   Sum("n_orders", alias_name="n_orders"))
-        .to_pandas()
-        .sort_values("month")
-        .reset_index(drop=True)
-    )
-    delta = agg["revenue_cents"].diff().fillna(0).astype("int64")
-    return pd.DataFrame({
-        "month": agg["month"],
-        "revenue_cents": agg["revenue_cents"].astype("int64"),
-        "n_orders": agg["n_orders"].astype("int64"),
-        "delta_cents": delta,
-    })
-
-
-SQL_ORDERS_MOM = """
-WITH m AS (
-  SELECT strftime(o_orderdate, '%Y-%m') AS month,
-         CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT)
-           AS revenue_cents,
-         count(*) AS n_orders
-  FROM orders GROUP BY 1
-)
-SELECT month, revenue_cents, n_orders,
-       CAST(coalesce(revenue_cents - lag(revenue_cents) OVER (ORDER BY month), 0)
-            AS BIGINT) AS delta_cents
-FROM m
-"""
-
-
 # EWMA smoothing factor alpha = EWMA_NUM / EWMA_DEN (1/4): s_t =
 # (v_t + 3*s_{t-1}) // 4, integer cents throughout. Division truncates; all
 # revenue values are non-negative so floor and trunc agree on both sides.
@@ -4178,7 +2335,7 @@ def q_orders_daily_ewma(sf_dir: str) -> pd.DataFrame:
     is bit-reproducible and the oracle replays the whole series with a
     recursive CTE.
 
-    Topology mirrors q_orders_mom: per-block pyarrow partials (day,
+    Topology: per-block pyarrow partials (day,
     cents) pre-combine before the groupby, so the exchange moves at most
     #days rows per block; the aggregated series is calendar-scale
     (thousands of rows over seven TPC-H years), so the inherently
@@ -4219,153 +2376,7 @@ def q_orders_daily_ewma(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_ORDERS_DAILY_EWMA = f"""
-WITH RECURSIVE d AS (
-  SELECT strftime(o_orderdate, '%Y-%m-%d') AS day,
-         CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT)
-           AS revenue_cents
-  FROM orders GROUP BY 1
-),
-r AS (
-  SELECT day, revenue_cents,
-         row_number() OVER (ORDER BY day) AS rn
-  FROM d
-),
-e AS (
-  SELECT day, revenue_cents, rn, revenue_cents AS ewma_cents
-  FROM r WHERE rn = 1
-  UNION ALL
-  SELECT r.day, r.revenue_cents, r.rn,
-         CAST(({EWMA_NUM} * r.revenue_cents
-               + {EWMA_DEN - EWMA_NUM} * e.ewma_cents) // {EWMA_DEN}
-              AS BIGINT)
-  FROM e JOIN r ON r.rn = e.rn + 1
-)
-SELECT day, revenue_cents, ewma_cents FROM e
-"""
-
-
-TOP_PATHS_K = 20
-PATH_PREFIX_LEN = 5  # full paths are ~unique; the first-N-event prefix is
                      # where behavioral patterns repeat
-
-
-def q_events_top_paths(sf_dir: str) -> pd.DataFrame:
-    """Behavioral path mining: the TOP_PATHS_K most common first-
-    PATH_PREFIX_LEN-event paths (prefixes of the q_user_event_paths grain)
-    with deterministic (count desc, path asc) order — funnel discovery
-    over assembled sequences. The path table is user-grain; per-block
-    partial (prefix, n) counts pre-combine before ONE exchange merges
-    them, and each merge shard emits only its local top-K so the driver
-    ranks <= K x shards candidate rows (the partial top-k pattern)."""
-    paths = q_user_event_paths(sf_dir)
-
-    part_schema = pa.schema([("path", pa.string()), ("n_users", pa.int64())])
-
-    def partial(t: pa.Table) -> pa.Table:
-        pref = pa.array(
-            [">".join(p.split(">")[:PATH_PREFIX_LEN])
-             for p in t["path"].to_pylist()],
-            pa.string(),
-        )
-        g = (
-            pa.Table.from_arrays([pref], names=["path"])
-            .group_by("path").aggregate([([], "count_all")])
-        )
-        return pa.Table.from_arrays(
-            [g["path"], pc.cast(g["count_all"], pa.int64())],
-            schema=part_schema,
-        )
-
-    def merge_topk(t: pa.Table) -> pa.Table:
-        g = t.group_by("path").aggregate([("n_users", "sum")])
-        df = pa.Table.from_arrays(
-            [g["path"], pc.cast(g["n_users_sum"], pa.int64())],
-            names=["path", "n_users"],
-        ).to_pandas()
-        df = df.sort_values(["n_users", "path"], ascending=[False, True])
-        return pa.Table.from_pandas(df.head(TOP_PATHS_K), schema=part_schema,
-                                    preserve_index=False)
-
-    cand = hash_exchange(
-        paths.map_batches(partial, batch_format="pyarrow"),
-        ["path"],
-        merge_topk,
-        part_schema,
-    ).to_pandas()
-    cand = cand.sort_values(["n_users", "path"], ascending=[False, True])
-    return cand.head(TOP_PATHS_K).reset_index(drop=True)
-
-
-SQL_EVENTS_TOP_PATHS = f"""
-WITH e AS (
-  SELECT user_id, event_type,
-         row_number() OVER (PARTITION BY user_id ORDER BY ts, event_id) AS rn
-  FROM events
-),
-p AS (
-  SELECT string_agg(event_type, '>' ORDER BY rn) AS path
-  FROM e WHERE rn <= {PATH_PREFIX_LEN} GROUP BY user_id
-)
-SELECT path, count(*) AS n_users
-FROM p GROUP BY path
-ORDER BY n_users DESC, path
-LIMIT {TOP_PATHS_K}
-"""
-
-
-MOVING_FRAME = 3  # current row + 2 preceding
-
-
-def q_user_value_moving_sum(sf_dir: str) -> rd.Dataset:
-    """Bounded window frame: per user, the moving sum of event value
-    (integer cents) over the last MOVING_FRAME events in event_id order —
-    SUM() OVER (... ROWS BETWEEN 2 PRECEDING AND CURRENT ROW), the sliding
-    frame every rate/trend feature uses (the cumulative frame is
-    q_user_running_value). ONE hash_exchange on user_id; inside a shard
-    the frame is one C-level groupby rolling-sum over the sorted rows.
-    Integer cents -> exact at any parallelism."""
-    out_schema = pa.schema([
-        pa.field("event_id", pa.int64()), pa.field("user_id", pa.int64()),
-        pa.field("moving_cents", pa.int64()),
-    ])
-
-    def shard_roll(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
-        df = pa.Table.from_arrays(
-            [t["event_id"], t["user_id"], _cents(t["value"])],
-            names=["event_id", "user_id", "cents"],
-        ).to_pandas()
-        df = df.sort_values(["user_id", "event_id"], kind="mergesort")
-        roll = (
-            df.groupby("user_id", sort=False)["cents"]
-            .rolling(MOVING_FRAME, min_periods=1).sum()
-            .reset_index(level=0, drop=True)
-        )
-        return pa.Table.from_arrays(
-            [pa.array(df["event_id"].to_numpy(dtype="int64")),
-             pa.array(df["user_id"].to_numpy(dtype="int64")),
-             pa.array(roll.to_numpy(dtype="int64"))],
-            schema=out_schema,
-        )
-
-    return hash_exchange(
-        _read(sf_dir, "events", ["event_id", "user_id", "value"]),
-        ["user_id"],
-        shard_roll,
-        out_schema,
-    )
-
-
-SQL_USER_VALUE_MOVING_SUM = f"""
-SELECT event_id, user_id,
-       CAST(sum(CAST(round(value * 100) AS BIGINT)) OVER (
-         PARTITION BY user_id ORDER BY event_id
-         ROWS BETWEEN {MOVING_FRAME - 1} PRECEDING AND CURRENT ROW
-       ) AS BIGINT) AS moving_cents
-FROM events
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -4432,23 +2443,6 @@ def q_part_skyline(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_PART_SKYLINE = """
-WITH g AS (
-  SELECT p_retailprice, max(p_size) AS gmax FROM part GROUP BY p_retailprice
-),
-r AS (
-  SELECT p_retailprice, gmax,
-         max(gmax) OVER (ORDER BY p_retailprice
-                         ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING)
-           AS prevmax
-  FROM g
-)
-SELECT p.p_partkey, CAST(p.p_size AS BIGINT) AS p_size, p.p_retailprice
-FROM part p JOIN r ON p.p_retailprice = r.p_retailprice
-WHERE p.p_size = r.gmax AND (r.prevmax IS NULL OR p.p_size > r.prevmax)
-"""
-
-
 # ---------------------------------------------------------------------------
 # Per-group OLS regression from exact integer partials
 # ---------------------------------------------------------------------------
@@ -4506,29 +2500,6 @@ def q_priority_price_trend(sf_dir: str) -> pd.DataFrame:
     }).reset_index(drop=True)
 
 
-SQL_PRIORITY_PRICE_TREND = """
-WITH p AS (
-  SELECT o_orderpriority,
-         CAST(count(*) AS HUGEINT) AS n,
-         sum(CAST(CAST(epoch(o_orderdate) / 86400 AS BIGINT) AS HUGEINT)) AS sx,
-         sum(CAST(CAST(round(o_totalprice * 100) AS BIGINT) AS HUGEINT)) AS sy,
-         sum(CAST(CAST(epoch(o_orderdate) / 86400 AS BIGINT) AS HUGEINT)
-             * CAST(epoch(o_orderdate) / 86400 AS BIGINT)) AS sxx,
-         sum(CAST(CAST(epoch(o_orderdate) / 86400 AS BIGINT) AS HUGEINT)
-             * CAST(round(o_totalprice * 100) AS BIGINT)) AS sxy
-  FROM orders GROUP BY o_orderpriority
-)
-SELECT o_orderpriority,
-       CAST(n AS BIGINT) AS n_orders,
-       CAST(n * sxy - sx * sy AS DOUBLE) / CAST(n * sxx - sx * sx AS DOUBLE)
-         AS slope_cents_per_day,
-       (CAST(sy AS DOUBLE)
-        - (CAST(n * sxy - sx * sy AS DOUBLE) / CAST(n * sxx - sx * sx AS DOUBLE))
-          * CAST(sx AS DOUBLE)) / CAST(n AS DOUBLE) AS intercept_cents
-FROM p
-"""
-
-
 # ---------------------------------------------------------------------------
 # Shannon entropy per group (two-level exact-count aggregation)
 # ---------------------------------------------------------------------------
@@ -4569,22 +2540,6 @@ def q_event_type_entropy(sf_dir: str) -> pd.DataFrame:
             "entropy_bits": float(np.log2(n) - (c * np.log2(c)).sum() / n),
         })
     return pd.DataFrame(rows)
-
-
-SQL_EVENT_TYPE_ENTROPY = """
-WITH c AS (
-  SELECT event_type, CAST(extract(hour FROM ts) AS BIGINT) AS h, count(*) AS c
-  FROM events GROUP BY 1, 2
-),
-t AS (SELECT event_type, sum(c) AS n FROM c GROUP BY 1)
-SELECT c.event_type,
-       CAST(t.n AS BIGINT) AS n_events,
-       log2(CAST(t.n AS DOUBLE))
-         - sum(CAST(c.c AS DOUBLE) * log2(CAST(c.c AS DOUBLE))) / CAST(t.n AS DOUBLE)
-         AS entropy_bits
-FROM c JOIN t USING (event_type)
-GROUP BY c.event_type, t.n
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -4650,37 +2605,6 @@ def q_segment_acctbal_moments(sf_dir: str) -> pd.DataFrame:
             "kurtosis_excess": m4 / (m2 * m2) - 3.0,
         })
     return pd.DataFrame(rows)
-
-
-SQL_SEGMENT_ACCTBAL_MOMENTS = """
-WITH p AS (
-  SELECT c_mktsegment,
-         CAST(count(*) AS HUGEINT) AS n,
-         sum(CAST(CAST(round(c_acctbal) AS BIGINT) AS HUGEINT)) AS sx,
-         sum(CAST(CAST(round(c_acctbal) AS BIGINT) AS HUGEINT)
-             * CAST(round(c_acctbal) AS BIGINT)) AS sxx,
-         sum(CAST(CAST(round(c_acctbal) AS BIGINT) AS HUGEINT)
-             * CAST(round(c_acctbal) AS BIGINT) * CAST(round(c_acctbal) AS BIGINT)) AS sx3,
-         sum(CAST(CAST(round(c_acctbal) AS BIGINT) AS HUGEINT)
-             * CAST(round(c_acctbal) AS BIGINT) * CAST(round(c_acctbal) AS BIGINT)
-             * CAST(round(c_acctbal) AS BIGINT)) AS sx4
-  FROM customer GROUP BY c_mktsegment
-),
-m AS (
-  SELECT c_mktsegment, CAST(n AS BIGINT) AS n_customers,
-         CAST(sx AS DOUBLE) / CAST(n AS DOUBLE) AS mu,
-         CAST(sxx AS DOUBLE) / CAST(n AS DOUBLE) AS rm2,
-         CAST(sx3 AS DOUBLE) / CAST(n AS DOUBLE) AS rm3,
-         CAST(sx4 AS DOUBLE) / CAST(n AS DOUBLE) AS rm4
-  FROM p
-)
-SELECT c_mktsegment, n_customers,
-       (rm3 - 3 * mu * rm2 + 2 * mu * mu * mu)
-         / pow(rm2 - mu * mu, 1.5) AS skewness,
-       (rm4 - 4 * mu * rm3 + 6 * mu * mu * rm2 - 3 * mu * mu * mu * mu)
-         / ((rm2 - mu * mu) * (rm2 - mu * mu)) - 3.0 AS kurtosis_excess
-FROM m
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -4753,28 +2677,6 @@ def q_part_reach(sf_dir: str) -> pd.DataFrame:
                 "hops": pd.Series([h for _, h in items], dtype="int64"),
             })
     raise RuntimeError(f"BFS did not converge in {BFS_MAX_ITERS} rounds")
-
-
-SQL_PART_REACH = f"""
-WITH RECURSIVE
-li AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem),
-e AS (
-  SELECT a.l_partkey AS a, b.l_partkey AS b
-  FROM li a JOIN li b ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey
-  GROUP BY 1, 2
-  HAVING count(*) >= {BASKET_MIN_COUNT}
-),
-ue AS (SELECT a, b FROM e UNION SELECT b, a FROM e),
-seed AS (SELECT min(a) AS s FROM ue),
-walk(part, hops) AS (
-  SELECT s, 0 FROM seed
-  UNION
-  SELECT ue.b, walk.hops + 1
-  FROM walk JOIN ue ON ue.a = walk.part
-  WHERE walk.hops < {BFS_MAX_ITERS}
-)
-SELECT part, CAST(min(hops) AS BIGINT) AS hops FROM walk GROUP BY part
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -4897,46 +2799,6 @@ def q_lineitem_spearman(sf_dir: str) -> pd.DataFrame:
     }).reset_index(drop=True)
 
 
-SQL_LINEITEM_SPEARMAN = """
-WITH v AS (
-  SELECT l_returnflag AS f,
-         CAST(round(l_quantity) AS BIGINT) AS x,
-         CAST(round(l_extendedprice) AS BIGINT) AS y
-  FROM lineitem
-),
-hx AS (SELECT f, x, count(*) AS c FROM v GROUP BY f, x),
-rx AS (
-  SELECT f, x,
-         2 * (sum(c) OVER (PARTITION BY f ORDER BY x) - c) + c + 1 AS r2x
-  FROM hx
-),
-hy AS (SELECT f, y, count(*) AS c FROM v GROUP BY f, y),
-ry AS (
-  SELECT f, y,
-         2 * (sum(c) OVER (PARTITION BY f ORDER BY y) - c) + c + 1 AS r2y
-  FROM hy
-),
-r AS (
-  SELECT v.f, rx.r2x, ry.r2y
-  FROM v JOIN rx ON v.f = rx.f AND v.x = rx.x
-         JOIN ry ON v.f = ry.f AND v.y = ry.y
-),
-p AS (
-  SELECT f, CAST(count(*) AS HUGEINT) AS n,
-         sum(CAST(r2x AS HUGEINT)) AS sx, sum(CAST(r2y AS HUGEINT)) AS sy,
-         sum(CAST(r2x AS HUGEINT) * r2x) AS sxx,
-         sum(CAST(r2y AS HUGEINT) * r2y) AS syy,
-         sum(CAST(r2x AS HUGEINT) * r2y) AS sxy
-  FROM r GROUP BY f
-)
-SELECT f AS l_returnflag, CAST(n AS BIGINT) AS n_rows,
-       CAST(n * sxy - sx * sy AS DOUBLE)
-         / (sqrt(CAST(n * sxx - sx * sx AS DOUBLE))
-            * sqrt(CAST(n * syy - sy * sy AS DOUBLE))) AS spearman_qty_price
-FROM p
-"""
-
-
 # ---------------------------------------------------------------------------
 # Gaps-and-islands: consecutive-order-day streaks per customer
 # ---------------------------------------------------------------------------
@@ -5000,28 +2862,6 @@ def q_customer_order_streaks(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_CUSTOMER_ORDER_STREAKS = """
-WITH d AS (
-  SELECT DISTINCT o_custkey,
-         CAST(epoch(o_orderdate) / 86400 AS BIGINT) AS day
-  FROM orders
-),
-i AS (
-  SELECT o_custkey, day,
-         day - row_number() OVER (PARTITION BY o_custkey ORDER BY day) AS island
-  FROM d
-),
-runs AS (
-  SELECT o_custkey, island, count(*) AS len
-  FROM i GROUP BY o_custkey, island
-)
-SELECT o_custkey,
-       count(*) AS n_islands,
-       CAST(max(len) AS BIGINT) AS max_streak_days
-FROM runs GROUP BY o_custkey
-"""
-
-
 # ---------------------------------------------------------------------------
 # Anti-entropy partition checksums (replication / migration verification)
 # ---------------------------------------------------------------------------
@@ -5083,18 +2923,6 @@ def q_orders_checksums(sf_dir: str) -> pd.DataFrame:
     )
 
 
-SQL_ORDERS_CHECKSUMS = f"""
-SELECT o_orderkey % {CHECKSUM_SHARDS} AS shard,
-       count(*) AS n_rows,
-       CAST(sum(CAST(md5_number_lower(
-              CAST(o_orderkey AS VARCHAR) || '|' || CAST(o_custkey AS VARCHAR)
-              || '|' || CAST(CAST(round(o_totalprice * 100) AS BIGINT) AS VARCHAR)
-            ) AS HUGEINT)) % {CHECKSUM_MOD} AS BIGINT) AS checksum
-FROM orders
-GROUP BY 1
-"""
-
-
 # ---------------------------------------------------------------------------
 # Winsorized mean (quantile-clipped robust aggregate)
 # ---------------------------------------------------------------------------
@@ -5134,26 +2962,6 @@ def q_orders_winsorized_mean(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_ORDERS_WINSORIZED_MEAN = f"""
-WITH v AS (
-  SELECT o_orderpriority, CAST(round(o_totalprice * 100) AS BIGINT) AS cents
-  FROM orders
-),
-q AS (
-  SELECT o_orderpriority,
-         quantile_disc(cents, {WINSOR_LO}) AS lo,
-         quantile_disc(cents, {WINSOR_HI}) AS hi
-  FROM v GROUP BY o_orderpriority
-)
-SELECT v.o_orderpriority,
-       count(*) AS n_orders,
-       CAST(sum(least(greatest(v.cents, q.lo), q.hi)) AS DOUBLE) / count(*)
-         AS winsorized_mean_cents
-FROM v JOIN q USING (o_orderpriority)
-GROUP BY v.o_orderpriority
-"""
-
-
 # ---------------------------------------------------------------------------
 # Median absolute deviation (two-level exact quantile composition)
 # ---------------------------------------------------------------------------
@@ -5184,24 +2992,6 @@ def q_segment_balance_mad(sf_dir: str) -> rd.Dataset:
         .groupby("c_mktsegment")
         .map_groups(mad, batch_format="pandas")
     )
-
-
-SQL_SEGMENT_BALANCE_MAD = """
-WITH v AS (
-  SELECT c_mktsegment, CAST(round(c_acctbal * 100) AS BIGINT) AS cents
-  FROM customer
-),
-m AS (
-  SELECT c_mktsegment, quantile_disc(cents, 0.5) AS med
-  FROM v GROUP BY c_mktsegment
-)
-SELECT v.c_mktsegment,
-       count(*) AS n_customers,
-       CAST(any_value(m.med) AS BIGINT) AS median_cents,
-       CAST(quantile_disc(abs(v.cents - m.med), 0.5) AS BIGINT) AS mad_cents
-FROM v JOIN m USING (c_mktsegment)
-GROUP BY v.c_mktsegment
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -5364,45 +3154,6 @@ def q_part_triangles(sf_dir: str) -> pd.DataFrame:
     }]).astype("int64")
 
 
-# Replays the engine's degree-ordered orientation + rank-windowed cap
-# exactly (see q_part_triangles docstring): n_wedges is the ORDERED wedge
-# total — each triangle is one wedge at its lowest-degree vertex — not the
-# old id-oriented Σ C(outdeg_id, 2).
-SQL_PART_TRIANGLES = f"""
-WITH li AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem),
-e AS MATERIALIZED (
-  SELECT a.l_partkey AS a, b.l_partkey AS b
-  FROM li a JOIN li b ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey
-  GROUP BY 1, 2
-  HAVING count(*) >= {BASKET_MIN_COUNT}
-),
-deg AS MATERIALIZED (
-  SELECT v, count(*) AS c FROM (
-    SELECT a AS v FROM e UNION ALL SELECT b FROM e) GROUP BY 1
-),
-o AS (
-  SELECT CASE WHEN (da.c < db.c) OR (da.c = db.c AND e.a < e.b)
-              THEN e.a ELSE e.b END AS src,
-         CASE WHEN (da.c < db.c) OR (da.c = db.c AND e.a < e.b)
-              THEN e.b ELSE e.a END AS dst
-  FROM e JOIN deg da ON da.v = e.a JOIN deg db ON db.v = e.b
-),
-r AS (SELECT src, dst, row_number() OVER (PARTITION BY src ORDER BY dst) AS rn
-      FROM o),
-w AS MATERIALIZED (
-  SELECT r1.dst AS x, r2.dst AS y,
-         (r1.rn <= {WEDGE_OUT_CAP} AND r2.rn <= {WEDGE_OUT_CAP}) AS kept
-  FROM r r1 JOIN r r2 ON r1.src = r2.src AND r1.dst < r2.dst
-)
-SELECT (SELECT count(*) FROM e) AS n_edges,
-       (SELECT count(*) FROM w) AS n_wedges,
-       (SELECT count(*) FILTER (WHERE kept) FROM w) AS n_wedges_kept,
-       (SELECT count(*) FILTER (WHERE NOT kept) FROM w) AS wedges_dropped_by_cap,
-       (SELECT count(*) FROM w JOIN e ON e.a = w.x AND e.b = w.y
-        WHERE w.kept) AS n_triangles
-"""
-
-
 # ---------------------------------------------------------------------------
 # Hot-key skew profiling (exact Gini from the count-of-counts histogram)
 # ---------------------------------------------------------------------------
@@ -5469,26 +3220,6 @@ def q_events_user_skew(sf_dir: str) -> pd.DataFrame:
                 "max_user_events": "int64", "top_share_ppm": "int64"})
 
 
-SQL_EVENTS_USER_SKEW = """
-WITH uc AS (SELECT user_id, count(*) AS c FROM events GROUP BY user_id),
-cc AS (SELECT c, count(*) AS m FROM uc GROUP BY c),
-o AS (SELECT c, m, sum(m) OVER (ORDER BY c) - m AS s FROM cc),
-agg AS (
-  SELECT sum(CAST(c AS HUGEINT) * (m * s + m * (m + 1) / 2)) AS S,
-         sum(CAST(c AS HUGEINT) * m) AS T,
-         CAST(sum(m) AS HUGEINT) AS U,
-         max(c) AS maxc
-  FROM o
-)
-SELECT CAST(U AS BIGINT) AS n_users,
-       CAST(T AS BIGINT) AS n_events,
-       CAST(maxc AS BIGINT) AS max_user_events,
-       CAST(1000000 * maxc // CAST(T AS BIGINT) AS BIGINT) AS top_share_ppm,
-       CAST(2 * S - (U + 1) * T AS DOUBLE) / CAST(U * T AS DOUBLE) AS gini
-FROM agg
-"""
-
-
 # ---------------------------------------------------------------------------
 # SCD2 state intervals (temporal-table build from an event stream)
 # ---------------------------------------------------------------------------
@@ -5538,25 +3269,6 @@ def q_user_state_intervals(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_USER_STATE_INTERVALS = """
-WITH m AS (
-  SELECT user_id, event_id, event_type,
-         CASE WHEN lag(event_type) OVER (PARTITION BY user_id ORDER BY event_id)
-                   IS DISTINCT FROM event_type THEN 1 ELSE 0 END AS chg
-  FROM events
-),
-r AS (
-  SELECT user_id, event_id, event_type,
-         sum(chg) OVER (PARTITION BY user_id ORDER BY event_id) AS run_seq
-  FROM m
-)
-SELECT user_id, event_type AS state, CAST(run_seq AS BIGINT) AS run_seq,
-       min(event_id) AS from_event_id, max(event_id) AS to_event_id,
-       count(*) AS n_events
-FROM r GROUP BY user_id, event_type, run_seq
-"""
-
-
 # ---------------------------------------------------------------------------
 # Trailing time-RANGE window (interval frame, tie-safe)
 # ---------------------------------------------------------------------------
@@ -5565,7 +3277,7 @@ FROM r GROUP BY user_id, event_type, run_seq
 def q_user_value_trailing_1h(sf_dir: str) -> rd.Dataset:
     """Time-RANGE moving aggregate: per event, the sum of the same user's
     event value (cents) in the trailing ONE-HOUR interval [ts - 1h, ts] —
-    the RANGE-frame sibling of the ROWS-frame q_user_value_moving_sum.
+    a RANGE frame, not a ROWS frame.
     RANGE semantics make all ts-peers of the current row part of its
     frame, so rows first pre-aggregate to (user, ts) TIE-GROUPS; the
     per-group trailing sum is one C-level pandas time-rolling pass
@@ -5608,16 +3320,6 @@ def q_user_value_trailing_1h(sf_dir: str) -> rd.Dataset:
         shard_roll,
         out_schema,
     )
-
-
-SQL_USER_VALUE_TRAILING_1H = """
-SELECT event_id, user_id,
-       CAST(sum(CAST(round(value * 100) AS BIGINT)) OVER (
-         PARTITION BY user_id ORDER BY ts
-         RANGE BETWEEN INTERVAL 1 HOUR PRECEDING AND CURRENT ROW
-       ) AS BIGINT) AS trailing_cents
-FROM events
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -5716,20 +3418,6 @@ def q_events_late_arrivals(sf_dir: str) -> rd.Dataset:
             Sum("n_late", alias_name="n_late"),
         )
     )
-
-
-SQL_EVENTS_LATE_ARRIVALS = """
-WITH w AS (
-  SELECT event_type, ts,
-         max(ts) OVER (ORDER BY event_id
-             ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) AS wm
-  FROM events
-)
-SELECT event_type, count(*) AS n_events,
-       CAST(sum(CASE WHEN wm IS NOT NULL AND ts < wm - INTERVAL 1 HOUR
-                THEN 1 ELSE 0 END) AS BIGINT) AS n_late
-FROM w GROUP BY event_type
-"""
 
 
 def q_events_window_final(sf_dir: str) -> rd.Dataset:
@@ -5837,24 +3525,6 @@ def q_events_window_final(sf_dir: str) -> rd.Dataset:
     return agg.map_batches(to_ts, batch_format="pyarrow")
 
 
-SQL_EVENTS_WINDOW_FINAL = """
-WITH w AS (
-  SELECT event_type, ts, date_trunc('hour', ts) AS win,
-         max(ts) OVER (ORDER BY event_id
-             ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) AS wm
-  FROM events
-)
-SELECT event_type, win AS window_ts,
-       CAST(sum(CASE WHEN wm IS NULL
-                      OR wm < win + INTERVAL 2 HOUR THEN 1 ELSE 0 END)
-            AS BIGINT) AS n_final,
-       CAST(sum(CASE WHEN wm IS NOT NULL
-                     AND wm >= win + INTERVAL 2 HOUR THEN 1 ELSE 0 END)
-            AS BIGINT) AS n_dropped
-FROM w GROUP BY 1, 2
-"""
-
-
 # ---------------------------------------------------------------------------
 # Interval-overlap self-join (sweep-line) — concurrent activity per user
 # ---------------------------------------------------------------------------
@@ -5952,35 +3622,6 @@ def q_user_interval_overlaps(sf_dir: str) -> rd.Dataset:
         shard_sweep,
         out_schema,
     )
-
-
-SQL_USER_INTERVAL_OVERLAPS = f"""
-WITH iv AS (
-  SELECT event_id, user_id, ts AS s,
-         ts + to_minutes(CAST(round(value) AS BIGINT) % {OVERLAP_DUR_MOD_MIN}) AS e
-  FROM events
-),
-pairs AS (
-  SELECT a.user_id, CAST(count(*) AS BIGINT) AS n
-  FROM iv a JOIN iv b
-    ON a.user_id = b.user_id AND a.event_id < b.event_id
-   AND a.s <= b.e AND b.s <= a.e
-  GROUP BY a.user_id
-),
-conc AS (
-  SELECT a.user_id, a.event_id, count(*) AS c
-  FROM iv a JOIN iv b
-    ON a.user_id = b.user_id AND b.s <= a.s AND a.s <= b.e
-  GROUP BY a.user_id, a.event_id
-)
-SELECT u.user_id,
-       COALESCE(p.n, 0) AS n_overlap_pairs,
-       CAST(max(c.c) AS BIGINT) AS peak_concurrency
-FROM (SELECT DISTINCT user_id FROM iv) u
-LEFT JOIN pairs p ON p.user_id = u.user_id
-JOIN conc c ON c.user_id = u.user_id
-GROUP BY u.user_id, p.n
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -6090,33 +3731,6 @@ def q_customer_360(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_CUSTOMER_360 = """
-WITH o AS (
-  SELECT o_custkey AS k, count(*) AS n_orders,
-         CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT) AS order_cents
-  FROM orders GROUP BY 1
-),
-e AS (
-  SELECT user_id AS k, count(*) AS n_events,
-         CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT) AS event_cents
-  FROM events GROUP BY 1
-),
-keys AS (
-  SELECT c_custkey AS k FROM customer
-  UNION SELECT k FROM o UNION SELECT k FROM e
-)
-SELECT keys.k AS custkey, c.c_mktsegment AS segment,
-       coalesce(o.n_orders, 0) AS n_orders,
-       coalesce(o.order_cents, 0) AS order_cents,
-       coalesce(e.n_events, 0) AS n_events,
-       coalesce(e.event_cents, 0) AS event_cents
-FROM keys
-LEFT JOIN customer c ON c.c_custkey = keys.k
-LEFT JOIN o ON o.k = keys.k
-LEFT JOIN e ON e.k = keys.k
-"""
-
-
 # ---------------------------------------------------------------------------
 # Streaming debounce / throttle — greedy windowed dedup per key
 # ---------------------------------------------------------------------------
@@ -6180,147 +3794,6 @@ def q_events_dedup_window(sf_dir: str) -> rd.Dataset:
         shard_debounce,
         out_schema,
     )
-
-
-SQL_EVENTS_DEDUP_WINDOW = f"""
-WITH RECURSIVE s AS (
-  SELECT user_id, event_type, ts,
-         row_number() OVER (PARTITION BY user_id, event_type
-                            ORDER BY ts, event_id) AS rn
-  FROM events
-),
-k AS (
-  SELECT user_id, event_type, ts, rn FROM s WHERE rn = 1
-  UNION ALL
-  SELECT s2.user_id, s2.event_type, s2.ts, s2.rn
-  FROM (
-    SELECT k.user_id, k.event_type, min(s.rn) AS nrn
-    FROM k JOIN s ON s.user_id = k.user_id AND s.event_type = k.event_type
-         AND s.ts > k.ts + INTERVAL {DEBOUNCE_MIN} MINUTE
-    GROUP BY k.user_id, k.event_type
-  ) nx
-  JOIN s s2 ON s2.user_id = nx.user_id AND s2.event_type = nx.event_type
-           AND s2.rn = nx.nrn
-)
-SELECT s.user_id, s.event_type,
-       CAST(count(*) AS BIGINT) AS n_events,
-       CAST(count(k.rn) AS BIGINT) AS n_kept
-FROM s LEFT JOIN k ON k.user_id = s.user_id AND k.event_type = s.event_type
-                  AND k.rn = s.rn
-GROUP BY s.user_id, s.event_type
-"""
-
-
-# ---------------------------------------------------------------------------
-# Audience overlap via bitmask histogram — exact multi-set intersections
-# ---------------------------------------------------------------------------
-
-
-def q_event_type_overlap(sf_dir: str) -> pa.Table:
-    """Exact audience-overlap matrix: for every unordered pair of event
-    types, how many distinct users did BOTH — the segment-intersection
-    question (HLL sketches only approximate intersections, and badly when
-    overlap is small; this is the exact path for a bounded type vocabulary).
-
-    Distributed shape — the BITMASK-HISTOGRAM reduction: types get dense
-    alphabetical indices (a tiny distinct pass, broadcast); one
-    hash_exchange on user_id co-locates each user's events; in-shard,
-    ``np.bitwise_or.at`` folds each user's types into one int64 mask (≤63
-    types — asserted), and the shard emits its MASK HISTOGRAM (one row per
-    distinct observed combination — bounded by real co-occurrence patterns,
-    not user count). Histograms merge in a tiny groupby; the driver expands
-    the ≤|masks| rows into the pair matrix with popcount arithmetic. User-
-    scale data crosses the wire once; the pair expansion never sees rows.
-    SQL replays the same mask build with bit_or over (1 << idx)."""
-    types_tbl = (
-        _read(sf_dir, "events", ["event_type"])
-        .map_batches(
-            lambda t: pa.Table.from_arrays(
-                [pc.unique(t["event_type"])], names=["event_type"]
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby("event_type")
-        .count()
-        .to_pandas()
-    )
-    types = sorted(types_tbl["event_type"].tolist())
-    if len(types) > 63:
-        raise ValueError(
-            f"{len(types)} event types exceed the int64 bitmask domain; "
-            "use the salted exact-distinct path per pair instead"
-        )
-    idx_of = {t: i for i, t in enumerate(types)}
-
-    part_schema = pa.schema(
-        [pa.field("mask", pa.int64()), pa.field("n", pa.int64())]
-    )
-
-    def shard_masks(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
-        users = pc.cast(t["user_id"], pa.int64()).to_numpy(zero_copy_only=False)
-        bits = np.array(
-            [1 << idx_of[et] for et in t["event_type"].to_pylist()],
-            dtype=np.int64,
-        )
-        codes, inv = np.unique(users, return_inverse=True)
-        masks = np.zeros(len(codes), dtype=np.int64)
-        np.bitwise_or.at(masks, inv, bits)
-        mh, counts = np.unique(masks, return_counts=True)
-        return pa.Table.from_arrays(
-            [pa.array(mh, pa.int64()), pa.array(counts.astype("int64"))],
-            schema=part_schema,
-        )
-
-    hist = (
-        hash_exchange(
-            _read(sf_dir, "events", ["user_id", "event_type"]),
-            ["user_id"],
-            shard_masks,
-            part_schema,
-        )
-        .groupby("mask")
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-    )
-    mask_arr = hist["mask"].to_numpy(dtype="int64")
-    n_arr = hist["n"].to_numpy(dtype="int64")
-    rows_a, rows_b, rows_n = [], [], []
-    for i, ta in enumerate(types):
-        for j in range(i + 1, len(types)):
-            both = ((mask_arr >> i) & 1) & ((mask_arr >> np.int64(j)) & 1)
-            rows_a.append(ta)
-            rows_b.append(types[j])
-            rows_n.append(int(n_arr[both.astype(bool)].sum()))
-    return pa.Table.from_arrays(
-        [pa.array(rows_a, pa.string()), pa.array(rows_b, pa.string()),
-         pa.array(rows_n, pa.int64())],
-        names=["type_a", "type_b", "n_users_both"],
-    )
-
-
-SQL_EVENT_TYPE_OVERLAP = """
-WITH tidx AS (
-  SELECT event_type,
-         CAST(row_number() OVER (ORDER BY event_type) - 1 AS BIGINT) AS idx
-  FROM (SELECT DISTINCT event_type FROM events)
-),
-um AS (
-  SELECT e.user_id, CAST(bit_or(1::BIGINT << t.idx) AS BIGINT) AS mask
-  FROM events e JOIN tidx t ON t.event_type = e.event_type
-  GROUP BY e.user_id
-),
-mh AS (SELECT mask, count(*) AS n FROM um GROUP BY mask)
-SELECT ta.event_type AS type_a, tb.event_type AS type_b,
-       CAST(coalesce(sum(mh.n) FILTER (
-         WHERE (mh.mask >> ta.idx) % 2 = 1 AND (mh.mask >> tb.idx) % 2 = 1
-       ), 0) AS BIGINT) AS n_users_both
-FROM tidx ta
-JOIN tidx tb ON ta.idx < tb.idx
-CROSS JOIN mh
-GROUP BY ta.event_type, tb.event_type
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -6414,27 +3887,6 @@ def q_promo_revenue_share(sf_dir: str) -> rd.Dataset:
         )
 
     return merged.map_batches(finish, batch_format="pyarrow")
-
-
-SQL_PROMO_REVENUE_SHARE = f"""
-WITH j AS (
-  SELECT strftime(l.l_shipdate, '%Y-%m') AS month,
-         CAST(round(l.l_extendedprice * (1 - l.l_discount) * 100) AS BIGINT) AS cents,
-         p.p_type
-  FROM lineitem l JOIN part p ON p.p_partkey = l.l_partkey
-),
-m AS (
-  SELECT month,
-         CAST(sum(CASE WHEN p_type = '{PROMO_TYPE}' THEN cents ELSE 0 END) AS BIGINT)
-           AS promo_cents,
-         CAST(sum(cents) AS BIGINT) AS total_cents
-  FROM j GROUP BY month
-)
-SELECT month, promo_cents, total_cents,
-       CASE WHEN total_cents > 0 THEN promo_cents * {SHARE_UNIT} // total_cents
-            ELSE 0 END AS share_micro
-FROM m
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -6548,22 +4000,6 @@ def q_nation_pair_volume(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_NATION_PAIR_VOLUME = f"""
-SELECT ns.n_name AS supp_nation, nc.n_name AS cust_nation,
-       CAST(sum(CAST(round(l.l_extendedprice * (1 - l.l_discount) * 100) AS BIGINT))
-            AS BIGINT) AS revenue_cents
-FROM lineitem l
-JOIN supplier s ON s.s_suppkey = l.l_suppkey
-JOIN nation ns ON ns.n_nationkey = s.s_nationkey
-JOIN orders o ON o.o_orderkey = l.l_orderkey
-JOIN customer c ON c.c_custkey = o.o_custkey
-JOIN nation nc ON nc.n_nationkey = c.c_nationkey
-WHERE l.l_shipdate >= DATE '{Q7_DATE_LO}' AND l.l_shipdate < DATE '{Q7_DATE_HI}'
-  AND ns.n_name <> nc.n_name
-GROUP BY 1, 2
-"""
-
-
 # ---------------------------------------------------------------------------
 # RFM segmentation: recency / frequency / monetary quintile scores
 # ---------------------------------------------------------------------------
@@ -6664,47 +4100,6 @@ def q_customer_rfm(sf_dir: str) -> rd.Dataset:
     return md.map_batches(score, batch_format="pyarrow")
 
 
-SQL_CUSTOMER_RFM = f"""
-WITH m AS (
-  SELECT o_custkey AS custkey,
-         CAST((epoch_us(TIMESTAMP '{RFM_REF_DATE}') - epoch_us(max(o_orderdate)))
-              // 86400000000 AS BIGINT) AS recency_days,
-         CAST(count(*) AS BIGINT) AS n_orders,
-         CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT) AS cents
-  FROM orders GROUP BY 1
-),
-b AS (
-  SELECT
-    quantile_disc(recency_days, 0.2) AS r1, quantile_disc(recency_days, 0.4) AS r2,
-    quantile_disc(recency_days, 0.6) AS r3, quantile_disc(recency_days, 0.8) AS r4,
-    quantile_disc(n_orders, 0.2) AS f1, quantile_disc(n_orders, 0.4) AS f2,
-    quantile_disc(n_orders, 0.6) AS f3, quantile_disc(n_orders, 0.8) AS f4,
-    quantile_disc(cents, 0.2) AS m1, quantile_disc(cents, 0.4) AS m2,
-    quantile_disc(cents, 0.6) AS m3, quantile_disc(cents, 0.8) AS m4
-  FROM m
-),
-s AS (
-  SELECT m.custkey, m.recency_days, m.n_orders, m.cents,
-         1 + CAST(m.recency_days > b.r1 AS INT) + CAST(m.recency_days > b.r2 AS INT)
-           + CAST(m.recency_days > b.r3 AS INT) + CAST(m.recency_days > b.r4 AS INT)
-           AS r_score,
-         1 + CAST(m.n_orders > b.f1 AS INT) + CAST(m.n_orders > b.f2 AS INT)
-           + CAST(m.n_orders > b.f3 AS INT) + CAST(m.n_orders > b.f4 AS INT)
-           AS f_score,
-         1 + CAST(m.cents > b.m1 AS INT) + CAST(m.cents > b.m2 AS INT)
-           + CAST(m.cents > b.m3 AS INT) + CAST(m.cents > b.m4 AS INT)
-           AS m_score
-  FROM m CROSS JOIN b
-)
-SELECT custkey, recency_days, n_orders, cents,
-       CAST(r_score AS BIGINT) AS r_score,
-       CAST(f_score AS BIGINT) AS f_score,
-       CAST(m_score AS BIGINT) AS m_score,
-       r_score || '' || f_score || '' || m_score AS segment
-FROM s
-"""
-
-
 # ---------------------------------------------------------------------------
 # Z-order clustering layout: multi-column locality for scan pruning
 # ---------------------------------------------------------------------------
@@ -6774,38 +4169,6 @@ def q_orders_zorder(sf_dir: str) -> rd.Dataset:
             Max("zmax", alias_name="zmax"),
         )
     )
-
-
-def _sql_orders_zorder() -> str:
-    terms = []
-    for b in range(ZORDER_BITS):
-        terms.append(f"(((k1 >> {b}) & 1) << {2 * b})")
-        terms.append(f"(((k2 >> {b}) & 1) << {2 * b + 1})")
-    zexpr = " | ".join(terms)
-    return f"""
-WITH keys AS (
-  SELECT o_custkey % {1 << ZORDER_BITS} AS k1,
-         least(CAST(round(o_totalprice * 100) AS BIGINT) // 1000,
-               {(1 << ZORDER_BITS) - 1}) AS k2,
-         o_custkey AS ck,
-         CAST(round(o_totalprice * 100) AS BIGINT) AS cents
-  FROM orders
-),
-z AS (
-  SELECT CAST({zexpr} AS BIGINT) AS zv, ck, cents FROM keys
-)
-SELECT zv >> {2 * ZORDER_BITS - ZORDER_PART_BITS} AS zpart,
-       CAST(count(*) AS BIGINT) AS n_rows,
-       CAST(sum(CASE WHEN ck BETWEEN {ZBOX_CUST[0]} AND {ZBOX_CUST[1]}
-                      AND cents BETWEEN {ZBOX_CENTS[0]} AND {ZBOX_CENTS[1]}
-                     THEN 1 ELSE 0 END) AS BIGINT) AS n_match,
-       CAST(min(zv) AS BIGINT) AS zmin,
-       CAST(max(zv) AS BIGINT) AS zmax
-FROM z GROUP BY 1
-"""
-
-
-SQL_ORDERS_ZORDER = _sql_orders_zorder()
 
 
 # ---------------------------------------------------------------------------
@@ -6883,48 +4246,6 @@ def q_lineitem_ols2(sf_dir: str) -> rd.Dataset:
         })
 
     return merged.map_batches(finish, batch_format="pyarrow")
-
-
-SQL_LINEITEM_OLS2 = f"""
-WITH t AS (
-  SELECT CAST(round(l_quantity) AS BIGINT) AS x1,
-         CAST(round(l_discount * 10000) AS BIGINT) AS x2,
-         CAST(round(l_extendedprice * 100) AS BIGINT) AS y
-  FROM lineitem
-),
-s AS (
-  SELECT CAST(count(*) AS HUGEINT) AS n,
-         CAST(sum(x1) AS HUGEINT) AS sx1, CAST(sum(x2) AS HUGEINT) AS sx2,
-         CAST(sum(y) AS HUGEINT) AS sy,
-         CAST(sum(x1 * x1) AS HUGEINT) AS sx11,
-         CAST(sum(x1 * x2) AS HUGEINT) AS sx12,
-         CAST(sum(x2 * x2) AS HUGEINT) AS sx22,
-         CAST(sum(x1 * y) AS HUGEINT) AS sx1y,
-         CAST(sum(x2 * y) AS HUGEINT) AS sx2y
-  FROM t
-),
-d AS (
-  SELECT *,
-    n * (sx11 * sx22 - sx12 * sx12)
-      - sx1 * (sx1 * sx22 - sx12 * sx2)
-      + sx2 * (sx1 * sx12 - sx11 * sx2) AS det,
-    sy * (sx11 * sx22 - sx12 * sx12)
-      - sx1 * (sx1y * sx22 - sx12 * sx2y)
-      + sx2 * (sx1y * sx12 - sx11 * sx2y) AS det0,
-    n * (sx1y * sx22 - sx12 * sx2y)
-      - sy * (sx1 * sx22 - sx12 * sx2)
-      + sx2 * (sx1 * sx2y - sx1y * sx2) AS det1,
-    n * (sx11 * sx2y - sx1y * sx12)
-      - sx1 * (sx1 * sx2y - sx1y * sx2)
-      + sy * (sx1 * sx12 - sx11 * sx2) AS det2
-  FROM s
-)
-SELECT CAST(n AS BIGINT) AS n,
-       CAST(round(CAST(det0 AS DOUBLE) / CAST(det AS DOUBLE) * {OLS_UNIT}) AS BIGINT) AS b0_nano,
-       CAST(round(CAST(det1 AS DOUBLE) / CAST(det AS DOUBLE) * {OLS_UNIT}) AS BIGINT) AS b1_nano,
-       CAST(round(CAST(det2 AS DOUBLE) / CAST(det AS DOUBLE) * {OLS_UNIT}) AS BIGINT) AS b2_nano
-FROM d
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -7007,45 +4328,6 @@ def q_users_cdc_state(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_USERS_CDC_STATE = """
-WITH ev AS (
-  SELECT user_id, epoch_us(ts) AS ts_us, event_id,
-         CASE WHEN event_type = 'signup' THEN 0
-              WHEN event_type = 'error' THEN 2 ELSE 1 END AS kind,
-         CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-),
-last_ins AS (
-  SELECT user_id, ts_us AS ins_ts, event_id AS ins_id, cents AS ins_cents
-  FROM ev WHERE kind = 0
-  QUALIFY row_number() OVER (PARTITION BY user_id
-                             ORDER BY ts_us DESC, event_id DESC) = 1
-),
-alive AS (
-  SELECT l.user_id, l.ins_ts, l.ins_id, l.ins_cents
-  FROM last_ins l
-  WHERE NOT EXISTS (
-    SELECT 1 FROM ev e
-    WHERE e.user_id = l.user_id AND e.kind = 2
-      AND (e.ts_us > l.ins_ts OR (e.ts_us = l.ins_ts AND e.event_id > l.ins_id))
-  )
-),
-upd AS (
-  SELECT a.user_id,
-         CAST(count(e.event_id) AS BIGINT) AS n_upd,
-         CAST(coalesce(sum(e.cents), 0) AS BIGINT) AS upd_cents
-  FROM alive a
-  LEFT JOIN ev e ON e.user_id = a.user_id AND e.kind = 1
-    AND (e.ts_us > a.ins_ts OR (e.ts_us = a.ins_ts AND e.event_id > a.ins_id))
-  GROUP BY a.user_id
-)
-SELECT a.user_id,
-       CAST(1 + u.n_upd AS BIGINT) AS n_applied,
-       CAST(a.ins_cents + u.upd_cents AS BIGINT) AS value_cents
-FROM alive a JOIN upd u USING (user_id)
-"""
-
-
 # ---------------------------------------------------------------------------
 # Complex-event pattern matching (the MATCH_RECOGNIZE shape)
 # ---------------------------------------------------------------------------
@@ -7125,37 +4407,6 @@ def q_events_pattern_matches(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_EVENTS_PATTERN_MATCHES = """
-WITH ev AS (
-  SELECT user_id, epoch_us(ts) AS ts_us, event_id, event_type,
-         row_number() OVER (PARTITION BY user_id ORDER BY epoch_us(ts), event_id)
-           AS ord
-  FROM events
-),
-purchases AS (SELECT user_id, ord FROM ev WHERE event_type = 'purchase'),
-with_sig AS (
-  SELECT p.user_id, p.ord AS p_ord, s.ord AS s_ord
-  FROM purchases p JOIN ev s
-    ON s.user_id = p.user_id AND s.event_type = 'signup' AND s.ord < p.ord
-  QUALIFY row_number() OVER (PARTITION BY p.user_id, p.ord
-                             ORDER BY s.ord DESC) = 1
-),
-ok AS (
-  SELECT w.user_id
-  FROM with_sig w
-  WHERE NOT EXISTS (
-          SELECT 1 FROM ev e WHERE e.user_id = w.user_id
-            AND e.event_type = 'error' AND e.ord > w.s_ord AND e.ord < w.p_ord)
-    AND EXISTS (
-          SELECT 1 FROM ev e WHERE e.user_id = w.user_id
-            AND e.event_type IN ('click', 'view')
-            AND e.ord > w.s_ord AND e.ord < w.p_ord)
-)
-SELECT user_id, CAST(count(*) AS BIGINT) AS n_matches
-FROM ok GROUP BY user_id
-"""
-
-
 # ---------------------------------------------------------------------------
 # Categorical mutual information (quantize-then-sum exact)
 # ---------------------------------------------------------------------------
@@ -7219,26 +4470,6 @@ def q_lineitem_mutual_info(sf_dir: str) -> rd.Dataset:
 
     # the cell table is |X| x |Y| (a handful of rows): one-task finish
     return cells.repartition(1).map_batches(finish, batch_format="pyarrow")
-
-
-SQL_LINEITEM_MUTUAL_INFO = f"""
-WITH cells AS (
-  SELECT l_returnflag AS f, l_linestatus AS s, CAST(count(*) AS BIGINT) AS n
-  FROM lineitem GROUP BY 1, 2
-),
-tot AS (SELECT CAST(sum(n) AS BIGINT) AS N FROM cells),
-mf AS (SELECT f, CAST(sum(n) AS BIGINT) AS nf FROM cells GROUP BY 1),
-ms AS (SELECT s, CAST(sum(n) AS BIGINT) AS ns FROM cells GROUP BY 1)
-SELECT tot.N AS n_rows,
-       CAST(count(*) AS BIGINT) AS n_cells,
-       CAST(sum(CAST(round(c.n * ln(CAST(c.n * tot.N AS DOUBLE)
-                                    / CAST(mf.nf * ms.ns AS DOUBLE))
-                           * {MI_UNIT}) AS BIGINT)) AS BIGINT) AS mi_terms_nano
-FROM cells c
-JOIN mf USING (f) JOIN ms USING (s)
-CROSS JOIN tot
-GROUP BY tot.N
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -7361,30 +4592,6 @@ def q_part_rules(sf_dir: str) -> pd.DataFrame:
     )
 
 
-def _sql_part_rules() -> str:
-    cooc = SQL_PART_COOCCURRENCE.strip()
-    return f"""
-WITH cooc AS ({cooc}),
-pcnt AS (
-  SELECT l_partkey AS part, CAST(count(DISTINCT l_orderkey) AS BIGINT) AS n
-  FROM lineitem GROUP BY 1
-),
-tot AS (SELECT CAST(count(*) AS BIGINT) AS N FROM orders)
-SELECT c.part_a, c.part_b, c.n_orders AS n_ab, a.n AS n_a, b.n AS n_b,
-       c.n_orders * tot.N * {LIFT_UNIT} // (a.n * b.n) AS lift_micro
-FROM cooc c
-JOIN pcnt a ON a.part = c.part_a
-JOIN pcnt b ON b.part = c.part_b
-CROSS JOIN tot
-WHERE c.n_orders >= {RULES_MIN_SUPPORT}
-ORDER BY lift_micro DESC, part_a ASC, part_b ASC
-LIMIT {RULES_TOPK}
-"""
-
-
-SQL_PART_RULES = _sql_part_rules()
-
-
 # ---------------------------------------------------------------------------
 # Burst detection: hours whose event rate spikes over the trailing day
 # ---------------------------------------------------------------------------
@@ -7463,33 +4670,6 @@ def q_events_bursts(sf_dir: str) -> rd.Dataset:
     return hash_exchange(merged, ["event_type"], scan, out_schema)
 
 
-SQL_EVENTS_BURSTS = f"""
-WITH hours AS (
-  SELECT event_type, epoch_us(date_trunc('hour', ts)) AS hour_us,
-         CAST(count(*) AS BIGINT) AS n
-  FROM events GROUP BY 1, 2
-),
-firsts AS (
-  SELECT event_type, min(hour_us) AS first_us FROM hours GROUP BY 1
-),
-trail AS (
-  SELECT h.event_type, h.hour_us, h.n,
-         CAST(coalesce((
-           SELECT sum(p.n) FROM hours p
-           WHERE p.event_type = h.event_type
-             AND p.hour_us >= h.hour_us - 24 * 3600000000
-             AND p.hour_us < h.hour_us
-         ), 0) AS BIGINT) AS trailing_total
-  FROM hours h
-  JOIN firsts f ON f.event_type = h.event_type
-  WHERE h.hour_us >= f.first_us + 24 * 3600000000
-)
-SELECT event_type, hour_us, n AS n_events, trailing_total
-FROM trail
-WHERE trailing_total > 0 AND n * 24 > {BURST_FACTOR} * trailing_total
-"""
-
-
 # ---------------------------------------------------------------------------
 # TPC-H Q13 shape: distribution of customers by order count ("custdist")
 # ---------------------------------------------------------------------------
@@ -7559,20 +4739,6 @@ def q_customer_order_distribution(sf_dir: str) -> rd.Dataset:
         .groupby("n_orders")
         .aggregate(Sum("custdist", alias_name="custdist"))
     )
-
-
-SQL_CUSTOMER_ORDER_DISTRIBUTION = f"""
-SELECT n_orders, CAST(count(*) AS BIGINT) AS custdist
-FROM (
-  SELECT c.c_custkey, CAST(count(o.o_orderkey) AS BIGINT) AS n_orders
-  FROM customer c
-  LEFT JOIN orders o
-    ON c.c_custkey = o.o_custkey
-   AND o.o_orderpriority <> '{Q13_EXCLUDE_PRIORITY}'
-  GROUP BY c.c_custkey
-)
-GROUP BY n_orders
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -7671,25 +4837,6 @@ def q_part_small_qty_revenue(sf_dir: str) -> pd.DataFrame:
 
     parts = stats_join.map_batches(small_qty_cents, batch_format="pyarrow").to_pandas()
     return pd.DataFrame({"revenue_cents": [int(parts["revenue_cents"].sum())]})
-
-
-SQL_PART_SMALL_QTY_REVENUE = f"""
-SELECT CAST(coalesce(sum(CAST(round(l.l_extendedprice * 100) AS BIGINT)), 0) AS BIGINT)
-       AS revenue_cents
-FROM lineitem l
-JOIN part p ON p.p_partkey = l.l_partkey
-JOIN (
-  SELECT l_partkey,
-         CAST(sum(CAST(round(l_quantity) AS BIGINT)) AS BIGINT) AS sum_qty,
-         CAST(count(*) AS BIGINT) AS cnt
-  FROM lineitem li
-  WHERE EXISTS (SELECT 1 FROM part p2
-                WHERE p2.p_partkey = li.l_partkey AND p2.p_brand = '{Q17_BRAND}')
-  GROUP BY l_partkey
-) s ON s.l_partkey = l.l_partkey
-WHERE p.p_brand = '{Q17_BRAND}'
-  AND 5 * CAST(round(l.l_quantity) AS BIGINT) * s.cnt < s.sum_qty
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -7806,25 +4953,6 @@ def q_customers_untapped(sf_dir: str) -> pd.DataFrame:
     return out[cols]
 
 
-SQL_CUSTOMERS_UNTAPPED = f"""
-WITH avg_bal AS (
-  SELECT CAST(sum(CAST(round(c_acctbal * 100) AS BIGINT)) AS BIGINT) AS sum_cents,
-         CAST(count(*) AS BIGINT) AS cnt
-  FROM customer WHERE round(c_acctbal * 100) > 0
-)
-SELECT c.c_nationkey % 25 AS country_code,
-       CAST(count(*) AS BIGINT) AS numcust,
-       CAST(sum(CAST(round(c.c_acctbal * 100) AS BIGINT)) AS BIGINT) AS totacctbal_cents
-FROM customer c, avg_bal a
-WHERE c.c_nationkey % 25 IN {Q22_COUNTRY_CODES}
-  AND CAST(round(c.c_acctbal * 100) AS BIGINT) * a.cnt > a.sum_cents
-  AND NOT EXISTS (SELECT 1 FROM orders o
-                  WHERE o.o_custkey = c.c_custkey
-                    AND o.o_orderdate >= DATE '{DORMANT_CUTOFF}')
-GROUP BY 1
-"""
-
-
 # ---------------------------------------------------------------------------
 # Rolling ORDER-STATISTIC window: trailing median per user
 # ---------------------------------------------------------------------------
@@ -7835,7 +4963,7 @@ ROLLMED_FRAME = 10
 def q_user_value_rolling_median(sf_dir: str) -> rd.Dataset:
     """Per user, the exact MEDIAN of event value (integer cents) over the
     trailing ROLLMED_FRAME events in event_id order — the order-statistic
-    window frame that, unlike the sum/count frames (q_user_value_moving_sum),
+    window frame that, unlike the sum/count frames,
     cannot be maintained by a running accumulator and therefore exercises
     per-frame re-ranking. Even frames average the two middle cents values;
     a half-cent midpoint of two int64s is exactly representable in the
@@ -7876,16 +5004,6 @@ def q_user_value_rolling_median(sf_dir: str) -> rd.Dataset:
         shard_roll,
         out_schema,
     )
-
-
-SQL_USER_VALUE_ROLLING_MEDIAN = f"""
-SELECT event_id, user_id,
-       CAST(median(CAST(round(value * 100) AS BIGINT)) OVER (
-         PARTITION BY user_id ORDER BY event_id
-         ROWS BETWEEN {ROLLMED_FRAME - 1} PRECEDING AND CURRENT ROW
-       ) AS DOUBLE) AS med_cents
-FROM events
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -7943,20 +5061,6 @@ def q_events_new_users(sf_dir: str) -> pd.DataFrame:
     daily = daily.sort_values("day_us").reset_index(drop=True)
     daily["cum_users"] = daily["n_new"].cumsum().astype("int64")
     return daily[["day_us", "n_new", "cum_users"]]
-
-
-SQL_EVENTS_NEW_USERS = """
-WITH first_seen AS (
-  SELECT user_id, min(epoch_us(date_trunc('day', ts))) AS day_us
-  FROM events GROUP BY user_id
-),
-daily AS (
-  SELECT day_us, CAST(count(*) AS BIGINT) AS n_new FROM first_seen GROUP BY day_us
-)
-SELECT day_us, n_new,
-       CAST(sum(n_new) OVER (ORDER BY day_us) AS BIGINT) AS cum_users
-FROM daily
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -8051,25 +5155,6 @@ def q_part_top_supplier(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_PART_TOP_SUPPLIER = """
-WITH pair AS (
-  SELECT l_partkey, l_suppkey,
-         CAST(sum(CAST(round(l_quantity) AS BIGINT)) AS BIGINT) AS qty
-  FROM lineitem GROUP BY 1, 2
-),
-win AS (
-  SELECT l_partkey, l_suppkey AS top_suppkey, qty AS total_qty,
-         row_number() OVER (PARTITION BY l_partkey
-                            ORDER BY qty DESC, l_suppkey ASC) AS rn
-  FROM pair
-)
-SELECT w.top_suppkey, w.l_partkey, w.total_qty,
-       CAST(round(s.s_acctbal * 100) AS BIGINT) AS s_acctbal_cents
-FROM win w JOIN supplier s ON s.s_suppkey = w.top_suppkey
-WHERE w.rn = 1
-"""
-
-
 # ---------------------------------------------------------------------------
 # TPC-H Q18 shape: large-volume orders (HAVING over a fact-fact join)
 # ---------------------------------------------------------------------------
@@ -8136,15 +5221,6 @@ def q_orders_large_volume(sf_dir: str) -> rd.Dataset:
         return t.filter(pc.greater(t["total_qty"], pa.scalar(Q18_QTY, pa.int64())))
 
     return joined.map_batches(having, batch_format="pyarrow")
-
-
-SQL_ORDERS_LARGE_VOLUME = f"""
-SELECT l.l_orderkey, CAST(sum(CAST(round(l.l_quantity) AS BIGINT)) AS BIGINT) AS total_qty,
-       o.o_custkey, CAST(round(o.o_totalprice * 100) AS BIGINT) AS totalprice_cents
-FROM lineitem l JOIN orders o ON o.o_orderkey = l.l_orderkey
-GROUP BY l.l_orderkey, o.o_custkey, o.o_totalprice
-HAVING sum(CAST(round(l.l_quantity) AS BIGINT)) > {Q18_QTY}
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -8242,25 +5318,6 @@ def q_suppliers_late_sole(sf_dir: str) -> rd.Dataset:
         .groupby("l_suppkey")
         .aggregate(Sum("one", alias_name="n_wait"))
     )
-
-
-SQL_SUPPLIERS_LATE_SOLE = f"""
-WITH lo AS (
-  SELECT l.l_orderkey, l.l_suppkey,
-         max(CASE WHEN l.l_shipdate > o.o_orderdate + INTERVAL {Q21_LATE_DAYS} DAY
-                  THEN 1 ELSE 0 END) AS late
-  FROM lineitem l JOIN orders o ON o.o_orderkey = l.l_orderkey
-  GROUP BY 1, 2
-),
-ord AS (
-  SELECT l_orderkey, count(*) AS n_supp, sum(late) AS n_late
-  FROM lo GROUP BY 1
-)
-SELECT lo.l_suppkey, CAST(count(*) AS BIGINT) AS n_wait
-FROM lo JOIN ord USING (l_orderkey)
-WHERE lo.late = 1 AND ord.n_supp > 1 AND ord.n_late = 1
-GROUP BY lo.l_suppkey
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -8565,216 +5622,6 @@ def q_order_price_median_select(sf_dir: str) -> pd.DataFrame:
     )
 
 
-SQL_ORDER_PRICE_MEDIAN_SELECT = """
-SELECT o_orderpriority AS priority,
-       CAST(count(*) AS BIGINT) AS n_orders,
-       CAST(round(2 * median(CAST(round(o_totalprice * 100) AS BIGINT)))
-            AS BIGINT) AS median_cents_x2
-FROM orders GROUP BY 1
-"""
-
-
-# ---------------------------------------------------------------------------
-# TPC-H Q8 shape: national market share inside a region's order volume
-# ---------------------------------------------------------------------------
-
-MS_REGION = "AMERICA"
-MS_NATION = "NATION_3"   # the supplier nation whose share is measured
-MS_TYPE = "PROMO"
-MS_DATE_LO = "1995-01-01"
-MS_DATE_HI = "1997-01-01"  # exclusive
-
-
-def q_nation_market_share(sf_dir: str) -> rd.Dataset:
-    """TPC-H Q8 shape: of the PROMO-part volume ordered by AMERICA-region
-    customers in 1995-1996, what share (per order year) was supplied by
-    MS_NATION — the deepest join composition in the suite (lineitem ⋈ part
-    ⋈ orders ⋈ customer ⋈ nation ⋈ region ⋈ supplier), mixing every join
-    regime the engine has:
-      - lineitem ⋈ part(filtered) and ⋈ orders are fact ⋈ fact -> two
-        co-partitioned hash_joins (semi for the part gate: only existence
-        matters, so the exchange carries no part payload);
-      - the AMERICA customer gate is a third co-partitioned SEMI join
-        (customer is fact-sized — never a driver-collected probe set);
-      - nation/region/supplier are dim-sized -> broadcast (supplier via
-        the sorted searchsorted pair, the Q5 idiom; at a scale where
-        supplier outgrows broadcast, swap for a fourth hash_join — same
-        code shape as the orders edge).
-    Volume stays in integer cents; the share is floor micro-units computed
-    in Python bigints on the <= 2-row final result, so the output is exact
-    at any parallelism. The year pre-aggregation runs per block BEFORE the
-    final groupby, so the last exchange moves a handful of partial rows."""
-    import pyarrow.dataset as pds
-
-    lo, hi = pd.Timestamp(MS_DATE_LO), pd.Timestamp(MS_DATE_HI)
-
-    # --- broadcast dims
-    nation = pd.read_parquet(_pq(sf_dir, "nation"))
-    region = pd.read_parquet(_pq(sf_dir, "region"))
-    rkey = int(region.loc[region["r_name"] == MS_REGION, "r_regionkey"].iloc[0])
-    region_nkeys = set(
-        nation.loc[nation["n_regionkey"] == rkey, "n_nationkey"].astype(int)
-    )
-    target_nkey = int(
-        nation.loc[nation["n_name"] == MS_NATION, "n_nationkey"].iloc[0]
-    )
-    supp = pd.read_parquet(_pq(sf_dir, "supplier"), columns=["s_suppkey", "s_nationkey"])
-    _sk = np.argsort(supp["s_suppkey"].to_numpy(dtype="int64"), kind="mergesort")
-    supp_ref = ray.put((
-        supp["s_suppkey"].to_numpy(dtype="int64")[_sk],
-        supp["s_nationkey"].to_numpy(dtype="int64")[_sk],
-    ))
-    nk_ref = ray.put(region_nkeys)
-
-    # --- lineitem volume rows, gated to PROMO parts (fact ⋈ fact, semi)
-    def li_prep(t: pa.Table) -> pa.Table:
-        vol = _cents(pc.multiply(
-            t["l_extendedprice"], pc.subtract(pa.scalar(1.0), t["l_discount"])
-        ))
-        return pa.Table.from_arrays(
-            [t["l_partkey"], t["l_suppkey"], t["l_orderkey"], vol],
-            names=["l_partkey", "l_suppkey", "l_orderkey", "vol_cents"],
-        )
-
-    li = _read(
-        sf_dir, "lineitem",
-        ["l_partkey", "l_suppkey", "l_orderkey", "l_extendedprice", "l_discount"],
-    ).map_batches(li_prep, batch_format="pyarrow")
-    promo = rd.read_parquet(
-        _pq(sf_dir, "part"), columns=["p_partkey"],
-        filter=pds.field("p_type") == MS_TYPE,
-    )
-    j1 = hash_join(
-        li, promo,
-        left_on="l_partkey", right_on="p_partkey", key_type=pa.int64(),
-        left_fields=[pa.field("l_suppkey", pa.int64()),
-                     pa.field("l_orderkey", pa.int64()),
-                     pa.field("vol_cents", pa.int64())],
-        right_fields=[],
-        how="semi",
-    )
-
-    # --- ⋈ orders in the window (fact ⋈ fact, inner), carrying year+custkey
-    def ord_prep(t: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays(
-            [t["o_orderkey"], t["o_custkey"],
-             pc.cast(pc.year(t["o_orderdate"]), pa.int64())],
-            names=["o_orderkey", "o_custkey", "o_year"],
-        )
-
-    orders = rd.read_parquet(
-        _pq(sf_dir, "orders"), columns=["o_orderkey", "o_custkey", "o_orderdate"],
-        filter=(pds.field("o_orderdate") >= lo) & (pds.field("o_orderdate") < hi),
-    ).map_batches(ord_prep, batch_format="pyarrow")
-    j2 = hash_join(
-        j1.map_batches(
-            lambda t: t.select(["l_orderkey", "l_suppkey", "vol_cents"]),
-            batch_format="pyarrow",
-        ),
-        orders,
-        left_on="l_orderkey", right_on="o_orderkey", key_type=pa.int64(),
-        left_fields=[pa.field("l_suppkey", pa.int64()),
-                     pa.field("vol_cents", pa.int64())],
-        right_fields=[pa.field("o_custkey", pa.int64()),
-                      pa.field("o_year", pa.int64())],
-    )
-
-    # --- AMERICA customer gate (fact-sized -> co-partitioned SEMI join)
-    def cust_filter(t: pa.Table) -> pa.Table:
-        keys = ray.get(nk_ref)
-        mask = pc.is_in(
-            t["c_nationkey"], value_set=pa.array(sorted(keys), pa.int64())
-        )
-        return t.filter(mask).select(["c_custkey"])
-
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).map_batches(
-        cust_filter, batch_format="pyarrow"
-    )
-    j3 = hash_join(
-        j2.map_batches(
-            lambda t: t.select(["o_custkey", "l_suppkey", "vol_cents", "o_year"]),
-            batch_format="pyarrow",
-        ),
-        cust,
-        left_on="o_custkey", right_on="c_custkey", key_type=pa.int64(),
-        left_fields=[pa.field("l_suppkey", pa.int64()),
-                     pa.field("vol_cents", pa.int64()),
-                     pa.field("o_year", pa.int64())],
-        right_fields=[],
-        how="semi",
-    )
-
-    # --- supplier nation tag (broadcast) + per-block year partials
-    def year_partials(t: pa.Table) -> pa.Table:
-        sk, sn = ray.get(supp_ref)
-        s = t["l_suppkey"].to_numpy(zero_copy_only=False)
-        nk = sn[np.searchsorted(sk, s)]
-        tgt = (nk == target_nkey).astype(np.int64)
-        vol = t["vol_cents"].to_numpy(zero_copy_only=False)
-        tmp = pa.table({
-            "o_year": t["o_year"],
-            "nation_cents": pa.array(vol * tgt, pa.int64()),
-            "total_cents": pa.array(vol, pa.int64()),
-        })
-        g = tmp.group_by("o_year").aggregate(
-            [("nation_cents", "sum"), ("total_cents", "sum")]
-        )
-        return pa.table({
-            "o_year": g["o_year"], "nation_cents": g["nation_cents_sum"],
-            "total_cents": g["total_cents_sum"],
-        })
-
-    agg = (
-        j3.map_batches(year_partials, batch_format="pyarrow")
-        .groupby("o_year")
-        .aggregate(Sum("nation_cents", alias_name="nation_cents"),
-                   Sum("total_cents", alias_name="total_cents"))
-    )
-
-    def share(t: pa.Table) -> pa.Table:
-        rows = t.to_pylist()  # <= one row per order year: driver-tiny
-        for r in rows:
-            r["mkt_share_micro"] = (
-                0 if not r["total_cents"]
-                else (int(r["nation_cents"]) * 1_000_000) // int(r["total_cents"])
-            )
-        sch = pa.schema([
-            ("o_year", pa.int64()), ("nation_cents", pa.int64()),
-            ("total_cents", pa.int64()), ("mkt_share_micro", pa.int64()),
-        ])
-        if not rows:
-            return sch.empty_table()
-        return pa.Table.from_pylist(rows, schema=sch)
-
-    return agg.map_batches(share, batch_format="pyarrow")
-
-
-SQL_NATION_MARKET_SHARE = f"""
-WITH v AS (
-  SELECT CAST(year(o_orderdate) AS BIGINT) AS o_year,
-         CAST(round(l_extendedprice * (1 - l_discount) * 100) AS BIGINT) AS vol,
-         n2.n_name AS supp_nation
-  FROM lineitem
-  JOIN part ON p_partkey = l_partkey AND p_type = '{MS_TYPE}'
-  JOIN orders ON o_orderkey = l_orderkey
-   AND o_orderdate >= TIMESTAMP '{MS_DATE_LO} 00:00:00'
-   AND o_orderdate < TIMESTAMP '{MS_DATE_HI} 00:00:00'
-  JOIN customer ON c_custkey = o_custkey
-  JOIN nation n1 ON n1.n_nationkey = c_nationkey
-  JOIN region ON r_regionkey = n1.n_regionkey AND r_name = '{MS_REGION}'
-  JOIN supplier ON s_suppkey = l_suppkey
-  JOIN nation n2 ON n2.n_nationkey = s_nationkey
-)
-SELECT o_year,
-       CAST(sum(CASE WHEN supp_nation = '{MS_NATION}' THEN vol ELSE 0 END) AS BIGINT)
-         AS nation_cents,
-       CAST(sum(vol) AS BIGINT) AS total_cents,
-       CAST(CAST(sum(CASE WHEN supp_nation = '{MS_NATION}' THEN vol ELSE 0 END) AS HUGEINT)
-            * 1000000 // CAST(sum(vol) AS HUGEINT) AS BIGINT) AS mkt_share_micro
-FROM v GROUP BY o_year
-"""
-
-
 # ---------------------------------------------------------------------------
 # CUSUM change-point detection per user stream
 # ---------------------------------------------------------------------------
@@ -8837,52 +5684,6 @@ def q_events_cusum(sf_dir: str) -> rd.Dataset:
         shard_cusum,
         out_schema,
     )
-
-
-SQL_EVENTS_CUSUM = f"""
-WITH RECURSIVE s AS (
-  SELECT user_id,
-         CAST(round(value * 1000000) AS BIGINT) AS vm,
-         row_number() OVER (PARTITION BY user_id ORDER BY ts, event_id) AS rn
-  FROM events
-),
-base AS (
-  SELECT user_id, count(*) AS n, CAST(sum(vm) AS BIGINT) // count(*) AS mu
-  FROM s GROUP BY user_id
-),
-walk(user_id, rn, cs, alarms, maxs) AS (
-  SELECT s.user_id, s.rn,
-         CASE WHEN greatest(0, s.vm - b.mu - b.mu // {CUSUM_ALLOW_DIV})
-                   > b.mu // {CUSUM_H_DIV}
-              THEN 0
-              ELSE greatest(0, s.vm - b.mu - b.mu // {CUSUM_ALLOW_DIV}) END,
-         CASE WHEN greatest(0, s.vm - b.mu - b.mu // {CUSUM_ALLOW_DIV})
-                   > b.mu // {CUSUM_H_DIV} THEN 1 ELSE 0 END,
-         greatest(0, s.vm - b.mu - b.mu // {CUSUM_ALLOW_DIV})
-  FROM s JOIN base b USING (user_id) WHERE s.rn = 1
-  UNION ALL
-  SELECT s.user_id, s.rn,
-         CASE WHEN greatest(0, w.cs + s.vm - b.mu - b.mu // {CUSUM_ALLOW_DIV})
-                   > b.mu // {CUSUM_H_DIV}
-              THEN 0
-              ELSE greatest(0, w.cs + s.vm - b.mu - b.mu // {CUSUM_ALLOW_DIV}) END,
-         w.alarms + CASE WHEN greatest(0, w.cs + s.vm - b.mu - b.mu // {CUSUM_ALLOW_DIV})
-                              > b.mu // {CUSUM_H_DIV} THEN 1 ELSE 0 END,
-         greatest(w.maxs, greatest(0, w.cs + s.vm - b.mu - b.mu // {CUSUM_ALLOW_DIV}))
-  FROM walk w
-  JOIN s ON s.user_id = w.user_id AND s.rn = w.rn + 1
-  JOIN base b ON b.user_id = s.user_id
-)
-SELECT b.user_id, CAST(b.n AS BIGINT) AS n_events,
-       CAST(b.mu AS BIGINT) AS mu_micro,
-       CAST(f.alarms AS BIGINT) AS n_alarms,
-       CAST(f.maxs AS BIGINT) AS max_s_micro
-FROM base b
-JOIN (SELECT user_id, alarms, maxs,
-             row_number() OVER (PARTITION BY user_id ORDER BY rn DESC) AS rr
-      FROM walk) f
-  ON f.user_id = b.user_id AND f.rr = 1
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -8962,35 +5763,6 @@ def q_orders_daily_gapfill(sf_dir: str) -> rd.Dataset:
         return pa.concat_tables(outs) if outs else out_schema.empty_table()
 
     return hash_exchange(agg, ["priority"], fill, out_schema, num_shards=8)
-
-
-SQL_ORDERS_DAILY_GAPFILL = """
-WITH d AS (
-  SELECT o_orderpriority AS priority, strftime(o_orderdate, '%Y-%m-%d') AS day,
-         CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT) AS cents
-  FROM orders GROUP BY 1, 2
-),
-cal AS (
-  SELECT strftime(unnest(generate_series(b.mind, b.maxd, INTERVAL 1 DAY)),
-                  '%Y-%m-%d') AS day
-  FROM (SELECT CAST(min(o_orderdate) AS DATE) AS mind,
-               CAST(max(o_orderdate) AS DATE) AS maxd FROM orders) b
-),
-grid AS (
-  SELECT p.priority, c.day
-  FROM (SELECT DISTINCT priority FROM d) p CROSS JOIN cal c
-),
-j AS (
-  SELECT g.priority, g.day, d.cents
-  FROM grid g LEFT JOIN d ON d.priority = g.priority AND d.day = g.day
-)
-SELECT priority, day,
-       COALESCE(last_value(cents IGNORE NULLS) OVER (
-         PARTITION BY priority ORDER BY day
-         ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW), 0) AS revenue_cents,
-       CAST(CASE WHEN cents IS NULL THEN 1 ELSE 0 END AS BIGINT) AS filled
-FROM j
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -9077,38 +5849,6 @@ def q_orders_daily_holt(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_ORDERS_DAILY_HOLT = f"""
-WITH RECURSIVE d AS (
-  SELECT strftime(o_orderdate, '%Y-%m-%d') AS day,
-         CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT)
-           AS revenue_cents
-  FROM orders GROUP BY 1
-),
-r AS (
-  SELECT day, revenue_cents, row_number() OVER (ORDER BY day) AS rn FROM d
-),
-h AS (
-  SELECT day, revenue_cents, rn,
-         revenue_cents AS l, CAST(0 AS BIGINT) AS b
-  FROM r WHERE rn = 1
-  UNION ALL
-  SELECT r.day, r.revenue_cents, r.rn,
-         CAST(({HOLT_A_NUM} * r.revenue_cents
-               + {HOLT_A_DEN - HOLT_A_NUM} * (h.l + h.b)) // {HOLT_A_DEN}
-              AS BIGINT),
-         CAST(({HOLT_B_NUM} * (({HOLT_A_NUM} * r.revenue_cents
-                                + {HOLT_A_DEN - HOLT_A_NUM} * (h.l + h.b))
-                               // {HOLT_A_DEN} - h.l)
-               + {HOLT_B_DEN - HOLT_B_NUM} * h.b) // {HOLT_B_DEN}
-              AS BIGINT)
-  FROM h JOIN r ON r.rn = h.rn + 1
-)
-SELECT day, revenue_cents, l AS level_cents, b AS trend_cents,
-       CAST(l + b AS BIGINT) AS forecast_cents
-FROM h
-"""
-
-
 # ---------------------------------------------------------------------------
 # Benford first-digit divergence: a data-quality screen over money columns
 # ---------------------------------------------------------------------------
@@ -9186,124 +5926,6 @@ def q_lineitem_benford(sf_dir: str) -> rd.Dataset:
     # the aggregate is <= 27 rows; one final task folds it (repartition(1)
     # keeps the fold deterministic and single-tasked)
     return agg.repartition(1).map_batches(finish, batch_format="pyarrow")
-
-
-def sql_lineitem_benford() -> str:
-    tbl = ", ".join(f"({d}, {p})" for d, p in enumerate(BENFORD_PPM, start=1))
-    return f"""
-WITH c AS (
-  SELECT l_returnflag,
-         CAST(substr(CAST(CAST(round(l_extendedprice * 100) AS BIGINT)
-                          AS VARCHAR), 1, 1) AS BIGINT) AS digit
-  FROM lineitem
-),
-h AS (
-  SELECT l_returnflag, digit, CAST(count(*) AS BIGINT) AS n
-  FROM c GROUP BY 1, 2
-),
-tot AS (SELECT l_returnflag, CAST(sum(n) AS BIGINT) AS n_rows FROM h GROUP BY 1),
-bf(digit, ppm) AS (VALUES {tbl})
-SELECT t.l_returnflag, t.n_rows,
-       CAST(sum(abs(coalesce(h.n, 0) * 1000000 // t.n_rows - bf.ppm))
-            AS BIGINT) AS benford_l1_ppm
-FROM tot t
-CROSS JOIN bf
-LEFT JOIN h ON h.l_returnflag = t.l_returnflag AND h.digit = bf.digit
-GROUP BY 1, 2
-"""
-
-
-# ---------------------------------------------------------------------------
-# TPC-H Q16 shape: distinct supplier reach per part brand/type, minus an
-# exclusion set
-# ---------------------------------------------------------------------------
-
-def q_part_supplier_reach(sf_dir: str) -> rd.Dataset:
-    """How many DISTINCT suppliers ship each (p_brand, p_type), excluding a
-    denylisted supplier set (negative-acctbal suppliers — the Q16
-    'complaints' stand-in): the assortment-breadth metric behind
-    procurement risk ('how replaceable is this part class?'). Grouped
-    COUNT DISTINCT over a fact ⋈ fact join with an anti-filter.
-
-    Shape: per-block DISTINCT (l_partkey, l_suppkey) pairs pre-shrink the
-    lineitem stream (repeats of a pair inside a block never leave it),
-    denylist is a genuinely small broadcast set (negative-balance suppliers
-    — a filtered sliver of an already dim-scale table; a fact-sized
-    denylist would swap in an anti hash_join, the
-    customers_without_big_orders shape), then ONE co-partitioned hash_join
-    on partkey attaches brand/type with dedup_left=True folding the
-    cross-block pair repeats INSIDE the join's exchange (no separate
-    distinct pass), and a final hash_exchange on (brand, type) counts
-    uniques in-shard."""
-    import pyarrow.dataset as pds
-
-    deny = pd.read_parquet(_pq(sf_dir, "supplier"), columns=["s_suppkey", "s_acctbal"])
-    deny_ids = np.sort(deny.loc[deny["s_acctbal"] < 0, "s_suppkey"].to_numpy(dtype="int64"))
-    deny_ref = ray.put(deny_ids)
-
-    def pair_distinct(t: pa.Table) -> pa.Table:
-        d = ray.get(deny_ref)
-        tmp = pa.table({
-            "l_partkey": t["l_partkey"], "l_suppkey": t["l_suppkey"],
-        })
-        g = tmp.group_by(["l_partkey", "l_suppkey"]).aggregate([])
-        keep = np.isin(
-            g["l_suppkey"].to_numpy(zero_copy_only=False), d,
-            invert=True, assume_unique=False,
-        )
-        return g.filter(pa.array(keep))
-
-    pairs = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"]).map_batches(
-        pair_distinct, batch_format="pyarrow"
-    )
-    part = rd.read_parquet(
-        _pq(sf_dir, "part"), columns=["p_partkey", "p_brand", "p_type"]
-    )
-    joined = hash_join(
-        pairs,
-        part,
-        left_on="l_partkey",
-        right_on="p_partkey",
-        key_type=pa.int64(),
-        left_fields=[pa.field("l_suppkey", pa.int64())],
-        right_fields=[pa.field("p_brand", pa.string()),
-                      pa.field("p_type", pa.string())],
-        dedup_left=True,
-    )
-
-    out_schema = pa.schema([
-        ("p_brand", pa.string()), ("p_type", pa.string()),
-        ("supplier_cnt", pa.int64()),
-    ])
-
-    def count_unique(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        g = (
-            df.groupby(["p_brand", "p_type"])["l_suppkey"]
-            .nunique().reset_index(name="supplier_cnt")
-        )
-        return pa.Table.from_pandas(g, schema=out_schema, preserve_index=False)
-
-    return hash_exchange(
-        joined.map_batches(
-            lambda t: t.select(["p_brand", "p_type", "l_suppkey"]),
-            batch_format="pyarrow",
-        ),
-        ["p_brand", "p_type"],
-        count_unique,
-        out_schema,
-        num_shards=16,
-    )
-
-
-SQL_PART_SUPPLIER_REACH = """
-SELECT p_brand, p_type,
-       CAST(count(DISTINCT l_suppkey) AS BIGINT) AS supplier_cnt
-FROM lineitem
-JOIN part ON p_partkey = l_partkey
-WHERE l_suppkey NOT IN (SELECT s_suppkey FROM supplier WHERE s_acctbal < 0)
-GROUP BY 1, 2
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -9388,21 +6010,6 @@ def q_events_stream_join(sf_dir: str) -> rd.Dataset:
         shard_join,
         out_schema,
     )
-
-
-SQL_EVENTS_STREAM_JOIN = f"""
-SELECT c.user_id,
-       c.event_id AS click_id,
-       p.event_id AS purchase_id,
-       CAST(date_diff('microseconds', c.ts, p.ts) // 1000000 AS BIGINT)
-         AS latency_sec
-FROM events c
-JOIN events p
-  ON p.user_id = c.user_id
- AND c.event_type = 'click' AND p.event_type = 'purchase'
- AND p.ts > c.ts
- AND p.ts <= c.ts + INTERVAL {SS_JOIN_WINDOW_MIN} MINUTE
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -9511,31 +6118,3 @@ def q_orders_pareto(sf_dir: str) -> pd.DataFrame:
         "total_cents": pd.array([total], dtype="int64"),
         "share_ppm": pd.array([(top * 1_000_000) // total], dtype="int64"),
     })
-
-
-SQL_ORDERS_PARETO = """
-WITH cr AS (
-  SELECT o_custkey,
-         CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT) AS cents
-  FROM orders GROUP BY 1
-),
-n AS (SELECT CAST(count(*) AS BIGINT) AS n,
-             CAST(sum(cents) AS BIGINT) AS total FROM cr),
-r AS (SELECT cents, row_number() OVER (ORDER BY cents DESC) AS rk FROM cr),
-t AS (SELECT r.cents AS thr FROM r, n WHERE r.rk = greatest(1, n.n // 5)),
-agg AS (
-  SELECT CAST(coalesce(sum(CASE WHEN cents > t.thr THEN cents END), 0) AS BIGINT)
-           AS sum_gt,
-         CAST(count(CASE WHEN cents > t.thr THEN 1 END) AS BIGINT) AS cnt_gt
-  FROM cr, t
-)
-SELECT n.n AS n_customers,
-       CAST(greatest(1, n.n // 5) AS BIGINT) AS k,
-       t.thr AS threshold_cents,
-       CAST(agg.sum_gt + (greatest(1, n.n // 5) - agg.cnt_gt) * t.thr AS BIGINT)
-         AS top_cents,
-       n.total AS total_cents,
-       CAST(CAST(agg.sum_gt + (greatest(1, n.n // 5) - agg.cnt_gt) * t.thr
-                 AS HUGEINT) * 1000000 // n.total AS BIGINT) AS share_ppm
-FROM n, t, agg
-"""

@@ -48,7 +48,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
-from ray.data.aggregate import Count, Sum
+from ray.data.aggregate import Sum
 
 from .queries import _pq, _read, _texts
 from .relational import hash_exchange, hash_join
@@ -139,19 +139,6 @@ def q_doc_pii_scan(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_DOC_PII_SCAN = f"""
-SELECT doc_id,
-  CAST(len(regexp_extract_all(text, '{PII_EMAIL}')) AS BIGINT) AS n_emails,
-  CAST(len(regexp_extract_all(text, '{PII_IPV4}')) AS BIGINT) AS n_ipv4,
-  CAST(len(regexp_extract_all(text, '{PII_PHONE}')) AS BIGINT) AS n_phones,
-  regexp_replace(regexp_replace(regexp_replace(text,
-      '{PII_EMAIL}', '[EMAIL]', 'g'),
-      '{PII_IPV4}', '[IP]', 'g'),
-      '{PII_PHONE}', '[PHONE]', 'g') AS text_redacted
-FROM documents
-"""
-
-
 # ---------------------------------------------------------------------------
 # TF-IDF rare-term extraction (document frequency + co-partitioned join-back)
 # ---------------------------------------------------------------------------
@@ -232,22 +219,6 @@ def q_doc_tfidf_top_terms(sf_dir: str) -> rd.Dataset:
     return joined.groupby("doc_id").map_groups(topk, batch_format="pyarrow")
 
 
-SQL_DOC_TFIDF_TOP_TERMS = f"""
-WITH t AS (
-  SELECT doc_id,
-         unnest(list_distinct(list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> ''))) AS token
-  FROM documents
-),
-df AS (SELECT token, count(*) AS df FROM t GROUP BY token),
-r AS (
-  SELECT t.doc_id, t.token, df.df,
-         row_number() OVER (PARTITION BY t.doc_id ORDER BY df.df ASC, t.token ASC) AS rn
-  FROM t JOIN df USING (token)
-)
-SELECT doc_id, token, CAST(df AS BIGINT) AS df FROM r WHERE rn <= {TFIDF_TOPK}
-"""
-
-
 # ---------------------------------------------------------------------------
 # Benchmark-contamination detection (broadcast n-gram set)
 # ---------------------------------------------------------------------------
@@ -322,27 +293,6 @@ def q_doc_contamination(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_DOC_CONTAMINATION = f"""
-WITH t AS (
-  SELECT doc_id, list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '') AS toks
-  FROM documents
-),
-g AS (
-  SELECT doc_id,
-         list_distinct([array_to_string(toks[i+1:i+{CONTAM_NGRAM}], ' ')
-                        for i in range(greatest(len(toks) - {CONTAM_NGRAM - 1}, 0))]) AS grams
-  FROM t
-),
-e AS (SELECT doc_id, unnest(grams) AS gram FROM g),
-b AS (SELECT DISTINCT gram FROM e WHERE doc_id % {CONTAM_BENCH_MOD} = 0),
-h AS (SELECT e.doc_id, count(*) AS n FROM e JOIN b USING (gram) GROUP BY e.doc_id)
-SELECT d.doc_id,
-       CAST(coalesce(h.n, 0) AS BIGINT) AS n_benchmark_grams,
-       (d.doc_id % {CONTAM_BENCH_MOD} = 0) AS is_benchmark
-FROM documents d LEFT JOIN h USING (doc_id)
-"""
-
-
 # ---------------------------------------------------------------------------
 # Duplicated-passage mining (non-overlapping token-span multiplicity)
 # ---------------------------------------------------------------------------
@@ -415,25 +365,6 @@ def q_dedup_spans(sf_dir: str) -> rd.Dataset:
         .groupby("win_hash")
         .map_groups(reduce_group, batch_format="pyarrow")
     )
-
-
-SQL_DEDUP_SPANS = f"""
-WITH t AS (
-  SELECT doc_id, list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '') AS toks
-  FROM documents
-),
-w AS (
-  SELECT doc_id, array_to_string(toks[(i*{SPAN_W}+1):(i*{SPAN_W}+{SPAN_W})], ' ') AS win
-  FROM t, unnest(range(len(toks) // {SPAN_W})) AS u(i)
-),
-g AS (
-  SELECT win, count(*) AS n_occurrences, count(DISTINCT doc_id) AS n_docs, min(doc_id) AS first_doc
-  FROM w GROUP BY win
-)
-SELECT md5(win) AS win_hash, CAST(n_occurrences AS BIGINT) AS n_occurrences,
-       CAST(n_docs AS BIGINT) AS n_docs, first_doc
-FROM g WHERE n_occurrences >= 2
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -543,44 +474,6 @@ def q_dedup_lines_global(sf_dir: str) -> rd.Dataset:
         return pa.Table.from_pylist(rows, schema=_LINE_OUT_SCHEMA)
 
     return hash_exchange(both, ["doc_id"], reassemble, _LINE_OUT_SCHEMA)
-
-
-SQL_DEDUP_LINES_GLOBAL = """
-WITH ls AS (
-  SELECT doc_id, string_split(coalesce(text, ''), chr(10)) AS arr
-  FROM documents
-),
-l AS (
-  SELECT doc_id, u.i AS idx, arr[u.i] AS ln
-  FROM ls, unnest(range(1, len(arr) + 1)) AS u(i)
-),
-drp AS (
-  SELECT doc_id, idx FROM (
-    SELECT doc_id, idx,
-           row_number() OVER (PARTITION BY ln ORDER BY doc_id, idx) AS rn
-    FROM l WHERE ln <> ''
-  ) WHERE rn > 1
-),
-ndrop AS (
-  SELECT doc_id, CAST(count(*) AS BIGINT) AS n_dropped FROM drp GROUP BY 1
-),
-kept AS (
-  SELECT l.doc_id, l.idx, l.ln
-  FROM l LEFT JOIN drp d ON d.doc_id = l.doc_id AND d.idx = l.idx
-  WHERE d.doc_id IS NULL
-),
-agg AS (
-  SELECT doc_id, string_agg(ln, chr(10) ORDER BY idx) AS txt
-  FROM kept GROUP BY 1
-)
-SELECT ls.doc_id,
-       CAST(len(ls.arr) AS BIGINT) AS n_lines,
-       CAST(coalesce(nd.n_dropped, 0) AS BIGINT) AS n_dropped,
-       coalesce(a.txt, '') AS text_deduped
-FROM ls
-LEFT JOIN ndrop nd ON nd.doc_id = ls.doc_id
-LEFT JOIN agg a ON a.doc_id = ls.doc_id
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -699,60 +592,9 @@ def q_dedup_substrings(sf_dir: str) -> rd.Dataset:
     return hash_exchange(both, ["doc_id"], reassemble, _SUB_OUT_SCHEMA)
 
 
-SQL_DEDUP_SUBSTRINGS = f"""
-WITH t AS (
-  SELECT doc_id,
-         list_filter(regexp_split_to_array(coalesce(text, ''), '\\s+'),
-                     x -> x <> '') AS toks
-  FROM documents
-),
-w AS (
-  SELECT doc_id, u.s AS start,
-         array_to_string(toks[u.s:(u.s + {SPAN_W} - 1)], ' ') AS win
-  FROM t, unnest(range(1, len(toks) - {SPAN_W} + 2)) AS u(s)
-  WHERE len(toks) >= {SPAN_W}
-),
-d AS (
-  SELECT doc_id, start FROM (
-    SELECT doc_id, start,
-           row_number() OVER (PARTITION BY win ORDER BY doc_id, start) AS rn
-    FROM w
-  ) WHERE rn > 1
-),
-tok AS (
-  SELECT doc_id, u.i AS idx, toks[u.i] AS tk
-  FROM t, unnest(range(1, len(toks) + 1)) AS u(i)
-),
-rem AS (
-  SELECT DISTINCT tok.doc_id, tok.idx
-  FROM tok JOIN d ON d.doc_id = tok.doc_id
-       AND d.start BETWEEN tok.idx - {SPAN_W} + 1 AND tok.idx
-),
-nrem AS (SELECT doc_id, CAST(count(*) AS BIGINT) AS n_removed FROM rem GROUP BY 1),
-kept AS (
-  SELECT tok.doc_id, tok.idx, tok.tk
-  FROM tok LEFT JOIN rem ON rem.doc_id = tok.doc_id AND rem.idx = tok.idx
-  WHERE rem.doc_id IS NULL
-),
-agg AS (
-  SELECT doc_id, string_agg(tk, ' ' ORDER BY idx) AS txt
-  FROM kept GROUP BY 1
-)
-SELECT t.doc_id,
-       CAST(len(t.toks) AS BIGINT) AS n_tokens,
-       CAST(coalesce(nr.n_removed, 0) AS BIGINT) AS n_removed,
-       coalesce(a.txt, '') AS text_deduped
-FROM t
-LEFT JOIN nrem nr ON nr.doc_id = t.doc_id
-LEFT JOIN agg a ON a.doc_id = t.doc_id
-"""
-
-
 # ---------------------------------------------------------------------------
 # Corpus vocabulary statistics
 # ---------------------------------------------------------------------------
-
-_VOCAB_PARTIAL_SCHEMA = pa.schema([("token", pa.string()), ("n", pa.int64())])
 
 
 def q_corpus_vocab_stats(sf_dir: str) -> pd.DataFrame:
@@ -819,26 +661,12 @@ def q_corpus_vocab_stats(sf_dir: str) -> pd.DataFrame:
     )
 
 
-SQL_CORPUS_VOCAB_STATS = """
-WITH tok AS (
-  SELECT unnest(list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '')) AS token
-  FROM documents
-),
-c AS (SELECT token, count(*) AS n FROM tok GROUP BY token)
-SELECT CAST(count(*) AS BIGINT) AS vocab_size,
-       CAST(sum(n) AS BIGINT) AS total_tokens,
-       CAST(count(*) FILTER (n = 1) AS BIGINT) AS hapax_count,
-       min(token) AS min_token, max(token) AS max_token
-FROM c
-"""
-
-
 # ---------------------------------------------------------------------------
 # Deterministic train/valid/test split assignment
 # ---------------------------------------------------------------------------
 
 # Permille thresholds over the 16-bit md5(doc_id) key — the same key the
-# hash-Bernoulli sampler (queries.q_doc_sample) uses, so split membership is
+# hash-Bernoulli samplers use, so split membership is
 # reproducible across runs, machines, and parallelism levels, and docs keep
 # their split when the corpus grows (new doc_ids hash independently).
 SPLIT_TRAIN_PERMILLE = 980
@@ -878,31 +706,11 @@ def q_doc_split_assign(sf_dir: str) -> rd.Dataset:
     )
 
 
-_SQL_MD5_KEY16 = """
-  (instr('0123456789abcdef', substr(md5(CAST(doc_id AS VARCHAR)), 1, 1)) - 1) * 4096
-+ (instr('0123456789abcdef', substr(md5(CAST(doc_id AS VARCHAR)), 2, 1)) - 1) * 256
-+ (instr('0123456789abcdef', substr(md5(CAST(doc_id AS VARCHAR)), 3, 1)) - 1) * 16
-+ (instr('0123456789abcdef', substr(md5(CAST(doc_id AS VARCHAR)), 4, 1)) - 1)
-"""
-
-SQL_DOC_SPLIT_ASSIGN = f"""
-SELECT doc_id, lang,
-       CASE WHEN ({_SQL_MD5_KEY16}) < {_TRAIN_CUT} THEN 'train'
-            WHEN ({_SQL_MD5_KEY16}) < {_VALID_CUT} THEN 'valid'
-            ELSE 'test' END AS split
-FROM documents
-"""
-
-
 # ---------------------------------------------------------------------------
 # Inverted index (token postings)
 # ---------------------------------------------------------------------------
 
 POSTINGS_MIN_DF = 5
-
-_POSTINGS_PARTIAL_SCHEMA = pa.schema(
-    [("token", pa.string()), ("df", pa.int64()), ("tf", pa.int64())]
-)
 
 
 def q_token_postings(sf_dir: str) -> rd.Dataset:
@@ -952,20 +760,6 @@ def q_token_postings(sf_dir: str) -> rd.Dataset:
         shard_sum_having,
         posting_schema,
     )
-
-
-SQL_TOKEN_POSTINGS = f"""
-WITH tok AS (
-  SELECT doc_id,
-         unnest(list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '')) AS token
-  FROM documents
-)
-SELECT token,
-       CAST(count(DISTINCT doc_id) AS BIGINT) AS df,
-       CAST(count(*) AS BIGINT) AS tf
-FROM tok GROUP BY token
-HAVING count(DISTINCT doc_id) >= {POSTINGS_MIN_DF}
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -1028,30 +822,12 @@ def q_corpus_bigrams(sf_dir: str) -> pd.DataFrame:
     )
 
 
-SQL_CORPUS_BIGRAMS = f"""
-WITH arrs AS (
-  SELECT list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '') AS a
-  FROM documents
-),
-bg AS (
-  SELECT unnest(list_transform(range(1, len(a)), i -> a[i] || ' ' || a[i + 1])) AS bigram
-  FROM arrs WHERE len(a) >= 2
-)
-SELECT bigram, CAST(count(*) AS BIGINT) AS n
-FROM bg GROUP BY bigram
-ORDER BY n DESC, bigram
-LIMIT {BIGRAM_TOPK}
-"""
-
-
 # ---------------------------------------------------------------------------
 # Heavy hitters: exact top-K tokens by corpus frequency, two passes
 # ---------------------------------------------------------------------------
 
 HH_TOPK = 20
 HH_CAPACITY = 2048  # candidate capacity C: every token with count >= N/C survives
-
-_HH_SCHEMA = pa.schema([("token", pa.string()), ("n", pa.int64())])
 
 
 def q_corpus_heavy_hitters(sf_dir: str) -> pd.DataFrame:
@@ -1126,18 +902,6 @@ def q_corpus_heavy_hitters(sf_dir: str) -> pd.DataFrame:
                 f"= {n_total}/{HH_CAPACITY}; raise HH_CAPACITY"
             )
     return top.reset_index(drop=True).astype({"token": str, "n": "int64"})
-
-
-SQL_CORPUS_HEAVY_HITTERS = f"""
-WITH tok AS (
-  SELECT unnest(list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '')) AS token
-  FROM documents
-)
-SELECT token, CAST(count(*) AS BIGINT) AS n
-FROM tok GROUP BY token
-ORDER BY n DESC, token
-LIMIT {HH_TOPK}
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -1245,37 +1009,6 @@ def q_curate_corpus(sf_dir: str) -> rd.Dataset:
     return survivors.map_batches(assign_split, batch_format="pyarrow")
 
 
-def sql_curate_corpus() -> str:
-    """Composed oracle: the gopher-filter SQL as a CTE (structural clauses
-    only — see q_curate_corpus), then the dedup and split stages replayed
-    with the same md5 keys/cuts as the standalone oracles
-    (SQL_DEDUP_EXACT / SQL_DOC_SPLIT_ASSIGN)."""
-    from .queries import SQL_DOC_GOPHER_FILTER
-
-    return f"""
-WITH gf AS ({SQL_DOC_GOPHER_FILTER}),
-kept AS (
-  SELECT d.doc_id, d.lang, d.text
-  FROM documents d JOIN gf ON d.doc_id = gf.doc_id
-  WHERE gf.n_words BETWEEN 50 AND 100000
-    AND 3 * gf.n_words <= gf.sum_word_chars
-    AND gf.sum_word_chars <= 10 * gf.n_words
-    AND 10 * gf.n_symbols < gf.n_words
-    AND 10 * gf.n_bullet_lines < 9 * gf.n_lines
-    AND 10 * gf.n_ellipsis_lines < 3 * gf.n_lines
-    AND 5 * gf.n_alpha_words > 4 * gf.n_words
-),
-dedup AS (
-  SELECT min(doc_id) AS doc_id FROM kept GROUP BY md5(text)
-)
-SELECT k.doc_id, k.lang,
-       CASE WHEN ({_SQL_MD5_KEY16.replace('doc_id', 'k.doc_id')}) < {_TRAIN_CUT} THEN 'train'
-            WHEN ({_SQL_MD5_KEY16.replace('doc_id', 'k.doc_id')}) < {_VALID_CUT} THEN 'valid'
-            ELSE 'test' END AS split
-FROM kept k JOIN dedup u ON k.doc_id = u.doc_id
-"""
-
-
 # ---------------------------------------------------------------------------
 # Count-Min Sketch (approximate token counts with a deterministic,
 # SQL-replayable build) — completes the sketch family (HLL, t-digest,
@@ -1288,7 +1021,7 @@ CMS_WIDTH = 512   # counters per row (power of two -> idx is a bit-slice)
 
 def _cms_token_u64(tok: str) -> int:
     """Little-endian uint64 of the first 8 md5 bytes — the corpus-wide token
-    hash every sketch here derives from (same bytes as _sql_md5_u64le)."""
+    hash every sketch here derives from."""
     return int.from_bytes(hashlib.md5(tok.encode()).digest()[:8], "little")
 
 
@@ -1341,31 +1074,6 @@ def cms_estimate(cells: pd.DataFrame, tok: str) -> int:
     )
 
 
-def _sql_cms() -> str:
-    from .queries import _sql_md5_u64le
-
-    rows = "\n  UNION ALL\n".join(
-        f"  SELECT {i} AS cms_row, CAST((h >> {16 * i}) & {CMS_WIDTH - 1} AS BIGINT)"
-        f" AS cms_idx FROM h"
-        for i in range(CMS_DEPTH)
-    )
-    return f"""
-WITH tok AS (
-  SELECT unnest(list_filter(regexp_split_to_array(coalesce(text, ''), '\\s+'),
-                x -> x <> '')) AS t
-  FROM documents
-),
-h AS (SELECT {_sql_md5_u64le('md5(t)')} AS h FROM tok),
-cells AS (
-{rows}
-)
-SELECT cms_row, cms_idx, count(*) AS cnt FROM cells GROUP BY 1, 2
-"""
-
-
-SQL_CORPUS_CMS_COUNTS = _sql_cms()
-
-
 # ---------------------------------------------------------------------------
 # Weight-proportional document sampling (quality/length-weighted curation
 # draw) — integer-exact, so reproducible at any parallelism
@@ -1381,7 +1089,7 @@ def q_doc_sample_weighted(sf_dir: str) -> rd.Dataset:
     decided by pure INTEGER comparison on a hash of the stable id. No RNG
     state, no floats, no shuffle: membership is a per-batch filter that
     re-runs, resumes and any cluster size reproduce exactly (same contract
-    as q_doc_sample's uniform draw; this is its importance-weighted
+    as a uniform hash-Bernoulli draw; this is its importance-weighted
     sibling)."""
 
     out_schema = pa.schema([
@@ -1403,13 +1111,6 @@ def q_doc_sample_weighted(sf_dir: str) -> rd.Dataset:
     return _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"]).map_batches(
         f, batch_format="pyarrow"
     )
-
-
-SQL_DOC_SAMPLE_WEIGHTED = f"""
-SELECT doc_id, lang, n_chars
-FROM documents
-WHERE ({_SQL_MD5_KEY16}) < n_chars * {WEIGHT_MULT}
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -1490,22 +1191,6 @@ def q_doc_unigram_logprob(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_DOC_UNIGRAM_LOGPROB = """
-WITH tok AS (
-  SELECT doc_id,
-         unnest(list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '')) AS token
-  FROM documents
-),
-cnt AS (SELECT token, count(*) AS c FROM tok GROUP BY token),
-tot AS (SELECT CAST(count(*) AS DOUBLE) AS n FROM tok)
-SELECT t.doc_id,
-       count(*) AS n_tokens,
-       sum(-ln(CAST(c.c AS DOUBLE) / (SELECT n FROM tot))) / count(*) AS avg_nll
-FROM tok t JOIN cnt c USING (token)
-GROUP BY t.doc_id
-"""
-
-
 # ---------------------------------------------------------------------------
 # Per-group heavy hitters: top-K tokens per language
 # ---------------------------------------------------------------------------
@@ -1565,22 +1250,6 @@ def q_lang_top_tokens(sf_dir: str) -> pd.DataFrame:
     top = merged.groupby("lang", sort=False).head(LANG_TOPK).copy()
     top["rank"] = top.groupby("lang", sort=False).cumcount() + 1
     return top.reset_index(drop=True)
-
-
-SQL_LANG_TOP_TOKENS = f"""
-WITH tok AS (
-  SELECT lang,
-         unnest(list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '')) AS token
-  FROM documents
-),
-c AS (SELECT lang, token, count(*) AS n FROM tok GROUP BY lang, token),
-r AS (
-  SELECT lang, token, n,
-         row_number() OVER (PARTITION BY lang ORDER BY n DESC, token ASC) AS rank
-  FROM c
-)
-SELECT lang, token, n, rank FROM r WHERE rank <= {LANG_TOPK}
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -1668,30 +1337,6 @@ def q_doc_pack_sequences(sf_dir: str) -> rd.Dataset:
     return hash_exchange(counts, ["bucket"], pack, out_schema)
 
 
-SQL_DOC_PACK_SEQUENCES = f"""
-WITH tok AS (
-  SELECT doc_id,
-         len(list_filter(regexp_split_to_array(coalesce(text, ''), '\\s+'),
-                         x -> x <> '')) + 1 AS n_tokens
-  FROM documents
-),
-o AS (
-  SELECT doc_id, n_tokens,
-         coalesce(sum(n_tokens) OVER (ORDER BY doc_id
-             ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS tok_offset
-  FROM tok
-)
-SELECT doc_id,
-       CAST(n_tokens AS BIGINT) AS n_tokens,
-       CAST(tok_offset AS BIGINT) AS tok_offset,
-       CAST(tok_offset // {PACK_SEQ_LEN} AS BIGINT) AS first_block,
-       CAST((tok_offset + n_tokens - 1) // {PACK_SEQ_LEN} AS BIGINT) AS last_block,
-       CAST((tok_offset + n_tokens - 1) // {PACK_SEQ_LEN}
-            - tok_offset // {PACK_SEQ_LEN} + 1 AS BIGINT) AS n_blocks
-FROM o
-"""
-
-
 # ---------------------------------------------------------------------------
 # URL canonicalization dedup
 # ---------------------------------------------------------------------------
@@ -1741,105 +1386,6 @@ def canonicalize_urls(urls: pd.Series) -> pd.Series:
         scheme + "://" + hostport + path
         + np.where(query != "", "?" + query, "")
     )
-
-
-def _synth_messy_urls(t: pa.Table) -> pd.DataFrame:
-    """Deterministic MESSY URL per document: pairs of docs (grp = doc_id//2)
-    share one canonical page but each carries its own residue-driven noise —
-    scheme/host casing, explicit default port, tracking params (sometimes
-    BEFORE the real param), fragments, trailing slashes — so the
-    canonicalizer has real work on every clause and the DuckDB oracle can
-    rebuild the CLEAN form directly from doc_id (verifying the regex
-    canonicalizer against an independent construction)."""
-    d = t["doc_id"].to_pandas()
-    grp = d // 2
-    scheme = pd.Series(np.where(d % 8 == 3, "HTTPS", "https"), index=d.index)
-    host = "site" + (grp % 97).astype(str) + ".example.org"
-    host = pd.Series(np.where(d % 4 == 1, host.str.upper(), host), index=d.index)
-    port = pd.Series(np.where(d % 6 == 0, ":443", ""), index=d.index)
-    path = "/p/" + grp.map("{:06d}".format)
-    path = path + pd.Series(np.where(d % 7 == 0, "/", ""), index=d.index)
-    keep = pd.Series(np.where(grp % 3 == 0, "id=" + (grp % 7).astype(str), ""),
-                     index=d.index)
-    track = pd.Series(
-        np.where(d % 2 == 0,
-                 "utm_source=feed&utm_campaign=c" + (d % 4).astype(str), ""),
-        index=d.index,
-    )
-    track_first = (d % 9 == 4) & (track != "") & (keep != "")
-    qs = pd.Series(
-        np.where(
-            track_first,
-            track + "&" + keep,
-            keep + np.where((keep != "") & (track != ""), "&", "") + track,
-        ),
-        index=d.index,
-    )
-    frag = pd.Series(np.where(d % 5 == 0, "#frag" + (d % 9).astype(str), ""),
-                     index=d.index)
-    url = (
-        scheme + "://" + host + port + path
-        + np.where(qs != "", "?" + qs, "") + frag
-    )
-    return pd.DataFrame({"doc_id": d, "url": url})
-
-
-def q_dedup_url_canonical(sf_dir: str) -> rd.Dataset:
-    """URL dedup after canonicalization — the first dedup pass of every
-    crawl pipeline (the same page is re-fetched under casing/port/tracking/
-    fragment variants far more often than its text mutates): canonicalize
-    the whole column vectorized, pre-combine per block to one
-    (canon_url, partial_count, partial_min_doc) row per distinct URL, then
-    ONE keyed exchange on the canonical string finishes count + keeper
-    (min doc_id). The shuffle moves one short row per distinct URL per
-    block — never raw variants. Output: (canon_url, n_docs, keeper_doc_id)."""
-    agg_schema = pa.schema([
-        ("canon_url", pa.string()), ("n_docs", pa.int64()),
-        ("keeper_doc_id", pa.int64()),
-    ])
-
-    def partial(t: pa.Table) -> pa.Table:
-        df = _synth_messy_urls(t)
-        df["canon_url"] = canonicalize_urls(df["url"])
-        g = df.groupby("canon_url", sort=False)["doc_id"].agg(["size", "min"])
-        return pa.Table.from_arrays(
-            [pa.array(g.index.to_numpy(dtype=object), pa.string()),
-             pa.array(g["size"].to_numpy(dtype="int64")),
-             pa.array(g["min"].to_numpy(dtype="int64"))],
-            schema=agg_schema,
-        )
-
-    def shard_agg(t: pa.Table) -> pa.Table:
-        g = t.group_by("canon_url").aggregate(
-            [("n_docs", "sum"), ("keeper_doc_id", "min")]
-        )
-        return pa.Table.from_arrays(
-            [g["canon_url"], g["n_docs_sum"], g["keeper_doc_id_min"]],
-            schema=agg_schema,
-        )
-
-    return hash_exchange(
-        _read(sf_dir, "documents", ["doc_id"]).map_batches(
-            partial, batch_format="pyarrow"
-        ),
-        ["canon_url"],
-        shard_agg,
-        agg_schema,
-    )
-
-
-SQL_DEDUP_URL_CANONICAL = """
-WITH c AS (
-  SELECT doc_id,
-         'https://site' || ((doc_id // 2) % 97) || '.example.org/p/'
-           || lpad(CAST(doc_id // 2 AS VARCHAR), 6, '0')
-           || CASE WHEN (doc_id // 2) % 3 = 0
-                   THEN '?id=' || ((doc_id // 2) % 7) ELSE '' END AS canon_url
-  FROM documents
-)
-SELECT canon_url, count(*) AS n_docs, min(doc_id) AS keeper_doc_id
-FROM c GROUP BY canon_url
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -1909,31 +1455,6 @@ def q_doc_length_band(sf_dir: str) -> rd.Dataset:
         return t.filter(keep)
 
     return counts.map_batches(band, batch_format="pyarrow")
-
-
-SQL_DOC_LENGTH_BAND = f"""
-WITH tok AS (
-  SELECT doc_id,
-         len(list_filter(regexp_split_to_array(coalesce(text, ''), '\\s+'),
-                         x -> x <> '')) AS n_tokens
-  FROM documents
-),
-r AS (
-  SELECT doc_id, n_tokens,
-         row_number() OVER (ORDER BY n_tokens, doc_id) AS rn,
-         count(*) OVER () AS n
-  FROM tok
-),
-th AS (
-  SELECT max(CASE WHEN rn = ({BAND_LO_DECILE} * n + 9) // 10
-             THEN n_tokens END) AS p_lo,
-         max(CASE WHEN rn = ({BAND_HI_DECILE} * n + 9) // 10
-             THEN n_tokens END) AS p_hi
-  FROM r
-)
-SELECT doc_id, CAST(n_tokens AS BIGINT) AS n_tokens
-FROM tok, th WHERE n_tokens BETWEEN p_lo AND p_hi
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -2010,41 +1531,6 @@ def q_host_anchor_terms(sf_dir: str) -> pd.DataFrame:
     top = merged.groupby("host", sort=False).head(HOST_ANCHOR_TOPK).copy()
     top["rank"] = (top.groupby("host", sort=False).cumcount() + 1).astype("int64")
     return top.reset_index(drop=True)
-
-
-SQL_HOST_ANCHOR_TERMS = f"""
-WITH base AS (
-  SELECT doc_id, source FROM documents WHERE doc_id % 7 <> 0
-),
-links AS (
-  SELECT 'src' || ((doc_id * 7 + 1) % 20) || '.example.net' AS host,
-         'ref ' || (doc_id % 9) AS anchor FROM base
-  UNION ALL
-  SELECT 'cdn.example.org', 'cdn ' || (doc_id % 4) FROM base
-  UNION ALL
-  SELECT CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org'
-              ELSE source || '.example.com' END,
-         'local ' || (doc_id % 5) FROM base
-  UNION ALL
-  SELECT CASE WHEN doc_id % 6 = 3 THEN 'base' || (doc_id % 4) || '.example.org'
-              ELSE source || '.example.com' END,
-         'up ' || (doc_id % 3) FROM base
-),
-tok AS (
-  SELECT host,
-         unnest(list_filter(regexp_split_to_array(anchor, '\\s+'),
-                            x -> x <> '')) AS token
-  FROM links
-),
-c AS (SELECT host, token, count(*) AS n FROM tok GROUP BY host, token),
-r AS (
-  SELECT host, token, n,
-         row_number() OVER (PARTITION BY host ORDER BY n DESC, token ASC)
-           AS rank
-  FROM c
-)
-SELECT host, token, n, rank FROM r WHERE rank <= {HOST_ANCHOR_TOPK}
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -2145,70 +1631,6 @@ def q_search_bm25(sf_dir: str) -> pd.DataFrame:
     return top.reset_index(drop=True)
 
 
-def sql_search_bm25() -> str:
-    terms = list(BM25_TERMS)
-    tf_cols = ",\n         ".join(
-        f"sum(CASE WHEN token = '{t}' THEN 1 ELSE 0 END) AS tf{i}"
-        for i, t in enumerate(terms)
-    )
-    idf = [
-        f"ln((CAST(n - df{i} AS DOUBLE) + 0.5) / (CAST(df{i} AS DOUBLE) + 0.5) + 1.0)"
-        for i in range(len(terms))
-    ]
-    df_cols = ",\n         ".join(
-        f"sum(CASE WHEN tf{i} > 0 THEN 1 ELSE 0 END) AS df{i}"
-        for i in range(len(terms))
-    )
-    score = " + ".join(
-        f"(s.idf{i} * ((CAST(t.tf{i} AS DOUBLE) * {BM25_K1 + 1.0!r})"
-        f" / (CAST(t.tf{i} AS DOUBLE) + t.k_doc)))"
-        for i in range(len(terms))
-    )
-    return f"""
-WITH tok AS (
-  SELECT doc_id,
-         unnest(list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '')) AS token
-  FROM documents
-),
-base AS (
-  SELECT doc_id,
-         CAST(len(list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '')) AS BIGINT) AS dl
-  FROM documents
-),
-tf0 AS (
-  SELECT doc_id,
-         {tf_cols}
-  FROM tok GROUP BY doc_id
-),
-t0 AS (
-  SELECT b.doc_id, b.dl,
-         {", ".join(f"COALESCE(f.tf{i}, 0) AS tf{i}" for i in range(len(terms)))}
-  FROM base b LEFT JOIN tf0 f ON b.doc_id = f.doc_id
-),
-corpus AS (
-  SELECT count(*) AS n, sum(dl) AS sdl,
-         {df_cols}
-  FROM t0
-),
-s AS (
-  SELECT n, CAST(sdl AS DOUBLE) / n AS avgdl,
-         {", ".join(f"{e} AS idf{i}" for i, e in enumerate(idf))}
-  FROM corpus
-),
-scored AS (
-  SELECT t.doc_id,
-         CAST(round(({score}) * 1000000000.0) AS BIGINT) AS score_nano
-  FROM (SELECT *,
-          {BM25_K1!r} * ((1.0 - {BM25_B!r}) + {BM25_B!r} * (CAST(dl AS DOUBLE) / (SELECT avgdl FROM s))) AS k_doc
-        FROM t0) t, s
-)
-SELECT doc_id, score_nano FROM scored
-WHERE score_nano > 0
-ORDER BY score_nano DESC, doc_id ASC
-LIMIT {BM25_TOPK}
-"""
-
-
 # ---------------------------------------------------------------------------
 # Zipf-law fit — the corpus-statistics capstone: OLS slope of ln(freq) on
 # ln(rank) over the full vocabulary (Zipf's law predicts ~ -1). Corpus
@@ -2285,39 +1707,6 @@ def q_corpus_zipf_fit(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_CORPUS_ZIPF_FIT = f"""
-WITH tok AS (
-  SELECT unnest(list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '')) AS token
-  FROM documents
-),
-tf AS (SELECT token, count(*) AS tf FROM tok GROUP BY token),
-r AS (
-  SELECT tf, row_number() OVER (ORDER BY tf DESC, token ASC) AS rank FROM tf
-),
-q AS (
-  SELECT CAST(round(ln(CAST(rank AS DOUBLE)) * {ZIPF_UNIT}) AS BIGINT) AS xq,
-         CAST(round(ln(CAST(tf AS DOUBLE)) * {ZIPF_UNIT}) AS BIGINT) AS yq
-  FROM r
-),
-s AS (
-  SELECT CAST(count(*) AS HUGEINT) AS n,
-         sum(CAST(xq AS HUGEINT)) AS sx, sum(CAST(yq AS HUGEINT)) AS sy,
-         sum(CAST(xq AS HUGEINT) * xq) AS sxx,
-         sum(CAST(xq AS HUGEINT) * yq) AS sxy
-  FROM q
-),
-f AS (
-  SELECT n, sx, sy,
-         CAST(n * sxy - sx * sy AS DOUBLE) / CAST(n * sxx - sx * sx AS DOUBLE) AS slope
-  FROM s
-)
-SELECT CAST(n AS BIGINT) AS n_vocab,
-       CAST(round(slope * {ZIPF_UNIT}) AS BIGINT) AS zipf_slope_nano,
-       CAST(round((CAST(sy AS DOUBLE) - slope * CAST(sx AS DOUBLE)) / CAST(n AS DOUBLE)) AS BIGINT) AS zipf_intercept_nano
-FROM f
-"""
-
-
 # ---------------------------------------------------------------------------
 # CC-Net-style per-host boilerplate line removal
 # ---------------------------------------------------------------------------
@@ -2340,35 +1729,6 @@ def _doc_lines(doc_id: int, source: str, lang: str, text: str) -> List[str]:
     lines.append(text or "")
     lines.append(f"tags: {lang} topic-{doc_id % 7}")
     return lines
-
-
-_SQL_DOC_LINES = """
-doc_lines AS (
-  SELECT doc_id, source AS host, source || ' home | about | contact' AS line FROM documents
-  UNION ALL
-  SELECT doc_id, source, '(c) 2024 ' || source || '.example.com all rights reserved'
-  FROM documents WHERE doc_id % 3 <> 0
-  UNION ALL
-  SELECT doc_id, source, 'subscribe to the ' || source || ' newsletter'
-  FROM documents WHERE doc_id % 2 = 0
-  UNION ALL
-  SELECT doc_id, source, coalesce(text, '') FROM documents
-  UNION ALL
-  SELECT doc_id, source, 'tags: ' || lang || ' topic-' || (doc_id % 7) FROM documents
-),
-counts AS (
-  SELECT host, line, CAST(count(*) AS BIGINT) AS n_docs_with
-  FROM doc_lines GROUP BY 1, 2
-),
-totals AS (
-  SELECT source AS host, CAST(count(*) AS BIGINT) AS host_docs
-  FROM documents GROUP BY 1
-),
-boiler AS (
-  SELECT c.host, c.line, c.n_docs_with, t.host_docs
-  FROM counts c JOIN totals t USING (host)
-  WHERE t.host_docs >= 10 AND c.n_docs_with * 2 >= t.host_docs
-)"""
 
 
 def q_host_boilerplate_lines(sf_dir: str) -> rd.Dataset:
@@ -2453,12 +1813,6 @@ def q_host_boilerplate_lines(sf_dir: str) -> rd.Dataset:
     return joined.map_batches(keep_boiler, batch_format="pyarrow")
 
 
-SQL_HOST_BOILERPLATE_LINES = (
-    "WITH " + _SQL_DOC_LINES
-    + "\nSELECT host, line, n_docs_with, host_docs FROM boiler"
-)
-
-
 def q_doc_strip_boilerplate(sf_dir: str) -> rd.Dataset:
     """Apply the host-boilerplate table to every document: drop the chrome
     lines, keep the content (CC-Net's removal step). The boilerplate table
@@ -2502,21 +1856,6 @@ def q_doc_strip_boilerplate(sf_dir: str) -> rd.Dataset:
     return _read(sf_dir, "documents", ["doc_id", "source", "lang", "text"]).map_batches(
         strip, batch_format="pyarrow"
     )
-
-
-SQL_DOC_STRIP_BOILERPLATE = (
-    "WITH " + _SQL_DOC_LINES
-    + """
-SELECT dl.doc_id,
-       CAST(count(*) AS BIGINT) AS n_lines,
-       CAST(sum(CASE WHEN b.line IS NOT NULL THEN 1 ELSE 0 END) AS BIGINT)
-         AS n_removed,
-       CAST(sum(CASE WHEN b.line IS NULL THEN length(dl.line) ELSE 0 END) AS BIGINT)
-         AS clean_chars
-FROM doc_lines dl
-LEFT JOIN boiler b ON b.host = dl.host AND b.line = dl.line
-GROUP BY dl.doc_id"""
-)
 
 
 # ---------------------------------------------------------------------------
@@ -2693,38 +2032,6 @@ def q_corpus_pmi(sf_dir: str) -> pd.DataFrame:
     )
 
 
-SQL_CORPUS_PMI = f"""
-WITH arrs AS (
-  SELECT list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '') AS a
-  FROM documents
-),
-toks AS (SELECT unnest(a) AS t FROM arrs),
-uni AS (SELECT t AS token, CAST(count(*) AS BIGINT) AS n FROM toks GROUP BY 1),
-tot AS (SELECT CAST(count(*) AS BIGINT) AS T FROM toks),
-bg AS (
-  SELECT unnest(list_transform(range(1, len(a)), i -> a[i] || ' ' || a[i + 1])) AS bigram
-  FROM arrs WHERE len(a) >= 2
-),
-btot AS (SELECT CAST(count(*) AS BIGINT) AS B FROM bg),
-cnt AS (
-  SELECT split_part(bigram, ' ', 1) AS t1, split_part(bigram, ' ', 2) AS t2,
-         CAST(count(*) AS BIGINT) AS n_ab
-  FROM bg GROUP BY 1, 2
-  HAVING count(*) >= {PMI_MIN_COUNT}
-)
-SELECT c.t1 || ' ' || c.t2 AS bigram, c.n_ab,
-       CAST(round(ln(CAST(c.n_ab AS DOUBLE) * tot.T * tot.T
-                     / (CAST(btot.B AS DOUBLE) * u1.n * u2.n)) * {PMI_UNIT})
-            AS BIGINT) AS pmi_nano
-FROM cnt c
-JOIN uni u1 ON u1.token = c.t1
-JOIN uni u2 ON u2.token = c.t2
-CROSS JOIN tot CROSS JOIN btot
-ORDER BY pmi_nano DESC, bigram ASC
-LIMIT {PMI_TOPK}
-"""
-
-
 # ---------------------------------------------------------------------------
 # Recrawl snapshot diff: what changed between two crawls of the same page
 # ---------------------------------------------------------------------------
@@ -2810,38 +2117,6 @@ def q_recrawl_diff(sf_dir: str) -> rd.Dataset:
         return pa.Table.from_pylist(rows, schema=out_schema)
 
     return joined.map_batches(diff, batch_format="pyarrow")
-
-
-SQL_RECRAWL_DIFF = f"""
-WITH a AS (
-  SELECT doc_id // 2 AS page_id, coalesce(text, '') AS ta
-  FROM documents WHERE doc_id % 2 = 0
-),
-b AS (
-  SELECT doc_id // 2 AS page_id, coalesce(text, '') AS tb
-  FROM documents WHERE doc_id % 2 = 1
-),
-j AS (SELECT a.page_id, a.ta, b.tb FROM a LEFT JOIN b USING (page_id)),
-tok AS (
-  SELECT page_id, ta, tb,
-         list_distinct(list_filter(regexp_split_to_array(ta, '\\s+'), x -> x <> '')) AS la,
-         CASE WHEN tb IS NULL THEN NULL
-              ELSE list_distinct(list_filter(regexp_split_to_array(tb, '\\s+'), x -> x <> ''))
-         END AS lb
-  FROM j
-)
-SELECT page_id,
-       CASE WHEN tb IS NULL THEN 'orphan'
-            WHEN ta = tb THEN 'unchanged' ELSE 'changed' END AS status,
-       CASE WHEN tb IS NULL THEN NULL
-            ELSE CAST(length(tb) - length(ta) AS BIGINT) END AS delta_chars,
-       CASE WHEN tb IS NULL THEN NULL
-            WHEN len(list_distinct(la || lb)) = 0 THEN {JACCARD_UNIT}
-            ELSE CAST(len(list_intersect(la, lb)) AS BIGINT) * {JACCARD_UNIT}
-                 // len(list_distinct(la || lb))
-       END AS jaccard_micro
-FROM tok
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -3046,37 +2321,6 @@ def q_doc_bigram_logprob(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_DOC_BIGRAM_LOGPROB = f"""
-WITH arrs AS (
-  SELECT doc_id, list_filter(regexp_split_to_array(coalesce(text, ''), '\\s+'), x -> x <> '') AS a
-  FROM documents
-),
-toks AS (SELECT unnest(a) AS t FROM arrs),
-uni AS (SELECT t AS token, CAST(count(*) AS BIGINT) AS n FROM toks GROUP BY 1),
-dbg AS (
-  SELECT doc_id,
-         unnest(list_transform(range(1, len(a)), i -> a[i] || ' ' || a[i + 1])) AS bigram
-  FROM arrs WHERE len(a) >= 2
-),
-cnt AS (SELECT bigram, CAST(count(*) AS BIGINT) AS n_ab FROM dbg GROUP BY 1),
-terms AS (
-  SELECT d.doc_id,
-         CAST(round(ln(CAST(c.n_ab AS DOUBLE) / u.n) * {LM_UNIT}) AS BIGINT) AS q
-  FROM dbg d
-  JOIN cnt c ON c.bigram = d.bigram
-  JOIN uni u ON u.token = split_part(d.bigram, ' ', 1)
-),
-agg AS (
-  SELECT doc_id, CAST(count(*) AS BIGINT) AS n_bigrams,
-         CAST(sum(q) AS BIGINT) AS logprob_nano_sum
-  FROM terms GROUP BY doc_id
-)
-SELECT d.doc_id, coalesce(a.n_bigrams, 0) AS n_bigrams,
-       coalesce(a.logprob_nano_sum, 0) AS logprob_nano_sum
-FROM documents d LEFT JOIN agg a USING (doc_id)
-"""
-
-
 # ---------------------------------------------------------------------------
 # Host-level quality rollup: the domain keep/drop decision
 # ---------------------------------------------------------------------------
@@ -3145,62 +2389,6 @@ def q_host_quality(sf_dir: str) -> rd.Dataset:
     return merged.map_batches(finish, batch_format="pyarrow")
 
 
-def _sql_host_quality() -> str:
-    from .queries import GOPHER_STOPWORDS
-
-    stops = ", ".join(f"'{w}'" for w in GOPHER_STOPWORDS)
-    return f"""
-WITH base AS (
-  SELECT source, coalesce(text, '') AS t,
-         list_filter(regexp_split_to_array(coalesce(text, ''), '\\s+'), x -> x <> '') AS w,
-         str_split(coalesce(text, ''), chr(10)) AS lines
-  FROM documents
-),
-counts AS (
-  SELECT source, length(t) AS n_chars,
-         CAST(len(w) AS BIGINT) AS n_words,
-         CAST(coalesce(list_aggregate(list_transform(w, x -> length(x)), 'sum'), 0) AS BIGINT) AS sum_word_chars,
-         CAST((length(t) - length(replace(t, '#', '')))
-              + (length(t) - length(replace(t, '...', ''))) // 3 AS BIGINT) AS n_symbols,
-         CAST(len(lines) AS BIGINT) AS n_lines,
-         CAST(len(list_filter(lines, l -> regexp_matches(l, '^[ \t]*[-*] '))) AS BIGINT) AS n_bullet_lines,
-         CAST(len(list_filter(lines, l -> regexp_matches(l, '\\.\\.\\.[ \t]*$'))) AS BIGINT) AS n_ellipsis_lines,
-         CAST(len(list_filter(w, x -> regexp_matches(x, '[A-Za-z]'))) AS BIGINT) AS n_alpha_words,
-         CAST(len(list_distinct(list_filter(
-             list_filter(regexp_split_to_array(lower(t), '\\s+'), x -> x <> ''),
-             x -> x IN ({stops})))) AS BIGINT) AS n_stopwords_present
-  FROM base
-),
-verdicts AS (
-  SELECT source, n_chars, n_words,
-         CASE WHEN n_words BETWEEN 50 AND 100000
-               AND 3 * n_words <= sum_word_chars AND sum_word_chars <= 10 * n_words
-               AND 10 * n_symbols < n_words
-               AND 10 * n_bullet_lines < 9 * n_lines
-               AND 10 * n_ellipsis_lines < 3 * n_lines
-               AND 5 * n_alpha_words > 4 * n_words
-               AND n_stopwords_present >= 2
-              THEN 1 ELSE 0 END AS keep
-  FROM counts
-),
-hosts AS (
-  SELECT source AS host,
-         CAST(count(*) AS BIGINT) AS n_docs,
-         CAST(sum(keep) AS BIGINT) AS n_keep,
-         CAST(sum(n_chars) AS BIGINT) AS total_chars,
-         CAST(sum(n_words) AS BIGINT) AS total_words
-  FROM verdicts GROUP BY 1
-)
-SELECT host, n_docs, n_keep, total_chars, total_words,
-       total_chars // greatest(n_docs, 1) AS mean_chars,
-       2 * n_keep >= n_docs AS keep_host
-FROM hosts
-"""
-
-
-SQL_HOST_QUALITY = _sql_host_quality()
-
-
 # ---------------------------------------------------------------------------
 # Exact phrase search: adjacent-token runs, the positional-index query
 # ---------------------------------------------------------------------------
@@ -3245,36 +2433,6 @@ def q_search_phrase(sf_dir: str) -> rd.Dataset:
     return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         scan, batch_format="pyarrow"
     )
-
-
-def _sql_search_phrase() -> str:
-    parts = []
-    for pstr in SEARCH_PHRASES:
-        toks = pstr.split()
-        cond = " AND ".join(
-            f"a[i + {j}] = '{t}'" for j, t in enumerate(toks)
-        )
-        parts.append(f"""
-SELECT '{pstr}' AS phrase, doc_id,
-       CAST(len(hits) AS BIGINT) AS n_matches,
-       CAST(hits[1] - 1 AS BIGINT) AS first_pos
-FROM (
-  SELECT doc_id,
-         list_filter(range(1, len(a) - {len(toks)} + 2), i -> {cond}) AS hits
-  FROM arrs WHERE len(a) >= {len(toks)}
-) WHERE len(hits) > 0""")
-    return (
-        """
-WITH arrs AS (
-  SELECT doc_id,
-         list_filter(regexp_split_to_array(coalesce(text, ''), '\\s+'), x -> x <> '') AS a
-  FROM documents
-)"""
-        + "\nUNION ALL".join(parts)
-    )
-
-
-SQL_SEARCH_PHRASE = _sql_search_phrase()
 
 
 # ---------------------------------------------------------------------------
@@ -3352,25 +2510,6 @@ def q_doc_ppl_buckets(sf_dir: str) -> rd.Dataset:
     return scores.map_batches(assign, batch_format="pyarrow")
 
 
-SQL_DOC_PPL_BUCKETS = f"""
-WITH lp AS ({SQL_DOC_BIGRAM_LOGPROB}),
-nb AS (
-  SELECT doc_id, logprob_nano_sum // n_bigrams AS avg_nano
-  FROM lp WHERE n_bigrams > 0
-),
-b AS (
-  SELECT quantile_disc(avg_nano, 1.0 / 3) AS b1,
-         quantile_disc(avg_nano, 2.0 / 3) AS b2
-  FROM nb
-)
-SELECT doc_id, avg_nano,
-       CASE WHEN avg_nano <= b.b1 THEN 'tail'
-            WHEN avg_nano <= b.b2 THEN 'middle'
-            ELSE 'head' END AS bucket
-FROM nb CROSS JOIN b
-"""
-
-
 # ---------------------------------------------------------------------------
 # RAKE keyword extraction: per-doc phrase scores from degree/frequency
 # ---------------------------------------------------------------------------
@@ -3439,68 +2578,6 @@ def q_doc_keywords_rake(sf_dir: str) -> rd.Dataset:
     )
 
 
-def _sql_doc_keywords_rake() -> str:
-    from .queries import GOPHER_STOPWORDS
-
-    stops = ", ".join(f"'{w}'" for w in GOPHER_STOPWORDS)
-    return f"""
-WITH toks AS (
-  SELECT doc_id, u.tok, u.i
-  FROM (
-    SELECT doc_id,
-           unnest(list_filter(regexp_split_to_array(coalesce(text, ''), '\\s+'),
-                              x -> x <> '')) AS tok,
-           unnest(range(1, len(list_filter(regexp_split_to_array(coalesce(text, ''), '\\s+'),
-                                           x -> x <> '')) + 1)) AS i
-    FROM documents
-  ) u
-),
-marked AS (
-  SELECT doc_id, tok, i,
-         CASE WHEN tok IN ({stops}) THEN 1 ELSE 0 END AS is_stop,
-         sum(CASE WHEN tok IN ({stops}) THEN 1 ELSE 0 END)
-           OVER (PARTITION BY doc_id ORDER BY i) AS pid
-  FROM toks
-),
-words AS (SELECT doc_id, tok, i, pid FROM marked WHERE is_stop = 0),
-plens AS (
-  SELECT doc_id, pid, CAST(count(*) AS BIGINT) AS plen
-  FROM words GROUP BY 1, 2
-),
-wstats AS (
-  SELECT w.doc_id, w.tok,
-         CAST(count(*) AS BIGINT) AS freq,
-         CAST(sum(p.plen) AS BIGINT) AS degree
-  FROM words w JOIN plens p ON p.doc_id = w.doc_id AND p.pid = w.pid
-  GROUP BY 1, 2
-),
-phrases AS (
-  SELECT doc_id, pid, string_agg(tok, ' ' ORDER BY i) AS phrase
-  FROM words GROUP BY 1, 2
-),
-pscores AS (
-  SELECT DISTINCT ph.doc_id, ph.phrase, sc.score
-  FROM phrases ph
-  JOIN (
-    SELECT w.doc_id, w.pid,
-           CAST(sum(s.degree * {RAKE_UNIT} // s.freq) AS BIGINT) AS score
-    FROM words w JOIN wstats s ON s.doc_id = w.doc_id AND s.tok = w.tok
-    GROUP BY 1, 2
-  ) sc ON sc.doc_id = ph.doc_id AND sc.pid = ph.pid
-),
-ranked AS (
-  SELECT doc_id, phrase, score,
-         row_number() OVER (PARTITION BY doc_id
-                            ORDER BY score DESC, phrase ASC) AS rn
-  FROM (SELECT DISTINCT doc_id, phrase, score FROM pscores)
-)
-SELECT doc_id, phrase, score FROM ranked WHERE rn <= {RAKE_TOPK}
-"""
-
-
-SQL_DOC_KEYWORDS_RAKE = _sql_doc_keywords_rake()
-
-
 # ---------------------------------------------------------------------------
 # Character-entropy profile: the information-density curation signal
 # ---------------------------------------------------------------------------
@@ -3544,134 +2621,6 @@ def q_doc_char_entropy(sf_dir: str) -> rd.Dataset:
     return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         f, batch_format="pyarrow"
     )
-
-
-SQL_DOC_CHAR_ENTROPY = f"""
-WITH chars AS (
-  SELECT doc_id, unnest(string_split(coalesce(text, ''), '')) AS ch
-  FROM documents
-),
-cnt AS (SELECT doc_id, ch, CAST(count(*) AS BIGINT) AS c FROM chars GROUP BY 1, 2),
-agg AS (
-  SELECT doc_id,
-         CAST(sum(c) AS BIGINT) AS n_chars,
-         CAST(count(*) AS BIGINT) AS n_distinct,
-         CAST(sum(CAST(round(c * ln(c) * {ENTROPY_UNIT}) AS BIGINT)) AS BIGINT)
-           AS entropy_terms_micro
-  FROM cnt GROUP BY doc_id
-)
-SELECT d.doc_id,
-       coalesce(a.n_chars, 0) AS n_chars,
-       coalesce(a.n_distinct, 0) AS n_distinct,
-       coalesce(a.entropy_terms_micro, 0) AS entropy_terms_micro
-FROM documents d LEFT JOIN agg a USING (doc_id)
-"""
-
-
-# ---------------------------------------------------------------------------
-# License detection: the usage-rights curation gate
-# ---------------------------------------------------------------------------
-
-
-def q_doc_license(sf_dir: str) -> rd.Dataset:
-    """License detection over page footers (synth.make_license_page) — the
-    usage-rights gate responsible corpora run before training (keep
-    permissive, drop NC/ND, flag unknown): the REAL phrase classifier
-    (functions/quality.py detect_license) runs inside the value-hash-
-    checked loop; the oracle rebuilds the expected class from doc_id
-    arithmetic. Output: (doc_id, license, allows_commercial,
-    allows_derivatives)."""
-    from ..functions.text_utils import detect_license
-    from ..functions.fixtures import make_license_page
-
-    out_schema = pa.schema([
-        ("doc_id", pa.int64()), ("license", pa.string()),
-        ("allows_commercial", pa.bool_()), ("allows_derivatives", pa.bool_()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for d, src in zip(t["doc_id"].to_pylist(), t["source"].to_pylist()):
-            page = make_license_page(int(d), src)
-            rows.append({"doc_id": int(d), **detect_license(page)})
-        return pa.Table.from_pylist(rows, schema=out_schema)
-
-    return _read(sf_dir, "documents", ["doc_id", "source"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_DOC_LICENSE = """
-SELECT doc_id,
-       CASE doc_id % 5 WHEN 0 THEN 'cc-by' WHEN 1 THEN 'cc-by-nc'
-            WHEN 2 THEN 'cc-by-nd' WHEN 3 THEN 'mit' ELSE 'unknown' END
-         AS license,
-       doc_id % 5 IN (0, 2, 3) AS allows_commercial,
-       doc_id % 5 IN (0, 1, 3) AS allows_derivatives
-FROM documents
-"""
-
-
-# ---------------------------------------------------------------------------
-# De-hyphenation repair: self-verifying round-trip over planted breaks
-# ---------------------------------------------------------------------------
-
-
-def q_doc_dehyphenate(sf_dir: str) -> rd.Dataset:
-    """Hyphenation repair (functions/quality.py dehyphenate) proved by
-    round-trip: every 5th word of length >= 4 gets a mid-word "-\\n" break
-    planted (the justified-margin artifact), the repair runs, and
-    ``restored`` asserts byte equality with the original — per doc:
-    (doc_id, n_breaks, restored). A compound hyphen planted WITHOUT a
-    newline must survive (pytest). Pure per-batch map; the oracle counts
-    the plant sites arithmetically and pins restored TRUE."""
-    from ..functions.text_utils import dehyphenate
-
-    out_schema = pa.schema([
-        ("doc_id", pa.int64()), ("n_breaks", pa.int64()),
-        ("restored", pa.bool_()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for doc_id, text in zip(t["doc_id"].to_pylist(), _texts(t)):
-            toks = text.split(" ") if text else []
-            broken = []
-            n_breaks = 0
-            for i, w in enumerate(toks):
-                if i % 5 == 4 and len(w) >= 4:
-                    mid = len(w) // 2
-                    broken.append(w[:mid] + "-\n" + w[mid:])
-                    n_breaks += 1
-                else:
-                    broken.append(w)
-            repaired = dehyphenate(" ".join(broken))
-            rows.append((int(doc_id), n_breaks, repaired == text))
-        return pa.table({
-            "doc_id": pa.array([r[0] for r in rows], pa.int64()),
-            "n_breaks": pa.array([r[1] for r in rows], pa.int64()),
-            "restored": pa.array([r[2] for r in rows], pa.bool_()),
-        })
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_DOC_DEHYPHENATE = """
-WITH arrs AS (
-  SELECT doc_id,
-         CASE WHEN coalesce(text, '') = '' THEN []
-              ELSE string_split(text, ' ') END AS a
-  FROM documents
-)
-SELECT doc_id,
-       CAST(len(list_filter(range(1, len(a) + 1),
-                            i -> i % 5 = 0 AND length(a[i]) >= 4))
-            AS BIGINT) AS n_breaks,
-       true AS restored
-FROM arrs
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -3798,86 +2747,6 @@ def q_host_lang_divergence(sf_dir: str) -> rd.Dataset:
     )
 
 
-SQL_HOST_LANG_DIVERGENCE = f"""
-WITH toks AS (
-  SELECT source AS host,
-         unnest(list_filter(regexp_split_to_array(coalesce(text, ''), '\\s+'),
-                            x -> x <> '')) AS token
-  FROM documents
-),
-ht AS (SELECT host, token, CAST(count(*) AS BIGINT) AS a FROM toks GROUP BY 1, 2),
-tok AS (SELECT token, CAST(count(*) AS BIGINT) AS b FROM toks GROUP BY 1),
-tot AS (SELECT CAST(sum(b) AS BIGINT) AS B FROM tok),
-hosts AS (SELECT host, CAST(sum(a) AS BIGINT) AS A FROM ht GROUP BY 1)
-SELECT h.host, hs.A,
-       CAST(sum(k.b) AS BIGINT) AS b_cov,
-       CAST(sum(CAST(round(h.a * ln(CAST(2 * h.a * tot.B AS DOUBLE)
-                                    / CAST(h.a * tot.B + k.b * hs.A AS DOUBLE))
-                           * {JSD_UNIT}) AS BIGINT)) AS BIGINT) AS kl_p_num_nano,
-       CAST(sum(CAST(round(k.b * ln(CAST(2 * k.b * hs.A AS DOUBLE)
-                                    / CAST(h.a * tot.B + k.b * hs.A AS DOUBLE))
-                           * {JSD_UNIT}) AS BIGINT)) AS BIGINT) AS kl_q_cov_num_nano
-FROM ht h
-JOIN tok k USING (token)
-JOIN hosts hs ON hs.host = h.host
-CROSS JOIN tot
-GROUP BY h.host, hs.A
-"""
-
-
-# ---------------------------------------------------------------------------
-# Citation extraction: DOI / arXiv identifiers
-# ---------------------------------------------------------------------------
-
-
-def q_doc_citations(sf_dir: str) -> rd.Dataset:
-    """Scholarly-identifier extraction — the ingest step that turns a text
-    corpus into a citation graph: deterministic reference sentences are
-    appended to each doc (a DOI for doc_id%2==0 with trailing-punctuation
-    noise, an arXiv id with a version suffix for doc_id%3==0), the REAL
-    regex extractors run, and one row per identifier comes back. The
-    oracle rebuilds identifiers from doc_id arithmetic (punctuation
-    trimmed, version dropped, DOI lowercased)."""
-    from ..functions.text_utils import extract_identifiers
-
-    out_schema = pa.schema([
-        ("doc_id", pa.int64()), ("kind", pa.string()), ("ident", pa.string()),
-    ])
-
-    def f(t: pa.Table) -> pa.Table:
-        rows = []
-        for doc_id, text in zip(t["doc_id"].to_pylist(), _texts(t)):
-            d = int(doc_id)
-            refs = []
-            if d % 2 == 0:
-                refs.append(f"See DOI:10.{1000 + d % 9000}/Jx.{d}.report.")
-            if d % 3 == 0:
-                refs.append(f"(arXiv:2{d % 4:02d}1.{d % 10000:05d}v{1 + d % 3})")
-            full = text + " " + " ".join(refs)
-            for kind, ident in extract_identifiers(full):
-                rows.append((d, kind, ident))
-        return pa.Table.from_pylist(
-            [dict(zip(("doc_id", "kind", "ident"), r)) for r in rows],
-            schema=out_schema,
-        )
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_DOC_CITATIONS = """
-SELECT doc_id, 'doi' AS kind,
-       '10.' || (1000 + doc_id % 9000) || '/jx.' || doc_id || '.report' AS ident
-FROM documents WHERE doc_id % 2 = 0
-UNION ALL
-SELECT doc_id, 'arxiv' AS kind,
-       '2' || lpad(CAST(doc_id % 4 AS VARCHAR), 2, '0') || '1.'
-           || lpad(CAST(doc_id % 10000 AS VARCHAR), 5, '0') AS ident
-FROM documents WHERE doc_id % 3 = 0
-"""
-
-
 # ---------------------------------------------------------------------------
 # Trending terms between crawl snapshots
 # ---------------------------------------------------------------------------
@@ -3969,34 +2838,6 @@ def q_trending_terms(sf_dir: str) -> pd.DataFrame:
         .head(TREND_TOPK)
         .reset_index(drop=True)
     )
-
-
-SQL_TRENDING_TERMS = f"""
-WITH toks AS (
-  SELECT doc_id % 2 AS snap,
-         unnest(list_filter(regexp_split_to_array(coalesce(text, ''), '\\s+'),
-                            x -> x <> '')) AS token
-  FROM documents
-),
-cnt AS (
-  SELECT token,
-         CAST(sum(CASE WHEN snap = 0 THEN 1 ELSE 0 END) AS BIGINT) AS n_a,
-         CAST(sum(CASE WHEN snap = 1 THEN 1 ELSE 0 END) AS BIGINT) AS n_b
-  FROM toks GROUP BY token
-),
-tot AS (
-  SELECT CAST(sum(n_a) AS BIGINT) AS NA, CAST(sum(n_b) AS BIGINT) AS NB
-  FROM cnt
-)
-SELECT token, n_a, n_b,
-       CAST(round(ln(CAST((n_b + 1) * (tot.NA + 1) AS DOUBLE)
-                     / CAST((n_a + 1) * (tot.NB + 1) AS DOUBLE))
-                  * {TREND_UNIT}) AS BIGINT) AS trend_nano
-FROM cnt CROSS JOIN tot
-WHERE n_b >= {TREND_MIN_COUNT}
-ORDER BY trend_nano DESC, token ASC
-LIMIT {TREND_TOPK}
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -4122,52 +2963,6 @@ def q_lang_nb_classify(sf_dir: str) -> rd.Dataset:
     return docs.map_batches(score, batch_format="pyarrow")
 
 
-SQL_LANG_NB_CLASSIFY = f"""
-WITH tok AS MATERIALIZED (
-  SELECT doc_id, lang,
-         unnest(list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '')) AS token
-  FROM documents
-),
-ltc AS (SELECT lang, token, CAST(count(*) AS BIGINT) AS c FROM tok GROUP BY 1, 2),
-ltot AS (SELECT lang, CAST(sum(c) AS BIGINT) AS tot FROM ltc GROUP BY 1),
-vocab AS (SELECT DISTINCT token FROM tok),
-vn AS (SELECT count(*) AS v FROM vocab),
-prior AS (
-  SELECT lang, CAST(round({NB_UNIT} * ln(CAST(count(*) AS DOUBLE)
-                  / (SELECT count(*) FROM documents))) AS BIGINT) AS lp
-  FROM documents GROUP BY lang
-),
-model AS MATERIALIZED (
-  SELECT lt.lang, vo.token,
-         CAST(round({NB_UNIT} * ln((coalesce(c.c, 0) + 1.0) / (lt.tot + vn.v)))
-              AS BIGINT) AS lp
-  FROM ltot lt CROSS JOIN vocab vo CROSS JOIN vn
-  LEFT JOIN ltc c ON c.lang = lt.lang AND c.token = vo.token
-),
-dtc AS (SELECT doc_id, token, CAST(count(*) AS BIGINT) AS ct FROM tok GROUP BY 1, 2),
-tscore AS (
-  SELECT d.doc_id, m.lang, CAST(sum(d.ct * m.lp) AS BIGINT) AS tsum
-  FROM dtc d JOIN model m USING (token)
-  GROUP BY 1, 2
-),
-scores AS (
-  SELECT doc.doc_id, doc.lang AS true_lang, p.lang,
-         p.lp + coalesce(t.tsum, 0) AS score
-  FROM documents doc
-  CROSS JOIN prior p
-  LEFT JOIN tscore t ON t.doc_id = doc.doc_id AND t.lang = p.lang
-),
-ranked AS (
-  SELECT doc_id, true_lang, lang,
-         row_number() OVER (PARTITION BY doc_id ORDER BY score DESC, lang ASC) AS rn
-  FROM scores
-)
-SELECT doc_id, lang AS pred_lang,
-       CAST(CASE WHEN lang = true_lang THEN 1 ELSE 0 END AS BIGINT) AS is_correct
-FROM ranked WHERE rn = 1
-"""
-
-
 # ---------------------------------------------------------------------------
 # Readability scoring: Flesch-Kincaid grade per document
 # ---------------------------------------------------------------------------
@@ -4221,26 +3016,6 @@ def q_doc_readability(sf_dir: str) -> rd.Dataset:
     return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         score, batch_format="pyarrow"
     )
-
-
-SQL_DOC_READABILITY = rf"""
-WITH s AS (
-  SELECT doc_id,
-         CAST(len(list_filter(regexp_split_to_array(coalesce(text, ''), '\s+'),
-                              x -> x <> '')) AS BIGINT) AS nw,
-         CAST(len(list_filter(regexp_split_to_array(coalesce(text, ''), '[.!?]+\s+'),
-                              x -> x <> '')) AS BIGINT) AS ns,
-         CAST(len(regexp_extract_all(coalesce(text, ''), '[aeiouyAEIOUY]+'))
-              AS BIGINT) AS nsyl
-  FROM documents
-)
-SELECT doc_id, nw AS n_words, ns AS n_sentences, nsyl AS n_syllables,
-       CAST(CASE WHEN nw = 0 OR ns = 0 THEN 0
-                 ELSE round({FK_UNIT} * (0.39 * (CAST(nw AS DOUBLE) / ns)
-                            + 11.8 * (CAST(nsyl AS DOUBLE) / nw) - 15.59))
-            END AS BIGINT) AS fk_grade_micro
-FROM s
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -4345,57 +3120,6 @@ def q_corpus_dsir_weights(sf_dir: str) -> rd.Dataset:
         )
 
     return docs.map_batches(score, batch_format="pyarrow")
-
-
-def _sql_dsir() -> str:
-    from .queries import _sql_md5_u64le
-
-    return f"""
-WITH arrs AS (
-  SELECT doc_id, lang,
-         list_filter(regexp_split_to_array(coalesce(text, ''), '\\s+'),
-                     x -> x <> '') AS a
-  FROM documents
-),
-dbg AS (
-  SELECT doc_id, lang,
-         unnest(list_transform(range(1, len(a)), i -> a[i] || ' ' || a[i + 1]))
-           AS bigram
-  FROM arrs WHERE len(a) >= 2
-),
-hb AS (
-  SELECT doc_id, lang,
-         CAST(({_sql_md5_u64le("md5(bigram)")}) % {DSIR_BUCKETS} AS BIGINT) AS b
-  FROM dbg
-),
-bk AS (
-  SELECT b, CAST(count(*) AS BIGINT) AS n_raw,
-         CAST(sum(CASE WHEN lang = '{DSIR_TARGET_LANG}' THEN 1 ELSE 0 END)
-              AS BIGINT) AS n_tgt
-  FROM hb GROUP BY b
-),
-tot AS (SELECT sum(n_raw) AS t_raw, sum(n_tgt) AS t_tgt FROM bk),
-q AS (
-  SELECT b,
-         CAST(round({DSIR_UNIT} * ln((n_tgt + 1.0) / (t_tgt + {DSIR_BUCKETS})))
-              AS BIGINT)
-         - CAST(round({DSIR_UNIT} * ln((n_raw + 1.0) / (t_raw + {DSIR_BUCKETS})))
-                AS BIGINT) AS qv
-  FROM bk, tot
-),
-terms AS (SELECT doc_id, b, CAST(count(*) AS BIGINT) AS k FROM hb GROUP BY 1, 2),
-agg AS (
-  SELECT t.doc_id, CAST(sum(t.k) AS BIGINT) AS n_bigrams,
-         CAST(sum(t.k * q.qv) AS BIGINT) AS dsir_logw_nano
-  FROM terms t JOIN q USING (b) GROUP BY 1
-)
-SELECT d.doc_id, coalesce(a.n_bigrams, 0) AS n_bigrams,
-       coalesce(a.dsir_logw_nano, 0) AS dsir_logw_nano
-FROM documents d LEFT JOIN agg a USING (doc_id)
-"""
-
-
-SQL_CORPUS_DSIR_WEIGHTS = _sql_dsir()
 
 
 # ---------------------------------------------------------------------------
@@ -4535,8 +3259,7 @@ def q_doc_bpe_encode(sf_dir: str) -> rd.Dataset:
     The merge list (<= BPE_MERGES entries) broadcasts by closure; encoding
     is a pure per-batch map with a per-batch word->symbol-count memo, so
     each distinct word in a block is segmented once. The oracle replays
-    train AND encode: the same unrolled double-space replace() chain as
-    SQL_CORPUS_BPE_MERGES, carrying the token string through every round
+    train AND encode: an unrolled double-space replace() chain, carrying the token string through every round
     so each word type's final segmentation joins back to the per-doc
     token stream."""
     _, merges, _ = _bpe_learn(sf_dir)
@@ -4571,166 +3294,6 @@ def q_doc_bpe_encode(sf_dir: str) -> rd.Dataset:
     )
 
 
-def _sql_bpe_encode() -> str:
-    """Train replay (token-carrying variant of _sql_bpe_merges' chain) +
-    encode: the final round's state splits back into symbols, giving each
-    word type's segment count, joined to the per-doc token stream."""
-    parts = [
-        """dt AS (
-  SELECT doc_id,
-         unnest(list_filter(regexp_split_to_array(coalesce(text, ''), '\\s+'),
-                x -> x <> '')) AS token
-  FROM documents
-),
-wc AS (SELECT token, CAST(count(*) AS BIGINT) AS n FROM dt GROUP BY 1),
-w0 AS (
-  SELECT token,
-         ' ' || array_to_string(
-           list_append(regexp_extract_all(token, '.'), '</w>'), '  ') || ' '
-           AS state,
-         n
-  FROM wc
-)"""
-    ]
-    for r in range(1, BPE_MERGES + 1):
-        parts.append(f"""p{r} AS (
-  SELECT s[i] || ' ' || s[i + 1] AS pair, CAST(sum(n) AS BIGINT) AS cnt
-  FROM (SELECT string_split(trim(state, ' '), '  ') AS s, n FROM w{r - 1}),
-       UNNEST(range(1, len(s))) AS u(i)
-  GROUP BY 1
-),
-m{r} AS (
-  SELECT split_part(pair, ' ', 1) AS a,
-         substr(pair, len(split_part(pair, ' ', 1)) + 2) AS b,
-         cnt
-  FROM p{r} ORDER BY cnt DESC, pair ASC LIMIT 1
-),
-w{r} AS (
-  SELECT w.token,
-         replace(w.state, ' ' || m.a || '  ' || m.b || ' ',
-                 ' ' || m.a || m.b || ' ') AS state,
-         w.n
-  FROM w{r - 1} w CROSS JOIN m{r} m
-)""")
-    return ("WITH " + ",\n".join(parts) + f""",
-wlen AS (
-  SELECT token,
-         CAST(len(string_split(trim(state, ' '), '  ')) AS BIGINT) AS n_syms
-  FROM w{BPE_MERGES}
-),
-per_doc AS (
-  SELECT dt.doc_id, CAST(count(*) AS BIGINT) AS n_tokens,
-         CAST(sum(wl.n_syms) AS BIGINT) AS n_bpe_tokens
-  FROM dt JOIN wlen wl USING (token)
-  GROUP BY dt.doc_id
-)
-SELECT d.doc_id,
-       CAST(coalesce(p.n_tokens, 0) AS BIGINT) AS n_tokens,
-       CAST(coalesce(p.n_bpe_tokens, 0) AS BIGINT) AS n_bpe_tokens
-FROM documents d LEFT JOIN per_doc p ON p.doc_id = d.doc_id""")
-
-
-SQL_DOC_BPE_ENCODE = _sql_bpe_encode()
-
-
-def _sql_bpe_merges() -> str:
-    """Unrolled-K replay: word state is the symbol list joined with DOUBLE
-    spaces (outer single spaces), so ``replace(state, ' a  b ', ' ab ')``
-    is exactly one left-to-right non-overlapping merge pass — the
-    replacement's trailing space plus the separator's surviving space
-    restore the double-space invariant, and consecutive occurrences chain
-    because the scan resumes inside the next separator."""
-    parts = [
-        """tok0 AS (
-  SELECT unnest(list_filter(regexp_split_to_array(coalesce(text, ''), '\\s+'),
-                x -> x <> '')) AS token
-  FROM documents
-),
-wc AS (SELECT token, CAST(count(*) AS BIGINT) AS n FROM tok0 GROUP BY 1),
-w0 AS (
-  SELECT ' ' || array_to_string(
-           list_append(regexp_extract_all(token, '.'), '</w>'), '  ') || ' '
-           AS state,
-         n
-  FROM wc
-)"""
-    ]
-    for r in range(1, BPE_MERGES + 1):
-        parts.append(f"""p{r} AS (
-  SELECT s[i] || ' ' || s[i + 1] AS pair, CAST(sum(n) AS BIGINT) AS cnt
-  FROM (SELECT string_split(trim(state, ' '), '  ') AS s, n FROM w{r - 1}),
-       UNNEST(range(1, len(s))) AS u(i)
-  GROUP BY 1
-),
-m{r} AS (
-  SELECT split_part(pair, ' ', 1) AS a,
-         substr(pair, len(split_part(pair, ' ', 1)) + 2) AS b,
-         cnt
-  FROM p{r} ORDER BY cnt DESC, pair ASC LIMIT 1
-),
-w{r} AS (
-  SELECT replace(w.state, ' ' || m.a || '  ' || m.b || ' ',
-                 ' ' || m.a || m.b || ' ') AS state,
-         w.n
-  FROM w{r - 1} w CROSS JOIN m{r} m
-)""")
-    sel = "\nUNION ALL\n".join(
-        f"SELECT {r} AS rnd, a AS sym_a, b AS sym_b, cnt AS pair_count FROM m{r}"
-        for r in range(1, BPE_MERGES + 1)
-    )
-    return ("WITH " + ",\n".join(parts)
-            + f"\nSELECT * FROM (\n{sel}\n) ORDER BY rnd")
-
-
-SQL_CORPUS_BPE_MERGES = _sql_bpe_merges()
-
-
-# ---------------------------------------------------------------------------
-# Blocklist (bad-words) filter — the C4 curation gate
-# ---------------------------------------------------------------------------
-
-# C4 dropped any page containing a token from the "List of Dirty, Naughty,
-# Obscene..." blocklist; the mechanism (token-exact membership against a
-# fixed list, doc dropped on ANY hit) is what this operator implements,
-# with a corpus-appropriate stand-in list.
-BLOCKLIST = ("dup", "slow", "spark")
-
-
-def q_doc_blocklist_filter(sf_dir: str) -> rd.Dataset:
-    """C4-style blocklist gate per document: count whitespace tokens that
-    exactly match the BLOCKLIST and keep the doc iff the count is zero
-    (Raffel et al. 2020 §2.2 dropped the whole page on any hit). Pure
-    per-batch map, integer outputs. Output: (doc_id, n_blocked, kept)."""
-    bset = set(BLOCKLIST)
-
-    def f(t: pa.Table) -> pa.Table:
-        n_blocked = [
-            sum(1 for w in x.split() if w in bset) for x in _texts(t)
-        ]
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "n_blocked": pa.array(n_blocked, pa.int64()),
-            "kept": pa.array([int(n == 0) for n in n_blocked], pa.int64()),
-        })
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-SQL_DOC_BLOCKLIST_FILTER = f"""
-SELECT doc_id,
-       CAST(len(list_filter(regexp_split_to_array(coalesce(text, ''), '\\s+'),
-                x -> x IN ({", ".join("'" + w + "'" for w in BLOCKLIST)})))
-            AS BIGINT) AS n_blocked,
-       CAST(CASE WHEN len(list_filter(
-                regexp_split_to_array(coalesce(text, ''), '\\s+'),
-                x -> x IN ({", ".join("'" + w + "'" for w in BLOCKLIST)}))) = 0
-            THEN 1 ELSE 0 END AS BIGINT) AS kept
-FROM documents
-"""
-
-
 # ---------------------------------------------------------------------------
 # Weighted sampling WITHOUT replacement (Efraimidis-Spirakis)
 # ---------------------------------------------------------------------------
@@ -4746,7 +3309,7 @@ def q_doc_sample_wor(sf_dir: str) -> rd.Dataset:
     md5 hash and the K largest keys ln(u)/w win, w = n_chars — one pass,
     no coordination, and inclusion is exactly the sequential weighted
     draw-without-replacement process. This is the missing sibling of the
-    Bernoulli samplers (q_doc_sample / q_doc_sample_weighted): those
+    Bernoulli samplers (q_doc_sample_weighted): those
     cannot hit an exact K.
 
     RNG-free and replayable: u comes from the same md5-u64 every sketch
@@ -4791,29 +3354,6 @@ def q_doc_sample_wor(sf_dir: str) -> rd.Dataset:
     ).head(SAMPLE_WOR_K).reset_index(drop=True)
     cands.insert(0, "rank", (cands.index + 1).astype("int64"))
     return cands
-
-
-def _sql_sample_wor() -> str:
-    from .queries import _sql_md5_u64le
-
-    h = _sql_md5_u64le("md5(CAST(doc_id AS VARCHAR))")
-    return f"""
-WITH keyed AS (
-  SELECT doc_id, n_chars,
-         CAST(round({SAMPLE_WOR_UNIT} * ln((({h}) + 1.0) / {_TWO64})
-                    / n_chars) AS BIGINT) AS key_femto
-  FROM documents WHERE n_chars > 0
-)
-SELECT CAST(row_number() OVER (ORDER BY key_femto DESC, doc_id ASC) AS BIGINT)
-         AS rank,
-       doc_id, n_chars, key_femto
-FROM keyed
-ORDER BY key_femto DESC, doc_id ASC
-LIMIT {SAMPLE_WOR_K}
-"""
-
-
-SQL_DOC_SAMPLE_WOR = _sql_sample_wor()
 
 
 # ---------------------------------------------------------------------------
@@ -4896,21 +3436,6 @@ def q_doc_shuffle_rank(sf_dir: str) -> rd.Dataset:
         )
 
     return hash_exchange(keyed, ["bucket"], shard_rank, out_schema)
-
-
-def _sql_shuffle_rank() -> str:
-    from .queries import _sql_md5_u64le
-
-    h = _sql_md5_u64le("md5(CAST(doc_id AS VARCHAR))")
-    return f"""
-SELECT CAST(row_number() OVER (ORDER BY ({h}), doc_id) AS BIGINT)
-         AS shuffle_rank,
-       doc_id
-FROM documents
-"""
-
-
-SQL_DOC_SHUFFLE_RANK = _sql_shuffle_rank()
 
 
 # ---------------------------------------------------------------------------
@@ -5013,50 +3538,6 @@ def q_corpus_kn_bigram(sf_dir: str) -> rd.Dataset:
     return docs.map_batches(score, batch_format="pyarrow")
 
 
-SQL_CORPUS_KN_BIGRAM = f"""
-WITH arrs AS (
-  SELECT doc_id, list_filter(regexp_split_to_array(coalesce(text, ''), '\\s+'), x -> x <> '') AS a
-  FROM documents
-),
-dbg AS (
-  SELECT doc_id,
-         unnest(list_transform(range(1, len(a)), i -> a[i] || ' ' || a[i + 1])) AS bigram
-  FROM arrs WHERE len(a) >= 2
-),
-cnt AS (SELECT bigram, CAST(count(*) AS BIGINT) AS n_ab FROM dbg GROUP BY 1),
-ctx AS (
-  SELECT split_part(bigram, ' ', 1) AS tok_a,
-         CAST(sum(n_ab) AS BIGINT) AS c_a,
-         CAST(count(*) AS BIGINT) AS n1p
-  FROM cnt GROUP BY 1
-),
-cont AS (
-  SELECT split_part(bigram, ' ', 2) AS tok_b,
-         CAST(count(*) AS BIGINT) AS n1m
-  FROM cnt GROUP BY 1
-),
-tt AS (SELECT CAST(count(*) AS HUGEINT) AS t FROM cnt),
-w AS (
-  SELECT c.bigram,
-         CAST((( {KN_D_DEN} * CAST(c.n_ab AS HUGEINT) - {KN_D_NUM}) * tt.t
-               + {KN_D_NUM} * CAST(x.n1p AS HUGEINT) * m.n1m) * {KN_UNIT}
-              // ({KN_D_DEN} * CAST(x.c_a AS HUGEINT) * tt.t) AS BIGINT) AS qv
-  FROM cnt c
-  JOIN ctx x ON x.tok_a = split_part(c.bigram, ' ', 1)
-  JOIN cont m ON m.tok_b = split_part(c.bigram, ' ', 2), tt
-),
-terms AS (SELECT d.doc_id, w.qv FROM dbg d JOIN w USING (bigram)),
-agg AS (
-  SELECT doc_id, CAST(count(*) AS BIGINT) AS n_bigrams,
-         CAST(sum(qv) AS BIGINT) AS kn_nano_sum
-  FROM terms GROUP BY doc_id
-)
-SELECT d.doc_id, coalesce(a.n_bigrams, 0) AS n_bigrams,
-       coalesce(a.kn_nano_sum, 0) AS kn_nano_sum
-FROM documents d LEFT JOIN agg a USING (doc_id)
-"""
-
-
 # ---------------------------------------------------------------------------
 # Hybrid retrieval: Reciprocal Rank Fusion of the lexical and dense rankers
 # ---------------------------------------------------------------------------
@@ -5098,57 +3579,6 @@ def q_retrieval_rrf(sf_dir: str) -> pd.DataFrame:
         "doc_id": pd.Series([d for d, _ in fused], dtype="int64"),
         "rrf_units": pd.Series([s for _, s in fused], dtype="int64"),
     })
-
-
-def sql_retrieval_rrf() -> str:
-    from .queries import KNN_K, _int8_codes, _query_vector
-
-    qq = _int8_codes(_query_vector()[None, :])[0]
-    lit = "[" + ", ".join(str(int(x)) for x in qq) + "]"
-    nq = int((qq * qq).sum())
-    return f"""
-WITH bm_raw AS (SELECT * FROM ({sql_search_bm25()})),
-bm AS (
-  SELECT doc_id,
-         row_number() OVER (ORDER BY score_nano DESC, doc_id) AS r
-  FROM bm_raw
-),
-codes AS (
-  SELECT vec_id,
-         list_transform(
-           CAST(embedding AS DOUBLE[]),
-           x -> CASE WHEN s.mx = 0 THEN 0.0 ELSE round(x / (s.mx / 127.0)) END
-         ) AS q
-  FROM embeddings,
-       LATERAL (SELECT list_max(list_transform(CAST(embedding AS DOUBLE[]),
-                                               x -> abs(x))) AS mx) s
-),
-kn_raw AS (
-  SELECT vec_id,
-         CASE WHEN sqrt(list_dot_product(q, q) * {nq}.0) > 0
-              THEN list_dot_product(q, CAST({lit} AS DOUBLE[]))
-                   / sqrt(list_dot_product(q, q) * {nq}.0)
-              ELSE 0.0 END AS sim
-  FROM codes
-  ORDER BY sim DESC, vec_id ASC LIMIT {KNN_K}
-),
-kn AS (
-  SELECT vec_id, row_number() OVER (ORDER BY sim DESC, vec_id) AS r
-  FROM kn_raw
-),
-u AS (
-  SELECT doc_id, {RRF_UNIT} // ({RRF_K} + r) AS pts FROM bm
-  UNION ALL
-  SELECT vec_id AS doc_id, {RRF_UNIT} // ({RRF_K} + r) AS pts FROM kn
-),
-f AS (
-  SELECT doc_id, CAST(sum(pts) AS BIGINT) AS rrf_units FROM u GROUP BY doc_id
-)
-SELECT CAST(row_number() OVER (ORDER BY rrf_units DESC, doc_id) AS BIGINT)
-         AS rnk,
-       doc_id, rrf_units
-FROM f ORDER BY rrf_units DESC, doc_id LIMIT {RRF_TOPK}
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -5228,38 +3658,6 @@ def q_quality_auc(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_QUALITY_AUC = """
-WITH scored AS (
-  SELECT CASE WHEN length(coalesce(text, '')) = 0 THEN 0
-              ELSE CAST(length(regexp_replace(coalesce(text, ''), '[^A-Za-z]', '', 'g')) AS BIGINT)
-                   * 1000 // CAST(length(coalesce(text, '')) AS BIGINT) END AS score,
-         CASE WHEN coalesce(lang, '') = 'en' THEN 1 ELSE 0 END AS y
-  FROM documents
-),
-h AS (
-  SELECT score, CAST(sum(y) AS BIGINT) AS pos,
-         CAST(count(*) - sum(y) AS BIGINT) AS neg
-  FROM scored GROUP BY score
-),
-c AS (
-  SELECT pos, neg,
-         CAST(COALESCE(sum(neg) OVER (ORDER BY score
-              ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS BIGINT)
-           AS neg_below
-  FROM h
-),
-t AS (
-  SELECT CAST(sum(pos) AS HUGEINT) AS p, CAST(sum(neg) AS HUGEINT) AS n,
-         CAST(sum(CAST(pos AS HUGEINT) * (2 * neg_below + neg)) AS HUGEINT) AS num2
-  FROM c
-)
-SELECT CAST(p AS BIGINT) AS n_pos, CAST(n AS BIGINT) AS n_neg,
-       CAST(CASE WHEN p * n = 0 THEN 0
-                 ELSE num2 * 1000000 // (2 * p * n) END AS BIGINT) AS auc_micro
-FROM t
-"""
-
-
 # ---------------------------------------------------------------------------
 # Data-mixture planning: per-language sampling rates against target weights
 # ---------------------------------------------------------------------------
@@ -5325,37 +3723,6 @@ def q_corpus_mix_plan(sf_dir: str) -> pd.DataFrame:
         "n_docs": "int64", "n_tokens": "int64", "alloc_tokens": "int64",
         "rate_ppm": "int64", "epochs_milli": "int64",
     })
-
-
-def sql_corpus_mix_plan() -> str:
-    w_case = " ".join(
-        f"WHEN '{k}' THEN {v}" for k, v in sorted(MIX_WEIGHTS_PPM.items())
-    )
-    return f"""
-WITH tok AS (
-  SELECT lang,
-         CAST(len(list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> '')) AS BIGINT)
-           AS n_tokens
-  FROM documents
-),
-h AS (
-  SELECT lang, count(*) AS n_docs, CAST(sum(n_tokens) AS BIGINT) AS n_tokens
-  FROM tok GROUP BY lang
-),
-p AS (
-  SELECT lang, n_docs, n_tokens,
-         CAST(CASE lang {w_case} ELSE 0 END AS BIGINT) * {MIX_TOKEN_BUDGET} // 1000000
-           AS alloc_tokens
-  FROM h
-)
-SELECT lang, n_docs, n_tokens, CAST(alloc_tokens AS BIGINT) AS alloc_tokens,
-       CAST(CASE WHEN n_tokens = 0 THEN 0
-                 ELSE least(1000000, alloc_tokens * 1000000 // n_tokens) END AS BIGINT)
-         AS rate_ppm,
-       CAST(CASE WHEN n_tokens = 0 THEN 0
-                 ELSE alloc_tokens * 1000 // n_tokens END AS BIGINT) AS epochs_milli
-FROM p
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -5437,48 +3804,6 @@ def q_search_ndcg(sf_dir: str) -> pd.DataFrame:
     })
 
 
-def sql_search_ndcg() -> str:
-    terms = list(BM25_TERMS)
-    rel_expr = " + ".join(
-        f"CASE WHEN len(list_filter(regexp_split_to_array(text, '\\s+'),"
-        f" x -> x = '{t}')) > 0 THEN 1 ELSE 0 END"
-        for t in terms
-    )
-    disc_rows = ", ".join(
-        f"({r + 1}, {d})" for r, d in enumerate(NDCG_DISC)
-    )
-    return f"""
-WITH bm AS (
-  SELECT doc_id,
-         row_number() OVER (ORDER BY score_nano DESC, doc_id) AS r
-  FROM ({sql_search_bm25()})
-),
-rel AS (
-  SELECT doc_id, CAST({rel_expr} AS BIGINT) AS rel FROM documents
-),
-discs(r, disc) AS (VALUES {disc_rows}),
-d AS (
-  SELECT COALESCE(CAST(sum(rel.rel * discs.disc) AS BIGINT), 0) AS dcg_micro
-  FROM bm JOIN rel USING (doc_id) JOIN discs ON bm.r = discs.r
-  WHERE bm.r <= {NDCG_K}
-),
-ideal AS (
-  SELECT rel, row_number() OVER (ORDER BY rel DESC) AS r
-  FROM rel WHERE rel > 0
-),
-i AS (
-  SELECT COALESCE(CAST(sum(ideal.rel * discs.disc) AS BIGINT), 0) AS idcg_micro
-  FROM ideal JOIN discs ON ideal.r = discs.r
-  WHERE ideal.r <= {NDCG_K}
-)
-SELECT d.dcg_micro, i.idcg_micro,
-       CAST(CASE WHEN i.idcg_micro = 0 THEN 0
-                 ELSE CAST(d.dcg_micro AS HUGEINT) * 1000000 // i.idcg_micro
-            END AS BIGINT) AS ndcg_micro
-FROM d, i
-"""
-
-
 # ---------------------------------------------------------------------------
 # Lexical diversity: exact Simpson concentration of the vocabulary per lang
 # ---------------------------------------------------------------------------
@@ -5557,26 +3882,3 @@ def q_corpus_simpson(sf_dir: str) -> pd.DataFrame:
         "n_tokens": "int64", "n_distinct": "int64",
         "sum_c2": "int64", "simpson_ppb": "int64",
     })
-
-
-SQL_CORPUS_SIMPSON = """
-WITH tok AS (
-  SELECT lang,
-         unnest(list_filter(regexp_split_to_array(text, '\\s+'), x -> x <> ''))
-           AS token
-  FROM documents
-),
-c AS (SELECT lang, token, CAST(count(*) AS BIGINT) AS n FROM tok GROUP BY 1, 2),
-a AS (
-  SELECT lang, CAST(sum(n) AS BIGINT) AS n_tokens,
-         CAST(count(*) AS BIGINT) AS n_distinct,
-         CAST(sum(n * (n - 1)) AS BIGINT) AS sum_c2
-  FROM c GROUP BY 1
-)
-SELECT lang, n_tokens, n_distinct, sum_c2,
-       CAST(CASE WHEN n_tokens < 2 THEN 0
-                 ELSE CAST(sum_c2 AS HUGEINT) * 1000000000
-                      // (CAST(n_tokens AS HUGEINT) * (n_tokens - 1)) END
-            AS BIGINT) AS simpson_ppb
-FROM a
-"""

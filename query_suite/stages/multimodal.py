@@ -9,8 +9,7 @@ Images/audio/video ride through the engine as ``binary`` columns with a
   from-scratch zlib codec (true dims + exact pixel stats; ``MediaResize``
   does a genuine nearest-neighbor pixel resample for this format), and
   ``WavDecoder`` parses RIFF/WAVE PCM-8 via the chunk-walking reader (true
-  duration + exact sample stats). Both are exact-oracled end to end
-  (``q_media_decode`` / ``q_media_audio_decode``).
+  duration + exact sample stats).
 - **Stub** (declared env boundary): formats needing PIL/ffmpeg/librosa fall
   back to ``DecoderStub`` (deterministic pseudo-metadata) or
   ``RealDecoderUnavailable`` (loud NotImplementedError); the Ray-side
@@ -39,13 +38,6 @@ from service1_text_extraction_ray.functions.page_render import (
     write_gray_png_array,
 )
 
-MEDIA_SCHEMA = pa.schema(
-    [
-        ("media_id", pa.int64()),
-        ("media_type", pa.string()),   # "image" | "audio" | "video" | "unknown"
-        ("media", pa.binary()),
-    ]
-)
 
 FEATURE_DIM = 8
 
@@ -144,7 +136,7 @@ def resize_gray_nearest(arr: np.ndarray, tw: int, th: int) -> np.ndarray:
 
 
 class MediaFeatureExtractor:
-    """Actor-pool stage: MEDIA_SCHEMA batches in, FEATURE_SCHEMA batches out.
+    """Actor-pool stage: media batches in, FEATURE_SCHEMA batches out.
 
     Use as ``ds.map_batches(MediaFeatureExtractor, batch_format="pyarrow",
     batch_size=16, concurrency=(1, N))`` — decoder state is built once per

@@ -206,11 +206,13 @@ def _extract_pdf(
             "password_used": password_used,
             "attempts_made": attempts_made,
         }
-    except PdfParseError as e:
-        return {"status": STATUS_PARSE_FAILURE, "error": f"pdf: {e}",
-                "attempts_made": attempts_made}
     except Exception as e:
-        return {"status": STATUS_PARSE_FAILURE, "error": f"pdf: {e}",
+        # A damaged PDF reads as its message; any other exception is a
+        # parser bug, so its type is kept. Only the string outlives the
+        # handler: a local holding ``e`` would tie this frame (payload
+        # included) into a cycle through ``e.__traceback__``.
+        detail = str(e) if isinstance(e, PdfParseError) else f"{type(e).__name__}: {e}"
+        return {"status": STATUS_PARSE_FAILURE, "error": f"pdf: {detail}",
                 "attempts_made": attempts_made}
 
 

@@ -81,6 +81,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Set
 
 import pyarrow as pa
@@ -451,19 +452,6 @@ def commit_shard_manifest(out_dir: str, shard_id: int, part_records: list,
     return record
 
 
-def thread_map(fn, items) -> list:
-    """Map an IO-bound fn over items with a pool of at most 32 threads,
-    preserving order. Shared by the O(shards) manifest validation and table
-    merges (a serial loop is a driver stall at crawl-scale shard counts)."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    items = list(items)
-    if not items:
-        return []
-    with ThreadPoolExecutor(max_workers=min(32, max(4, len(items)))) as pool:
-        return list(pool.map(fn, items))
-
-
 def _read_manifest(path: str, fs: Any) -> Dict[str, Any] | None:
     """The manifest at ``path`` if it is a committed one: status ``ok`` and
     the current version. A missing object or torn JSON counts as absent
@@ -514,8 +502,8 @@ def completed_shards(out_dir: str, fs: Optional[Any] = None) -> Set[int]:
     the manifest was committed).
 
     Validation is footer-only IO per part and independent across shards, so
-    it runs through thread_map — a serial scan is an O(shards) resume stall
-    at crawl-scale shard counts.
+    it runs on a pool of at most 32 threads — a serial scan is an O(shards)
+    resume stall at crawl-scale shard counts.
 
     Consistency: like ``read_all``, this sees the manifests LIST shows; a
     shard committed a moment ago on a store whose LIST lags counts as
@@ -535,7 +523,8 @@ def completed_shards(out_dir: str, fs: Optional[Any] = None) -> Set[int]:
                 return None
         return sid if n == rec["n_docs"] else None
 
-    return {sid for sid in thread_map(check, records) if sid is not None}
+    with ThreadPoolExecutor(max_workers=min(32, max(4, len(records)))) as pool:
+        return {sid for sid in pool.map(check, records) if sid is not None}
 
 
 def _read_parts(out_dir: str, shards: List[Dict[str, Any]], fs: Any,
@@ -782,27 +771,6 @@ def delete_rows(out_dir: str, shard_id: int, keys: List[str],
     new_rec = _repoint(out_dir, shard_id, records, rec["parts"], fs)
     new_rec["n_deleted"] = n_deleted
     return new_rec
-
-
-def upsert_rows(out_dir: str, updates: pa.Table, key: str = "url",
-                fs: Optional[Any] = None) -> Dict[str, Any]:
-    """Table-level MERGE: split ``updates`` by its ``shard_id`` and upsert
-    each affected shard (thread-pooled — per-shard work is IO-bound part
-    rewriting; untouched shards are never read). The update stream must
-    already carry the table's shard assignment, which every row written by
-    this engine does (DOC_SCHEMA ``shard_id``). Returns totals."""
-    sids = sorted(set(updates["shard_id"].to_pylist()))
-
-    def one(sid):
-        sub = updates.filter(pc.equal(updates["shard_id"], sid))
-        return upsert_shard(out_dir, int(sid), sub, key=key, fs=fs)
-
-    recs = thread_map(one, sids)
-    return {
-        "shards_touched": len(recs),
-        "n_replaced": sum(r["n_replaced"] for r in recs),
-        "n_appended": sum(r["n_appended"] for r in recs),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -663,8 +663,7 @@ class TestUpsert:
             L.upsert_shard(out, 0, dup)
 
     def test_upsert_fresh_shard_and_table_level(self, tmp_path):
-        # stored rows carry shard_id as a ROW column (DOC_SCHEMA does), so
-        # table-level routing needs no side channel
+        # stored rows carry shard_id as a ROW column (DOC_SCHEMA does)
         def rows_with_sid(i0, n, sid, recrawl=False):
             t = self._recrawl(i0, n) if recrawl else _rows(i0, n)
             return t.append_column("shard_id", pa.array([sid] * n, pa.int64()))
@@ -673,14 +672,10 @@ class TestUpsert:
         L.commit_shard_manifest(out, 0, [L.write_part(out, 0, rows_with_sid(0, 4, 0))])
         # updates span the existing shard 0 (urls 2,3 replaced; url 4 new)
         # and a brand-new shard 7
-        upd = pa.concat_tables([
-            rows_with_sid(2, 3, 0, recrawl=True),
-            rows_with_sid(100, 2, 7),
-        ])
-        res = L.upsert_rows(out, upd)
-        assert res["shards_touched"] == 2
-        assert res["n_replaced"] == 2   # urls 2,3 existed in shard 0
-        assert res["n_appended"] == 3   # url 4 + the two shard-7 rows
+        old = L.upsert_shard(out, 0, rows_with_sid(2, 3, 0, recrawl=True))
+        new = L.upsert_shard(out, 7, rows_with_sid(100, 2, 7))
+        assert (old["n_replaced"], old["n_appended"]) == (2, 1)  # urls 2,3; url 4
+        assert (new["n_replaced"], new["n_appended"]) == (0, 2)  # the two shard-7 rows
         got = L.read_all(out)
         assert got.num_rows == 4 + 1 + 2
         by_url = {u: c for u, c in zip(got["url"].to_pylist(),

@@ -15,7 +15,12 @@ the query suite imports.
 The function-grain walk does the same inside modules: every top-level def
 of the package is reached from the engine's entry functions or from code
 that runs at import, is public API that README documents, or is pinned to
-the one file outside the package that still needs it."""
+the one file outside the package that still needs it.
+
+The query suite gets the same walk with other roots: it runs only under
+the tests, so each of its top-level defs and module-level assignments is
+reached from a name ``tests/`` or ``extraction_bench/`` mentions, or from
+its own import-time statements, or it is deleted. It has no pins."""
 
 import ast
 import re
@@ -107,9 +112,8 @@ QUERY_SUITE_PRIVATES = {
         "_scan_dict", "_skip_ws",
     },
     "sources.pages_source": {
-        "_encode_page_records", "_gunzip_members", "_iter_warc_pages",
-        "_parse_warc_records", "_sha1_b32", "_warc_record",
-        "_write_warc_shard",
+        "_encode_page_records", "_gunzip_members", "_parse_warc_records",
+        "_sha1_b32", "_warc_record", "_write_warc_shard",
     },
 }
 
@@ -204,11 +208,13 @@ PUBLIC_API = {
     # extraction without writing a table
     "read_pages", "read_pages_warc", "extract_dataset",
     "extract_pages_dataset", "explode_pages", "warc_salvage_report",
+    # the layout-recreated text of a stored page (functions/render.py)
+    "recreate_text_with_layout",
 }
 
 # Unreached defs kept for the one file outside the package that still
-# needs them: the benchmark, the query suite, or a test that uses the def
-# as its oracle. A pin fails once its holder stops naming the def, so it
+# needs them: the benchmark, or a test that uses the def as its oracle or
+# fixture writer. A pin fails once its holder stops naming the def, so it
 # goes when the holder does.
 PINNED = {
     "_default_pool_size": "extraction_bench/job.py",
@@ -216,9 +222,7 @@ PINNED = {
     "run_oracle": "tests/test_extract_document.py",
     "_is_garbage_text_reference": "tests/test_quality.py",
     "parse_pdf": "tests/test_pdf_extract.py",
-    "recreate_text_with_layout": "query_suite/pipelines/queries.py",
-    "upsert_rows": "query_suite/pipelines/queries.py",
-    "write_pages_warc": "query_suite/pipelines/queries.py",
+    "write_pages_warc": "tests/test_sources.py",
 }
 
 # Whole modules pinned the same way: the seeded corpus generator, which
@@ -231,9 +235,17 @@ DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _names(node) -> set:
-    """Every name and attribute a node's code mentions."""
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+    """Every name and attribute a node's code mentions, and every name its
+    imports read (``import a.b`` reads ``a`` and ``b``)."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.update(n.name.split("."))
+    return out
 
 
 def _import_time_names(tree) -> set:
@@ -350,3 +362,51 @@ def test_public_api_is_documented():
         f"PUBLIC_API names missing from README's Public API section: "
         f"{undocumented}"
     )
+
+
+# -- the query suite ----------------------------------------------------------
+
+SUITE_DIR = REPO_DIR / "query_suite"
+# The directories whose files run the query suite: nothing else imports it.
+SUITE_HOLDERS = ("tests", "extraction_bench")
+
+
+def _suite_nodes():
+    """``{(path relative to the repo, name): statement}`` for every
+    top-level def and module-level assignment of the query suite, and the
+    names the suite's other module-level statements mention, imports
+    aside: an import runs, but reaches nothing until a name is used."""
+    nodes, at_import = {}, set()
+    for p in sorted(SUITE_DIR.rglob("*.py")):
+        rel = str(p.relative_to(REPO_DIR))
+        for st in ast.parse(p.read_text()).body:
+            if isinstance(st, DEF_NODES):
+                bound = [st.name]
+            elif isinstance(st, (ast.Assign, ast.AnnAssign)):
+                targets = st.targets if isinstance(st, ast.Assign) else [st.target]
+                bound = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            else:
+                bound = []
+            if bound:
+                nodes.update({(rel, name): st for name in bound})
+            elif not isinstance(st, (ast.Import, ast.ImportFrom)):
+                at_import |= _names(st)
+    return nodes, at_import
+
+
+def test_every_query_suite_name_is_reached_from_a_test():
+    """Each top-level def and module-level assignment of the query suite
+    is reached, by name, from a name the tests or the benchmark mention or
+    from the suite's own import-time statements. An assignment is a node,
+    not a root, so a helper that only builds an unused ``SQL_*`` string
+    goes with it. Retiring the suite is then a batch of tests leaving and
+    this test naming the code that leaves with them."""
+    nodes, at_import = _suite_nodes()
+    held = set().union(*(_names(ast.parse(p.read_text()))
+                         for d in SUITE_HOLDERS
+                         for p in (REPO_DIR / d).rglob("*.py")))
+    reached = _reach(nodes, held | at_import)
+    unreached = sorted(f"{mod}:{name} — delete it"
+                       for (mod, name) in nodes if name not in reached)
+    assert not unreached, f"query-suite names no test reaches: {unreached}"
