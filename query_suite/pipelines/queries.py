@@ -74,7 +74,8 @@ def _texts(t: pa.Table, col: str = "text") -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Extraction family (the flagship engine; non-SQL -> rows-only driver check)
+# Extraction family (over the flagship engine's output; checked by pytest,
+# not by a SQL oracle)
 # ---------------------------------------------------------------------------
 
 DOC_SCALAR_COLUMNS = [
@@ -87,7 +88,8 @@ DOC_SCALAR_COLUMNS = [
 def q_layout_stats(sf_dir: str) -> rd.Dataset:
     """Per-page layout-tree stats parsed from the ``layout_json`` column with
     the robust JSON suite (reference P16, backend/core/json_utils.py —
-    see functions/json_utils.py). Page-grain, no shuffle; rows-only check."""
+    see functions/json_utils.py). Page-grain, no shuffle. Checked by
+    tests/test_json_utils.py::TestLayoutStatsQuery."""
     from ..functions.json_utils import safe_json_loads
 
     def stats(batch: pa.Table) -> pa.Table:
@@ -162,8 +164,8 @@ def q_extract_ocr(sf_dir: str) -> rd.Dataset:
     over the scanned corpus: documents rendered into image-XObject-only
     PDFs (text exists only as pixels), extracted with the deterministic
     pixel-OCR backend (functions/ocr.py) — page grain, method="tesseract"
-    with word-box layout trees. Non-SQL (real image->text recognition);
-    rows-only driver check, exact-recovery pytest goldens. Shares the
+    with word-box layout trees. Checked by
+    tests/test_ocr.py::TestOcrQueries::test_extract_ocr_page_grain. Shares the
     one-per-process extraction pass with q_ocr_eval
     (_scanned_extraction)."""
     from service1_text_extraction_ray.stages.extract_stage import explode_pages
@@ -183,7 +185,8 @@ def q_ocr_eval(sf_dir: str) -> rd.Dataset:
     The honest answer to "does the OCR ladder actually read the pixels?"
     — recovery below 100% on this corpus is a recognizer bug, not noise
     (pytest pins the corpus exact_rate at 1.0). Doc-grain rows
-    (url, n_pages, ocr_pages, exact); non-SQL -> rows-only driver check.
+    (url, n_pages, ocr_pages, exact); checked by
+    tests/test_ocr.py::TestOcrQueries::test_ocr_eval_exact_rate_is_one.
 
     Round-5 shape (VERDICT r4 #3): derives from the SAME materialized
     extraction Dataset as q_extract_ocr instead of re-running
@@ -1027,8 +1030,8 @@ def q_dedup_simhash_pairs(sf_dir: str) -> pd.DataFrame:
     only verified pairs reach the driver, which dedups across bands.
     Oversized buckets (mass-identical boilerplate all sharing a band value)
     are capped at SIMHASH_BUCKET_CAP lowest doc_ids with a logged drop.
-    Non-SQL -> rows-only driver check; pytest-verified on planted
-    near-duplicates and the skew corpus.
+    Checked on planted near-duplicates and the skew corpus by
+    tests/test_operators.py::TestSimHashPairs and ::TestDedupSkew.
     """
     import logging
 
@@ -1322,7 +1325,8 @@ def q_ann_lsh(sf_dir: str) -> pd.DataFrame:
     hyperplanes -> 12-bit signature buckets; search only the query's bucket
     and Hamming-1 neighbors. At 10^9 vectors the bucket groupby replaces the
     full scan; here the result is deterministic and pytest-checked for recall
-    against brute force. Rows-only driver check."""
+    against brute force
+    (tests/test_operators.py::TestSimilaritySearch::test_ann_recall_vs_brute_force)."""
     N_PLANES = 8  # 256 buckets; 9 probed -> decent recall on small corpora
     rs = np.random.RandomState(KNN_SEED + 1)
     planes = rs.standard_normal((N_PLANES, 64))
@@ -1649,8 +1653,8 @@ def q_doc_embeddings(sf_dir: str) -> rd.Dataset:
     """Extract -> embed chain: documents -> synthetic pages -> full extraction
     -> deterministic feature-hashing TF embedding per doc (actor pool,
     stages/embed_stage.py). Reads the extract-once doc-grain materialization
-    (the parse is not re-run per consumer). Rows-only driver check;
-    byte-determinism across parallelism is pytest-verified."""
+    (the parse is not re-run per consumer). Determinism across runs is
+    checked by tests/test_operators.py::TestEmbeddingGeneration."""
     from ..stages.embed_stage import embed_dataset
 
     docs = extracted_docs_dataset(sf_dir).select_columns(["url", "doc_text"])
@@ -1664,7 +1668,8 @@ def q_embeddings_wide(sf_dir: str) -> rd.Dataset:
     document_embedding.csv row shape, as a columnar Dataset any sink
     (write_parquet / write_csv) can append partition-wise. The reference's
     read-existing-then-skip resume (:214-228) is this engine's lineage
-    resume at shard grain. Rows-only driver check."""
+    resume at shard grain. Checked by
+    tests/test_naming.py::TestEmbeddingsWide::test_wide_schema_and_values."""
     from ..functions.naming import document_name_from_url, parse_folder_name
     from ..stages.embed_stage import EMBED_DIM
 
@@ -1699,7 +1704,8 @@ def q_extract_dedup_near(sf_dir: str) -> rd.Dataset:
     """Full training-data chain: extract -> embed -> embedding near-dup over
     the EXTRACTED corpus (url pairs). Same chunk-pair exact join as
     q_dedup_embedding, keyed by crc32(url) chunks — no driver
-    materialization, no broadcast matrix. Rows-only driver check."""
+    materialization, no broadcast matrix. Checked by
+    tests/test_operators.py::TestEmbeddingGeneration."""
     import zlib as _z
 
     from ..stages.embed_stage import embed_dataset
@@ -1782,7 +1788,7 @@ EXTRACT_KNN_PROBE = (
 def q_extract_knn(sf_dir: str) -> pd.DataFrame:
     """Extract -> embed -> brute-force cosine top-k by a probe text's
     embedding: per-batch matmul partials, tiny driver merge (url tiebreak).
-    Rows-only driver check; determinism pytest-verified."""
+    Determinism is checked by tests/test_operators.py::TestEmbeddingGeneration."""
     from ..stages.embed_stage import EMBED_DIM, FeatureHashEmbedder, embed_dataset
 
     probe = FeatureHashEmbedder(dim=EMBED_DIM)._embed_text(EXTRACT_KNN_PROBE)[0]
@@ -2975,10 +2981,9 @@ def q_dedup_normalized(sf_dir: str) -> rd.Dataset:
     shuffle), emit one row per canonical group with the lowest doc_id as
     representative and the group size — groups with n_docs >= 2 are the
     near-exact duplicates (reformatted copies, shouting mirrors) that
-    byte-exact dedup misses. All groups are emitted (the testdata has no
-    planted normalized dups; emitting every group makes the oracle check
-    the normalization of EVERY row, which is stronger anyway — the
-    planted-dup behavior is pytest-covered)."""
+    byte-exact dedup misses. All groups are emitted, singletons included;
+    tests/test_webtext.py::TestDedupNormalized checks the planted
+    duplicates."""
 
     def hashed(t: pa.Table) -> pa.Table:
         return pa.Table.from_arrays(
@@ -3021,8 +3026,8 @@ def q_doc_compression_ratio(sf_dir: str) -> rd.Dataset:
     prose; corpora pipelines gate on it next to the Gopher rules). Emits
     raw/compressed byte sizes and ratio_pct = compressed*100//raw (integer,
     parallelism-independent). zlib level pinned so results are stable
-    across runs. Non-SQL (no zlib in DuckDB) -> rows-only driver check;
-    semantics pytest-pinned on repetitive vs random text."""
+    across runs. Checked on repetitive vs diverse text by
+    tests/test_webtext.py::TestCompressionRatio."""
     import zlib
 
     def f(t: pa.Table) -> pa.Table:
@@ -3397,7 +3402,8 @@ def q_knn_self_1nn(sf_dir: str) -> rd.Dataset:
     neighbor per vector (B rows per vec across all its partitions, never
     the n^2 pair stream); one hash_exchange on vec_id reduces partials to
     the global argmax. Only ids leave the pipeline — similarities stay
-    internal, so the driver hash is float-free. Similarities are quantized
+    internal, so the output is float-free
+    (tests/test_operators.py::TestKnnSelf1nn checks it). Similarities are quantized
     to integer picounits (1e12) BEFORE any comparison: different chunk-pair
     partitions run different-shaped BLAS matmuls whose last-ulp results can
     differ, so comparing raw floats across partitions would break the
@@ -4606,8 +4612,8 @@ def q_extract_eval(sf_dir: str) -> rd.Dataset:
     (n_gold, n_extracted, n_common) — precision drops when chrome leaks
     through, recall drops when content is over-stripped. The metric every
     extraction paper reports (Kohlschütter 2010 lineage); corpus micro-P/R
-    floors are pytest-pinned. Non-SQL semantics (the extractor itself is
-    the system under test) -> rows-only driver check."""
+    floors are checked by
+    tests/test_webtext.py::TestExtractEval::test_micro_precision_recall_floors."""
     import random as _random
 
     from collections import Counter

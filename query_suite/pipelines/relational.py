@@ -759,8 +759,8 @@ def q_order_price_tdigest(sf_dir: str) -> rd.Dataset:
     stops fitting a task; this digest's memory is O(delta) regardless of
     group size. Estimates depend (within the documented rank-error bound
     ~1/delta at the median, tighter at the tails) on how rows batch into
-    blocks, so the driver check is rows-only; the error bound vs the exact
-    quantiles is pytest-asserted.
+    blocks; the error bound vs the exact quantiles is checked by
+    tests/test_operators.py::TestSketchesAndQuantiles.
     """
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -1047,8 +1047,8 @@ def q_events_asof_orders(sf_dir: str) -> rd.Dataset:
 
     Emits the matched *date*, not an order id: among equal dates the SQL
     ASOF pick is unspecified, so ids would be nondeterministic; dates make
-    the result exact under the driver's value hash. Inner semantics (events
-    with no prior order are dropped).
+    the result exact (tests/test_operators.py::TestAsofJoin checks it).
+    Inner semantics (events with no prior order are dropped).
     """
 
     def tag_events(t: pa.Table) -> pa.Table:
@@ -1320,7 +1320,8 @@ def q_orders_latest_per_customer(sf_dir: str) -> rd.Dataset:
     custkeys, and there is no per-key Python dispatch). Both levels use the
     identical (o_orderdate, o_orderkey) lexicographic max, so the result is
     exact and parallelism-independent. No totalprice arithmetic: the double
-    passes through untouched (exact under the driver's value hash)."""
+    passes through untouched (tests/test_operators.py::
+    TestOrdersLatestPerCustomer::test_latest_with_date_tie checks it)."""
 
     def partial_latest(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty:
@@ -1418,8 +1419,9 @@ def q_user_running_value(sf_dir: str) -> rd.Dataset:
 
     ONE hash_exchange on user_id; inside a shard the running sum is a
     single C-level ``groupby(user).cumsum`` over the shard's sorted rows —
-    no per-user dispatch. The unique order key makes the result exact
-    under the driver's value hash at any parallelism."""
+    no per-user dispatch. The unique order key makes the result exact at
+    any parallelism (tests/test_operators.py::TestRangeJoinAndRunningWindow::
+    test_running_value_per_user checks it)."""
     out_schema = pa.schema(
         [pa.field("event_id", pa.int64()), pa.field("user_id", pa.int64()),
          pa.field("running_value_cents", pa.int64())]
@@ -2168,9 +2170,11 @@ def q_distinct_users_hll_by_type(sf_dir: str) -> pd.DataFrame:
 def q_orders_percent_rank(sf_dir: str) -> rd.Dataset:
     """PERCENT_RANK window in exact integer parts-per-million:
     ppm = (rank - 1) * 1e6 // (n - 1) within each priority class, rank by
-    (price, orderkey) — float-free so the driver's value hash matches at
-    any parallelism (SQL's native percent_rank() returns a double; both
-    sides compute the integer formula instead). One groupby co-partitions
+    (price, orderkey) — float-free so the result is exact at any
+    parallelism (SQL's native percent_rank() returns a double; both
+    sides compute the integer formula instead;
+    tests/test_operators.py::TestGroupedSketchAndSequences::
+    test_percent_rank_edges checks it). One groupby co-partitions
     each priority; ranks are a vectorized argsort inside the group."""
 
     def ranks(g: pd.DataFrame) -> pd.DataFrame:

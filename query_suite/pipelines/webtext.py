@@ -5,9 +5,9 @@ corpus-level curation ops — the reference stops at per-document extraction):
 the operators a 100-TB training-data pipeline runs AFTER extraction —
 PII scanning/redaction, TF-IDF rare-term extraction, benchmark-contamination
 detection, duplicated-passage (token-span) mining, and corpus vocabulary
-statistics. Every operator has an exact DuckDB oracle (integer/string
-outputs only — no float accumulation — so the driver's value hash matches
-at any parallelism).
+statistics. Outputs are integers and strings only (no float
+accumulation), so each is exact at any parallelism; tests/test_webtext.py
+checks the operators it covers.
 
 Scale notes (the design constraints each operator is built around):
 
@@ -168,7 +168,8 @@ def _distinct_token_pairs(t: pa.Table) -> pa.Table:
 def q_doc_tfidf_top_terms(sf_dir: str) -> rd.Dataset:
     """Top-3 RAREST distinct tokens per document (df asc, token asc) — the
     integer-exact core of TF-IDF keyword extraction (the idf ordering
-    without the float log, so the driver hash is parallelism-independent).
+    without the float log, so the output is parallelism-independent;
+    tests/test_webtext.py::TestTfidfTopTerms checks it).
 
     Topology (all fact-sized — vocabulary does NOT fit a driver broadcast at
     web scale): distinct (doc_id, token) pairs -> per-BLOCK partial df
@@ -1878,8 +1879,8 @@ def q_corpus_pmi(sf_dir: str) -> pd.DataFrame:
     pipelines use to find multi-word units. Pairs with n_ab <
     PMI_MIN_COUNT are dropped (PMI is noise at low support). PMI is
     quantized to integer nano-nats with the float expression evaluated in
-    the exact association order the SQL oracle uses, so the driver hash
-    matches bit-for-bit.
+    one fixed association order, so both regimes agree bit-for-bit
+    (tests/test_webtext.py::TestCorpusPmiRegimes checks it).
 
     Scale topology (vocabulary is FACT-sized on the web, so no driver
     collects): unigram and bigram counts each finish in ONE

@@ -60,7 +60,9 @@ def documents_to_pages(sf_dir: str) -> rd.Dataset:
     Deterministic per doc_id: ~70% of docs become clean-article HTML carrying
     the doc's text as paragraphs, ~15% become a synthetic PDF of the text's
     lines, ~10% link-farm pages, ~5% malformed payloads — so every dispatch
-    branch of the engine is exercised by the driver's correctness runs.
+    branch of the engine runs under the tests of the queries that read it
+    (tests/test_json_utils.py::TestLayoutStatsQuery,
+    tests/test_operators.py::TestEmbeddingGeneration).
     """
     import random
 
@@ -91,7 +93,7 @@ def documents_to_pages(sf_dir: str) -> rd.Dataset:
                         " ".join(words[i : i + 8]) for i in range(0, len(words), 8)
                     )
                 # sel 16: encrypted with the book's docs.example password, so
-                # the driver's correctness runs exercise real decryption.
+                # those tests exercise real decryption.
                 encrypt = None
                 if sel == 16:
                     encrypt = {

@@ -40,7 +40,7 @@ from .passwords import (
     DEFAULT_PASSWORD,
     MAX_ATTEMPTS,
     SAVED_PASSWORDS,
-    PasswordBook,
+    password_candidates,
     url_host,
 )
 from .pdf_extract import PdfParseError, open_pdf
@@ -77,11 +77,11 @@ class ExtractConfig:
     emit_layout: bool = True
 
     # Password book for encrypted PDFs (reference A2/J2: the candidate chain
-    # of file_management_service.get_all_passwords_for_file). Tuples so the
-    # config stays frozen/hashable; the extraction stage builds a
-    # PasswordBook from them, one per task. Defaults are the test
-    # deployment's book (functions/passwords.py — matches the synthetic
-    # corpus by construction); production jobs pass their own.
+    # of file_management_service.get_all_passwords_for_file): a per-site
+    # saved map and a default, fixed for the job. Tuples so the config
+    # stays frozen/hashable. Defaults are the test deployment's book
+    # (functions/passwords.py — matches the synthetic corpus by
+    # construction); Python callers pass their own, the job CLI has none.
     saved_passwords: tuple = SAVED_PASSWORDS
     default_password: Optional[str] = DEFAULT_PASSWORD
 
@@ -91,10 +91,9 @@ class ExtractConfig:
 
     # OCR fallback backend name (functions/ocr.py registry; None = the
     # reference's no-tesseract branch). A string, not an instance, so the
-    # config stays frozen/serializable; the per-process singleton is
-    # resolved lazily (get_ocr_backend — the reference's A1 parser-per-
-    # process idiom). PDF pages that fail the text gate are rasterized at
-    # the reference's 2x zoom and run through the backend
+    # config stays frozen/serializable; get_ocr_backend builds the backend
+    # for each page that needs it. PDF pages that fail the text gate are
+    # rasterized at the reference's 2x zoom and run through the backend
     # (core_pdf_processor.py:391-400 fallback, :467-490 call shape).
     ocr_backend: Optional[str] = None
 
@@ -110,6 +109,10 @@ class ExtractConfig:
                 f"ExtractConfig.ocr_backend must be one of {sorted(OCR_BACKENDS)}, "
                 f"got {self.ocr_backend!r}"
             )
+        # The saved map as a dict, built once per config rather than once
+        # per PDF; an attribute, not a field, so the config's fields, eq and
+        # hash stay as declared.
+        object.__setattr__(self, "_saved", dict(self.saved_passwords))
 
 
 def gate_page_text(text: str, min_text_length: int) -> bool:
@@ -117,9 +120,7 @@ def gate_page_text(text: str, min_text_length: int) -> bool:
     return len(text.strip()) >= min_text_length and not is_garbage_text(text)
 
 
-def _extract_html(
-    url: str, payload: bytes, cfg: ExtractConfig, book: PasswordBook
-) -> Dict[str, Any]:
+def _extract_html(url: str, payload: bytes, cfg: ExtractConfig) -> Dict[str, Any]:
     """Built-in HTML extractor (DOM parse + boilerplate strip)."""
     pages: List[Dict[str, Any]] = []
     try:
@@ -136,9 +137,7 @@ def _extract_html(
         return {"status": STATUS_PARSE_FAILURE, "error": f"html: {e}"}
 
 
-def _extract_plain_text(
-    url: str, payload: bytes, cfg: ExtractConfig, book: PasswordBook
-) -> Dict[str, Any]:
+def _extract_plain_text(url: str, payload: bytes, cfg: ExtractConfig) -> Dict[str, Any]:
     """Built-in plain-text extractor (text/plain crawl payloads: README,
     robots-adjacent .txt, mailing-list archives). Charset handling is the
     HTML path's decode_payload (BOM first, UTF-8 with replacement);
@@ -155,22 +154,20 @@ def _extract_plain_text(
         return {"status": STATUS_PARSE_FAILURE, "error": f"text: {e}"}
 
 
-def _extract_pdf(
-    url: str, payload: bytes, cfg: ExtractConfig, book: PasswordBook
-) -> Dict[str, Any]:
+def _extract_pdf(url: str, payload: bytes, cfg: ExtractConfig) -> Dict[str, Any]:
     """Built-in PDF extractor: password loop + content-stream parse.
 
     The reference's <=3-attempt password loop (core_pdf_processor.py:283-343):
     attempts count even for unencrypted docs (attempt 1 trivially succeeds
     and records whatever candidate was tried as password_used — quirk
     mirrored); a falsy candidate is skipped when a password is actually
-    needed; success caches the password in the book.
+    needed.
     """
     attempts_made = 0
     try:
         doc = open_pdf(payload)
-        doc_key = url_host(url)
-        candidates = book.candidates_for(doc_key)[:MAX_ATTEMPTS]
+        candidates = password_candidates(
+            url_host(url), cfg._saved, cfg.default_password)[:MAX_ATTEMPTS]
         password_used: Optional[str] = None
         opened = False
         for pwd in candidates:
@@ -190,8 +187,6 @@ def _extract_pdf(
                 "attempts_made": attempts_made,
                 "error": f"pdf: password required (tried {attempts_made} attempts)",
             }
-        if password_used:
-            book.record_success(doc_key, password_used)
         pages: List[Dict[str, Any]] = []
         parsed = doc.extract_pages(max_pages=cfg.max_pages)
         for idx, page in enumerate(parsed, start=1):
@@ -244,9 +239,7 @@ def _ocr_pdf_page(idx: int, page: Any, cfg: ExtractConfig) -> Optional[Dict[str,
         return None
 
 
-def _extract_feed(
-    url: str, payload: bytes, cfg: ExtractConfig, book: PasswordBook
-) -> Dict[str, Any]:
+def _extract_feed(url: str, payload: bytes, cfg: ExtractConfig) -> Dict[str, Any]:
     """Built-in RSS/Atom extractor (functions/feeds.py): one page whose
     text is the feed title plus one ``title <link>`` line per item — the
     text a syndication page contributes to a corpus. Feeds are listings,
@@ -272,7 +265,7 @@ def _extract_feed(
 
 # Content kind -> extractor, the table extract_document dispatches on; the
 # sniff stage's kind string is the key. An extractor is any callable
-# ``(url, payload, cfg, book) -> partial result dict`` with optional keys
+# ``(url, payload, cfg) -> partial result dict`` with optional keys
 # {pages, status, error, password_required, password_used, attempts_made};
 # extract_document fills the defaults and derives the doc-level columns.
 EXTRACTORS: Dict[str, Any] = {
@@ -284,29 +277,19 @@ EXTRACTORS: Dict[str, Any] = {
 
 
 def extract_document(
-    url: str,
-    payload: Optional[bytes],
-    cfg: ExtractConfig,
-    book: Optional[PasswordBook] = None,
+    url: str, payload: Optional[bytes], cfg: ExtractConfig
 ) -> Dict[str, Any]:
     """Extract one document. Returns a plain dict (Arrow-friendly):
 
     ``{status, content_kind, truncated, n_pages, n_pages_ok, doc_text,
     doc_chars, error, password_required, password_used, attempts_made,
     pages: [{page, method, text, page_md, n_chars, layout_json}]}``
-
-    ``book`` is the caller's (task-lifetime) PasswordBook; when None a
-    transient book is built from the config — identical candidates, no
-    cross-document cache.
     """
     kind = sniff_payload(payload)
     truncated = False
     if payload is not None and len(payload) > cfg.max_payload_bytes:
         payload = payload[: cfg.max_payload_bytes]
         truncated = True
-
-    if book is None:
-        book = PasswordBook(dict(cfg.saved_passwords), cfg.default_password)
 
     handler = EXTRACTORS.get(kind)
     if handler is None:
@@ -315,7 +298,7 @@ def extract_document(
             "error": "unrecognized content kind",
         }
     else:
-        partial = handler(url, payload, cfg, book)
+        partial = handler(url, payload, cfg)
 
     pages: List[Dict[str, Any]] = partial.get("pages", [])
     doc_text = combine_pages((p["page"], p["text"]) for p in pages)
@@ -368,10 +351,9 @@ def run_oracle(rows, cfg: Optional[ExtractConfig] = None) -> List[Dict[str, Any]
     ``rows`` is an iterable of dicts with at least ``url`` and ``html``.
     """
     cfg = cfg or ExtractConfig()
-    book = PasswordBook(dict(cfg.saved_passwords), cfg.default_password)
     out: List[Dict[str, Any]] = []
     for row in rows:
-        res = extract_document(row["url"], row["html"], cfg, book)
+        res = extract_document(row["url"], row["html"], cfg)
         res["url"] = row["url"]
         out.append(res)
     return out

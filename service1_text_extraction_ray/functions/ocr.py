@@ -243,7 +243,7 @@ def _split_blocks(lines: List[_OcrLine]) -> List[List[_OcrLine]]:
 
 class FakeOcrBackend:
     """Deterministic pixel OCR for bitfont-rendered rasters (see module
-    docstring). Stateless; safe to construct once per worker process."""
+    docstring). Stateless: construction costs nothing."""
 
     name = "fake"
 
@@ -277,27 +277,22 @@ class FakeOcrBackend:
 
 # Backend registry (§2.9 extension surface): config names a backend by
 # string so ExtractConfig stays frozen/serializable; get_ocr_backend
-# resolves it once per worker process. A real pytesseract backend would
-# register here when its import succeeds.
+# builds it. A real pytesseract backend would register here when its
+# import succeeds.
 OCR_BACKENDS: Dict[str, Any] = {"fake": FakeOcrBackend}
 
 
-_BACKEND_SINGLETONS: Dict[str, Any] = {}
-
-
 def get_ocr_backend(name: Optional[str]) -> Optional[Any]:
-    """Per-process backend singleton (the reference's A1 parser-per-process
-    idiom — a real tesseract/model backend is built once per worker, not
-    once per page). None for no name; ValueError for a name missing from
-    ``OCR_BACKENDS`` (``ExtractConfig`` refuses one before any job runs)."""
+    """A new instance of the named backend; the shipped one is stateless,
+    so nothing is worth keeping per process. None for no name; ValueError
+    for a name missing from ``OCR_BACKENDS`` (``ExtractConfig`` refuses one
+    before any job runs)."""
     if not name:
         return None
-    if name not in _BACKEND_SINGLETONS:
-        cls = OCR_BACKENDS.get(name)
-        if cls is None:
-            raise ValueError(f"unknown OCR backend: {name!r}")
-        _BACKEND_SINGLETONS[name] = cls()
-    return _BACKEND_SINGLETONS[name]
+    cls = OCR_BACKENDS.get(name)
+    if cls is None:
+        raise ValueError(f"unknown OCR backend: {name!r}")
+    return cls()
 
 
 def ocr_layout_from_data(

@@ -30,7 +30,7 @@ Design notes (SURVEY.md §4.2):
   commits it. The task holds its part's summary record, so it commits the
   manifest from that (``lineage.try_commit_shard``) — no pre-scan of the
   inputs for their row counts, no pending records to list, no driver-side
-  sweep. The parse state (frozen config, PasswordBook) ships with each
+  sweep. The parse holds no state: the frozen config ships with each
   task. An actor pool measured slower on every ``extraction_bench``
   workload and deadlocked a one-CPU session (the actor held the only slot).
 - **Streaming**: nothing materializes the full dataset; a task holds one

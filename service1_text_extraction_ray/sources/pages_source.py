@@ -14,6 +14,7 @@ import os
 import pyarrow as pa
 import ray.data as rd
 
+from .. import ensure_worker_importable
 from ..functions.sniff import sniff_payload
 from ..functions.synth import PAGES_SCHEMA
 
@@ -167,6 +168,8 @@ def write_pages_warc(pages: rd.Dataset, out_dir: str,
     and decompress one record without touching the rest of the shard —
     that per-record random access is what makes CC index lookups work."""
     os.makedirs(out_dir, exist_ok=True)
+    # Ship package code by value so workers never need the repo on sys.path.
+    ensure_worker_importable()
 
     def write_block(t: pa.Table) -> pa.Table:
         recs = [r for row in t.to_pylist()
@@ -443,14 +446,18 @@ def read_warc_file(path: str, tolerant: bool = False) -> pa.Table:
 def read_pages_warc(input_path: str | list, tolerant: bool = False) -> rd.Dataset:
     """WARC pages source as a Dataset: one ``read_warc_file`` task per
     shard file (shard files ARE the parallelism unit, exactly as Common
-    Crawl segments are). Byte-identical downstream output vs the parquet
-    path on the same logical rows (pytest-asserted). ``tolerant`` is
-    ``read_warc_file``'s salvage mode."""
+    Crawl segments are). Each row carries its file in a ``path`` column,
+    as ``read_pages`` does for parquet, so ``extract_dataset`` gives it the
+    file's shard id (``sniff.stable_shard_id``). Extracted text, status and
+    pages match the parquet path's on the same logical rows
+    (pytest-asserted); shard ids differ, since they come from file names.
+    ``tolerant`` is ``read_warc_file``'s salvage mode."""
 
     def parse(t: pa.Table) -> pa.Table:
-        return pa.concat_tables(
-            [read_warc_file(p, tolerant=tolerant) for p in t["path"].to_pylist()]
-        )
+        (path,) = t["path"].to_pylist()
+        pages = read_warc_file(path, tolerant=tolerant)
+        return pages.append_column(
+            "path", pa.array([path] * pages.num_rows, pa.string()))
 
     # Path-grain read (one task per file via from_items + the raw bytes
     # opened INSIDE the task): rd.read_binary_files would auto-decompress
@@ -461,6 +468,8 @@ def read_pages_warc(input_path: str | list, tolerant: bool = False) -> rd.Datase
     files = list_input_files(input_path)
     if files and files[0].endswith(".parquet"):
         raise ValueError(f"{input_path!r} holds parquet shards, not WARC")
+    # Ship package code by value so workers never need the repo on sys.path.
+    ensure_worker_importable()
     return rd.from_items(
         [{"path": p} for p in files]
     ).map_batches(parse, batch_format="pyarrow", batch_size=1)

@@ -3,11 +3,11 @@
 The parse stage is a *callable class*. The extraction job calls its
 instance inside each per-file task (``extract_pipeline.ExtractFile``), on
 slices of the file; the no-write Dataset API runs it as plain Ray Data
-tasks (``ds.map_batches(ExtractDocuments(cfg), batch_size=...)``). Its
-state is the frozen config and a password book, built once on the driver
-and shipped with every task; the parser modules compile their regexes and dispatch
-tables at import time, once per worker process. Each ``__call__`` processes
-one Arrow batch of documents.
+tasks (``ds.map_batches(ExtractDocuments(cfg), batch_size=...)``). It
+holds only the frozen config, which ships with every task, and keeps no
+state between documents; the parser modules compile their regexes and
+dispatch tables at import time, once per worker process. Each ``__call__``
+maps one Arrow batch of documents to one DOC_SCHEMA table.
 
 Batches enter as zero-copy Arrow tables; the per-document parse is per-row
 Python by nature (it IS the workload — a DOM/content-stream parse per
@@ -26,7 +26,6 @@ from typing import Optional
 import pyarrow as pa
 
 from ..functions.extract import ExtractConfig, doc_content_hash, extract_document
-from ..functions.passwords import PasswordBook
 
 # Arrow schema of the doc-grain extraction output (page rows nested so no
 # shuffle is needed to recover either grain).
@@ -71,69 +70,31 @@ DOC_SCHEMA = pa.schema(
 )
 
 
+# DOC_SCHEMA's first seven columns (url ... content_kind) pass through from
+# the sniffed batch; the parse fills the rest from extract_document's rows.
+_PASSTHROUGH = DOC_SCHEMA.names[:7]
+_PARSED_SCHEMA = pa.schema([DOC_SCHEMA.field(n) for n in DOC_SCHEMA.names[7:]])
+
+
 class ExtractDocuments:
     """Parse stage, run as plain tasks: one Arrow batch of sniffed documents
-    in, one doc-grain extraction table out (DOC_SCHEMA)."""
+    in, one doc-grain extraction table out (DOC_SCHEMA). A stateless map of
+    each row's (url, payload) under the frozen config."""
 
     def __init__(self, cfg: Optional[ExtractConfig] = None) -> None:
-        # Built once on the driver and shipped with each task: the frozen
-        # config and the password book (A2), i.e. the broadcast saved map
-        # plus a success cache that lives for one task
-        # (functions/passwords.py explains why the cache cannot perturb
-        # byte-determinism).
         self.cfg = cfg or ExtractConfig()
-        self.book = PasswordBook(
-            dict(self.cfg.saved_passwords), self.cfg.default_password
-        )
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        cfg = self.cfg
-        urls = batch["url"].to_pylist()
-        payloads = batch["html"].to_pylist()
-
-        cols: dict[str, list] = {
-            "status": [], "truncated": [], "n_pages": [], "n_pages_ok": [],
-            "doc_text": [], "doc_chars": [], "content_hash": [], "error": [],
-            "password_required": [], "password_used": [], "attempts_made": [],
-            "pages": [],
-        }
-        for url, payload in zip(urls, payloads):
-            res = extract_document(url, payload, cfg, self.book)
-            cols["status"].append(res["status"])
-            cols["truncated"].append(res["truncated"])
-            cols["n_pages"].append(res["n_pages"])
-            cols["n_pages_ok"].append(res["n_pages_ok"])
-            cols["doc_text"].append(res["doc_text"])
-            cols["doc_chars"].append(res["doc_chars"])
-            cols["content_hash"].append(doc_content_hash(res["doc_text"]))
-            cols["error"].append(res["error"] or "")
-            cols["password_required"].append(res["password_required"])
-            cols["password_used"].append(res["password_used"])
-            cols["attempts_made"].append(res["attempts_made"])
-            cols["pages"].append(res["pages"])
-
-        arrays = [
-            batch["url"],
-            batch["warc_ts"],
-            batch["lang"],
-            batch["shard_id"],
-            batch["size_bucket"],
-            batch["payload_len"],
-            batch["content_kind"],
-            pa.array(cols["status"], type=pa.string()),
-            pa.array(cols["truncated"], type=pa.bool_()),
-            pa.array(cols["n_pages"], type=pa.int32()),
-            pa.array(cols["n_pages_ok"], type=pa.int32()),
-            pa.array(cols["doc_text"], type=pa.string()),
-            pa.array(cols["doc_chars"], type=pa.int64()),
-            pa.array(cols["content_hash"], type=pa.string()),
-            pa.array(cols["error"], type=pa.string()),
-            pa.array(cols["password_required"], type=pa.bool_()),
-            pa.array(cols["password_used"], type=pa.string()),
-            pa.array(cols["attempts_made"], type=pa.int32()),
-            pa.array(cols["pages"], type=PAGES_FIELD.type),
-        ]
-        return pa.Table.from_arrays(arrays, schema=DOC_SCHEMA)
+        rows = []
+        for url, payload in zip(batch["url"].to_pylist(), batch["html"].to_pylist()):
+            res = extract_document(url, payload, self.cfg)
+            res["content_hash"] = doc_content_hash(res["doc_text"])
+            res["error"] = res["error"] or ""
+            rows.append(res)
+        parsed = pa.Table.from_pylist(rows, schema=_PARSED_SCHEMA)
+        return pa.Table.from_arrays(
+            batch.select(_PASSTHROUGH).columns + parsed.columns, schema=DOC_SCHEMA
+        )
 
 
 def explode_pages(batch: pa.Table) -> pa.Table:

@@ -278,8 +278,8 @@ class TestPasswordLoop:
 
     def test_cache_never_changes_outputs(self):
         """Two docs on one site processed in either order produce identical
-        per-doc results (the byte-determinism contract: the actor cache must
-        be value-neutral given the saved book)."""
+        per-doc results (the byte-determinism contract: no password state
+        carries from one document to the next)."""
         from service1_text_extraction_ray.functions.extract import run_oracle
         from service1_text_extraction_ray.functions.passwords import DEFAULT_PASSWORD
 
@@ -303,7 +303,7 @@ class TestExtractorRegistry:
     def test_register_custom_kind(self, monkeypatch):
         from service1_text_extraction_ray.functions import extract as X
 
-        def tsv_extractor(url, payload, cfg, book):
+        def tsv_extractor(url, payload, cfg):
             text = payload.decode("utf-8", "ignore").replace("\t", " ").lstrip("\x00")
             return {"pages": [{"page": 1, "method": "tsv", "text": text,
                                "page_md": text, "n_chars": len(text),

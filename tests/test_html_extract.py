@@ -364,7 +364,7 @@ def _html_extractor(fn):
 
 def _dom_extractor(text, layout):
     """An HTML extractor emitting one DOM page with this text and layout."""
-    return lambda url, payload, cfg, book: {
+    return lambda url, payload, cfg: {
         "pages": [X._page_row(1, X.METHOD_DOM, text, dump_layout(layout))]}
 
 

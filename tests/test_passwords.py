@@ -1,32 +1,23 @@
-"""A2/J2 parity: ordered password-candidate chain + actor-local cache."""
+"""A2/J2 parity: ordered password-candidate chain and the attempt cap."""
 
+import random
+
+from service1_text_extraction_ray.functions import extract as X
 from service1_text_extraction_ray.functions.passwords import (
     MAX_ATTEMPTS,
-    PasswordBook,
     password_candidates,
 )
+from service1_text_extraction_ray.functions.synth import make_pdf
 
 
 class TestCandidateChain:
     def test_full_order(self):
-        got = password_candidates(
-            "u://d1",
-            provided="prov",
-            saved={"u://d1": "sav"},
-            cache={"u://d1": "cach"},
-            default="dflt",
-        )
-        assert got == ["prov", "sav", "cach", "dflt", None]
+        got = password_candidates("u://d1", saved={"u://d1": "sav"}, default="dflt")
+        assert got == ["sav", "dflt", None]
 
     def test_dedup_keeps_first_occurrence(self):
-        got = password_candidates(
-            "u://d1",
-            provided="same",
-            saved={"u://d1": "same"},
-            cache={"u://d1": "other"},
-            default="same",
-        )
-        assert got == ["same", "other", None]
+        got = password_candidates("u://d1", saved={"u://d1": "same"}, default="same")
+        assert got == ["same", None]
 
     def test_none_tail_always_present(self):
         assert password_candidates("u://d1") == [None]
@@ -37,20 +28,15 @@ class TestCandidateChain:
 
 
 class TestPasswordBook:
-    def test_attempt_cap(self):
-        book = PasswordBook(saved={"k": "a"}, default="b")
-        cands = book.candidates_for("k", provided="c")
-        assert len(cands) == MAX_ATTEMPTS
-        assert cands == ["c", "a", "b"]  # None dropped by the cap, like the
-        #                                  reference's 3-attempt enhanced path
+    """The book is ExtractConfig's saved map and default, fixed for a job."""
 
-    def test_success_cache_feeds_next_lookup(self):
-        book = PasswordBook(default="dflt")
-        assert book.candidates_for("k") == ["dflt", None]
-        book.record_success("k", "winner")
-        assert book.candidates_for("k") == ["winner", "dflt", None]
-
-    def test_none_success_not_cached(self):
-        book = PasswordBook()
-        book.record_success("k", None)
-        assert book.cache == {}
+    def test_attempt_cap(self, monkeypatch):
+        """The PDF attempt loop tries at most MAX_ATTEMPTS candidates, like
+        the reference's 3-attempt enhanced path, however long the chain."""
+        monkeypatch.setattr(X, "password_candidates",
+                            lambda key, saved, default: ["w1", "w2", "w3", "w4", None])
+        payload = make_pdf([["locked page"]], random.Random(0),
+                           encrypt={"user_pw": "right", "owner_pw": "o", "v": 2})
+        res = X.extract_document("https://site1.example/x", payload, X.ExtractConfig())
+        assert res["password_required"] and res["status"] == "parse_failure"
+        assert res["attempts_made"] == MAX_ATTEMPTS

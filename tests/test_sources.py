@@ -1,7 +1,7 @@
 """Source-format interop: the WARC, JSONL and CSV pages sources must produce
-byte-identical extraction output to the parquet source on the same logical
-rows, salvage damaged shards in tolerant mode, and list their inputs like the
-parquet path."""
+the same per-url extraction (content hash, status, pages) as the parquet
+source on the same logical rows, salvage damaged shards in tolerant mode, and
+list their inputs like the parquet path."""
 
 import pandas as pd
 import pyarrow as pa
@@ -142,6 +142,97 @@ class TestWarcPagesSource:
         rec = d2.decompress(second) + d2.flush()
         assert rec.startswith(b"WARC/1.0\r\n")
         assert rec.endswith(b"\r\n\r\n")
+
+    @staticmethod
+    def _warc_file(out_dir):
+        """One WARC shard of 20 seeded pages, written without Ray."""
+        import os
+
+        from service1_text_extraction_ray.functions.synth import gen_pages_table
+        from service1_text_extraction_ray.sources.pages_source import (
+            _encode_page_records,
+            _write_warc_shard,
+        )
+
+        rows = gen_pages_table(20, seed=42).to_pylist()
+        os.makedirs(out_dir, exist_ok=True)
+        recs = [r for row in rows for r in _encode_page_records(row)]
+        return _write_warc_shard(recs, str(out_dir)), sorted(r["url"] for r in rows)
+
+    def test_extracted_rows_carry_the_file_shard_id(self, ray_session, tmp_path):
+        """A WARC file's rows get the file's shard id, the id the job
+        commits that file under, as parquet rows read by read_pages do."""
+        from service1_text_extraction_ray.functions.sniff import stable_shard_id
+        from service1_text_extraction_ray.pipelines.extract_pipeline import (
+            extract_dataset,
+        )
+        from service1_text_extraction_ray.sources.pages_source import (
+            read_pages_warc,
+        )
+
+        path, urls = self._warc_file(tmp_path / "w")
+        rows = extract_dataset(read_pages_warc(path)).select_columns(
+            ["url", "shard_id"]).take_all()
+        assert sorted(r["url"] for r in rows) == urls
+        assert {r["shard_id"] for r in rows} == {stable_shard_id(path)}
+
+    def test_reader_and_writer_run_from_foreign_cwd(self, tmp_path):
+        """A driver whose cwd is elsewhere and whose sys.path alone holds
+        the package must still read and write WARC datasets: each call
+        ships the package to the workers itself, with no extraction call
+        to do it for them. Each runs in its own driver process."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        from service1_text_extraction_ray.sources.pages_source import (
+            read_warc_file,
+        )
+
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        cwd = tmp_path / "elsewhere"
+        cwd.mkdir()
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONPATH", "RAY_ADDRESS")}
+
+        def drive(mode, path):
+            res = subprocess.run(
+                [sys.executable, "-c", _FOREIGN_WARC_DRIVER, repo, mode, path],
+                cwd=cwd, env=env, capture_output=True, text=True, timeout=600,
+            )
+            assert res.returncode == 0, f"{mode} failed:\n{res.stderr[-4000:]}"
+            return json.loads(res.stdout.strip().splitlines()[-1])
+
+        path, urls = self._warc_file(tmp_path / "r")
+        assert drive("read", path) == urls
+        wdir = str(tmp_path / "w")
+        assert drive("write", wdir) == 1
+        (name,) = os.listdir(wdir)
+        written = read_warc_file(os.path.join(wdir, name))["url"].to_pylist()
+        assert sorted(written) == urls
+
+
+_FOREIGN_WARC_DRIVER = """
+import json, sys
+sys.path.insert(0, sys.argv[1])  # the package is on the DRIVER's path only
+import ray
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+import ray.data as rd
+from service1_text_extraction_ray.functions.synth import gen_pages_table
+from service1_text_extraction_ray.sources.pages_source import (
+    read_pages_warc, write_pages_warc)
+mode, path = sys.argv[2], sys.argv[3]
+if mode == "read":
+    out = sorted(r["url"] for r in read_pages_warc(path).take_all())
+else:
+    out = write_pages_warc(rd.from_arrow(gen_pages_table(20, seed=42)), path)
+print(json.dumps(out))
+ray.shutdown()
+"""
 
 
 class TestCsvPagesSource:
