@@ -6,9 +6,10 @@ dictionary, the outline, embedded files, fonts, optional-content layers,
 AcroForm fields, XMP, page labels, link and text annotations, and the
 structure tree. Text extraction never reads any of them; it lives in
 ``service1_text_extraction_ray.functions.pdf_extract``. The accessors
-reuse the engine's walks rather than copy them: ``fonts`` lists a page's
-/Font entries with ``_resource_entries``, and ``structure`` reads each
-page's spans through the inherited ``_page_spans``.
+reuse the engine's walks rather than copy them: ``info`` finds /Info
+through the inherited trailer lookup ``_trailer_entry``, ``fonts`` lists a
+page's /Font entries with ``_resource_entries``, and ``structure`` reads
+each page's spans through the inherited ``_page_spans``.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from typing import Dict, List, Optional, Tuple
 from service1_text_extraction_ray.functions.pdf_extract import (
     PdfDocument as _EnginePdfDocument,
     PdfParseError,
-    _PdfObject,
     _REF_RE,
-    _TYPE_RE,
     _decode_stream,
     _doc_off_ocgs,
     _page_order,
@@ -43,53 +42,29 @@ _TITLE_STR_RE = re.compile(rb"/Title\s*\(")
 _INFO_KEYS = ("Title", "Author", "Subject", "Producer", "CreationDate")
 
 
-def document_info(data: bytes, objects: Dict[int, _PdfObject]) -> Dict[str, str]:
-    """Document information dictionary (ISO 32000-1 §14.3.3): the /Info
-    reference from the LAST ``trailer`` dict (or the /Type /XRef stream
-    dict for cross-reference-stream files), with the standard string
-    entries decoded latin-1 (PDFDocEncoding's ASCII range; UTF-16 metadata
-    strings are out of subset). Missing dict or entries -> absent keys,
-    never an error."""
-    info_num = None
-    m = None
-    for m in re.finditer(rb"trailer", data):
-        pass
-    if m is not None:
-        i = _skip_ws(data, m.end())
-        if data[i : i + 2] == b"<<":
-            tdict, _ = _scan_dict(data, i)
-            rm = _INFO_REF_RE.search(tdict)
-            if rm:
-                info_num = int(rm.group(1))
-    if info_num is None:
-        for num in sorted(objects):
-            tm = _TYPE_RE.search(objects[num].dict_bytes)
-            if tm and tm.group(1) == b"XRef":
-                rm = _INFO_REF_RE.search(objects[num].dict_bytes)
-                if rm:
-                    info_num = int(rm.group(1))
-                    break
-    obj = objects.get(info_num) if info_num is not None else None
-    if obj is None:
-        return {}
-    out: Dict[str, str] = {}
-    for key in _INFO_KEYS:
-        s = _parse_string_entry(obj.dict_bytes, key.encode("ascii"))
-        if s is not None:
-            out[key] = s.decode("latin-1")
-    return out
-
-
 class PdfDocument(_EnginePdfDocument):
     """The engine's ``PdfDocument`` with the metadata accessors."""
 
     def info(self) -> Dict[str, str]:
-        """Document information dictionary entries (Title/Author/...);
-        empty for docs without /Info. Strings in encrypted documents are
-        themselves encrypted and are out of subset -> empty dict there."""
+        """Document information dictionary (ISO 32000-1 §14.3.3): the
+        /Info reference of the trailer (``_trailer_entry``), with the
+        standard string entries decoded latin-1 (PDFDocEncoding's ASCII
+        range; UTF-16 metadata strings are out of subset). Missing dict or
+        entries -> absent keys, never an error. Strings in encrypted
+        documents are themselves encrypted and are out of subset -> empty
+        dict there."""
         if self._encrypt is not None:
             return {}
-        return document_info(self._payload, self._objects)
+        found = self._trailer_entry(_INFO_REF_RE)
+        obj = self._objects.get(int(found[1].group(1))) if found else None
+        if obj is None:
+            return {}
+        out: Dict[str, str] = {}
+        for key in _INFO_KEYS:
+            s = _parse_string_entry(obj.dict_bytes, key.encode("ascii"))
+            if s is not None:
+                out[key] = s.decode("latin-1")
+        return out
 
     def outline(self) -> List[Tuple[int, str]]:
         """Document outline (bookmarks, ISO 32000-1 §12.3.3): ``(depth,
@@ -284,10 +259,7 @@ class PdfDocument(_EnginePdfDocument):
         root = self._objects.get(self._root)
         if root is None:
             return []
-        m = re.search(rb"/OCProperties\s*(<<|\d+\s+\d+\s+R)", root.dict_bytes)
-        if m is None:
-            return []
-        ocp = _resolve_dict(self._objects, root.dict_bytes, m)
+        ocp = _resolve_dict(self._objects, root.dict_bytes, "OCProperties")
         if ocp is None:
             return []
         gm = re.search(rb"/OCGs\s*\[", ocp)
@@ -664,14 +636,12 @@ class PdfDocument(_EnginePdfDocument):
         if st is None:
             return []
         rolemap: Dict[bytes, bytes] = {}
-        rm = re.search(rb"/RoleMap\s*(<<|\d+\s+\d+\s+R)", st.dict_bytes)
-        if rm is not None:
-            rmd = _resolve_dict(self._objects, st.dict_bytes, rm)
-            if rmd is not None:
-                for a, b in re.findall(
-                    rb"/([^\s/<>\[\]()]+)\s*/([^\s/<>\[\]()]+)", rmd
-                ):
-                    rolemap[a] = b
+        rmd = _resolve_dict(self._objects, st.dict_bytes, "RoleMap")
+        if rmd is not None:
+            for a, b in re.findall(
+                rb"/([^\s/<>\[\]()]+)\s*/([^\s/<>\[\]()]+)", rmd
+            ):
+                rolemap[a] = b
 
         # mcid -> text, per page index (subset: fixture pages are unique
         # owners of their mcids; /Pg selects the page). A broken page tree

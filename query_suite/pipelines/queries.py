@@ -37,7 +37,6 @@ from ..functions.text_utils import (
     remove_page_headers_footers,
 )
 from ..sources.page_formats import documents_to_pages
-from service1_text_extraction_ray import ensure_worker_importable
 from service1_text_extraction_ray.pipelines.extract_pipeline import (
     extract_dataset,
     extract_pages_dataset,
@@ -139,7 +138,6 @@ def _scanned_extraction(sf_dir: str) -> rd.Dataset:
     ds = _SCANNED_EXTRACTION_CACHE.get(key)
     if ds is None:
         cfg = ExtractConfig(ocr_backend="fake")
-        ensure_worker_importable()
         # Elastic TASKS, not the flagship's actor pool: per-batch OCR cost
         # dominates (full-page rasterize+recognize, ~30x a plain parse), so
         # the pool's measured (3n/4, n-1) floor starves the stage on this

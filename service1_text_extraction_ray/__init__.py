@@ -22,26 +22,24 @@ __version__ = "0.1.0"
 
 
 def ensure_worker_importable() -> None:
-    """Make the package's callables usable in Ray workers regardless of the
-    driver's cwd / sys.path.
+    """Ship the package's code to Ray workers by value, whatever the
+    driver's cwd or sys.path.
 
     Ray serializes classes and functions *by reference* (module path), so a
     worker whose interpreter can't import ``service1_text_extraction_ray``
-    fails with ModuleNotFoundError even though the driver imported it fine
-    (observed when driving the engine from a different working directory).
-    Registering the package's modules with cloudpickle's pickle-by-value
-    ships the code inside the task spec instead. Idempotent and cheap (the
-    package is a few hundred KB of source).
+    fails with ModuleNotFoundError even though the driver imported it fine.
+    cloudpickle matches registered module names by prefix, so registering
+    the top-level package ships every submodule, loaded now or later. The
+    package runs this at import, so every Ray Data graph over package code
+    ships it; calling it again is a no-op.
     """
     import sys
 
     try:
         from ray import cloudpickle
-    except Exception:  # pragma: no cover - ray not installed
+    except ImportError:  # pragma: no cover - ray not installed
         return
-    for name, mod in list(sys.modules.items()):
-        if mod is not None and name.startswith(__name__):
-            try:
-                cloudpickle.register_pickle_by_value(mod)
-            except Exception:
-                pass
+    cloudpickle.register_pickle_by_value(sys.modules[__name__])
+
+
+ensure_worker_importable()

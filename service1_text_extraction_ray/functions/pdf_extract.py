@@ -11,12 +11,16 @@ Supported subset (documented per SURVEY.md §7.4 item 2; the fixture writer in
 ``functions/synth.py`` emits only this subset, and real-world deviations
 surface as per-page/per-doc ``parse_failure`` rows, never exceptions):
 
-- PDF 1.x layout: ``N G obj ... endobj`` bodies, dictionaries ``<< ... >>``,
-  direct ``/Length`` integers on streams (an indirect ``/Length N 0 R``
-  falls back to the ``endstream`` scan), PLUS 1.5+ object streams: every
-  ``/Type /ObjStm`` is decoded and its contained objects unpacked into the
-  object map (``_expand_object_streams``), so compressed-catalog documents
-  parse; trailer fields are also read from ``/Type /XRef`` stream dicts
+- PDF 1.x layout: ``N G obj ... endobj`` bodies, dictionaries ``<< ... >>``
+  (literal and well-formed hex strings inside skip as units, so
+  ``<abcd>>>`` closes where it should), direct ``/Length`` integers on
+  streams (an indirect ``/Length N 0 R`` falls back to the ``endstream``
+  scan), PLUS 1.5+ object streams: every ``/Type /ObjStm`` is decoded and
+  its contained objects unpacked into the object map
+  (``_expand_object_streams``), so compressed-catalog documents parse.
+  Trailer fields (/Root, /Encrypt, /ID) come from one lookup,
+  ``PdfDocument._trailer_entry``: the dict after the last ``trailer``
+  keyword, read once per document, then the ``/Type /XRef`` stream dicts
   (cross-reference-stream files have no ``trailer`` keyword). Incremental
   updates (§7.5.6) resolve last-definition-at-highest-generation wins, so
   appended replacement objects shadow their originals.
@@ -31,10 +35,11 @@ surface as per-page/per-doc ``parse_failure`` rows, never exceptions):
   ``/DecodeParms`` ``/Predictor`` post-filters on the Flate/LZW stages —
   TIFF horizontal differencing (2) and all five PNG row filters (10-15,
   RFC 2083) with Columns/Colors/BitsPerComponent row geometry; text
-  operators ``BT ET Tf Td TD Tm T* TL Tj TJ ' "``; inline images
-  (``BI .. ID <binary> EI``, §8.9.7) are skipped at token granularity so
-  image bytes that spell text operators never inject junk spans; literal
-  ``(...)`` strings
+  operators ``BT ET Tf Td TD Tm T* TL Tj TJ ' "``, all read by one
+  tokenizer (``_tokenize``). It also reads an inline image's parameters
+  (``BI .. ID``, §8.9.7) with the same branches, ``%`` comments included,
+  yielding nothing, then skips the binary to ``EI``, so image bytes that
+  spell text operators never inject junk spans; literal ``(...)`` strings
   with standard escapes + octal, hex ``<...>`` strings; single-byte
   (StandardEncoding/WinAnsi ~ latin-1) text, with ``/Encoding
   /Differences`` glyph-name remapping honored per font (uniXXXX names and
@@ -43,6 +48,8 @@ surface as per-page/per-doc ``parse_failure`` rows, never exceptions):
   once, one ``_resource_entries`` walk per category dict (``/Font``,
   ``/XObject``, ``/Properties``; see ``_PageResources``), and
   ``PdfDocument._page_spans`` runs the page's content with them.
+  ``_resolve_dict`` reads a dict that a key names inline or by reference
+  (/Resources and its category dicts, /OCProperties and its /D).
 - The xref table is ignored (objects are located by scanning) — tolerant of
   broken/truncated xref sections, which is the common real-world corruption.
 
@@ -114,10 +121,16 @@ def _skip_ws(data: bytes, i: int) -> int:
     return i
 
 
+# A well-formed hex string. A stray '<' matches nothing and is skipped as
+# one byte, so it cannot swallow the dict's closing '>>'.
+_HEX_STRING_RE = re.compile(rb"<[0-9A-Fa-f\s]*>")
+
+
 def _scan_dict(data: bytes, i: int) -> Tuple[bytes, int]:
     """Return (dict bytes including delimiters, index after '>>').
-    ``i`` must point at ``<<``. Handles nesting; strings inside dicts are
-    skipped so ')>>(' sequences can't break the balance."""
+    ``i`` must point at ``<<``. Handles nesting; literal and hex strings
+    inside dicts are skipped as units, so neither ')>>(' nor a hex string
+    closing right before '>>' (``<abcd>>>``) can break the balance."""
     assert data[i : i + 2] == b"<<"
     depth = 0
     j = i
@@ -132,8 +145,11 @@ def _scan_dict(data: bytes, i: int) -> Tuple[bytes, int]:
             j += 2
             if depth == 0:
                 return data[i:j], j
-        elif data[j : j + 1] == b"(":
+        elif c[:1] == b"(":
             j = _skip_string(data, j)
+        elif c[:1] == b"<":
+            m = _HEX_STRING_RE.match(data, j)
+            j = m.end() if m is not None else j + 1
         else:
             j += 1
     raise PdfParseError("unterminated dictionary")
@@ -816,15 +832,26 @@ def _parse_tounicode(data: bytes) -> Dict[int, str]:
     return out
 
 
-_RESOURCES_RE = re.compile(rb"/Resources\s*(<<|\d+\s+\d+\s+R)")
 _TOUNICODE_REF_RE = re.compile(rb"/ToUnicode\s+(\d+)\s+\d+\s+R")
 
 
+# ``/key`` followed by an inline dict or a reference, one pattern per key.
+_DICT_VALUE_RE: Dict[str, "re.Pattern"] = {}
+
+
 def _resolve_dict(
-    objects: Dict[int, _PdfObject], container: bytes, m: "re.Match"
+    objects: Dict[int, _PdfObject], container: bytes, key: str
 ) -> Optional[bytes]:
-    """Resolve a ``<< ... >>`` found in place or a ``N 0 R`` reference to
-    the dict bytes of the target (None if dangling/malformed)."""
+    """The dict that ``key`` names in ``container``: the ``<< ... >>``
+    written in place or the dict bytes of the ``N 0 R`` target. None when
+    the key is absent, the reference dangles or the dict is malformed."""
+    rx = _DICT_VALUE_RE.get(key)
+    if rx is None:
+        rx = _DICT_VALUE_RE[key] = re.compile(
+            rb"/" + key.encode() + rb"\s*(<<|\d+\s+\d+\s+R)")
+    m = rx.search(container)
+    if m is None:
+        return None
     spec = m.group(1)
     if spec == b"<<":
         try:
@@ -847,16 +874,10 @@ def _doc_off_ocgs(
     root = objects.get(root_num)
     if root is None:
         return set()
-    m = re.search(rb"/OCProperties\s*(<<|\d+\s+\d+\s+R)", root.dict_bytes)
-    if m is None:
-        return set()
-    ocp = _resolve_dict(objects, root.dict_bytes, m)
+    ocp = _resolve_dict(objects, root.dict_bytes, "OCProperties")
     if ocp is None:
         return set()
-    dm = re.search(rb"/D\s*(<<|\d+\s+\d+\s+R)", ocp)
-    if dm is None:
-        return set()
-    cfg = _resolve_dict(objects, ocp, dm)
+    cfg = _resolve_dict(objects, ocp, "D")
     if cfg is None:
         return set()
     fm = re.search(rb"/OFF\s*\[", cfg)
@@ -870,10 +891,6 @@ def _doc_off_ocgs(
 
 # A page's /Resources holds one dict per category, inline or by reference,
 # of ``/name N 0 R`` entries (ISO 32000-1 §7.8.3).
-_RESOURCE_DICT_RE = {
-    category: re.compile(rb"/" + category.encode() + rb"\s*(<<|\d+\s+\d+\s+R)")
-    for category in ("Font", "XObject", "Properties")
-}
 _RESOURCE_ENTRY_RE = re.compile(rb"/(\w+)\s+(\d+)\s+\d+\s+R")
 _SUBTYPE_RE = re.compile(rb"/Subtype\s*/(\w+)")
 
@@ -887,10 +904,7 @@ def _resource_entries(
     reference dangles. The only code that searches a page's /Resources."""
     if not resources:
         return []
-    m = _RESOURCE_DICT_RE[category].search(resources)
-    if m is None:
-        return []
-    entries = _resolve_dict(objects, resources, m)
+    entries = _resolve_dict(objects, resources, category)
     if entries is None:
         return []
     return [(name.decode("latin-1"), int(num))
@@ -1007,31 +1021,16 @@ def _page_resources(
     return res
 
 
-def _find_root(data: bytes, objects: Dict[int, _PdfObject]) -> int:
-    m = None
-    for m in re.finditer(rb"trailer", data):
-        pass  # take the last trailer
-    if m is not None:
-        i = _skip_ws(data, m.end())
-        if data[i : i + 2] == b"<<":
-            tdict, _ = _scan_dict(data, i)
-            rm = _NAME_VAL_RE["Root"].search(tdict)
-            if rm:
-                return int(rm.group(1))
-    # Cross-reference-stream PDFs (1.5+) have no 'trailer' keyword: the
-    # trailer fields live in the /Type /XRef stream dictionary (§7.5.8).
-    for num in sorted(objects):
-        tm = _TYPE_RE.search(objects[num].dict_bytes)
-        if tm and tm.group(1) == b"XRef":
-            rm = _NAME_VAL_RE["Root"].search(objects[num].dict_bytes)
-            if rm:
-                return int(rm.group(1))
-    # Fallback: first /Type /Catalog object, in object-number order.
-    for num in sorted(objects):
-        tm = _TYPE_RE.search(objects[num].dict_bytes)
-        if tm and tm.group(1) == b"Catalog":
-            return num
-    raise PdfParseError("no document catalog")
+def _trailer_dict(data: bytes) -> Optional[bytes]:
+    """The dict after the last ``trailer`` keyword; None when the file has
+    no keyword (cross-reference-stream files) or no dict follows it."""
+    at = data.rfind(b"trailer")
+    if at < 0:
+        return None
+    i = _skip_ws(data, at + 7)
+    if data[i : i + 2] != b"<<":
+        return None
+    return _scan_dict(data, i)[0]
 
 
 _ROTATE_RE = re.compile(rb"/Rotate\s+(-?\d+)")
@@ -1067,9 +1066,7 @@ def _page_order(objects: Dict[int, _PdfObject], root_num: int) -> List[tuple]:
         mb = _MEDIABOX_RE.search(obj.dict_bytes)
         if mb:
             box = tuple(float(x) for x in mb.groups())
-        resm = _RESOURCES_RE.search(obj.dict_bytes)
-        if resm:
-            res = _resolve_dict(objects, obj.dict_bytes, resm) or res
+        res = _resolve_dict(objects, obj.dict_bytes, "Resources") or res
         t = _TYPE_RE.search(obj.dict_bytes)
         tname = t.group(1) if t else b""
         if tname == b"Page":
@@ -1093,60 +1090,12 @@ def _page_order(objects: Dict[int, _PdfObject], root_num: int) -> List[tuple]:
 
 _NUM_TOKEN_RE = re.compile(rb"[+-]?(?:\d+\.?\d*|\.\d+)")
 _OP_TOKEN_RE = re.compile(rb"[A-Za-z'\"*]{1,3}")
+_NAME_RE = re.compile(rb"/[^\s()<>\[\]/%]*")
 
 _WS_BYTES = (b" ", b"\t", b"\r", b"\n", b"\f", b"\x00")
 # binary payload terminator: whitespace + EI + token boundary (§8.9.7)
 _INLINE_EI_RE = re.compile(rb"[\s\x00]EI(?![0-9A-Za-z])")
 
-
-def _skip_inline_image(data: bytes, i: int) -> int:
-    """Skip an inline image (ISO 32000-1 §8.9.7): ``BI <params> ID <binary>
-    EI``. Called with ``i`` just past the BI operator; returns the offset
-    past the closing EI. The parameter dict is consumed at TOKEN
-    granularity (names/numbers/strings/arrays via the same readers as the
-    main tokenizer), so an ``ID`` inside a string or name can't end the
-    scan early; the binary payload then runs to the first
-    whitespace-delimited EI. Without this, image bytes that happen to spell
-    text operators (``(..) Tj``, ``BT``) would inject junk spans — the
-    classic from-scratch-parser trap on scanned/overlay PDFs."""
-    n = len(data)
-    while i < n:
-        c = data[i : i + 1]
-        if c in _WS_BYTES:
-            i += 1
-            continue
-        if c == b"(":
-            _, i = _read_literal_string(data, i)
-            continue
-        if c == b"<":
-            if data[i : i + 2] == b"<<":
-                _, i = _scan_dict(data, i)
-            else:
-                _, i = _read_hex_string(data, i)
-            continue
-        if c == b"/":
-            m = re.match(rb"/[^\s()<>\[\]/%]*", data[i:])
-            i += m.end()
-            continue
-        if c in (b"[", b"]"):
-            i += 1
-            continue
-        m = _NUM_TOKEN_RE.match(data, i)
-        if m and m.end() > i:
-            i = m.end()
-            continue
-        m = _OP_TOKEN_RE.match(data, i)
-        if m:
-            if m.group(0) == b"ID":
-                i = m.end()
-                if i < n and data[i : i + 1] in _WS_BYTES:
-                    i += 1  # exactly one whitespace byte precedes the data
-                e = _INLINE_EI_RE.search(data, i)
-                return e.end() if e else n
-            i = m.end()
-            continue
-        i += 1  # unknown byte — skip (tolerant)
-    return n
 
 _ESCAPES = {
     0x6E: b"\n",  # n
@@ -1225,53 +1174,75 @@ def _read_hex_string(data: bytes, i: int) -> Tuple[bytes, int]:
 
 
 def _tokenize(data: bytes):
-    """Yield ('num', float) | ('str', bytes) | ('name', bytes) | ('op', bytes)
-    | ('[',) | (']',) tokens."""
+    """Yield ('num', float) | ('str', bytes) | ('name', bytes) | ('dict',
+    bytes) | ('op', bytes) | ('[', None) | (']', None) tokens.
+
+    An inline image (ISO 32000-1 §8.9.7: ``BI <params> ID <binary> EI``)
+    yields nothing. After ``BI`` the same branches read its parameters
+    without yielding, so an ``ID`` inside a string, name or ``%`` comment
+    cannot end them early; ``ID`` then skips the binary payload to the
+    first whitespace-delimited ``EI``. Image bytes that happen to spell
+    text operators (``(..) Tj``, ``BT``) thus never inject junk spans."""
     i = 0
     n = len(data)
+    image = False  # inside an inline image's parameters
     while i < n:
         c = data[i : i + 1]
         if c in (b" ", b"\t", b"\r", b"\n", b"\f", b"\x00"):
             i += 1
         elif c == b"(":
             s, i = _read_literal_string(data, i)
-            yield ("str", s)
+            if not image:
+                yield ("str", s)
         elif c == b"<":
             if data[i : i + 2] == b"<<":
                 d, i = _scan_dict(data, i)
-                yield ("dict", d)
+                if not image:
+                    yield ("dict", d)
             else:
                 s, i = _read_hex_string(data, i)
-                yield ("str", s)
+                if not image:
+                    yield ("str", s)
         elif c == b"[":
-            yield ("[", None)
+            if not image:
+                yield ("[", None)
             i += 1
         elif c == b"]":
-            yield ("]", None)
+            if not image:
+                yield ("]", None)
             i += 1
         elif c == b"/":
-            m = re.match(rb"/[^\s()<>\[\]/%]*", data[i:])
-            yield ("name", m.group(0))
-            i += m.end()
+            m = _NAME_RE.match(data, i)
+            if not image:
+                yield ("name", m.group(0))
+            i = m.end()
         elif c == b"%":
             nl = data.find(b"\n", i)
             i = n if nl < 0 else nl + 1
         else:
             m = _NUM_TOKEN_RE.match(data, i)
             if m and m.end() > i:
-                yield ("num", float(m.group(0)))
+                if not image:
+                    yield ("num", float(m.group(0)))
                 i = m.end()
                 continue
             m = _OP_TOKEN_RE.match(data, i)
-            if m:
-                if m.group(0) == b"BI":
-                    # inline image: never yields tokens (no text content)
-                    i = _skip_inline_image(data, m.end())
-                    continue
-                yield ("op", m.group(0))
-                i = m.end()
-            else:
+            if m is None:
                 i += 1  # unknown byte — skip (tolerant)
+                continue
+            op = m.group(0)
+            i = m.end()
+            if not image:
+                if op == b"BI":
+                    image = True
+                else:
+                    yield ("op", op)
+            elif op == b"ID":
+                if i < n and data[i : i + 1] in _WS_BYTES:
+                    i += 1  # exactly one whitespace byte precedes the data
+                e = _INLINE_EI_RE.search(data, i)
+                i = e.end() if e else n
+                image = False
 
 
 @dataclass
@@ -1739,39 +1710,28 @@ def _parse_string_entry(dict_bytes: bytes, name: bytes) -> Optional[bytes]:
     return s
 
 
+def _int_entry(d: bytes, name: str, default: Optional[int]) -> Optional[int]:
+    m = _INT_ENTRY[name].search(d)
+    return int(m.group(1)) if m is not None else default
+
+
 def _find_encrypt_info(
-    data: bytes, objects: Dict[int, _PdfObject]
+    objects: Dict[int, _PdfObject],
+    found: Optional[Tuple[bytes, "re.Match"]],
 ) -> Optional[PdfEncryptInfo]:
-    """Locate and parse the /Encrypt dictionary from the (last) trailer,
-    or from a /Type /XRef stream dict when the file has no trailer keyword.
+    """Parse the /Encrypt dictionary that ``found`` names: the trailer
+    dict holding /Encrypt and its match (``PdfDocument._trailer_entry``).
+    /ID is read from that same dict.
 
     Returns None for unencrypted documents; raises PdfParseError for
-    encryption outside the supported subset (non-Standard handler, /V 5
-    AESV3, unknown crypt filters) — counted failure, never junk text.
-    Supported: /V 1-2 (RC4) and /V 4 with /StdCF /CFM of V2 (RC4) or AESV2
-    (AES-128-CBC, functions/pdf_crypt.py).
+    encryption outside the supported subset (non-Standard handler, unknown
+    crypt filters) — counted failure, never junk text. Supported: /V 1-2
+    (RC4), /V 4 with /StdCF /CFM of V2 (RC4) or AESV2 (AES-128-CBC) and
+    /V 5 with AESV3 (AES-256, functions/pdf_crypt.py).
     """
-    # Trailer-field candidates: the (last) 'trailer' dict, else any
-    # /Type /XRef stream dict (cross-reference-stream files, §7.5.8).
-    candidates: List[bytes] = []
-    m = None
-    for m in re.finditer(rb"trailer", data):
-        pass
-    if m is not None:
-        i = _skip_ws(data, m.end())
-        if data[i : i + 2] == b"<<":
-            candidates.append(_scan_dict(data, i)[0])
-    for num in sorted(objects):
-        tm = _TYPE_RE.search(objects[num].dict_bytes)
-        if tm and tm.group(1) == b"XRef":
-            candidates.append(objects[num].dict_bytes)
-    tdict = em = None
-    for tdict in candidates:
-        em = _ENCRYPT_REF_RE.search(tdict)
-        if em is not None:
-            break
-    if em is None:
+    if found is None:
         return None
+    tdict, em = found
     enc_obj = objects.get(int(em.group(1)))
     if enc_obj is None:
         raise PdfParseError("dangling /Encrypt reference")
@@ -1779,7 +1739,7 @@ def _find_encrypt_info(
     fm = re.search(rb"/Filter\s*/(\w+)", d)
     if fm is None or fm.group(1) != b"Standard":
         raise PdfParseError("unsupported encryption handler")
-    v = int(_INT_ENTRY["V"].search(d).group(1)) if _INT_ENTRY["V"].search(d) else 0
+    v = _int_entry(d, "V", 0)
     if v not in (1, 2, 4, 5):
         raise PdfParseError(f"unsupported encryption /V {v}")
     cfm = "V2"
@@ -1791,15 +1751,12 @@ def _find_encrypt_info(
         if re.search(rb"/EncryptMetadata\s+false", d):
             # would append ffffffff to the key hash; outside the subset
             raise PdfParseError("unsupported /EncryptMetadata false")
-    r = int(_INT_ENTRY["R"].search(d).group(1)) if _INT_ENTRY["R"].search(d) else 2
+    r = _int_entry(d, "R", 2)
     if (v == 5 and r not in (5, 6)) or (v != 5 and r not in (2, 3, 4)):
         raise PdfParseError(f"unsupported encryption /R {r}")
-    length_bits = 40
-    lm = _INT_ENTRY["Length"].search(d)
-    if lm:
-        length_bits = int(lm.group(1))
-    pm = _INT_ENTRY["P"].search(d)
-    if pm is None:
+    length_bits = _int_entry(d, "Length", 40)
+    p = _int_entry(d, "P", None)
+    if p is None:
         raise PdfParseError("encryption dictionary without /P")
     o_entry = _parse_string_entry(d, b"O")
     u_entry = _parse_string_entry(d, b"U")
@@ -1822,7 +1779,7 @@ def _find_encrypt_info(
     key_len = 32 if v == 5 else max(5, min(16, length_bits // 8))
     return PdfEncryptInfo(
         v=v, r=r, key_len=key_len,
-        o_entry=o_entry, u_entry=u_entry, p=int(pm.group(1)), id0=id0,
+        o_entry=o_entry, u_entry=u_entry, p=p, id0=id0,
         cfm=cfm, ue_entry=ue_entry, oe_entry=oe_entry, perms_entry=perms_entry,
     )
 
@@ -1847,9 +1804,10 @@ class PdfDocument:
     def __init__(self, payload: bytes) -> None:
         if payload[:5] != b"%PDF-":
             raise PdfParseError("missing %PDF- header")
-        self._payload = payload
         self._objects = _scan_objects(payload)
-        self._encrypt = _find_encrypt_info(payload, self._objects)
+        self._trailer = _trailer_dict(payload)
+        self._encrypt = _find_encrypt_info(
+            self._objects, self._trailer_entry(_ENCRYPT_REF_RE))
         self._file_key: Optional[bytes] = None
         if self._encrypt is None:
             _expand_object_streams(self._objects)
@@ -1863,11 +1821,11 @@ class PdfDocument:
             # The catalog may live inside an encrypted ObjStm — defer root
             # resolution until a later authenticate() arms the key.
             try:
-                self._root: Optional[int] = _find_root(payload, self._objects)
+                self._root: Optional[int] = self._find_root()
             except PdfParseError:
                 self._root = None
         else:
-            self._root = _find_root(payload, self._objects)
+            self._root = self._find_root()
 
     @property
     def is_encrypted(self) -> bool:
@@ -1907,8 +1865,41 @@ class PdfDocument:
         # unpack them and resolve a root that was deferred in __init__.
         _expand_object_streams(self._objects, key, cfm=e.cfm)
         if getattr(self, "_root", None) is None:
-            self._root = _find_root(self._payload, self._objects)
+            self._root = self._find_root()
         return True
+
+    def _trailer_entry(
+        self, key_re: "re.Pattern"
+    ) -> Optional[Tuple[bytes, "re.Match"]]:
+        """The first trailer dict holding ``key_re``, with its match: the
+        dict after the last ``trailer`` keyword, then each /Type /XRef
+        stream dict (cross-reference-stream files, §7.5.8) in object-number
+        order. Reads the object map as it is now, so a lookup after
+        object-stream expansion also sees the unpacked objects."""
+        if self._trailer is not None:
+            m = key_re.search(self._trailer)
+            if m is not None:
+                return self._trailer, m
+        for num in sorted(self._objects):
+            d = self._objects[num].dict_bytes
+            tm = _TYPE_RE.search(d)
+            if tm is not None and tm.group(1) == b"XRef":
+                m = key_re.search(d)
+                if m is not None:
+                    return d, m
+        return None
+
+    def _find_root(self) -> int:
+        """The catalog's object number: the trailer's /Root, else the first
+        /Type /Catalog object in object-number order."""
+        found = self._trailer_entry(_NAME_VAL_RE["Root"])
+        if found is not None:
+            return int(found[1].group(1))
+        for num in sorted(self._objects):
+            tm = _TYPE_RE.search(self._objects[num].dict_bytes)
+            if tm and tm.group(1) == b"Catalog":
+                return num
+        raise PdfParseError("no document catalog")
 
     def _page_spans(
         self,

@@ -65,7 +65,6 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
 
-from .. import ensure_worker_importable
 from ..functions.extract import ExtractConfig
 from ..functions.sniff import sniff_table, stable_shard_id
 from ..sources.pages_source import (
@@ -114,8 +113,6 @@ def extract_dataset(ds: rd.Dataset, cfg: Optional[ExtractConfig] = None) -> rd.D
     (run_extraction_job) — cheaper than any row filter.
     """
     cfg = cfg or ExtractConfig()
-    # Ship package code by value so workers never need the repo on sys.path.
-    ensure_worker_importable()
     ds = ds.map_batches(
         sniff_table,
         batch_format="pyarrow",
@@ -286,8 +283,6 @@ def _run_file_tasks(files: list, task: ExtractFile) -> list:
     shard at most). Each task committed its own shard."""
     if not files:
         return []
-    # Ship package code by value so workers never need the repo on sys.path.
-    ensure_worker_importable()
     # from_items caps its default block count at 200; one block per file
     # keeps one task per file at any file count.
     return list(

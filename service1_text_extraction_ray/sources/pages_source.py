@@ -14,7 +14,6 @@ import os
 import pyarrow as pa
 import ray.data as rd
 
-from .. import ensure_worker_importable
 from ..functions.sniff import sniff_payload
 from ..functions.synth import PAGES_SCHEMA
 
@@ -168,8 +167,6 @@ def write_pages_warc(pages: rd.Dataset, out_dir: str,
     and decompress one record without touching the rest of the shard —
     that per-record random access is what makes CC index lookups work."""
     os.makedirs(out_dir, exist_ok=True)
-    # Ship package code by value so workers never need the repo on sys.path.
-    ensure_worker_importable()
 
     def write_block(t: pa.Table) -> pa.Table:
         recs = [r for row in t.to_pylist()
@@ -468,8 +465,6 @@ def read_pages_warc(input_path: str | list, tolerant: bool = False) -> rd.Datase
     files = list_input_files(input_path)
     if files and files[0].endswith(".parquet"):
         raise ValueError(f"{input_path!r} holds parquet shards, not WARC")
-    # Ship package code by value so workers never need the repo on sys.path.
-    ensure_worker_importable()
     return rd.from_items(
         [{"path": p} for p in files]
     ).map_batches(parse, batch_format="pyarrow", batch_size=1)

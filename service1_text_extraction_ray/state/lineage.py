@@ -717,24 +717,11 @@ def upsert_shard(out_dir: str, shard_id: int, updates: pa.Table,
     # shard predates (an engine upgrade widened the row schema) and vice
     # versa — unify by name, absent columns fill with typed nulls. Stored
     # column order is preserved, new columns append in update order, so
-    # the merged layout is deterministic.
-    # "permissive" also promotes castable type differences (an update
-    # stream inferring int32 where the table stores int64 must merge, not
-    # raise) — align() below casts each side to the unified type.
-    schema = pa.unify_schemas([old.schema, updates.schema],
-                              promote_options="permissive")
-
-    def align(t: pa.Table) -> pa.Table:
-        cols = []
-        for f in schema:
-            if f.name in t.column_names:
-                c = t[f.name]
-                cols.append(c if c.type == f.type else pc.cast(c, f.type))
-            else:
-                cols.append(pa.nulls(t.num_rows, f.type))
-        return pa.Table.from_arrays(cols, schema=schema)
-
-    merged = pa.concat_tables([align(kept), align(updates)]).sort_by(key)
+    # the merged layout is deterministic. "permissive" also promotes
+    # castable type differences (an update stream inferring int32 where
+    # the table stores int64 must merge, not raise).
+    merged = pa.concat_tables(
+        [kept, updates], promote_options="permissive").sort_by(key)
 
     records = _write_parts(out_dir, shard_id, merged, fs)
     new_rec = _repoint(out_dir, shard_id, records, old_parts, fs)

@@ -8,6 +8,7 @@ from service1_text_extraction_ray.functions.pdf_extract import (
     PdfParseError,
     _interpret_text,
     _read_literal_string,
+    _scan_dict,
     _tokenize,
     open_pdf,
     parse_pdf,
@@ -496,6 +497,48 @@ def test_incremental_update_replaces_page():
     assert parse_pdf(updated2)[0].text == "Second revision."
 
 
+def _one_page_pdf(content_dict: bytes, content: bytes, tail: bytes) -> bytes:
+    """Classic-layout PDF: catalog 1, pages 2, page 3 whose content stream
+    is object 4 with ``content_dict``'s entries; ``tail`` follows the
+    objects (the trailers)."""
+    return (
+        b"%PDF-1.4\n"
+        b"1 0 obj << /Type /Catalog /Pages 2 0 R >> endobj\n"
+        b"2 0 obj << /Type /Pages /Kids [3 0 R] /Count 1 >> endobj\n"
+        b"3 0 obj << /Type /Page /Parent 2 0 R /MediaBox [0 0 612 792] "
+        b"/Contents 4 0 R >> endobj\n"
+        b"4 0 obj << /Length " + str(len(content)).encode() + content_dict
+        + b">>\nstream\n" + content + b"\nendstream endobj\n" + tail
+    )
+
+
+def test_last_trailer_names_the_root_else_first_catalog():
+    text = b"BT /F1 12 Tf 72 720 Td (Live catalog.) Tj ET"
+    stale = (b"5 0 obj << /Type /Catalog /Pages 6 0 R >> endobj\n"
+             b"6 0 obj << /Type /Pages /Kids [] /Count 0 >> endobj\n")
+    # two incremental-update trailers: the last one's /Root wins
+    pdf = _one_page_pdf(b" ", text, stale + b"trailer << /Root 5 0 R >>\n"
+                        b"trailer << /Root 1 0 R >>\n%%EOF\n")
+    assert [p.text for p in parse_pdf(pdf)] == ["Live catalog."]
+    # the last trailer has no /Root: the first /Type /Catalog object wins
+    pdf = _one_page_pdf(b" ", text, stale + b"trailer << /Root 5 0 R >>\n"
+                        b"trailer << /Size 7 >>\n%%EOF\n")
+    assert [p.text for p in parse_pdf(pdf)] == ["Live catalog."]
+    pdf = _one_page_pdf(b" ", text, stale + b"trailer << /Root 5 0 R >>\n%%EOF\n")
+    with pytest.raises(PdfParseError, match="empty page tree"):
+        parse_pdf(pdf)
+
+
+def test_hex_string_closing_a_dict_keeps_the_stream():
+    # "<abcd>>>": the hex string's '>' must not pair with the dict's first
+    # '>', which would end the dict a byte early and drop the stream
+    text = b"BT /F1 12 Tf 72 720 Td (Hex before close.) Tj ET"
+    pdf = _one_page_pdf(b" /Foo <abcd>", text, b"trailer << /Root 1 0 R >>\n")
+    assert [p.text for p in parse_pdf(pdf)] == ["Hex before close."]
+    # a stray '<' is one byte, not a string that swallows the '>>'
+    assert _scan_dict(b"<< /A < /B 1 >> tail", 0) == (b"<< /A < /B 1 >>", 15)
+
+
 def test_stale_lower_generation_never_wins():
     from service1_text_extraction_ray.functions.synth import (
         append_incremental_update,
@@ -928,6 +971,17 @@ class TestInlineImages:
         content = (
             b"BI /Name (ID) /BPC 8 ID \x00\x01 BT (x) Tj ET \nEI\n"
             b"BT /F1 10 Tf 5 5 Td (Real text.) Tj ET"
+        )
+        spans = _interpret_text(content)
+        assert [s.text for s in spans] == ["Real text."]
+
+    def test_comment_in_image_params_does_not_end_them(self):
+        # a %-comment runs to the end of its line inside the parameters as
+        # it does in content: its "ID  EI" must not end the image, or the
+        # binary "(Junk) Tj" after the real ID is read as text
+        content = (
+            b"BT /F1 10 Tf 5 5 Td (Real text.) Tj\n"
+            b"BI /W 1 /H 1 %ID  EI\n/BPC 8 ID \x00\x01 (Junk) Tj EI\nET"
         )
         spans = _interpret_text(content)
         assert [s.text for s in spans] == ["Real text."]

@@ -564,6 +564,48 @@ def test_job_runs_from_foreign_cwd_without_package_on_worker_path(tmp_path):
         [doc_content_hash(o["doc_text"]) for o in oracle])
 
 
+
+_FOREIGN_MAP_DRIVER = """
+import json, sys
+sys.path.insert(0, sys.argv[1])  # the package is on the DRIVER's path only
+import ray
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+import ray.data as rd
+from service1_text_extraction_ray.functions.sniff import sniff_table
+from service1_text_extraction_ray.functions.synth import gen_pages_table
+ds = rd.from_arrow(gen_pages_table(20, seed=42)).map_batches(
+    sniff_table, batch_format="pyarrow", fn_args=(tuple(json.loads(sys.argv[2])),))
+print(json.dumps(sorted({r["content_kind"] for r in ds.take_all()})))
+ray.shutdown()
+"""
+
+
+def test_public_function_maps_from_foreign_cwd_without_an_entry_point(tmp_path):
+    """Importing the package ships it to the workers: a public function
+    mapped with plain ``ray.data`` from a foreign cwd runs, although no
+    engine entry point ran first to register the package."""
+    import json
+    import subprocess
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cwd = tmp_path / "elsewhere"
+    cwd.mkdir()
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONPATH", "RAY_ADDRESS")}
+    res = subprocess.run(
+        [sys.executable, "-c", _FOREIGN_MAP_DRIVER, repo,
+         json.dumps(list(CFG.size_bucket_edges))],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert res.returncode == 0, f"map failed:\n{res.stderr[-4000:]}"
+    kinds = sniff_table(gen_pages_table(20, seed=42), CFG.size_bucket_edges)
+    assert json.loads(res.stdout.strip().splitlines()[-1]) == sorted(
+        set(kinds["content_kind"].to_pylist()))
+
+
 class TestCompaction:
     @staticmethod
     def _rows(i0, n):
