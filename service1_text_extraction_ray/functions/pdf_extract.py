@@ -1091,6 +1091,8 @@ def _page_order(objects: Dict[int, _PdfObject], root_num: int) -> List[tuple]:
 _NUM_TOKEN_RE = re.compile(rb"[+-]?(?:\d+\.?\d*|\.\d+)")
 _OP_TOKEN_RE = re.compile(rb"[A-Za-z'\"*]{1,3}")
 _NAME_RE = re.compile(rb"/[^\s()<>\[\]/%]*")
+# a comment runs to its line's end: CR, LF or CRLF (ISO 32000-1 §7.2.3)
+_COMMENT_RE = re.compile(rb"%[^\r\n]*")
 
 _WS_BYTES = (b" ", b"\t", b"\r", b"\n", b"\f", b"\x00")
 # binary payload terminator: whitespace + EI + token boundary (§8.9.7)
@@ -1217,8 +1219,7 @@ def _tokenize(data: bytes):
                 yield ("name", m.group(0))
             i = m.end()
         elif c == b"%":
-            nl = data.find(b"\n", i)
-            i = n if nl < 0 else nl + 1
+            i = _COMMENT_RE.match(data, i).end()
         else:
             m = _NUM_TOKEN_RE.match(data, i)
             if m and m.end() > i:

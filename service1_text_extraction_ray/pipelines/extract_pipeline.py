@@ -1,27 +1,29 @@
-"""The flagship extraction pipeline as a streaming ray.data graph.
+"""The flagship extraction pipeline: one plain Ray task per input file.
 
 Replaces the reference's FastAPI/Postgres/asyncio plumbing
 (``document_text_extraction_service.py:226-360`` fan-out,
 ``:405-605`` per-doc stage chain) with::
 
-    from_items(input files,                    # one block per file; completed
-               one block per file)             #   files pruned on resume
-      -> map_batches(ExtractFile | MergeFile,  # per file, in ONE task: read
-                     batch_size=1)             #   it whole -> sniff_table ->
-                                               #   ExtractDocuments in
-                                               #   PARSE_BATCH_SIZE slices
-                                               #   -> commit: one content-
-                                               #   addressed part + the shard
-                                               #   manifest, or a merge into
-                                               #   the shard: NO shuffle
-      -> drain the tiny summary stream
+    input files                             # completed files pruned on
+                                            #   resume
+      -> one _run_file_task per file        # per file, in ONE task: read
+         (ExtractFile | MergeFile)          #   it whole -> sniff_table ->
+                                            #   ExtractDocuments in
+                                            #   PARSE_BATCH_SIZE slices
+                                            #   -> commit: one content-
+                                            #   addressed part + the shard
+                                            #   manifest, or a merge into
+                                            #   the shard: NO shuffle
+      -> ray.wait for the tiny summary tables
 
-Both entry points run this one graph (``_run_file_tasks``) and differ only
-in the task's commit step. ``run_extraction_job`` runs ``ExtractFile``,
-which writes the file's rows as a new shard. ``run_incremental_recrawl``
-runs ``MergeFile``, which merges them into the file's shard by url
-(``lineage.upsert_shard``). No Ray work starts outside Ray Data, and no
-Ray Data shuffle (groupby, repartition, sort) runs in either.
+Both entry points run this one fan-out (``_run_file_tasks``) and differ
+only in the task's commit step. ``run_extraction_job`` runs
+``ExtractFile``, which writes the file's rows as a new shard.
+``run_incremental_recrawl`` runs ``MergeFile``, which merges them into the
+file's shard by url (``lineage.upsert_shard``). All of the job's Ray work
+starts in ``_run_file_tasks``, and no Ray Data graph or shuffle runs in
+either: the job has no read operator to stream and nothing to fuse, so
+the file is the task and the driver only waits for it.
 
 Design notes (SURVEY.md §4.2):
 
@@ -63,6 +65,7 @@ from typing import Optional
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 import ray.data as rd
 
 from ..functions.extract import ExtractConfig
@@ -99,8 +102,6 @@ def _default_pool_size() -> tuple:
     engine no longer runs an actor pool (each input file is one plain
     task); this stays only because
     ``extraction_bench/job.py`` imports it and reports its value."""
-    import ray
-
     ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     return (max(1, min(3 * ncpu // 4, ncpu - 2)), max(2, ncpu - 1))
 
@@ -277,19 +278,46 @@ def _check_distinct_shards(files: list) -> None:
         )
 
 
+@ray.remote(max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError],
+            scheduling_strategy="DEFAULT")
+def _run_file_task(task: ExtractFile, path: str) -> pa.Table:
+    """One input file's task: ``task`` on a one-row ``path`` batch."""
+    return task(pa.table({"path": [path]}))
+
+
 def _run_file_tasks(files: list, task: ExtractFile) -> list:
-    """Run ``task`` on every input file, one plain Ray Data task per file,
-    and return the summary tables the tasks returned (tiny: one row per
-    shard at most). Each task committed its own shard."""
+    """Run ``task`` on every input file, one plain Ray task per file, and
+    return the summary tables the tasks returned, in file order (tiny: one
+    row per shard at most). Each task committed its own shard.
+
+    The task object is stored once (``ray.put``) and every file's task
+    reads it. Retries follow the policy Ray Data gives its tasks: a task
+    whose worker dies, or that raises ``RaySystemError``, is retried
+    without limit; an error of the task's own code is never retried. On
+    the first error, the tasks still pending are cancelled and waited for,
+    so none of them writes after this raises, and a task's error is raised
+    as the task raised it (a ``ValueError`` naming an unreadable file
+    stays one). The cancel kills a running task's worker, as a crash
+    would: an interrupt instead can land inside an import, and the worker,
+    reused by the next job, then fails to import that module."""
     if not files:
         return []
-    # from_items caps its default block count at 200; one block per file
-    # keeps one task per file at any file count.
-    return list(
-        rd.from_items([{"path": f} for f in files], override_num_blocks=len(files))
-        .map_batches(task, batch_format="pyarrow", batch_size=1)
-        .iter_batches(batch_size=4096, batch_format="pyarrow")
-    )
+    task_ref = ray.put(task)
+    refs = [_run_file_task.remote(task_ref, f) for f in files]
+    pending = refs
+    try:
+        while pending:
+            done, pending = ray.wait(pending, num_returns=1)
+            ray.get(done)
+    except BaseException as e:
+        for ref in pending:
+            ray.cancel(ref, force=True)
+        if pending:
+            ray.wait(pending, num_returns=len(pending))
+        if isinstance(e, ray.exceptions.RayTaskError):
+            raise e.cause from e
+        raise
+    return ray.get(refs)
 
 
 def run_extraction_job(

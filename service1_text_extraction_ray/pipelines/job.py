@@ -21,7 +21,7 @@ import sys
 
 
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description="Ray Data text-extraction job")
+    p = argparse.ArgumentParser(description="Ray text-extraction job")
     p.add_argument("--input", required=True, help="input pages parquet dir/file")
     p.add_argument("--output", required=True, help="output dir (data/ + lineage/)")
     p.add_argument("--resume", action="store_true", help="skip shards with valid manifests")
@@ -88,9 +88,6 @@ def main(argv=None) -> int:
         if args.num_cpus:
             kwargs["num_cpus"] = args.num_cpus
         ray.init(**kwargs)
-    from ray.data import DataContext
-
-    DataContext.get_current().enable_progress_bars = False
 
     from .extract_pipeline import run_extraction_job, run_incremental_recrawl
 

@@ -1,9 +1,10 @@
-"""Ray Data stages for the extraction pipeline.
+"""Parse stages for the extraction pipeline.
 
 The parse stage is a *callable class*. The extraction job calls its
-instance inside each per-file task (``extract_pipeline.ExtractFile``), on
-slices of the file; the no-write Dataset API runs it as plain Ray Data
-tasks (``ds.map_batches(ExtractDocuments(cfg), batch_size=...)``). It
+instance on slices of a file inside that file's plain Ray task
+(``extract_pipeline.ExtractFile``, which ``_run_file_tasks`` submits);
+the no-write Dataset API runs it as Ray Data tasks
+(``ds.map_batches(ExtractDocuments(cfg), batch_size=...)``). It
 holds only the frozen config, which ships with every task, and keeps no
 state between documents; the parser modules compile their regexes and
 dispatch tables at import time, once per worker process. Each ``__call__``

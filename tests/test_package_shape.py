@@ -8,9 +8,9 @@ also runs ``a/__init__.py`` and ``a/b/__init__.py``, so parent packages of
 every reached module count as reached.
 
 Three more walks check that no engine module calls a Ray Data shuffle,
-that every ``map_batches`` runs its function as plain tasks, and that no
-Ray work starts outside Ray Data. One more pins the engine-private names
-the query suite imports.
+that every ``map_batches`` runs its function as plain tasks, and that all
+Ray work starts in the job's one file fan-out. One more pins the
+engine-private names the query suite imports.
 
 The function-grain walk does the same inside modules: every top-level def
 of the package is reached from the engine's entry functions or from code
@@ -171,23 +171,46 @@ def test_engine_runs_batches_as_tasks():
     assert not offenders, f"map_batches run as an actor pool: {offenders}"
 
 
-def test_engine_launches_ray_work_only_through_ray_data():
-    """One way to run work on Ray: a Ray Data graph. No engine module
-    defines or calls a remote function or actor (``ray.remote`` as a
-    decorator or call, ``f.remote(...)``) or waits on an object ref
-    (``ray.get``)."""
-    offenders = sorted(
-        f"{p.relative_to(PKG_DIR)}:{node.lineno}"
-        for p in PKG_DIR.rglob("*.py")
-        for node in ast.walk(ast.parse(p.read_text()))
+# The one place Ray work starts: the job's file fan-out and the remote
+# function it submits, by module.
+RAY_WORK_SITES = {"pipelines/extract_pipeline.py": {"_run_file_tasks", "_run_file_task"}}
+RAY_CALLS = {"get", "put", "wait", "cancel"}
+
+
+def _ray_work_nodes(tree):
+    """The nodes of a module's AST that start or collect Ray work:
+    ``.remote`` anywhere (the ``ray.remote`` decorator or call,
+    ``f.remote(...)``), ``ray.get``, ``ray.put``, ``ray.wait``,
+    ``ray.cancel``, and imports of those names from ``ray``."""
+    for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and (
             node.attr == "remote"
-            or (node.attr == "get" and isinstance(node.value, ast.Name)
-                and node.value.id == "ray")))
-        or (isinstance(node, ast.ImportFrom) and node.module == "ray"
-            and {a.name for a in node.names} & {"remote", "get"})
-    )
-    assert not offenders, f"Ray work outside Ray Data: {offenders}"
+            or (node.attr in RAY_CALLS and isinstance(node.value, ast.Name)
+                and node.value.id == "ray"))) or (
+            isinstance(node, ast.ImportFrom) and node.module == "ray"
+                and {a.name for a in node.names} & (RAY_CALLS | {"remote"})):
+            yield node
+
+
+def test_all_ray_work_starts_in_run_file_tasks():
+    """One way to run work on Ray: ``_run_file_tasks`` submits one
+    ``_run_file_task`` per input file and collects them. No other engine
+    code defines or calls a remote function or actor, stores or fetches an
+    object, or waits on or cancels a task, so a second fan-out cannot creep
+    in. (The no-write Dataset API builds Ray Data graphs that its caller
+    runs; ``test_engine_runs_batches_as_tasks`` covers those.)"""
+    offenders = []
+    for p in PKG_DIR.rglob("*.py"):
+        rel = str(p.relative_to(PKG_DIR))
+        tree = ast.parse(p.read_text())
+        sites = [n for n in tree.body if isinstance(n, DEF_NODES)
+                 and n.name in RAY_WORK_SITES.get(rel, ())]
+        assert len(sites) == len(RAY_WORK_SITES.get(rel, ())), (
+            f"{rel} lacks a def of {sorted(RAY_WORK_SITES[rel])}")
+        inside = {id(n) for site in sites for n in ast.walk(site)}
+        offenders += [f"{rel}:{n.lineno}" for n in _ray_work_nodes(tree)
+                      if id(n) not in inside]
+    assert not offenders, f"Ray work outside _run_file_tasks: {sorted(offenders)}"
 
 
 # -- function grain -----------------------------------------------------------

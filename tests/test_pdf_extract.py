@@ -91,6 +91,13 @@ def test_octal_and_hex_strings():
     assert toks[0] == ("str", b"Hello")
 
 
+@pytest.mark.parametrize("eol", [b"\r", b"\n", b"\r\n"])
+def test_comment_ends_at_any_end_of_line(eol):
+    # ISO 32000-1 §7.2.3: CR, LF and CRLF each end a % comment
+    spans = _interpret_text(b"BT /F1 12 Tf 72 720 Td % note" + eol + b"(Kept?) Tj ET")
+    assert [s.text for s in spans] == ["Kept?"]
+
+
 def test_tj_kerning_no_word_split():
     content = rb"BT /F1 12 Tf 72 720 Td [(hel) -20 (lo world)] TJ ET"
     spans = _interpret_text(content)

@@ -395,6 +395,36 @@ def test_job_rejects_input_files_sharing_a_shard_id(corpus_dir, tmp_path):
     assert _tree_bytes(out) == before
 
 
+def _write_bad_parquet(in_dir: str) -> str:
+    """Write a ``.parquet`` file that holds no Parquet into ``in_dir``;
+    returns its path."""
+    bad = os.path.join(in_dir, "bad.parquet")
+    with open(bad, "wb") as f:
+        f.write(b"these bytes are not a parquet file")
+    return bad
+
+
+def test_job_raises_the_file_tasks_own_error(ray_session, corpus_dir, tmp_path):
+    """A file task's error reaches the caller as the task raised it: an
+    unreadable input fails the job with ``ExtractFile``'s ValueError naming
+    the file, not a Ray wrapper. With the file removed, a resumed run
+    converges to a clean run's rows."""
+    from service1_text_extraction_ray.sources.pages_source import list_input_files
+
+    inp, out = str(tmp_path / "in"), str(tmp_path / "out")
+    os.makedirs(inp)
+    for f in list_input_files(corpus_dir)[:2]:
+        shutil.copy(f, inp)
+    bad = _write_bad_parquet(inp)
+    with pytest.raises(ValueError, match=f"cannot read input file {re.escape(bad)}"):
+        run_extraction_job(inp, out, CFG)
+    os.remove(bad)
+    assert run_extraction_job(inp, out, CFG, resume=True)["n_docs"] == 200
+    clean = str(tmp_path / "clean")
+    run_extraction_job(inp, clean, CFG)
+    assert read_output(out).sort_by("url").equals(read_output(clean).sort_by("url"))
+
+
 @pytest.mark.parametrize("case", ["empty", "missing", "not_a_shard", "missing_file_arg"])
 def test_job_refuses_bad_input_before_touching_the_table(corpus_dir, tmp_path, case):
     """An input that names no shard file is refused before the job purges
@@ -522,8 +552,6 @@ sys.path.insert(0, sys.argv[1])  # the package is on the DRIVER's path only
 import ray
 ray.init(address="local", num_cpus=2, include_dashboard=False,
          logging_level="ERROR")
-from ray.data import DataContext
-DataContext.get_current().enable_progress_bars = False
 from service1_text_extraction_ray.functions.extract import ExtractConfig
 from service1_text_extraction_ray.pipelines.extract_pipeline import (
     run_extraction_job)
@@ -990,6 +1018,25 @@ class TestIncrementalRecrawl:
         assert _tree_bytes(out) == once
         assert {p.split(os.sep)[0] for p in once} == {"data", "lineage"}
         assert res["n_replaced"] == len(rows) and res["n_appended"] == 0
+
+    def test_bad_delta_file_raises_its_own_error(self, ray_session, corpus_dir, tmp_path):
+        """An unreadable delta file fails the recrawl with ``MergeFile``'s
+        ValueError naming the file; re-running without it converges to a
+        clean recrawl's rows."""
+        from service1_text_extraction_ray.pipelines.extract_pipeline import (
+            run_incremental_recrawl)
+
+        out, clean = str(tmp_path / "out"), str(tmp_path / "clean")
+        run_extraction_job(corpus_dir, out, CFG)
+        run_extraction_job(corpus_dir, clean, CFG)
+        rdir, _, _ = self._recrawl_file(corpus_dir, tmp_path)
+        bad = _write_bad_parquet(rdir)
+        with pytest.raises(ValueError, match=f"cannot read input file {re.escape(bad)}"):
+            run_incremental_recrawl(rdir, out, CFG)
+        os.remove(bad)
+        run_incremental_recrawl(rdir, out, CFG)
+        run_incremental_recrawl(rdir, clean, CFG)
+        assert read_output(out).sort_by("url").equals(read_output(clean).sort_by("url"))
 
     def test_zero_row_delta_file_leaves_its_shard_untouched(
         self, ray_session, corpus_dir, tmp_path
