@@ -6,7 +6,8 @@ dictionary, the outline, embedded files, fonts, optional-content layers,
 AcroForm fields, XMP, page labels, link and text annotations, and the
 structure tree. Text extraction never reads any of them; it lives in
 ``service1_text_extraction_ray.functions.pdf_extract``. The accessors
-reuse the engine's walks rather than copy them: ``info`` finds /Info
+reuse the engine's walks rather than copy them: each reads the dicts the
+engine parsed once per object (``_PdfObject.dict``), ``info`` finds /Info
 through the inherited trailer lookup ``_trailer_entry``, ``fonts`` lists a
 page's /Font entries with ``_resource_entries``, and ``structure`` reads
 each page's spans through the inherited ``_page_spans``.
@@ -15,35 +16,46 @@ each page's spans through the inherited ``_page_spans``.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from service1_text_extraction_ray.functions.pdf_extract import (
     PdfDocument as _EnginePdfDocument,
     PdfParseError,
-    _REF_RE,
+    _Ref,
     _decode_stream,
     _doc_off_ocgs,
     _page_order,
-    _parse_string_entry,
-    _read_literal_string,
     _resolve_dict,
     _resource_entries,
-    _scan_dict,
-    _skip_ws,
 )
-
-_INFO_REF_RE = re.compile(rb"/Info\s+(\d+)\s+\d+\s+R")
-_ANNOTS_RE = re.compile(rb"/Annots\s*\[([^\]]*)\]")
-_ACTION_REF_RE = re.compile(rb"/A\s+(\d+)\s+\d+\s+R")
-_URI_STR_RE = re.compile(rb"/URI\s*\(")
-_TITLE_STR_RE = re.compile(rb"/Title\s*\(")
-
 
 _INFO_KEYS = ("Title", "Author", "Subject", "Producer", "CreationDate")
 
 
+def _text(d: Dict[str, Any], key: str) -> Optional[str]:
+    """The string entry ``key`` of ``d`` decoded latin-1, else None."""
+    v = d.get(key)
+    return v.decode("latin-1") if isinstance(v, bytes) else None
+
+
+def _name(d: Dict[str, Any], key: str) -> Optional[str]:
+    """The name entry ``key`` of ``d``, else None."""
+    v = d.get(key)
+    return v if isinstance(v, str) else None
+
+
+def _refs(v: Any) -> List[int]:
+    """The object numbers an array value references, in order."""
+    return [r.num for r in v if isinstance(r, _Ref)] if isinstance(v, list) else []
+
+
 class PdfDocument(_EnginePdfDocument):
     """The engine's ``PdfDocument`` with the metadata accessors."""
+
+    def _catalog_dict(self, key: str) -> Optional[Dict[str, Any]]:
+        """The dict the catalog's ``key`` names, inline or by reference."""
+        root = self._objects.get(self._root) if self._root is not None else None
+        return _resolve_dict(self._objects, root.dict if root else None, key)
 
     def info(self) -> Dict[str, str]:
         """Document information dictionary (ISO 32000-1 §14.3.3): the
@@ -55,15 +67,15 @@ class PdfDocument(_EnginePdfDocument):
         dict there."""
         if self._encrypt is not None:
             return {}
-        found = self._trailer_entry(_INFO_REF_RE)
-        obj = self._objects.get(int(found[1].group(1))) if found else None
+        found = self._trailer_entry("Info")
+        obj = self._objects.get(found["Info"].num) if found else None
         if obj is None:
             return {}
         out: Dict[str, str] = {}
         for key in _INFO_KEYS:
-            s = _parse_string_entry(obj.dict_bytes, key.encode("ascii"))
+            s = _text(obj.dict, key)
             if s is not None:
-                out[key] = s.decode("latin-1")
+                out[key] = s
         return out
 
     def outline(self) -> List[Tuple[int, str]]:
@@ -75,18 +87,15 @@ class PdfDocument(_EnginePdfDocument):
         list (same boundary as info()/links())."""
         if self._encrypt is not None or self._root is None:
             return []
-        root = self._objects.get(self._root)
-        if root is None:
-            return []
-        om = re.search(rb"/Outlines\s+(\d+)\s+\d+\s+R", root.dict_bytes)
-        if om is None:
+        outlines = self._catalog_dict("Outlines")
+        if outlines is None:
             return []
         out: List[Tuple[int, str]] = []
         seen: set = set()
 
-        def first_ref(d: bytes, key: bytes) -> Optional[int]:
-            m = re.search(key + rb"\s+(\d+)\s+\d+\s+R", d)
-            return int(m.group(1)) if m else None
+        def first_ref(d: Dict[str, Any], key: str) -> Optional[int]:
+            v = d.get(key)
+            return v.num if isinstance(v, _Ref) else None
 
         def walk(num: Optional[int], depth: int) -> None:
             while num is not None and num not in seen and depth <= 16:
@@ -94,17 +103,13 @@ class PdfDocument(_EnginePdfDocument):
                 item = self._objects.get(num)
                 if item is None:
                     return
-                tm = _TITLE_STR_RE.search(item.dict_bytes)
-                if tm is not None:
-                    raw, _ = _read_literal_string(item.dict_bytes, tm.end() - 1)
-                    out.append((depth, raw.decode("latin-1")))
-                walk(first_ref(item.dict_bytes, rb"/First"), depth + 1)
-                num = first_ref(item.dict_bytes, rb"/Next")
+                title = _text(item.dict, "Title")
+                if title is not None:
+                    out.append((depth, title))
+                walk(first_ref(item.dict, "First"), depth + 1)
+                num = first_ref(item.dict, "Next")
 
-        outlines = self._objects.get(int(om.group(1)))
-        if outlines is None:
-            return []
-        walk(first_ref(outlines.dict_bytes, rb"/First"), 1)
+        walk(first_ref(outlines, "First"), 1)
         return out
 
     def attachments(self) -> List[Tuple[str, bytes]]:
@@ -117,82 +122,43 @@ class PdfDocument(_EnginePdfDocument):
         documents are out of subset (empty, the info()/links() boundary)."""
         if self._encrypt is not None or self._root is None:
             return []
-        root = self._objects.get(self._root)
-        if root is None:
-            return []
-
-        def dict_of(ref_or_inline: bytes, key: bytes) -> Optional[bytes]:
-            """Value of ``key`` in a dict: inline << >> or indirect ref."""
-            m = re.search(key + rb"\s+(\d+)\s+\d+\s+R", ref_or_inline)
-            if m:
-                o = self._objects.get(int(m.group(1)))
-                return o.dict_bytes if o is not None else None
-            m = re.search(key + rb"\s*<<", ref_or_inline)
-            if m:
-                d, _ = _scan_dict(ref_or_inline, m.end() - 2)
-                return d
-            return None
-
-        names_dict = dict_of(root.dict_bytes, rb"/Names")
-        if names_dict is None:
-            return []
-        ef_root = dict_of(names_dict, rb"/EmbeddedFiles")
+        ef_root = _resolve_dict(self._objects, self._catalog_dict("Names"),
+                                "EmbeddedFiles")
         if ef_root is None:
             return []
 
         out: List[Tuple[str, bytes]] = []
         seen: set = set()
 
-        def walk(node: bytes, depth: int) -> None:
+        def walk(node: Dict[str, Any], depth: int) -> None:
             if depth > 8:
                 return
-            km = re.search(rb"/Kids\s*\[", node)
-            if km:
-                arr_start = km.end() - 1
-                arr_end = node.index(b"]", arr_start)
-                for rm in _REF_RE.finditer(node[arr_start:arr_end]):
-                    num = int(rm.group(1))
+            if isinstance(node.get("Kids"), list):
+                for num in _refs(node["Kids"]):
                     if num in seen:
                         continue
                     seen.add(num)
                     child = self._objects.get(num)
                     if child is not None:
-                        walk(child.dict_bytes, depth + 1)
+                        walk(child.dict, depth + 1)
                 return
-            nm = re.search(rb"/Names\s*\[", node)
-            if nm is None:
+            pairs = node.get("Names")
+            if not isinstance(pairs, list):
                 return
-            i = nm.end()
-            while i < len(node):
-                i = _skip_ws(node, i)
-                if i >= len(node) or node[i : i + 1] == b"]":
+            for key, ref in zip(pairs[::2], pairs[1::2]):
+                if not isinstance(key, bytes) or not isinstance(ref, _Ref):
                     break
-                if node[i : i + 1] != b"(":
-                    break
-                key_raw, i = _read_literal_string(node, i)
-                i = _skip_ws(node, i)
-                rm = _REF_RE.match(node[i:])
-                if rm is None:
-                    break
-                i += rm.end()
-                spec = self._objects.get(int(rm.group(1)))
-                if spec is None:
-                    continue
-                em = re.search(rb"/EF\s*<<", spec.dict_bytes)
-                if em is None:
-                    continue
-                efd, _ = _scan_dict(spec.dict_bytes, em.end() - 2)
-                fm = re.search(rb"/F\s+(\d+)\s+\d+\s+R", efd)
-                if fm is None:
-                    continue
-                stream_obj = self._objects.get(int(fm.group(1)))
+                spec = self._objects.get(ref.num)
+                ef = _resolve_dict(self._objects, spec.dict if spec else None, "EF")
+                f = ef.get("F") if ef is not None else None
+                stream_obj = self._objects.get(f.num) if isinstance(f, _Ref) else None
                 if stream_obj is None or stream_obj.stream is None:
                     continue
                 try:
                     data = _decode_stream(stream_obj)
                 except PdfParseError:
                     continue
-                out.append((key_raw.decode("latin-1"), data))
+                out.append((key.decode("latin-1"), data))
         walk(ef_root, 0)
         return out
 
@@ -218,33 +184,18 @@ class PdfDocument(_EnginePdfDocument):
                 fobj = self._objects.get(num)
                 if fobj is None:
                     continue
-                st = re.search(rb"/Subtype\s*/(\w+)", fobj.dict_bytes)
-                bm = re.search(rb"/BaseFont\s*/([^\s/<>\[\]()]+)",
-                               fobj.dict_bytes)
-                desc_holder = fobj.dict_bytes
-                if st is not None and st.group(1) == b"Type0":
-                    dm = re.search(rb"/DescendantFonts\s*\[\s*(\d+)\s+\d+\s+R",
-                                   fobj.dict_bytes)
-                    if dm is not None:
-                        child = self._objects.get(int(dm.group(1)))
-                        if child is not None:
-                            desc_holder = child.dict_bytes
-                embedded = 0
-                rm = re.search(rb"/FontDescriptor\s+(\d+)\s+\d+\s+R",
-                               desc_holder)
-                if rm is not None:
-                    dobj = self._objects.get(int(rm.group(1)))
-                    if dobj is not None and re.search(
-                        rb"/FontFile[23]?\b", dobj.dict_bytes
-                    ):
-                        embedded = 1
-                out.append((
-                    idx,
-                    name,
-                    bm.group(1).decode("latin-1") if bm else "",
-                    st.group(1).decode("latin-1") if st else "",
-                    embedded,
-                ))
+                subtype = _name(fobj.dict, "Subtype")
+                desc_holder = fobj.dict
+                if subtype == "Type0":
+                    desc = _refs(fobj.dict.get("DescendantFonts"))[:1]
+                    child = self._objects.get(desc[0]) if desc else None
+                    if child is not None:
+                        desc_holder = child.dict
+                fd = _resolve_dict(self._objects, desc_holder, "FontDescriptor")
+                embedded = int(fd is not None and any(
+                    k in fd for k in ("FontFile", "FontFile2", "FontFile3")))
+                out.append((idx, name, _name(fobj.dict, "BaseFont") or "",
+                            subtype or "", embedded))
         return out
 
     def layers(self) -> List[Tuple[str, int]]:
@@ -256,30 +207,16 @@ class PdfDocument(_EnginePdfDocument):
         Empty for documents without optional content."""
         if self._root is None:
             return []
-        root = self._objects.get(self._root)
-        if root is None:
-            return []
-        ocp = _resolve_dict(self._objects, root.dict_bytes, "OCProperties")
-        if ocp is None:
-            return []
-        gm = re.search(rb"/OCGs\s*\[", ocp)
-        if gm is None:
-            return []
-        end = ocp.find(b"]", gm.end() - 1)
-        if end < 0:
+        ocp = self._catalog_dict("OCProperties")
+        if ocp is None or not isinstance(ocp.get("OCGs"), list):
             return []
         off = _doc_off_ocgs(self._objects, self._root)
         out: List[Tuple[str, int]] = []
-        for r in _REF_RE.finditer(ocp[gm.end() - 1 : end]):
-            obj = self._objects.get(int(r.group(1)))
-            if obj is None:
-                continue
-            nm = re.search(rb"/Name\s*\(", obj.dict_bytes)
-            if nm is None:
-                continue
-            raw, _ = _read_literal_string(obj.dict_bytes, nm.end() - 1)
-            out.append((raw.decode("latin-1"),
-                        0 if int(r.group(1)) in off else 1))
+        for num in _refs(ocp["OCGs"]):
+            obj = self._objects.get(num)
+            name = _text(obj.dict, "Name") if obj is not None else None
+            if name is not None:
+                out.append((name, 0 if num in off else 1))
         return out
 
     def form_fields(self) -> List[Tuple[str, str, str, int]]:
@@ -297,55 +234,12 @@ class PdfDocument(_EnginePdfDocument):
         malformed trees."""
         if self._encrypt is not None or self._root is None:
             return []
-        root = self._objects.get(self._root)
-        if root is None:
+        acro = self._catalog_dict("AcroForm")
+        if acro is None or not isinstance(acro.get("Fields"), list):
             return []
-
-        def sub_dict(d: bytes, key: bytes) -> Optional[bytes]:
-            m = re.search(key + rb"\s+(\d+)\s+\d+\s+R", d)
-            if m:
-                o = self._objects.get(int(m.group(1)))
-                return o.dict_bytes if o is not None else None
-            m = re.search(key + rb"\s*<<", d)
-            if m:
-                dd, _ = _scan_dict(d, m.end() - 2)
-                return dd
-            return None
-
-        acro = sub_dict(root.dict_bytes, rb"/AcroForm")
-        if acro is None:
-            return []
-        fm = re.search(rb"/Fields\s*\[", acro)
-        if fm is None:
-            return []
-        fend = acro.find(b"]", fm.end() - 1)
-        if fend < 0:  # unterminated array in a corrupt file
-            return []
-        arr = acro[fm.end() - 1 : fend + 1]
-
-        def lit(d: bytes, key: bytes) -> Optional[str]:
-            m = re.search(key + rb"\s*\(", d)
-            if m is None:
-                return None
-            raw, _ = _read_literal_string(d, m.end() - 1)
-            return raw.decode("latin-1")
-
-        def name_tok(d: bytes, key: bytes) -> Optional[str]:
-            m = re.search(key + rb"\s*/([^\s/<>\[\]()]+)", d)
-            return m.group(1).decode("latin-1") if m else None
 
         out: List[Tuple[str, str, str, int]] = []
         seen: set = set()
-
-        def kid_refs(d: bytes) -> List[int]:
-            m = re.search(rb"/Kids\s*\[", d)
-            if m is None:
-                return []
-            kend = d.find(b"]", m.end() - 1)
-            if kend < 0:
-                return []
-            seg = d[m.end() - 1 : kend + 1]
-            return [int(r.group(1)) for r in _REF_RE.finditer(seg)]
 
         def walk(num: int, prefix: str, ftype: str, value: str,
                  flags: int, depth: int) -> None:
@@ -355,22 +249,18 @@ class PdfDocument(_EnginePdfDocument):
             obj = self._objects.get(num)
             if obj is None:
                 return
-            d = obj.dict_bytes
-            t = lit(d, rb"/T")
-            ftype = name_tok(d, rb"/FT") or ftype
-            v = lit(d, rb"/V")
+            d = obj.dict
+            t = _text(d, "T")
+            ftype = _name(d, "FT") or ftype
+            v = _text(d, "V")
             if v is None:
-                v = name_tok(d, rb"/V")
+                v = _name(d, "V")
             value = v if v is not None else value
-            fmatch = re.search(rb"/Ff\s+(\d+)", d)
-            if fmatch:  # /Ff is inheritable like /FT and /V
-                flags = int(fmatch.group(1))
-            kids = kid_refs(d)
-            named_kids = []
-            for k in kids:
-                ko = self._objects.get(k)
-                if ko is not None and lit(ko.dict_bytes, rb"/T") is not None:
-                    named_kids.append(k)
+            if type(d.get("Ff")) is int:  # /Ff is inheritable like /FT and /V
+                flags = d["Ff"]
+            kids = _refs(d.get("Kids"))
+            named_kids = [k for k in kids if k in self._objects
+                          and _text(self._objects[k].dict, "T") is not None]
             qual = (prefix + "." + t if prefix and t else (t or prefix))
             if named_kids:
                 for k in kids:
@@ -378,8 +268,8 @@ class PdfDocument(_EnginePdfDocument):
             elif t is not None:
                 out.append((qual, ftype, value, flags))
 
-        for r in _REF_RE.finditer(arr):
-            walk(int(r.group(1)), "", "", "", 0, 0)
+        for num in _refs(acro["Fields"]):
+            walk(num, "", "", "", 0, 0)
         return out
 
     def xmp(self) -> Dict[str, str]:
@@ -395,12 +285,8 @@ class PdfDocument(_EnginePdfDocument):
         if self._encrypt is not None or self._root is None:
             return {}
         root = self._objects.get(self._root)
-        if root is None:
-            return {}
-        m = re.search(rb"/Metadata\s+(\d+)\s+\d+\s+R", root.dict_bytes)
-        if m is None:
-            return {}
-        obj = self._objects.get(int(m.group(1)))
+        ref = root.dict.get("Metadata") if root is not None else None
+        obj = self._objects.get(ref.num) if isinstance(ref, _Ref) else None
         if obj is None or obj.stream is None:
             return {}
         try:
@@ -432,57 +318,23 @@ class PdfDocument(_EnginePdfDocument):
         1-based decimal index. Returns one label per page in page order."""
         if self._encrypt is not None or self._root is None:
             return []
-        root = self._objects.get(self._root)
-        if root is None:
-            return []
         try:
             n_pages = len(_page_order(self._objects, self._root))
         except PdfParseError:
             return []
-        m = re.search(rb"/PageLabels\s+(\d+)\s+\d+\s+R", root.dict_bytes)
-        if m:
-            node = self._objects.get(int(m.group(1)))
-            node_bytes = node.dict_bytes if node is not None else b""
-        else:
-            m = re.search(rb"/PageLabels\s*<<", root.dict_bytes)
-            if not m:
-                return []
-            node_bytes, _ = _scan_dict(root.dict_bytes, m.end() - 2)
-
-        nm = re.search(rb"/Nums\s*\[", node_bytes)
-        if nm is None:
+        node = self._catalog_dict("PageLabels")
+        nums = node.get("Nums") if node is not None else None
+        if not isinstance(nums, list):
             return []
-        i = nm.end()
         ranges: List[tuple] = []  # (start_index, style, prefix, start_num)
-        while i < len(node_bytes):
-            i = _skip_ws(node_bytes, i)
-            if i >= len(node_bytes) or node_bytes[i : i + 1] == b"]":
+        for idx, d in zip(nums[::2], nums[1::2]):
+            if isinstance(d, _Ref):  # a dangling label dict reads as empty
+                d = self._objects[d.num].dict if d.num in self._objects else {}
+            if type(idx) is not int or not isinstance(d, dict):
                 break
-            im = re.match(rb"(\d+)", node_bytes[i:])
-            if im is None:
-                break
-            idx = int(im.group(1))
-            i += im.end()
-            i = _skip_ws(node_bytes, i)
-            if node_bytes[i : i + 2] == b"<<":
-                d, i = _scan_dict(node_bytes, i)
-            else:
-                rm = _REF_RE.match(node_bytes[i:])
-                if rm is None:
-                    break
-                i += rm.end()
-                o = self._objects.get(int(rm.group(1)))
-                d = o.dict_bytes if o is not None else b""
-            sm = re.search(rb"/S\s*/(\w+)", d)
-            style = sm.group(1).decode("ascii") if sm else ""
-            pm = re.search(rb"/P\s*\(", d)
-            prefix = ""
-            if pm:
-                raw, _ = _read_literal_string(d, pm.end() - 1)
-                prefix = raw.decode("latin-1")
-            stm = re.search(rb"/St\s+(\d+)", d)
-            start = int(stm.group(1)) if stm else 1
-            ranges.append((idx, style, prefix, start))
+            st = d.get("St")
+            ranges.append((idx, _name(d, "S") or "", _text(d, "P") or "",
+                           st if type(st) is int else 1))
 
         ranges.sort()
 
@@ -541,36 +393,13 @@ class PdfDocument(_EnginePdfDocument):
         if self._encrypt is not None or self._root is None:
             return []
         out: List[Tuple[int, str]] = []
-        for idx, (pnum, _rot, _box, _res) in enumerate(
-            _page_order(self._objects, self._root), start=1
-        ):
-            page = self._objects.get(pnum)
-            if page is None:
+        for idx, annot in self._page_annotations():
+            if annot.get("Subtype") != "Link":
                 continue
-            am = _ANNOTS_RE.search(page.dict_bytes)
-            if am is None:
-                continue
-            for rm in _REF_RE.finditer(am.group(1)):
-                annot = self._objects.get(int(rm.group(1)))
-                if annot is None:
-                    continue
-                st = re.search(rb"/Subtype\s*/(\w+)", annot.dict_bytes)
-                if st is None or st.group(1) != b"Link":
-                    continue
-                a_bytes = annot.dict_bytes
-                aref = _ACTION_REF_RE.search(annot.dict_bytes)
-                if aref is not None:
-                    aobj = self._objects.get(int(aref.group(1)))
-                    if aobj is None:
-                        continue
-                    a_bytes = aobj.dict_bytes
-                if re.search(rb"/S\s*/URI\b", a_bytes) is None:
-                    continue
-                um = _URI_STR_RE.search(a_bytes)
-                if um is None:
-                    continue
-                raw, _ = _read_literal_string(a_bytes, um.end() - 1)
-                out.append((idx, raw.decode("latin-1")))
+            action = _resolve_dict(self._objects, annot, "A")
+            uri = _text(action, "URI") if action is not None else None
+            if uri is not None and action.get("S") == "URI":
+                out.append((idx, uri))
         return out
 
     def annotations(self) -> List[Tuple[int, str, str]]:
@@ -583,33 +412,30 @@ class PdfDocument(_EnginePdfDocument):
         WITHOUT /Contents contribute nothing. Encrypted documents: the
         strings are encrypted — out of subset, empty list (the links()
         boundary)."""
-        markup = {b"Text", b"Highlight", b"Underline", b"StrikeOut",
-                  b"Squiggly", b"FreeText"}
+        markup = {"Text", "Highlight", "Underline", "StrikeOut",
+                  "Squiggly", "FreeText"}
         if self._encrypt is not None or self._root is None:
             return []
         out: List[Tuple[int, str, str]] = []
+        for idx, annot in self._page_annotations():
+            subtype = _name(annot, "Subtype")
+            contents = _text(annot, "Contents")
+            if subtype in markup and contents is not None:
+                out.append((idx, subtype, contents))
+        return out
+
+    def _page_annotations(self) -> List[Tuple[int, Dict[str, Any]]]:
+        """``(page_number 1-based, annotation dict)`` for each annotation
+        that a page's /Annots array references, in page order."""
+        out: List[Tuple[int, Dict[str, Any]]] = []
         for idx, (pnum, _rot, _box, _res) in enumerate(
             _page_order(self._objects, self._root), start=1
         ):
             page = self._objects.get(pnum)
-            if page is None:
-                continue
-            am = _ANNOTS_RE.search(page.dict_bytes)
-            if am is None:
-                continue
-            for rm in _REF_RE.finditer(am.group(1)):
-                annot = self._objects.get(int(rm.group(1)))
-                if annot is None:
-                    continue
-                st = re.search(rb"/Subtype\s*/(\w+)", annot.dict_bytes)
-                if st is None or st.group(1) not in markup:
-                    continue
-                cm = re.search(rb"/Contents\s*\(", annot.dict_bytes)
-                if cm is None:
-                    continue
-                raw, _ = _read_literal_string(annot.dict_bytes, cm.end() - 1)
-                out.append((idx, st.group(1).decode("ascii"),
-                            raw.decode("latin-1")))
+            for num in _refs(page.dict.get("Annots")) if page else []:
+                annot = self._objects.get(num)
+                if annot is not None:
+                    out.append((idx, annot.dict))
         return out
 
     def structure(self) -> List[Tuple[int, str, str]]:
@@ -626,22 +452,12 @@ class PdfDocument(_EnginePdfDocument):
         ints/refs."""
         if self._root is None:
             return []
-        root = self._objects.get(self._root)
-        if root is None:
-            return []
-        m = re.search(rb"/StructTreeRoot\s+(\d+)\s+\d+\s+R", root.dict_bytes)
-        if m is None:
-            return []
-        st = self._objects.get(int(m.group(1)))
+        st = self._catalog_dict("StructTreeRoot")
         if st is None:
             return []
-        rolemap: Dict[bytes, bytes] = {}
-        rmd = _resolve_dict(self._objects, st.dict_bytes, "RoleMap")
-        if rmd is not None:
-            for a, b in re.findall(
-                rb"/([^\s/<>\[\]()]+)\s*/([^\s/<>\[\]()]+)", rmd
-            ):
-                rolemap[a] = b
+        rolemap = {k: v for k, v in
+                   (_resolve_dict(self._objects, st, "RoleMap") or {}).items()
+                   if isinstance(v, str)}
 
         # mcid -> text, per page index (subset: fixture pages are unique
         # owners of their mcids; /Pg selects the page). A broken page tree
@@ -664,23 +480,12 @@ class PdfDocument(_EnginePdfDocument):
                     texts[sp.mcid] = texts.get(sp.mcid, "") + sp.text
             by_page[pnum] = texts
 
-        def k_items(dict_bytes: bytes) -> List[Tuple[str, int]]:
+        def k_items(d: Dict[str, Any]) -> List[Tuple[str, int]]:
             """Parse /K: ('ref', obj) | ('mcid', n) items in order."""
-            km = re.search(
-                rb"/K\s*(\[[^\]]*\]|\d+\s+\d+\s+R|\d+)", dict_bytes
-            )
-            if km is None:
-                return []
-            body = km.group(1)
-            if body.startswith(b"["):
-                body = body[1:-1]
-            items: List[Tuple[str, int]] = []
-            for mm in re.finditer(rb"(\d+)\s+\d+\s+R|(\d+)", body):
-                if mm.group(1) is not None:
-                    items.append(("ref", int(mm.group(1))))
-                else:
-                    items.append(("mcid", int(mm.group(2))))
-            return items
+            k = d.get("K")
+            return [("ref", x.num) if isinstance(x, _Ref) else ("mcid", x)
+                    for x in (k if isinstance(k, list) else [k])
+                    if isinstance(x, _Ref) or type(x) is int]
 
         out: List[Tuple[int, str, str]] = []
         seen: set = set()
@@ -692,25 +497,24 @@ class PdfDocument(_EnginePdfDocument):
             obj = self._objects.get(num)
             if obj is None:
                 return
-            sm = re.search(rb"/S\s*/([^\s/<>\[\]()]+)", obj.dict_bytes)
-            role_raw = sm.group(1) if sm is not None else b""
-            role = rolemap.get(role_raw, role_raw).decode("latin-1")
-            pg = re.search(rb"/Pg\s+(\d+)\s+\d+\s+R", obj.dict_bytes)
-            pnum = int(pg.group(1)) if pg is not None else (
+            role_raw = _name(obj.dict, "S") or ""
+            role = rolemap.get(role_raw, role_raw)
+            pg = obj.dict.get("Pg")
+            pnum = pg.num if isinstance(pg, _Ref) else (
                 page_nums[0][0] if page_nums else -1
             )
             texts = by_page.get(pnum, {})
-            mcids = [n for kind, n in k_items(obj.dict_bytes) if kind == "mcid"]
+            mcids = [n for kind, n in k_items(obj.dict) if kind == "mcid"]
             if mcids:
                 out.append((
                     len(out), role,
                     "".join(texts.get(n, "") for n in mcids),
                 ))
-            for kind, n in k_items(obj.dict_bytes):
+            for kind, n in k_items(obj.dict):
                 if kind == "ref":
                     walk(n)
 
-        for kind, n in k_items(st.dict_bytes):
+        for kind, n in k_items(st):
             if kind == "ref":
                 walk(n)
         return out

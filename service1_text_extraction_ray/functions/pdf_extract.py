@@ -1,4 +1,4 @@
-"""From-scratch PDF text/layout extraction on the Python stdlib (zlib + re).
+"""From-scratch PDF text/layout extraction on the Python stdlib.
 
 Replaces the reference's PyMuPDF usage (``core_pdf_processor.py:115-218``
 doc loop, ``:356-416`` page dispatcher, ``:418-465`` layout tree) with a
@@ -11,19 +11,25 @@ Supported subset (documented per SURVEY.md §7.4 item 2; the fixture writer in
 ``functions/synth.py`` emits only this subset, and real-world deviations
 surface as per-page/per-doc ``parse_failure`` rows, never exceptions):
 
-- PDF 1.x layout: ``N G obj ... endobj`` bodies, dictionaries ``<< ... >>``
-  (literal and well-formed hex strings inside skip as units, so
-  ``<abcd>>>`` closes where it should), direct ``/Length`` integers on
-  streams (an indirect ``/Length N 0 R`` falls back to the ``endstream``
-  scan), PLUS 1.5+ object streams: every ``/Type /ObjStm`` is decoded and
-  its contained objects unpacked into the object map
-  (``_expand_object_streams``), so compressed-catalog documents parse.
-  Trailer fields (/Root, /Encrypt, /ID) come from one lookup,
-  ``PdfDocument._trailer_entry``: the dict after the last ``trailer``
-  keyword, read once per document, then the ``/Type /XRef`` stream dicts
-  (cross-reference-stream files have no ``trailer`` keyword). Incremental
-  updates (§7.5.6) resolve last-definition-at-highest-generation wins, so
-  appended replacement objects shadow their originals.
+- PDF 1.x layout: ``N G obj ... endobj`` bodies and dictionaries
+  ``<< ... >>``. ``_read_dict`` reads each object's dict once, on the
+  content tokenizer's branches, into a value (``_PdfObject.dict``): name
+  keys map to numbers, names, strings, ``_Ref`` references, arrays,
+  dicts, booleans or null, and the first entry of a repeated key wins.
+  Every reader of an entry looks its key up there, so a key inside a
+  nested dict or a string is never taken for the object's own. Inside a
+  dict only a well-formed hex string is one, so ``<abcd>>>`` closes where
+  it should. Streams take a direct ``/Length`` integer (an indirect
+  ``/Length N 0 R`` falls back to the ``endstream`` scan). PLUS 1.5+
+  object streams: every ``/Type /ObjStm`` is decoded and its contained
+  objects unpacked into the object map (``_expand_object_streams``), so
+  compressed-catalog documents parse. Trailer fields (/Root, /Encrypt,
+  /ID) come from one lookup, ``PdfDocument._trailer_entry``: the dict
+  after the last ``trailer`` keyword, read once per document, then the
+  ``/Type /XRef`` stream dicts (cross-reference-stream files have no
+  ``trailer`` keyword). Incremental updates (§7.5.6) resolve
+  last-definition-at-highest-generation wins, so appended replacement
+  objects shadow their originals.
 - Document structure: ``trailer`` dict (or a ``/Type /Catalog`` object) ->
   ``/Root`` -> ``/Pages`` tree with nested ``/Kids`` -> ``/Type /Page``
   leaves; ``/MediaBox`` inherited or per-page; ``/Contents`` as a single ref
@@ -66,7 +72,7 @@ from __future__ import annotations
 import re
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from .pdf_crypt import (
     authenticate_owner_password,
@@ -121,70 +127,79 @@ def _skip_ws(data: bytes, i: int) -> int:
     return i
 
 
-# A well-formed hex string. A stray '<' matches nothing and is skipped as
-# one byte, so it cannot swallow the dict's closing '>>'.
-_HEX_STRING_RE = re.compile(rb"<[0-9A-Fa-f\s]*>")
+# Dicts and arrays nest at most this deep. The reader recurses once per
+# dict, so hostile input such as ``<<<<<<...`` raises PdfParseError
+# instead of exhausting the stack.
+_MAX_NESTING = 64
 
 
-def _scan_dict(data: bytes, i: int) -> Tuple[bytes, int]:
-    """Return (dict bytes including delimiters, index after '>>').
-    ``i`` must point at ``<<``. Handles nesting; literal and hex strings
-    inside dicts are skipped as units, so neither ')>>(' nor a hex string
-    closing right before '>>' (``<abcd>>>``) can break the balance."""
-    assert data[i : i + 2] == b"<<"
-    depth = 0
-    j = i
-    n = len(data)
-    while j < n:
-        c = data[j : j + 2]
-        if c == b"<<":
-            depth += 1
-            j += 2
-        elif c == b">>":
-            depth -= 1
-            j += 2
-            if depth == 0:
-                return data[i:j], j
-        elif c[:1] == b"(":
-            j = _skip_string(data, j)
-        elif c[:1] == b"<":
-            m = _HEX_STRING_RE.match(data, j)
-            j = m.end() if m is not None else j + 1
-        else:
-            j += 1
-    raise PdfParseError("unterminated dictionary")
+class _Ref(NamedTuple):
+    """An indirect reference ``N G R``; objects are looked up by ``num``."""
+
+    num: int
 
 
-def _skip_string(data: bytes, i: int) -> int:
-    """Skip a literal string starting at '('; returns index after ')'."""
-    depth = 0
-    n = len(data)
-    j = i
-    while j < n:
-        c = data[j]
-        if c == 0x5C:  # backslash
-            j += 2
+# Bare words a dict value can be; any other word inside a dict reads as null.
+_KEYWORDS = {b"true": True, b"false": False, b"null": None}
+
+
+def _read_dict(data: bytes, i: int, depth: int = 1) -> Tuple[Dict[str, Any], int]:
+    """Read the dict that starts with ``<<`` at ``i``; return its value and
+    the index after its ``>>``.
+
+    The tokens come from ``_tokenize``. Keys are names without their slash
+    (``str``); values are int or float, name (``str``), string (``bytes``),
+    ``_Ref``, list, dict, bool or None. The first entry of a repeated key
+    wins. A value that is not a name where a key is due is skipped. A
+    ``>>`` closes any array still open, as it closes the dict's extent."""
+    if depth > _MAX_NESTING:
+        raise PdfParseError("dictionary nested too deeply")
+    stack: List[list] = [[]]  # the dict's items, then each open array's
+    for kind, val in _tokenize(data, i + 2, depth):
+        if kind == ">>":
+            end = val
+            break
+        if kind == "[":
+            if depth + len(stack) > _MAX_NESTING:
+                raise PdfParseError("array nested too deeply")
+            stack.append([])
             continue
-        if c == 0x28:  # (
-            depth += 1
-        elif c == 0x29:  # )
-            depth -= 1
-            if depth == 0:
-                return j + 1
-        j += 1
-    raise PdfParseError("unterminated string")
+        if kind == "]":
+            if len(stack) > 1:
+                stack[-2].append(stack.pop())
+            continue
+        items = stack[-1]
+        if kind == "name":
+            items.append(val[1:].decode("latin-1"))
+        elif kind == "num":
+            items.append(int(val) if val.is_integer() else val)
+        elif kind != "op":
+            items.append(val)  # a string or a nested dict
+        elif (val == b"R" and len(items) >= 2
+              and type(items[-1]) is int and type(items[-2]) is int):
+            items[-2:] = [_Ref(items[-2])]
+        else:
+            items.append(_KEYWORDS.get(val))
+    while len(stack) > 1:
+        stack[-2].append(stack.pop())
+    d: Dict[str, Any] = {}
+    it = iter(stack[0])
+    for key in it:
+        if type(key) is str:
+            d.setdefault(key, next(it, None))
+    return d, end
 
 
-# Direct /Length only: an indirect '/Length 12 0 R' must NOT match as 12
-# (or backtrack to 1) — (?!\d) pins the full number, the second lookahead
-# rejects the reference form so the endstream-scan fallback resolves it.
-_LENGTH_RE = re.compile(rb"/Length\s+(\d+)(?!\d)(?!\s+\d+\s+R)")
+def _int(d: Dict[str, Any], key: str, default: Optional[int] = None) -> Optional[int]:
+    """``d[key]`` when it is an integer (not a bool or a reference)."""
+    v = d.get(key)
+    return v if type(v) is int else default
 
 
 @dataclass
 class _PdfObject:
     num: int
-    dict_bytes: bytes
+    dict: Dict[str, Any]  # empty unless the object is a dict or stream
     stream: Optional[bytes]
     gen: int = 0
 
@@ -201,10 +216,10 @@ def _scan_objects(data: bytes) -> Dict[int, _PdfObject]:
         num = int(m.group(1))
         gen = int(m.group(2))
         i = _skip_ws(data, m.end())
-        dict_bytes = b""
+        d: Dict[str, Any] = {}
         stream: Optional[bytes] = None
         if data[i : i + 2] == b"<<":
-            dict_bytes, i = _scan_dict(data, i)
+            d, i = _read_dict(data, i)
             i = _skip_ws(data, i)
             if data[i : i + 6] == b"stream":
                 i += 6
@@ -212,8 +227,8 @@ def _scan_objects(data: bytes) -> Dict[int, _PdfObject]:
                     i += 2
                 elif data[i : i + 1] == b"\n":
                     i += 1
-                lm = _LENGTH_RE.search(dict_bytes)
-                if lm is None:
+                length = _int(d, "Length")
+                if length is None or length < 0:
                     # Subset requires direct /Length; fall back to endstream scan.
                     end = data.find(b"endstream", i)
                     if end < 0:
@@ -221,7 +236,6 @@ def _scan_objects(data: bytes) -> Dict[int, _PdfObject]:
                     stream = data[i:end].rstrip(b"\r\n")
                     i = end
                 else:
-                    length = int(lm.group(1))
                     if i + length > n:
                         raise PdfParseError("truncated stream")
                     stream = data[i : i + length]
@@ -235,26 +249,10 @@ def _scan_objects(data: bytes) -> Dict[int, _PdfObject]:
         # with a LOWER generation is a stale freed object and never wins.
         prior = objects.get(num)
         if prior is None or gen >= prior.gen:
-            objects[num] = _PdfObject(num, dict_bytes, stream, gen)
+            objects[num] = _PdfObject(num, d, stream, gen)
     if not objects:
         raise PdfParseError("no PDF objects found")
     return objects
-
-
-_REF_RE = re.compile(rb"(\d+)\s+\d+\s+R")
-_NAME_VAL_RE = {
-    "Root": re.compile(rb"/Root\s+(\d+)\s+\d+\s+R"),
-    "Pages": re.compile(rb"/Pages\s+(\d+)\s+\d+\s+R"),
-}
-_TYPE_RE = re.compile(rb"/Type\s*/(\w+)")
-_KIDS_RE = re.compile(rb"/Kids\s*\[([^\]]*)\]")
-_CONTENTS_REF_RE = re.compile(rb"/Contents\s+(\d+)\s+\d+\s+R")
-_CONTENTS_ARR_RE = re.compile(rb"/Contents\s*\[([^\]]*)\]")
-_MEDIABOX_RE = re.compile(
-    rb"/MediaBox\s*\[\s*([\d.+-]+)\s+([\d.+-]+)\s+([\d.+-]+)\s+([\d.+-]+)\s*\]"
-)
-_FILTER_RE = re.compile(rb"/Filter\s*(\d+\s+\d+\s+R|/\w+|\[[^\]]*\])")
-_FILTER_NAME_RE = re.compile(rb"/(\w+)")
 
 
 def _ascii_hex_decode(raw: bytes) -> bytes:
@@ -396,58 +394,38 @@ def _run_length_decode(data: bytes) -> bytes:
     raise PdfParseError("RunLengthDecode: missing EOD")
 
 
-_DECODEPARMS_RE = re.compile(rb"/(?:DecodeParms|DP)\b")
-_PRED_RE = re.compile(rb"/Predictor\s+(\d+)")
-_COLUMNS_RE = re.compile(rb"/Columns\s+(\d+)")
-_COLORS_RE = re.compile(rb"/Colors\s+(\d+)")
-_BPC_RE = re.compile(rb"/BitsPerComponent\s+(\d+)")
-
-
-def _parse_decode_parms(dict_bytes: bytes) -> List[Optional[dict]]:
-    """Parse /DecodeParms (or legacy /DP): a dict, an array of dict/null
-    aligned with the /Filter array, or absent. Returns one entry per
-    position (None = no parms). Indirect parms are out of subset ->
-    PdfParseError (counted failure, never silently-wrong bytes)."""
-    m = _DECODEPARMS_RE.search(dict_bytes)
-    if not m:
-        return []
-    i = _skip_ws(dict_bytes, m.end())
+def _decode_parms(d: Dict[str, Any]) -> List[Optional[dict]]:
+    """The stream's /DecodeParms (or legacy /DP): a dict, an array of
+    dict/null aligned with the /Filter array, or absent. Returns one entry
+    per position (None = no parms). An indirect value anywhere in the parms
+    is out of subset -> PdfParseError (counted failure, never
+    silently-wrong bytes)."""
+    parms = d.get("DecodeParms", d.get("DP"))
     out: List[Optional[dict]] = []
+    for p in parms if isinstance(parms, list) else [parms]:
+        if p is None:
+            out.append(None)
+        elif not isinstance(p, dict):
+            raise PdfParseError("unsupported /DecodeParms value")
+        elif _holds_ref(p):
+            raise PdfParseError("indirect value inside /DecodeParms")
+        else:
+            out.append({
+                "predictor": _int(p, "Predictor", 1),
+                "columns": _int(p, "Columns", 1),
+                "colors": _int(p, "Colors", 1),
+                "bpc": _int(p, "BitsPerComponent", 8),
+            })
+    return out
 
-    def one(j: int) -> Tuple[Optional[dict], int]:
-        j = _skip_ws(dict_bytes, j)
-        if dict_bytes[j : j + 2] == b"<<":
-            d, j2 = _scan_dict(dict_bytes, j)
-            if _REF_RE.search(d):
-                raise PdfParseError("indirect value inside /DecodeParms")
-            p = _PRED_RE.search(d)
-            c = _COLUMNS_RE.search(d)
-            k = _COLORS_RE.search(d)
-            b = _BPC_RE.search(d)
-            return (
-                {
-                    "predictor": int(p.group(1)) if p else 1,
-                    "columns": int(c.group(1)) if c else 1,
-                    "colors": int(k.group(1)) if k else 1,
-                    "bpc": int(b.group(1)) if b else 8,
-                },
-                j2,
-            )
-        if dict_bytes[j : j + 4] == b"null":
-            return None, j + 4
-        raise PdfParseError("unsupported /DecodeParms value")
 
-    if dict_bytes[i : i + 1] == b"[":
-        j = i + 1
-        while True:
-            j = _skip_ws(dict_bytes, j)
-            if j >= len(dict_bytes) or dict_bytes[j : j + 1] == b"]":
-                break
-            entry, j = one(j)
-            out.append(entry)
-        return out
-    entry, _ = one(i)
-    return [entry]
+def _holds_ref(v: Any) -> bool:
+    """Whether a value is or holds an indirect reference."""
+    if isinstance(v, _Ref):
+        return True
+    if isinstance(v, dict):
+        v = list(v.values())
+    return isinstance(v, list) and any(_holds_ref(x) for x in v)
 
 
 def _apply_predictor(data: bytes, parms: dict) -> bytes:
@@ -534,51 +512,44 @@ def _decode_stream(
                 raw = crypt_object_bytes(file_key, obj.num, obj.gen, raw)
         except ValueError as e:
             raise PdfParseError(f"{cfm} stream: {e}")
-    m = _FILTER_RE.search(obj.dict_bytes)
-    if not m:
-        return raw
-    spec = m.group(1)
-    if spec.endswith(b"R"):
+    spec = obj.dict.get("Filter")
+    if isinstance(spec, _Ref):
         # An indirect /Filter reference means SOME filter applies but we
         # can't resolve which in this subset — fail the page (counted)
         # rather than feed still-encoded bytes to the tokenizer.
         raise PdfParseError("indirect /Filter reference unsupported")
-    if spec.startswith(b"["):
-        # Same guarantee for array specs: '[ 5 0 R ]' contains a reference
-        # (and yields zero names below), which would silently return the
-        # still-encoded bytes. Any 'N N R' inside the array, or a non-empty
-        # array with no filter names, is a counted parse failure. An EMPTY
-        # array ('/Filter []') legally means "no filters" -> raw bytes.
-        body = spec.strip(b"[] \t\r\n\f\x00")
-        if _REF_RE.search(spec) or (body and not _FILTER_NAME_RE.search(spec)):
-            raise PdfParseError("unresolvable /Filter array")
-    parms_list = _parse_decode_parms(obj.dict_bytes)
-    for idx, name_m in enumerate(_FILTER_NAME_RE.finditer(spec)):
-        name = name_m.group(1)
+    if isinstance(spec, str):
+        spec = [spec]
+    elif not isinstance(spec, list):
+        return raw
+    names = [f for f in spec if isinstance(f, str)]
+    if any(isinstance(f, _Ref) for f in spec) or (spec and not names):
+        # Same guarantee for arrays: '[ 5 0 R ]' holds a reference and no
+        # filter name, and skipping it would return the still-encoded
+        # bytes. An EMPTY array ('/Filter []') legally means "no filters".
+        raise PdfParseError("unresolvable /Filter array")
+    parms_list = _decode_parms(obj.dict)
+    for idx, name in enumerate(names):
         parms = parms_list[idx] if idx < len(parms_list) else None
-        if name == b"FlateDecode":
+        if name == "FlateDecode":
             try:
                 raw = zlib.decompress(raw)
             except zlib.error as e:
                 raise PdfParseError(f"FlateDecode failed: {e}") from e
-        elif name == b"ASCIIHexDecode":
+        elif name == "ASCIIHexDecode":
             raw = _ascii_hex_decode(raw)
-        elif name == b"LZWDecode":
+        elif name == "LZWDecode":
             raw = _lzw_decode(raw)
-        elif name == b"RunLengthDecode":
+        elif name == "RunLengthDecode":
             raw = _run_length_decode(raw)
-        elif name == b"ASCII85Decode":
+        elif name == "ASCII85Decode":
             raw = _ascii85_decode(raw)
         else:
-            raise PdfParseError(f"unsupported stream filter /{name.decode('ascii', 'replace')}")
+            raise PdfParseError(f"unsupported stream filter /{name}")
         # /Predictor post-pass applies to the Flate/LZW stages (§7.4.4.4)
-        if parms is not None and name in (b"FlateDecode", b"LZWDecode"):
+        if parms is not None and name in ("FlateDecode", "LZWDecode"):
             raw = _apply_predictor(raw, parms)
     return raw
-
-
-_N_RE = re.compile(rb"/N\s+(\d+)")
-_FIRST_RE = re.compile(rb"/First\s+(\d+)")
 
 
 def _expand_object_streams(
@@ -594,9 +565,9 @@ def _expand_object_streams(
     ``_scan_objects`` cannot see them — this pass decodes each ObjStm and
     parses its ``/N`` header pairs (objnum, offset-from-/First). Contained
     objects never carry streams (§7.5.7 forbids it), so each body is either
-    a dictionary or a bare value; both are stored as ``dict_bytes`` (every
-    downstream consumer regexes over that field). First definition wins, as
-    in the scan: a classic-layout object shadows an ObjStm twin.
+    a dictionary, read into ``_PdfObject.dict`` as in the scan, or a bare
+    value, which no consumer reads (an empty dict). First definition wins:
+    a classic-layout object shadows an ObjStm twin.
 
     In encrypted documents the ObjStm stream itself is encrypted (strings
     inside it are NOT re-encrypted — the whole stream was), so callers pass
@@ -606,16 +577,13 @@ def _expand_object_streams(
     """
     for num in sorted(objects):
         obj = objects[num]
-        tm = _TYPE_RE.search(obj.dict_bytes)
-        if tm is None or tm.group(1) != b"ObjStm" or obj.stream is None:
+        if obj.dict.get("Type") != "ObjStm" or obj.stream is None:
             continue
         data = _decode_stream(obj, file_key, cfm)
-        nm = _N_RE.search(obj.dict_bytes)
-        fm = _FIRST_RE.search(obj.dict_bytes)
-        if nm is None or fm is None:
+        n_objs = _int(obj.dict, "N")
+        first = _int(obj.dict, "First")
+        if n_objs is None or first is None or n_objs < 0 or first < 0:
             raise PdfParseError("ObjStm without direct /N and /First")
-        n_objs = int(nm.group(1))
-        first = int(fm.group(1))
         if first > len(data):
             raise PdfParseError("ObjStm /First beyond stream end")
         header = data[:first].split()
@@ -635,9 +603,8 @@ def _expand_object_streams(
             body = data[start:end].strip()
             if inner_num in objects:
                 continue
-            if body.startswith(b"<<"):
-                body, _ = _scan_dict(body, 0)
-            objects[inner_num] = _PdfObject(inner_num, body, None, 0)
+            d = _read_dict(body, 0)[0] if body.startswith(b"<<") else {}
+            objects[inner_num] = _PdfObject(inner_num, d, None, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -712,23 +679,14 @@ def _glyph_to_char(name: str) -> Optional[str]:
     return _AGL_SUBSET.get(name)
 
 
-_ENCODING_REF_RE = re.compile(rb"/Encoding\s+(\d+)\s+\d+\s+R")
-_DIFFERENCES_RE = re.compile(rb"/Differences\s*\[")
-_DIFF_TOKEN_RE = re.compile(rb"(\d+)|/([^\s/\[\]<>()]+)|(\])")
-_BASE_ENC_RE = re.compile(rb"/(?:Base)?Encoding\s*/(\w+)")
-
-
-def _base_encoding_table(enc_bytes: bytes) -> Dict[int, str]:
+def _base_encoding_table(name: Any) -> Dict[int, str]:
     """Byte->char overrides for a named base encoding. latin-1 is the
     decode default, so only the bytes where the named encoding DIFFERS
     need entries: WinAnsi (cp1252) and MacRoman repopulate 0x80-0x9F
     (and beyond, for MacRoman) where latin-1 has control characters —
     curly quotes, the euro sign, em dashes, trademark."""
-    m = _BASE_ENC_RE.search(enc_bytes)
-    if m is None:
-        return {}
-    codec = {b"WinAnsiEncoding": "cp1252", b"MacRomanEncoding": "mac_roman"}.get(
-        m.group(1)
+    codec = {"WinAnsiEncoding": "cp1252", "MacRomanEncoding": "mac_roman"}.get(
+        name if isinstance(name, str) else ""
     )
     if codec is None:
         return {}
@@ -743,26 +701,21 @@ def _base_encoding_table(enc_bytes: bytes) -> Dict[int, str]:
     return table
 
 
-def _parse_differences(enc_bytes: bytes) -> Optional[Dict[int, str]]:
-    """Parse ``/Differences [ code /name /name code /name ... ]`` into a
-    byte -> char override table (ISO 32000-1 Table 114 semantics: an
-    integer sets the next code, each name assigns then increments)."""
-    m = _DIFFERENCES_RE.search(enc_bytes)
-    if m is None:
-        return None
+def _parse_differences(diffs: Any) -> Dict[int, str]:
+    """Read a ``/Differences [ code /name /name code /name ... ]`` array
+    into a byte -> char override table (ISO 32000-1 Table 114 semantics:
+    an integer sets the next code, each name assigns then increments)."""
     table: Dict[int, str] = {}
     code = 0
-    for tok in _DIFF_TOKEN_RE.finditer(enc_bytes, m.end()):
-        if tok.group(3):
-            break  # closing ]
-        if tok.group(1):
-            code = int(tok.group(1))
-            continue
-        ch = _glyph_to_char(tok.group(2).decode("latin-1"))
-        if ch is not None and 0 <= code <= 255:
-            table[code] = ch
-        code += 1
-    return table or None
+    for item in diffs if isinstance(diffs, list) else ():
+        if type(item) is int:
+            code = item
+        elif isinstance(item, str):
+            ch = _glyph_to_char(item)
+            if ch is not None and 0 <= code <= 255:
+                table[code] = ch
+            code += 1
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -832,34 +785,17 @@ def _parse_tounicode(data: bytes) -> Dict[int, str]:
     return out
 
 
-_TOUNICODE_REF_RE = re.compile(rb"/ToUnicode\s+(\d+)\s+\d+\s+R")
-
-
-# ``/key`` followed by an inline dict or a reference, one pattern per key.
-_DICT_VALUE_RE: Dict[str, "re.Pattern"] = {}
-
-
 def _resolve_dict(
-    objects: Dict[int, _PdfObject], container: bytes, key: str
-) -> Optional[bytes]:
-    """The dict that ``key`` names in ``container``: the ``<< ... >>``
-    written in place or the dict bytes of the ``N 0 R`` target. None when
-    the key is absent, the reference dangles or the dict is malformed."""
-    rx = _DICT_VALUE_RE.get(key)
-    if rx is None:
-        rx = _DICT_VALUE_RE[key] = re.compile(
-            rb"/" + key.encode() + rb"\s*(<<|\d+\s+\d+\s+R)")
-    m = rx.search(container)
-    if m is None:
-        return None
-    spec = m.group(1)
-    if spec == b"<<":
-        try:
-            return _scan_dict(container, m.start(1))[0]
-        except PdfParseError:
-            return None
-    ref = objects.get(int(spec.split()[0]))
-    return ref.dict_bytes if ref is not None else None
+    objects: Dict[int, _PdfObject], container: Optional[Dict[str, Any]], key: str
+) -> Optional[Dict[str, Any]]:
+    """The dict that ``key`` names in ``container``: written in place or
+    the dict of the ``N 0 R`` target. None when the container or the key
+    is absent, the reference dangles or the value is neither."""
+    v = container.get(key) if container is not None else None
+    if isinstance(v, _Ref):
+        ref = objects.get(v.num)
+        return ref.dict if ref is not None else None
+    return v if isinstance(v, dict) else None
 
 
 def _doc_off_ocgs(
@@ -874,41 +810,25 @@ def _doc_off_ocgs(
     root = objects.get(root_num)
     if root is None:
         return set()
-    ocp = _resolve_dict(objects, root.dict_bytes, "OCProperties")
-    if ocp is None:
-        return set()
+    ocp = _resolve_dict(objects, root.dict, "OCProperties")
     cfg = _resolve_dict(objects, ocp, "D")
-    if cfg is None:
+    off = cfg.get("OFF") if cfg is not None else None
+    if not isinstance(off, list):
         return set()
-    fm = re.search(rb"/OFF\s*\[", cfg)
-    if fm is None:
-        return set()
-    end = cfg.find(b"]", fm.end() - 1)
-    if end < 0:
-        return set()
-    return {int(r.group(1)) for r in _REF_RE.finditer(cfg[fm.end() - 1 : end])}
-
-
-# A page's /Resources holds one dict per category, inline or by reference,
-# of ``/name N 0 R`` entries (ISO 32000-1 §7.8.3).
-_RESOURCE_ENTRY_RE = re.compile(rb"/(\w+)\s+(\d+)\s+\d+\s+R")
-_SUBTYPE_RE = re.compile(rb"/Subtype\s*/(\w+)")
+    return {r.num for r in off if isinstance(r, _Ref)}
 
 
 def _resource_entries(
-    objects: Dict[int, _PdfObject], resources: Optional[bytes], category: str
+    objects: Dict[int, _PdfObject], resources: Optional[Dict[str, Any]], category: str
 ) -> List[Tuple[str, int]]:
-    """``(name, object number)`` of each entry in the page's ``category``
-    dict (``"Font"``, ``"XObject"`` or ``"Properties"``), in dict order.
-    Empty when the page has no resources or no such dict, or the dict
-    reference dangles. The only code that searches a page's /Resources."""
-    if not resources:
-        return []
+    """``(name, object number)`` of each reference in the page's
+    ``category`` dict (``"Font"``, ``"XObject"`` or ``"Properties"``; ISO
+    32000-1 §7.8.3), in dict order. Empty when the page has no resources or
+    no such dict, or the dict reference dangles."""
     entries = _resolve_dict(objects, resources, category)
     if entries is None:
         return []
-    return [(name.decode("latin-1"), int(num))
-            for name, num in _RESOURCE_ENTRY_RE.findall(entries)]
+    return [(name, v.num) for name, v in entries.items() if isinstance(v, _Ref)]
 
 
 @dataclass
@@ -944,7 +864,7 @@ class _PageResources:
 
 def _page_resources(
     objects: Dict[int, _PdfObject],
-    resources: Optional[bytes],
+    resources: Optional[Dict[str, Any]],
     file_key: Optional[bytes],
     cfm: str,
     off_ocgs: set,
@@ -956,11 +876,11 @@ def _page_resources(
         fobj = objects.get(num)
         if fobj is None:
             continue
-        st = _SUBTYPE_RE.search(fobj.dict_bytes)
-        if st is not None and st.group(1) == b"Type0":
+        font = fobj.dict
+        if font.get("Subtype") == "Type0":
             cmap: Dict[int, str] = {}
-            tm = _TOUNICODE_REF_RE.search(fobj.dict_bytes)
-            cobj = objects.get(int(tm.group(1))) if tm is not None else None
+            tu = font.get("ToUnicode")
+            cobj = objects.get(tu.num) if isinstance(tu, _Ref) else None
             if cobj is not None and cobj.stream is not None:
                 try:
                     cmap = _parse_tounicode(_decode_stream(cobj, file_key, cfm))
@@ -969,15 +889,17 @@ def _page_resources(
             res.cid_fonts[name] = cmap
             continue
         # A simple font; one without /Subtype counts as one too.
-        enc_bytes = fobj.dict_bytes
-        rm = _ENCODING_REF_RE.search(enc_bytes)
-        if rm is not None:
-            eobj = objects.get(int(rm.group(1)))
+        enc = font.get("Encoding")
+        if isinstance(enc, _Ref):
+            eobj = objects.get(enc.num)
             if eobj is None:
                 continue  # dangling encoding ref: the font keeps latin-1
-            enc_bytes = eobj.dict_bytes
-        table = _base_encoding_table(enc_bytes)
-        table.update(_parse_differences(enc_bytes) or {})
+            enc = eobj.dict
+        if isinstance(enc, dict):
+            table = _base_encoding_table(enc.get("BaseEncoding"))
+            table.update(_parse_differences(enc.get("Differences")))
+        else:
+            table = _base_encoding_table(enc)
         if table:
             res.simple_encodings[name] = table
 
@@ -985,25 +907,19 @@ def _page_resources(
         xobj = objects.get(num)
         if xobj is None or xobj.stream is None:
             continue
-        st = _SUBTYPE_RE.search(xobj.dict_bytes)
-        subtype = st.group(1) if st is not None else None
-        if subtype == b"Form":
+        subtype = xobj.dict.get("Subtype")
+        if subtype == "Form":
             try:
                 res.forms[name] = _decode_stream(xobj, file_key, cfm)
             except PdfParseError:
                 pass
-        elif subtype == b"Image":
-            d = xobj.dict_bytes
-            wm = re.search(rb"/Width\s+(\d+)", d)
-            hm = re.search(rb"/Height\s+(\d+)", d)
-            if wm is None or hm is None:
+        elif subtype == "Image":
+            width, height = _int(xobj.dict, "Width"), _int(xobj.dict, "Height")
+            if width is None or height is None or width < 0 or height < 0:
                 continue
-            width, height = int(wm.group(1)), int(hm.group(1))
             gray: Optional[bytes] = None
-            bpc = re.search(rb"/BitsPerComponent\s+(\d+)", d)
-            cs = re.search(rb"/ColorSpace\s*/(\w+)", d)
-            if (bpc is not None and bpc.group(1) == b"8"
-                    and cs is not None and cs.group(1) == b"DeviceGray"):
+            if (_int(xobj.dict, "BitsPerComponent") == 8
+                    and xobj.dict.get("ColorSpace") == "DeviceGray"):
                 try:
                     data = _decode_stream(xobj, file_key, cfm)
                     if len(data) >= width * height:
@@ -1021,7 +937,7 @@ def _page_resources(
     return res
 
 
-def _trailer_dict(data: bytes) -> Optional[bytes]:
+def _trailer_dict(data: bytes) -> Optional[Dict[str, Any]]:
     """The dict after the last ``trailer`` keyword; None when the file has
     no keyword (cross-reference-stream files) or no dict follows it."""
     at = data.rfind(b"trailer")
@@ -1030,16 +946,13 @@ def _trailer_dict(data: bytes) -> Optional[bytes]:
     i = _skip_ws(data, at + 7)
     if data[i : i + 2] != b"<<":
         return None
-    return _scan_dict(data, i)[0]
-
-
-_ROTATE_RE = re.compile(rb"/Rotate\s+(-?\d+)")
+    return _read_dict(data, i)[0]
 
 
 def _page_order(objects: Dict[int, _PdfObject], root_num: int) -> List[tuple]:
     """Walk Catalog -> Pages -> Kids recursively, yielding
-    ``(page_num, rotate, mediabox | None, resources_dict_bytes | None)``
-    in document order.
+    ``(page_num, rotate, mediabox | None, resources dict | None)`` in
+    document order.
 
     /Rotate, /MediaBox and /Resources are INHERITABLE page attributes (PDF
     1.7 §7.7.3.4): a value on an interior Pages node applies to every leaf
@@ -1048,8 +961,8 @@ def _page_order(objects: Dict[int, _PdfObject], root_num: int) -> List[tuple]:
     root = objects.get(root_num)
     if root is None:
         raise PdfParseError("dangling Root reference")
-    pm = _NAME_VAL_RE["Pages"].search(root.dict_bytes)
-    if pm is None:
+    top = root.dict.get("Pages")
+    if not isinstance(top, _Ref):
         raise PdfParseError("catalog without Pages")
 
     pages: List[tuple] = []
@@ -1060,25 +973,27 @@ def _page_order(objects: Dict[int, _PdfObject], root_num: int) -> List[tuple]:
         obj = objects.get(num)
         if obj is None:
             raise PdfParseError(f"dangling page-tree reference {num}")
-        rm = _ROTATE_RE.search(obj.dict_bytes)
-        if rm:
-            rotate = int(rm.group(1)) % 360
-        mb = _MEDIABOX_RE.search(obj.dict_bytes)
-        if mb:
-            box = tuple(float(x) for x in mb.groups())
-        res = _resolve_dict(objects, obj.dict_bytes, "Resources") or res
-        t = _TYPE_RE.search(obj.dict_bytes)
-        tname = t.group(1) if t else b""
-        if tname == b"Page":
+        d = obj.dict
+        rot = _int(d, "Rotate")
+        if rot is not None:
+            rotate = rot % 360
+        mb = d.get("MediaBox")
+        if (isinstance(mb, list) and len(mb) == 4
+                and all(type(x) in (int, float) for x in mb)):
+            box = tuple(float(x) for x in mb)
+        own = _resolve_dict(objects, d, "Resources")
+        res = own if own is not None else res
+        if d.get("Type") == "Page":
             pages.append((num, rotate, box, res))
             return
-        km = _KIDS_RE.search(obj.dict_bytes)
-        if km is None:
+        kids = d.get("Kids")
+        if not isinstance(kids, list):
             raise PdfParseError("Pages node without Kids")
-        for rm2 in _REF_RE.finditer(km.group(1)):
-            walk(int(rm2.group(1)), depth + 1, rotate, box, res)
+        for kid in kids:
+            if isinstance(kid, _Ref):
+                walk(kid.num, depth + 1, rotate, box, res)
 
-    walk(int(pm.group(1)))
+    walk(top.num)
     if not pages:
         raise PdfParseError("empty page tree")
     return pages
@@ -1089,10 +1004,14 @@ def _page_order(objects: Dict[int, _PdfObject], root_num: int) -> List[tuple]:
 # --------------------------------------------------------------------------
 
 _NUM_TOKEN_RE = re.compile(rb"[+-]?(?:\d+\.?\d*|\.\d+)")
-_OP_TOKEN_RE = re.compile(rb"[A-Za-z'\"*]{1,3}")
+# an operator is at most three letters; the dict keywords are longer
+_OP_TOKEN_RE = re.compile(rb"true|false|null|[A-Za-z'\"*]{1,3}")
 _NAME_RE = re.compile(rb"/[^\s()<>\[\]/%]*")
 # a comment runs to its line's end: CR, LF or CRLF (ISO 32000-1 §7.2.3)
 _COMMENT_RE = re.compile(rb"%[^\r\n]*")
+# A hex string inside a dict must be well formed. A stray '<' matches
+# nothing and is skipped as one byte, so it cannot swallow the '>>'.
+_HEX_STRING_RE = re.compile(rb"<[0-9A-Fa-f\s]*>")
 
 _WS_BYTES = (b" ", b"\t", b"\r", b"\n", b"\f", b"\x00")
 # binary payload terminator: whitespace + EI + token boundary (§8.9.7)
@@ -1160,7 +1079,7 @@ def _read_literal_string(data: bytes, i: int) -> Tuple[bytes, int]:
         else:
             out.append(c)
         j += 1
-    raise PdfParseError("unterminated literal string")
+    raise PdfParseError("unterminated string")
 
 
 def _read_hex_string(data: bytes, i: int) -> Tuple[bytes, int]:
@@ -1175,9 +1094,16 @@ def _read_hex_string(data: bytes, i: int) -> Tuple[bytes, int]:
     return bytes.fromhex(hex_digits.decode("ascii")), end + 1
 
 
-def _tokenize(data: bytes):
+def _tokenize(data: bytes, i: int = 0, depth: int = 0):
     """Yield ('num', float) | ('str', bytes) | ('name', bytes) | ('dict',
-    bytes) | ('op', bytes) | ('[', None) | (']', None) tokens.
+    dict) | ('op', bytes) | ('[', None) | (']', None) tokens from
+    ``data[i:]``. A ``<<`` is read whole by ``_read_dict``, one level
+    deeper, and yielded as its value.
+
+    Inside a dict (``depth`` > 0) the tokens run to the dict's ``>>``,
+    yielded as ('>>', index after it); the end of the data before it raises
+    PdfParseError. A hex string there must be well formed, and a stray
+    ``<`` is skipped; in content a hex string runs to the next ``>``.
 
     An inline image (ISO 32000-1 §8.9.7: ``BI <params> ID <binary> EI``)
     yields nothing. After ``BI`` the same branches read its parameters
@@ -1185,7 +1111,6 @@ def _tokenize(data: bytes):
     cannot end them early; ``ID`` then skips the binary payload to the
     first whitespace-delimited ``EI``. Image bytes that happen to spell
     text operators (``(..) Tj``, ``BT``) thus never inject junk spans."""
-    i = 0
     n = len(data)
     image = False  # inside an inline image's parameters
     while i < n:
@@ -1198,9 +1123,11 @@ def _tokenize(data: bytes):
                 yield ("str", s)
         elif c == b"<":
             if data[i : i + 2] == b"<<":
-                d, i = _scan_dict(data, i)
+                d, i = _read_dict(data, i, depth + 1)
                 if not image:
                     yield ("dict", d)
+            elif depth and _HEX_STRING_RE.match(data, i) is None:
+                i += 1
             else:
                 s, i = _read_hex_string(data, i)
                 if not image:
@@ -1229,12 +1156,15 @@ def _tokenize(data: bytes):
                 continue
             m = _OP_TOKEN_RE.match(data, i)
             if m is None:
+                if depth and data[i : i + 2] == b">>":
+                    yield (">>", i + 2)
+                    return
                 i += 1  # unknown byte — skip (tolerant)
                 continue
             op = m.group(0)
             i = m.end()
             if not image:
-                if op == b"BI":
+                if op == b"BI" and not depth:
                     image = True
                 else:
                     yield ("op", op)
@@ -1244,6 +1174,8 @@ def _tokenize(data: bytes):
                 e = _INLINE_EI_RE.search(data, i)
                 i = e.end() if e else n
                 image = False
+    if depth:
+        raise PdfParseError("unterminated dictionary")
 
 
 @dataclass
@@ -1423,14 +1355,11 @@ def _interpret_text(
                     if (
                         isinstance(tag, bytes) and tag == b"/OC"
                         and isinstance(props, bytes)
-                        and not props.startswith(b"<<")
                         and props.decode("latin-1").lstrip("/") in res.hidden_ocs
                     ):
                         hid = True
-                    if isinstance(props, bytes) and props.startswith(b"<<"):
-                        mm = re.search(rb"/MCID\s+(\d+)", props)
-                        if mm is not None:
-                            mcid = int(mm.group(1))
+                    if isinstance(props, dict):
+                        mcid = _int(props, "MCID")
                 mc_stack.append((hid, mcid))
             elif op == b"EMC":
                 if mc_stack:
@@ -1672,14 +1601,6 @@ def _assemble_page(
 # Encryption (standard security handler, /V 1-2 — see functions/pdf_crypt.py)
 # --------------------------------------------------------------------------
 
-_ENCRYPT_REF_RE = re.compile(rb"/Encrypt\s+(\d+)\s+(\d+)\s+R")
-_ID_ARR_RE = re.compile(rb"/ID\s*\[\s*<([0-9A-Fa-f\s]*)>")
-_INT_ENTRY = {
-    name: re.compile(rb"/" + name.encode() + rb"\s+(-?\d+)")
-    for name in ("V", "R", "Length", "P")
-}
-
-
 @dataclass
 class PdfEncryptInfo:
     """Parsed /Encrypt dictionary (standard handler: RC4, AESV2, AESV3)."""
@@ -1697,87 +1618,60 @@ class PdfEncryptInfo:
     perms_entry: bytes = b""  # /V 5 encrypted permissions echo
 
 
-def _parse_string_entry(dict_bytes: bytes, name: bytes) -> Optional[bytes]:
-    """Read a /Name entry whose value is a literal '(...)' or hex '<...>'
-    string (the /O and /U entries)."""
-    m = re.search(rb"/" + name + rb"\s*(\(|<)", dict_bytes)
-    if m is None:
-        return None
-    i = m.end() - 1
-    if dict_bytes[i : i + 1] == b"(":
-        s, _ = _read_literal_string(dict_bytes, i)
-        return s
-    s, _ = _read_hex_string(dict_bytes, i)
-    return s
-
-
-def _int_entry(d: bytes, name: str, default: Optional[int]) -> Optional[int]:
-    m = _INT_ENTRY[name].search(d)
-    return int(m.group(1)) if m is not None else default
-
-
 def _find_encrypt_info(
-    objects: Dict[int, _PdfObject],
-    found: Optional[Tuple[bytes, "re.Match"]],
+    objects: Dict[int, _PdfObject], trailer: Optional[Dict[str, Any]]
 ) -> Optional[PdfEncryptInfo]:
-    """Parse the /Encrypt dictionary that ``found`` names: the trailer
-    dict holding /Encrypt and its match (``PdfDocument._trailer_entry``).
+    """Parse the /Encrypt dictionary that ``trailer`` names (the trailer
+    dict whose /Encrypt is a reference, ``PdfDocument._trailer_entry``).
     /ID is read from that same dict.
 
     Returns None for unencrypted documents; raises PdfParseError for
     encryption outside the supported subset (non-Standard handler, unknown
     crypt filters) — counted failure, never junk text. Supported: /V 1-2
-    (RC4), /V 4 with /StdCF /CFM of V2 (RC4) or AESV2 (AES-128-CBC) and
-    /V 5 with AESV3 (AES-256, functions/pdf_crypt.py).
+    (RC4), /V 4 with a /StmF crypt filter whose /CFM is V2 (RC4) or AESV2
+    (AES-128-CBC) and /V 5 with AESV3 (AES-256, functions/pdf_crypt.py).
     """
-    if found is None:
+    if trailer is None:
         return None
-    tdict, em = found
-    enc_obj = objects.get(int(em.group(1)))
+    enc_obj = objects.get(trailer["Encrypt"].num)
     if enc_obj is None:
         raise PdfParseError("dangling /Encrypt reference")
-    d = enc_obj.dict_bytes
-    fm = re.search(rb"/Filter\s*/(\w+)", d)
-    if fm is None or fm.group(1) != b"Standard":
+    d = enc_obj.dict
+    if d.get("Filter") != "Standard":
         raise PdfParseError("unsupported encryption handler")
-    v = _int_entry(d, "V", 0)
+    v = _int(d, "V", 0)
     if v not in (1, 2, 4, 5):
         raise PdfParseError(f"unsupported encryption /V {v}")
     cfm = "V2"
     if v in (4, 5):
-        cm = re.search(rb"/CFM\s*/(\w+)", d)
-        cfm = cm.group(1).decode("ascii") if cm else "V2"
+        stmf = d.get("StmF")
+        filt = _resolve_dict(objects, _resolve_dict(objects, d, "CF"),
+                             stmf if isinstance(stmf, str) else "") or {}
+        cfm = filt.get("CFM") if isinstance(filt.get("CFM"), str) else "V2"
         if (v == 4 and cfm not in ("V2", "AESV2")) or (v == 5 and cfm != "AESV3"):
             raise PdfParseError(f"unsupported crypt filter /CFM {cfm}")
-        if re.search(rb"/EncryptMetadata\s+false", d):
+        if d.get("EncryptMetadata") is False:
             # would append ffffffff to the key hash; outside the subset
             raise PdfParseError("unsupported /EncryptMetadata false")
-    r = _int_entry(d, "R", 2)
+    r = _int(d, "R", 2)
     if (v == 5 and r not in (5, 6)) or (v != 5 and r not in (2, 3, 4)):
         raise PdfParseError(f"unsupported encryption /R {r}")
-    length_bits = _int_entry(d, "Length", 40)
-    p = _int_entry(d, "P", None)
+    p = _int(d, "P")
     if p is None:
         raise PdfParseError("encryption dictionary without /P")
-    o_entry = _parse_string_entry(d, b"O")
-    u_entry = _parse_string_entry(d, b"U")
-    if o_entry is None or u_entry is None:
+    o_entry, u_entry = d.get("O"), d.get("U")
+    if not (isinstance(o_entry, bytes) and isinstance(u_entry, bytes)):
         raise PdfParseError("encryption dictionary without /O or /U")
-    idm = _ID_ARR_RE.search(tdict)
-    id0 = b""
-    if idm:
-        hex_digits = re.sub(rb"\s", b"", idm.group(1))
-        if len(hex_digits) % 2:
-            hex_digits += b"0"
-        id0 = bytes.fromhex(hex_digits.decode("ascii"))
+    ids = trailer.get("ID")
+    id0 = ids[0] if isinstance(ids, list) and ids and isinstance(ids[0], bytes) else b""
     ue_entry = oe_entry = perms_entry = b""
     if v == 5:
-        ue_entry = _parse_string_entry(d, b"UE") or b""
-        oe_entry = _parse_string_entry(d, b"OE") or b""
-        perms_entry = _parse_string_entry(d, b"Perms") or b""
+        ue_entry, oe_entry, perms_entry = (
+            x if isinstance(x, bytes) else b""
+            for x in (d.get("UE"), d.get("OE"), d.get("Perms")))
         if not ue_entry or not oe_entry:
             raise PdfParseError("/V 5 encryption dictionary without /UE or /OE")
-    key_len = 32 if v == 5 else max(5, min(16, length_bits // 8))
+    key_len = 32 if v == 5 else max(5, min(16, _int(d, "Length", 40) // 8))
     return PdfEncryptInfo(
         v=v, r=r, key_len=key_len,
         o_entry=o_entry, u_entry=u_entry, p=p, id0=id0,
@@ -1808,7 +1702,7 @@ class PdfDocument:
         self._objects = _scan_objects(payload)
         self._trailer = _trailer_dict(payload)
         self._encrypt = _find_encrypt_info(
-            self._objects, self._trailer_entry(_ENCRYPT_REF_RE))
+            self._objects, self._trailer_entry("Encrypt"))
         self._file_key: Optional[bytes] = None
         if self._encrypt is None:
             _expand_object_streams(self._objects)
@@ -1869,43 +1763,35 @@ class PdfDocument:
             self._root = self._find_root()
         return True
 
-    def _trailer_entry(
-        self, key_re: "re.Pattern"
-    ) -> Optional[Tuple[bytes, "re.Match"]]:
-        """The first trailer dict holding ``key_re``, with its match: the
-        dict after the last ``trailer`` keyword, then each /Type /XRef
+    def _trailer_entry(self, key: str) -> Optional[Dict[str, Any]]:
+        """The first trailer dict whose ``key`` is an indirect reference:
+        the dict after the last ``trailer`` keyword, then each /Type /XRef
         stream dict (cross-reference-stream files, §7.5.8) in object-number
         order. Reads the object map as it is now, so a lookup after
         object-stream expansion also sees the unpacked objects."""
-        if self._trailer is not None:
-            m = key_re.search(self._trailer)
-            if m is not None:
-                return self._trailer, m
+        if self._trailer is not None and isinstance(self._trailer.get(key), _Ref):
+            return self._trailer
         for num in sorted(self._objects):
-            d = self._objects[num].dict_bytes
-            tm = _TYPE_RE.search(d)
-            if tm is not None and tm.group(1) == b"XRef":
-                m = key_re.search(d)
-                if m is not None:
-                    return d, m
+            d = self._objects[num].dict
+            if d.get("Type") == "XRef" and isinstance(d.get(key), _Ref):
+                return d
         return None
 
     def _find_root(self) -> int:
         """The catalog's object number: the trailer's /Root, else the first
         /Type /Catalog object in object-number order."""
-        found = self._trailer_entry(_NAME_VAL_RE["Root"])
+        found = self._trailer_entry("Root")
         if found is not None:
-            return int(found[1].group(1))
+            return found["Root"].num
         for num in sorted(self._objects):
-            tm = _TYPE_RE.search(self._objects[num].dict_bytes)
-            if tm and tm.group(1) == b"Catalog":
+            if self._objects[num].dict.get("Type") == "Catalog":
                 return num
         raise PdfParseError("no document catalog")
 
     def _page_spans(
         self,
         page_num: int,
-        resources: Optional[bytes],
+        resources: Optional[Dict[str, Any]],
         off_ocgs: set,
         image_out: Optional[List[Dict[str, Any]]] = None,
     ) -> List[Span]:
@@ -1914,17 +1800,10 @@ class PdfDocument:
         ``off_ocgs`` come from ``_page_order`` and ``_doc_off_ocgs``. A
         missing or undecodable content stream raises ``PdfParseError``."""
         cfm = self._encrypt.cfm if self._encrypt is not None else "V2"
-        page = self._objects[page_num]
-        refs: List[int] = []
-        cm = _CONTENTS_REF_RE.search(page.dict_bytes)
-        if cm:
-            refs.append(int(cm.group(1)))
-        else:
-            am = _CONTENTS_ARR_RE.search(page.dict_bytes)
-            if am:
-                refs.extend(int(r.group(1)) for r in _REF_RE.finditer(am.group(1)))
+        contents = self._objects[page_num].dict.get("Contents")
+        refs = contents if isinstance(contents, list) else [contents]
         content = bytearray()
-        for r in refs:
+        for r in (r.num for r in refs if isinstance(r, _Ref)):
             obj = self._objects.get(r)
             if obj is None or obj.stream is None:
                 raise PdfParseError(f"missing content stream {r}")

@@ -181,8 +181,8 @@ class ExtractFile:
     ``INPUT_COLUMNS`` only, or WARC through ``read_warc_file``, whose
     salvage mode ``tolerant_warc`` selects), sniff it, extract it in
     ``PARSE_BATCH_SIZE`` slices and ``commit`` its doc rows: here, one
-    part and the shard's manifest. Takes a one-row ``path`` batch and
-    returns the commit's summary rows (part summaries). Raises, naming the
+    part and the shard's manifest. Takes the file's path and returns the
+    commit's summary rows (part summaries). Raises, naming the
     file, when the file cannot be read, holds a null url, or its shard does
     not commit."""
 
@@ -193,8 +193,7 @@ class ExtractFile:
         self.tolerant_warc = tolerant_warc
         self.extract = ExtractDocuments(self.cfg)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        (path,) = batch["path"].to_pylist()
+    def __call__(self, path: str) -> pa.Table:
         try:
             if path.endswith(WARC_EXTS):
                 table = read_warc_file(path, self.tolerant_warc).select(INPUT_COLUMNS)
@@ -281,8 +280,8 @@ def _check_distinct_shards(files: list) -> None:
 @ray.remote(max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError],
             scheduling_strategy="DEFAULT")
 def _run_file_task(task: ExtractFile, path: str) -> pa.Table:
-    """One input file's task: ``task`` on a one-row ``path`` batch."""
-    return task(pa.table({"path": [path]}))
+    """One input file's task: ``task`` on ``path``."""
+    return task(path)
 
 
 def _run_file_tasks(files: list, task: ExtractFile) -> list:
@@ -408,13 +407,15 @@ def run_incremental_recrawl(
     tests/test_pipeline_e2e.py::TestIncrementalRecrawl).
 
     The input must be parquet: a WARC input raises ValueError up front, as
-    do delta files that share a shard id.
+    do an empty file list and delta files that share a shard id.
 
     Returns ``{"shards_touched", "n_replaced", "n_appended",
     "n_docs_touched_shards"}`` (+ ``snapshot_version`` when requested);
     ``n_docs_touched_shards`` counts the docs stored in the touched shards
     after the merge."""
     files = list_input_files(input_path)
+    if not files:  # refused before a snapshot could record an empty table
+        raise ValueError("run_incremental_recrawl got an empty input file list")
     if any(f.endswith(WARC_EXTS) for f in files):
         raise ValueError(
             "run_incremental_recrawl reads parquet shards only; "

@@ -106,9 +106,8 @@ def test_engine_never_imports_the_query_suite():
 # shrink as the suite retires.
 QUERY_SUITE_PRIVATES = {
     "functions.pdf_extract": {
-        "_REF_RE", "_decode_stream", "_doc_off_ocgs", "_page_order",
-        "_parse_string_entry", "_read_literal_string", "_resolve_dict",
-        "_resource_entries", "_scan_dict", "_skip_ws",
+        "_Ref", "_decode_stream", "_doc_off_ocgs", "_page_order",
+        "_resolve_dict", "_resource_entries",
     },
     "sources.pages_source": {
         "_encode_page_records", "_gunzip_members", "_parse_warc_records",

@@ -7,8 +7,8 @@ import pytest
 from service1_text_extraction_ray.functions.pdf_extract import (
     PdfParseError,
     _interpret_text,
+    _read_dict,
     _read_literal_string,
-    _scan_dict,
     _tokenize,
     open_pdf,
     parse_pdf,
@@ -504,16 +504,19 @@ def test_incremental_update_replaces_page():
     assert parse_pdf(updated2)[0].text == "Second revision."
 
 
-def _one_page_pdf(content_dict: bytes, content: bytes, tail: bytes) -> bytes:
-    """Classic-layout PDF: catalog 1, pages 2, page 3 whose content stream
-    is object 4 with ``content_dict``'s entries; ``tail`` follows the
-    objects (the trailers)."""
+_PAGE = b"/Parent 2 0 R /MediaBox [0 0 612 792] /Contents 4 0 R"
+
+
+def _one_page_pdf(content_dict: bytes, content: bytes, tail: bytes,
+                  page: bytes = b"/Type /Page " + _PAGE) -> bytes:
+    """Classic-layout PDF: catalog 1, pages 2, page 3 with ``page``'s
+    entries, whose content stream is object 4 with ``content_dict``'s
+    entries; ``tail`` follows the objects (more objects, the trailers)."""
     return (
         b"%PDF-1.4\n"
         b"1 0 obj << /Type /Catalog /Pages 2 0 R >> endobj\n"
         b"2 0 obj << /Type /Pages /Kids [3 0 R] /Count 1 >> endobj\n"
-        b"3 0 obj << /Type /Page /Parent 2 0 R /MediaBox [0 0 612 792] "
-        b"/Contents 4 0 R >> endobj\n"
+        b"3 0 obj << " + page + b" >> endobj\n"
         b"4 0 obj << /Length " + str(len(content)).encode() + content_dict
         + b">>\nstream\n" + content + b"\nendstream endobj\n" + tail
     )
@@ -543,7 +546,7 @@ def test_hex_string_closing_a_dict_keeps_the_stream():
     pdf = _one_page_pdf(b" /Foo <abcd>", text, b"trailer << /Root 1 0 R >>\n")
     assert [p.text for p in parse_pdf(pdf)] == ["Hex before close."]
     # a stray '<' is one byte, not a string that swallows the '>>'
-    assert _scan_dict(b"<< /A < /B 1 >> tail", 0) == (b"<< /A < /B 1 >>", 15)
+    assert _read_dict(b"<< /A < /B 1 >> tail", 0) == ({"A": "B"}, 15)
 
 
 def test_stale_lower_generation_never_wins():
@@ -1245,3 +1248,93 @@ class TestPageResources:
             "bbox": [72.0, 442.0, 172.0, 492.0],
             "width": 2, "height": 2, "gray": b"\x00\x40\x80\xff",
         }]
+
+
+_HELLO = b"BT /F1 12 Tf 72 720 Td (Hello world) Tj ET"
+_TRAILER = b"trailer << /Root 1 0 R >>\n"
+
+
+class TestDictEntriesAreTheObjectsOwn:
+    """A dict entry is read from the object's own dict, never from a
+    nested dict or a string that spells the same key."""
+
+    @pytest.mark.parametrize("nested", [
+        b"/Group << /Type /Group /S /Transparency >>",
+        b"/Resources << /Font << /F1 << /Type /Font /Subtype /Type1 "
+        b"/BaseFont /Helvetica >> >> >>",
+    ])
+    def test_nested_type_before_the_page_type(self, nested):
+        pdf = _one_page_pdf(b" ", _HELLO, _TRAILER,
+                            page=nested + b" /Type /Page " + _PAGE)
+        assert [p.text for p in parse_pdf(pdf)] == ["Hello world"]
+
+    def test_type0_font_after_an_inline_descendant_subtype(self):
+        cmap = b"begincmap 2 beginbfchar <0048> <0048> <0069> <0069> endbfchar endcmap"
+        pdf = _one_page_pdf(
+            b" ", b"BT /F1 12 Tf 72 720 Td <00480069> Tj ET",
+            b"5 0 obj << /Type /Font /DescendantFonts [<< /Type /Font "
+            b"/Subtype /CIDFontType2 /BaseFont /Synth >>] /Subtype /Type0 "
+            b"/BaseFont /Synth /Encoding /Identity-H /ToUnicode 6 0 R >> endobj\n"
+            b"6 0 obj << /Length " + str(len(cmap)).encode() + b" >>\nstream\n"
+            + cmap + b"\nendstream endobj\n" + _TRAILER,
+            page=b"/Type /Page " + _PAGE + b" /Resources << /Font << /F1 5 0 R >> >>",
+        )
+        assert [p.text for p in parse_pdf(pdf)] == ["Hi"]
+
+    def test_crypt_filter_length_before_the_key_length(self):
+        pdf = make_pdf([["Opens without a password."]], rng(),
+                       encrypt={"user_pw": "", "owner_pw": "o", "v": 4})
+        cf = b"/CF << /StdCF << /CFM /AESV2 /AuthEvent /DocOpen /Length 16 >> >> "
+        assert b"/Length 128 " + cf in pdf
+        pdf = pdf.replace(b"/Length 128 " + cf, cf + b"/Length 128 ")
+        assert [p.text for p in parse_pdf(pdf)] == ["Opens without a password."]
+
+    def test_inline_annotation_rotate_is_not_the_pages(self):
+        pdf = _one_page_pdf(b" ", _HELLO, _TRAILER, page=b"/Type /Page " + _PAGE
+                            + b" /Annots [<< /Type /Annot /Subtype /Text "
+                            b"/Rect [0 0 9 9] /Rotate 90 >>]")
+        (page,) = parse_pdf(pdf)
+        assert (page.text, page.layout["rotation"]) == ("Hello world", 0)
+
+    def test_contents_spelled_in_a_string_before_the_real_one(self):
+        pdf = _one_page_pdf(b" ", _HELLO, _TRAILER,
+                            page=b"/Type /Page /Parent 2 0 R /MediaBox [0 0 612 792] "
+                            b"/PieceInfo << /X << /Private (/Contents 9 0 R) >> >> "
+                            b"/Contents 4 0 R")
+        assert [p.text for p in parse_pdf(pdf)] == ["Hello world"]
+
+
+def test_comment_inside_a_dict_runs_to_its_line_end():
+    # ISO 32000-1 §7.2.3: a '%' comment ends at the end of its line, in a
+    # dict as in content, so a '>>' inside it does not close the dict
+    pdf = _one_page_pdf(b" ", _HELLO, _TRAILER,
+                        page=b"% leaf >> of the tree\r/Type /Page " + _PAGE)
+    assert [p.text for p in parse_pdf(pdf)] == ["Hello world"]
+
+
+def test_byte_that_starts_no_token_is_skipped_inside_a_dict():
+    # as in content, so a stray byte between a key and its value keeps both
+    pdf = _one_page_pdf(b" ", _HELLO, _TRAILER, page=b"/Type \x89/Page " + _PAGE)
+    assert [p.text for p in parse_pdf(pdf)] == ["Hello world"]
+
+
+@pytest.mark.parametrize("nest", [b"<<" * 100_000, b"[" * 100_000, b"<<[" * 50_000],
+                         ids=["dicts", "arrays", "mixed"])
+def test_deep_nesting_fails_the_document_not_the_stack(nest):
+    """The dict reader recurses once per level; past ``_MAX_NESTING`` it
+    raises PdfParseError, in an object body and in a content stream."""
+    from service1_text_extraction_ray.functions.extract import (
+        ExtractConfig,
+        extract_document,
+    )
+
+    for pdf in (_one_page_pdf(b" ", _HELLO, b"5 0 obj " + nest + b"\nendobj\n" + _TRAILER),
+                _one_page_pdf(b" ", _HELLO,
+                              b"5 0 obj << /Deep " + nest + b" >> endobj\n" + _TRAILER),
+                _one_page_pdf(b" ", b"BT /F1 12 Tf " + nest + b" Tj ET", _TRAILER)):
+        try:
+            parse_pdf(pdf)
+        except PdfParseError:
+            pass
+        row = extract_document("u://deep", pdf, ExtractConfig())
+        assert row["status"] in ("ok", "parse_failure")

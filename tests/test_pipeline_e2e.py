@@ -298,7 +298,7 @@ def test_file_task_raises_naming_a_file_whose_shard_does_not_commit(corpus_dir, 
     extract = task.extract
     task.extract = lambda batch: extract(batch).slice(1)  # drops one doc per slice
     with pytest.raises(RuntimeError, match=re.escape(path)):
-        task(pa.table({"path": [path]}))
+        task(path)
     assert lin.load_lineage(str(tmp_path / "out")) == []
 
 
@@ -323,7 +323,7 @@ def test_file_task_refuses_a_file_with_null_urls_before_parsing(task_name, tmp_p
 
     task.extract = no_parse
     with pytest.raises(ValueError, match=re.escape(f"input file {path} has 2 rows with a null url")):
-        task(pa.table({"path": [path]}))
+        task(path)
     assert lin.load_lineage(out) == []
 
 
@@ -353,13 +353,13 @@ def test_failed_merge_leaves_its_shard_as_it_was(corpus_dir, tmp_path):
 
     path = list_input_files(corpus_dir)[0]
     out = str(tmp_path / "out")
-    ExtractFile(out, CFG)(pa.table({"path": [path]}))
+    ExtractFile(out, CFG)(path)
     before = _tree_bytes(out)
     task = MergeFile(out, CFG)
     extract = task.extract
     task.extract = lambda batch: extract(batch).slice(1)  # drops one doc per slice
     with pytest.raises(RuntimeError, match=re.escape(path)):
-        task(pa.table({"path": [path]}))
+        task(path)
     assert _tree_bytes(out) == before
 
 
@@ -387,7 +387,7 @@ def test_job_rejects_input_files_sharing_a_shard_id(corpus_dir, tmp_path):
     assert not os.path.exists(out)
 
     # A recrawl of the two files into a table holding their shard.
-    ExtractFile(out, CFG)(pa.table({"path": [src]}))
+    ExtractFile(out, CFG)(src)
     before = _tree_bytes(out)
     with pytest.raises(ValueError, match="share a shard id") as err:
         run_incremental_recrawl(files, out, CFG)
@@ -433,7 +433,7 @@ def test_job_refuses_bad_input_before_touching_the_table(corpus_dir, tmp_path, c
     from service1_text_extraction_ray.sources.pages_source import list_input_files
 
     out = str(tmp_path / "out")
-    ExtractFile(out, CFG)(pa.table({"path": [list_input_files(corpus_dir)[0]]}))
+    ExtractFile(out, CFG)(list_input_files(corpus_dir)[0])
     before = _tree_bytes(out)
     (tmp_path / "notes.txt").write_text("not a shard")
     bad = {
@@ -1066,12 +1066,17 @@ class TestIncrementalRecrawl:
         assert sorted(os.listdir(lin.shard_data_dir(out, sid))) == parts
         assert not os.path.exists(os.path.join(out, "_recrawl"))
 
-    def test_empty_input_returns_the_same_keys(self, tmp_path):
+    def test_empty_input_is_refused_before_anything_runs(self, tmp_path):
+        """An empty file list names no shard to merge: it raises, as
+        ``run_extraction_job`` does, and a snapshot is not written into
+        an ``out`` that holds no table."""
         from service1_text_extraction_ray.pipelines.extract_pipeline import (
             run_incremental_recrawl)
 
-        res = run_incremental_recrawl([], str(tmp_path / "out"), CFG)
-        assert res == dict.fromkeys(RECRAWL_KEYS, 0)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="empty input file list"):
+            run_incremental_recrawl([], str(out), CFG, snapshot=True)
+        assert not out.exists()
 
     def test_warc_input_rejected_up_front(self, tmp_path):
         from service1_text_extraction_ray.pipelines.extract_pipeline import (
