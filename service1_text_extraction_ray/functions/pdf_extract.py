@@ -69,9 +69,11 @@ reference's layout-recreation thresholds (``core_pdf_processor.py:709-781``).
 
 from __future__ import annotations
 
+import json
 import re
 import zlib
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from .pdf_crypt import (
@@ -1102,8 +1104,10 @@ def _tokenize(data: bytes, i: int = 0, depth: int = 0):
 
     Inside a dict (``depth`` > 0) the tokens run to the dict's ``>>``,
     yielded as ('>>', index after it); the end of the data before it raises
-    PdfParseError. A hex string there must be well formed, and a stray
-    ``<`` is skipped; in content a hex string runs to the next ``>``.
+    PdfParseError. A hex string runs to the next ``>``, and its bytes that
+    are not hex digits are dropped; inside a dict, a ``<`` whose string is
+    not well formed and would end on the first ``>`` of a ``>>`` (or on
+    none) is a stray byte and skipped, so the dict's ``>>`` still ends it.
 
     An inline image (ISO 32000-1 §8.9.7: ``BI <params> ID <binary> EI``)
     yields nothing. After ``BI`` the same branches read its parameters
@@ -1126,7 +1130,9 @@ def _tokenize(data: bytes, i: int = 0, depth: int = 0):
                 d, i = _read_dict(data, i, depth + 1)
                 if not image:
                     yield ("dict", d)
-            elif depth and _HEX_STRING_RE.match(data, i) is None:
+            elif depth and _HEX_STRING_RE.match(data, i) is None and (
+                    data.find(b">", i) in (-1, data.find(b">>", i))):
+                # Its first ``>`` is none or starts a ``>>``: a stray byte.
                 i += 1
             else:
                 s, i = _read_hex_string(data, i)
@@ -1522,12 +1528,11 @@ def _span_bbox(s: Span, page_height: float) -> List[float]:
 
 
 def _union_bbox(bboxes: List[List[float]]) -> List[float]:
-    return [
-        round(min(b[0] for b in bboxes), 2),
-        round(min(b[1] for b in bboxes), 2),
-        round(max(b[2] for b in bboxes), 2),
-        round(max(b[3] for b in bboxes), 2),
-    ]
+    """The smallest bbox that holds ``bboxes``, each value one of theirs.
+    Those are ``_span_bbox`` values (or unions of them), rounded already,
+    and ``round(·, 2)`` leaves its own results as they are."""
+    x0, y0, x1, y1 = zip(*bboxes)
+    return [min(x0), min(y0), max(x1), max(y1)]
 
 
 @dataclass
@@ -1595,6 +1600,115 @@ def _assemble_page(
         "blocks": layout_blocks,
     }
     return PdfPage(text="\n".join(text_lines), layout=layout)
+
+
+# --------------------------------------------------------------------------
+# Stored layout: a page's layout tree without the text its page holds
+# --------------------------------------------------------------------------
+
+# A ``dump_layout`` page layout, its keys sorted: the blocks' JSON, then
+# height, rotation and width as raw JSON tokens.
+_LAYOUT_PAGE_RE = re.compile(
+    r'\{"blocks":\[(.*)\],"height":([^,]*),"rotation":([^,]*),"width":([^,{}]*)\}',
+    re.S)
+_JSON_STR = r'"[^"\\]*(?:\\.[^"\\]*)*"'
+# One span of it: its bbox, flags, font, size and text tokens, then the
+# ``]}`` that close its line and, after a block's last line, its block.
+_LAYOUT_SPAN_RE = re.compile(
+    r'\{"bbox":\[([^\]]*)\],"flags":([^,]*),"font":(' + _JSON_STR
+    + r'),"size":([^,]*),"text":(' + _JSON_STR + r')\}((?:\]\}){0,2})')
+_SPAN_ENDS = {"": "0", "]}": "1", "]}]}": "2"}
+
+
+def pdf_layout_spans(text: str, layout_json: str) -> Optional[str]:
+    """A page's ``layout_json`` stored without the text that ``text`` (the
+    page's stored text) already holds, or None where ``pdf_layout_json``
+    would not give back ``layout_json`` byte for byte: a string that is
+    not JSON or not a PDF layout tree, a span whose text is not in
+    ``text``, or any other layout.
+
+    The stored form is one JSON object of per-span columns, in reading
+    order: ``gap`` (where the span's text starts in ``text``, counted from
+    the previous span's end) and ``len`` (its length) in place of the text;
+    ``end``, 1 after the last span of a line and 2 after the last of a
+    block, else 0, in place of the line and block bboxes, which are the
+    unions of their spans'; ``bbox`` (four values a span), ``font``,
+    ``size`` and ``flags`` as they were; and the page's ``width``,
+    ``height`` and ``rotation``. Every value keeps its JSON token. The
+    layout is read with regexes, not parsed; the rebuild check makes any
+    misreading keep the JSON."""
+    page = _LAYOUT_PAGE_RE.fullmatch(layout_json)
+    if page is None:
+        return None
+    spans = _LAYOUT_SPAN_RE.findall(layout_json, page.start(1), page.end(1))
+    bbox, flags, font, size, texts, ends = zip(*spans) if spans else ((),) * 6
+    gaps, lens = [], []
+    end = 0
+    try:
+        for token in texts:
+            span = token[1:-1]
+            if "\\" in span:
+                span = json.loads(token)
+            at = text.find(span, end)
+            if at < 0:
+                return None
+            gaps.append(at - end)
+            lens.append(len(span))
+            end = at + len(span)
+        height, rotation, width = page.group(2, 3, 4)
+        j = ",".join
+        stored = (
+            f'{{"bbox":[{j(bbox)}],"end":[{j(map(_SPAN_ENDS.get, ends))}],'
+            f'"flags":[{j(flags)}],"font":[{j(font)}],"gap":[{j(map(str, gaps))}],'
+            f'"height":{height},"len":[{j(map(str, lens))}],"rotation":{rotation},'
+            f'"size":[{j(size)}],"width":{width}}}'
+        )
+        if pdf_layout_json(text, stored) == layout_json:
+            return stored
+    except (ValueError, TypeError, RecursionError):  # tokens that are not JSON
+        pass
+    return None
+
+
+def _bbox_json(bbox) -> str:
+    return f"[{bbox[0]!r},{bbox[1]!r},{bbox[2]!r},{bbox[3]!r}]"
+
+
+def pdf_layout_json(text: str, spans: str) -> str:
+    """A page's ``layout_json`` from its stored text and its
+    ``pdf_layout_spans``: ``dump_layout`` of the layout tree, written
+    directly. Each span's text is its slice of ``text``; each line's bbox
+    is the ``_union_bbox`` of its spans', each block's of its lines'.
+    Floats are written by ``repr`` and strings by json's escaping, as
+    ``json.dumps`` writes them. The part readers rebuild a PDF page's
+    layout through here."""
+    page = json.loads(spans)
+    coords = iter(page["bbox"])
+    blocks, lines, line, line_boxes, span_boxes = [], [], [], [], []
+    end = 0
+    for gap, n, stop, x0, y0, x1, y1, font, size, flags in zip(
+            page["gap"], page["len"], page["end"], coords, coords, coords, coords,
+            page["font"], page["size"], page["flags"]):
+        start = end + gap
+        end = start + n
+        box = (x0, y0, x1, y1)
+        bbox = f"[{x0!r},{y0!r},{x1!r},{y1!r}]"
+        line.append(f'{{"bbox":{bbox},"flags":{flags!r},"font":{_json_str(font)},'
+                    f'"size":{size!r},"text":{_json_str(text[start:end])}}}')
+        span_boxes.append(box)
+        if stop:
+            if len(span_boxes) > 1:  # a one-span line's bbox is its span's
+                box = _union_bbox(span_boxes)
+                bbox = _bbox_json(box)
+            lines.append(f'{{"bbox":{bbox},"spans":[{",".join(line)}]}}')
+            line_boxes.append(box)
+            line, span_boxes = [], []
+            if stop == 2:
+                blocks.append(f'{{"bbox":{_bbox_json(_union_bbox(line_boxes))},'
+                              f'"lines":[{",".join(lines)}]}}')
+                lines, line_boxes = [], []
+    return (f'{{"blocks":[{",".join(blocks)}],"height":{page["height"]!r},'
+            f'"rotation":{page["rotation"]!r},"width":{page["width"]!r}}}')
 
 
 # --------------------------------------------------------------------------

@@ -51,21 +51,32 @@ Page text is stored once. A part holds every DOC_SCHEMA column except
 of each page's ``(page, method, text)`` (``functions/render.py``), so
 ``write_part`` leaves them out and the public readers (``read_shard``,
 ``read_all``, ``read_snapshot``) rebuild them, returning DOC_SCHEMA rows.
-A DOM page's layout is stored once too. ``html_layout`` repeats each kept
-block's text and derives its bboxes from the block index, so the part
-stores only the page's block tags, space-joined, in a ``pages.layout_tags``
-field, with ``layout_json`` null; the readers rebuild the JSON from the
-page text and the tags (``html_extract.html_layout_json``). The writer
-stores the tags only where that rebuild gives back the JSON byte for byte;
-every other page (PDF, OCR, a DOM layout from another extractor) keeps its
-``layout_json``, and a part with no such DOM page has no ``layout_tags``
-field at all, so it is written exactly as before the field existed.
-Only tables with a ``pages`` column are stored this way; others are stored
-as given. A part that still holds ``doc_text`` (written before text was
-stored once) or has no ``layout_tags`` is read as it is, so the three
-layouts mix freely in one shard and ``LINEAGE_VERSION`` did not change.
-Merges (``upsert_shard``, ``compact_shard``, ``delete_rows``) work on the
-stored layout and never rebuild the text or the layouts.
+A page's layout is stored without what its text holds, in one of two
+``pages`` fields, with ``layout_json`` null; the readers rebuild the JSON
+from the page text and the field (``_STORED_LAYOUTS``):
+
+- ``layout_tags``, for a DOM page. ``html_layout`` repeats each kept
+  block's text and derives its bboxes from the block index, so the part
+  stores only the block tags, space-joined (``html_layout_tags``;
+  rebuilt by ``html_layout_json``).
+- ``layout_spans``, for any other page (a PDF page, an OCR page). A PDF
+  layout repeats each span's text, and each line and block bbox is the
+  union of its spans', so the part stores per-span columns with each text
+  as its offset and length in the page text and with no line or block
+  bbox (``pdf_layout_spans``; rebuilt by ``pdf_layout_json``).
+
+The writer stores either form only where that rebuild gives back the JSON
+byte for byte; every other page (an OCR tree, a DOM layout from another
+extractor, a span text the stripped page text lost) keeps its
+``layout_json``. A part where no page uses a field has no such field at
+all, so a part with neither (no layout, or only such pages) is written
+exactly as before the fields existed. Only tables with a ``pages`` column
+are stored this way; others are stored as given. A part that still holds
+``doc_text`` (written before text was stored once) or lacks either field
+is read as it is, so every form mixes freely in one shard and
+``LINEAGE_VERSION`` did not change. Merges (``upsert_shard``,
+``compact_shard``, ``delete_rows``) work on the stored layout and never
+rebuild the text or the layouts.
 
 Lineage alone encodes a part file: ``_encode_part`` writes it as Parquet
 compressed with zstd at level 3 (``PART_COMPRESSION``), and every part
@@ -90,6 +101,7 @@ import pyarrow.parquet as pq
 
 from ..functions.extract import METHOD_DOM
 from ..functions.html_extract import html_layout_json, html_layout_tags
+from ..functions.pdf_extract import pdf_layout_json, pdf_layout_spans
 from ..functions.render import combine_pages, page_markdown
 
 LINEAGE_VERSION = 1
@@ -239,38 +251,45 @@ def _set_page_fields(table: pa.Table, pages: pa.ListArray,
     return table.set_column(table.schema.get_field_index("pages"), "pages", pages)
 
 
+# The page fields a layout may be stored in, in their order in a stored
+# table, each with the function that rebuilds ``layout_json`` from the
+# page's text and the field.
+_STORED_LAYOUTS = {"layout_tags": html_layout_json, "layout_spans": pdf_layout_json}
+
+
 def _with_layout_tags(table: pa.Table) -> pa.Table:
-    """Give ``pages`` a ``layout_tags`` field and move each DOM page's
-    layout into it (``html_layout_tags``, ``layout_json`` set to null)
-    wherever ``html_layout_json`` rebuilds the page's JSON byte for byte.
-    Every other page keeps its ``layout_json``; pages already in tags form
-    stay so."""
+    """Give ``pages`` the ``_STORED_LAYOUTS`` fields and move each page's
+    layout into one of them, with ``layout_json`` set to null: a DOM page's
+    into ``layout_tags`` (``html_layout_tags``) wherever
+    ``html_layout_json`` rebuilds its JSON byte for byte, any other page's
+    into ``layout_spans`` wherever ``pdf_layout_spans`` gives a form that
+    ``pdf_layout_json`` rebuilds it from byte for byte. Every other page
+    keeps its ``layout_json``; pages already stored so stay so."""
     pages = table["pages"].combine_chunks()
     structs = pages.values
     fields = {f.name: structs.field(f.name) for f in structs.type}
     if not {"method", "text", "layout_json"} <= fields.keys():
         return table
     layout = fields["layout_json"]
-    dom = pc.equal(fields["method"], METHOD_DOM)
-    for name in ("text", "layout_json"):
-        dom = pc.and_(dom, pc.is_valid(fields[name]))
-    idx = pc.indices_nonzero(pc.fill_null(dom, False))
-    compact = [False] * len(structs)
-    tags = []
-    for i, text, js in zip(idx.to_pylist(),
-                           pc.take(fields["text"], idx).to_pylist(),
-                           pc.take(layout, idx).to_pylist()):
-        t = html_layout_tags(js)
-        if html_layout_json(text, t) == js:
-            compact[i] = True
-            tags.append(t)
-    mask = pa.array(compact, pa.bool_())
-    fields["layout_json"] = pc.replace_with_mask(
-        layout, mask, pa.nulls(len(tags), pa.string()))
-    fields["layout_tags"] = pc.replace_with_mask(
-        fields.get("layout_tags", pa.nulls(len(structs), pa.string())),
-        mask, pa.array(tags, pa.string()),
-    )
+    has_layout = pc.and_(pc.is_valid(fields["text"]), pc.not_equal(layout, ""))
+    idx = pc.indices_nonzero(pc.fill_null(has_layout, False))
+    moved = {name: [None] * len(structs) for name in _STORED_LAYOUTS}
+    for i, method, text, js in zip(idx.to_pylist(),
+                                   pc.take(fields["method"], idx).to_pylist(),
+                                   pc.take(fields["text"], idx).to_pylist(),
+                                   pc.take(layout, idx).to_pylist()):
+        if method == METHOD_DOM:
+            tags = html_layout_tags(js)
+            if html_layout_json(text, tags) == js:
+                moved["layout_tags"][i] = tags
+        else:
+            moved["layout_spans"][i] = pdf_layout_spans(text, js)
+    stored = {name: pa.array(values, pa.string()) for name, values in moved.items()}
+    kept = pc.and_(*(pc.is_null(values) for values in stored.values()))
+    fields["layout_json"] = pc.if_else(kept, layout, pa.scalar(None, pa.string()))
+    for name, values in stored.items():
+        fields[name] = pc.coalesce(
+            values, fields.pop(name, pa.nulls(len(structs), pa.string())))
     return _set_page_fields(table, pages, fields)
 
 
@@ -285,33 +304,39 @@ def _stored_text(table: pa.Table) -> pa.Table:
 def _stored_layout(table: pa.Table) -> pa.Table:
     """``table`` as merges hold it (any layout in): without ``doc_text``
     and ``pages.page_md`` when it has ``pages`` to rebuild them from, and
-    with DOM layouts in ``pages.layout_tags`` (``_with_layout_tags``). Any
-    other table unchanged."""
+    with its layouts in ``pages.layout_tags`` and ``pages.layout_spans``
+    where they rebuild (``_with_layout_tags``). Any other table
+    unchanged."""
     if "pages" not in table.column_names:
         return table
     return _with_layout_tags(_stored_text(table))
 
 
 def _part_layout(table: pa.Table) -> pa.Table:
-    """``_stored_layout`` as a part file holds it. Where no page uses
-    ``layout_tags``, the part leaves the field out and keeps ``table``'s
-    chunks, so it holds the columns it held before the field existed."""
+    """``_stored_layout`` as a part file holds it: without the
+    ``layout_tags`` or ``layout_spans`` field where no page uses it. Where
+    no page uses either, the part keeps ``table``'s chunks, so it holds the
+    columns it held before the fields existed."""
     if "pages" not in table.column_names:
         return table
     table = _stored_text(table)
     stored = _with_layout_tags(table)
     flat = pc.list_flatten(stored["pages"])
-    if (flat.type.get_field_index("layout_tags") >= 0
-            and pc.struct_field(flat, "layout_tags").null_count < len(flat)):
-        return stored
-    return _drop_page_field(table, "layout_tags")
+    unused = [name for name in _STORED_LAYOUTS
+              if flat.type.get_field_index(name) < 0
+              or pc.struct_field(flat, name).null_count == len(flat)]
+    if len(unused) < len(_STORED_LAYOUTS):
+        table = stored
+    for name in unused:
+        table = _drop_page_field(table, name)
+    return table
 
 
 def _with_derived_text(table: pa.Table) -> pa.Table:
     """Rebuild what ``_stored_layout`` left out, in its DOC_SCHEMA place:
     ``page_md`` after each page's ``text``, ``doc_text`` before
-    ``doc_chars``, and each tags-form DOM page's ``layout_json``, dropping
-    ``layout_tags``. A table that has ``doc_text`` or no ``pages`` is
+    ``doc_chars``, and the ``layout_json`` of each page stored in a
+    ``_STORED_LAYOUTS`` field, dropping those fields. A table that has ``doc_text`` or no ``pages`` is
     returned as it is. DOC_SCHEMA rows always hold a pages list (never
     null), so a null list reads back empty."""
     if "pages" not in table.column_names or "doc_text" in table.column_names:
@@ -321,14 +346,15 @@ def _with_derived_text(table: pa.Table) -> pa.Table:
     stored = {f.name: structs.field(f.name) for f in structs.type}
     page = stored["page"].to_pylist()
     text = stored["text"].to_pylist()
-    if "layout_tags" in stored:
-        tags = stored.pop("layout_tags")
-        stored["layout_json"] = pc.replace_with_mask(
-            stored["layout_json"], tags.is_valid(),
-            pa.array([html_layout_json(x, t)
-                      for x, t in zip(text, tags.to_pylist()) if t is not None],
-                     pa.string()),
-        )
+    for name, rebuild in _STORED_LAYOUTS.items():
+        if name in stored:
+            values = stored.pop(name)
+            stored["layout_json"] = pc.replace_with_mask(
+                stored["layout_json"], values.is_valid(),
+                pa.array([rebuild(x, v)
+                          for x, v in zip(text, values.to_pylist()) if v is not None],
+                         pa.string()),
+            )
     page_md = pa.array(
         [page_markdown(p, m, t)
          for p, m, t in zip(page, stored["method"].to_pylist(), text)],
@@ -377,8 +403,9 @@ def write_part(out_dir: str, shard_id: int, table: pa.Table,
     object is a no-op). Returns the part's summary record.
 
     The part stores ``table`` without ``doc_text`` and ``pages.page_md``
-    when it has ``pages``, and each DOM page's ``layout_json`` as its
-    ``layout_tags`` where that rebuilds it exactly: readers rebuild all
+    when it has ``pages``, and each page's ``layout_json`` as its
+    ``layout_tags`` (a DOM page) or ``layout_spans`` (any other page)
+    where that rebuilds it exactly, checked here: readers rebuild all
     three (module docstring), in the bytes ``_encode_part`` gives on any
     backend. The caller keeps the returned record and commits the shard
     from it (``try_commit_shard`` or ``commit_shard_manifest``); nothing
@@ -546,7 +573,8 @@ def _read_parts(out_dir: str, shards: List[Dict[str, Any]], fs: Any,
 
 def read_shard(out_dir: str, shard_id: int, fs: Optional[Any] = None) -> pa.Table:
     """Read a shard's rows via its manifest (ignores orphan parts), with
-    ``doc_text``, ``pages.page_md`` and DOM pages' ``layout_json`` rebuilt.
+    ``doc_text``, ``pages.page_md`` and every stored layout's
+    ``layout_json`` rebuilt.
     Raises KeyError when the shard has no committed manifest."""
     fs = _fs(fs)
     return _read_parts(out_dir, [_committed_manifest(out_dir, shard_id, fs)], fs)
@@ -557,9 +585,9 @@ def read_all(out_dir: str, fs: Optional[Any] = None) -> pa.Table:
 
     Derived on read: parts store page text once, and ``doc_text`` and
     ``pages.page_md`` are rebuilt from ``pages``; so is the ``layout_json``
-    of each DOM page stored as ``layout_tags``. A part that still holds
-    ``doc_text`` or every ``layout_json`` is read as it is (module
-    docstring).
+    of each page stored as ``layout_tags`` or ``layout_spans``. A part
+    that still holds ``doc_text`` or every ``layout_json`` is read as it
+    is (module docstring).
 
     Consistency: the shards read are the manifests LIST shows
     (``load_lineage``). On a store whose LIST lags (an object store), a

@@ -3,17 +3,30 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from service1_text_extraction_ray.functions.extract import (
+    METHOD_PDF,
+    ExtractConfig,
+    extract_document,
+)
+from service1_text_extraction_ray.functions.html_extract import dump_layout
 from service1_text_extraction_ray.functions.pdf_extract import (
     PdfParseError,
+    Span,
+    _assemble_page,
     _interpret_text,
     _read_dict,
     _read_literal_string,
     _tokenize,
+    _union_bbox,
     open_pdf,
     parse_pdf,
+    pdf_layout_json,
+    pdf_layout_spans,
 )
-from service1_text_extraction_ray.functions.synth import make_pdf
+from service1_text_extraction_ray.functions.synth import gen_pages_table, make_pdf
 
 
 def rng():
@@ -547,6 +560,21 @@ def test_hex_string_closing_a_dict_keeps_the_stream():
     assert [p.text for p in parse_pdf(pdf)] == ["Hex before close."]
     # a stray '<' is one byte, not a string that swallows the '>>'
     assert _read_dict(b"<< /A < /B 1 >> tail", 0) == ({"A": "B"}, 15)
+
+
+@pytest.mark.parametrize("v", [1, 5])
+def test_malformed_hex_string_in_a_dict_drops_the_byte(v):
+    """A byte that is neither a hex digit nor whitespace inside a dict's hex
+    string (here the encryption dict's /O) is dropped, as in content: the
+    string keeps its value and the document opens. A '<' whose first '>'
+    starts the dict's '>>' stays one stray byte."""
+    text = "Body behind a damaged /O."
+    pdf = make_pdf([[text]], rng(), encrypt={"user_pw": "", "owner_pw": "o", "v": v})
+    at = pdf.index(b"/O <") + 10
+    damaged = pdf[:at] + b"\xdb" + pdf[at:]
+    assert [p.text for p in parse_pdf(damaged)] == [text]
+    assert _read_dict(b"<< /O <9\xdb8d> /P -4 >>", 0) == ({"O": b"\x98\xd0", "P": -4}, 21)
+    assert _read_dict(b"<< /A <9\xdb /B 1 >> tail", 0) == ({"A": 9, "B": 1}, 17)
 
 
 def test_stale_lower_generation_never_wins():
@@ -1338,3 +1366,102 @@ def test_deep_nesting_fails_the_document_not_the_stack(nest):
             pass
         row = extract_document("u://deep", pdf, ExtractConfig())
         assert row["status"] in ("ok", "parse_failure")
+
+
+# --------------------------------------------------------------------------
+# Stored layout: pdf_layout_spans / pdf_layout_json
+# --------------------------------------------------------------------------
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats())
+def test_round_leaves_its_own_results_as_they_are(x):
+    once = round(x, 2)
+    assert repr(round(once, 2)) == repr(once)
+
+
+_ROUNDED = st.one_of(st.integers(-10**6, 10**6), st.floats()).map(lambda v: round(v, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_ROUNDED, min_size=4, max_size=4), min_size=1, max_size=8))
+def test_union_bbox_of_rounded_bboxes_needs_no_round(bboxes):
+    """``_union_bbox`` takes bboxes that ``_span_bbox`` (or itself) rounded:
+    its values are the ones ``round`` over the min and max would give."""
+    rounded = [round(min(b[0] for b in bboxes), 2), round(min(b[1] for b in bboxes), 2),
+               round(max(b[2] for b in bboxes), 2), round(max(b[3] for b in bboxes), 2)]
+    assert repr(_union_bbox(bboxes)) == repr(rounded)
+
+
+def test_layout_spans_round_trip_over_the_goldens():
+    """Every PDF page of the golden corpora (rows 0-163 of seed 42, the PDFs
+    among rows 64-163) is stored without its text and rebuilt byte for
+    byte."""
+    pages = [p for r in gen_pages_table(164, seed=42).to_pylist()
+             for p in extract_document(r["url"], r["html"], ExtractConfig())["pages"]
+             if p["method"] == METHOD_PDF]
+    assert len(pages) > 10
+    for p in pages:
+        spans = pdf_layout_spans(p["text"], p["layout_json"])
+        assert spans is not None and '"text"' not in spans
+        assert pdf_layout_json(p["text"], spans) == p["layout_json"]
+
+
+_SPAN_TEXT = st.lists(st.one_of(
+    st.text(max_size=4),
+    st.sampled_from([" ", "\n", '"', "\\", "\x00", "é", "\U0001f600", "\ud800",
+                     '"text":"', "}]}]", '{"bbox":[']),
+), max_size=4).map("".join)
+_SPANS = st.lists(st.builds(
+    Span,
+    text=_SPAN_TEXT,
+    x=st.one_of(st.integers(0, 600), st.floats(0, 600)),
+    y=st.floats(0, 792),
+    size=st.sampled_from([6.0, 9.5, 12.0, 13.37, 24]),
+    font=st.sampled_from(["F1", "F2", 'Odd"Font\\', "Ünï"]),
+), max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SPANS, st.sampled_from([0, 90]))
+def test_layout_spans_round_trip(spans, rotation):
+    """A page layout stores without its text wherever its page text holds
+    every span's text, and the stored form always rebuilds the JSON."""
+    page = _assemble_page(spans, 612.0, 792.0, rotation)
+    text = page.text.strip()
+    layout = dump_layout(page.layout)
+    stored = pdf_layout_spans(text, layout)
+    if stored is not None:
+        assert pdf_layout_json(text, stored) == layout
+    if text == page.text:  # nothing stripped: every span is in the text
+        assert stored is not None
+
+
+_ONE_SPAN = ('{"blocks":[{"bbox":[72.0,60.0,90.0,72.0],"lines":[{"bbox":[72.0,60.0,90.0,72.0],'
+             '"spans":[{"bbox":[72.0,60.0,90.0,72.0],"flags":0,"font":"F1","size":12.0,'
+             '"text":"abc"}]}]}],"height":792.0,"rotation":0,"width":612.0}')
+_TWO_SPANS = _ONE_SPAN.replace(
+    '"text":"abc"}', '"text":"ab"},{"bbox":[90.0,60.0,96.0,72.0],"flags":0,'
+    '"font":"F1","size":12.0,"text":"c"}').replace("90.0,72.0]", "96.0,72.0]", 2)
+
+
+@pytest.mark.parametrize("layout_json", [
+    "", "not json", "3fa9" * 500, "[1, 2]", "{}", '{"blocks":[]}',
+    '{"blocks":[],"height":792.0,"width":612.0}',  # no rotation (an OCR tree)
+    '{"blocks":[],"height":NaN,"rotation":0,"width":612.0}',
+    _ONE_SPAN.replace("abc", "xyz"),  # a span text that the page text lacks
+    _ONE_SPAN.replace('"bbox":[72.0,60.0,90.0,72.0],"lines"',
+                      '"bbox":[72.0,60.0,99.0,72.0],"lines"'),  # not the union
+    _ONE_SPAN.replace(',"font"', ',"extra":1,"font"'),
+    _TWO_SPANS.replace('[90.0,60.0,96.0,72.0]', '["a",60.0,96.0,72.0]'),
+    _TWO_SPANS.replace('"flags":0,"font":"F1","size":12.0,"text":"c"',
+                       '"flags":' + "[" * 100_000 + ',"font":"F1","size":12.0,"text":"c"'),
+], ids=["empty", "text", "hex", "array", "object", "no_tail", "ocr", "nan", "missing",
+        "union", "extra_key", "string_coord", "deep"])
+def test_layout_spans_refuses_what_it_cannot_rebuild(layout_json):
+    assert pdf_layout_spans("abc", layout_json) is None
+
+
+def test_layout_spans_keep_one_and_two_span_lines():
+    for layout in (_ONE_SPAN, _TWO_SPANS):
+        stored = pdf_layout_spans("abc", layout)
+        assert stored is not None and pdf_layout_json("abc", stored) == layout

@@ -4,6 +4,7 @@ and must resume correctly from per-shard lineage."""
 
 import glob
 import os
+import random
 import re
 import shutil
 import signal
@@ -16,7 +17,11 @@ import pytest
 
 from service1_text_extraction_ray.functions.extract import ExtractConfig, extract_document
 from service1_text_extraction_ray.functions.sniff import sniff_table
-from service1_text_extraction_ray.functions.synth import gen_pages_table, write_pages_parquet
+from service1_text_extraction_ray.functions.synth import (
+    gen_pages_table,
+    make_pdf,
+    write_pages_parquet,
+)
 from service1_text_extraction_ray.pipelines.extract_pipeline import (
     extract_dataset,
     extract_pages_dataset,
@@ -731,6 +736,10 @@ class TestStoredLayout:
         src = src.append_column("path", pa.array(["pages-00000.parquet"] * n))
         return ExtractDocuments(CFG)(sniff_table(src, CFG.size_bucket_edges)).sort_by("url")
 
+    def _html_and_pdf_docs(self):
+        """Rows 0-59 (HTML and other kinds) and the PDFs of rows 80-94."""
+        return pa.concat_tables([self._docs(60), self._docs(15, start=80)]).sort_by("url")
+
     @staticmethod
     def _mixed_shard(out, sid, docs, monkeypatch):
         third = docs.num_rows // 3
@@ -751,14 +760,18 @@ class TestStoredLayout:
         ddir = lin.shard_data_dir(out, sid)
         for part in parts:
             assert _part_form(os.path.join(ddir, part)) == "layout_tags"
-            for pages in pq.read_table(os.path.join(ddir, part))["pages"].to_pylist():
+            docs = pq.read_table(os.path.join(ddir, part))["pages"].to_pylist()
+            assert {"dom", "pdf_text"} <= {p["method"] for pages in docs for p in pages}
+            for pages in docs:
                 for p in pages:
                     if p["method"] == "dom":
                         assert p["layout_json"] is None and p["layout_tags"]
+                    if p["method"] == "pdf_text":
+                        assert p["layout_json"] is None and p["layout_spans"]
 
     def test_mixed_shard_reads_as_one_doc_table(self, tmp_path, monkeypatch):
         out = str(tmp_path / "t")
-        docs = self._docs(60)
+        docs = self._html_and_pdf_docs()
         self._mixed_shard(out, 0, docs, monkeypatch)
         got = lin.read_shard(out, 0).sort_by("url")
         assert got.schema.names == DOC_SCHEMA.names
@@ -769,7 +782,7 @@ class TestStoredLayout:
 
     def test_compact_mixed_shard_preserves_content(self, tmp_path, monkeypatch):
         out = str(tmp_path / "t")
-        docs = self._docs(60)
+        docs = self._html_and_pdf_docs()
         before = self._mixed_shard(out, 0, docs, monkeypatch)
         monkeypatch.setattr(lin, "PART_TARGET_ROWS", 100)
         after = lin.compact_shard(out, 0)
@@ -780,7 +793,7 @@ class TestStoredLayout:
 
     def test_upsert_mixed_shard_recounts_merged_rows(self, tmp_path, monkeypatch):
         out = str(tmp_path / "t")
-        docs = self._docs(60)
+        docs = self._html_and_pdf_docs()
         self._mixed_shard(out, 0, docs, monkeypatch)
         # urls 20..39 re-extracted from other payloads (urls depend on the
         # row index only), 60..64 new
@@ -797,6 +810,90 @@ class TestStoredLayout:
         assert {k: rec[k] for k in counters} == counters
         self._assert_newest_form(out, 0, rec["parts"])
         assert lin.read_shard(out, 0).sort_by("url").equals(expected)
+
+    def _pdf_docs(self):
+        """30 extracted PDF documents (rows 80-94 and 180-194)."""
+        docs = pa.concat_tables([self._docs(15, start=80), self._docs(15, start=180)])
+        assert set(docs["content_kind"].to_pylist()) == {"pdf"}
+        return docs.sort_by("url")
+
+    @staticmethod
+    def _raw_pages(out, sid, part):
+        path = os.path.join(lin.shard_data_dir(out, sid), part)
+        return [p for ps in pq.read_table(path)["pages"].to_pylist() for p in ps]
+
+    def _assert_spans_form(self, out, sid, parts):
+        for part in parts:
+            pages = [p for p in self._raw_pages(out, sid, part) if p["method"] == "pdf_text"]
+            assert pages and all(p["layout_json"] is None and p["layout_spans"]
+                                 for p in pages)
+            assert "layout_tags" not in pages[0]  # no DOM page: no such field
+
+    @pytest.mark.parametrize("merge", ["read", "upsert", "compact", "delete"])
+    def test_pdf_json_and_span_parts_mix_in_one_shard(self, tmp_path, monkeypatch, merge):
+        """A shard with a part that stores every PDF layout as JSON and one
+        that stores them as spans reads as one DOC_SCHEMA table, and every
+        merge writes the spans form."""
+        out = str(tmp_path / "t")
+        docs = self._pdf_docs()
+        with monkeypatch.context() as m:
+            m.setattr(lin, "_with_layout_tags", lambda t: t)  # the JSON writer
+            old = lin.write_part(out, 0, docs.slice(0, 12))
+        new = lin.write_part(out, 0, docs.slice(12))
+        assert all(p["layout_json"] and "layout_spans" not in p
+                   for p in self._raw_pages(out, 0, old["part"]))
+        self._assert_spans_form(out, 0, [new["part"]])
+        before = lin.commit_shard_manifest(out, 0, [old, new])
+        assert lin.read_shard(out, 0).sort_by("url").equals(docs)
+        assert lin.read_all(out).sort_by("url").equals(docs)
+        v = lin.commit_snapshot(out)["version"]
+        assert lin.read_snapshot(out, v).sort_by("url").equals(docs)
+
+        monkeypatch.setattr(lin, "PART_TARGET_ROWS", 100)
+        expected = docs
+        if merge == "upsert":
+            updates = self._docs(5, seed=99, start=85)  # urls of rows 85-89
+            rec = lin.upsert_shard(out, 0, updates)
+            urls = set(updates["url"].to_pylist())
+            expected = pa.concat_tables([
+                docs.filter(pa.array([u not in urls for u in docs["url"].to_pylist()])),
+                updates,
+            ]).sort_by("url")
+            assert (rec["n_replaced"], rec["n_appended"]) == (5, 0)
+        elif merge == "compact":
+            rec = lin.compact_shard(out, 0)
+            assert dict(rec, parts=None) == dict(before, parts=None)
+        elif merge == "delete":
+            gone = docs["url"].to_pylist()[::3]
+            rec = lin.delete_rows(out, 0, gone)
+            expected = docs.filter(pa.array([u not in gone for u in docs["url"].to_pylist()]))
+            assert rec["n_deleted"] == len(gone)
+        else:
+            return
+        assert len(rec["parts"]) == 1
+        self._assert_spans_form(out, 0, rec["parts"])
+        assert lin.read_shard(out, 0).sort_by("url").equals(expected)
+
+    def test_pdf_page_whose_text_lost_a_span_space_keeps_its_json(self, tmp_path):
+        """The stored page text is stripped, so a first span's leading spaces
+        are not in it: that page keeps its layout_json, the others do not."""
+        lines = ["   Indented opening line of this page."] + [
+            f"Line {i} with enough words to pass the gate." for i in range(8)]
+        payload = make_pdf([lines], random.Random(7))
+        plain = make_pdf([lines[1:]], random.Random(7))
+        src = gen_pages_table(2, seed=42, start=80)
+        src = src.set_column(src.schema.get_field_index("html"), "html",
+                             pa.array([payload, plain], pa.binary()))
+        src = src.append_column("path", pa.array(["pages-00000.parquet"] * 2))
+        docs = ExtractDocuments(CFG)(sniff_table(src, CFG.size_bucket_edges))
+        out = str(tmp_path / "t")
+        rec = lin.write_part(out, 0, docs)
+        lin.commit_shard_manifest(out, 0, [rec])
+        raw = {p["text"][:8]: p for p in self._raw_pages(out, 0, rec["part"])}
+        assert raw["Indented"]["layout_json"].startswith("{")
+        assert raw["Indented"]["layout_spans"] is None
+        assert raw["Line 0 w"]["layout_json"] is None and raw["Line 0 w"]["layout_spans"]
+        assert lin.read_shard(out, 0).equals(docs)
 
     @staticmethod
     def _pdf_rows(n):
