@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, ClassVar, Dict, List, Optional
 
 # html_layout is not called here (html_layout_json writes the same JSON);
 # extraction_bench/replay.py still wraps this module's name for its trace.
@@ -86,8 +86,8 @@ class ExtractConfig:
     default_password: Optional[str] = DEFAULT_PASSWORD
 
     # Size bucketing thresholds for skew stats (shard identity itself is the
-    # input file — sniff.stable_shard_id).
-    size_bucket_edges: tuple = (4096, 65536, 1_048_576)
+    # input file — sniff.stable_shard_id). A constant, not a field.
+    size_bucket_edges: ClassVar[tuple] = (4096, 65536, 1_048_576)
 
     # OCR fallback backend name (functions/ocr.py registry; None = the
     # reference's no-tesseract branch). A string, not an instance, so the

@@ -17,9 +17,9 @@ Algorithm (single streaming pass, O(bytes)):
    (``p/div/h1-6/li/td/...``); inside a block, track how many characters sit
    under an ``<a>`` ancestor (link chars).
 3. Keep a block iff its whitespace-normalized text is long enough
-   (``min_block_chars``; headings use the smaller ``min_heading_chars``) and
-   its link density ``link_chars / text_chars`` is <= ``max_link_density``
-   (default 0.5 — drops link farms / related-article boxes / nav crumbs).
+   (``MIN_BLOCK_CHARS``; headings use the smaller ``MIN_HEADING_CHARS``) and
+   its link density ``link_chars / text_chars`` is <= ``MAX_LINK_DENSITY``
+   (0.5 — drops link farms / related-article boxes / nav crumbs).
 4. Join kept blocks with blank lines -> the page's candidate main text.
 
 The caller then applies the reference's page-acceptance ladder
@@ -253,17 +253,18 @@ def parse_blocks(html_text: str) -> List[Block]:
     return p.blocks
 
 
-def select_content_blocks(
-    blocks: List[Block],
-    min_block_chars: int = 25,
-    min_heading_chars: int = 8,
-    max_link_density: float = 0.5,
-) -> List[Block]:
+# The keep rule's thresholds (step 3 of the module docstring).
+MIN_BLOCK_CHARS = 25
+MIN_HEADING_CHARS = 8
+MAX_LINK_DENSITY = 0.5
+
+
+def select_content_blocks(blocks: List[Block]) -> List[Block]:
     """Apply the shallow-feature keep rule (step 3 of the module docstring)."""
     kept: List[Block] = []
     for b in blocks:
-        threshold = min_heading_chars if b.is_heading else min_block_chars
-        if b.text_chars >= threshold and b.link_density <= max_link_density:
+        threshold = MIN_HEADING_CHARS if b.is_heading else MIN_BLOCK_CHARS
+        if b.text_chars >= threshold and b.link_density <= MAX_LINK_DENSITY:
             kept.append(b)
     return kept
 

@@ -14,8 +14,9 @@ This sandbox has no fitz/font engine, so the raster is built from scratch:
   rect; undecodable images draw as a flat gray box.
 
 The PNG codec is stdlib-only (zlib + struct): the writer emits filter-0
-rows; the reader handles all five ISO filters so it can round-trip any
-well-formed 8-bit grayscale PNG, not just our own.
+rows; its row unfilter, ``unfilter_png_rows``, undoes all five ISO
+filters, so any well-formed 8-bit grayscale PNG reads back, and PDF
+streams' PNG predictors (10-15) are undone by it too.
 """
 
 from __future__ import annotations
@@ -62,9 +63,8 @@ def write_gray_png_array(arr: np.ndarray) -> bytes:
 def read_gray_png(png: bytes) -> np.ndarray:
     """Decode an 8-bit grayscale PNG to a 2-D uint8 array.
 
-    Stdlib-only inverse of ``write_gray_png_array``; implements all five
-    ISO/IEC 15948 scanline filters (None/Sub/Up/Average/Paeth) so any
-    conforming encoder's output round-trips, not just our filter-0 rows.
+    Stdlib-only inverse of ``write_gray_png_array`` that undoes every row
+    filter (``unfilter_png_rows``), not just our filter-0 rows.
     Raises ValueError on ANY truncated/corrupt input (the per-row
     failure-isolation contract, same wrapper as ``read_gif``): a truncated
     IHDR would otherwise leak struct.error, corrupt IDAT zlib.error.
@@ -97,36 +97,35 @@ def _read_gray_png_inner(png: bytes) -> np.ndarray:
     raw = zlib.decompress(idat)
     if len(raw) != h * (w + 1):
         raise ValueError("IDAT size mismatch")
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(h, w + 1)
-    out = np.zeros((h, w), dtype=np.uint8)
-    prev = np.zeros(w, dtype=np.uint8)
-    for y in range(h):
-        ftype, line = int(rows[y, 0]), rows[y, 1:].astype(np.int32)
-        if ftype == 0:
-            cur = line
-        elif ftype == 2:  # Up
-            cur = (line + prev) & 0xFF
-        elif ftype in (1, 3, 4):  # Sub / Average / Paeth: left-dependent
-            cur = np.zeros(w, dtype=np.int32)
-            left = 0
-            for x in range(w):
-                up = int(prev[x])
-                if ftype == 1:
-                    pred = left
-                elif ftype == 3:
-                    pred = (left + up) // 2
-                else:
-                    ul = int(prev[x - 1]) if x else 0
-                    p = left + up - ul
-                    pa_, pb, pc = abs(p - left), abs(p - up), abs(p - ul)
-                    pred = left if (pa_ <= pb and pa_ <= pc) else (up if pb <= pc else ul)
-                cur[x] = (int(line[x]) + pred) & 0xFF
-                left = int(cur[x])
-        else:
-            raise ValueError(f"unknown PNG filter {ftype}")
-        out[y] = cur.astype(np.uint8)
-        prev = out[y]
-    return out
+    return np.frombuffer(unfilter_png_rows(raw, w, 1), dtype=np.uint8).reshape(h, w)
+
+
+def unfilter_png_rows(data: bytes, rowlen: int, bpp: int) -> bytes:
+    """Undo the ISO/IEC 15948 row filters (None/Sub/Up/Average/Paeth) of
+    ``data``: whole rows, each a filter-type byte then ``rowlen`` bytes
+    predicted from the unfiltered bytes left (``bpp`` back), above and
+    above-left of each. Returns the rows without their type bytes; raises
+    ValueError on a partial row or an unknown filter type."""
+    if len(data) % (rowlen + 1):
+        raise ValueError("PNG-predicted stream not a whole number of rows")
+    out, prev = bytearray(), bytes(rowlen)
+    for r in range(0, len(data), rowlen + 1):
+        ft, row = data[r], bytearray(data[r + 1 : r + 1 + rowlen])
+        if ft > 4:
+            raise ValueError(f"unknown PNG row filter {ft}")
+        for j in range(rowlen if ft else 0):
+            a = row[j - bpp] if j >= bpp else 0
+            b = prev[j]
+            c = prev[j - bpp] if j >= bpp else 0
+            if ft == 4:  # Paeth: whichever of a, b, c is nearest a + b - c
+                pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - 2 * c)
+                pred = a if pa <= pb and pa <= pc else b if pb <= pc else c
+            else:  # Sub, Up, Average
+                pred = (a, b, (a + b) // 2)[ft - 1]
+            row[j] = (row[j] + pred) & 0xFF
+        out += row
+        prev = row
+    return bytes(out)
 
 
 def glyph_scale(font_size: float, scale: float) -> int:

@@ -50,6 +50,10 @@ surface as per-page/per-doc ``parse_failure`` rows, never exceptions):
   (StandardEncoding/WinAnsi ~ latin-1) text, with ``/Encoding
   /Differences`` glyph-name remapping honored per font (uniXXXX names and
   an Adobe-Glyph-List subset; inline or indirect encoding dicts).
+  Composite (Type0) fonts decode 2-byte CIDs through their /ToUnicode
+  CMap: ``_parse_tounicode`` finds each ``bfchar``/``bfrange`` section
+  and reads its body with ``_tokenize``, so its hex codes follow the
+  string rules above (§7.3.4.3) and ``%`` comments hide what they hold.
 - Page resources: ``_page_resources`` resolves a page's ``/Resources``
   once, one ``_resource_entries`` walk per category dict (``/Font``,
   ``/XObject``, ``/Properties``; see ``_PageResources``), and
@@ -86,6 +90,7 @@ from .pdf_crypt import (
     decrypt_object_bytes_aes256,
     verify_perms_v5,
 )
+from .page_render import unfilter_png_rows
 
 # Glyph advance approximation for span bboxes (Helvetica-ish average width as a
 # fraction of font size). Affects only layout bboxes, not text bytes.
@@ -120,11 +125,13 @@ class PdfPasswordError(PdfParseError):
 # --------------------------------------------------------------------------
 
 _OBJ_RE = re.compile(rb"(\d+)\s+(\d+)\s+obj\b")
+# the PDF white-space characters (ISO 32000-1 §7.2.2, Table 1)
+_WS_BYTES = b" \t\r\n\f\x00"
 
 
 def _skip_ws(data: bytes, i: int) -> int:
     n = len(data)
-    while i < n and data[i : i + 1] in (b" ", b"\t", b"\r", b"\n", b"\f", b"\x00"):
+    while i < n and data[i : i + 1] in _WS_BYTES:
         i += 1
     return i
 
@@ -263,7 +270,7 @@ def _ascii_hex_decode(raw: bytes) -> bytes:
     eod = raw.find(b">")
     if eod != -1:
         raw = raw[:eod]
-    compact = bytes(c for c in raw if c not in b" \t\r\n\f\x00")
+    compact = bytes(c for c in raw if c not in _WS_BYTES)
     if not re.fullmatch(rb"[0-9A-Fa-f]*", compact):
         raise PdfParseError("ASCIIHexDecode: non-hex character")
     if len(compact) % 2:
@@ -284,7 +291,7 @@ def _ascii85_decode(raw: bytes) -> bytes:
     out = bytearray()
     group: List[int] = []
     for c in raw:
-        if c in b" \t\r\n\f\x00":
+        if c in _WS_BYTES:
             continue
         if c == 0x7A:  # 'z'
             if group:
@@ -433,7 +440,8 @@ def _holds_ref(v: Any) -> bool:
 def _apply_predictor(data: bytes, parms: dict) -> bytes:
     """Undo a /Predictor post-filter (ISO 32000-1 §7.4.4.4): 2 = TIFF
     horizontal differencing; 10-15 = PNG row filters (RFC 2083 §6) with a
-    per-row filter-type byte. Row geometry from Columns/Colors/BPC."""
+    per-row filter-type byte, undone by the PNG codec's
+    ``unfilter_png_rows``. Row geometry from Columns/Colors/BPC."""
     pred = parms["predictor"]
     if pred <= 1:
         return data
@@ -452,39 +460,10 @@ def _apply_predictor(data: bytes, parms: dict) -> bytes:
         return bytes(out)
     if pred < 10 or pred > 15:
         raise PdfParseError(f"unsupported /Predictor {pred}")
-    if len(data) % (rowlen + 1) != 0:
-        raise PdfParseError("PNG-predicted stream not a whole number of rows")
-    out = bytearray()
-    prev = bytearray(rowlen)
-    for r in range(0, len(data), rowlen + 1):
-        ft = data[r]
-        row = bytearray(data[r + 1 : r + 1 + rowlen])
-        if ft == 0:
-            pass
-        elif ft == 1:  # Sub
-            for j in range(bpp, rowlen):
-                row[j] = (row[j] + row[j - bpp]) & 0xFF
-        elif ft == 2:  # Up
-            for j in range(rowlen):
-                row[j] = (row[j] + prev[j]) & 0xFF
-        elif ft == 3:  # Average
-            for j in range(rowlen):
-                left = row[j - bpp] if j >= bpp else 0
-                row[j] = (row[j] + (left + prev[j]) // 2) & 0xFF
-        elif ft == 4:  # Paeth
-            for j in range(rowlen):
-                a = row[j - bpp] if j >= bpp else 0
-                b = prev[j]
-                c = prev[j - bpp] if j >= bpp else 0
-                p = a + b - c
-                pa, pb, pc_ = abs(p - a), abs(p - b), abs(p - c)
-                pred_v = a if (pa <= pb and pa <= pc_) else (b if pb <= pc_ else c)
-                row[j] = (row[j] + pred_v) & 0xFF
-        else:
-            raise PdfParseError(f"unknown PNG row filter {ft}")
-        out += row
-        prev = row
-    return bytes(out)
+    try:
+        return unfilter_png_rows(data, rowlen, bpp)
+    except ValueError as e:
+        raise PdfParseError(str(e)) from e
 
 
 def _decode_stream(
@@ -726,27 +705,34 @@ def _parse_differences(diffs: Any) -> Dict[int, str]:
 
 _BFCHAR_RE = re.compile(rb"beginbfchar(.*?)endbfchar", re.S)
 _BFRANGE_RE = re.compile(rb"beginbfrange(.*?)endbfrange", re.S)
-_CMAP_TOKEN_RE = re.compile(rb"<([0-9A-Fa-f]+)>|(\[)|(\])")
 _TOUNICODE_CAP = 1 << 16  # one code space; caps degenerate bfranges
 
 
-def _utf16be(hexs: bytes) -> str:
-    if len(hexs) % 2:
-        hexs += b"0"
-    return bytes.fromhex(hexs.decode("ascii")).decode("utf-16-be", "replace")
+def _cmap_tokens(body: bytes) -> List[Any]:
+    """The strings (bytes) and array brackets (``"["``, ``"]"``) of one
+    CMap section's body, read by ``_tokenize``; other tokens and empty
+    strings are dropped. An unterminated string or dict ends the body,
+    keeping the tokens before it."""
+    toks: List[Any] = []
+    try:
+        for kind, val in _tokenize(body):
+            if kind == "str" and val:
+                toks.append(val)
+            elif kind in ("[", "]"):
+                toks.append(kind)
+    except PdfParseError:
+        pass
+    return toks
 
 
-def _dst_plus(hexs: bytes, k: int) -> str:
+def _dst_plus(dst: bytes, k: int) -> str:
     """bfrange increment rule (Adobe CMap spec): the LAST 16-bit code unit
     of the destination is incremented; earlier units stay fixed."""
-    if len(hexs) % 2:
-        hexs += b"0"
-    raw = bytes.fromhex(hexs.decode("ascii"))
-    if len(raw) < 2:
-        raw = b"\x00" + raw
-    base = int.from_bytes(raw[-2:], "big")
-    raw = raw[:-2] + ((base + k) & 0xFFFF).to_bytes(2, "big")
-    return raw.decode("utf-16-be", "replace")
+    if len(dst) < 2:
+        dst = b"\x00" + dst
+    base = int.from_bytes(dst[-2:], "big")
+    dst = dst[:-2] + ((base + k) & 0xFFFF).to_bytes(2, "big")
+    return dst.decode("utf-16-be", "replace")
 
 
 def _parse_tounicode(data: bytes) -> Dict[int, str]:
@@ -756,34 +742,33 @@ def _parse_tounicode(data: bytes) -> Dict[int, str]:
     of any byte width (Identity-H uses 2); destinations are UTF-16BE."""
     out: Dict[int, str] = {}
     for m in _BFCHAR_RE.finditer(data):
-        toks = [t[0] for t in _CMAP_TOKEN_RE.findall(m.group(1)) if t[0]]
+        toks = [t for t in _cmap_tokens(m.group(1)) if type(t) is bytes]
         for i in range(0, len(toks) - 1, 2):
-            out[int(toks[i], 16)] = _utf16be(toks[i + 1])
+            out[int.from_bytes(toks[i], "big")] = toks[i + 1].decode("utf-16-be", "replace")
     for m in _BFRANGE_RE.finditer(data):
-        toks = _CMAP_TOKEN_RE.findall(m.group(1))
+        toks = _cmap_tokens(m.group(1))
         i = 0
-        while i < len(toks):
-            if not (toks[i][0] and i + 2 < len(toks) and toks[i + 1][0]):
+        while i + 2 < len(toks):
+            lo, hi, dst = toks[i : i + 3]
+            if type(lo) is not bytes or type(hi) is not bytes:
                 i += 1
                 continue
-            lo, hi = int(toks[i][0], 16), int(toks[i + 1][0], 16)
-            hi = min(hi, lo + _TOUNICODE_CAP)
-            if toks[i + 2][1]:  # '[' — explicit destination per code
-                i += 3
+            lo = int.from_bytes(lo, "big")
+            hi = min(int.from_bytes(hi, "big"), lo + _TOUNICODE_CAP)
+            i += 3
+            if dst == "[":  # explicit destination per code
                 for code in range(lo, hi + 1):
-                    if i >= len(toks) or toks[i][2]:
+                    if i >= len(toks) or toks[i] == "]":
                         break
-                    if toks[i][0]:
-                        out[code] = _utf16be(toks[i][0])
+                    if type(toks[i]) is bytes:
+                        out[code] = toks[i].decode("utf-16-be", "replace")
                     i += 1
-                while i < len(toks) and not toks[i][2]:
+                while i < len(toks) and toks[i] != "]":
                     i += 1
                 i += 1  # skip ']'
-            else:
-                dst = toks[i + 2][0]
+            else:  # a ']' here reads as an empty destination
                 for k in range(hi - lo + 1):
-                    out[lo + k] = _dst_plus(dst, k)
-                i += 3
+                    out[lo + k] = _dst_plus(dst if dst != "]" else b"", k)
     return out
 
 
@@ -1014,8 +999,6 @@ _COMMENT_RE = re.compile(rb"%[^\r\n]*")
 # A hex string inside a dict must be well formed. A stray '<' matches
 # nothing and is skipped as one byte, so it cannot swallow the '>>'.
 _HEX_STRING_RE = re.compile(rb"<[0-9A-Fa-f\s]*>")
-
-_WS_BYTES = (b" ", b"\t", b"\r", b"\n", b"\f", b"\x00")
 # binary payload terminator: whitespace + EI + token boundary (§8.9.7)
 _INLINE_EI_RE = re.compile(rb"[\s\x00]EI(?![0-9A-Za-z])")
 
@@ -1119,7 +1102,7 @@ def _tokenize(data: bytes, i: int = 0, depth: int = 0):
     image = False  # inside an inline image's parameters
     while i < n:
         c = data[i : i + 1]
-        if c in (b" ", b"\t", b"\r", b"\n", b"\f", b"\x00"):
+        if c in _WS_BYTES:
             i += 1
         elif c == b"(":
             s, i = _read_literal_string(data, i)
@@ -1196,6 +1179,12 @@ class Span:
     mcid: Optional[int] = None  # innermost marked-content id (§14.6), for
                                 # the logical-structure walk; None untagged
 
+    @property
+    def end(self) -> float:
+        """The x where the span's text ends, by the approximate glyph
+        advance (bboxes only, never text bytes)."""
+        return self.x + GLYPH_WIDTH_FACTOR * self.size * len(self.text)
+
 
 _MAX_FORM_DEPTH = 8  # Do-recursion bound (cyclic form refs must not hang)
 
@@ -1271,9 +1260,9 @@ def _interpret_text(
         mcid = next(
             (m for _, m in reversed(mc_stack) if m is not None), None
         )
-        spans.append(Span(text=text, x=cx, y=cy, size=size, font=font,
-                          mcid=mcid))
-        cx += GLYPH_WIDTH_FACTOR * size * len(text)
+        span = Span(text=text, x=cx, y=cy, size=size, font=font, mcid=mcid)
+        spans.append(span)
+        cx = span.end
 
     def newline() -> None:
         nonlocal lx, ly, cx, cy
@@ -1455,7 +1444,7 @@ class Line:
             ):
                 parts.append(" ")
             parts.append(s.text)
-            prev_end = s.x + GLYPH_WIDTH_FACTOR * s.size * len(s.text)
+            prev_end = s.end
         return "".join(parts)
 
 
@@ -1490,7 +1479,7 @@ def _group_lines(spans: List[Span], page_height: float) -> List[Line]:
                 lines.append(Line(spans=seg, y_down=y_down))
                 seg = []
             seg.append(s)
-            prev_end = s.x + GLYPH_WIDTH_FACTOR * s.size * len(s.text)
+            prev_end = s.end
         if seg:
             lines.append(Line(spans=seg, y_down=y_down))
     return lines
@@ -1522,7 +1511,7 @@ def _span_bbox(s: Span, page_height: float) -> List[float]:
     return [
         round(s.x, 2),
         round(y_down - s.size, 2),
-        round(s.x + GLYPH_WIDTH_FACTOR * s.size * len(s.text), 2),
+        round(s.end, 2),
         round(y_down, 2),
     ]
 
@@ -1836,10 +1825,6 @@ class PdfDocument:
         else:
             self._root = self._find_root()
 
-    @property
-    def is_encrypted(self) -> bool:
-        return self._encrypt is not None
-
     def authenticate(self, password: Optional[str]) -> bool:
         """Try ``password`` as user then owner password; arm the key on
         success. Idempotent; returns whether the document is now open."""
@@ -1959,9 +1944,7 @@ class PdfDocument:
                     page.images.append(pl)
                 pages.append(page)
             except PdfParseError:
-                pages.append(
-                    PdfPage(text="", layout={"width": width, "height": height, "rotation": rotate, "blocks": []})
-                )
+                pages.append(_assemble_page([], width, height, rotate))
         return pages
 
 

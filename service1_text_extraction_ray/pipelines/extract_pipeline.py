@@ -149,11 +149,12 @@ PART_SUMMARY_SCHEMA = pa.schema(
 
 
 class PartWriter:
-    """Content-addressed part writer. Each call splits a doc table by
-    shard_id and writes one part per shard in it (``lin.write_part``),
-    holding the part records; a shard named in ``expected_rows`` commits
-    its manifest from them (``lin.try_commit_shard``) as soon as they hold
-    that many rows. Returns one part-summary row per part."""
+    """Content-addressed part writer. Each call writes one shard's doc
+    table as one part (``lin.write_part``), holding the part records; a
+    shard named in ``expected_rows`` commits its manifest from them
+    (``lin.try_commit_shard``) as soon as they hold that many rows.
+    Returns the part's summary row, or none for an empty table. A table
+    holding rows of two shards raises ValueError."""
 
     def __init__(self, out_dir: str, expected_rows: Optional[dict] = None) -> None:
         self.out_dir = out_dir
@@ -161,19 +162,20 @@ class PartWriter:
         self.part_records: dict = {}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        sids = pc.unique(batch["shard_id"]).to_pylist()
+        if not sids:
+            return PART_SUMMARY_SCHEMA.empty_table()
+        if len(sids) > 1:
+            raise ValueError(f"a part holds one shard; these rows hold shards {sorted(sids)}")
+        sid = sids[0]
         # Deterministic within-part order (url unique) -> content-addressed
         # names are stable for a given row-set.
-        batch = batch.sort_by("url")
-        rows = []
-        sids = batch["shard_id"]
-        for sid in pc.unique(sids).to_pylist():
-            rec = lin.write_part(self.out_dir, sid, batch.filter(pc.equal(sids, sid)))
-            self.part_records.setdefault(sid, []).append(rec)
-            rows.append(rec)
-            if sid in self.expected_rows:
-                lin.try_commit_shard(self.out_dir, sid, self.expected_rows[sid],
-                                     self.part_records[sid])
-        return pa.Table.from_pylist(rows, schema=PART_SUMMARY_SCHEMA)
+        rec = lin.write_part(self.out_dir, sid, batch.sort_by("url"))
+        self.part_records.setdefault(sid, []).append(rec)
+        if sid in self.expected_rows:
+            lin.try_commit_shard(self.out_dir, sid, self.expected_rows[sid],
+                                 self.part_records[sid])
+        return pa.Table.from_pylist([rec], schema=PART_SUMMARY_SCHEMA)
 
 
 class ExtractFile:

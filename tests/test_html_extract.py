@@ -14,6 +14,8 @@ from service1_text_extraction_ray.functions import extract as X
 from service1_text_extraction_ray.functions.html_extract import (
     BLOCK_TAGS,
     HEADING_TAGS,
+    MAX_LINK_DENSITY,
+    MIN_BLOCK_CHARS,
     Block,
     decode_payload,
     dump_layout,
@@ -107,13 +109,17 @@ def test_decode_utf8_then_latin1():
 
 
 def test_block_features():
-    blocks = parse_blocks('<div><a href="/x">linky link</a> and prose</div>')
+    blocks = parse_blocks('<div><a href="/x">linky link</a> and some longer prose</div>')
     assert len(blocks) == 1
     b = blocks[0]
     assert b.link_chars == len("linky link")
     assert 0 < b.link_density < 1
-    kept = select_content_blocks(blocks, min_block_chars=5, max_link_density=0.9)
-    assert kept
+    assert b.text_chars >= MIN_BLOCK_CHARS and b.link_density <= MAX_LINK_DENSITY
+    assert select_content_blocks(blocks) == blocks
+    # the same block with more link text than prose is dropped
+    dense = parse_blocks('<div><a href="/x">linky link and some longer</a> prose</div>')
+    assert dense[0].link_density > MAX_LINK_DENSITY
+    assert select_content_blocks(dense) == []
 
 
 class TestHtmlTables:

@@ -391,6 +391,67 @@ endbfchar
     assert m == {1: "A", 2: "B", 3: "C", 0x10: "HI"}
 
 
+@pytest.mark.parametrize("body, want", [
+    (b"<00 01> <0041>", {1: "A"}),  # white space inside a hex code (§7.3.4.3)
+    (b"<0001> <0041>\n% <0005> <0042>\n", {1: "A"}),  # a comment hides its codes
+    (b"<123> <0041>", {0x1230: "A"}),  # an odd-length code ends in an implied 0
+])
+def test_tounicode_reads_codes_by_the_hex_string_rules(body, want):
+    from service1_text_extraction_ray.functions.pdf_extract import _parse_tounicode
+
+    assert _parse_tounicode(b"1 beginbfchar\n" + body + b"\nendbfchar") == want
+
+
+def test_tounicode_unterminated_string_keeps_the_entries_before_it():
+    """A ``(`` with no ``)`` ends its section's body: the entries before it
+    and every other section still map."""
+    from service1_text_extraction_ray.functions.pdf_extract import _parse_tounicode
+
+    cmap = b"""
+2 beginbfrange
+<0001> <0003> <0041>
+<0010> <0011> ( <0061>
+endbfrange
+1 beginbfrange
+<0020> <0021> <0030>
+endbfrange
+1 beginbfchar
+<0005> <0058>
+endbfchar
+"""
+    assert _parse_tounicode(cmap) == {
+        1: "A", 2: "B", 3: "C", 0x20: "0", 0x21: "1", 5: "X"}
+
+
+_BMP_CHARS = st.characters(max_codepoint=0xFFFF, blacklist_categories=("Cs",))
+# what may stand between two tokens, and inside a hex code (white space only)
+_CMAP_SPACE = [b"", b" ", b"\t", b"\r\n", b"\n", b"\f", b"\x00"]
+_CMAP_GAP = _CMAP_SPACE + [b"\n% <0000> <0041> [<0042>]\n", b" %<0001><0043>\r"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=st.lists(st.tuples(_BMP_CHARS, st.integers(0, 0xFFFF)), max_size=40,
+                      unique_by=(lambda p: p[0], lambda p: p[1])),
+       data=st.data())
+def test_tounicode_round_trips_the_writers_cmap(pairs, data):
+    """``synth._tounicode_cmap`` parses back to its map, also with white
+    space and comments between tokens and white space inside hex codes."""
+    import re
+
+    from service1_text_extraction_ray.functions.pdf_extract import _parse_tounicode
+    from service1_text_extraction_ray.functions.synth import _tounicode_cmap
+
+    cmap = _tounicode_cmap(dict(pairs))
+    want = {cid: ch for ch, cid in pairs}
+    assert _parse_tounicode(cmap) == want
+
+    space, gap = st.sampled_from(_CMAP_SPACE), st.sampled_from(_CMAP_GAP)
+    spaced = re.sub(rb"<([0-9a-f]+)>", lambda m: b"<" + b"".join(
+        data.draw(space) + bytes([c]) for c in m.group(1)) + data.draw(space) + b">", cmap)
+    noisy = re.sub(rb"(?<=>)[ \n](?=<)", lambda m: data.draw(gap), spaced)
+    assert _parse_tounicode(noisy) == want
+
+
 class TestFormXObjects:
     def test_form_header_text_identical_to_inline(self):
         import random
@@ -913,6 +974,48 @@ def test_predictor_bad_row_count_is_counted_failure():
     )
     pages = parse_pdf(bad)
     assert pages[0].text == ""
+
+
+def _png_unfilter_reference(data: bytes, rowlen: int, bpp: int) -> bytes:
+    """RFC 2083 §6 read literally: each byte adds its predictor from the
+    unfiltered left (a), up (b) and upper-left (c) bytes."""
+    out: list = []
+    prev = [0] * rowlen
+    for r in range(0, len(data), rowlen + 1):
+        ft, row = data[r], data[r + 1 : r + 1 + rowlen]
+        cur: list = []
+        for j, x in enumerate(row):
+            a = cur[j - bpp] if j >= bpp else 0
+            b = prev[j]
+            c = prev[j - bpp] if j >= bpp else 0
+            p = a + b - c
+            paeth = min((abs(p - a), 0, a), (abs(p - b), 1, b), (abs(p - c), 2, c))[2]
+            cur.append((x + (0, a, b, (a + b) // 2, paeth)[ft]) & 0xFF)
+        out += cur
+        prev = cur
+    return bytes(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bpp=st.integers(1, 4), columns=st.integers(1, 8), data=st.data())
+def test_png_row_unfilter_matches_the_reference(bpp, columns, data):
+    """One row unfilter serves the PNG reader and PDF predictors 10-15:
+    random rows of all five filter types at 1-4 bytes per pixel."""
+    from service1_text_extraction_ray.functions.page_render import unfilter_png_rows
+    from service1_text_extraction_ray.functions.pdf_extract import _apply_predictor
+
+    rowlen = bpp * columns
+    rows = data.draw(st.lists(st.tuples(st.integers(0, 4), st.binary(
+        min_size=rowlen, max_size=rowlen)), max_size=6))
+    raw = b"".join(bytes([ft]) + row for ft, row in rows)
+    want = _png_unfilter_reference(raw, rowlen, bpp)
+    assert unfilter_png_rows(raw, rowlen, bpp) == want
+    parms = {"predictor": 15, "colors": bpp, "bpc": 8, "columns": columns}
+    assert _apply_predictor(raw, parms) == want
+    with pytest.raises(PdfParseError, match="^unknown PNG row filter 5$"):
+        _apply_predictor(raw + b"\x05" + bytes(rowlen), parms)
+    with pytest.raises(PdfParseError, match="^PNG-predicted stream not a whole number of rows$"):
+        _apply_predictor(raw + b"\x00", parms)
 
 
 class TestPdfAttachments:

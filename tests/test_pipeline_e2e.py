@@ -307,6 +307,23 @@ def test_file_task_raises_naming_a_file_whose_shard_does_not_commit(corpus_dir, 
     assert lin.load_lineage(str(tmp_path / "out")) == []
 
 
+def test_part_writer_refuses_rows_of_two_shards(tmp_path):
+    """A part holds one shard's rows: a doc table holding two shard ids
+    raises, naming both, and writes no part; an empty table writes none
+    either."""
+    from service1_text_extraction_ray.pipelines.extract_pipeline import PartWriter
+
+    docs = ExtractDocuments(CFG)(sniff_table(gen_pages_table(4, seed=1), CFG.size_bucket_edges))
+    i = docs.schema.get_field_index("shard_id")
+    docs = docs.set_column(i, docs.schema.field(i), pa.array([7, 3, 7, 3], docs.schema.field(i).type))
+    out = str(tmp_path / "out")
+    writer = PartWriter(out)
+    with pytest.raises(ValueError, match=re.escape("[3, 7]")):
+        writer(docs)
+    assert writer(docs.slice(0, 0)).num_rows == 0
+    assert glob.glob(os.path.join(out, "**", "*.parquet"), recursive=True) == []
+
+
 @pytest.mark.parametrize("task_name", ["ExtractFile", "MergeFile"])
 def test_file_task_refuses_a_file_with_null_urls_before_parsing(task_name, tmp_path):
     """A null url fails the file task right after the read, naming the
