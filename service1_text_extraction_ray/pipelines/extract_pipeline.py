@@ -14,7 +14,8 @@ Replaces the reference's FastAPI/Postgres/asyncio plumbing
                                             #   addressed part + the shard
                                             #   manifest, or a merge into
                                             #   the shard: NO shuffle
-      -> ray.wait for the tiny summary tables
+      -> one batched ray.wait               # gathers each commit's record;
+                                            #   the job summary is their sum
 
 Both entry points run this one fan-out (``_run_file_tasks``) and differ
 only in the task's commit step. ``run_extraction_job`` runs
@@ -23,21 +24,22 @@ only in the task's commit step. ``run_extraction_job`` runs
 file's shard by url (``lineage.upsert_shard``). All of the job's Ray work
 starts in ``_run_file_tasks``, and no Ray Data graph or shuffle runs in
 either: the job has no read operator to stream and nothing to fuse, so
-the file is the task and the driver only waits for it.
+the file is the task and the driver only collects what it returns.
 
 Design notes (SURVEY.md §4.2):
 
 - **The input file is the task**: a shard is one input file (sniff.
   stable_shard_id), and one plain Ray task reads, parses, writes and
-  commits it. The task holds its part's summary record, so it commits the
+  commits it. The task holds its part's record, so it commits the
   manifest from that (``lineage.try_commit_shard``) — no pre-scan of the
   inputs for their row counts, no pending records to list, no driver-side
   sweep. The parse holds no state: the frozen config ships with each
   task. An actor pool measured slower on every ``extraction_bench``
   workload and deadlocked a one-CPU session (the actor held the only slot).
 - **Streaming**: nothing materializes the full dataset; a task holds one
-  file's rows and doc output, and the driver only collects the part
-  summaries (one small row per shard).
+  file's rows and doc output, and the driver only collects each shard's
+  manifest record. The job summary sums those and, on resume, the
+  manifests it validated: no manifest is read after the tasks finish.
 - **No shuffle**: a shard's rows are written by the task that read them.
   Measured: the previous url-hash design shuffled the full extraction
   output (~4x input bytes with layout JSON) and the sort dominated the job
@@ -82,12 +84,14 @@ from ..state import lineage as lin
 # payload-adjacent columns we don't use (prune at the read).
 INPUT_COLUMNS = ["url", "warc_ts", "html", "lang"]
 
-# Parse-stage sizing: per-doc cost variance is huge (1-page HTML vs 8-page
-# PDF vs truncated giant), so batches stay small relative to block size
-# (SURVEY.md §4.2 item 2) — but not tiny: measured on the 50k-doc probe
-# corpus, batch 128 beats 32 by ~15% at both 8 and 32 CPUs (per-batch Arrow
-# slice/emit overhead dominates below ~100 docs), while 256 regresses the
-# tail (giant-blob co-travel). 128 docs x ~15 KiB payload keeps batches ~2 MiB.
+# Rows per ExtractDocuments call. As ``extract_dataset``'s map_batches size
+# (Ray Data batch design, 50k-doc probe corpus): 128 beat 32 by ~15% at 8
+# and 32 CPUs (per-batch Arrow overhead), while 256 regressed the tail
+# (giants co-travelling in one batch). Inside ``ExtractFile`` the slices
+# run one after another and are concatenated, so nothing co-travels; there,
+# serially on the benchmark's seed-1 corpora (1 vCPU, median of 5), 32 cost
+# 13% (html_web) and 3% (pdf_docs) more than 128, and 512 or whole files
+# were within 3% of it.
 PARSE_BATCH_SIZE = 128
 
 
@@ -132,39 +136,23 @@ def extract_pages_dataset(ds: rd.Dataset, cfg: Optional[ExtractConfig] = None) -
     return extract_dataset(ds, cfg).map_batches(explode_pages, batch_format="pyarrow")
 
 
-PART_SUMMARY_SCHEMA = pa.schema(
-    [
-        ("shard_id", pa.int64()),
-        ("part", pa.string()),
-        ("n_docs", pa.int64()),
-        ("n_pages", pa.int64()),
-        ("n_pages_ok", pa.int64()),
-        ("parse_failures", pa.int64()),
-        ("empty_extractions", pa.int64()),
-        ("truncations", pa.int64()),
-        ("password_required", pa.int64()),
-        ("content_hash", pa.string()),
-    ]
-)
-
-
 class PartWriter:
     """Content-addressed part writer. Each call writes one shard's doc
     table as one part (``lin.write_part``), holding the part records; a
     shard named in ``expected_rows`` commits its manifest from them
     (``lin.try_commit_shard``) as soon as they hold that many rows.
-    Returns the part's summary row, or none for an empty table. A table
-    holding rows of two shards raises ValueError."""
+    Returns the part's record (``lin.write_part``), or None for an empty
+    table. A table holding rows of two shards raises ValueError."""
 
     def __init__(self, out_dir: str, expected_rows: Optional[dict] = None) -> None:
         self.out_dir = out_dir
         self.expected_rows = expected_rows or {}
         self.part_records: dict = {}
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table) -> Optional[dict]:
         sids = pc.unique(batch["shard_id"]).to_pylist()
         if not sids:
-            return PART_SUMMARY_SCHEMA.empty_table()
+            return None
         if len(sids) > 1:
             raise ValueError(f"a part holds one shard; these rows hold shards {sorted(sids)}")
         sid = sids[0]
@@ -175,7 +163,7 @@ class PartWriter:
         if sid in self.expected_rows:
             lin.try_commit_shard(self.out_dir, sid, self.expected_rows[sid],
                                  self.part_records[sid])
-        return pa.Table.from_pylist([rec], schema=PART_SUMMARY_SCHEMA)
+        return rec
 
 
 class ExtractFile:
@@ -183,10 +171,10 @@ class ExtractFile:
     ``INPUT_COLUMNS`` only, or WARC through ``read_warc_file``, whose
     salvage mode ``tolerant_warc`` selects), sniff it, extract it in
     ``PARSE_BATCH_SIZE`` slices and ``commit`` its doc rows: here, one
-    part and the shard's manifest. Takes the file's path and returns the
-    commit's summary rows (part summaries). Raises, naming the
-    file, when the file cannot be read, holds a null url, or its shard does
-    not commit."""
+    part and the shard's manifest. Takes the file's path and returns what
+    the commit returns: here, the shard's manifest record. Raises, naming
+    the file, when the file cannot be read, holds a null url, or its shard
+    does not commit."""
 
     def __init__(self, out_dir: str, cfg: Optional[ExtractConfig],
                  tolerant_warc: bool = False) -> None:
@@ -195,7 +183,7 @@ class ExtractFile:
         self.tolerant_warc = tolerant_warc
         self.extract = ExtractDocuments(self.cfg)
 
-    def __call__(self, path: str) -> pa.Table:
+    def __call__(self, path: str) -> Optional[dict]:
         try:
             if path.endswith(WARC_EXTS):
                 table = read_warc_file(path, self.tolerant_warc).select(INPUT_COLUMNS)
@@ -220,47 +208,42 @@ class ExtractFile:
         ])
         return self.commit(path, stable_shard_id(path), table.num_rows, docs)
 
-    def commit(self, path: str, sid: int, n_read: int, docs: pa.Table) -> pa.Table:
+    def commit(self, path: str, sid: int, n_read: int, docs: pa.Table) -> dict:
         """Write ``docs`` as the shard's one part and commit its manifest
         from the part record; a zero-row file commits a shard with no
-        parts."""
+        parts. Returns the manifest record (``lin.try_commit_shard``)."""
         writer = PartWriter(self.out_dir)
-        summary = writer(docs)
-        if lin.try_commit_shard(self.out_dir, sid, n_read,
-                                writer.part_records.get(sid, [])) is None:
+        writer(docs)
+        rec = lin.try_commit_shard(self.out_dir, sid, n_read,
+                                   writer.part_records.get(sid, []))
+        if rec is None:
             raise RuntimeError(
                 f"shard {sid} of input file {path} did not commit: "
                 f"{n_read} rows read, {docs.num_rows} written"
             )
-        return summary
-
-
-MERGE_SUMMARY_SCHEMA = pa.schema(
-    [("n_replaced", pa.int64()), ("n_appended", pa.int64()), ("n_docs", pa.int64())]
-)
+        return rec
 
 
 class MergeFile(ExtractFile):
     """The recrawl's task: ``ExtractFile`` whose commit merges the file's
     doc rows into its shard by url (``lineage.upsert_shard``, which writes
     the merged parts, then re-points the manifest) instead of writing the
-    shard anew. Returns one ``MERGE_SUMMARY_SCHEMA`` row; a zero-row file
-    changes nothing and returns none. Raises, naming the file and leaving
-    its shard as it was, when the rows extracted are not the rows read."""
+    shard anew. Returns ``{n_replaced, n_appended, n_docs}``; a zero-row
+    file changes nothing and returns None. Raises, naming the file and
+    leaving its shard as it was, when the rows extracted are not the rows
+    read."""
 
-    def commit(self, path: str, sid: int, n_read: int, docs: pa.Table) -> pa.Table:
+    def commit(self, path: str, sid: int, n_read: int,
+               docs: pa.Table) -> Optional[dict]:
         if docs.num_rows != n_read:
             raise RuntimeError(
                 f"shard {sid} of input file {path} did not merge: "
                 f"{n_read} rows read, {docs.num_rows} extracted"
             )
         if not n_read:
-            return MERGE_SUMMARY_SCHEMA.empty_table()
+            return None
         rec = lin.upsert_shard(self.out_dir, sid, docs)
-        return pa.Table.from_pylist(
-            [{k: rec[k] for k in MERGE_SUMMARY_SCHEMA.names}],
-            schema=MERGE_SUMMARY_SCHEMA,
-        )
+        return {k: rec[k] for k in ("n_replaced", "n_appended", "n_docs")}
 
 
 def _check_distinct_shards(files: list) -> None:
@@ -279,37 +262,49 @@ def _check_distinct_shards(files: list) -> None:
         )
 
 
+# How long one wait of the collect blocks. It waits for every pending task,
+# so on success it returns when the last one ends; the timeout only bounds
+# how late a failure is noticed. A wait costs ~1-3 us per pending ref (8,000
+# queued refs, 1 vCPU: 7-26 ms), so the driver stays mostly idle at 10^5.
+COLLECT_WAIT_S = 1.0
+
+
 @ray.remote(max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError],
             scheduling_strategy="DEFAULT")
-def _run_file_task(task: ExtractFile, path: str) -> pa.Table:
+def _run_file_task(task: ExtractFile, path: str) -> Optional[dict]:
     """One input file's task: ``task`` on ``path``."""
     return task(path)
 
 
 def _run_file_tasks(files: list, task: ExtractFile) -> list:
     """Run ``task`` on every input file, one plain Ray task per file, and
-    return the summary tables the tasks returned, in file order (tiny: one
-    row per shard at most). Each task committed its own shard.
+    return what the tasks returned (each commit's record), in file order.
+    Each task committed its own shard.
 
     The task object is stored once (``ray.put``) and every file's task
-    reads it. Retries follow the policy Ray Data gives its tasks: a task
-    whose worker dies, or that raises ``RaySystemError``, is retried
-    without limit; an error of the task's own code is never retried. On
-    the first error, the tasks still pending are cancelled and waited for,
-    so none of them writes after this raises, and a task's error is raised
-    as the task raised it (a ``ValueError`` naming an unreadable file
-    stays one). The cancel kills a running task's worker, as a crash
-    would: an interrupt instead can land inside an import, and the worker,
-    reused by the next job, then fails to import that module."""
+    reads it. One ``ray.wait`` for all pending tasks, repeated every
+    ``COLLECT_WAIT_S``, collects them and each result is fetched once: n
+    files cost O(n) driver work. Retries follow the policy Ray Data gives
+    its tasks: a task whose worker dies, or that raises
+    ``RaySystemError``, is retried without limit; an error of the task's
+    own code is never retried. On the first error, the tasks still pending
+    are cancelled and waited for, so none of them writes after this
+    raises, and a task's error is raised as the task raised it (a
+    ``ValueError`` naming an unreadable file stays one). The cancel kills
+    a running task's worker, as a crash would: an interrupt instead can
+    land inside an import, and the worker, reused by the next job, then
+    fails to import that module."""
     if not files:
         return []
     task_ref = ray.put(task)
     refs = [_run_file_task.remote(task_ref, f) for f in files]
+    results: dict = {}
     pending = refs
     try:
         while pending:
-            done, pending = ray.wait(pending, num_returns=1)
-            ray.get(done)
+            done, pending = ray.wait(pending, num_returns=len(pending),
+                                     timeout=COLLECT_WAIT_S)
+            results.update(zip(done, ray.get(done)))
     except BaseException as e:
         for ref in pending:
             ray.cancel(ref, force=True)
@@ -318,7 +313,7 @@ def _run_file_tasks(files: list, task: ExtractFile) -> list:
         if isinstance(e, ray.exceptions.RayTaskError):
             raise e.cause from e
         raise
-    return ray.get(refs)
+    return [results[ref] for ref in refs]
 
 
 def run_extraction_job(
@@ -331,8 +326,10 @@ def run_extraction_job(
 ) -> dict:
     """End-to-end job: one ``ExtractFile`` task per input file (completed
     files pruned on resume), each reading, parsing, writing and committing
-    its shard. Returns the job summary (counters merged across shards,
-    including previously-completed ones on resume). ``tolerant_warc=True``
+    its shard. Returns the job summary: ``lin.summarize`` of the manifest
+    records the tasks returned, plus, on resume, the validated manifests
+    of the shards it skipped (``lin.completed_shards``); it reads no
+    manifest after the tasks finish. ``tolerant_warc=True``
     reads WARC inputs in salvage mode (``read_warc_file``): damaged
     members and records cost their pages, not the shard. An empty file
     list, a path that is not an existing shard file
@@ -348,6 +345,7 @@ def run_extraction_job(
         raise ValueError("run_extraction_job got an empty input file list")
     _check_distinct_shards(files)
     skipped = 0
+    done: dict = {}
     if resume:
         done = lin.completed_shards(out_dir)
         kept = [f for f in files if stable_shard_id(f) not in done]
@@ -365,8 +363,8 @@ def run_extraction_job(
         if os.path.isdir(ldir):
             shutil.rmtree(ldir)
 
-    _run_file_tasks(files, ExtractFile(out_dir, cfg, tolerant_warc))
-    summary = lin.summarize(lin.load_lineage(out_dir))
+    records = _run_file_tasks(files, ExtractFile(out_dir, cfg, tolerant_warc))
+    summary = lin.summarize(list(done.values()) + records)
     summary["resumed_shards_skipped"] = skipped
     summary["new_shards_written"] = len(files)
     if snapshot:
@@ -424,8 +422,8 @@ def run_incremental_recrawl(
             f"got WARC input {files[0]!r}"
         )
     _check_distinct_shards(files)
-    results = [r for t in _run_file_tasks(files, MergeFile(out_dir, cfg))
-               for r in t.to_pylist()]
+    results = [r for r in _run_file_tasks(files, MergeFile(out_dir, cfg))
+               if r is not None]
     out = {
         "shards_touched": len(results),
         "n_replaced": sum(r["n_replaced"] for r in results),

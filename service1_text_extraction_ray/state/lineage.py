@@ -93,7 +93,7 @@ import json
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -523,10 +523,13 @@ def load_lineage(out_dir: str, fs: Optional[Any] = None) -> List[Dict[str, Any]]
     return records
 
 
-def completed_shards(out_dir: str, fs: Optional[Any] = None) -> Set[int]:
-    """Shard ids whose manifest is valid AND whose listed parts all exist with
-    the recorded total row count (guards against data removed/corrupted after
-    the manifest was committed).
+def completed_shards(out_dir: str,
+                     fs: Optional[Any] = None) -> Dict[int, Dict[str, Any]]:
+    """The validated manifests by shard id: each manifest is valid AND its
+    listed parts all exist with the recorded total row count (guards
+    against data removed/corrupted after the manifest was committed).
+    ``in``, iteration and ``sorted`` see the shard ids; a resumed job sums
+    the values into its summary without reading them again.
 
     Validation is footer-only IO per part and independent across shards, so
     it runs on a pool of at most 32 threads — a serial scan is an O(shards)
@@ -539,19 +542,19 @@ def completed_shards(out_dir: str, fs: Optional[Any] = None) -> Set[int]:
     fs = _fs(fs)
     records = load_lineage(out_dir, fs)
 
-    def check(rec: Dict[str, Any]) -> int | None:
-        sid = rec["shard_id"]
-        ddir = shard_data_dir(out_dir, sid)
+    def check(rec: Dict[str, Any]) -> Dict[str, Any] | None:
+        ddir = shard_data_dir(out_dir, rec["shard_id"])
         n = 0
         for part in rec.get("parts", []):
             try:
                 n += fs.num_rows(os.path.join(ddir, part))
             except (OSError, pa.ArrowInvalid, KeyError):
                 return None
-        return sid if n == rec["n_docs"] else None
+        return rec if n == rec["n_docs"] else None
 
     with ThreadPoolExecutor(max_workers=min(32, max(4, len(records)))) as pool:
-        return {sid for sid in pool.map(check, records) if sid is not None}
+        return {rec["shard_id"]: rec
+                for rec in pool.map(check, records) if rec is not None}
 
 
 def _read_parts(out_dir: str, shards: List[Dict[str, Any]], fs: Any,

@@ -215,7 +215,7 @@ class TestCrossBackendDeterminism:
             for key in ("parts", "n_docs", "content_hash", "counters"):
                 assert obj.get(key) == loc.get(key), key
         fs.sync()
-        assert L.completed_shards(OUT, fs=fs) == {0, 7}
+        assert L.completed_shards(OUT, fs=fs).keys() == {0, 7}
         t_obj = L.read_all(OUT, fs)
         t_loc = L.read_all(local_out)
         assert t_obj.sort_by("url").equals(t_loc.sort_by("url"))
@@ -283,7 +283,7 @@ class TestResumeOverObjectStore:
         L.write_part(OUT, 1, _rows(50, 5), fs)
         fs.sync()
 
-        assert L.completed_shards(OUT, fs=fs) == {0}
+        assert L.completed_shards(OUT, fs=fs).keys() == {0}
         # re-attempt of shard 1: purge stale parts, rewrite, commit
         L.purge_shard(OUT, 1, fs)
         fs.sync()
@@ -292,7 +292,7 @@ class TestResumeOverObjectStore:
         fs.sync()
         L.try_commit_shard(OUT, 1, 5, [rec], fs)
         fs.sync()
-        assert L.completed_shards(OUT, fs=fs) == {0, 1}
+        assert L.completed_shards(OUT, fs=fs).keys() == {0, 1}
         assert L.read_all(OUT, fs).num_rows == 10
 
     def test_validation_detects_missing_data_object(self):
@@ -303,7 +303,7 @@ class TestResumeOverObjectStore:
         fs.sync()
         # lose the data object after commit (bucket lifecycle / operator error)
         fs.remove(L.shard_data_dir(OUT, 3) + "/" + rec["parts"][0])
-        assert L.completed_shards(OUT, fs=fs) == set()
+        assert L.completed_shards(OUT, fs=fs).keys() == set()
         assert {r["shard_id"] for r in L.load_lineage(OUT, fs)} == {3}
 
 
@@ -318,7 +318,7 @@ class TestCompactionOverObjectStore:
         assert len(after["parts"]) == 1
         assert after["content_hash"] == before["content_hash"]
         fs.sync()
-        assert L.completed_shards(OUT, fs=fs) == {4}
+        assert L.completed_shards(OUT, fs=fs).keys() == {4}
         assert L.read_shard(OUT, 4, fs).num_rows == 12
 
 

@@ -16,7 +16,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from service1_text_extraction_ray.functions.extract import ExtractConfig, extract_document
-from service1_text_extraction_ray.functions.sniff import sniff_table
+from service1_text_extraction_ray.functions.sniff import sniff_table, stable_shard_id
 from service1_text_extraction_ray.functions.synth import (
     gen_pages_table,
     make_pdf,
@@ -240,7 +240,7 @@ def test_resume_skips_completed_shards(ray_session, corpus_dir, oracle_results, 
         with open(os.path.join(pdir, "part-0123456789abcdef0123.json"), "w") as f:
             f.write('{"n_docs": 999, "part": "part-0123456789abcdef0123.parquet"}')
 
-    assert lin.completed_shards(out_part) == set(keep)
+    assert lin.completed_shards(out_part).keys() == set(keep)
 
     summary = run_extraction_job(corpus_dir, out_part, CFG, resume=True)
     assert summary["resumed_shards_skipped"] == 2
@@ -320,7 +320,7 @@ def test_part_writer_refuses_rows_of_two_shards(tmp_path):
     writer = PartWriter(out)
     with pytest.raises(ValueError, match=re.escape("[3, 7]")):
         writer(docs)
-    assert writer(docs.slice(0, 0)).num_rows == 0
+    assert writer(docs.slice(0, 0)) is None
     assert glob.glob(os.path.join(out, "**", "*.parquet"), recursive=True) == []
 
 
@@ -445,6 +445,111 @@ def test_job_raises_the_file_tasks_own_error(ray_session, corpus_dir, tmp_path):
     clean = str(tmp_path / "clean")
     run_extraction_job(inp, clean, CFG)
     assert read_output(out).sort_by("url").equals(read_output(clean).sort_by("url"))
+
+
+def _listed_summary(out_dir: str) -> dict:
+    """The summary of every manifest the table lists, read back from it."""
+    return lin.summarize(lin.load_lineage(out_dir))
+
+
+def _counters(summary: dict) -> dict:
+    """A job summary without its run-specific counts of skipped and
+    written shards."""
+    return {k: v for k, v in summary.items()
+            if k not in ("resumed_shards_skipped", "new_shards_written")}
+
+
+MANY_FILES = 500
+
+
+def test_job_over_many_one_row_files(ray_session, oracle_results, tmp_path):
+    """A job over hundreds of one-row files: its rows equal the serial
+    oracle and its summary, built from the records the tasks returned,
+    equals the summary read back from the manifests. A resume after three
+    manifests are deleted re-runs exactly those three shards and returns
+    the same summary."""
+    inp, out = str(tmp_path / "in"), str(tmp_path / "out")
+    write_pages_parquet(inp, MANY_FILES, seed=42, rows_per_file=1)
+    oracle = dict(oracle_results)
+    for row in gen_pages_table(MANY_FILES - N_ROWS, seed=42, start=N_ROWS).to_pylist():
+        oracle[row["url"]] = extract_document(row["url"], row["html"], CFG)
+
+    summary = run_extraction_job(inp, out, CFG)
+    assert summary["n_shards"] == summary["new_shards_written"] == MANY_FILES
+    assert _counters(summary) == _listed_summary(out)
+    assert_matches_oracle(read_output(out), oracle)
+
+    sids = sorted(lin.completed_shards(out))
+    lost = sids[::len(sids) // 3][:3]
+    kept = {sid: os.stat(lin.manifest_path(out, sid)).st_mtime_ns
+            for sid in sids if sid not in lost}
+    for sid in lost:
+        os.remove(lin.manifest_path(out, sid))
+    resumed = run_extraction_job(inp, out, CFG, resume=True)
+    assert resumed["new_shards_written"] == 3
+    assert resumed["resumed_shards_skipped"] == MANY_FILES - 3
+    assert _counters(resumed) == _counters(summary) == _listed_summary(out)
+    assert lin.completed_shards(out).keys() == set(sids)
+    assert {sid: os.stat(lin.manifest_path(out, sid)).st_mtime_ns
+            for sid in kept} == kept
+
+
+def test_collect_waits_linearly_in_the_number_of_files(ray_session, monkeypatch):
+    """The driver collects the file tasks with batched waits: over 2,000
+    ready results it passes at most two refs per file to ``ray.wait`` (one
+    wait per file would pass n(n+1)/2), and it returns each task's result
+    in file order. The tasks are stubbed by stored objects, so no task
+    process starts."""
+    import ray
+
+    from service1_text_extraction_ray.pipelines import extract_pipeline
+
+    class StoredResult:
+        @staticmethod
+        def remote(task_ref, path):
+            return ray.put({"path": path})
+
+    n_refs = []
+    wait = ray.wait
+
+    def counting_wait(refs, *args, **kwargs):
+        n_refs.append(len(refs))
+        return wait(refs, *args, **kwargs)
+
+    monkeypatch.setattr(extract_pipeline, "_run_file_task", StoredResult)
+    monkeypatch.setattr(ray, "wait", counting_wait)
+    files = [f"pages-{i:05d}.parquet" for i in range(2000)]
+    results = extract_pipeline._run_file_tasks(files, "task")
+    assert results == [{"path": f} for f in files]
+    assert sum(n_refs) <= 2 * len(files)
+
+
+def test_resume_summary_leaves_out_an_invalid_shard_of_a_file_not_in_the_run(
+        corpus_dir, tmp_path):
+    """On resume the summary sums the manifests that validated and the
+    records the tasks returned. A listed manifest whose part lost a row
+    fails validation; when its file is not in the resumed run, no task
+    rewrites it and the summary leaves it out, since none of its rows can
+    be read through it."""
+    from service1_text_extraction_ray.pipelines.extract_pipeline import ExtractFile
+    from service1_text_extraction_ray.sources.pages_source import list_input_files
+
+    out = str(tmp_path / "out")
+    files = list_input_files(corpus_dir)
+    recs = {rec["shard_id"]: rec for rec in map(ExtractFile(out, CFG), files)}
+    victim = sorted(recs)[0]
+    part = os.path.join(lin.shard_data_dir(out, victim), recs[victim]["parts"][0])
+    pq.write_table(pq.read_table(part).slice(1), part)
+    assert victim not in lin.completed_shards(out)
+
+    rest = [f for f in files if stable_shard_id(f) != victim]
+    summary = run_extraction_job(rest, out, CFG, resume=True)
+    assert summary["resumed_shards_skipped"] == len(rest)
+    assert summary["new_shards_written"] == 0
+    assert _counters(summary) == lin.summarize(
+        [recs[sid] for sid in sorted(recs) if sid != victim])
+    assert summary["n_docs"] == N_ROWS - recs[victim]["n_docs"]
+    assert len(lin.load_lineage(out)) == len(files)
 
 
 @pytest.mark.parametrize("case", ["empty", "missing", "not_a_shard", "missing_file_arg"])
@@ -692,7 +797,7 @@ class TestCompaction:
 
         ddir = L.shard_data_dir(out, 3)
         assert sorted(os.listdir(ddir)) == sorted(after["parts"])
-        assert L.completed_shards(out) == {3}
+        assert L.completed_shards(out).keys() == {3}
         t = L.read_shard(out, 3)
         assert t.num_rows == 15
         assert sorted(t["url"].to_pylist()) == sorted(
