@@ -14,7 +14,7 @@ Replaces the reference's FastAPI/Postgres/asyncio plumbing
                                             #   addressed part + the shard
                                             #   manifest, or a merge into
                                             #   the shard: NO shuffle
-      -> one batched ray.wait               # gathers each commit's record;
+      -> one ray.get of every task          # gathers each commit's record;
                                             #   the job summary is their sum
 
 Both entry points run this one fan-out (``_run_file_tasks``) and differ
@@ -262,13 +262,6 @@ def _check_distinct_shards(files: list) -> None:
         )
 
 
-# How long one wait of the collect blocks. It waits for every pending task,
-# so on success it returns when the last one ends; the timeout only bounds
-# how late a failure is noticed. A wait costs ~1-3 us per pending ref (8,000
-# queued refs, 1 vCPU: 7-26 ms), so the driver stays mostly idle at 10^5.
-COLLECT_WAIT_S = 1.0
-
-
 @ray.remote(max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError],
             scheduling_strategy="DEFAULT")
 def _run_file_task(task: ExtractFile, path: str) -> Optional[dict]:
@@ -282,38 +275,32 @@ def _run_file_tasks(files: list, task: ExtractFile) -> list:
     Each task committed its own shard.
 
     The task object is stored once (``ray.put``) and every file's task
-    reads it. One ``ray.wait`` for all pending tasks, repeated every
-    ``COLLECT_WAIT_S``, collects them and each result is fetched once: n
-    files cost O(n) driver work. Retries follow the policy Ray Data gives
-    its tasks: a task whose worker dies, or that raises
-    ``RaySystemError``, is retried without limit; an error of the task's
-    own code is never retried. On the first error, the tasks still pending
-    are cancelled and waited for, so none of them writes after this
-    raises, and a task's error is raised as the task raised it (a
-    ``ValueError`` naming an unreadable file stays one). The cancel kills
-    a running task's worker, as a crash would: an interrupt instead can
-    land inside an import, and the worker, reused by the next job, then
-    fails to import that module."""
+    reads it. One ``ray.get`` of all the tasks' refs collects their
+    results: it returns when the last task ends, or raises as soon as one
+    has failed (the first failed one in file order, when several have), so
+    the driver's work is one call over n refs however the tasks finish.
+    Retries follow the policy Ray Data gives its tasks: a task whose worker
+    dies, or that raises ``RaySystemError``, is retried without limit; an
+    error of the task's own code is never retried. On the first error,
+    every task is cancelled (a finished one is left as it is) and waited
+    for, so none of them writes after this raises, and a task's error is
+    raised as the task raised it (a ``ValueError`` naming an unreadable
+    file stays one). The cancel kills a running task's worker, as a crash
+    would: an interrupt instead can land inside an import, and the worker,
+    reused by the next job, then fails to import that module."""
     if not files:
         return []
     task_ref = ray.put(task)
     refs = [_run_file_task.remote(task_ref, f) for f in files]
-    results: dict = {}
-    pending = refs
     try:
-        while pending:
-            done, pending = ray.wait(pending, num_returns=len(pending),
-                                     timeout=COLLECT_WAIT_S)
-            results.update(zip(done, ray.get(done)))
+        return ray.get(refs)
     except BaseException as e:
-        for ref in pending:
+        for ref in refs:
             ray.cancel(ref, force=True)
-        if pending:
-            ray.wait(pending, num_returns=len(pending))
+        ray.wait(refs, num_returns=len(refs))
         if isinstance(e, ray.exceptions.RayTaskError):
             raise e.cause from e
         raise
-    return [results[ref] for ref in refs]
 
 
 def run_extraction_job(
@@ -329,7 +316,9 @@ def run_extraction_job(
     its shard. Returns the job summary: ``lin.summarize`` of the manifest
     records the tasks returned, plus, on resume, the validated manifests
     of the shards it skipped (``lin.completed_shards``); it reads no
-    manifest after the tasks finish. ``tolerant_warc=True``
+    manifest after the tasks finish, so a listed manifest that fails
+    validation and whose file is not in the input is left out of the
+    summary, though ``lin.read_all`` still reads it. ``tolerant_warc=True``
     reads WARC inputs in salvage mode (``read_warc_file``): damaged
     members and records cost their pages, not the shard. An empty file
     list, a path that is not an existing shard file

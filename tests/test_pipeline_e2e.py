@@ -490,12 +490,12 @@ def test_job_over_many_one_row_files(ray_session, oracle_results, tmp_path):
             for sid in kept} == kept
 
 
-def test_collect_waits_linearly_in_the_number_of_files(ray_session, monkeypatch):
-    """The driver collects the file tasks with batched waits: over 2,000
-    ready results it passes at most two refs per file to ``ray.wait`` (one
-    wait per file would pass n(n+1)/2), and it returns each task's result
-    in file order. The tasks are stubbed by stored objects, so no task
-    process starts."""
+def test_collect_is_linear_in_the_number_of_files(ray_session, monkeypatch):
+    """The driver collects the file tasks with one batched call: over
+    2,000 results it passes at most two refs per file to ``ray.get`` and
+    ``ray.wait`` together (one wait per file would pass n(n+1)/2), and it
+    returns each task's result in file order. The tasks are stubbed by
+    stored objects, so no task process starts."""
     import ray
 
     from service1_text_extraction_ray.pipelines import extract_pipeline
@@ -506,18 +506,54 @@ def test_collect_waits_linearly_in_the_number_of_files(ray_session, monkeypatch)
             return ray.put({"path": path})
 
     n_refs = []
-    wait = ray.wait
 
-    def counting_wait(refs, *args, **kwargs):
-        n_refs.append(len(refs))
-        return wait(refs, *args, **kwargs)
+    def counting(call):
+        def counted(refs, *args, **kwargs):
+            n_refs.append(len(refs) if isinstance(refs, list) else 1)
+            return call(refs, *args, **kwargs)
+        return counted
 
     monkeypatch.setattr(extract_pipeline, "_run_file_task", StoredResult)
-    monkeypatch.setattr(ray, "wait", counting_wait)
+    monkeypatch.setattr(ray, "get", counting(ray.get))
+    monkeypatch.setattr(ray, "wait", counting(ray.wait))
     files = [f"pages-{i:05d}.parquet" for i in range(2000)]
     results = extract_pipeline._run_file_tasks(files, "task")
     assert results == [{"path": f} for f in files]
     assert sum(n_refs) <= 2 * len(files)
+
+
+def test_collect_raises_the_first_error_without_waiting_for_the_rest(
+        ray_session, monkeypatch):
+    """A failed task fails the collect as soon as it ends, with its own
+    error, while an earlier file's task is still running; that task is
+    cancelled before the collect raises."""
+    import time
+
+    import ray
+
+    from service1_text_extraction_ray.pipelines import extract_pipeline
+
+    @ray.remote
+    def stub(path):
+        if path == "bad.parquet":
+            raise ValueError(f"cannot read input file {path}")
+        time.sleep(120)
+
+    refs = []
+
+    class StubTask:
+        @staticmethod
+        def remote(task_ref, path):
+            refs.append(stub.remote(path))
+            return refs[-1]
+
+    monkeypatch.setattr(extract_pipeline, "_run_file_task", StubTask)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="cannot read input file bad.parquet"):
+        extract_pipeline._run_file_tasks(["slow.parquet", "bad.parquet"], "task")
+    assert time.monotonic() - start < 60
+    with pytest.raises(ray.exceptions.TaskCancelledError):
+        ray.get(refs[0], timeout=0)
 
 
 def test_resume_summary_leaves_out_an_invalid_shard_of_a_file_not_in_the_run(
@@ -525,8 +561,9 @@ def test_resume_summary_leaves_out_an_invalid_shard_of_a_file_not_in_the_run(
     """On resume the summary sums the manifests that validated and the
     records the tasks returned. A listed manifest whose part lost a row
     fails validation; when its file is not in the resumed run, no task
-    rewrites it and the summary leaves it out, since none of its rows can
-    be read through it."""
+    rewrites it and the summary leaves it out. The shard stays listed, so
+    ``read_all`` still returns the rows its part kept: the summary then
+    counts fewer docs than the table holds."""
     from service1_text_extraction_ray.pipelines.extract_pipeline import ExtractFile
     from service1_text_extraction_ray.sources.pages_source import list_input_files
 
@@ -546,6 +583,7 @@ def test_resume_summary_leaves_out_an_invalid_shard_of_a_file_not_in_the_run(
         [recs[sid] for sid in sorted(recs) if sid != victim])
     assert summary["n_docs"] == N_ROWS - recs[victim]["n_docs"]
     assert len(lin.load_lineage(out)) == len(files)
+    assert lin.read_all(out).num_rows == N_ROWS - 1
 
 
 @pytest.mark.parametrize("case", ["empty", "missing", "not_a_shard", "missing_file_arg"])
