@@ -152,7 +152,10 @@ def _scanned_extraction(sf_dir: str) -> rd.Dataset:
             .map_batches(ExtractDocuments(cfg), batch_format="pyarrow")
             .materialize()
         )
-        _SCANNED_EXTRACTION_CACHE.clear()  # dead-session entries
+        # Drop dead sessions' entries only: another sf_dir of this session
+        # stays cached.
+        for stale in [k for k in _SCANNED_EXTRACTION_CACHE if k[0] != session]:
+            del _SCANNED_EXTRACTION_CACHE[stale]
         _SCANNED_EXTRACTION_CACHE[key] = ds
     return ds
 

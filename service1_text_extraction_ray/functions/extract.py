@@ -25,14 +25,13 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, List, Optional
 
-# html_layout is not called here (html_layout_json writes the same JSON);
+# html_layout is not called here (a DOM page stores its block tags);
 # extraction_bench/replay.py still wraps this module's name for its trace.
 from .html_extract import (
     decode_payload,
     dump_layout,
     extract_html_text,
     html_layout,
-    html_layout_json,
 )
 from .ocr import OCR_BACKENDS, get_ocr_backend, ocr_page
 from .page_render import OCR_SCALE, rasterize_page, write_gray_png_array
@@ -43,7 +42,7 @@ from .passwords import (
     password_candidates,
     url_host,
 )
-from .pdf_extract import PdfParseError, open_pdf
+from .pdf_extract import PdfParseError, layout_spans, open_pdf
 from .quality import MIN_TEXT_LENGTH, is_garbage_text
 from .render import combine_pages, page_markdown
 from .feeds import parse_feed
@@ -73,7 +72,8 @@ class ExtractConfig:
     # (counted, never crashed on).
     max_payload_bytes: int = 1_048_576
 
-    # Whether to serialize the layout tree per page (JSON string column).
+    # Whether to keep each page's layout tree (a DOM page's block tags, a
+    # PDF page's span columns, any other page's JSON; see _page_row).
     emit_layout: bool = True
 
     # Password book for encrypted PDFs (reference A2/J2: the candidate chain
@@ -126,9 +126,8 @@ def _extract_html(url: str, payload: bytes, cfg: ExtractConfig) -> Dict[str, Any
     try:
         text, kept = extract_html_text(payload)
         if gate_page_text(text, cfg.min_text_length):
-            layout = (html_layout_json(text, " ".join(b.tag for b in kept))
-                      if cfg.emit_layout else "")
-            pages.append(_page_row(1, METHOD_DOM, text.strip(), layout))
+            tags = " ".join(b.tag for b in kept) if cfg.emit_layout else None
+            pages.append(_page_row(1, METHOD_DOM, text.strip(), layout_tags=tags))
         else:
             # Gate failed, no OCR backend: reference no-tesseract branch.
             pages.append(_page_row(1, METHOD_FAILED, ""))
@@ -191,8 +190,10 @@ def _extract_pdf(url: str, payload: bytes, cfg: ExtractConfig) -> Dict[str, Any]
         parsed = doc.extract_pages(max_pages=cfg.max_pages)
         for idx, page in enumerate(parsed, start=1):
             if gate_page_text(page.text, cfg.min_text_length):
-                layout = dump_layout(page.layout) if cfg.emit_layout else ""
-                pages.append(_page_row(idx, METHOD_PDF, page.text.strip(), layout))
+                text = page.text.strip()
+                spans = layout_spans(text, page.layout) if cfg.emit_layout else None
+                layout = dump_layout(page.layout) if cfg.emit_layout and spans is None else ""
+                pages.append(_page_row(idx, METHOD_PDF, text, layout, layout_spans=spans))
             else:
                 row = _ocr_pdf_page(idx, page, cfg) if cfg.ocr_backend else None
                 pages.append(row or _page_row(idx, METHOD_FAILED, ""))
@@ -268,6 +269,9 @@ def _extract_feed(url: str, payload: bytes, cfg: ExtractConfig) -> Dict[str, Any
 # ``(url, payload, cfg) -> partial result dict`` with optional keys
 # {pages, status, error, password_required, password_used, attempts_made};
 # extract_document fills the defaults and derives the doc-level columns.
+# A page (``_page_row``) may carry ``layout_tags`` or ``layout_spans`` in
+# place of ``layout_json``, as the built-in DOM and PDF pages do; the
+# readers rebuild the JSON (``lineage.doc_view``).
 EXTRACTORS: Dict[str, Any] = {
     KIND_HTML: _extract_html,
     KIND_PDF: _extract_pdf,
@@ -283,7 +287,8 @@ def extract_document(
 
     ``{status, content_kind, truncated, n_pages, n_pages_ok, doc_text,
     doc_chars, error, password_required, password_used, attempts_made,
-    pages: [{page, method, text, page_md, n_chars, layout_json}]}``
+    pages: [{page, method, text, page_md, n_chars, layout_json,
+    layout_tags, layout_spans}]}`` (``_page_row``)
     """
     kind = sniff_payload(payload)
     truncated = False
@@ -320,16 +325,23 @@ def extract_document(
     }
 
 
-def _page_row(page: int, method: str, text: str, layout_json: str = "") -> Dict[str, Any]:
-    """One page row; ``layout_json`` is the page's serialized layout
-    (``dump_layout``, or ``html_layout_json`` for a DOM page)."""
+def _page_row(page: int, method: str, text: str, layout_json: str = "",
+              layout_tags: Optional[str] = None,
+              layout_spans: Optional[str] = None) -> Dict[str, Any]:
+    """One page row. Its layout is ``layout_json`` (``dump_layout``; ``""``
+    for none), or, in its place (``layout_json`` None), a DOM page's block
+    tags space-joined (``layout_tags``) or a PDF page's span columns
+    (``layout_spans``, ``pdf_extract.layout_spans``)."""
+    stored = layout_tags is not None or layout_spans is not None
     return {
         "page": page,
         "method": method,
         "text": text,
         "page_md": page_markdown(page, method, text),
         "n_chars": len(text),
-        "layout_json": layout_json,
+        "layout_json": None if stored else layout_json,
+        "layout_tags": layout_tags,
+        "layout_spans": layout_spans,
     }
 
 

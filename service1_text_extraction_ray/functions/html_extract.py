@@ -320,32 +320,20 @@ def html_layout(kept_blocks: List[Block]) -> dict:
 
 def dump_layout(layout: Optional[dict]) -> str:
     """A page's ``layout_json``: the layout tree as compact, key-sorted
-    JSON, or ``""`` when there is none. A DOM page's layout is written by
-    ``html_layout_json`` instead, which the tests hold to this byte for
+    JSON, or ``""`` when there is none. A DOM or PDF page's layout is
+    stored in a compact form instead and rebuilt by ``html_layout_json`` or
+    ``pdf_extract.pdf_layout_json``, which the tests hold to this byte for
     byte."""
     return json.dumps(layout, sort_keys=True, separators=(",", ":")) if layout else ""
 
 
-# A span's font key as ``dump_layout`` writes it. A quote inside a JSON
-# string is escaped, so block text can never produce this match.
-_FONT_TAG_RE = re.compile(r'"font":"html:([^"\\]*)"')
-
-
-def html_layout_tags(layout_json: str) -> str:
-    """The block tags of an ``html_layout`` JSON in block order, space-joined
-    (``"h1 p p"``): all of the layout that its page text does not hold."""
-    return " ".join(_FONT_TAG_RE.findall(layout_json))
-
-
 def html_layout_json(text: str, tags: str) -> str:
     """A DOM page's ``layout_json`` from its text (the kept blocks joined by
-    blank lines) and its ``html_layout_tags``: ``dump_layout(html_layout(
-    blocks))`` written directly, one f-string per block in its sorted key
-    order, with json's own string escaping and float ``repr``. Extraction
-    writes the page's layout through here and the part readers rebuild it
-    through here. Exact only when the page's layout came from
-    ``html_layout`` of those blocks; callers that store the tags instead
-    of the JSON check the rebuild first."""
+    blank lines) and its ``layout_tags`` (the blocks' tags, space-joined):
+    ``dump_layout(html_layout(blocks))`` written directly, one f-string per
+    block in its sorted key order, with json's own string escaping and
+    float ``repr``. The built-in HTML extractor stores a DOM page's layout
+    as those tags, and the readers rebuild its JSON through here."""
     blocks = []
     for i, (block, tag) in enumerate(zip(text.split("\n\n"), tags.split(" "))):
         y0 = round(i * _LINE_HEIGHT, 2)

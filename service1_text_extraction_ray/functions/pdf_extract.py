@@ -74,6 +74,7 @@ reference's layout-recreation thresholds (``core_pdf_processor.py:709-781``).
 from __future__ import annotations
 
 import json
+import math
 import re
 import zlib
 from dataclasses import dataclass, field
@@ -1595,68 +1596,50 @@ def _assemble_page(
 # Stored layout: a page's layout tree without the text its page holds
 # --------------------------------------------------------------------------
 
-# A ``dump_layout`` page layout, its keys sorted: the blocks' JSON, then
-# height, rotation and width as raw JSON tokens.
-_LAYOUT_PAGE_RE = re.compile(
-    r'\{"blocks":\[(.*)\],"height":([^,]*),"rotation":([^,]*),"width":([^,{}]*)\}',
-    re.S)
-_JSON_STR = r'"[^"\\]*(?:\\.[^"\\]*)*"'
-# One span of it: its bbox, flags, font, size and text tokens, then the
-# ``]}`` that close its line and, after a block's last line, its block.
-_LAYOUT_SPAN_RE = re.compile(
-    r'\{"bbox":\[([^\]]*)\],"flags":([^,]*),"font":(' + _JSON_STR
-    + r'),"size":([^,]*),"text":(' + _JSON_STR + r')\}((?:\]\}){0,2})')
-_SPAN_ENDS = {"": "0", "]}": "1", "]}]}": "2"}
+def layout_spans(text: str, layout: Dict[str, Any]) -> Optional[str]:
+    """A PDF page's ``layout_spans``: its layout tree (``_assemble_page``)
+    without the text that ``text`` (the page's stored, stripped text)
+    already holds, or None where the page keeps its ``dump_layout`` JSON:
+    a span whose text is not in ``text`` (the strip cut it), or a number
+    that is not finite (``dump_layout`` writes ``NaN`` and ``Infinity``,
+    which no float ``repr`` gives back). ``pdf_layout_json`` rebuilds the
+    JSON from it byte for byte (the tests hold the two to that).
 
-
-def pdf_layout_spans(text: str, layout_json: str) -> Optional[str]:
-    """A page's ``layout_json`` stored without the text that ``text`` (the
-    page's stored text) already holds, or None where ``pdf_layout_json``
-    would not give back ``layout_json`` byte for byte: a string that is
-    not JSON or not a PDF layout tree, a span whose text is not in
-    ``text``, or any other layout.
-
-    The stored form is one JSON object of per-span columns, in reading
-    order: ``gap`` (where the span's text starts in ``text``, counted from
-    the previous span's end) and ``len`` (its length) in place of the text;
-    ``end``, 1 after the last span of a line and 2 after the last of a
-    block, else 0, in place of the line and block bboxes, which are the
-    unions of their spans'; ``bbox`` (four values a span), ``font``,
-    ``size`` and ``flags`` as they were; and the page's ``width``,
-    ``height`` and ``rotation``. Every value keeps its JSON token. The
-    layout is read with regexes, not parsed; the rebuild check makes any
-    misreading keep the JSON."""
-    page = _LAYOUT_PAGE_RE.fullmatch(layout_json)
-    if page is None:
-        return None
-    spans = _LAYOUT_SPAN_RE.findall(layout_json, page.start(1), page.end(1))
-    bbox, flags, font, size, texts, ends = zip(*spans) if spans else ((),) * 6
-    gaps, lens = [], []
+    One JSON object of per-span columns, in reading order: ``gap`` (where
+    the span's text starts in ``text``, counted from the previous span's
+    end) and ``len`` (its length) in place of the text; ``end``, 1 after
+    the last span of a line and 2 after the last of a block, else 0, in
+    place of the line and block bboxes, which are the unions of their
+    spans'; ``bbox`` (four values a span), ``font``, ``size`` and
+    ``flags`` as ``dump_layout`` writes them; and the page's ``width``,
+    ``height`` and ``rotation``."""
+    spans, ends, gaps, lens = [], [], [], []
+    for block in layout["blocks"]:
+        for line in block["lines"]:
+            spans += line["spans"]
+            ends += [0] * (len(line["spans"]) - 1) + [1]
+        ends[-1] = 2
     end = 0
-    try:
-        for token in texts:
-            span = token[1:-1]
-            if "\\" in span:
-                span = json.loads(token)
-            at = text.find(span, end)
-            if at < 0:
-                return None
-            gaps.append(at - end)
-            lens.append(len(span))
-            end = at + len(span)
-        height, rotation, width = page.group(2, 3, 4)
-        j = ",".join
-        stored = (
-            f'{{"bbox":[{j(bbox)}],"end":[{j(map(_SPAN_ENDS.get, ends))}],'
-            f'"flags":[{j(flags)}],"font":[{j(font)}],"gap":[{j(map(str, gaps))}],'
-            f'"height":{height},"len":[{j(map(str, lens))}],"rotation":{rotation},'
-            f'"size":[{j(size)}],"width":{width}}}'
-        )
-        if pdf_layout_json(text, stored) == layout_json:
-            return stored
-    except (ValueError, TypeError, RecursionError):  # tokens that are not JSON
-        pass
-    return None
+    for span in spans:
+        at = text.find(span["text"], end)
+        if at < 0:
+            return None
+        gaps.append(at - end)
+        lens.append(len(span["text"]))
+        end = at + len(span["text"])
+    bbox = [v for span in spans for v in span["bbox"]]
+    size = [span["size"] for span in spans]
+    height, width = layout["height"], layout["width"]
+    if not all(map(math.isfinite, [*bbox, *size, height, width])):
+        return None
+    j = ",".join
+    return (
+        f'{{"bbox":[{j(map(repr, bbox))}],"end":[{j(map(str, ends))}],'
+        f'"flags":[{j(repr(span["flags"]) for span in spans)}],'
+        f'"font":[{j(_json_str(span["font"]) for span in spans)}],'
+        f'"gap":[{j(map(str, gaps))}],"height":{height!r},"len":[{j(map(str, lens))}],'
+        f'"rotation":{layout["rotation"]!r},"size":[{j(map(repr, size))}],"width":{width!r}}}'
+    )
 
 
 def _bbox_json(bbox) -> str:
@@ -1665,7 +1648,7 @@ def _bbox_json(bbox) -> str:
 
 def pdf_layout_json(text: str, spans: str) -> str:
     """A page's ``layout_json`` from its stored text and its
-    ``pdf_layout_spans``: ``dump_layout`` of the layout tree, written
+    ``layout_spans``: ``dump_layout`` of the layout tree, written
     directly. Each span's text is its slice of ``text``; each line's bbox
     is the ``_union_bbox`` of its spans', each block's of its lines'.
     Floats are written by ``repr`` and strings by json's escaping, as

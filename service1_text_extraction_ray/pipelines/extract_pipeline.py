@@ -55,7 +55,8 @@ Design notes (SURVEY.md §4.2):
   dispatches on, so a row is stored as the kind it was parsed as.
 - **No-write mode** (``extract_dataset`` over ``read_pages`` /
   ``read_pages_warc``): ``sniff_table`` and ``ExtractDocuments`` as a
-  doc-grain Dataset, for callers that want to keep composing.
+  doc-grain Dataset of DOC_SCHEMA rows (``lin.doc_view``), for callers
+  that want to keep composing.
 """
 
 from __future__ import annotations
@@ -111,7 +112,9 @@ def _default_pool_size() -> tuple:
 
 
 def extract_dataset(ds: rd.Dataset, cfg: Optional[ExtractConfig] = None) -> rd.Dataset:
-    """``sniff_table`` + ``ExtractDocuments``, both as plain Ray Data tasks.
+    """``sniff_table`` + ``ExtractDocuments``, both as plain Ray Data tasks,
+    the stage's output turned into DOC_SCHEMA rows (``lin.doc_view``, which
+    builds each stored layout's JSON) in the same task.
 
     Returns the doc-grain Dataset (DOC_SCHEMA) without writing — fully lazy.
     Resume happens upstream, by pruning completed files from the read list
@@ -123,8 +126,9 @@ def extract_dataset(ds: rd.Dataset, cfg: Optional[ExtractConfig] = None) -> rd.D
         batch_format="pyarrow",
         fn_kwargs={"size_bucket_edges": cfg.size_bucket_edges},
     )
+    extract = ExtractDocuments(cfg)
     return ds.map_batches(
-        ExtractDocuments(cfg),
+        lambda batch: lin.doc_view(extract(batch)),
         batch_format="pyarrow",
         batch_size=PARSE_BATCH_SIZE,
         zero_copy_batch=True,
@@ -316,9 +320,11 @@ def run_extraction_job(
     its shard. Returns the job summary: ``lin.summarize`` of the manifest
     records the tasks returned, plus, on resume, the validated manifests
     of the shards it skipped (``lin.completed_shards``); it reads no
-    manifest after the tasks finish, so a listed manifest that fails
-    validation and whose file is not in the input is left out of the
-    summary, though ``lin.read_all`` still reads it. ``tolerant_warc=True``
+    manifest after the tasks finish. A resume refuses, with ValueError and
+    before anything is purged or runs, a table that lists a manifest which
+    fails validation when that shard's file is not in the input: the
+    summary could not count it, though ``lin.read_all`` still reads it.
+    ``tolerant_warc=True``
     reads WARC inputs in salvage mode (``read_warc_file``): damaged
     members and records cost their pages, not the shard. An empty file
     list, a path that is not an existing shard file
@@ -337,6 +343,16 @@ def run_extraction_job(
     done: dict = {}
     if resume:
         done = lin.completed_shards(out_dir)
+        # A listed shard that fails validation and that no task of this
+        # run rewrites: the summary could not count the rows read_all reads.
+        sids = done.keys() | {stable_shard_id(f) for f in files}
+        bad = [f"shard {r['shard_id']} ({lin.manifest_path(out_dir, r['shard_id'])})"
+               for r in lin.load_lineage(out_dir) if r["shard_id"] not in sids]
+        if bad:
+            raise ValueError(
+                "cannot resume: these shards' parts no longer match their "
+                f"manifests and their input files are not in this run: {bad}. "
+                "A fresh run, or a resume that includes their files, repairs them.")
         kept = [f for f in files if stable_shard_id(f) not in done]
         skipped = len(files) - len(kept)
         files = kept

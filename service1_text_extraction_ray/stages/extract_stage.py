@@ -4,11 +4,17 @@ The parse stage is a *callable class*. The extraction job calls its
 instance on slices of a file inside that file's plain Ray task
 (``extract_pipeline.ExtractFile``, which ``_run_file_tasks`` submits);
 the no-write Dataset API runs it as Ray Data tasks
-(``ds.map_batches(ExtractDocuments(cfg), batch_size=...)``). It
-holds only the frozen config, which ships with every task, and keeps no
-state between documents; the parser modules compile their regexes and
-dispatch tables at import time, once per worker process. Each ``__call__``
-maps one Arrow batch of documents to one DOC_SCHEMA table.
+(``extract_pipeline.extract_dataset``). It holds only the frozen config,
+which ships with every task, and keeps no state between documents; the
+parser modules compile their regexes and dispatch tables at import time,
+once per worker process. Each ``__call__`` maps one Arrow batch of
+documents to one STAGE_SCHEMA table.
+
+STAGE_SCHEMA is DOC_SCHEMA whose pages also carry ``layout_tags`` (a DOM
+page's block tags) and ``layout_spans`` (a PDF page's span columns), each
+in place of a null ``layout_json`` (``extract._page_row``): the form a part
+stores, so the writer builds no JSON. ``lineage.doc_view`` gives DOC_SCHEMA
+rows back.
 
 Batches enter as zero-copy Arrow tables; the per-document parse is per-row
 Python by nature (it IS the workload — a DOM/content-stream parse per
@@ -27,24 +33,19 @@ from typing import Optional
 import pyarrow as pa
 
 from ..functions.extract import ExtractConfig, doc_content_hash, extract_document
+from ..functions.html_extract import html_layout_json
+from ..functions.pdf_extract import pdf_layout_json
 
-# Arrow schema of the doc-grain extraction output (page rows nested so no
+# One page row of the doc-grain extraction output (page rows nested so no
 # shuffle is needed to recover either grain).
-PAGES_FIELD = pa.field(
-    "pages",
-    pa.list_(
-        pa.struct(
-            [
-                ("page", pa.int32()),
-                ("method", pa.string()),
-                ("text", pa.string()),
-                ("page_md", pa.string()),
-                ("n_chars", pa.int32()),
-                ("layout_json", pa.string()),
-            ]
-        )
-    ),
-)
+_PAGE_FIELDS = [("page", pa.int32()), ("method", pa.string()), ("text", pa.string()),
+                ("page_md", pa.string()), ("n_chars", pa.int32()), ("layout_json", pa.string())]
+PAGES_FIELD = pa.field("pages", pa.list_(pa.struct(_PAGE_FIELDS)))
+
+# Each page field a layout is stored in instead of ``layout_json`` (in the
+# order a part holds them after it), with the function that rebuilds
+# ``layout_json`` from the page's text and the field.
+STORED_LAYOUTS = {"layout_tags": html_layout_json, "layout_spans": pdf_layout_json}
 
 DOC_SCHEMA = pa.schema(
     [
@@ -71,16 +72,23 @@ DOC_SCHEMA = pa.schema(
 )
 
 
-# DOC_SCHEMA's first seven columns (url ... content_kind) pass through from
-# the sniffed batch; the parse fills the rest from extract_document's rows.
-_PASSTHROUGH = DOC_SCHEMA.names[:7]
-_PARSED_SCHEMA = pa.schema([DOC_SCHEMA.field(n) for n in DOC_SCHEMA.names[7:]])
+# The parse stage's output (module docstring).
+STAGE_SCHEMA = DOC_SCHEMA.set(
+    DOC_SCHEMA.get_field_index("pages"),
+    pa.field("pages", pa.list_(pa.struct(
+        _PAGE_FIELDS + [(name, pa.string()) for name in STORED_LAYOUTS]))),
+)
+
+# The first seven columns (url ... content_kind) pass through from the
+# sniffed batch; the parse fills the rest from extract_document's rows.
+_PASSTHROUGH = STAGE_SCHEMA.names[:7]
+_PARSED_SCHEMA = pa.schema([STAGE_SCHEMA.field(n) for n in STAGE_SCHEMA.names[7:]])
 
 
 class ExtractDocuments:
     """Parse stage, run as plain tasks: one Arrow batch of sniffed documents
-    in, one doc-grain extraction table out (DOC_SCHEMA). A stateless map of
-    each row's (url, payload) under the frozen config."""
+    in, one doc-grain extraction table out (STAGE_SCHEMA). A stateless map
+    of each row's (url, payload) under the frozen config."""
 
     def __init__(self, cfg: Optional[ExtractConfig] = None) -> None:
         self.cfg = cfg or ExtractConfig()
@@ -94,12 +102,14 @@ class ExtractDocuments:
             rows.append(res)
         parsed = pa.Table.from_pylist(rows, schema=_PARSED_SCHEMA)
         return pa.Table.from_arrays(
-            batch.select(_PASSTHROUGH).columns + parsed.columns, schema=DOC_SCHEMA
+            batch.select(_PASSTHROUGH).columns + parsed.columns, schema=STAGE_SCHEMA
         )
 
 
 def explode_pages(batch: pa.Table) -> pa.Table:
-    """Doc-grain -> page-grain flat view (no shuffle; pure batch transform).
+    """Doc-grain -> page-grain flat view (no shuffle; pure batch transform)
+    of DOC_SCHEMA rows (on STAGE_SCHEMA rows, a page whose layout is
+    stored has a null ``layout_json``).
 
     Output row per (url, page): the per-page golden surfaces
     (``extracted_text``, ``page_md``) plus doc metadata.

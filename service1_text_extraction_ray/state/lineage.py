@@ -51,31 +51,31 @@ Page text is stored once. A part holds every DOC_SCHEMA column except
 of each page's ``(page, method, text)`` (``functions/render.py``), so
 ``write_part`` leaves them out and the public readers (``read_shard``,
 ``read_all``, ``read_snapshot``) rebuild them, returning DOC_SCHEMA rows.
-A page's layout is stored without what its text holds, in one of two
-``pages`` fields, with ``layout_json`` null; the readers rebuild the JSON
-from the page text and the field (``_STORED_LAYOUTS``):
+A page's layout is stored as the extractor gave it
+(``extract_stage.STAGE_SCHEMA``). The built-in extractors give a DOM or
+PDF page's layout without what its text holds, in one of two ``pages``
+fields, with ``layout_json`` null, and the readers rebuild the JSON from
+the page text and the field (``doc_view``, through ``STORED_LAYOUTS``):
 
-- ``layout_tags``, for a DOM page. ``html_layout`` repeats each kept
-  block's text and derives its bboxes from the block index, so the part
-  stores only the block tags, space-joined (``html_layout_tags``;
-  rebuilt by ``html_layout_json``).
-- ``layout_spans``, for any other page (a PDF page, an OCR page). A PDF
-  layout repeats each span's text, and each line and block bbox is the
-  union of its spans', so the part stores per-span columns with each text
-  as its offset and length in the page text and with no line or block
-  bbox (``pdf_layout_spans``; rebuilt by ``pdf_layout_json``).
+- ``layout_tags``, for a DOM page: ``html_layout`` repeats each kept
+  block's text and derives its bboxes from the block index, so the page
+  holds only the block tags, space-joined.
+- ``layout_spans``, for a PDF page: a PDF layout repeats each span's text,
+  and each line and block bbox is the union of its spans', so the page
+  holds per-span columns with each text as its offset and length in the
+  page text and no line or block bbox (``pdf_extract.layout_spans``).
 
-The writer stores either form only where that rebuild gives back the JSON
-byte for byte; every other page (an OCR tree, a DOM layout from another
-extractor, a span text the stripped page text lost) keeps its
-``layout_json``. A part where no page uses a field has no such field at
-all, so a part with neither (no layout, or only such pages) is written
-exactly as before the fields existed. Only tables with a ``pages`` column
-are stored this way; others are stored as given. A part that still holds
+Every other page keeps its ``layout_json``: an OCR page, a PDF page whose
+span text the stripped page text lost, a page of another extractor, and
+every page of DOC_SCHEMA rows (``read_all`` output passed to
+``upsert_shard``). The writer converts nothing, and a part where no page
+uses a field has no such field, so a part with neither is written exactly
+as before the fields existed. Only tables with a ``pages`` column are
+stored this way; others are stored as given. A part that still holds
 ``doc_text`` (written before text was stored once) or lacks either field
 is read as it is, so every form mixes freely in one shard and
 ``LINEAGE_VERSION`` did not change. Merges (``upsert_shard``,
-``compact_shard``, ``delete_rows``) work on the stored layout and never
+``compact_shard``, ``delete_rows``) keep each page's form and never
 rebuild the text or the layouts.
 
 Lineage alone encodes a part file: ``_encode_part`` writes it as Parquet
@@ -99,10 +99,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..functions.extract import METHOD_DOM
-from ..functions.html_extract import html_layout_json, html_layout_tags
-from ..functions.pdf_extract import pdf_layout_json, pdf_layout_spans
 from ..functions.render import combine_pages, page_markdown
+from ..stages.extract_stage import STORED_LAYOUTS
 
 LINEAGE_VERSION = 1
 
@@ -251,48 +249,6 @@ def _set_page_fields(table: pa.Table, pages: pa.ListArray,
     return table.set_column(table.schema.get_field_index("pages"), "pages", pages)
 
 
-# The page fields a layout may be stored in, in their order in a stored
-# table, each with the function that rebuilds ``layout_json`` from the
-# page's text and the field.
-_STORED_LAYOUTS = {"layout_tags": html_layout_json, "layout_spans": pdf_layout_json}
-
-
-def _with_layout_tags(table: pa.Table) -> pa.Table:
-    """Give ``pages`` the ``_STORED_LAYOUTS`` fields and move each page's
-    layout into one of them, with ``layout_json`` set to null: a DOM page's
-    into ``layout_tags`` (``html_layout_tags``) wherever
-    ``html_layout_json`` rebuilds its JSON byte for byte, any other page's
-    into ``layout_spans`` wherever ``pdf_layout_spans`` gives a form that
-    ``pdf_layout_json`` rebuilds it from byte for byte. Every other page
-    keeps its ``layout_json``; pages already stored so stay so."""
-    pages = table["pages"].combine_chunks()
-    structs = pages.values
-    fields = {f.name: structs.field(f.name) for f in structs.type}
-    if not {"method", "text", "layout_json"} <= fields.keys():
-        return table
-    layout = fields["layout_json"]
-    has_layout = pc.and_(pc.is_valid(fields["text"]), pc.not_equal(layout, ""))
-    idx = pc.indices_nonzero(pc.fill_null(has_layout, False))
-    moved = {name: [None] * len(structs) for name in _STORED_LAYOUTS}
-    for i, method, text, js in zip(idx.to_pylist(),
-                                   pc.take(fields["method"], idx).to_pylist(),
-                                   pc.take(fields["text"], idx).to_pylist(),
-                                   pc.take(layout, idx).to_pylist()):
-        if method == METHOD_DOM:
-            tags = html_layout_tags(js)
-            if html_layout_json(text, tags) == js:
-                moved["layout_tags"][i] = tags
-        else:
-            moved["layout_spans"][i] = pdf_layout_spans(text, js)
-    stored = {name: pa.array(values, pa.string()) for name, values in moved.items()}
-    kept = pc.and_(*(pc.is_null(values) for values in stored.values()))
-    fields["layout_json"] = pc.if_else(kept, layout, pa.scalar(None, pa.string()))
-    for name, values in stored.items():
-        fields[name] = pc.coalesce(
-            values, fields.pop(name, pa.nulls(len(structs), pa.string())))
-    return _set_page_fields(table, pages, fields)
-
-
 def _stored_text(table: pa.Table) -> pa.Table:
     """``table`` (which has ``pages``) without ``doc_text`` and
     ``pages.page_md``."""
@@ -302,51 +258,60 @@ def _stored_text(table: pa.Table) -> pa.Table:
 
 
 def _stored_layout(table: pa.Table) -> pa.Table:
-    """``table`` as merges hold it (any layout in): without ``doc_text``
-    and ``pages.page_md`` when it has ``pages`` to rebuild them from, and
-    with its layouts in ``pages.layout_tags`` and ``pages.layout_spans``
-    where they rebuild (``_with_layout_tags``). Any other table
-    unchanged."""
-    if "pages" not in table.column_names:
-        return table
-    return _with_layout_tags(_stored_text(table))
-
-
-def _part_layout(table: pa.Table) -> pa.Table:
-    """``_stored_layout`` as a part file holds it: without the
-    ``layout_tags`` or ``layout_spans`` field where no page uses it. Where
-    no page uses either, the part keeps ``table``'s chunks, so it holds the
-    columns it held before the fields existed."""
+    """``table`` as merges hold it: without ``doc_text`` and
+    ``pages.page_md`` when it has ``pages`` to rebuild them from, and with
+    every ``STORED_LAYOUTS`` field, last and in that order, null where a
+    table lacks it, so tables of any form concatenate. Nothing is
+    converted. Any other table unchanged."""
     if "pages" not in table.column_names:
         return table
     table = _stored_text(table)
-    stored = _with_layout_tags(table)
-    flat = pc.list_flatten(stored["pages"])
-    unused = [name for name in _STORED_LAYOUTS
-              if flat.type.get_field_index(name) < 0
-              or pc.struct_field(flat, name).null_count == len(flat)]
-    if len(unused) < len(_STORED_LAYOUTS):
-        table = stored
-    for name in unused:
-        table = _drop_page_field(table, name)
+    pages = table["pages"].combine_chunks()
+    structs = pages.values
+    fields = {f.name: structs.field(f.name) for f in structs.type}
+    for name in STORED_LAYOUTS:
+        fields[name] = fields.pop(name, pa.nulls(len(structs), pa.string()))
+    return _set_page_fields(table, pages, fields)
+
+
+def _part_layout(table: pa.Table) -> pa.Table:
+    """``table`` as a part file holds it: without ``doc_text``,
+    ``pages.page_md`` and each ``STORED_LAYOUTS`` field that no page uses,
+    its chunks as given. Nothing is converted, so a table whose pages use
+    neither field is stored as it was before the fields existed."""
+    if "pages" not in table.column_names:
+        return table
+    table = _stored_text(table)
+    flat = pc.list_flatten(table["pages"])
+    for name in STORED_LAYOUTS:
+        if (flat.type.get_field_index(name) >= 0
+                and pc.struct_field(flat, name).null_count == len(flat)):
+            table = _drop_page_field(table, name)
     return table
 
 
-def _with_derived_text(table: pa.Table) -> pa.Table:
-    """Rebuild what ``_stored_layout`` left out, in its DOC_SCHEMA place:
-    ``page_md`` after each page's ``text``, ``doc_text`` before
-    ``doc_chars``, and the ``layout_json`` of each page stored in a
-    ``_STORED_LAYOUTS`` field, dropping those fields. A table that has ``doc_text`` or no ``pages`` is
+def doc_view(table: pa.Table) -> pa.Table:
+    """DOC_SCHEMA rows of a stored part or of the parse stage's output
+    (STAGE_SCHEMA): the ``layout_json`` of each page stored in a
+    ``STORED_LAYOUTS`` field rebuilt, and those fields dropped;
+    ``page_md`` after each page's ``text`` and ``doc_text`` before
+    ``doc_chars`` rebuilt where they are absent. This is the one place a
+    stored layout's JSON is built: the readers and ``extract_dataset``
+    apply it. A table with nothing to rebuild, or no ``pages``, is
     returned as it is. DOC_SCHEMA rows always hold a pages list (never
     null), so a null list reads back empty."""
-    if "pages" not in table.column_names or "doc_text" in table.column_names:
+    if "pages" not in table.column_names:
+        return table
+    item = table.schema.field("pages").type.value_type
+    if ("doc_text" in table.column_names and item.get_field_index("page_md") >= 0
+            and all(item.get_field_index(name) < 0 for name in STORED_LAYOUTS)):
         return table
     pages = table["pages"].combine_chunks()
     structs = pages.values
     stored = {f.name: structs.field(f.name) for f in structs.type}
     page = stored["page"].to_pylist()
     text = stored["text"].to_pylist()
-    for name, rebuild in _STORED_LAYOUTS.items():
+    for name, rebuild in STORED_LAYOUTS.items():
         if name in stored:
             values = stored.pop(name)
             stored["layout_json"] = pc.replace_with_mask(
@@ -355,23 +320,24 @@ def _with_derived_text(table: pa.Table) -> pa.Table:
                           for x, v in zip(text, values.to_pylist()) if v is not None],
                          pa.string()),
             )
-    page_md = pa.array(
-        [page_markdown(p, m, t)
-         for p, m, t in zip(page, stored["method"].to_pylist(), text)],
-        pa.string(),
-    )
     fields = {}
     for name, values in stored.items():
         fields[name] = values
-        if name == "text":
-            fields["page_md"] = page_md
+        if name == "text" and "page_md" not in stored:
+            fields["page_md"] = pa.array(
+                [page_markdown(p, m, t)
+                 for p, m, t in zip(page, stored["method"].to_pylist(), text)],
+                pa.string(),
+            )
+    table = _set_page_fields(table, pages, fields)
+    if "doc_text" in table.column_names:
+        return table
     bounds = pages.offsets.to_pylist()
     doc_text = pa.array(
         [combine_pages(zip(page[a:b], text[a:b]))
          for a, b in zip(bounds, bounds[1:])],
         pa.string(),
     )
-    table = _set_page_fields(table, pages, fields)
     at = table.schema.get_field_index("doc_chars")
     return table.add_column(at if at >= 0 else table.num_columns,
                             "doc_text", doc_text)
@@ -403,13 +369,13 @@ def write_part(out_dir: str, shard_id: int, table: pa.Table,
     object is a no-op). Returns the part's summary record.
 
     The part stores ``table`` without ``doc_text`` and ``pages.page_md``
-    when it has ``pages``, and each page's ``layout_json`` as its
-    ``layout_tags`` (a DOM page) or ``layout_spans`` (any other page)
-    where that rebuilds it exactly, checked here: readers rebuild all
-    three (module docstring), in the bytes ``_encode_part`` gives on any
-    backend. The caller keeps the returned record and commits the shard
-    from it (``try_commit_shard`` or ``commit_shard_manifest``); nothing
-    else records the part.
+    when it has ``pages``, and each page's layout in the form ``table``
+    holds it, with no ``layout_tags`` or ``layout_spans`` field that no
+    page uses (``_part_layout``; nothing is converted): readers rebuild
+    the text and the JSON of the stored layouts (module docstring), in the
+    bytes ``_encode_part`` gives on any backend. The caller keeps the
+    returned record and commits the shard from it (``try_commit_shard`` or
+    ``commit_shard_manifest``); nothing else records the part.
     """
     import hashlib
 
@@ -558,11 +524,13 @@ def completed_shards(out_dir: str,
 
 
 def _read_parts(out_dir: str, shards: List[Dict[str, Any]], fs: Any,
-                layout=_with_derived_text) -> pa.Table:
+                layout=doc_view) -> pa.Table:
     """Every part listed by ``shards`` (manifests or a snapshot's shard
     records), each put in ``layout``, concatenated: the one read path.
-    The default rebuilds the derived text and layouts; merges pass
-    ``_stored_layout`` so parts of any layout concatenate without them."""
+    The default (``doc_view``) gives DOC_SCHEMA rows, the derived text and
+    the stored layouts' JSON rebuilt; merges pass ``_stored_layout``, which
+    rebuilds nothing and gives every part both stored layout fields, so
+    parts of any form concatenate, each page in the form it was stored."""
     tables = [
         layout(fs.read_table(os.path.join(shard_data_dir(out_dir, s["shard_id"]), p)))
         for s in shards
@@ -697,8 +665,10 @@ def upsert_shard(out_dir: str, shard_id: int, updates: pa.Table,
     update row are REPLACED by it; update rows with new keys are APPENDED
     — the recrawl-refresh primitive (Iceberg MERGE INTO at shard
     granularity). ``updates`` must carry the shard's full row schema, with
-    or without the derived text (it is merged in the stored layout), and
-    be unique on ``key`` (asserted).
+    or without the derived text, and be unique on ``key`` (asserted): the
+    parse stage's output (STAGE_SCHEMA) or DOC_SCHEMA rows. They are merged
+    as stored (``_stored_layout``): each page keeps the form it holds, so
+    a DOC_SCHEMA row's layouts are stored as JSON.
 
     Crash-safe by the same discipline as compaction: the merged
     content-addressed parts are written FIRST, then the manifest

@@ -352,9 +352,9 @@ class TestExtractHeadings:
 
 
 # -- DOM layouts through storage --------------------------------------------
-# A part stores a DOM page's layout as its block tags when html_layout_json
-# rebuilds the JSON from them exactly, and the JSON itself otherwise; either
-# way the reader returns the extracted layout_json.
+# The built-in HTML extractor gives a DOM page's layout as its block tags,
+# which a part stores and the reader rebuilds into the layout JSON; a page
+# given with its JSON (another extractor) is stored with it.
 
 _PAGE = b"<html><body><p>" + b"Plenty of plain words in one paragraph here. " * 8 + b"</p></body></html>"
 
@@ -412,22 +412,25 @@ _BLOCKS = st.lists(
 
 
 @settings(max_examples=60, deadline=None)
-@given(_BLOCKS)
+@given(_BLOCKS.filter(bool))
 def test_html_layout_round_trips_through_storage(blocks):
+    """The built-in extractor, given these kept blocks, carries their tags
+    (no JSON); the part stores them and the reader rebuilds the
+    ``dump_layout(html_layout(blocks))`` JSON."""
     text = "\n\n".join(b.text for b in blocks)
-    layout = dump_layout(html_layout(blocks))
-    with _html_extractor(_dom_extractor(text, html_layout(blocks))):
+    tags = " ".join(b.tag for b in blocks)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(X, "extract_html_text", lambda payload: (text, blocks))
+        monkeypatch.setattr(X, "gate_page_text", lambda text, n: True)
         docs = _extract([_PAGE])
-    assert docs["pages"].to_pylist()[0][0]["layout_json"] == layout
+    page = docs["pages"].to_pylist()[0][0]
+    assert (page["layout_json"], page["layout_tags"], page["layout_spans"]) == (None, tags, None)
 
     raw, back = _through_storage(docs)
-    stored = raw[0][0]
-    if blocks:
-        assert stored["layout_json"] is None
-        assert stored["layout_tags"] == " ".join(b.tag for b in blocks)
-    else:  # no block to hold a tag: the JSON is kept
-        assert stored["layout_json"] == layout
-    assert back.equals(docs)
+    assert (raw[0][0]["layout_json"], raw[0][0]["layout_tags"]) == (None, tags)
+    assert "layout_spans" not in raw[0][0]  # no PDF page: no such field
+    assert back["pages"].to_pylist()[0][0]["layout_json"] == dump_layout(html_layout(blocks))
+    assert back.equals(lin.doc_view(docs))
 
 
 # Block texts as html_layout_json's callers split them: no newline (the
@@ -494,4 +497,4 @@ def test_layouts_stored_verbatim(case):
     raw, back = _through_storage(docs)
     assert raw[0][0]["layout_json"] == page["layout_json"]
     assert "layout_tags" not in raw[0][0]  # no page compacted: no field
-    assert back.equals(docs)
+    assert back.equals(lin.doc_view(docs))

@@ -267,7 +267,7 @@ class TestPartEncoding:
             for out in (mixed, fresh):
                 assert len(L.compact_shard(out, 0)["parts"]) == 1
         assert L.load_manifest(mixed, 0) == L.load_manifest(fresh, 0)
-        expected = rows.sort_by("url")
+        expected = L.doc_view(rows).sort_by("url")
         for out in (mixed, fresh):
             assert L.read_shard(out, 0).sort_by("url").equals(expected)
             assert L.read_all(out).sort_by("url").equals(expected)

@@ -382,6 +382,42 @@ class TestOcrQueries:
         assert rows and all(r["method"] == "tesseract" for r in rows)
         assert all(r["n_chars"] > 0 for r in rows)
 
+    def test_scanned_extraction_cache_keeps_each_sf_dir_of_a_session(self, monkeypatch):
+        """One session's extractions of two corpora both stay cached, so
+        alternating them runs each OCR pass once; a new session drops the
+        old session's entries."""
+        import types
+
+        from query_suite.pipelines import queries as Q
+        from query_suite.sources import page_formats
+
+        built = []
+
+        class Scanned:
+            def __init__(self, sf_dir):
+                self.sf_dir = sf_dir
+
+            def map_batches(self, *args, **kwargs):
+                return self
+
+            def materialize(self):
+                built.append(self.sf_dir)
+                return self
+
+        session = ["job-1"]
+        context = types.SimpleNamespace(get_job_id=lambda: session[0])
+        monkeypatch.setattr(page_formats, "documents_to_scanned_pages", Scanned)
+        monkeypatch.setattr(Q.ray, "get_runtime_context", lambda: context)
+        monkeypatch.setattr(Q, "_SCANNED_EXTRACTION_CACHE", {})
+        for sf_dir in ("a", "b", "a", "b"):
+            assert Q._scanned_extraction(sf_dir).sf_dir == sf_dir
+        assert built == ["a", "b"]
+        assert set(Q._SCANNED_EXTRACTION_CACHE) == {("job-1", "a"), ("job-1", "b")}
+        session[0] = "job-2"
+        Q._scanned_extraction("a")
+        assert built == ["a", "b", "a"]
+        assert set(Q._SCANNED_EXTRACTION_CACHE) == {("job-2", "a")}
+
 
 class TestOcrJobIntegration:
     def test_job_with_ocr_backend_over_scanned_parquet(self, ray_session, tmp_path):

@@ -1,7 +1,10 @@
 """Unit tests for the from-scratch PDF subset parser against our writer."""
 
+import os
 import random
 
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,8 +26,8 @@ from service1_text_extraction_ray.functions.pdf_extract import (
     _union_bbox,
     open_pdf,
     parse_pdf,
+    layout_spans,
     pdf_layout_json,
-    pdf_layout_spans,
 )
 from service1_text_extraction_ray.functions.synth import gen_pages_table, make_pdf
 
@@ -1472,7 +1475,7 @@ def test_deep_nesting_fails_the_document_not_the_stack(nest):
 
 
 # --------------------------------------------------------------------------
-# Stored layout: pdf_layout_spans / pdf_layout_json
+# Stored layout: layout_spans / pdf_layout_json
 # --------------------------------------------------------------------------
 
 @settings(max_examples=500, deadline=None)
@@ -1495,18 +1498,29 @@ def test_union_bbox_of_rounded_bboxes_needs_no_round(bboxes):
     assert repr(_union_bbox(bboxes)) == repr(rounded)
 
 
-def test_layout_spans_round_trip_over_the_goldens():
+def test_layout_spans_round_trip_over_the_goldens(monkeypatch):
     """Every PDF page of the golden corpora (rows 0-163 of seed 42, the PDFs
-    among rows 64-163) is stored without its text and rebuilt byte for
-    byte."""
+    among rows 64-163) carries its layout as the span columns that the
+    extractor built from its tree, and they rebuild its ``dump_layout``
+    JSON byte for byte."""
+    import service1_text_extraction_ray.functions.extract as X
+
+    built = []
+
+    def record(text, layout):
+        spans = layout_spans(text, layout)
+        built.append((text, dump_layout(layout), spans))
+        return spans
+
+    monkeypatch.setattr(X, "layout_spans", record)
     pages = [p for r in gen_pages_table(164, seed=42).to_pylist()
              for p in extract_document(r["url"], r["html"], ExtractConfig())["pages"]
              if p["method"] == METHOD_PDF]
-    assert len(pages) > 10
-    for p in pages:
-        spans = pdf_layout_spans(p["text"], p["layout_json"])
+    assert len(pages) > 10 and len(built) == len(pages)
+    for p, (text, layout, spans) in zip(pages, built):
         assert spans is not None and '"text"' not in spans
-        assert pdf_layout_json(p["text"], spans) == p["layout_json"]
+        assert (p["text"], p["layout_json"], p["layout_spans"]) == (text, None, spans)
+        assert pdf_layout_json(text, spans) == layout
 
 
 _SPAN_TEXT = st.lists(st.one_of(
@@ -1524,17 +1538,32 @@ _SPANS = st.lists(st.builds(
 ), max_size=30)
 
 
+def _all_spans_in(text, layout):
+    """Whether ``text`` holds every span text of ``layout`` in reading
+    order, each after the one before."""
+    end = 0
+    for block in layout["blocks"]:
+        for line in block["lines"]:
+            for span in line["spans"]:
+                at = text.find(span["text"], end)
+                if at < 0:
+                    return False
+                end = at + len(span["text"])
+    return True
+
+
 @settings(max_examples=300, deadline=None)
 @given(_SPANS, st.sampled_from([0, 90]))
 def test_layout_spans_round_trip(spans, rotation):
-    """A page layout stores without its text wherever its page text holds
-    every span's text, and the stored form always rebuilds the JSON."""
+    """A page layout built by ``_assemble_page`` is stored without its text
+    exactly where its stripped page text holds every span's text, and the
+    stored form always rebuilds the ``dump_layout`` JSON."""
     page = _assemble_page(spans, 612.0, 792.0, rotation)
     text = page.text.strip()
-    layout = dump_layout(page.layout)
-    stored = pdf_layout_spans(text, layout)
+    stored = layout_spans(text, page.layout)
+    assert (stored is not None) == _all_spans_in(text, page.layout)
     if stored is not None:
-        assert pdf_layout_json(text, stored) == layout
+        assert pdf_layout_json(text, stored) == dump_layout(page.layout)
     if text == page.text:  # nothing stripped: every span is in the text
         assert stored is not None
 
@@ -1560,11 +1589,63 @@ _TWO_SPANS = _ONE_SPAN.replace(
                        '"flags":' + "[" * 100_000 + ',"font":"F1","size":12.0,"text":"c"'),
 ], ids=["empty", "text", "hex", "array", "object", "no_tail", "ocr", "nan", "missing",
         "union", "extra_key", "string_coord", "deep"])
-def test_layout_spans_refuses_what_it_cannot_rebuild(layout_json):
-    assert pdf_layout_spans("abc", layout_json) is None
+def test_layout_spans_refuses_what_it_cannot_rebuild(layout_json, tmp_path):
+    """A PDF page that holds its layout as JSON (an older part, another
+    extractor, ``read_all`` rows merged back) is stored and read back as it
+    is, whatever the string: the part writer reads no layout and builds no
+    spans form."""
+    from service1_text_extraction_ray.stages.extract_stage import DOC_SCHEMA
+    from service1_text_extraction_ray.state import lineage as lin
+
+    row = {"url": "https://p.example/0", "status": "ok", "truncated": False,
+           "n_pages": 1, "n_pages_ok": 1, "doc_text": "--- PAGE 1 ---\nabc",
+           "doc_chars": 18, "password_required": False, "content_hash": "0" * 64,
+           "pages": [{"page": 1, "method": METHOD_PDF, "text": "abc",
+                      "page_md": "# Page 1 - PDF_TEXT\n\nabc", "n_chars": 3,
+                      "layout_json": layout_json}]}
+    docs = pa.Table.from_pylist([row], schema=DOC_SCHEMA)
+    out = str(tmp_path)
+    rec = lin.write_part(out, 0, docs)
+    lin.commit_shard_manifest(out, 0, [rec])
+    (raw,) = pq.read_table(os.path.join(lin.shard_data_dir(out, 0), rec["part"]))["pages"][0].as_py()
+    assert raw == {"page": 1, "method": METHOD_PDF, "text": "abc", "n_chars": 3,
+                   "layout_json": layout_json}
+    assert lin.read_shard(out, 0).equals(docs)
+
+
+@pytest.mark.parametrize("case", ["stripped", "missing", "out_of_order", "nan_bbox",
+                                  "inf_size", "inf_width", "nan_height"])
+def test_layout_spans_keeps_the_json_it_cannot_store(case):
+    """The builder gives None, and the page keeps its ``dump_layout`` JSON,
+    where a span text is not in the stripped page text or a number is not
+    finite (``dump_layout`` writes ``NaN``/``Infinity``, no float ``repr``
+    does)."""
+    import json
+    import math
+
+    layout = json.loads(_TWO_SPANS)
+    text = "abc"
+    spans = layout["blocks"][0]["lines"][0]["spans"]
+    if case == "stripped":
+        spans[0]["text"] = " ab"
+    elif case == "missing":
+        spans[1]["text"] = "x"
+    elif case == "out_of_order":
+        text = "cab"
+    elif case == "nan_bbox":
+        spans[1]["bbox"][2] = math.nan
+    elif case == "inf_size":
+        spans[0]["size"] = math.inf
+    elif case == "inf_width":
+        layout["width"] = math.inf
+    else:
+        layout["height"] = math.nan
+    assert layout_spans(text, layout) is None
 
 
 def test_layout_spans_keep_one_and_two_span_lines():
+    import json
+
     for layout in (_ONE_SPAN, _TWO_SPANS):
-        stored = pdf_layout_spans("abc", layout)
+        stored = layout_spans("abc", json.loads(layout))
         assert stored is not None and pdf_layout_json("abc", stored) == layout

@@ -163,17 +163,22 @@ def test_committed_parts_store_page_text_once(ray_session, corpus_dir, oracle_re
     assert [f.name for f in table.schema.field("pages").type.value_type] == [
         f.name for f in DOC_SCHEMA.field("pages").type.value_type]
     assert_matches_oracle(table, oracle_results)
+    # The oracle's pages as DOC_SCHEMA rows: every stored layout's JSON built.
+    stage = ExtractDocuments(CFG)(sniff_table(gen_pages_table(N_ROWS, seed=42),
+                                              CFG.size_bucket_edges))
+    expected = dict(zip(stage["url"].to_pylist(), lin.doc_view(stage)["pages"].to_pylist()))
     for url, pages in zip(table["url"].to_pylist(), table["pages"].to_pylist()):
-        for key in ("page_md", "layout_json"):
-            assert [p[key] for p in pages] == [
-                p[key] for p in oracle_results[url]["pages"]], (url, key)
+        assert [p["page_md"] for p in pages] == [
+            p["page_md"] for p in oracle_results[url]["pages"]], url
+        assert pages == expected[url], url
+    assert any(p["layout_json"] for pages in expected.values() for p in pages)
 
     by_url: dict = {}
     for r in explode_pages(table).to_pylist():
         by_url.setdefault(r["url"], []).append((r["page_md"], r["layout_json"]))
     assert by_url == {
-        url: [(p["page_md"], p["layout_json"]) for p in o["pages"]]
-        for url, o in oracle_results.items() if o["pages"]
+        url: [(p["page_md"], p["layout_json"]) for p in pages]
+        for url, pages in expected.items() if pages
     }
 
 
@@ -556,14 +561,14 @@ def test_collect_raises_the_first_error_without_waiting_for_the_rest(
         ray.get(refs[0], timeout=0)
 
 
-def test_resume_summary_leaves_out_an_invalid_shard_of_a_file_not_in_the_run(
-        corpus_dir, tmp_path):
-    """On resume the summary sums the manifests that validated and the
-    records the tasks returned. A listed manifest whose part lost a row
-    fails validation; when its file is not in the resumed run, no task
-    rewrites it and the summary leaves it out. The shard stays listed, so
-    ``read_all`` still returns the rows its part kept: the summary then
-    counts fewer docs than the table holds."""
+def test_resume_refuses_an_invalid_shard_of_a_file_not_in_the_run(
+        ray_session, corpus_dir, tmp_path):
+    """A listed manifest whose part lost a row fails validation. When its
+    file is not in the resumed run, no task would rewrite it, and the
+    summary could not count the rows ``read_all`` still reads through it:
+    the resume refuses, naming the shard and its manifest, before it
+    purges or runs anything. A resume whose input includes the file
+    re-extracts the shard."""
     from service1_text_extraction_ray.pipelines.extract_pipeline import ExtractFile
     from service1_text_extraction_ray.sources.pages_source import list_input_files
 
@@ -576,14 +581,17 @@ def test_resume_summary_leaves_out_an_invalid_shard_of_a_file_not_in_the_run(
     assert victim not in lin.completed_shards(out)
 
     rest = [f for f in files if stable_shard_id(f) != victim]
-    summary = run_extraction_job(rest, out, CFG, resume=True)
-    assert summary["resumed_shards_skipped"] == len(rest)
-    assert summary["new_shards_written"] == 0
-    assert _counters(summary) == lin.summarize(
-        [recs[sid] for sid in sorted(recs) if sid != victim])
-    assert summary["n_docs"] == N_ROWS - recs[victim]["n_docs"]
-    assert len(lin.load_lineage(out)) == len(files)
-    assert lin.read_all(out).num_rows == N_ROWS - 1
+    before = _tree_bytes(out)
+    with pytest.raises(ValueError, match="fresh run") as err:
+        run_extraction_job(rest, out, CFG, resume=True)
+    assert f"shard {victim} ({lin.manifest_path(out, victim)})" in str(err.value)
+    assert _tree_bytes(out) == before
+
+    summary = run_extraction_job(files, out, CFG, resume=True)
+    assert (summary["resumed_shards_skipped"], summary["new_shards_written"]) == (
+        len(rest), 1)
+    assert _counters(summary) == lin.summarize([recs[sid] for sid in sorted(recs)])
+    assert lin.read_all(out).num_rows == N_ROWS
 
 
 @pytest.mark.parametrize("case", ["empty", "missing", "not_a_shard", "missing_file_arg"])
@@ -870,21 +878,24 @@ class TestCompaction:
 
 
 def _part_form(path: str) -> str:
-    """Which writer stored a part: ``doc_text`` (before page text was stored
-    once), ``layout_json`` (every layout as JSON) or ``layout_tags``."""
+    """Which form a part stores: ``doc_text`` (before page text was stored
+    once), ``layout_json`` (no stored layout field: every layout as JSON)
+    or ``stored`` (a ``layout_tags`` or ``layout_spans`` field)."""
     raw = pq.read_schema(path)
     if "doc_text" in raw.names:
         return "doc_text"
     item = raw.field("pages").type.value_type
     assert item.get_field_index("page_md") < 0
-    return "layout_tags" if item.get_field_index("layout_tags") >= 0 else "layout_json"
+    stored = any(item.get_field_index(n) >= 0 for n in ("layout_tags", "layout_spans"))
+    return "stored" if stored else "layout_json"
 
 
 class TestStoredLayout:
     """A shard may hold parts written with doc_text and pages.page_md (before
-    page text was stored once), parts with every layout_json and parts with
-    DOM layouts as block tags: reads, upserts and compaction treat them as
-    one table, and rewrite them in the newest form."""
+    page text was stored once), parts whose pages hold every layout as JSON
+    (DOC_SCHEMA rows, as ``read_all`` returns them) and parts with DOM and
+    PDF layouts in their stored forms: reads, upserts and compaction treat
+    them as one table, and every page keeps the form it was stored in."""
 
     @staticmethod
     def _docs(n, seed=42, start=0):
@@ -897,60 +908,77 @@ class TestStoredLayout:
         return pa.concat_tables([self._docs(60), self._docs(15, start=80)]).sort_by("url")
 
     @staticmethod
-    def _mixed_shard(out, sid, docs, monkeypatch):
+    def _mixed_shard(out, sid, docs):
+        """Shard ``sid`` of ``docs`` (the stage's output) in three parts: a
+        third as DOC_SCHEMA rows stored whole (as parts were written before
+        page text was stored once), a third as DOC_SCHEMA rows through
+        ``write_part`` and a third as the stage gave them. Returns the
+        manifest and the urls whose pages hold their layouts as JSON."""
         third = docs.num_rows // 3
-        with monkeypatch.context() as m:
-            m.setattr(lin, "_part_layout", lambda t: t)  # the first writer
-            old = lin.write_part(out, sid, docs.slice(0, third))
-        with monkeypatch.context() as m:
-            m.setattr(lin, "_with_layout_tags", lambda t: t)  # the second
-            mid = lin.write_part(out, sid, docs.slice(third, third))
-        new = lin.write_part(out, sid, docs.slice(2 * third))
+        rows = lin.doc_view(docs)
+        old = lin.write_part(out, sid, rows.slice(0, third))
         ddir = lin.shard_data_dir(out, sid)
+        pq.write_table(rows.slice(0, third), os.path.join(ddir, old["part"]))
+        mid = lin.write_part(out, sid, rows.slice(third, third))
+        new = lin.write_part(out, sid, docs.slice(2 * third))
         assert [_part_form(os.path.join(ddir, r["part"])) for r in (old, mid, new)] == [
-            "doc_text", "layout_json", "layout_tags"]
-        return lin.commit_shard_manifest(out, sid, [old, mid, new])
+            "doc_text", "layout_json", "stored"]
+        json_urls = set(rows["url"].to_pylist()[:2 * third])
+        return lin.commit_shard_manifest(out, sid, [old, mid, new]), json_urls
 
     @staticmethod
-    def _assert_newest_form(out, sid, parts):
+    def _assert_forms_kept(out, sid, parts, json_urls, methods):
+        """Every page of ``methods`` in ``parts`` holds its layout in the
+        form its row was stored in: JSON for ``json_urls``, else a DOM
+        page's block tags and a PDF page's span columns. Both forms of each
+        method are present, and a field no page uses is absent."""
         ddir = lin.shard_data_dir(out, sid)
+        field = {"dom": "layout_tags", "pdf_text": "layout_spans"}
         for part in parts:
-            assert _part_form(os.path.join(ddir, part)) == "layout_tags"
-            docs = pq.read_table(os.path.join(ddir, part))["pages"].to_pylist()
-            assert {"dom", "pdf_text"} <= {p["method"] for pages in docs for p in pages}
-            for pages in docs:
+            raw = pq.read_table(os.path.join(ddir, part))
+            seen = set()
+            for url, pages in zip(raw["url"].to_pylist(), raw["pages"].to_pylist()):
                 for p in pages:
-                    if p["method"] == "dom":
-                        assert p["layout_json"] is None and p["layout_tags"]
-                    if p["method"] == "pdf_text":
-                        assert p["layout_json"] is None and p["layout_spans"]
+                    if p["method"] not in field:
+                        continue
+                    stored = p.get(field[p["method"]])
+                    seen.add((p["method"], url in json_urls))
+                    if url in json_urls:
+                        assert p["layout_json"].startswith("{") and stored is None, url
+                    else:
+                        assert p["layout_json"] is None and stored, url
+            assert seen == {(m, j) for m in methods for j in (True, False)}
+            item = raw.schema.field("pages").type.value_type
+            assert {n for n in field.values() if item.get_field_index(n) >= 0} == {
+                field[m] for m in methods}
 
-    def test_mixed_shard_reads_as_one_doc_table(self, tmp_path, monkeypatch):
+    def test_mixed_shard_reads_as_one_doc_table(self, tmp_path):
         out = str(tmp_path / "t")
         docs = self._html_and_pdf_docs()
-        self._mixed_shard(out, 0, docs, monkeypatch)
+        self._mixed_shard(out, 0, docs)
+        rows = lin.doc_view(docs)
         got = lin.read_shard(out, 0).sort_by("url")
         assert got.schema.names == DOC_SCHEMA.names
-        assert got.equals(docs)
-        assert lin.read_all(out).sort_by("url").equals(docs)
+        assert got.equals(rows)
+        assert lin.read_all(out).sort_by("url").equals(rows)
         v = lin.commit_snapshot(out)["version"]
-        assert lin.read_snapshot(out, v).sort_by("url").equals(docs)
+        assert lin.read_snapshot(out, v).sort_by("url").equals(rows)
 
     def test_compact_mixed_shard_preserves_content(self, tmp_path, monkeypatch):
         out = str(tmp_path / "t")
         docs = self._html_and_pdf_docs()
-        before = self._mixed_shard(out, 0, docs, monkeypatch)
+        before, json_urls = self._mixed_shard(out, 0, docs)
         monkeypatch.setattr(lin, "PART_TARGET_ROWS", 100)
         after = lin.compact_shard(out, 0)
         assert len(after["parts"]) == 1
         assert dict(after, parts=None) == dict(before, parts=None)
-        self._assert_newest_form(out, 0, after["parts"])
-        assert lin.read_shard(out, 0).sort_by("url").equals(docs)
+        self._assert_forms_kept(out, 0, after["parts"], json_urls, {"dom", "pdf_text"})
+        assert lin.read_shard(out, 0).sort_by("url").equals(lin.doc_view(docs))
 
-    def test_upsert_mixed_shard_recounts_merged_rows(self, tmp_path, monkeypatch):
+    def test_upsert_mixed_shard_recounts_merged_rows(self, tmp_path):
         out = str(tmp_path / "t")
         docs = self._html_and_pdf_docs()
-        self._mixed_shard(out, 0, docs, monkeypatch)
+        _, json_urls = self._mixed_shard(out, 0, docs)
         # urls 20..39 re-extracted from other payloads (urls depend on the
         # row index only), 60..64 new
         updates = pa.concat_tables([self._docs(20, seed=99, start=20),
@@ -964,8 +992,8 @@ class TestStoredLayout:
         ]).sort_by("url")
         counters = lin.part_counters(expected)
         assert {k: rec[k] for k in counters} == counters
-        self._assert_newest_form(out, 0, rec["parts"])
-        assert lin.read_shard(out, 0).sort_by("url").equals(expected)
+        self._assert_forms_kept(out, 0, rec["parts"], json_urls - urls, {"dom", "pdf_text"})
+        assert lin.read_shard(out, 0).sort_by("url").equals(lin.doc_view(expected))
 
     def _pdf_docs(self):
         """30 extracted PDF documents (rows 80-94 and 180-194)."""
@@ -978,34 +1006,28 @@ class TestStoredLayout:
         path = os.path.join(lin.shard_data_dir(out, sid), part)
         return [p for ps in pq.read_table(path)["pages"].to_pylist() for p in ps]
 
-    def _assert_spans_form(self, out, sid, parts):
-        for part in parts:
-            pages = [p for p in self._raw_pages(out, sid, part) if p["method"] == "pdf_text"]
-            assert pages and all(p["layout_json"] is None and p["layout_spans"]
-                                 for p in pages)
-            assert "layout_tags" not in pages[0]  # no DOM page: no such field
-
     @pytest.mark.parametrize("merge", ["read", "upsert", "compact", "delete"])
     def test_pdf_json_and_span_parts_mix_in_one_shard(self, tmp_path, monkeypatch, merge):
-        """A shard with a part that stores every PDF layout as JSON and one
-        that stores them as spans reads as one DOC_SCHEMA table, and every
-        merge writes the spans form."""
+        """A shard with a part that stores every PDF layout as JSON
+        (DOC_SCHEMA rows) and one that stores them as spans reads as one
+        DOC_SCHEMA table, and every merge keeps each page's form."""
         out = str(tmp_path / "t")
         docs = self._pdf_docs()
-        with monkeypatch.context() as m:
-            m.setattr(lin, "_with_layout_tags", lambda t: t)  # the JSON writer
-            old = lin.write_part(out, 0, docs.slice(0, 12))
+        rows = lin.doc_view(docs)
+        old = lin.write_part(out, 0, rows.slice(0, 12))
         new = lin.write_part(out, 0, docs.slice(12))
         assert all(p["layout_json"] and "layout_spans" not in p
                    for p in self._raw_pages(out, 0, old["part"]))
-        self._assert_spans_form(out, 0, [new["part"]])
+        assert all(p["layout_json"] is None and p["layout_spans"] and "layout_tags" not in p
+                   for p in self._raw_pages(out, 0, new["part"]) if p["method"] == "pdf_text")
         before = lin.commit_shard_manifest(out, 0, [old, new])
-        assert lin.read_shard(out, 0).sort_by("url").equals(docs)
-        assert lin.read_all(out).sort_by("url").equals(docs)
+        assert lin.read_shard(out, 0).sort_by("url").equals(rows)
+        assert lin.read_all(out).sort_by("url").equals(rows)
         v = lin.commit_snapshot(out)["version"]
-        assert lin.read_snapshot(out, v).sort_by("url").equals(docs)
+        assert lin.read_snapshot(out, v).sort_by("url").equals(rows)
 
         monkeypatch.setattr(lin, "PART_TARGET_ROWS", 100)
+        json_urls = set(rows["url"].to_pylist()[:12])
         expected = docs
         if merge == "upsert":
             updates = self._docs(5, seed=99, start=85)  # urls of rows 85-89
@@ -1015,6 +1037,7 @@ class TestStoredLayout:
                 docs.filter(pa.array([u not in urls for u in docs["url"].to_pylist()])),
                 updates,
             ]).sort_by("url")
+            json_urls -= urls
             assert (rec["n_replaced"], rec["n_appended"]) == (5, 0)
         elif merge == "compact":
             rec = lin.compact_shard(out, 0)
@@ -1027,12 +1050,13 @@ class TestStoredLayout:
         else:
             return
         assert len(rec["parts"]) == 1
-        self._assert_spans_form(out, 0, rec["parts"])
-        assert lin.read_shard(out, 0).sort_by("url").equals(expected)
+        self._assert_forms_kept(out, 0, rec["parts"], json_urls, {"pdf_text"})
+        assert lin.read_shard(out, 0).sort_by("url").equals(lin.doc_view(expected))
 
     def test_pdf_page_whose_text_lost_a_span_space_keeps_its_json(self, tmp_path):
         """The stored page text is stripped, so a first span's leading spaces
-        are not in it: that page keeps its layout_json, the others do not."""
+        are not in it: the extractor gives that page its layout_json, the
+        others their span columns, and the part stores both as given."""
         lines = ["   Indented opening line of this page."] + [
             f"Line {i} with enough words to pass the gate." for i in range(8)]
         payload = make_pdf([lines], random.Random(7))
@@ -1045,16 +1069,71 @@ class TestStoredLayout:
         out = str(tmp_path / "t")
         rec = lin.write_part(out, 0, docs)
         lin.commit_shard_manifest(out, 0, [rec])
+        stage = {p["text"][:8]: p for ps in docs["pages"].to_pylist() for p in ps}
         raw = {p["text"][:8]: p for p in self._raw_pages(out, 0, rec["part"])}
-        assert raw["Indented"]["layout_json"].startswith("{")
-        assert raw["Indented"]["layout_spans"] is None
-        assert raw["Line 0 w"]["layout_json"] is None and raw["Line 0 w"]["layout_spans"]
-        assert lin.read_shard(out, 0).equals(docs)
+        for pages in (stage, raw):
+            assert pages["Indented"]["layout_json"].startswith("{")
+            assert pages["Indented"]["layout_spans"] is None
+            assert pages["Line 0 w"]["layout_json"] is None and pages["Line 0 w"]["layout_spans"]
+        assert lin.read_shard(out, 0).equals(lin.doc_view(docs))
+
+    def test_file_task_builds_no_layout_json(self, tmp_path, monkeypatch):
+        """The file task (parse, part, manifest) over HTML and PDF rows
+        rebuilds no layout JSON (``html_layout_json`` and
+        ``pdf_layout_json`` are never called), and ``dump_layout`` runs once
+        per page that keeps its JSON: a PDF page whose span text the strip
+        cut, an OCR page."""
+        import sys
+
+        from service1_text_extraction_ray.functions.synth import make_scanned_row
+        from service1_text_extraction_ray.pipelines.extract_pipeline import ExtractFile
+
+        rows = gen_pages_table(100, seed=42).to_pylist()
+        indented = ["   Indented opening line of this page."] + [
+            f"Line {i} with enough words to pass the gate." for i in range(8)]
+        rows.append(dict(rows[80], url="https://t.example/indented",
+                         html=make_pdf([indented], random.Random(7))))
+        rows.append(dict(rows[80], url="https://t.example/scanned",
+                         html=make_scanned_row(0)["html"]))
+        path = str(tmp_path / "pages-00000.parquet")
+        pq.write_table(pa.Table.from_pylist(rows, schema=gen_pages_table(1).schema), path)
+
+        rebuilt, dumped = [], []
+
+        def refuse(text, stored):
+            rebuilt.append(stored)
+            raise AssertionError("a layout JSON was rebuilt on the write path")
+
+        for name, mod in list(sys.modules.items()):
+            if not name.startswith("service1_text_extraction_ray"):
+                continue
+            for attr in ("html_layout_json", "pdf_layout_json"):
+                if hasattr(mod, attr):
+                    monkeypatch.setattr(mod, attr, refuse)
+            if hasattr(mod, "dump_layout"):
+                dump = mod.dump_layout
+                monkeypatch.setattr(mod, "dump_layout",
+                                    lambda layout, dump=dump: dumped.append(1) or dump(layout))
+            for table in ("STORED_LAYOUTS", "_STORED_LAYOUTS"):  # field -> rebuilder
+                for field in getattr(mod, table, {}):
+                    monkeypatch.setitem(getattr(mod, table), field, refuse)
+
+        out = str(tmp_path / "out")
+        rec = ExtractFile(out, ExtractConfig(ocr_backend="fake"))(path)
+        assert rebuilt == []
+        (part,) = rec["parts"]
+        pages = self._raw_pages(out, rec["shard_id"], part)
+        kept = [p["method"] for p in pages if p["layout_json"]]
+        assert sorted(set(kept)) == ["pdf_text", "tesseract"]
+        assert len(dumped) == len(kept)
+        assert {p["method"] for p in pages if p.get("layout_tags")} == {"dom"}
+        assert {p["method"] for p in pages if p.get("layout_spans")} == {"pdf_text"}
 
     @staticmethod
-    def _pdf_rows(n):
-        """``n`` DOC_SCHEMA rows of one PDF page each, in 8 chunks. Their
-        layout_json strings are distinct and over 1 MB in all, past
+    def _pdf_rows(n, schema=DOC_SCHEMA):
+        """``n`` rows of one PDF page each, in 8 chunks, in ``schema``
+        (DOC_SCHEMA, or STAGE_SCHEMA with both stored layout fields null).
+        Their layout_json strings are distinct and over 1 MB in all, past
         parquet's dictionary page limit, where chunk boundaries can change
         the bytes written."""
         import hashlib
@@ -1070,15 +1149,18 @@ class TestStoredLayout:
                        "page_md": "# Page 1 - PDF_TEXT\n\nx", "n_chars": 1,
                        "layout_json": rng.randbytes(2000).hex()}],
         } for i in range(n)]
-        table = pa.Table.from_pylist(rows, schema=DOC_SCHEMA)
+        table = pa.Table.from_pylist(rows, schema=schema)
         step = -(-n // 8)
         return pa.concat_tables([table.slice(i, step) for i in range(0, n, step)])
 
     def test_pdf_part_is_written_as_before(self, tmp_path, monkeypatch):
-        """A part with no DOM page gets no layout_tags field: it is written
-        byte for byte as before the field existed, also when compaction
-        (whose rows carry the field) rewrites it."""
-        pdf = self._pdf_rows(400)
+        """A part whose pages use no stored layout field gets no such field:
+        stage rows (STAGE_SCHEMA) whose fields are all null are written
+        byte for byte, chunks included, as the same DOC_SCHEMA rows, which
+        is how parts were written before the fields existed; also when
+        compaction (whose rows carry both fields) rewrites them."""
+        from service1_text_extraction_ray.stages.extract_stage import STAGE_SCHEMA
+
         monkeypatch.setattr(lin, "PART_TARGET_ROWS", 1000)
 
         def read(out, sid, part):
@@ -1086,7 +1168,7 @@ class TestStoredLayout:
             with open(path, "rb") as f:
                 return path, f.read()
 
-        def run(out):
+        def run(out, pdf):
             recs = [lin.write_part(out, 0, pdf.slice(0, 200)),
                     lin.write_part(out, 0, pdf.slice(200))]
             whole = lin.write_part(out, 1, pdf)
@@ -1097,10 +1179,8 @@ class TestStoredLayout:
             parts.append(read(out, 0, compacted["parts"][0]))
             return [p for p, _ in parts], [b for _, b in parts]
 
-        with monkeypatch.context() as m:
-            m.setattr(lin, "_with_layout_tags", lambda t: t)  # the writer before
-            _, before = run(str(tmp_path / "before"))
-        paths, now = run(str(tmp_path / "now"))
+        _, before = run(str(tmp_path / "before"), self._pdf_rows(400))
+        paths, now = run(str(tmp_path / "now"), self._pdf_rows(400, STAGE_SCHEMA))
         assert now == before
         raw = pq.read_schema(paths[-1])
         assert raw.names == [n for n in DOC_SCHEMA.names if n != "doc_text"]
