@@ -1614,7 +1614,7 @@ def test_layout_spans_refuses_what_it_cannot_rebuild(layout_json, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["stripped", "missing", "out_of_order", "nan_bbox",
-                                  "inf_size", "inf_width", "nan_height"])
+                                  "inf_size", "inf_width", "nan_height", "huge_number"])
 def test_layout_spans_keeps_the_json_it_cannot_store(case):
     """The builder gives None, and the page keeps its ``dump_layout`` JSON,
     where a span text is not in the stripped page text or a number is not
@@ -1638,8 +1638,13 @@ def test_layout_spans_keeps_the_json_it_cannot_store(case):
         spans[0]["size"] = math.inf
     elif case == "inf_width":
         layout["width"] = math.inf
-    else:
+    elif case == "nan_height":
         layout["height"] = math.nan
+    else:  # a 400-digit coordinate in a content stream reads as inf
+        page = _assemble_page(_interpret_text(
+            b"BT /F1 12 Tf " + b"9" * 400 + b".0 720 Td (Some text here) Tj ET"), 612.0, 792.0)
+        text, layout = page.text.strip(), page.layout
+        assert "Infinity" in dump_layout(layout)
     assert layout_spans(text, layout) is None
 
 
